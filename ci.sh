@@ -158,7 +158,15 @@ REQ2=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_serve_requests_total" { pri
     echo "paxsim_serve_requests_total not monotonic: '$REQ1' -> '$REQ2'"
     exit 1
 }
-echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2"
+# The engine's memo table is sampled at scrape time: the CG request above
+# recorded region edges, and their snapshots weigh something.
+EDGES=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_machine_memo_edges" { print $2 + 0 }')
+MEMO_BYTES=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_machine_memo_bytes" { print $2 + 0 }')
+{ [ "${EDGES:-0}" -gt 0 ] && [ "${MEMO_BYTES:-0}" -gt 0 ]; } || {
+    echo "memo gauges missing from the scrape: edges '$EDGES' bytes '$MEMO_BYTES'"
+    exit 1
+}
+echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B"
 # SIGTERM must drain gracefully: exit 0, socket file removed.
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -294,6 +302,11 @@ echo "== engine throughput (quick, zero-drift check, memoization off) =="
 # disabled, so any divergence between the memoized and plain fast paths
 # shows up as drift against the shared reference.
 PAXSIM_BENCH_QUICK=1 PAXSIM_DISABLE_MEMO=1 cargo bench -p paxsim-bench --bench engine_throughput
+
+echo "== paxbench golden fingerprints (all five workloads, quick) =="
+# Every SimOutcome, study digest and grid reply the benchmark produces is
+# compared with benchmark/golden/goldens.tsv; a mismatch exits nonzero.
+(cd benchmark && cargo run --release --offline --quiet -- all --quick)
 
 echo "== bench regression gate (fresh geomean vs committed) =="
 # Full-sample bench run; it rewrites BENCH_engine.json, so read the

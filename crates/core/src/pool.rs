@@ -373,9 +373,13 @@ mod tests {
     }
 
     // --- fault-isolated mode ---
+    //
+    // Fault plans are process-global, so the clean sweeps below hold
+    // `quiesced()`: no other test's plan can fire in their cells.
 
     #[test]
     fn isolated_completes_around_persistent_failure() {
+        let _clean = crate::faultinject::quiesced();
         let sweep = map_indexed_isolated(16, &CellPolicy::default(), |i| {
             if i == 5 {
                 panic!("persistent failure");
@@ -401,6 +405,7 @@ mod tests {
 
     #[test]
     fn isolated_retry_recovers_transient_failure() {
+        let _clean = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(8, &CellPolicy::default(), |i| {
             if i == 2 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -415,6 +420,7 @@ mod tests {
 
     #[test]
     fn isolated_watchdog_flags_slow_cells() {
+        let _clean = crate::faultinject::quiesced();
         let policy = CellPolicy {
             deadline: Some(Duration::from_millis(20)),
             ..CellPolicy::default()
@@ -436,6 +442,7 @@ mod tests {
 
     #[test]
     fn isolated_typed_errors_are_not_retried() {
+        let _clean = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(4, &CellPolicy::default(), |i| {
             if i == 0 {

@@ -93,16 +93,21 @@ fn memoization_fires_on_iterative_cg() {
         nthreads: config.threads,
         schedule: Schedule::Static,
     });
-    let out = simulate(
-        &machine,
-        vec![JobSpec::pinned(trace, config.contexts.clone())],
-    );
+    let spec = || vec![JobSpec::pinned(trace.clone(), config.contexts.clone())];
+    let out = simulate(&machine, spec());
     assert!(out.memo.probes > 0, "quiet single-job run must probe");
     assert!(
         out.memo.hits > 0,
         "CG's repeated iterations must hit the memo table: {:?}",
         out.memo
     );
+    // Every boundary of a second run — the first region's included — is
+    // answered from what the first run recorded.
+    let again = simulate(&machine, spec());
+    assert_eq!(again.memo.hits, again.memo.probes, "{:?}", again.memo);
+    assert_eq!(again.memo.probes, again.memo.regions, "{:?}", again.memo);
+    assert_eq!(again.wall_cycles, out.wall_cycles);
+    assert_eq!(again.total, out.total);
 }
 
 /// Multiprogrammed shape (two jobs splitting the machine, as in §4.2/§4.3):

@@ -10,8 +10,8 @@
 /// (0 or 1) for history purposes.
 ///
 /// Every field is time-free, so the whole struct is its own canonical
-/// memoization snapshot (`PartialEq` + `Clone`, see `crate::memo`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// memoization snapshot (`Eq` + `Hash` + `Clone`, see `crate::memo`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Gshare {
     /// Two-bit saturating counters, initialized weakly taken (2).
     pht: Vec<u8>,

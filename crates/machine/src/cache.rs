@@ -280,7 +280,7 @@ impl SetAssoc {
 impl crate::component::Component for SetAssoc {}
 
 /// See [`SetAssoc::canon`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SetAssocCanon {
     /// Occupied lines in (set, recency) order: `(set, encoded tag, dirty,
     /// ready − base clamped to 0)`.

@@ -32,7 +32,6 @@
 //! * region ends are OpenMP barriers: early threads accumulate
 //!   synchronization wait until the last arrives.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::branch::Gshare;
@@ -42,7 +41,7 @@ use crate::component::EventScheduler;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::cycles;
-use crate::memo::{CoreSnap, MachineSnap, MemoEntry, MemoStats};
+use crate::memo::{self, CoreSnap, MachineSnap, MemoStats, Snap};
 use crate::op::{tag_address, unpack_at, Op};
 use crate::prefetch::StreamPrefetcher;
 use crate::sim::JobSpec;
@@ -351,8 +350,7 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
     // free) job: its whole team then sits at one common clock at every
     // region boundary, which is what makes a region's evolution a pure
     // function of (trace, machine state) up to a time translation.
-    let memo_on =
-        fast && specs.len() == 1 && specs[0].jitter_cycles == 0 && !crate::memo::disabled();
+    let memo_on = fast && specs.len() == 1 && specs[0].jitter_cycles == 0 && !memo::disabled();
     if memo_on {
         run_memoized(
             cfg,
@@ -367,70 +365,21 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
             profiling,
         );
     } else if fast {
-        // Discrete-event scheduling: the lazy min-heap queue keyed by
-        // (scheduler key, context index), where the key is the grant clock
-        // of the context's pending quantum block (equal to its local clock
-        // except for a run-ahead context parked at a gated memory op).
-        // Lexicographic `(key, i)` ordering reproduces the reference scan's
-        // deterministic block order (lowest grant, then lowest index).
-        // Entries are not removed when a context blocks or advances; a
-        // popped entry is *validated* against the context's current key and
-        // skipped when stale. Keys strictly increase per context, so a
-        // stale entry can never masquerade as current.
-        for (i, c) in ctxs.iter().enumerate() {
-            if c.phase == Phase::Run {
-                evq.push(c.key, i);
-            }
+        for ji in 0..jobs.len() {
+            enqueue_team(ji, &mut ctxs, &jobs, &mut evq);
         }
-        while let Some((t, ci)) = evq.pop() {
-            if ctxs[ci].phase != Phase::Run || ctxs[ci].key != t {
-                continue; // stale entry
-            }
-            evq.dispatched(t);
-            let sib = sib_at[ci];
-            let sibling_active = sib.is_some_and(|s| ctxs[s].phase == Phase::Run);
-            // With the sibling gone for good (never mapped, or terminally
-            // Done), every non-memory op touches only this core's private
-            // state — such work may run ahead of the scheduler bound.
-            let run_ahead = sib.is_none_or(|s| ctxs[s].phase == Phase::Done);
-            // While this context runs, no other context's phase or clock
-            // can change, so the yield bound is computed once per dispatch.
-            let sched = match evq.peek() {
-                None => Sched::Sole,
-                Some((t2, i2)) => Sched::Until(t2, i2),
-            };
-            match step_ctx(
-                cfg,
-                tpu,
-                sibling_active,
-                run_ahead,
-                sched,
-                ci,
-                t,
-                &mut ctxs[ci],
-                &mut m,
-                &mut jobs,
-                &mut pf_buf,
-            ) {
-                StepEnd::Arrived => {
-                    if handle_arrival(cfg, ci, &mut ctxs, &mut jobs, profiling) {
-                        // Barrier released: re-enqueue the whole team at its
-                        // post-barrier clocks.
-                        let ji = ctxs[ci].job;
-                        for &i in &jobs[ji].ctx_ids {
-                            if ctxs[i].phase == Phase::Run {
-                                ctxs[i].key = ctxs[i].t;
-                                evq.push(ctxs[i].key, i);
-                            }
-                        }
-                    }
-                }
-                StepEnd::Yield(key) => {
-                    ctxs[ci].key = key;
-                    evq.push(key, ci);
-                }
-            }
-        }
+        run_events(
+            cfg,
+            tpu,
+            &sib_at,
+            &mut ctxs,
+            &mut m,
+            &mut jobs,
+            &mut pf_buf,
+            &mut evq,
+            profiling,
+            false,
+        );
     } else {
         loop {
             // Pick the least-advanced runnable context (deterministic
@@ -485,40 +434,23 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
     }
 }
 
-/// Fast-path driver with steady-state region memoization (single quiet job
+/// Fast-path driver with region-boundary memoization (single quiet job
 /// only — see the gate in `run_impl`).
 ///
-/// Each simulated region is recorded as (canonical pre-state, canonical
-/// post-state, Δt, Δcounters) keyed by its interned `RegionTrace` pointer.
-/// When a later boundary presents the same region with a canonically equal
-/// machine state, the recorded deltas are replayed instead of re-simulating
-/// — exact by determinism: same trace + same replay-relevant state ⇒ same
-/// evolution. Canonical states express every absolute tick as an offset
-/// from the boundary clock (see the `memo` module for why each structure's
-/// canonicalization is behavior-preserving), which is sound because the
-/// engine's timing rules are invariant under time translation — with one
-/// exception: the FP out-of-order window clamp `fp_queue.min(start + cost)`
-/// reads absolute time when `start + cost < fp_queue`. Boundaries earlier
-/// than `fp_queue` ticks are therefore simulated normally, never memoized.
+/// Every boundary probes the process-wide table in `crate::memo` for an
+/// earlier execution — by this run or any before it — of the same interned
+/// region from the same canonical machine state, and on a hit replays the
+/// recorded deltas instead of re-simulating (the `memo` module argues why
+/// that is exact). Two facts keep snapshots off the steady-state path:
 ///
-/// Three structural facts keep the bookkeeping off the steady-state path:
-///
-/// * **Chaining** — a boundary's canonical state is already known whenever
-///   the previous region was resolved through the table: a hit leaves the
-///   machine in `e.post`'s class at the release clock, and a recorded miss
-///   just computed `canon(machine)` as its post-state. Since `canon` is
-///   idempotent, that snapshot *is* the next boundary's pre-state — so
-///   `snapshot()` runs only for the post-state of each miss (a handful of
-///   warmup regions), never per boundary.
-/// * **Interning** — every snapshot is deduplicated through a pool of
-///   pairwise-distinct canonical states, so probing is `Rc::ptr_eq`, not a
-///   deep compare (and a hit still can never be a hash collision — there
-///   are no hashes at all, the pool compares full canonical states).
-/// * **Lazy restore** — a hit does not write the machine back; the chained
-///   snapshot stands in for it. Concrete state is materialized only when a
-///   probe misses and the region must actually be simulated. (Nothing
-///   reads machine state after the final region, so a trailing restore is
-///   unnecessary.)
+/// * **Chaining** — a hit leaves the machine in the edge's `post` class at
+///   the release clock, and a recorded miss just computed `canon(machine)`
+///   as its post-state. `canon` is idempotent, so that interned snapshot
+///   *is* the next boundary's pre-state: `snapshot()` runs once for the
+///   pristine machine and once per miss, never per hit.
+/// * **Lazy restore** — a hit does not write the machine back; concrete
+///   state is materialized only when a probe misses and the region must be
+///   simulated. (Nothing reads machine state after the final region.)
 #[allow(clippy::too_many_arguments)]
 fn run_memoized(
     cfg: &MachineConfig,
@@ -532,29 +464,14 @@ fn run_memoized(
     evq: &mut EventScheduler,
     profiling: bool,
 ) {
-    let mut table: std::collections::HashMap<usize, Vec<MemoEntry>> =
-        std::collections::HashMap::new();
-    /// Deduplicate `snap` against the pool so that `Rc::ptr_eq` on pooled
-    /// snapshots is exactly canonical equality.
-    fn intern(pool: &mut Vec<Rc<MachineSnap>>, snap: MachineSnap) -> Rc<MachineSnap> {
-        if let Some(p) = pool.iter().find(|p| ***p == snap) {
-            return Rc::clone(p);
-        }
-        let p = Rc::new(snap);
-        pool.push(Rc::clone(&p));
-        p
-    }
-    let mut pool: Vec<Rc<MachineSnap>> = Vec::new();
-    // canon(machine) at the current boundary, when known without reading
-    // the machine (chained from the previous hit or recorded miss).
-    let mut cur: Option<Rc<MachineSnap>> = None;
-    // Does the concrete machine state match the current boundary (false
-    // after a lazy hit, until the next materializing restore)?
+    // Which contexts run a region is as evolution-relevant as the machine
+    // state they start in, so the placement is part of every edge's key.
+    let placement: Vec<Lcpu> = jobs[0].ctx_ids.iter().map(|&i| ctxs[i].lcpu).collect();
+    let run = memo::run_id(cfg, &placement);
+    // canon(machine) at this boundary, when chained from the last region.
+    let mut cur: Option<Arc<Snap>> = None;
+    // Is the concrete machine at this boundary (false after a lazy hit)?
     let mut live = true;
-    // Team placement, part of the cross-run match key: which contexts run
-    // a region is as evolution-relevant as the machine state they start in.
-    let placement: Vec<crate::topology::Lcpu> =
-        jobs[0].ctx_ids.iter().map(|&i| ctxs[i].lcpu).collect();
     let lead = jobs[0].ctx_ids[0];
     while ctxs[lead].phase == Phase::Run {
         let r = ctxs[lead].region;
@@ -567,120 +484,78 @@ fn run_memoized(
             "quiet team must be aligned at every region boundary"
         );
         stats.regions += 1;
-        if base < cfg.fp_queue {
-            // Pre-memoization warmup (always concrete: hits need base ≥
-            // fp_queue, which only grows).
-            debug_assert!(live && cur.is_none());
-            run_region(cfg, tpu, sib_at, ctxs, m, jobs, pf_buf, evq, profiling);
-            continue;
-        }
         stats.probes += 1;
-        let key = Arc::as_ptr(&jobs[0].trace.regions[r]) as *const () as usize;
-        let pre = match cur.take() {
-            Some(p) => p,
-            None => intern(&mut pool, snapshot(m, base)),
+        let pre = cur
+            .take()
+            .unwrap_or_else(|| memo::intern(snapshot(m, base)));
+        let key = memo::Key {
+            run,
+            region: Arc::as_ptr(&jobs[0].trace.regions[r]) as *const () as usize,
+            pre: Arc::as_ptr(&pre) as usize,
+            abs_base: (base < cfg.fp_queue).then_some(base),
         };
-        let mut hit = table
-            .get(&key)
-            .and_then(|b| b.iter().find(|e| Rc::ptr_eq(&e.pre, &pre)))
-            .map(|e| (e.dt, e.dcounters, Rc::clone(&e.post)));
-        if hit.is_none() {
-            // Cross-run probe: an earlier `simulate()` call in this
-            // process may have executed this exact region from this exact
-            // canonical state (steady-state reruns — repeated bench
-            // samples, sweep trials, served requests). A global match is
-            // copied into the run-local table so later boundaries chain
-            // through cheap pointer equality again.
-            if let Some(g) = crate::memo::global_find(cfg, key, &placement, &pre) {
-                let post = intern(&mut pool, (*g.post).clone());
-                table.entry(key).or_default().push(MemoEntry {
-                    pre: Rc::clone(&pre),
-                    post: Rc::clone(&post),
-                    dt: g.dt,
-                    dcounters: g.dcounters,
-                });
-                hit = Some((g.dt, g.dcounters, post));
-            }
-        }
-        if let Some((dt, dcounters, post)) = hit {
+        if let Some((post, dt, dcounters)) = memo::probe(&key) {
             stats.hits += 1;
             let release = base + dt;
             // One scheduler event that jumps the whole region: the replay
             // is the ultimate quiescent skip.
             evq.jump(release);
             jobs[0].counters.add(&dcounters);
-            jobs[0].region_ends.push(release);
-            let done = r + 1 >= jobs[0].trace.regions.len();
             for ctx in ctxs.iter_mut() {
-                ctx.t = release;
-                if done {
-                    ctx.phase = Phase::Done;
-                } else {
-                    ctx.region = r + 1;
-                    ctx.idx = 0;
-                    ctx.pending_uops = 0;
-                }
+                ctx.t = release; // arrived on time: no sync wait beyond Δcounters
             }
-            if done {
-                jobs[0].finish = release;
-            }
-            if profiling {
-                crate::profile::on_region(
-                    0,
-                    key,
-                    &jobs[0].trace.regions[r].label,
-                    release,
-                    &jobs[0].counters,
-                    true,
-                );
-            }
+            release_team(0, ctxs, jobs, release, profiling, true);
             cur = Some(post);
             live = false;
             continue;
         }
         if !live {
-            restore(m, &pre, base);
+            restore(m, &pre.state, base);
             live = true;
         }
         let counters_before = jobs[0].counters;
-        run_region(cfg, tpu, sib_at, ctxs, m, jobs, pf_buf, evq, profiling);
-        let release = ctxs[lead].t;
-        let post = intern(&mut pool, snapshot(m, release));
-        cur = Some(Rc::clone(&post));
-        let dt = release - base;
-        let dcounters = jobs[0].counters.delta(&counters_before);
-        crate::memo::global_record(
-            cfg,
-            key,
-            crate::memo::GlobalEntry {
-                pin: Arc::clone(&jobs[0].trace.regions[r]),
-                placement: placement.clone(),
-                pre: Arc::new((*pre).clone()),
-                post: Arc::new((*post).clone()),
-                dt,
-                dcounters,
-            },
+        evq.clear_queue();
+        enqueue_team(0, ctxs, jobs, evq);
+        run_events(
+            cfg, tpu, sib_at, ctxs, m, jobs, pf_buf, evq, profiling, true,
         );
-        table.entry(key).or_default().push(MemoEntry {
-            pre,
-            post,
-            dt,
-            dcounters,
-        });
+        let release = ctxs[lead].t;
+        let post = memo::intern(snapshot(m, release));
+        cur = Some(Arc::clone(&post));
+        let dcounters = jobs[0].counters.delta(&counters_before);
+        let region = &jobs[0].trace.regions[r];
+        memo::record(key, region, pre, post, release - base, dcounters);
     }
 }
 
-/// Simulate exactly one region of the (single) quiet job with the fast
-/// scheduler, returning at its barrier release.
+/// Enqueue job `ji`'s runnable contexts at their current clocks.
+fn enqueue_team(ji: usize, ctxs: &mut [Ctx], jobs: &[JobState], evq: &mut EventScheduler) {
+    for &i in &jobs[ji].ctx_ids {
+        if ctxs[i].phase == Phase::Run {
+            ctxs[i].key = ctxs[i].t;
+            evq.push(ctxs[i].key, i);
+        }
+    }
+}
+
+/// Discrete-event scheduling: drain the lazy min-heap queue keyed by
+/// (scheduler key, context index), where the key is the grant clock of the
+/// context's pending quantum block (equal to its local clock except for a
+/// run-ahead context parked at a gated memory op). Lexicographic `(key, i)`
+/// ordering reproduces the reference scan's deterministic block order
+/// (lowest grant, then lowest index). Entries are not removed when a
+/// context blocks or advances; a popped entry is *validated* against the
+/// context's current key and skipped when stale. Keys strictly increase per
+/// context, so a stale entry can never masquerade as current.
 ///
-/// Bit-identical to the general heap loop's handling of the same region: a
-/// fresh queue holds exactly the runnable team, and the general loop's
-/// stale queue entries only cause validation skips or early yields —
-/// neither touches machine state — so the sequence of state-mutating
-/// quanta (always the lexicographically least `(clock, index)` runnable
-/// context) is the same in both drivers.
+/// With `one_region` (the memoizing driver, which rebuilds the queue at
+/// every boundary) it returns at the first barrier release instead of
+/// re-enqueueing the team. That is bit-identical to running on: stale
+/// entries only cause validation skips or early yields — neither touches
+/// machine state — so the sequence of state-mutating quanta (always the
+/// lexicographically least `(key, index)` runnable context) is the same.
 #[allow(clippy::too_many_arguments)]
-fn run_region(
+fn run_events(
     cfg: &MachineConfig,
     tpu: u64,
     sib_at: &[Option<usize>],
@@ -690,12 +565,8 @@ fn run_region(
     pf_buf: &mut Vec<u64>,
     evq: &mut EventScheduler,
     profiling: bool,
+    one_region: bool,
 ) {
-    evq.clear_queue();
-    for &i in &jobs[0].ctx_ids {
-        ctxs[i].key = ctxs[i].t;
-        evq.push(ctxs[i].key, i);
-    }
     while let Some((t, ci)) = evq.pop() {
         if ctxs[ci].phase != Phase::Run || ctxs[ci].key != t {
             continue; // stale entry
@@ -703,7 +574,12 @@ fn run_region(
         evq.dispatched(t);
         let sib = sib_at[ci];
         let sibling_active = sib.is_some_and(|s| ctxs[s].phase == Phase::Run);
+        // With the sibling gone for good (never mapped, or terminally
+        // Done), every non-memory op touches only this core's private
+        // state — such work may run ahead of the scheduler bound.
         let run_ahead = sib.is_none_or(|s| ctxs[s].phase == Phase::Done);
+        // While this context runs, no other context's phase or clock
+        // can change, so the yield bound is computed once per dispatch.
         let sched = match evq.peek() {
             None => Sched::Sole,
             Some((t2, i2)) => Sched::Until(t2, i2),
@@ -723,7 +599,12 @@ fn run_region(
         ) {
             StepEnd::Arrived => {
                 if handle_arrival(cfg, ci, ctxs, jobs, profiling) {
-                    return;
+                    if one_region {
+                        return;
+                    }
+                    // Barrier released: re-enqueue the whole team at its
+                    // post-barrier clocks.
+                    enqueue_team(ctxs[ci].job, ctxs, jobs, evq);
                 }
             }
             StepEnd::Yield(key) => {
@@ -732,7 +613,6 @@ fn run_region(
             }
         }
     }
-    unreachable!("region ended without a barrier release");
 }
 
 /// Capture the canonical replay-relevant machine state at boundary clock
@@ -1429,19 +1309,34 @@ fn handle_arrival(
     }
     // Last arriver: release everyone.
     jobs[ji].arrived = 0;
-    let ctx_ids = jobs[ji].ctx_ids.clone();
-    let arrivals_max = ctx_ids.iter().map(|&i| ctxs[i].t).max().unwrap();
+    let arrivals_max = jobs[ji].ctx_ids.iter().map(|&i| ctxs[i].t).max().unwrap();
     let release = if n > 1 {
         arrivals_max + cycles(cfg.barrier_lat)
     } else {
         arrivals_max
     };
-    jobs[ji].region_ends.push(release);
-    let next_region = ctxs[ci].region + 1;
-    let done = next_region >= jobs[ji].trace.regions.len();
-    for &i in &ctx_ids {
-        let wait = release - ctxs[i].t;
-        jobs[ji].counters.ticks_sync += wait;
+    release_team(ji, ctxs, jobs, release, profiling, false);
+    true
+}
+
+/// Move job `ji`'s team through the barrier of its current region at clock
+/// `release` (a simulated arrival, or a region replayed from the memo
+/// table): book the region, charge each context its wait, start the next
+/// region or finish the job.
+fn release_team(
+    ji: usize,
+    ctxs: &mut [Ctx],
+    jobs: &mut [JobState],
+    release: u64,
+    profiling: bool,
+    memo_replay: bool,
+) {
+    let job = &mut jobs[ji];
+    job.region_ends.push(release);
+    let next_region = ctxs[job.ctx_ids[0]].region + 1;
+    let done = next_region >= job.trace.regions.len();
+    for &i in &job.ctx_ids {
+        job.counters.ticks_sync += release - ctxs[i].t;
         ctxs[i].t = release;
         if done {
             ctxs[i].phase = Phase::Done;
@@ -1450,24 +1345,23 @@ fn handle_arrival(
             ctxs[i].region = next_region;
             ctxs[i].idx = 0;
             ctxs[i].pending_uops = 0;
-            ctxs[i].t += jitter_ticks(jobs[ji].seed, next_region, ctxs[i].thread, jobs[ji].jitter);
+            ctxs[i].t += jitter_ticks(job.seed, next_region, ctxs[i].thread, job.jitter);
         }
     }
     if done {
-        jobs[ji].finish = release;
+        job.finish = release;
     }
     if profiling {
-        let r = next_region - 1;
+        let region = &job.trace.regions[next_region - 1];
         crate::profile::on_region(
             ji,
-            Arc::as_ptr(&jobs[ji].trace.regions[r]) as *const () as usize,
-            &jobs[ji].trace.regions[r].label,
+            Arc::as_ptr(region) as *const () as usize,
+            &region.label,
             release,
-            &jobs[ji].counters,
-            false,
+            &job.counters,
+            memo_replay,
         );
     }
-    true
 }
 
 #[cfg(test)]

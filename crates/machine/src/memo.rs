@@ -1,5 +1,5 @@
-//! Steady-state region memoization: the snapshot types and statistics
-//! behind the engine's region-level replay cache.
+//! Region-boundary memoization: one process-wide table of interned
+//! canonical machine snapshots and the region executions between them.
 //!
 //! The simulator is deterministic, so one region of a single jitter-free
 //! job is a pure function of (region trace, replay-relevant machine state
@@ -7,41 +7,38 @@
 //! boundary the whole team sits at one common clock `base` and every
 //! engine timing rule is expressed through `max`/`saturating_sub`/`+`
 //! against clocks ≥ `base`. The engine therefore snapshots a *canonical*
-//! machine state at each boundary (absolute ticks → offsets from `base`,
-//! absolute LRU stamps → ranks) and, on an exact canonical match for the
-//! same interned region, replays the recorded cycle and counter deltas
-//! instead of re-simulating.
+//! machine state at a boundary (absolute ticks → offsets from `base`,
+//! absolute LRU stamps → ranks; each structure documents next to its
+//! `canon()` why that loses nothing a replay could observe) and replays
+//! the recorded cycle and counter deltas of an earlier execution of the
+//! same interned region from the same canonical state.
 //!
-//! What makes the canon exact (each structure documents its own argument
-//! next to its `canon()`):
-//!
-//! * `SetAssoc` (L1/L2): tags and dirty verbatim, per-set LRU ranks,
-//!   in-flight `ready` ticks as offsets, settled ones clamped;
-//! * `Tlb`: inner array canon + the semantic last-page filter verbatim;
-//! * `TraceCache`: entries in exact order (swap-remove eviction), rng and
-//!   last-key filter verbatim;
-//! * `Gshare`: wholly time-free — cloned as-is;
-//! * `StreamPrefetcher`: streams in table order with stamps as ranks;
-//! * issue/FP servers, bus and memory-controller `next_free`: offsets.
-//!
-//! Both the probe and the record compare *full* canonical states (no
-//! hashing), so a memo hit can never be a collision. The differential
-//! tests in `paxsim-core` assert bit-identical `SimOutcome`s against the
-//! reference engine with memoization active.
-//!
-//! Recorded executions are additionally shared *across* `simulate()`
-//! calls through a process-global table (see [`GlobalEntry`]): repeated
-//! runs of the same quiet workload — bench samples, sweep trials, served
-//! requests — replay whole regions from the first run instead of
-//! re-simulating them. A cross-run hit matches on machine config, region
-//! identity, team placement and the full canonical pre-state, so it is
-//! exact for the same reason an intra-run hit is.
+//! * **Interner.** [`intern`] deduplicates snapshots: a 64-bit content
+//!   hash selects a bucket, full `MachineSnap` equality decides. Two live
+//!   `Arc<Snap>`s are thus one pointer exactly when canonically equal, and
+//!   a hit can never be a hash collision. The interner holds `Weak`s, so a
+//!   snapshot dies with its last edge.
+//! * **Edges.** [`record`] stores `(run context, region, pre, base class)
+//!   → (post, Δt, Δcounters)`; [`probe`] is one map lookup under a short
+//!   lock, whichever `simulate()` call recorded the edge. The run context
+//!   is an id for (machine config, team placement). An edge holds its
+//!   region and its `pre`, so neither address in its key can be recycled.
+//! * **Absolute-base edges.** One rule is not translation-covariant: the
+//!   FP window clamp `fp_queue.min(start + cost)` reads absolute time
+//!   below `fp_queue` ticks. A boundary with `base < fp_queue` is keyed by
+//!   `Some(base)` and replays only there, untranslated — exact by
+//!   determinism alone. All later boundaries share the key `None`.
+//! * **Byte budget.** Live snapshot bytes above `BUDGET` evict the least
+//!   recently hit edges. What remains is still exact, so eviction can cost
+//!   future hits but never change a result.
 //!
 //! Set `PAXSIM_DISABLE_MEMO=1` to turn memoization off (used by `ci.sh`
 //! for an explicit on-vs-off drift check).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, Weak};
 
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +57,7 @@ use crate::trace_cache::TraceCacheCanon;
 pub struct MemoStats {
     /// Region executions driven by the memoizing scheduler.
     pub regions: u64,
-    /// Region boundaries eligible for memoization (table probed).
+    /// Region boundaries at which the table was probed (all of them).
     pub probes: u64,
     /// Probes answered from the memo table (region not re-simulated).
     pub hits: u64,
@@ -78,13 +75,15 @@ impl MemoStats {
     }
 }
 
-/// Is memoization disabled for this process (env `PAXSIM_DISABLE_MEMO`)?
+/// Is memoization disabled for this process (env `PAXSIM_DISABLE_MEMO`,
+/// read once)?
 pub(crate) fn disabled() -> bool {
-    std::env::var_os("PAXSIM_DISABLE_MEMO").is_some_and(|v| v != "0")
+    static OFF: OnceLock<bool> = OnceLock::new();
+    *OFF.get_or_init(|| std::env::var_os("PAXSIM_DISABLE_MEMO").is_some_and(|v| v != "0"))
 }
 
 /// Canonical replay-relevant state of one core at a region boundary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CoreSnap {
     pub issue_off: u64,
     pub fp_off: u64,
@@ -104,7 +103,7 @@ pub(crate) struct CoreSnap {
 /// cores, buses and the memory controller — not just the job's placement:
 /// stores invalidate remote caches and every transaction shares the
 /// controller, so remote state is replay-relevant too.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct MachineSnap {
     pub cores: Vec<CoreSnap>,
     /// Chip-shared L3 canons (empty on topologies without an L3).
@@ -113,116 +112,181 @@ pub(crate) struct MachineSnap {
     pub mem_off: u64,
 }
 
-/// One memoized region execution: pre-state → (post-state, Δt, Δcounters).
-///
-/// Both snapshots are *interned* in the engine's snapshot pool (see
-/// `run_memoized`): every `Rc<MachineSnap>` held by an entry or chained
-/// across a boundary comes from the pool, whose members are pairwise
-/// canonically distinct — so `Rc::ptr_eq` on two pooled snapshots is
-/// exactly canonical equality, and probes need no deep compares.
-#[derive(Debug, Clone)]
-pub(crate) struct MemoEntry {
-    pub pre: std::rc::Rc<MachineSnap>,
-    pub post: std::rc::Rc<MachineSnap>,
-    pub dt: u64,
-    pub dcounters: Counters,
+/// Bytes of all live interned snapshots, and the budget they are held to.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+static BUDGET: AtomicUsize = AtomicUsize::new(512 << 20);
+
+/// An interned snapshot (only [`intern`] makes one).
+pub(crate) struct Snap {
+    pub state: MachineSnap,
+    bytes: usize,
 }
 
-/// One region execution shared across `simulate()` calls: the same
-/// steady-state region reached with the same canonical machine state on
-/// the same machine/placement replays from any earlier run in this
-/// process, not just earlier boundaries of the current run. Everything a
-/// region's evolution can depend on is part of the match: the machine
-/// configuration (outer key), the region's op stream (pointer key, see
-/// `_pin`), the team placement, and the full canonical pre-state — all
-/// compared exactly, so a cross-run hit is exact for the same reason an
-/// intra-run hit is.
-pub(crate) struct GlobalEntry {
-    /// Held clone of the region the pointer key names. The table is keyed
-    /// by `Arc<RegionTrace>` address; pinning the allocation here makes
-    /// that sound across runs — the address cannot be recycled for a
-    /// different region while the entry lives.
-    #[allow(dead_code)]
-    pub pin: Arc<RegionTrace>,
-    pub placement: Vec<Lcpu>,
-    pub pre: Arc<MachineSnap>,
-    pub post: Arc<MachineSnap>,
-    pub dt: u64,
-    pub dcounters: Counters,
+impl Drop for Snap {
+    fn drop(&mut self) {
+        BYTES.fetch_sub(self.bytes, Relaxed);
+    }
 }
 
-/// Recorded executions for one machine config, keyed by interned region
-/// pointer.
-type RegionBuckets = HashMap<usize, Vec<Arc<GlobalEntry>>>;
-
-/// Process-wide memo table: a handful of machine configs (compared
-/// structurally — `MachineConfig` holds floats, so no hashing), each
-/// mapping region pointers to their recorded executions.
-struct GlobalMemo {
-    per_cfg: Vec<(MachineConfig, RegionBuckets)>,
-    entries: usize,
+/// Fx-style word hasher that also meters what it is fed, so one pass over
+/// a snapshot yields both its bucket and its size.
+#[derive(Default)]
+struct WordHasher {
+    hash: u64,
+    bytes: usize,
 }
 
-/// Hard cap on retained entries: snapshots are working-set sized, and the
-/// cap only bounds memory — a full table stops learning, never changes a
-/// result.
-const GLOBAL_CAP: usize = 1024;
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 
-fn global() -> &'static Mutex<GlobalMemo> {
-    static G: OnceLock<Mutex<GlobalMemo>> = OnceLock::new();
-    G.get_or_init(|| {
-        Mutex::new(GlobalMemo {
-            per_cfg: Vec::new(),
-            entries: 0,
-        })
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len();
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.hash = (self.hash.rotate_left(5) ^ u64::from_le_bytes(w))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
+/// What an edge is looked up by; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Key {
+    pub run: u32,
+    pub region: usize,
+    pub pre: usize,
+    pub abs_base: Option<u64>,
+}
+
+struct Edge {
+    /// Held so the addresses in the key stay allocated.
+    _region: Arc<RegionTrace>,
+    _pre: Arc<Snap>,
+    post: Arc<Snap>,
+    dt: u64,
+    dcounters: Counters,
+    /// Table tick of the last record or hit (eviction order).
+    used: u64,
+}
+
+#[derive(Default)]
+struct Table {
+    /// Run contexts by id. `MachineConfig` holds floats, so it is compared,
+    /// not hashed; a process sees a handful of these.
+    runs: Vec<(MachineConfig, Vec<Lcpu>)>,
+    snaps: HashMap<u64, Vec<Weak<Snap>>>,
+    edges: HashMap<Key, Edge>,
+    tick: u64,
+}
+
+fn table() -> MutexGuard<'static, Table> {
+    static TABLE: LazyLock<Mutex<Table>> = LazyLock::new(Mutex::default);
+    // Every update is one whole map operation, so the table is valid even
+    // if a holder panicked.
+    TABLE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The id of run context (`cfg`, `placement`).
+pub(crate) fn run_id(cfg: &MachineConfig, placement: &[Lcpu]) -> u32 {
+    let mut t = table();
+    let known = t.runs.iter().position(|(c, p)| c == cfg && p == placement);
+    known.unwrap_or_else(|| {
+        t.runs.push((cfg.clone(), placement.to_vec()));
+        t.runs.len() - 1
+    }) as u32
+}
+
+/// The one live `Arc<Snap>` canonically equal to `state`.
+pub(crate) fn intern(state: MachineSnap) -> Arc<Snap> {
+    let mut h = WordHasher::default();
+    state.hash(&mut h);
+    intern_hashed(h.hash, h.bytes, state)
+}
+
+fn intern_hashed(hash: u64, bytes: usize, state: MachineSnap) -> Arc<Snap> {
+    let mut t = table();
+    let bucket = t.snaps.entry(hash).or_default();
+    // Dead members (pruned at the next eviction) simply fail to upgrade.
+    let equal = bucket
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|p| p.state == state);
+    equal.unwrap_or_else(|| {
+        BYTES.fetch_add(bytes, Relaxed);
+        let p = Arc::new(Snap { state, bytes });
+        bucket.push(Arc::downgrade(&p));
+        p
     })
 }
 
-/// Cross-run probe: find a recorded execution of region `key` on `cfg`
-/// with this `placement` whose canonical pre-state equals `pre`. The
-/// bucket is cloned out under the lock (cheap `Arc`s) and the deep
-/// state compares run unlocked.
-pub(crate) fn global_find(
-    cfg: &MachineConfig,
-    key: usize,
-    placement: &[Lcpu],
-    pre: &MachineSnap,
-) -> Option<Arc<GlobalEntry>> {
-    let bucket: Vec<Arc<GlobalEntry>> = {
-        let g = global().lock().unwrap_or_else(|e| e.into_inner());
-        let (_, m) = g.per_cfg.iter().find(|(c, _)| c == cfg)?;
-        m.get(&key)?.clone()
-    };
-    bucket
-        .into_iter()
-        .find(|e| e.placement == placement && *e.pre == *pre)
+/// The recorded execution under `key`: (post-state, Δt, Δcounters).
+pub(crate) fn probe(key: &Key) -> Option<(Arc<Snap>, u64, Counters)> {
+    let mut t = table();
+    t.tick += 1;
+    let now = t.tick;
+    let e = t.edges.get_mut(key)?;
+    e.used = now;
+    Some((Arc::clone(&e.post), e.dt, e.dcounters))
 }
 
-/// Record one simulated region execution for future runs. `entry.pin`
-/// must be the region whose address `key` names.
-pub(crate) fn global_record(cfg: &MachineConfig, key: usize, entry: GlobalEntry) {
-    debug_assert_eq!(Arc::as_ptr(&entry.pin) as *const () as usize, key);
-    let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
-    if g.entries >= GLOBAL_CAP {
-        return;
+/// Record that `region`, run from `pre` under `key`, ended in `post` after
+/// `dt` ticks and `dcounters`; then evict down to the byte budget.
+pub(crate) fn record(
+    key: Key,
+    region: &Arc<RegionTrace>,
+    pre: Arc<Snap>,
+    post: Arc<Snap>,
+    dt: u64,
+    dcounters: Counters,
+) {
+    static EVICTIONS: paxsim_obs::LazyCounter =
+        paxsim_obs::LazyCounter::new("machine.memo.evictions");
+    let mut t = table();
+    t.tick += 1;
+    let used = t.tick;
+    // A concurrent run may have recorded the same execution already.
+    t.edges.entry(key).or_insert(Edge {
+        _region: Arc::clone(region),
+        _pre: pre,
+        post,
+        dt,
+        dcounters,
+        used,
+    });
+    let mut evicted = 0;
+    while BYTES.load(Relaxed) > BUDGET.load(Relaxed) {
+        let oldest = t.edges.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| *k);
+        let Some(k) = oldest else { break };
+        t.edges.remove(&k);
+        evicted += 1;
     }
-    let gm = &mut *g;
-    let m = match gm.per_cfg.iter_mut().position(|(c, _)| c == cfg) {
-        Some(i) => &mut gm.per_cfg[i].1,
-        None => {
-            gm.per_cfg.push((cfg.clone(), HashMap::new()));
-            &mut gm.per_cfg.last_mut().unwrap().1
-        }
-    };
-    let bucket = m.entry(key).or_default();
-    if bucket
-        .iter()
-        .any(|e| e.placement == entry.placement && *e.pre == *entry.pre)
-    {
-        return;
+    if evicted > 0 {
+        t.snaps.retain(|_, bucket| {
+            bucket.retain(|w| w.strong_count() > 0);
+            !bucket.is_empty()
+        });
+        EVICTIONS.add(evicted);
     }
-    bucket.push(Arc::new(entry));
-    gm.entries += 1;
+}
+
+/// Refresh the scrape-time gauges `machine.memo.{bytes,edges,snapshots}`.
+pub fn publish_gauges() {
+    let t = table();
+    let live = |w: &&Weak<Snap>| w.strong_count() > 0;
+    let snapshots = t.snaps.values().flatten().filter(live).count();
+    paxsim_obs::gauge("machine.memo.bytes").set(BYTES.load(Relaxed) as f64);
+    paxsim_obs::gauge("machine.memo.edges").set(t.edges.len() as f64);
+    paxsim_obs::gauge("machine.memo.snapshots").set(snapshots as f64);
+}
+
+/// Test hook: replace the byte budget.
+#[doc(hidden)]
+pub fn set_budget_for_tests(bytes: usize) {
+    BUDGET.store(bytes, Relaxed);
 }
 
 #[cfg(test)]
@@ -238,5 +302,40 @@ mod tests {
             hits: 6,
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    /// Equality decides, the hash only selects: two different states forced
+    /// into one bucket stay two pointers and never answer each other's
+    /// edges, while an equal state interns to the pointer it equals.
+    #[test]
+    fn colliding_snapshots_stay_distinct() {
+        const BUCKET: u64 = 0xc011_1de5;
+        let snap = |mem_off| MachineSnap {
+            mem_off,
+            ..MachineSnap::default()
+        };
+        let (a, b) = (
+            intern_hashed(BUCKET, 24, snap(1)),
+            intern_hashed(BUCKET, 24, snap(2)),
+        );
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &intern_hashed(BUCKET, 24, snap(1))));
+        assert!(Arc::ptr_eq(&b, &intern_hashed(BUCKET, 24, snap(2))));
+
+        let region = Arc::new(RegionTrace::labeled(Vec::new(), "collide"));
+        let key = |pre: &Arc<Snap>| Key {
+            run: run_id(&MachineConfig::paxville_smp(), &[Lcpu::A0]),
+            region: Arc::as_ptr(&region) as *const () as usize,
+            pre: Arc::as_ptr(pre) as usize,
+            abs_base: None,
+        };
+        let none = Counters::default();
+        record(key(&a), &region, a.clone(), b.clone(), 5, none);
+        let (post, dt, _) = probe(&key(&a)).expect("recorded edge answers its own pre-state");
+        assert!(Arc::ptr_eq(&post, &b) && dt == 5);
+        assert!(probe(&key(&b)).is_none(), "a bucket-mate is not a match");
+        let mut early = key(&a);
+        early.abs_base = Some(12);
+        assert!(probe(&early).is_none(), "base classes do not mix");
     }
 }

@@ -165,7 +165,7 @@ impl StreamPrefetcher {
 impl crate::component::Component for StreamPrefetcher {}
 
 /// See [`StreamPrefetcher::canon`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PrefetcherCanon {
     /// (region, last_line, dir, next, age rank 1..=n) per stream.
     streams: Vec<(u64, u64, i64, u64, u64)>,

@@ -90,7 +90,7 @@ impl Tlb {
 impl crate::component::Component for Tlb {}
 
 /// See [`Tlb::canon`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TlbCanon {
     inner: crate::cache::SetAssocCanon,
     last_page: u64,

@@ -172,7 +172,7 @@ impl TraceCache {
 impl crate::component::Component for TraceCache {}
 
 /// See [`TraceCache::canon`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TraceCacheCanon {
     entries: Vec<(u64, u32)>,
     used: u64,

@@ -17,8 +17,8 @@
 //! Extraction is cached content-addressed by *interned region*: the trace
 //! layer interns repeated parallel regions behind one `Arc`
 //! ([`RegionTrace`]), so a program that executes the same region 100 times
-//! is profiled once ([`profile_region`] keys on the `Arc` pointer plus the
-//! region's op counts as an ABA guard).
+//! is profiled once ([`profile_region`] keys on the `Arc` pointer and pins
+//! the region in the cache entry, so the address stays that region's).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -345,17 +345,19 @@ pub fn profile_region_uncached(region: &RegionTrace, line_bytes: u64) -> RegionP
     RegionProfile::new(region.label.clone(), threads)
 }
 
-/// Content-addressed profile cache key: the interned region's pointer
-/// identity, with the region's op counts and the line size as an ABA
-/// guard (a freed region reallocated at the same address with the same
-/// label, op count *and* instruction count is indistinguishable — and
-/// then its profile is too).
-type CacheKey = (usize, usize, u64, u64);
+/// Profile cache key: the interned region's address and the line size.
+type CacheKey = (usize, u64);
+
+/// A cached profile with the region it was extracted from. Holding the
+/// region pins its allocation, so while the entry lives its address cannot
+/// be recycled for a different region (a dropped `TraceStore` rebuilt in
+/// the same process used to be answered with the dead store's profiles).
+type CacheEntry = (Arc<RegionTrace>, Arc<RegionProfile>);
 
 const PROFILE_CACHE_CAP: usize = 1024;
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<RegionProfile>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<RegionProfile>>>> = OnceLock::new();
+fn cache() -> &'static Mutex<HashMap<CacheKey, CacheEntry>> {
+    static CACHE: OnceLock<Mutex<HashMap<CacheKey, CacheEntry>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -365,14 +367,9 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<RegionProfile>>> {
 pub fn profile_region(region: &Arc<RegionTrace>, line_bytes: u64) -> Arc<RegionProfile> {
     static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("predict.profile.hits");
     static MISSES: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("predict.profile.misses");
-    let key: CacheKey = (
-        Arc::as_ptr(region) as usize,
-        region.total_ops(),
-        region.instructions(),
-        line_bytes,
-    );
+    let key: CacheKey = (Arc::as_ptr(region) as usize, line_bytes);
     let mut map = cache().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(p) = map.get(&key) {
+    if let Some((_, p)) = map.get(&key) {
         HITS.inc();
         return Arc::clone(p);
     }
@@ -381,7 +378,7 @@ pub fn profile_region(region: &Arc<RegionTrace>, line_bytes: u64) -> Arc<RegionP
     if map.len() >= PROFILE_CACHE_CAP {
         map.clear();
     }
-    map.insert(key, Arc::clone(&p));
+    map.insert(key, (Arc::clone(region), Arc::clone(&p)));
     p
 }
 
@@ -540,6 +537,25 @@ mod tests {
         let b = profile_region(&region, 64);
         assert!(Arc::ptr_eq(&a, &b), "second extraction must be cached");
         assert_eq!(a.threads[0].flops, 4);
+    }
+
+    /// A cached region is pinned: a different region built right after the
+    /// first is dropped cannot land on its address and inherit its profile.
+    #[test]
+    fn region_cache_is_not_fooled_by_a_recycled_address() {
+        let make = |addr: u64| {
+            Arc::new(RegionTrace::labeled(
+                vec![buf(&[Op::Load { addr }, Op::Load { addr: addr * 2 }])],
+                "aba",
+            ))
+        };
+        for addr in [0u64, 4096, 64, 8192, 128] {
+            let region = make(addr);
+            assert_eq!(
+                *profile_region(&region, 64),
+                profile_region_uncached(&region, 64)
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@ use std::sync::OnceLock;
 use paxsim_core::configs::all_configs;
 use paxsim_core::hash::StudySpec;
 use paxsim_core::store::{TraceKey, TraceStore};
-use paxsim_predict::{profile_buf, profile_ops, profile_program, profile_region_uncached};
+use paxsim_predict::{
+    profile_buf, profile_ops, profile_program, profile_region, profile_region_uncached,
+};
 use proptest::prelude::*;
 
 const KERNELS: [&str; 8] = ["ep", "is", "cg", "mg", "ft", "bt", "sp", "lu"];
@@ -118,5 +120,44 @@ proptest! {
                 prop_assert_eq!(&packed, &unpacked, "packed decode must match unpacked ops");
             }
         }
+    }
+}
+
+/// The profile cache is keyed by region address, so it must keep the
+/// region alive: drop a store whose regions are all cached, rebuild the
+/// same kernels (in another order, so allocations land on recycled
+/// addresses), and every cached answer must still equal a fresh
+/// extraction of the region it was asked about.
+#[test]
+fn cached_profiles_survive_a_dropped_and_rebuilt_store() {
+    let configs = all_configs();
+    let mut keys: Vec<TraceKey> = Vec::new();
+    for kernel in ["cg", "is", "mg"] {
+        for config in configs.iter().take(4) {
+            let r = StudySpec::new(kernel, &config.name)
+                .resolve()
+                .expect("grid spec resolves");
+            keys.push(TraceKey {
+                kernel: r.kernel,
+                class: r.class,
+                nthreads: r.config.threads,
+                schedule: r.schedule,
+            });
+        }
+    }
+    for round in 0..3 {
+        let store = TraceStore::new();
+        for key in &keys {
+            let trace = store.try_get(*key).expect("trace builds");
+            for region in &trace.regions {
+                assert_eq!(
+                    *profile_region(region, LINE),
+                    profile_region_uncached(region, LINE),
+                    "round {round}: stale profile for `{}`",
+                    region.label
+                );
+            }
+        }
+        keys.reverse();
     }
 }

@@ -1544,6 +1544,7 @@ impl Service {
             if let Some(p95) = self.auditor.error_p95() {
                 paxsim_obs::gauge("serve.predict_error_p95").set(p95);
             }
+            paxsim_machine::memo::publish_gauges();
             for (i, s) in self.cache.shard_stats().iter().enumerate() {
                 let shard = i.to_string();
                 let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
