@@ -166,7 +166,14 @@ MEMO_BYTES=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_machine_memo_bytes" {
     echo "memo gauges missing from the scrape: edges '$EDGES' bytes '$MEMO_BYTES'"
     exit 1
 }
-echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B"
+# The reactor counts its own wakeups (it has no tick: every one of them
+# is a socket event, a completion, or a drain).
+WAKEUPS=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_serve_reactor_wakeups_total" { print $2 + 0 }')
+[ "${WAKEUPS:-0}" -gt 0 ] || {
+    echo "paxsim_serve_reactor_wakeups_total missing from the scrape"
+    exit 1
+}
+echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B, $WAKEUPS reactor wakeups"
 # SIGTERM must drain gracefully: exit 0, socket file removed.
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -333,12 +340,22 @@ echo "== serve throughput gate (fresh load run vs committed BENCH_serve.json) ==
 # absolute 10k coalesced-req/s acceptance line, and half the committed
 # number (a hot-path regression halves throughput long before host noise
 # does, so 50% tolerates a shared box without masking real damage).
+# The one-connection rate of the same run is printed beside its
+# committed figure and not gated: it is two thread wakes per request,
+# which this shared host serves 3x slower after the benches above than
+# rested (6.8-10.2k against 12-20k req/s), so no fixed line separates
+# this reactor on a busy host from a timer-parked one on a rested host.
+# loadgen itself asserts what holds anywhere: every request answered,
+# p50 under 500 us.
+ONE_RPS='/"hot_1conn"/ { found = 1 } found && /"rps"/ { gsub(/,/, "", $2); print $2; exit }'
 COMMITTED_RPS=$(awk -F': ' '/"rps"/ { gsub(/,/, "", $2); print $2; exit }' BENCH_serve.json)
 cp BENCH_serve.json "$SERVE_TMP/BENCH_serve.committed.json"
 target/release/paxsim-loadgen
 FRESH_RPS=$(awk -F': ' '/"rps"/ { gsub(/,/, "", $2); print $2; exit }' BENCH_serve.json)
+FRESH_ONE_RPS=$(awk -F': ' "$ONE_RPS" BENCH_serve.json)
 cp "$SERVE_TMP/BENCH_serve.committed.json" BENCH_serve.json
 echo "serve gate: fresh ${FRESH_RPS} req/s vs committed ${COMMITTED_RPS}"
+echo "one connection (not gated): fresh ${FRESH_ONE_RPS} req/s vs committed $(awk -F': ' "$ONE_RPS" BENCH_serve.json)"
 awk -v fresh="$FRESH_RPS" -v committed="$COMMITTED_RPS" 'BEGIN {
     floor = committed * 0.5
     if (floor < 10000) floor = 10000

@@ -17,7 +17,10 @@
 //! 2. **Hot / throughput** — the now-cached grid round-robined over
 //!    `--connections` persistent pipelined connections for `--requests`
 //!    total requests, measuring sustained coalesced requests/sec with
-//!    p50/p99 latency.
+//!    p50/p99 latency. Then the same grid over **one** closed-loop
+//!    connection (`hot_1conn`): with a single request in flight nothing
+//!    hides the time the reactor takes to notice a request, which sixteen
+//!    connections keeping it busy do.
 //!
 //! Then a **predicted-tier** pass: the same grid at
 //! `fidelity=predicted`, cold (every pair's first prediction is
@@ -391,6 +394,34 @@ fn main() {
         latencies.len()
     );
 
+    // Phase 2.2: one closed-loop connection. Every request finds the
+    // reactor asleep, so its wake latency is in every sample. The rate is
+    // reported, not held to a line: it is two thread wakes per request,
+    // and on a shared host those cost 4 µs rested and 32-46 µs for some
+    // ten seconds after the VM has been busy. This reactor read 18-20k
+    // req/s rested and 6.8-10.2k then; one that sleeps through request
+    // bytes read 6.0-7.4k and 4.1-6.5k. What is asserted holds on any
+    // host: every request answered (`hot_phase` panics on a reply that is
+    // not ok), and a median under 500 µs. That catches a reactor waiting
+    // out a millisecond timer with a request on its socket (the 10 ms
+    // accept back-off left on, a lost wake papered over by a timeout); a
+    // park of tens of µs like the old one (p50 ~140 µs) shows only in the
+    // rate, which ci.sh prints beside the committed one.
+    let one_requests = if quick { 4_000 } else { 20_000 };
+    let (one_lat, one_wall) = hot_phase(&addr, &lines, 1, one_requests);
+    let one_rps = one_lat.len() as f64 / one_wall;
+    let one_p50_us = percentile(&one_lat, 0.5) * 1e3;
+    let one_p99_us = percentile(&one_lat, 0.99) * 1e3;
+    eprintln!(
+        "loadgen: hot_1conn {} requests in {one_wall:.2} s — {one_rps:.0} req/s, p50 {one_p50_us:.0} µs, p99 {one_p99_us:.0} µs",
+        one_lat.len()
+    );
+    assert_eq!(one_lat.len(), one_requests, "hot_1conn lost a request");
+    assert!(
+        one_p50_us < 500.0,
+        "hot_1conn p50 {one_p50_us:.0} µs: the reactor is waiting for a timer, not for the socket"
+    );
+
     // Phase 2.5: predicted tier. The same grid at fidelity=predicted:
     // cold predictions (each pair's first is sentinel-audited against
     // the already-cached exact records), then a sustained hot run. The
@@ -562,7 +593,7 @@ fn main() {
     // absorb exactly. The client-side count is a lower-bound cross-check
     // (a killed connection's request may or may not have been dispatched
     // before the kill, so the server count can only be >=).
-    let floor = (lines.len() + requests + pred_lines.len() + pred_requests) as u64;
+    let floor = (lines.len() + requests + one_requests + pred_lines.len() + pred_requests) as u64;
     let client_sent = floor + chaos_report.map_or(0, |(n, heals, ..)| (n + heals) as u64);
     let simulate_requests = stats["simulate_requests"].as_u64().unwrap_or(0);
     assert!(
@@ -630,7 +661,9 @@ fn main() {
                  kernels x configs grid fired concurrently through a 50 ms gather window \
                  (merged = requests that rode another request's sweep). Hot phase: the \
                  cached grid round-robined over persistent pipelined connections; rps is \
-                 coalesced requests per second of wall clock. Conservation: sum of \
+                 coalesced requests per second of wall clock. hot_1conn: the same grid over \
+                 one closed-loop connection, where every request pays the reactor's wake \
+                 latency. Conservation: sum of \
                  per-shard (hits + misses) equals simulate requests + baseline fetches, \
                  checked before every run of this report. drained = graceful shutdown \
                  flushed every reply and joined every thread inside the grace period."
@@ -656,6 +689,15 @@ fn main() {
                 ("rps", Value::Float(rps)),
                 ("p50_ms", Value::Float(p50)),
                 ("p99_ms", Value::Float(p99)),
+            ]),
+        ),
+        (
+            "hot_1conn",
+            obj(vec![
+                ("requests", Value::UInt(one_lat.len() as u64)),
+                ("rps", Value::Float(one_rps)),
+                ("p50_us", Value::Float(one_p50_us)),
+                ("p99_us", Value::Float(one_p99_us)),
             ]),
         ),
         (

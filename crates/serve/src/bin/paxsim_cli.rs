@@ -140,9 +140,12 @@ impl Backoff {
 
 fn connect(conn: &str) -> Result<Box<dyn ReadWrite>, Transport> {
     if let Some(addr) = conn.strip_prefix("tcp:") {
-        Ok(Box::new(
-            TcpStream::connect(addr).map_err(Transport::Connect)?,
-        ))
+        let stream = TcpStream::connect(addr).map_err(Transport::Connect)?;
+        // One small request, then a wait for its reply: nothing for
+        // Nagle's algorithm to batch, only the peer's delayed ACK to wait
+        // for.
+        stream.set_nodelay(true).map_err(Transport::Connect)?;
+        Ok(Box::new(stream))
     } else {
         Ok(Box::new(
             UnixStream::connect(conn.strip_prefix("unix:").unwrap_or(conn))
@@ -153,12 +156,13 @@ fn connect(conn: &str) -> Result<Box<dyn ReadWrite>, Transport> {
 
 /// One request/reply exchange on an established connection. A clean
 /// close before the reply's newline is `MidReplyEof`, not an empty
-/// string — a half-reply must never be mistaken for an answer.
+/// string — a half-reply must never be mistaken for an answer. The
+/// request goes out in one write: a line and its newline in two segments
+/// cost a delayed-ACK timeout (~40 ms) per request over TCP.
 fn exchange(reader: &mut BufReader<Box<dyn ReadWrite>>, line: &str) -> Result<String, Transport> {
     reader
         .get_mut()
-        .write_all(line.as_bytes())
-        .and_then(|()| reader.get_mut().write_all(b"\n"))
+        .write_all(format!("{line}\n").as_bytes())
         .and_then(|()| reader.get_mut().flush())
         .map_err(Transport::Io)?;
     let mut reply = String::new();
@@ -544,6 +548,41 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_tcp_round_trips_do_not_wait_for_delayed_acks() {
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let dir = std::env::temp_dir().join(format!("paxsim_cli_tcp_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = paxsim_serve::Service::open(paxsim_serve::ServeConfig {
+            cache_dir: dir.clone(),
+            ..Default::default()
+        })
+        .unwrap();
+        let server =
+            paxsim_serve::Server::start(std::sync::Arc::new(service), Some("127.0.0.1:0"), None)
+                .unwrap();
+        let conn = format!("tcp:{}", server.tcp_addr().unwrap());
+        let line = r#"{"op":"simulate","kernel":"ep","config":"CMP"}"#;
+        let mut reader = BufReader::new(connect(&conn).ok().expect("connect"));
+        let cold = exchange(&mut reader, line).ok().expect("cold exchange");
+        assert!(cold.contains("\"ok\":true"), "{cold}");
+        // With the line and its newline in separate segments and Nagle on,
+        // each of these took ~43 ms: 2.16 s for the fifty.
+        let t0 = std::time::Instant::now();
+        for _ in 0..50 {
+            let hit = exchange(&mut reader, line).ok().expect("cached exchange");
+            assert_eq!(hit, cold);
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "50 cached round trips over TCP took {took:?}"
+        );
+        drop(reader);
+        assert!(server.shutdown(std::time::Duration::from_secs(10)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn pretty_reply_tolerates_overstuffed_replies() {

@@ -30,8 +30,9 @@
 //! connections are refused at the socket, and every handler thread is
 //! joined.
 //!
-//! The connection layer is a non-blocking reactor ([`server`]): one
-//! thread per listener plus a fixed compute-worker pool, with
+//! The connection layer is a readiness-driven reactor ([`server`]): one
+//! thread per listener, blocked in `poll(2)` on its non-blocking sockets
+//! and a wake pipe, plus a fixed compute-worker pool, with
 //! per-connection frame reassembly ([`frame`]) — thread count is
 //! independent of connection count.
 //!

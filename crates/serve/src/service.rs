@@ -14,7 +14,7 @@
 //! deadlock a fully-loaded daemon.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -329,6 +329,12 @@ pub struct Service {
     /// Search cells replayed from the journal / freshly evaluated.
     tune_replayed: AtomicU64,
     tune_fresh: AtomicU64,
+    /// Kept by the socket front end ([`Server`](crate::server::Server)) as
+    /// connections open and close and jobs enter and leave the worker
+    /// pool's queue; `op=metrics` publishes them (a blocked reactor has no
+    /// tick to do it on).
+    pub(crate) open_connections: AtomicUsize,
+    pub(crate) queued_jobs: AtomicUsize,
 }
 
 impl Service {
@@ -392,6 +398,8 @@ impl Service {
             tune_resumes: AtomicU64::new(0),
             tune_replayed: AtomicU64::new(0),
             tune_fresh: AtomicU64::new(0),
+            open_connections: AtomicUsize::new(0),
+            queued_jobs: AtomicUsize::new(0),
         })
     }
 
@@ -1545,6 +1553,11 @@ impl Service {
                 paxsim_obs::gauge("serve.predict_error_p95").set(p95);
             }
             paxsim_machine::memo::publish_gauges();
+            let (open, queued) = (&self.open_connections, &self.queued_jobs);
+            paxsim_obs::gauge("serve.reactor.open_connections")
+                .set(open.load(Ordering::SeqCst) as f64);
+            paxsim_obs::gauge("serve.reactor.ready_queue_depth")
+                .set(queued.load(Ordering::SeqCst) as f64);
             for (i, s) in self.cache.shard_stats().iter().enumerate() {
                 let shard = i.to_string();
                 let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
