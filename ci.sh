@@ -11,6 +11,21 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== content-hash golden digests (run by name) =="
+# The pinned ConfigHash digests key every journal on disk. The suite above
+# ran this test too; here it runs by its exact name and must be the one
+# test that ran, so a rename or a filter cannot silently drop it.
+GOLDEN=$(cargo test -q -p paxsim-core --lib -- --exact hash::tests::golden_digests_are_pinned 2>&1) || {
+    echo "$GOLDEN"
+    exit 1
+}
+echo "$GOLDEN" | grep -q "test result: ok. 1 passed" || {
+    echo "hash::tests::golden_digests_are_pinned did not run:"
+    echo "$GOLDEN"
+    exit 1
+}
+echo "golden digests pinned: 1 test ran by name"
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -545,14 +545,20 @@ mod tests {
 
     #[test]
     fn with_plan_installs_and_restores() {
-        assert!(!active() || env_plan().is_some());
+        // Either fully off, or the env plan. Read under the plan lock: a
+        // sibling test's plan may be live at any other moment.
+        let at_rest = || {
+            let _quiet = quiesced();
+            let env = env_plan().is_some();
+            active() == env
+        };
+        assert!(at_rest());
         with_plan("drift:ep", || {
             assert!(active());
             assert!(drift_hook("ep"));
             assert!(!drift_hook("cg"));
         });
-        // Restored: either fully off, or back to the env plan.
-        assert_eq!(active(), env_plan().is_some());
+        assert!(at_rest(), "restored");
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! every object's keys sorted, rendered as compact JSON — so the hash is
 //! independent of struct field order, process, platform and run.
 //!
+//! The canonical bytes are *streamed* into the digest: [`content_hash`]
+//! hands the vendored JSON writer an FNV-1a sink, the writer sorts
+//! references to each object's entries as it descends, and no canonical
+//! tree or text is ever built. [`canonical_json`] materializes the same
+//! bytes the slow way (clone, sort, render) for inspection, and is the
+//! oracle the tests hold the streamed digest to: every `ConfigHash` is
+//! `fnv1a(canonical_json(t))`, as it has been since the first journal.
+//!
 //! [`StudySpec`] is the canonical description of one servable simulation
 //! request: kernel, class, Table 1 configuration, trial count, jitter,
 //! schedule and the full [`MachineConfig`]. Its [`StudySpec::content_hash`]
@@ -33,12 +41,28 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a digest of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.update(bytes);
+    h.0
+}
+
+/// A running FNV-1a digest that the JSON writer can write into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    h
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Recursively sort every object's keys. Arrays keep their order (element
@@ -61,7 +85,8 @@ fn canonicalize_value(v: &Value) -> Value {
 
 /// The canonical text form hashed by [`content_hash`]: compact JSON of the
 /// key-sorted value tree. Exposed so tests (and the cache's debug output)
-/// can inspect exactly what was digested.
+/// can inspect exactly what was digested; [`content_hash`] digests these
+/// bytes without building them.
 pub fn canonical_json<T: Serialize>(t: &T) -> String {
     serde_json::to_string(&canonicalize_value(&t.to_value()))
         .expect("canonical value tree renders infallibly")
@@ -81,7 +106,14 @@ impl std::fmt::Display for ConfigHash {
 
 /// FNV-1a digest of `t`'s canonical serialized form.
 pub fn content_hash<T: Serialize>(t: &T) -> ConfigHash {
-    ConfigHash(fnv1a(canonical_json(t).as_bytes()))
+    hash_value(&t.to_value())
+}
+
+/// Stream `v`'s canonical bytes into FNV-1a.
+fn hash_value(v: &Value) -> ConfigHash {
+    let mut h = Fnv1a(FNV_OFFSET);
+    serde_json::write_canonical(&mut h, v).expect("an FNV-1a sink never fails");
+    ConfigHash(h.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -119,12 +151,9 @@ impl Fidelity {
 
     /// Parse a wire spelling, case-insensitive. `None` for anything else.
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "exact" => Some(Fidelity::Exact),
-            "fast" => Some(Fidelity::Fast),
-            "predicted" => Some(Fidelity::Predicted),
-            _ => None,
-        }
+        [Fidelity::Exact, Fidelity::Fast, Fidelity::Predicted]
+            .into_iter()
+            .find(|f| s.eq_ignore_ascii_case(f.wire()))
     }
 }
 
@@ -152,9 +181,7 @@ pub fn content_hash_with_fidelity<T: Serialize>(t: &T, fidelity: Fidelity) -> Co
             Value::String(fidelity.wire().to_string()),
         ));
     }
-    let canonical = serde_json::to_string(&canonicalize_value(&v))
-        .expect("canonical value tree renders infallibly");
-    ConfigHash(fnv1a(canonical.as_bytes()))
+    hash_value(&v)
 }
 
 // ---------------------------------------------------------------------------
@@ -230,12 +257,13 @@ impl StudySpec {
         };
         let kernel: KernelId = kernel_by_name(&self.kernel)
             .ok_or_else(|| bad("kernel", format!("unknown NAS benchmark `{}`", self.kernel)))?;
-        let class = match self.class.to_ascii_uppercase().as_str() {
-            "T" => Class::T,
-            "S" => Class::S,
-            "W" => Class::W,
-            other => return Err(bad("class", format!("unknown class `{other}` (T, S or W)"))),
-        };
+        let class = [Class::T, Class::S, Class::W]
+            .into_iter()
+            .find(|c| self.class.eq_ignore_ascii_case(c.tag()))
+            .ok_or_else(|| {
+                let other = self.class.to_ascii_uppercase();
+                bad("class", format!("unknown class `{other}` (T, S or W)"))
+            })?;
         let config = config_by_name(&self.config)
             .ok_or_else(|| bad("config", format!("unknown configuration `{}`", self.config)))?;
         if self.trials == 0 {
@@ -328,6 +356,138 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The digests below were recorded from the commit before the hash
+    /// was streamed. They key every shard journal, sweep journal and
+    /// wire `hash` field in existence: a change here orphans them all.
+    #[test]
+    fn golden_digests_are_pinned() {
+        let ep = StudySpec::new("ep", "CMP").resolve().unwrap();
+        let mut cg = StudySpec::new("cg", "CMT")
+            .with_class("S")
+            .with_trials(3)
+            .with_jitter(2_000);
+        cg.schedule = "dynamic,2".into();
+        let cg = cg.resolve().unwrap();
+        let mut l3 = StudySpec::new("ep", "CMP");
+        l3.machine = MachineConfig::broadwell_l3(); // quad-core + shared L3
+        let l3 = l3.resolve().unwrap();
+        let mut tune = crate::tune::TuneRequest::new("ep");
+        tune.configs = vec!["CMP".into(), "CMT".into()];
+        tune.schedules = vec!["static".into(), "dynamic,2".into()];
+        tune.budget = 16;
+        let tune = tune.plan().unwrap();
+        let predicted = |r: &ResolvedSpec| r.content_hash_with_fidelity(Fidelity::Predicted);
+        let pinned = [
+            ("ep/CMP", ep.content_hash(), "8512da92a025d7d2"),
+            (
+                "cg/CMT S dynamic,2 x3 j2000",
+                cg.content_hash(),
+                "e37b0eea5cacc4b7",
+            ),
+            ("ep/CMP predicted", predicted(&ep), "8740b17555c02eaa"),
+            ("cg/CMT … predicted", predicted(&cg), "3d9d67a0e8fd2e41"),
+            (
+                "ep/CMP fast",
+                ep.content_hash_with_fidelity(Fidelity::Fast),
+                "b13d1c6411badba0",
+            ),
+            (
+                "ep/CMP on quad-core + L3",
+                l3.content_hash(),
+                "a482d1993873d190",
+            ),
+            (
+                "quad-core + L3 machine",
+                content_hash(&l3.spec.machine),
+                "447eb88db8c86bec",
+            ),
+            (
+                "tune ep 2x2 budget 16",
+                tune.content_hash(),
+                "b46a05fbcb77400a",
+            ),
+        ];
+        for (what, got, want) in pinned {
+            assert_eq!(got.to_string(), want, "{what}");
+        }
+    }
+
+    /// Arbitrary `Value` trees, biased toward what could make a streamed
+    /// writer and a materialized one disagree: keys and strings full of
+    /// quotes, backslashes, control and multi-byte characters, duplicate
+    /// keys, non-finite floats, both integer lanes, empty containers.
+    struct AnyValue {
+        depth: u32,
+    }
+
+    impl proptest::strategy::Strategy for AnyValue {
+        type Value = Value;
+
+        fn generate(&self, rng: &mut proptest::rng::Rng) -> Value {
+            const PIECES: [&str; 12] = [
+                "a", "b", "\"", "\\", "\n", "\u{1}", "\u{1f}", "\t", "é", "日本", "😀", " ",
+            ];
+            const FLOATS: [f64; 8] = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                2.8,
+                1e300,
+                5e-324,
+                -136.85,
+            ];
+            let text = |rng: &mut proptest::rng::Rng| -> String {
+                (0..rng.below(4))
+                    .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+                    .collect()
+            };
+            let deeper = AnyValue {
+                depth: self.depth.saturating_sub(1),
+            };
+            let leaves = if self.depth == 0 { 6 } else { 8 };
+            match rng.below(leaves) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.bool()),
+                2 => Value::UInt(rng.next_u64() >> rng.below(64)),
+                3 => Value::Int((rng.next_u64() >> rng.below(64)) as i64),
+                4 if rng.bool() => Value::Float(FLOATS[rng.below(FLOATS.len() as u64) as usize]),
+                4 => Value::Float(f64::from_bits(rng.next_u64())),
+                5 => Value::String(text(rng)),
+                6 => Value::Array((0..rng.below(4)).map(|_| deeper.generate(rng)).collect()),
+                _ => Value::Object(
+                    (0..rng.below(6))
+                        .map(|_| (text(rng), deeper.generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2_000))]
+
+        /// The streamed digest is the digest of the materialized
+        /// canonical text, for any tree and under either fidelity graft.
+        #[test]
+        fn streamed_hash_equals_hash_of_canonical_json(v in AnyValue { depth: 4 }) {
+            assert_eq!(
+                content_hash(&v).0,
+                fnv1a(canonical_json(&v).as_bytes()),
+                "{}",
+                canonical_json(&v)
+            );
+            let mut grafted = v.clone();
+            if let Value::Object(entries) = &mut grafted {
+                entries.push(("fidelity".into(), Value::String("predicted".into())));
+            }
+            assert_eq!(
+                content_hash_with_fidelity(&v, Fidelity::Predicted).0,
+                fnv1a(canonical_json(&grafted).as_bytes())
+            );
+        }
     }
 
     #[test]

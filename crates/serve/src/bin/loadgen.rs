@@ -384,8 +384,35 @@ fn main() {
         "compatible concurrent cold misses must merge (batches = {batches})"
     );
 
-    // Phase 2: hot sustained throughput.
+    // Phase 2: hot sustained throughput. Every request of it is a hit on
+    // a resident entry, so each must be answered inline and book one
+    // memory-tier hit — in the shard's own counter and, with obs on, in
+    // the two `op=metrics` counters. A hit served from a stored reply
+    // line that forgot to book would pass every byte comparison and only
+    // drift the stats; here it fails the run.
+    let booked = || {
+        (
+            service.cache().mem_hits(),
+            paxsim_obs::counter("serve.cache.mem_hits").get(),
+            paxsim_obs::counter("serve.inline_hits").get(),
+        )
+    };
+    let before = booked();
     let (latencies, wall) = hot_phase(&addr, &lines, connections, requests);
+    let after = booked();
+    let sent = requests as u64;
+    assert_eq!(
+        after.0 - before.0,
+        sent,
+        "hot phase: shard mem_hits must move once per request"
+    );
+    if paxsim_obs::enabled() {
+        assert_eq!(
+            (after.1 - before.1, after.2 - before.2),
+            (sent, sent),
+            "hot phase: serve.cache.mem_hits and serve.inline_hits must each move once per request"
+        );
+    }
     let rps = latencies.len() as f64 / wall;
     let p50 = percentile(&latencies, 0.5);
     let p99 = percentile(&latencies, 0.99);

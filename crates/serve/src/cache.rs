@@ -15,6 +15,16 @@
 //! wrong answer. Disk hits are promoted into the shard's LRU; every put
 //! lands in both tiers; duplicate keys are legal and last-record-wins.
 //!
+//! **An entry owns its reply line.** A memory-tier entry is its
+//! [`Record`] plus the reply body rendered from it on the entry's first
+//! reply hit (`ResultCache::probe_reply`); later hits copy that line
+//! out instead of rendering the record again. The line is a pure function
+//! of the key and the record, and it lives and dies with the entry: a
+//! `put` to the key replaces the entry (line gone), an LRU eviction drops
+//! it, and an entry promoted from disk — after an eviction or a restart —
+//! starts without one. There is no second table and nothing to
+//! invalidate; the lines are bounded by the memory tier's own capacity.
+//!
 //! **Shard selection** is consistent hashing over the `ConfigHash`: each
 //! shard contributes [`VNODES`] points to a ring of FNV-1a digests of
 //! `"shard-<i>/vnode-<v>"`, and a key belongs to the first point at or
@@ -40,7 +50,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::hash::{fnv1a, ConfigHash};
@@ -106,9 +116,16 @@ pub fn shard_index(hash: ConfigHash, n_shards: usize) -> usize {
 // One shard: LRU over journal, exactly the PR-4 two-tier semantics.
 // ---------------------------------------------------------------------------
 
+/// One memory-tier entry: the record, and the reply body rendered from
+/// it once a reply hit has asked for one.
+struct Entry {
+    rec: Record,
+    line: Option<Arc<str>>,
+}
+
 struct Lru {
     cap: usize,
-    map: HashMap<u64, Record>,
+    map: HashMap<u64, Entry>,
     /// Keys from coldest (front) to hottest (back).
     order: VecDeque<u64>,
 }
@@ -121,22 +138,26 @@ impl Lru {
         self.order.push_back(key);
     }
 
-    fn get(&mut self, key: u64) -> Option<Record> {
-        let rec = self.map.get(&key).cloned()?;
-        self.touch(key);
-        Some(rec)
+    /// The entry, marked hottest.
+    fn get(&mut self, key: u64) -> Option<&mut Entry> {
+        if self.map.contains_key(&key) {
+            self.touch(key);
+        }
+        self.map.get_mut(&key)
     }
 
     /// Non-mutating lookup: no recency touch, no promotion.
     fn peek(&self, key: u64) -> Option<Record> {
-        self.map.get(&key).cloned()
+        self.map.get(&key).map(|e| e.rec.clone())
     }
 
-    fn put(&mut self, key: u64, rec: Record) {
+    /// Insert or replace: whatever line the key's old entry held goes
+    /// with it.
+    fn put(&mut self, key: u64, entry: Entry) {
         if self.cap == 0 {
             return;
         }
-        self.map.insert(key, rec);
+        self.map.insert(key, entry);
         self.touch(key);
         while self.map.len() > self.cap {
             let coldest = self.order.pop_front().expect("order tracks map");
@@ -165,21 +186,27 @@ fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
 
 impl Shard {
     fn get(&self, hash: ConfigHash) -> Option<Record> {
-        static MISS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.misses");
-        if let Some(rec) = self.probe(hash) {
-            return Some(rec);
+        let hit = self.probe(hash, |e| e.rec.clone());
+        if hit.is_none() {
+            self.book_miss();
         }
+        hit
+    }
+
+    fn book_miss(&self) {
+        static MISS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.misses");
         self.misses.fetch_add(1, Ordering::Relaxed);
         MISS.inc();
-        None
     }
 
     /// `get` minus the miss booking: a hit books its tier counter (and
-    /// promotes, like `get`), a miss books *nothing* — the caller is
-    /// expected to fall through to the slow path, whose own `get` books
-    /// the miss. This is what lets the reactor's inline-hit fast path
-    /// attempt a lookup without double-counting the misses it passes on.
-    fn probe(&self, hash: ConfigHash) -> Option<Record> {
+    /// promotes, like `get`) and is read through `read` under the shard
+    /// lock; a miss books *nothing* — the caller books it
+    /// ([`Shard::book_miss`]) once it knows the request will be answered
+    /// by the slow path. This is what lets the reactor's inline-hit fast
+    /// path attempt a lookup without double-counting the misses it
+    /// passes on.
+    fn probe<T>(&self, hash: ConfigHash, read: impl FnOnce(&mut Entry) -> T) -> Option<T> {
         static MEM: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.mem_hits");
         static DISK: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.cache.disk_hits");
@@ -190,18 +217,18 @@ impl Shard {
         if let Some(ms) = paxsim_core::faultinject::serve_shard_slow() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        if let Some(rec) = lock(&self.mem).get(hash.0) {
+        if let Some(entry) = lock(&self.mem).get(hash.0) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             MEM.inc();
-            return Some(rec);
+            return Some(read(entry));
         }
-        if let Some(rec) = self.journal.lookup(&ResultCache::key(hash)) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            DISK.inc();
-            lock(&self.mem).put(hash.0, rec.clone());
-            return Some(rec);
-        }
-        None
+        let rec = self.journal.lookup(&ResultCache::key(hash))?;
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        DISK.inc();
+        let mut entry = Entry { rec, line: None };
+        let out = read(&mut entry);
+        lock(&self.mem).put(hash.0, entry);
+        Some(out)
     }
 
     fn peek(&self, hash: ConfigHash) -> Option<Record> {
@@ -237,7 +264,11 @@ impl Shard {
         self.puts.fetch_add(1, Ordering::Relaxed);
         static PUTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.puts");
         PUTS.inc();
-        lock(&self.mem).put(hash.0, rec.clone());
+        let entry = Entry {
+            rec: rec.clone(),
+            line: None,
+        };
+        lock(&self.mem).put(hash.0, entry);
         Ok(rec)
     }
 }
@@ -374,7 +405,32 @@ impl ResultCache {
     /// the worker path, whose `get` books the one miss the conservation
     /// law expects.
     pub fn probe(&self, hash: ConfigHash) -> Option<Record> {
-        self.shards[self.ring.select(hash)].probe(hash)
+        self.shards[self.ring.select(hash)].probe(hash, |e| e.rec.clone())
+    }
+
+    /// [`ResultCache::probe`] for a caller that wants the reply, not the
+    /// record: books, touches and promotes exactly as `probe` does, and
+    /// returns the reply body stored with the entry — rendered by `render`
+    /// on the entry's first reply hit, copied out on every later one
+    /// without cloning the record. The body must be a pure function of
+    /// `hash` and the record. It is stored only in a memory-tier entry:
+    /// with no memory tier every hit is a disk hit that renders afresh.
+    pub(crate) fn probe_reply(
+        &self,
+        hash: ConfigHash,
+        render: impl FnOnce(&Record) -> String,
+    ) -> Option<Arc<str>> {
+        self.shards[self.ring.select(hash)].probe(hash, |e| {
+            let rec = &e.rec;
+            e.line.get_or_insert_with(|| render(rec).into()).clone()
+        })
+    }
+
+    /// Book the miss of a request whose probes found nothing and that the
+    /// slow path will now answer: `probe` + `book_miss` books what `get`
+    /// books.
+    pub(crate) fn book_miss(&self, hash: ConfigHash) {
+        self.shards[self.ring.select(hash)].book_miss();
     }
 
     /// Silent lookup: serves from either tier of the owning shard without
@@ -843,6 +899,53 @@ mod tests {
         // Absent key: still no stats.
         assert!(c.peek(ConfigHash(0xffff)).is_none());
         assert_eq!(c.hits() + c.misses(), 0);
+    }
+
+    #[test]
+    fn reply_line_is_rendered_once_per_entry_and_dies_with_it() {
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let dir = tmp("reply_line");
+        let c = open(&dir, 2, 1);
+        let renders = std::cell::Cell::new(0);
+        let reply = |h: u64| {
+            c.probe_reply(ConfigHash(h), |rec| {
+                renders.set(renders.get() + 1);
+                format!("{h}:{}", rec.sides[0].counters.instructions)
+            })
+        };
+        assert_eq!(reply(0), None, "a miss renders and books nothing");
+        assert_eq!((renders.get(), c.hits() + c.misses()), (0, 0));
+        c.put(ConfigHash(0), sides(7)).unwrap();
+        // First reply hit renders; later ones copy, and book like `probe`.
+        assert_eq!(reply(0).as_deref(), Some("0:7"));
+        assert_eq!(reply(0).as_deref(), Some("0:7"));
+        assert_eq!((renders.get(), c.mem_hits()), (1, 2));
+        assert_eq!(
+            c.probe(ConfigHash(0)).unwrap().sides[0]
+                .counters
+                .instructions,
+            7
+        );
+        // A put to the key replaces the entry, line included.
+        c.put(ConfigHash(0), sides(8)).unwrap();
+        assert_eq!(reply(0).as_deref(), Some("0:8"));
+        assert_eq!(renders.get(), 2);
+        // Eviction drops it; the disk hit that promotes the record back
+        // renders again, and the promoted entry keeps that line.
+        c.put(ConfigHash(1), sides(1)).unwrap();
+        c.put(ConfigHash(2), sides(2)).unwrap();
+        assert_eq!(reply(0).as_deref(), Some("0:8"));
+        assert_eq!((renders.get(), c.disk_hits()), (3, 1));
+        assert_eq!(reply(0).as_deref(), Some("0:8"));
+        assert_eq!((renders.get(), c.disk_hits()), (3, 1));
+        // No memory tier: nothing is stored, every hit renders.
+        let c = open(&tmp("reply_line_no_mem"), 0, 1);
+        c.put(ConfigHash(0), sides(7)).unwrap();
+        for n in 1..=2 {
+            let line = c.probe_reply(ConfigHash(0), |_| format!("render {n}"));
+            assert_eq!(line.as_deref(), Some(format!("render {n}").as_str()));
+        }
+        assert_eq!((c.mem_len(), c.mem_hits(), c.disk_hits()), (0, 0, 2));
     }
 
     #[test]

@@ -313,38 +313,41 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
     }
 }
 
-/// Render a successful simulation reply. Both the cold-miss and the
-/// cache-hit path call this with the *journal record* as the payload, so
-/// the two replies are byte-identical (the journal's JSON round-trip is
-/// bit-exact for every f64).
-pub fn render_result(hash: ConfigHash, spec: &StudySpec, record: &Record) -> String {
+/// The part of a simulation reply every tier shares —
+/// `{"ok":true,"hash":…,"spec":…,"result":…` with the object left open —
+/// rendered from the *journal record*, so a cold miss and every later hit
+/// carry the same bytes (the journal's JSON round-trip is bit-exact for
+/// every f64). A pure function of its arguments: the cache stores it
+/// beside the record (`ResultCache::probe_reply`) and a hit only has to
+/// [`close`] or [`close_predicted`] it.
+pub(crate) fn render_body(hash: ConfigHash, spec: &StudySpec, record: &Record) -> String {
     let v = Value::Object(vec![
         ("ok".to_string(), Value::Bool(true)),
         ("hash".to_string(), Value::String(hash.to_string())),
         ("spec".to_string(), spec.to_value()),
         ("result".to_string(), record.to_value()),
     ]);
-    serde_json::to_string(&v).expect("value tree renders infallibly")
+    let mut body = serde_json::to_string(&v).expect("value tree renders infallibly");
+    body.pop(); // the closing brace
+    body
 }
 
-/// Render a predicted-tier reply: [`render_result`]'s payload plus the
-/// fields only this tier carries — the serving `fidelity` and the
-/// declared `error_bounds`. The extras are *appended* after the standard
-/// fields, so default-fidelity replies (which never call this) stay
-/// byte-identical to pre-fidelity daemons and tolerant clients simply see
-/// extra keys.
-pub fn render_result_predicted(
-    hash: ConfigHash,
-    spec: &StudySpec,
-    record: &Record,
+/// Close a reply body as the exact tier's reply.
+pub(crate) fn close(body: &str) -> String {
+    [body, "}"].concat()
+}
+
+/// Close a reply body as a predicted-tier reply: the fields only this
+/// tier carries — the serving `fidelity` and the declared `error_bounds`
+/// — are *appended* after the standard ones, so default-fidelity replies
+/// stay byte-identical to pre-fidelity daemons and tolerant clients simply
+/// see extra keys.
+pub(crate) fn close_predicted(
+    body: &str,
     fidelity: Fidelity,
     bounds: &paxsim_predict::ErrorBounds,
 ) -> String {
-    let v = Value::Object(vec![
-        ("ok".to_string(), Value::Bool(true)),
-        ("hash".to_string(), Value::String(hash.to_string())),
-        ("spec".to_string(), spec.to_value()),
-        ("result".to_string(), record.to_value()),
+    let extras = Value::Object(vec![
         (
             "fidelity".to_string(),
             Value::String(fidelity.wire().to_string()),
@@ -359,7 +362,26 @@ pub fn render_result_predicted(
             ]),
         ),
     ]);
-    serde_json::to_string(&v).expect("value tree renders infallibly")
+    let extras = serde_json::to_string(&extras).expect("value tree renders infallibly");
+    // `{"fidelity":…}` continues the open body as `,"fidelity":…}`.
+    [body, ",", &extras[1..]].concat()
+}
+
+/// Render a successful simulation reply.
+pub fn render_result(hash: ConfigHash, spec: &StudySpec, record: &Record) -> String {
+    close(&render_body(hash, spec, record))
+}
+
+/// Render a predicted-tier reply: [`render_result`]'s payload plus the
+/// serving `fidelity` and the declared `error_bounds`, appended.
+pub fn render_result_predicted(
+    hash: ConfigHash,
+    spec: &StudySpec,
+    record: &Record,
+    fidelity: Fidelity,
+    bounds: &paxsim_predict::ErrorBounds,
+) -> String {
+    close_predicted(&render_body(hash, spec, record), fidelity, bounds)
 }
 
 /// Render a tune reply: the request identity, the normalized request

@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use paxsim_core::error::{StudyError, StudyResult};
-use paxsim_core::hash::{content_hash, fnv1a, Fidelity, ResolvedSpec};
+use paxsim_core::hash::{content_hash, fnv1a, ConfigHash, Fidelity, ResolvedSpec, StudySpec};
 use paxsim_core::inflight::Inflight;
 use paxsim_core::journal::{Record, SideRecord};
 use paxsim_core::pool::{self, CellPolicy};
@@ -418,40 +418,12 @@ impl Service {
                 spec,
                 deadline_ms,
                 fidelity,
-            }) => {
-                let resolved = match spec.resolve() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return protocol::render_error(protocol::error_category(&e), &e.to_string())
-                    }
-                };
-                if fidelity == Fidelity::Exact {
-                    // The default tier: the exact path, byte-identical to
-                    // every release before the fidelity field existed.
-                    match self.simulate(&resolved, deadline_ms) {
-                        Ok(rec) => {
-                            protocol::render_result(resolved.content_hash(), &resolved.spec, &rec)
-                        }
-                        Err(rej) => Self::render_rejection(rej),
-                    }
-                } else {
-                    match self.simulate_predicted(&resolved, deadline_ms, fidelity) {
-                        Ok(PredictOutcome::Predicted(rec)) => protocol::render_result_predicted(
-                            resolved.content_hash_with_fidelity(Fidelity::Predicted),
-                            &resolved.spec,
-                            &rec,
-                            fidelity,
-                            &ErrorBounds::default(),
-                        ),
-                        // Quarantined pair (or a `fast` exact-cache hit):
-                        // the reply is the exact tier's, byte for byte.
-                        Ok(PredictOutcome::Exact(rec)) => {
-                            protocol::render_result(resolved.content_hash(), &resolved.spec, &rec)
-                        }
-                        Err(rej) => Self::render_rejection(rej),
-                    }
-                }
-            }
+            }) => match spec.resolve() {
+                Ok(resolved) => self
+                    .hit(&resolved, fidelity)
+                    .unwrap_or_else(|miss| self.miss(&resolved, miss, fidelity, deadline_ms)),
+                Err(e) => protocol::render_error(protocol::error_category(&e), &e.to_string()),
+            },
             Ok(Request::Tune { req, deadline_ms }) => match self.tune(&req, deadline_ms) {
                 Ok((hash, normalized, result)) => protocol::render_tune(hash, &normalized, &result),
                 Err(rej) => Self::render_rejection(rej),
@@ -490,65 +462,25 @@ impl Service {
     /// — a miss, `stats`/`metrics`, malformed input — returns `None`
     /// and must be dispatched to the worker pool as usual.
     ///
-    /// Serving hits on the reactor thread skips the pool round trip
-    /// (two context switches per request — on a loaded single-core host
-    /// that is roughly half the wire cost of a hit). The reply is
-    /// rendered by the same [`protocol::render_result`] call on the
-    /// same cached record, so it is byte-identical to the worker path.
+    /// Serving hits on the reactor thread skips the pool round trip: two
+    /// thread wakes, which cost as much as the whole hit on a rested host
+    /// and several times it on a busy one — the hit being parse, resolve,
+    /// one streamed hash, a probe and a copy of the stored reply line.
+    /// The reply comes out of the same [`Service::hit`] ladder the worker
+    /// path walks, so the two are byte-identical and book alike.
     ///
     /// Accounting matches [`Service::handle_line`] exactly: the request
     /// counter moves only when the request is actually answered here,
-    /// and the cache probe books a hit counter on success and *nothing*
-    /// on a miss — the worker path's own `get` will book that miss, so
-    /// every simulate request still books exactly one tier counter.
+    /// and the ladder books a hit counter on success and *nothing* on a
+    /// miss — the worker path books that miss when it walks the ladder
+    /// itself, so every simulate request still books exactly one tier
+    /// counter.
     pub fn try_hit(&self, line: &str) -> Option<String> {
         let Ok(Request::Simulate { spec, fidelity, .. }) = protocol::parse_request(line) else {
             return None;
         };
-        let resolved = spec.resolve().ok()?;
-        // Which tier's cache answers inline, and how the hit renders.
-        // Probing books a hit counter only on success (a probe miss
-        // books nothing — the worker path's own `get` will), so even
-        // the two-probe `fast` ladder books exactly one tier counter.
-        let quarantined = fidelity != Fidelity::Exact
-            && self.auditor.is_quarantined(PredictAuditor::pair_key(
-                &resolved.spec.kernel,
-                &resolved.spec.config,
-                &resolved.spec.class,
-            ));
-        let reply = if fidelity == Fidelity::Exact || quarantined {
-            let hash = resolved.content_hash();
-            let rec = self.cache.probe(hash)?;
-            if quarantined {
-                self.auditor.record_fallback();
-            }
-            protocol::render_result(hash, &resolved.spec, &rec)
-        } else {
-            let exact_hit = if fidelity == Fidelity::Fast {
-                let hash = resolved.content_hash();
-                self.cache.probe(hash).map(|rec| (hash, rec))
-            } else {
-                None
-            };
-            match exact_hit {
-                Some((hash, rec)) => protocol::render_result(hash, &resolved.spec, &rec),
-                None => {
-                    let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
-                    let rec = self.cache.probe(hash)?;
-                    protocol::render_result_predicted(
-                        hash,
-                        &resolved.spec,
-                        &rec,
-                        fidelity,
-                        &ErrorBounds::default(),
-                    )
-                }
-            }
-        };
+        let reply = self.hit(&spec.resolve().ok()?, fidelity).ok()?;
         self.requests.fetch_add(1, Ordering::Relaxed);
-        // The probe booked one hit counter, so this answered request
-        // must count toward the conservation law's right-hand side.
-        self.simulates.fetch_add(1, Ordering::Relaxed);
         static REQUESTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.requests");
         static INLINE: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.inline_hits");
         REQUESTS.inc();
@@ -557,32 +489,121 @@ impl Service {
         Some(reply)
     }
 
-    /// Serve one resolved simulation request: cache, then a coalesced
-    /// flight whose *leader* passes the drain check and hands the miss to
-    /// the batcher — identical concurrent requests cost one flight, and
-    /// compatible distinct ones share a sweep and a gate permit.
-    fn simulate(
+    /// The hit ladder, walked once per `simulate` request by the
+    /// reactor's inline path and by the worker path alike. Each key is
+    /// hashed once, each tier probed once, and a hit copies the reply
+    /// line its cache entry stores instead of rendering the record.
+    ///
+    /// Which tier answers: `exact` — and any request for a quarantined
+    /// (kernel, config, class) pair, which must reply byte-identical to
+    /// an exact request — looks only in the exact key space; `fast`
+    /// prefers a cached exact answer (a better answer at the same
+    /// latency) and otherwise shares the predicted key space with
+    /// `predicted`.
+    ///
+    /// A probe books a tier counter only when it hits, so the ladder
+    /// books exactly one per answered request — the right-hand side of
+    /// the conservation law moves with it — and nothing on a miss: the
+    /// reactor drops the [`Miss`] and dispatches the line, the worker
+    /// path hands it to [`Service::miss`].
+    fn hit(&self, resolved: &ResolvedSpec, fidelity: Fidelity) -> Result<String, Miss> {
+        let spec = &resolved.spec;
+        let quarantined =
+            fidelity != Fidelity::Exact && self.auditor.is_quarantined(pair_key(spec));
+        let exact_only = fidelity == Fidelity::Exact || quarantined;
+        let probe = |hash| {
+            self.cache
+                .probe_reply(hash, |rec| protocol::render_body(hash, spec, rec))
+        };
+        let miss = |hash, predicted| Miss {
+            hash,
+            predicted,
+            quarantined,
+        };
+        if exact_only || fidelity == Fidelity::Fast {
+            let hash = resolved.content_hash();
+            if let Some(body) = probe(hash) {
+                self.book_simulate(quarantined);
+                return Ok(protocol::close(&body));
+            }
+            if exact_only {
+                return Err(miss(hash, false));
+            }
+        }
+        let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
+        let body = probe(hash).ok_or_else(|| miss(hash, true))?;
+        self.book_simulate(quarantined);
+        let bounds = ErrorBounds::default();
+        Ok(protocol::close_predicted(&body, fidelity, &bounds))
+    }
+
+    /// One `simulate` request is being answered, hit or miss: the
+    /// server-side arm of the conservation law, and the fallback count
+    /// when a quarantined pair sent it to the exact tier.
+    fn book_simulate(&self, quarantined: bool) {
+        static FALLBACKS: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.predict.fallbacks");
+        self.simulates.fetch_add(1, Ordering::Relaxed);
+        if quarantined {
+            self.auditor.record_fallback();
+            FALLBACKS.inc();
+        }
+    }
+
+    /// Answer a request the hit ladder missed: book the miss its probes
+    /// left unbooked, compute in the tier — and under the key — the
+    /// ladder settled on, and render the fresh record the way a later
+    /// hit will.
+    fn miss(
         &self,
         resolved: &ResolvedSpec,
+        miss: Miss,
+        fidelity: Fidelity,
+        deadline_ms: Option<u64>,
+    ) -> String {
+        self.book_simulate(miss.quarantined);
+        self.cache.book_miss(miss.hash);
+        let computed = if miss.predicted {
+            self.predicted_flight(resolved, miss.hash)
+        } else {
+            self.exact_flight(resolved, miss.hash, deadline_ms)
+        };
+        match computed {
+            Ok(rec) if miss.predicted => protocol::render_result_predicted(
+                miss.hash,
+                &resolved.spec,
+                &rec,
+                fidelity,
+                &ErrorBounds::default(),
+            ),
+            Ok(rec) => protocol::render_result(miss.hash, &resolved.spec, &rec),
+            Err(rej) => Self::render_rejection(rej),
+        }
+    }
+
+    /// Compute one exact-tier miss under `hash`: a coalesced flight
+    /// whose *leader* passes the drain check and hands the miss to the
+    /// batcher — identical concurrent requests cost one flight, and
+    /// compatible distinct ones share a sweep and a gate permit.
+    ///
+    /// The request booked its one cache-tier counter (a miss) before it
+    /// got here; everything below must stay counter-neutral so the
+    /// conservation law `hits + misses == simulate requests + baseline
+    /// fetches` holds even when a flight is cancelled by its deadline
+    /// mid-coalesce.
+    fn exact_flight(
+        &self,
+        resolved: &ResolvedSpec,
+        hash: ConfigHash,
         deadline_ms: Option<u64>,
     ) -> Result<Record, Rejection> {
         static LED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.flight.led");
         static JOINED: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.flight.joined");
-        let hash = resolved.content_hash();
-        self.simulates.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.cache.get(hash) {
-            return Ok(rec);
-        }
-        // The one cache-tier counter this request books moved above
-        // (a miss); everything below must stay counter-neutral so the
-        // conservation law `hits + misses == simulate requests +
-        // baseline fetches` holds even when a flight is cancelled by
-        // its deadline mid-coalesce.
         let (result, flight) = self.inflight.run(hash.0, || {
             let _span = paxsim_obs::span!("serve.flight", kernel = resolved.spec.kernel);
             // Double-check: a flight for this key may have landed (and
-            // cached) between the lookup above and this slot claim. A
+            // cached) between the ladder's probe and this slot claim. A
             // `peek`, not a `get` — this request already booked its miss.
             if let Some(rec) = self.cache.peek(hash) {
                 return Ok(Ok(rec));
@@ -633,54 +654,21 @@ impl Service {
         }
     }
 
-    /// Serve one resolved request at a non-exact fidelity.
+    /// Compute one predicted-tier miss under `hash`.
     ///
     /// The predicted tier has its own key space
     /// ([`ResolvedSpec::content_hash_with_fidelity`]), its own
     /// single-flight table, and **no admission gate or batcher** —
     /// model evaluation is microseconds and must never queue behind
-    /// engine sweeps. A quarantined (kernel, config, class) pair falls
-    /// through to the full exact path and replies byte-identical to an
-    /// exact-fidelity request; `fast` first probes the exact cache (a
-    /// better answer at the same latency when one exists).
-    fn simulate_predicted(
+    /// engine sweeps.
+    fn predicted_flight(
         &self,
         resolved: &ResolvedSpec,
-        deadline_ms: Option<u64>,
-        fidelity: Fidelity,
-    ) -> Result<PredictOutcome, Rejection> {
-        static FALLBACKS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.predict.fallbacks");
-        let pair = PredictAuditor::pair_key(
-            &resolved.spec.kernel,
-            &resolved.spec.config,
-            &resolved.spec.class,
-        );
-        if self.auditor.is_quarantined(pair) {
-            self.auditor.record_fallback();
-            FALLBACKS.inc();
-            // `simulate` books its own simulates + cache-tier counters.
-            return self
-                .simulate(resolved, deadline_ms)
-                .map(PredictOutcome::Exact);
-        }
-        if fidelity == Fidelity::Fast {
-            // An exact answer already in cache beats a prediction at the
-            // same latency. A probe miss books nothing — the predicted
-            // `get` below books this request's one tier counter.
-            if let Some(rec) = self.cache.probe(resolved.content_hash()) {
-                self.simulates.fetch_add(1, Ordering::Relaxed);
-                return Ok(PredictOutcome::Exact(rec));
-            }
-        }
-        let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
-        self.simulates.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.cache.get(hash) {
-            return Ok(PredictOutcome::Predicted(rec));
-        }
+        hash: ConfigHash,
+    ) -> Result<Record, Rejection> {
         let (result, _flight) = self.predict_inflight.run(hash.0, || {
             // Double-check under the flight slot; `peek` books nothing —
-            // the `get` above already booked this request's miss.
+            // the request already booked its miss.
             if let Some(rec) = self.cache.peek(hash) {
                 return Ok(rec);
             }
@@ -694,14 +682,13 @@ impl Service {
             // synchronous (the client already paid a cold miss), and
             // accounted exactly like a serial-baseline sub-request so
             // the cache conservation law keeps holding.
+            let pair = pair_key(&resolved.spec);
             if self.auditor.should_audit(pair) {
                 self.audit_prediction(resolved, pair, &predicted);
             }
             Ok(rec)
         });
-        result
-            .map(PredictOutcome::Predicted)
-            .map_err(Rejection::Failed)
+        result.map_err(Rejection::Failed)
     }
 
     /// Evaluate the analytical model for one resolved spec: extract (or
@@ -854,7 +841,7 @@ impl Service {
         &self,
         req: &TuneRequest,
         deadline_ms: Option<u64>,
-    ) -> Result<(paxsim_core::hash::ConfigHash, TuneRequest, TuneResult), Rejection> {
+    ) -> Result<(ConfigHash, TuneRequest, TuneResult), Rejection> {
         static ROUNDS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.rounds");
         static PRUNED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.pruned");
         static RESUMES: paxsim_obs::LazyCounter =
@@ -1706,14 +1693,18 @@ enum Rejection {
     Failed(StudyError),
 }
 
-/// What a non-exact request was actually answered with: a record from
-/// the predicted key space (rendered with `fidelity` + `error_bounds`
-/// stamped on the reply) or an exact record (quarantine fallback, or a
-/// `fast` request that found the exact answer cached) rendered
-/// byte-identical to the exact tier.
-enum PredictOutcome {
-    Predicted(Record),
-    Exact(Record),
+/// The auditor's (kernel, config, class) key of a canonical spec.
+fn pair_key(spec: &StudySpec) -> u64 {
+    PredictAuditor::pair_key(&spec.kernel, &spec.config, &spec.class)
+}
+
+/// A request no cache tier could answer: the key the hit ladder ended
+/// on, whether that key is in the predicted key space, and whether a
+/// quarantined pair is what sent a non-exact request to the exact tier.
+struct Miss {
+    hash: ConfigHash,
+    predicted: bool,
+    quarantined: bool,
 }
 
 #[cfg(test)]
@@ -2234,6 +2225,49 @@ mod tests {
                 Some("wall"),
                 "{h}"
             );
+            assert_eq!(
+                s.cache().hits() + s.cache().misses(),
+                s.simulate_requests() + s.baseline_fetches(),
+            );
+        });
+    }
+
+    #[test]
+    fn quarantined_fallbacks_book_obs_and_auditor_alike_on_both_paths() {
+        // Regression: the inline path's quarantined leg told the auditor
+        // about a fallback but not the obs counter, so `op=metrics`
+        // under-counted `op=stats` by every inline-served fallback. One
+        // ladder serves both paths now; both counts must move together,
+        // whichever path answers and whether it hits or misses.
+        paxsim_core::faultinject::with_plan("predict-bias", || {
+            let s = service("fallback_obs");
+            let obs = || paxsim_obs::counter("serve.predict.fallbacks").get();
+            let before = obs();
+            s.handle_line(EP_CMP_PRED); // biased, audited, pair quarantined
+            assert_eq!(s.predict_auditor().quarantined_pairs(), 1);
+            assert_eq!(s.predict_auditor().fallbacks(), 0);
+            // The audit cached the exact record: both of these are hits.
+            let inline = s.try_hit(EP_CMP_PRED).expect("inline fallback hit");
+            let worker = s.handle_line(EP_CMP_PRED);
+            assert_eq!(inline, worker);
+            assert!(!worker.contains("\"fidelity\""), "exact bytes: {worker}");
+            assert_eq!(s.predict_auditor().fallbacks(), 2);
+            assert_eq!(obs() - before, 2, "obs must count inline fallbacks too");
+            // A fallback that misses books once, on the worker path only.
+            s.handle_line(
+                r#"{"op":"simulate","kernel":"ep","config":"CMP","class":"S","fidelity":"predicted"}"#,
+            );
+            assert_eq!(s.predict_auditor().quarantined_pairs(), 2);
+            let other = r#"{"op":"simulate","kernel":"ep","config":"CMP","class":"S","trials":2,"fidelity":"fast"}"#;
+            assert_eq!(s.try_hit(other), None, "cold: the inline path passes");
+            assert_eq!(
+                s.predict_auditor().fallbacks(),
+                2,
+                "a passed miss books nothing"
+            );
+            assert!(s.handle_line(other).contains("\"ok\":true"));
+            assert_eq!(s.predict_auditor().fallbacks(), 3);
+            assert_eq!(obs() - before, 3);
             assert_eq!(
                 s.cache().hits() + s.cache().misses(),
                 s.simulate_requests() + s.baseline_fetches(),
