@@ -325,6 +325,16 @@ impl ResolvedSpec {
         self.spec.content_hash_with_fidelity(fidelity)
     }
 
+    /// The trace this spec replays, as the shared store keys it.
+    pub fn trace_key(&self) -> crate::store::TraceKey {
+        crate::store::TraceKey {
+            kernel: self.kernel,
+            class: self.class,
+            nthreads: self.config.threads,
+            schedule: self.schedule,
+        }
+    }
+
     /// Study options equivalent to this spec (single-benchmark).
     pub fn options(&self) -> StudyOptions {
         StudyOptions {

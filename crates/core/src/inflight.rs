@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::error::StudyResult;
+use crate::error::{StudyError, StudyResult};
 
 /// How a call got its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +41,9 @@ struct Slot<V> {
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // The leader publishes under `catch`-free code (the computation runs
-    // outside any lock); a poisoned mutex here still holds consistent
-    // state — recover rather than cascade.
+    // The computation runs outside any lock, and every critical section
+    // here is a single assignment or map operation; a poisoned mutex
+    // still holds consistent state — recover rather than cascade.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -82,7 +82,10 @@ impl<V: Clone> Inflight<V> {
     ///
     /// Whatever `compute` returns; joiners receive a clone of the
     /// leader's error. The key is always cleared when the flight lands,
-    /// so a later identical request computes afresh.
+    /// so a later identical request computes afresh. A `compute` that
+    /// panics lands its flight too: joiners get
+    /// [`StudyError::CellPanicked`], the key is cleared, and the panic
+    /// keeps unwinding through the leader's caller.
     pub fn run<F>(&self, key: u64, compute: F) -> (StudyResult<V>, Flight)
     where
         F: FnOnce() -> StudyResult<V>,
@@ -106,12 +109,17 @@ impl<V: Clone> Inflight<V> {
                     // that has joiners but no leader.
                     self.led.fetch_add(1, Ordering::Relaxed);
                     drop(map);
-                    // Leader path: compute outside every lock, publish,
-                    // clear the key, wake the waiters.
+                    // Leader path: compute outside every lock; the guard
+                    // publishes, clears the key and wakes the waiters.
+                    let mut landing = Landing {
+                        table: self,
+                        key,
+                        slot: &slot,
+                        result: None,
+                    };
                     let result = compute();
-                    *lock(&slot.state) = SlotState::Done(clone_result(&result));
-                    lock(&self.map).remove(&key);
-                    slot.cv.notify_all();
+                    landing.result = Some(clone_result(&result));
+                    drop(landing);
                     return (result, Flight::Led);
                 }
             }
@@ -143,6 +151,35 @@ impl<V: Clone> Inflight<V> {
     }
 }
 
+/// Lands a led flight when dropped: publish the result, clear the key,
+/// wake the waiters. A drop guard because callers run under a
+/// `catch_unwind` that keeps the process alive — a leader that unwound
+/// past a plain publish would leave its slot `Running` and its key in
+/// the map, and every later identical request would join and block for
+/// good.
+struct Landing<'a, V> {
+    table: &'a Inflight<V>,
+    key: u64,
+    slot: &'a Slot<V>,
+    /// `None` until `compute` returns — still `None` in `drop` means it
+    /// unwound.
+    result: Option<StudyResult<V>>,
+}
+
+impl<V> Drop for Landing<'_, V> {
+    fn drop(&mut self) {
+        let result = self.result.take().unwrap_or_else(|| {
+            Err(StudyError::CellPanicked {
+                index: 0,
+                payload: "single-flight leader panicked".to_string(),
+            })
+        });
+        *lock(&self.slot.state) = SlotState::Done(result);
+        lock(&self.table.map).remove(&self.key);
+        self.slot.cv.notify_all();
+    }
+}
+
 fn clone_result<V: Clone>(r: &StudyResult<V>) -> StudyResult<V> {
     match r {
         Ok(v) => Ok(v.clone()),
@@ -153,7 +190,6 @@ fn clone_result<V: Clone>(r: &StudyResult<V>) -> StudyResult<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StudyError;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use std::time::Duration;
@@ -254,6 +290,43 @@ mod tests {
         // succeed.
         let (r, f) = table.run(9, || Ok(11));
         assert_eq!((r.unwrap(), f), (11, Flight::Led));
+    }
+
+    #[test]
+    fn panicking_leader_lands_its_flight_and_frees_the_key() {
+        // The serve workers run every leader under `catch_unwind`; a
+        // leader that unwinds must not leave its joiners (or any later
+        // request for the key) blocked on a slot nobody will publish.
+        let table: Inflight<u32> = Inflight::new();
+        let joined = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    table.run(3, || {
+                        while table.joined() == 0 {
+                            std::thread::yield_now();
+                        }
+                        // The joiner bumps `joined` before it waits on the
+                        // slot; either order must end in the error below.
+                        std::thread::sleep(Duration::from_millis(20));
+                        panic!("leader fault");
+                    })
+                }))
+            });
+            while table.in_flight() == 0 {
+                std::thread::yield_now();
+            }
+            let joined = table.run(3, || Ok(0));
+            assert!(leader.join().unwrap().is_err(), "the panic propagates");
+            joined
+        });
+        assert_eq!(joined.1, Flight::Joined);
+        assert!(matches!(
+            joined.0.unwrap_err(),
+            StudyError::CellPanicked { .. }
+        ));
+        assert_eq!(table.in_flight(), 0, "the key is cleared");
+        let (r, f) = table.run(3, || Ok(11));
+        assert_eq!((r.unwrap(), f), (11, Flight::Led), "the next call leads");
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub struct Gshare {
     ghr_mask: u64,
 }
 
-/// The predictor is quiescent (see
-/// [`Component`](crate::component::Component)): entirely time-free state,
-/// updated only when a context executes a branch.
-impl crate::component::Component for Gshare {}
-
 impl Gshare {
     pub fn new(pht_bits: u32, ghr_bits: u32) -> Self {
         assert!((2..=24).contains(&pht_bits), "unreasonable PHT size");

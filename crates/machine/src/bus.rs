@@ -35,15 +35,6 @@ impl Fsb {
     }
 }
 
-/// The bus is a quiescent [`Component`](crate::component::Component): a
-/// single-server queue whose `next_free` horizon is resolved lazily
-/// against each request's tick — it never initiates work of its own, so
-/// the event scheduler never has to visit it.
-impl crate::component::Component for Fsb {}
-
-/// Like [`Fsb`], the controller is purely demand-driven: quiescent.
-impl crate::component::Component for MemCtl {}
-
 /// The machine-wide memory controller: a FIFO server shared by both chips.
 #[derive(Debug, Clone, Default)]
 pub struct MemCtl {

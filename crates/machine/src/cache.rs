@@ -274,11 +274,6 @@ impl SetAssoc {
     }
 }
 
-/// Caches are quiescent [`Component`](crate::component::Component)s:
-/// per-line `ready` timestamps are lazily compared against request ticks,
-/// so a cache never schedules an event of its own.
-impl crate::component::Component for SetAssoc {}
-
 /// See [`SetAssoc::canon`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SetAssocCanon {

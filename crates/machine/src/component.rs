@@ -1,36 +1,32 @@
-//! The discrete-event component model: every timed structure in the
-//! machine is a [`Component`] with a *next event time*, and simulated time
-//! advances directly to the earliest pending event instead of ticking
-//! cycle by cycle.
+//! The discrete-event scheduler: the engine schedules hardware contexts,
+//! and simulated time advances directly to the earliest pending context
+//! event instead of ticking cycle by cycle.
 //!
 //! # The quiescent-skip idea
 //!
 //! A cycle-stepping simulator asks every structure "anything to do?" every
-//! cycle; almost always the answer is no. Here each component instead
-//! reports the tick of its next *self-initiated* work via
-//! [`Component::next_tick`]. Structures that only ever react to a request
-//! — caches, TLBs, the trace cache, the bus and memory-controller servers,
-//! the prefetcher, the branch predictor — are **quiescent**
-//! ([`QUIESCENT`]): they never schedule an event of their own, and their
-//! lazily-advancing `next_free`/`ready_at` timestamps are resolved on
-//! demand at whatever tick the requester presents. Only the hardware
-//! contexts (the active components replaying their traces) carry real
-//! event times, so the event queue holds at most one entry per context
-//! and the engine skips every intervening quiescent cycle for free.
+//! cycle; almost always the answer is no. Here only the hardware contexts
+//! (replaying their traces) carry event times. Every other structure —
+//! caches, TLBs, the trace cache, the bus and memory-controller servers,
+//! the prefetcher, the branch predictor — is **quiescent**: it never
+//! schedules an event of its own, and its lazily-advancing
+//! `next_free`/`ready_at` timestamps are resolved on demand at whatever
+//! tick the requester presents. So the event queue holds at most one
+//! entry per context and the engine skips every intervening quiescent
+//! cycle for free.
 //!
 //! # The event-scheduling invariant
 //!
-//! **No component observes time moving backwards.** The [`EventScheduler`]
+//! **No structure observes time moving backwards.** The [`EventScheduler`]
 //! dispatches events in nondecreasing `(tick, index)` order (verified by a
-//! debug assertion on every dispatch), and a component's `tick(now)` is
-//! only ever invoked with `now` at or above every previous `now` it has
-//! seen. Quiescent components rely on this: a single `next_free` integer
-//! models an entire FIFO queue only because requests arrive in
-//! nondecreasing time order.
+//! debug assertion on every dispatch), so a context only ever runs at a
+//! tick at or above every previous one it has seen. Quiescent structures
+//! rely on this: a single `next_free` integer models an entire FIFO queue
+//! only because requests arrive in nondecreasing time order.
 //!
 //! # Why quiescent skipping is bit-identical
 //!
-//! Skipping a span of simulated time in which no component has a pending
+//! Skipping a span of simulated time in which no context has a pending
 //! event cannot change any outcome: every structure's state transition
 //! function is driven solely by the (tick, request) pairs it receives, and
 //! the skip changes neither the requests nor their ticks — it only avoids
@@ -42,28 +38,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
-
-/// Next-event time of a component with no self-initiated work pending.
-pub const QUIESCENT: u64 = u64::MAX;
-
-/// One timed structure of the simulated machine.
-///
-/// The defaults describe a fully demand-driven (quiescent) component; an
-/// active component overrides [`Component::next_tick`] to expose its next
-/// event. `tick(now)` advances internal time-dependent state to `now`;
-/// callers must present nondecreasing `now` values (see the module-level
-/// invariant).
-pub trait Component {
-    /// Tick of this component's earliest pending self-initiated event, or
-    /// [`QUIESCENT`] if it only reacts to requests.
-    fn next_tick(&self) -> u64 {
-        QUIESCENT
-    }
-
-    /// Advance internal state to `now`. Quiescent components resolve all
-    /// timing lazily against request ticks and need not do anything here.
-    fn tick(&mut self, _now: u64) {}
-}
 
 /// Event-scheduling telemetry for one simulation run: proof that the
 /// quiescent-skip actually engages.
@@ -89,14 +63,14 @@ impl SchedStats {
     }
 }
 
-/// The lazy min-heap event queue driving the active components.
+/// The lazy min-heap event queue driving the hardware contexts.
 ///
-/// Keys are `(tick, component index)`; lexicographic order reproduces the
+/// Keys are `(tick, context index)`; lexicographic order reproduces the
 /// reference engine's deterministic tie-break (lowest index among the
-/// least-advanced contexts). Entries are never removed when a component
+/// least-advanced contexts). Entries are never removed when a context
 /// advances or blocks — a popped entry is validated by the caller against
-/// the component's current state and discarded when stale. Because
-/// component clocks never decrease, a stale entry can never masquerade as
+/// the context's current state and discarded when stale. Because
+/// context clocks never decrease, a stale entry can never masquerade as
 /// a current one.
 #[derive(Debug, Default)]
 pub(crate) struct EventScheduler {
@@ -112,7 +86,7 @@ impl EventScheduler {
         Self::default()
     }
 
-    /// Enqueue component `i`'s next event at tick `t`.
+    /// Enqueue context `i`'s next event at tick `t`.
     #[inline]
     pub fn push(&mut self, t: u64, i: usize) {
         self.heap.push(Reverse((t, i)));
@@ -167,26 +141,6 @@ impl EventScheduler {
 mod tests {
     use super::*;
 
-    struct Passive;
-    impl Component for Passive {}
-
-    struct Active(u64);
-    impl Component for Active {
-        fn next_tick(&self) -> u64 {
-            self.0
-        }
-        fn tick(&mut self, now: u64) {
-            assert!(now >= self.0, "ticked before the event time");
-            self.0 = now + 10;
-        }
-    }
-
-    #[test]
-    fn passive_components_are_quiescent() {
-        assert_eq!(Passive.next_tick(), QUIESCENT);
-        Passive.tick(123); // no-op, no panic
-    }
-
     #[test]
     fn scheduler_dispatches_in_time_index_order() {
         let mut s = EventScheduler::new();
@@ -217,31 +171,6 @@ mod tests {
         assert_eq!(st.events_scheduled, 3);
         assert_eq!(st.cycles_skipped, 250);
         assert!(st.cycles_per_event() > 80.0);
-    }
-
-    #[test]
-    fn components_driven_through_the_trait() {
-        // A mixed set: the scheduler only ever holds the active components;
-        // passives are QUIESCENT and never enqueued — that *is* the skip.
-        let mut active = [Active(5), Active(17)];
-        let mut s = EventScheduler::new();
-        for (i, a) in active.iter().enumerate() {
-            assert_ne!(a.next_tick(), QUIESCENT);
-            s.push(a.next_tick(), i);
-        }
-        let mut dispatched = Vec::new();
-        for _ in 0..6 {
-            let (t, i) = s.pop().unwrap();
-            if active[i].next_tick() != t {
-                continue; // stale
-            }
-            s.dispatched(t);
-            active[i].tick(t);
-            dispatched.push(t);
-            s.push(active[i].next_tick(), i);
-        }
-        assert!(dispatched.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(s.stats().events_scheduled, 6);
     }
 
     #[test]

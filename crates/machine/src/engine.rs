@@ -1,9 +1,8 @@
 //! The execution engine: replays per-thread operation streams against the
 //! shared hardware structures in near-causal order.
 //!
-//! The machine is a graph of [`Component`](crate::component::Component)s
-//! wired at construction from the data-driven
-//! [`Topology`](crate::topology::Topology) description (see
+//! The machine is a graph of hardware structures wired at construction
+//! from the data-driven [`Topology`](crate::topology::Topology) description (see
 //! [`Machine::build`]): hardware contexts feed cores, cores feed an
 //! optional chip-shared L3, chips feed their front-side bus, buses feed
 //! the shared memory controller. Every structure except the contexts is

@@ -86,7 +86,7 @@ pub const fn to_cycles(t: u64) -> u64 {
 
 pub mod prelude {
     //! The commonly used surface of the simulator.
-    pub use crate::component::{Component, SchedStats, QUIESCENT};
+    pub use crate::component::SchedStats;
     pub use crate::config::MachineConfig;
     pub use crate::counters::{Counters, Metrics};
     pub use crate::memo::MemoStats;

@@ -159,11 +159,6 @@ impl StreamPrefetcher {
     }
 }
 
-/// The prefetcher is quiescent (see
-/// [`Component`](crate::component::Component)): it only reacts to demand
-/// misses, and its issued reads are timed by the bus, not by it.
-impl crate::component::Component for StreamPrefetcher {}
-
 /// See [`StreamPrefetcher::canon`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PrefetcherCanon {

@@ -84,11 +84,6 @@ impl Tlb {
     }
 }
 
-/// TLBs are quiescent [`Component`](crate::component::Component)s: a
-/// translation only changes state when a context presents an address, so
-/// there is never a self-initiated next event to schedule.
-impl crate::component::Component for Tlb {}
-
 /// See [`Tlb::canon`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TlbCanon {

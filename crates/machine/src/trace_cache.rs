@@ -166,11 +166,6 @@ impl TraceCache {
     }
 }
 
-/// The trace cache is quiescent (see
-/// [`Component`](crate::component::Component)): purely demand-driven by
-/// basic-block fetches.
-impl crate::component::Component for TraceCache {}
-
 /// See [`TraceCache::canon`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TraceCacheCanon {

@@ -62,6 +62,49 @@ impl Summary {
     }
 }
 
+/// A [`Summary`] kept as samples arrive, in constant space (Welford's
+/// update): what a long-lived process folds its measurements into instead
+/// of keeping every sample for a [`Summary::of`] at read time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunningSummary {
+    n: usize,
+    mean: f64,
+    /// Sum of squared deviations from the running mean.
+    m2: f64,
+    min: f64,
+    max: f64,
+}
+
+impl RunningSummary {
+    pub fn push(&mut self, x: f64) {
+        if self.n == 0 {
+            (self.min, self.max) = (x, x);
+        }
+        self.n += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.n as f64;
+        self.m2 += delta * (x - self.mean);
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+    }
+
+    /// The summary of everything pushed so far; `None` before the first
+    /// sample (as [`Summary::of`] refuses an empty slice).
+    pub fn summary(&self) -> Option<Summary> {
+        (self.n > 0).then(|| Summary {
+            n: self.n,
+            mean: self.mean,
+            std: if self.n > 1 {
+                (self.m2 / (self.n - 1) as f64).sqrt()
+            } else {
+                0.0
+            },
+            min: self.min,
+            max: self.max,
+        })
+    }
+}
+
 /// Five-number summary: the box spans the interquartile range, the
 /// whiskers reach the extremes (the paper's Figure 5 convention).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -136,6 +179,14 @@ mod tests {
         assert_eq!(s.std, 0.0);
         assert_eq!(s.cv(), 0.0);
         assert_eq!(s.mean, 7.0);
+    }
+
+    #[test]
+    fn running_summary_is_empty_until_the_first_sample() {
+        let mut r = RunningSummary::default();
+        assert_eq!(r.summary(), None);
+        r.push(7.0);
+        assert_eq!(r.summary(), Some(Summary::of(&[7.0])));
     }
 
     #[test]
@@ -216,6 +267,17 @@ mod tests {
                 prop_assert!(s.mean >= s.min - 1e-9);
                 prop_assert!(s.mean <= s.max + 1e-9);
                 prop_assert!(s.std >= 0.0);
+            }
+
+            /// The running accumulator agrees with the batch summary.
+            #[test]
+            fn running_matches_batch(samples in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+                let mut r = RunningSummary::default();
+                samples.iter().for_each(|&x| r.push(x));
+                let (a, b) = (r.summary().unwrap(), Summary::of(&samples));
+                prop_assert_eq!((a.n, a.min, a.max), (b.n, b.min, b.max));
+                prop_assert!((a.mean - b.mean).abs() <= 1e-9 * (1.0 + b.mean.abs()));
+                prop_assert!((a.std - b.std).abs() <= 1e-9 * (1.0 + b.std));
             }
 
             /// Shifting all samples shifts mean/min/max but not std.

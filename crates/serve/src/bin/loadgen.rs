@@ -470,18 +470,15 @@ fn main() {
     let pred_rps = pred_lat.len() as f64 / pred_wall;
     let pred_p50 = percentile(&pred_lat, 0.5);
     let pred_p99 = percentile(&pred_lat, 0.99);
-    let eval = service.predict_latencies_ms();
-    assert!(
-        !eval.is_empty(),
-        "cold predictions must have evaluated the model"
-    );
-    let eval_mean = eval.iter().sum::<f64>() / eval.len() as f64;
-    let eval_max = eval.iter().cloned().fold(0.0f64, f64::max);
+    let eval = service
+        .predict_latencies_ms()
+        .expect("cold predictions must have evaluated the model");
+    let (eval_mean, eval_max) = (eval.mean, eval.max);
     assert!(
         eval_mean < 0.1,
         "predicted answers must cost < 100 µs server-side (mean {:.1} µs over {} evals)",
         eval_mean * 1e3,
-        eval.len()
+        eval.n
     );
     let audits = service.predict_auditor().audits();
     let quarantined = service.predict_auditor().quarantined_pairs();

@@ -114,6 +114,9 @@ impl Breaker {
                     Ok(())
                 } else {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
+                    static REJECTED: paxsim_obs::LazyCounter =
+                        paxsim_obs::LazyCounter::new("serve.breaker.rejected");
+                    REJECTED.inc();
                     Err(((until - now).as_millis() as u64).max(1))
                 }
             }

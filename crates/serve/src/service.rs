@@ -1,17 +1,39 @@
-//! Request handling: admission control, single-flight coalescing, the
-//! batched compute path, and daemon statistics.
+//! Request handling: the hit ladder, the miss pipeline, and daemon
+//! statistics.
 //!
-//! One [`Service`] is shared by every connection. A `simulate` request
-//! flows: parse → resolve/validate → content hash → sharded cache lookup
-//! → (miss) single-flight table → drain check → **batcher** (compatible
-//! concurrent misses gather into one group) → admission gate (one permit
-//! per batch) → one shared sweep on the panic-isolating pool → per-item
-//! cache put → per-request demux → reply. The serial baseline
-//! a parallel cell's speedup divides by is its *own* cached sub-request
-//! (hashed under the serial variant of the spec), fetched without
-//! re-entering the admission gate — a request that was admitted owns
-//! enough budget for its own denominator, and gating it again could
-//! deadlock a fully-loaded daemon.
+//! One [`Service`] is shared by every connection. A request is parsed,
+//! resolved and content-hashed, and [`Service::hit`] probes the sharded
+//! cache; a hit is a copy of the stored reply line. A miss walks **one
+//! pipeline**, each step defined once:
+//!
+//! 1. **flight** ([`flight`]) — single-flight under the key; the leader
+//!    re-`peek`s the cache under its slot, every identical concurrent
+//!    request shares its answer;
+//! 2. **envelope** ([`Service::guarded`]) — drain check, circuit breaker
+//!    on the key, and after the computation the breaker's
+//!    success/failure classification;
+//! 3. **batch** — compatible concurrent misses gather into one group;
+//! 4. **admission** ([`Service::admit`]) — one gate permit per batch (or
+//!    per search); overload and shed rejections are booked here, once
+//!    per refused *request*;
+//! 5. **compute and account** ([`Service::run_cells`]) — one sweep on the
+//!    panic-isolating pool, then per cell: cache put, `computed`,
+//!    latency.
+//!
+//! Which steps a tier takes:
+//!
+//! | tier | flight table | envelope | batch | admission | compute |
+//! |---|---|---|---|---|---|
+//! | exact `simulate` | gated | yes | yes | per batch | `run_cells` |
+//! | predicted `simulate` | ungated | – | – | – | the model, then a sampled audit |
+//! | `tune` | tune | yes | – | one permit per search | the search; its cells are ungated sub-requests |
+//! | sub-request (serial baseline, audit, exact tune cell) | ungated | – | – | – | `run_cells`, one cell |
+//!
+//! The serial baseline a parallel cell's speedup divides by is its *own*
+//! cached sub-request (hashed under the serial variant of the spec),
+//! fetched without re-entering the admission gate — a request that was
+//! admitted owns enough budget for its own denominator, and gating it
+//! again could deadlock a fully-loaded daemon.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -20,15 +42,15 @@ use std::time::{Duration, Instant};
 
 use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::hash::{content_hash, fnv1a, ConfigHash, Fidelity, ResolvedSpec, StudySpec};
-use paxsim_core::inflight::Inflight;
+use paxsim_core::inflight::{Flight, Inflight};
 use paxsim_core::journal::{Record, SideRecord};
 use paxsim_core::pool::{self, CellPolicy};
 use paxsim_core::sentinel::{MetricError, PredictAuditor};
 use paxsim_core::single::run_trials_with;
-use paxsim_core::store::{TraceKey, TraceStore};
-use paxsim_core::tune::{self, TuneRequest, TuneResult};
+use paxsim_core::store::TraceStore;
+use paxsim_core::tune::{self, TunePlan, TuneRequest, TuneResult};
 use paxsim_machine::sim::simulate;
-use paxsim_perfmon::stats::Summary;
+use paxsim_perfmon::stats::{RunningSummary, Summary};
 use paxsim_predict::{predict_program, profile_program, ErrorBounds, Predicted};
 use serde::{Serialize, Value};
 
@@ -230,11 +252,12 @@ enum AdmitError {
 // The service.
 // ---------------------------------------------------------------------------
 
-/// How the admission gate (or the breaker in front of it) disposed of a
-/// flight that never computed. Travels through the single-flight table
-/// so every rider of a rejected flight sees the same typed rejection.
+/// Why a miss was answered with a typed error instead of a record.
+/// The first four are the envelope's refusals of a flight that never
+/// computed; they travel through the single-flight table and the batcher
+/// so every rider of a refused flight sees the same rejection.
 #[derive(Debug, Clone)]
-enum Gated {
+enum Rejection {
     Overloaded {
         running: usize,
         queued: usize,
@@ -247,7 +270,13 @@ enum Gated {
     Quarantined {
         retry_ms: u64,
     },
+    /// The computation ran and failed.
+    Failed(StudyError),
 }
+
+/// What a gated flight lands with: the pool's error, the envelope's
+/// refusal, or the value.
+type Gated<T> = StudyResult<Result<T, Rejection>>;
 
 /// Everything a request touches, shared across connections.
 pub struct Service {
@@ -256,14 +285,19 @@ pub struct Service {
     cache: ResultCache,
     /// Client-facing flights: one admission-gate pass per flight, shared
     /// by every identical concurrent request.
-    inflight: Inflight<Result<Record, Gated>>,
-    /// Ungated flights for serial-baseline sub-requests. A separate
-    /// table: a gated flight can block in the admission queue, and a
-    /// permit-holding computation joining it there would deadlock.
+    inflight: Inflight<Result<Record, Rejection>>,
+    /// Ungated flights: serial-baseline sub-requests, audits, tune cells
+    /// and predicted-tier misses (predicted keys live in their own hash
+    /// space, so the two never collide). A separate table from the gated
+    /// one: a gated flight can block in the admission queue, and a
+    /// permit-holding computation joining it there would deadlock. None
+    /// of these flights passes the gate — model evaluation is
+    /// microseconds, and gating it behind engine sweeps would invert the
+    /// latency order the predicted tier exists for.
     sub_inflight: Inflight<Record>,
     /// Compatible concurrent misses gather here into shared sweeps; one
     /// admission-gate pass and one pool per batch.
-    batcher: Batcher<ResolvedSpec, StudyResult<Result<Record, Gated>>>,
+    batcher: Batcher<ResolvedSpec, Gated<Record>>,
     gate: Gate,
     /// Quarantines configs that keep failing after the pool's own
     /// retries — a deterministic crasher stops burning worker time.
@@ -287,13 +321,7 @@ pub struct Service {
     /// cache-tier counter, like every client request — conservation).
     baseline_fetches: AtomicU64,
     /// Cold-miss compute latency in milliseconds, per kernel.
-    latencies: Mutex<HashMap<String, Vec<f64>>>,
-    /// Single-flight table for predicted-tier cold misses. Separate from
-    /// the exact tables: predicted keys live in their own hash space and
-    /// their flights never pass the admission gate (model evaluation is
-    /// microseconds, gating it behind engine sweeps would invert the
-    /// latency order the tier exists for).
-    predict_inflight: Inflight<Record>,
+    latencies: Mutex<HashMap<String, RunningSummary>>,
     /// The sentinel prediction auditor: samples fresh predictions,
     /// re-runs them on the cycle engine, quarantines out-of-bound
     /// (kernel, config, class) pairs.
@@ -302,7 +330,7 @@ pub struct Service {
     predicted_served: AtomicU64,
     /// Model-evaluation latency in milliseconds (predicted tier only;
     /// excludes the content-addressed profile extraction it amortizes).
-    predict_latencies: Mutex<Vec<f64>>,
+    predict_latencies: Mutex<RunningSummary>,
     /// The tune checkpoint journal (`tune.jsonl` beside the cache
     /// shards): every scored search cell lands here before the search
     /// moves on, so a killed tune resumes instead of restarting.
@@ -317,7 +345,7 @@ pub struct Service {
     /// its own table (a search takes seconds and must not block exact
     /// flights) and never batched — the search decides its own
     /// evaluation order.
-    tune_inflight: Inflight<Result<TuneResult, Gated>>,
+    tune_inflight: Inflight<Result<TuneResult, Rejection>>,
     /// `tune` requests that reached the tune-cache lookup.
     tunes: AtomicU64,
     /// Tune requests answered from the finished-result cache.
@@ -385,10 +413,9 @@ impl Service {
             shed: AtomicU64::new(0),
             baseline_fetches: AtomicU64::new(0),
             latencies: Mutex::new(HashMap::new()),
-            predict_inflight: Inflight::new(),
             auditor,
             predicted_served: AtomicU64::new(0),
-            predict_latencies: Mutex::new(Vec::new()),
+            predict_latencies: Mutex::default(),
             tune_journal,
             tune_cache: Mutex::new(HashMap::new()),
             tune_inflight: Inflight::new(),
@@ -424,10 +451,9 @@ impl Service {
                     .unwrap_or_else(|miss| self.miss(&resolved, miss, fidelity, deadline_ms)),
                 Err(e) => protocol::render_error(protocol::error_category(&e), &e.to_string()),
             },
-            Ok(Request::Tune { req, deadline_ms }) => match self.tune(&req, deadline_ms) {
-                Ok((hash, normalized, result)) => protocol::render_tune(hash, &normalized, &result),
-                Err(rej) => Self::render_rejection(rej),
-            },
+            Ok(Request::Tune { req, deadline_ms }) => self
+                .tune(&req, deadline_ms)
+                .unwrap_or_else(Self::render_rejection),
             Err(e) => protocol::render_error(protocol::error_category(&e), &e.to_string()),
         }
     }
@@ -582,7 +608,7 @@ impl Service {
     }
 
     /// Compute one exact-tier miss under `hash`: a coalesced flight
-    /// whose *leader* passes the drain check and hands the miss to the
+    /// whose *leader* passes the envelope and hands the miss to the
     /// batcher — identical concurrent requests cost one flight, and
     /// compatible distinct ones share a sweep and a gate permit.
     ///
@@ -600,78 +626,95 @@ impl Service {
         static LED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.flight.led");
         static JOINED: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.flight.joined");
-        let (result, flight) = self.inflight.run(hash.0, || {
+        let peek = || self.cache.peek(hash).map(Ok);
+        let (result, role) = flight(&self.inflight, hash.0, peek, || {
             let _span = paxsim_obs::span!("serve.flight", kernel = resolved.spec.kernel);
-            // Double-check: a flight for this key may have landed (and
-            // cached) between the ladder's probe and this slot claim. A
-            // `peek`, not a `get` — this request already booked its miss.
-            if let Some(rec) = self.cache.peek(hash) {
-                return Ok(Ok(rec));
-            }
-            if self.draining() {
-                self.rejected_draining.fetch_add(1, Ordering::Relaxed);
-                return Ok(Err(Gated::Draining));
-            }
-            // Breaker check sits after the cache: a quarantined config's
-            // *cached* result (from before it went bad, or from a
-            // successful probe) still serves — only fresh compute is
-            // refused.
-            if let Err(retry_ms) = self.breaker.check(hash.0) {
-                static QUAR: paxsim_obs::LazyCounter =
-                    paxsim_obs::LazyCounter::new("serve.breaker.rejected");
-                QUAR.inc();
-                return Ok(Err(Gated::Quarantined { retry_ms }));
-            }
-            let res = self.batched_compute(resolved, deadline_ms);
-            match &res {
-                Ok(Ok(_)) => self.breaker.success(hash.0),
-                // Gate rejections say nothing about the config itself.
-                Ok(Err(_)) => {}
-                // Only failures that survived the pool's own retry
-                // budget and look config-caused count toward a trip: a
-                // panic or a failed trace build, not a deadline the
-                // client chose.
-                Err(StudyError::CellPanicked { .. }) | Err(StudyError::BuildFailed { .. }) => {
-                    self.breaker.failure(hash.0);
-                }
-                Err(_) => {}
-            }
-            res
+            self.guarded(hash.0, || self.batched_compute(resolved, deadline_ms))
         });
-        match flight {
-            paxsim_core::inflight::Flight::Led => LED.inc(),
-            paxsim_core::inflight::Flight::Joined => JOINED.inc(),
+        match role {
+            Flight::Led => LED.inc(),
+            Flight::Joined => JOINED.inc(),
         }
-        match result {
-            Ok(Ok(rec)) => Ok(rec),
-            Ok(Err(Gated::Overloaded { running, queued })) => {
-                Err(Rejection::Overloaded { running, queued })
+        settle(result)
+    }
+
+    /// The envelope around every gated computation (an exact flight, a
+    /// tune search), run by the flight's leader: refuse while draining,
+    /// refuse a quarantined key, and tell the breaker how `compute` went.
+    ///
+    /// The breaker check sits after the cache (the flight re-`peek`ed it
+    /// before calling this): a quarantined config's *cached* result — from
+    /// before it went bad, or from a successful probe — still serves; only
+    /// fresh compute is refused.
+    fn guarded<T>(&self, key: u64, compute: impl FnOnce() -> Gated<T>) -> Gated<T> {
+        if self.draining() {
+            self.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            return Ok(Err(Rejection::Draining));
+        }
+        if let Err(retry_ms) = self.breaker.check(key) {
+            return Ok(Err(Rejection::Quarantined { retry_ms }));
+        }
+        let res = compute();
+        match &res {
+            Ok(Ok(_)) => self.breaker.success(key),
+            // Gate rejections say nothing about the config itself.
+            Ok(Err(_)) => {}
+            // Only failures that survived the pool's own retry budget and
+            // look config-caused count toward a trip: a panic or a failed
+            // trace build, not a deadline the client chose.
+            Err(StudyError::CellPanicked { .. }) | Err(StudyError::BuildFailed { .. }) => {
+                self.breaker.failure(key);
             }
-            Ok(Err(Gated::Draining)) => Err(Rejection::Draining),
-            Ok(Err(Gated::Shed)) => Err(Rejection::Shed),
-            Ok(Err(Gated::Quarantined { retry_ms })) => Err(Rejection::Quarantined { retry_ms }),
-            Err(e) => Err(Rejection::Failed(e)),
+            Err(_) => {}
         }
+        res
+    }
+
+    /// The watchdog deadline of a computation: the request's own, else
+    /// the configured default.
+    fn deadline(&self, deadline_ms: Option<u64>) -> Option<Duration> {
+        deadline_ms
+            .or(self.cfg.default_deadline_ms)
+            .map(Duration::from_millis)
+    }
+
+    /// Claim one gate permit for `n` requests' worth of computation (a
+    /// batch of `n`, or one search). The only caller of [`Gate::admit`],
+    /// and the only place an overload or a shed is booked: the always-on
+    /// atomics and the obs counter move together, by `n` — both count
+    /// *requests*, not batches.
+    fn admit(&self, deadline_ms: Option<u64>, n: usize) -> Result<Permit<'_>, Rejection> {
+        static SHED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.admission.shed");
+        let _span = paxsim_obs::span!("serve.admission");
+        let admit_by = self.deadline(deadline_ms).map(|d| Instant::now() + d);
+        self.gate.admit(admit_by).map_err(|refused| match refused {
+            AdmitError::Full { running, queued } => {
+                self.rejected_overload
+                    .fetch_add(n as u64, Ordering::Relaxed);
+                Rejection::Overloaded { running, queued }
+            }
+            AdmitError::Shed => {
+                self.shed.fetch_add(n as u64, Ordering::Relaxed);
+                SHED.add(n as u64);
+                Rejection::Shed
+            }
+        })
     }
 
     /// Compute one predicted-tier miss under `hash`.
     ///
     /// The predicted tier has its own key space
-    /// ([`ResolvedSpec::content_hash_with_fidelity`]), its own
-    /// single-flight table, and **no admission gate or batcher** —
-    /// model evaluation is microseconds and must never queue behind
-    /// engine sweeps.
+    /// ([`ResolvedSpec::content_hash_with_fidelity`]), rides the ungated
+    /// flight table, and takes **no envelope, batcher or admission
+    /// gate** — model evaluation is microseconds and must never queue
+    /// behind engine sweeps.
     fn predicted_flight(
         &self,
         resolved: &ResolvedSpec,
         hash: ConfigHash,
     ) -> Result<Record, Rejection> {
-        let (result, _flight) = self.predict_inflight.run(hash.0, || {
-            // Double-check under the flight slot; `peek` books nothing —
-            // the request already booked its miss.
-            if let Some(rec) = self.cache.peek(hash) {
-                return Ok(rec);
-            }
+        let peek = || self.cache.peek(hash);
+        let (result, _) = flight(&self.sub_inflight, hash.0, peek, || {
             let (sides, predicted) = self.predict_cell(resolved)?;
             let rec = self.cache.put(hash, sides)?;
             self.predicted_served.fetch_add(1, Ordering::Relaxed);
@@ -698,12 +741,7 @@ impl Service {
     /// the exact tier, so journals, caches and clients need no new code.
     fn predict_cell(&self, resolved: &ResolvedSpec) -> StudyResult<(Vec<SideRecord>, Predicted)> {
         let opts = resolved.options();
-        let trace = self.store.try_get(TraceKey {
-            kernel: resolved.kernel,
-            class: resolved.class,
-            nthreads: resolved.config.threads,
-            schedule: resolved.schedule,
-        })?;
+        let trace = self.store.try_get(resolved.trace_key())?;
         let profile = profile_program(&trace, opts.machine.l1d.line as u64);
         // The latency the <100 µs predicted-tier budget measures: model
         // evaluation alone. Profile extraction is content-addressed per
@@ -732,12 +770,7 @@ impl Service {
             // prediction: mixing a measured baseline into a predicted
             // ratio would make the error bound incoherent.
             let serial = resolved.serial_variant().resolve()?;
-            let strace = self.store.try_get(TraceKey {
-                kernel: serial.kernel,
-                class: serial.class,
-                nthreads: serial.config.threads,
-                schedule: serial.schedule,
-            })?;
+            let strace = self.store.try_get(serial.trace_key())?;
             let sprofile = profile_program(&strace, opts.machine.l1d.line as u64);
             let spred = predict_program(&sprofile, &opts.machine, &serial.config.contexts);
             spred.wall_cycles / predicted.wall_cycles
@@ -816,14 +849,49 @@ impl Service {
     /// Serve one `tune` request: a budgeted configuration search over
     /// the request's grid.
     ///
-    /// Same shape as every other tier — content-addressed cache (own
+    /// Same pipeline as the exact tier — content-addressed cache (own
     /// key space: the tune hash grafts an `"op":"tune"` marker), own
-    /// single-flight table, **never batched** — plus the full service
-    /// envelope: drain check, circuit breaker keyed on the tune hash,
-    /// and *one* admission-gate permit held across the whole search (a
+    /// single-flight table (a search takes seconds and must not block
+    /// exact flights), the envelope keyed on the tune hash — but **never
+    /// batched** (the search decides its own evaluation order), and with
+    /// *one* admission-gate permit held across the whole search (a
     /// search is one long computation; re-gating each cell could
     /// deadlock a loaded daemon, exactly like the serial-baseline
     /// argument).
+    fn tune(&self, req: &TuneRequest, deadline_ms: Option<u64>) -> Result<String, Rejection> {
+        static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.hits");
+        let plan = req.plan().map_err(Rejection::Failed)?;
+        let hash = plan.content_hash();
+        self.tunes.fetch_add(1, Ordering::Relaxed);
+        let cached = || {
+            let result = lock(&self.tune_cache).get(&hash.0).cloned()?;
+            self.tune_hits.fetch_add(1, Ordering::Relaxed);
+            HITS.inc();
+            Some(result)
+        };
+        let result = match cached() {
+            Some(result) => result,
+            None => {
+                let peek = || cached().map(Ok);
+                let (landed, _) = flight(&self.tune_inflight, hash.0, peek, || {
+                    let _span = paxsim_obs::span!("serve.tune", kernel = plan.request.kernel);
+                    self.guarded(hash.0, || {
+                        let _permit = match self.admit(deadline_ms, 1) {
+                            Ok(permit) => permit,
+                            Err(rej) => return Ok(Err(rej)),
+                        };
+                        let result = self.search(&plan, deadline_ms)?;
+                        lock(&self.tune_cache).insert(hash.0, result.clone());
+                        Ok(Ok(result))
+                    })
+                });
+                settle(landed)?
+            }
+        };
+        Ok(protocol::render_tune(hash, &plan.request, &result))
+    }
+
+    /// Run one admitted search to its verdict and book it.
     ///
     /// Every scored cell journals through `tune.jsonl` before the
     /// search advances, and the budget is charged per scored cell
@@ -835,160 +903,60 @@ impl Service {
     /// don't book `simulate_requests`, so the law's two sides stay
     /// balanced no matter how many cells a search touches. (The serial
     /// baselines inside exact cells go through [`Service::fetch_baseline`],
-    /// which books both sides equally.)
-    #[allow(clippy::type_complexity)]
-    fn tune(
-        &self,
-        req: &TuneRequest,
-        deadline_ms: Option<u64>,
-    ) -> Result<(ConfigHash, TuneRequest, TuneResult), Rejection> {
+    /// which books both sides equally.) Exact cells take the ungated
+    /// sub-request path — the search already holds the admission permit
+    /// — and land in the shared cache, so a later `simulate` of the
+    /// winning config is a warm hit. Predicted cells run the model with
+    /// no sentinel audit — the tier's error bounds are already
+    /// fidelity-gated, and auditing every probe round would multiply the
+    /// search cost by the exact engine's.
+    fn search(&self, plan: &TunePlan, deadline_ms: Option<u64>) -> StudyResult<TuneResult> {
         static ROUNDS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.rounds");
         static PRUNED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.pruned");
         static RESUMES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.tune.resumes");
         static SEARCHES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.tune.searches");
-        static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.hits");
-        let plan = req.plan().map_err(Rejection::Failed)?;
-        let hash = plan.content_hash();
-        self.tunes.fetch_add(1, Ordering::Relaxed);
-        if let Some(result) = lock(&self.tune_cache).get(&hash.0).cloned() {
-            self.tune_hits.fetch_add(1, Ordering::Relaxed);
-            HITS.inc();
-            return Ok((hash, plan.request, result));
-        }
-        let (result, _flight) = self.tune_inflight.run(hash.0, || {
-            let _span = paxsim_obs::span!("serve.tune", kernel = plan.request.kernel);
-            // Double-check under the flight slot.
-            if let Some(result) = lock(&self.tune_cache).get(&hash.0).cloned() {
-                self.tune_hits.fetch_add(1, Ordering::Relaxed);
-                HITS.inc();
-                return Ok(Ok(result));
+        SEARCHES.inc();
+        let mut fresh_evals: u64 = 0;
+        let (result, stats) = tune::run(plan, Some(&self.tune_journal), |spec, fidelity| {
+            // Chaos hook: a `tune-abort` plan fails the search on the
+            // matching fresh evaluation — after its predecessors are
+            // already journaled — so the resume path is exercised
+            // end to end.
+            fresh_evals += 1;
+            if paxsim_core::faultinject::tune_abort(fresh_evals) {
+                return Err(StudyError::CellPanicked {
+                    index: fresh_evals as usize,
+                    payload: "injected tune-abort fault".to_string(),
+                });
             }
-            if self.draining() {
-                self.rejected_draining.fetch_add(1, Ordering::Relaxed);
-                return Ok(Err(Gated::Draining));
-            }
-            if let Err(retry_ms) = self.breaker.check(hash.0) {
-                return Ok(Err(Gated::Quarantined { retry_ms }));
-            }
-            let effective_deadline_ms = deadline_ms.or(self.cfg.default_deadline_ms);
-            let admitted = {
-                let _span = paxsim_obs::span!("serve.admission");
-                let admit_by =
-                    effective_deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                self.gate.admit(admit_by)
+            let resolved = spec.resolve()?;
+            let rec = if fidelity == Fidelity::Exact {
+                self.sub_request(&resolved, resolved.content_hash(), deadline_ms)
+            } else {
+                let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
+                let peek = || self.cache.peek(hash);
+                let model = || self.cache.put(hash, self.predict_cell(&resolved)?.0);
+                flight(&self.sub_inflight, hash.0, peek, model).0
             };
-            let _permit = match admitted {
-                Ok(p) => p,
-                Err(AdmitError::Full { running, queued }) => {
-                    self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Err(Gated::Overloaded { running, queued }));
-                }
-                Err(AdmitError::Shed) => {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Err(Gated::Shed));
-                }
-            };
-            SEARCHES.inc();
-            let mut fresh_evals: u64 = 0;
-            let res = tune::run(&plan, Some(&self.tune_journal), |spec, fidelity| {
-                // Chaos hook: a `tune-abort` plan fails the search on the
-                // matching fresh evaluation — after its predecessors are
-                // already journaled — so the resume path is exercised
-                // end to end.
-                fresh_evals += 1;
-                if paxsim_core::faultinject::tune_abort(fresh_evals) {
-                    return Err(StudyError::CellPanicked {
-                        index: fresh_evals as usize,
-                        payload: "injected tune-abort fault".to_string(),
-                    });
-                }
-                let resolved = spec.resolve()?;
-                if fidelity == Fidelity::Exact {
-                    self.tune_eval_exact(&resolved, effective_deadline_ms)
-                } else {
-                    self.tune_eval_predicted(&resolved)
-                }
-            });
-            match &res {
-                Ok(_) => self.breaker.success(hash.0),
-                Err(StudyError::CellPanicked { .. }) | Err(StudyError::BuildFailed { .. }) => {
-                    self.breaker.failure(hash.0);
-                }
-                Err(_) => {}
-            }
-            let (result, stats) = res?;
-            self.tune_completed.fetch_add(1, Ordering::Relaxed);
-            self.tune_fresh
-                .fetch_add(stats.fresh as u64, Ordering::Relaxed);
-            self.tune_replayed
-                .fetch_add(stats.replayed as u64, Ordering::Relaxed);
-            if stats.replayed > 0 {
-                self.tune_resumes.fetch_add(1, Ordering::Relaxed);
-                RESUMES.inc();
-            }
-            ROUNDS.add(result.rounds.len() as u64);
-            PRUNED.add(result.rounds.iter().map(|r| r.pruned as u64).sum());
-            if paxsim_obs::enabled() {
-                paxsim_obs::gauge("serve.tune.best_speedup").set(result.speedup);
-            }
-            lock(&self.tune_cache).insert(hash.0, result.clone());
-            Ok(Ok(result))
-        });
-        match result {
-            Ok(Ok(result)) => Ok((hash, plan.request, result)),
-            Ok(Err(Gated::Overloaded { running, queued })) => {
-                Err(Rejection::Overloaded { running, queued })
-            }
-            Ok(Err(Gated::Draining)) => Err(Rejection::Draining),
-            Ok(Err(Gated::Shed)) => Err(Rejection::Shed),
-            Ok(Err(Gated::Quarantined { retry_ms })) => Err(Rejection::Quarantined { retry_ms }),
-            Err(e) => Err(Rejection::Failed(e)),
+            Ok(rec?.sides)
+        })?;
+        self.tune_completed.fetch_add(1, Ordering::Relaxed);
+        self.tune_fresh
+            .fetch_add(stats.fresh as u64, Ordering::Relaxed);
+        self.tune_replayed
+            .fetch_add(stats.replayed as u64, Ordering::Relaxed);
+        if stats.replayed > 0 {
+            self.tune_resumes.fetch_add(1, Ordering::Relaxed);
+            RESUMES.inc();
         }
-    }
-
-    /// Exact-engine evaluation of one search cell: shared result cache
-    /// first (`peek` — counter-neutral), then the ungated sub-request
-    /// path (the search already holds the admission permit). Results
-    /// land in the shared cache, so a later `simulate` of the winning
-    /// config is a warm hit.
-    fn tune_eval_exact(
-        &self,
-        resolved: &ResolvedSpec,
-        deadline_ms: Option<u64>,
-    ) -> StudyResult<Vec<SideRecord>> {
-        let hash = resolved.content_hash();
-        if let Some(rec) = self.cache.peek(hash) {
-            return Ok(rec.sides);
+        ROUNDS.add(result.rounds.len() as u64);
+        PRUNED.add(result.rounds.iter().map(|r| r.pruned as u64).sum());
+        if paxsim_obs::enabled() {
+            paxsim_obs::gauge("serve.tune.best_speedup").set(result.speedup);
         }
-        let (result, _flight) = self.sub_inflight.run(hash.0, || {
-            if let Some(rec) = self.cache.peek(hash) {
-                return Ok(rec);
-            }
-            self.compute_and_cache(resolved, deadline_ms)
-        });
-        result.map(|rec| rec.sides)
-    }
-
-    /// Predicted-tier evaluation of one search cell: shared predicted
-    /// cache first (`peek`), then the model. No sentinel audit inside a
-    /// search — the tier's error bounds are already fidelity-gated, and
-    /// auditing every probe round would multiply the search cost by the
-    /// exact engine's.
-    fn tune_eval_predicted(&self, resolved: &ResolvedSpec) -> StudyResult<Vec<SideRecord>> {
-        let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
-        if let Some(rec) = self.cache.peek(hash) {
-            return Ok(rec.sides);
-        }
-        let (result, _flight) = self.predict_inflight.run(hash.0, || {
-            if let Some(rec) = self.cache.peek(hash) {
-                return Ok(rec);
-            }
-            let (sides, _predicted) = self.predict_cell(resolved)?;
-            self.cache.put(hash, sides)
-        });
-        result.map(|rec| rec.sides)
+        Ok(result)
     }
 
     /// The batch-compatibility key: the canonical spec with the sweep
@@ -1009,11 +977,7 @@ impl Service {
     /// Route one cache miss through the batcher. With a zero window this
     /// is a pass-through (immediate batch of one — byte-identical to the
     /// pre-batching path, which the differential test asserts).
-    fn batched_compute(
-        &self,
-        resolved: &ResolvedSpec,
-        deadline_ms: Option<u64>,
-    ) -> StudyResult<Result<Record, Gated>> {
+    fn batched_compute(&self, resolved: &ResolvedSpec, deadline_ms: Option<u64>) -> Gated<Record> {
         static BATCHES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.batch.batches");
         static MERGED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.batch.merged");
@@ -1049,40 +1013,67 @@ impl Service {
         &self,
         items: Vec<ResolvedSpec>,
         deadline_ms: Option<u64>,
-    ) -> Vec<StudyResult<Result<Record, Gated>>> {
+    ) -> Vec<Gated<Record>> {
         // Chaos hook: a `serve-batch-panic` plan panics the leader here,
         // inside the batcher's catch_unwind — the poison-recovery path
         // (every rider re-runs solo) is what the regression test pins.
         if paxsim_core::faultinject::serve_batch_panic() {
             panic!("injected batch-leader fault ({} items)", items.len());
         }
-        let effective_deadline_ms = deadline_ms.or(self.cfg.default_deadline_ms);
-        let admitted = {
-            let _span = paxsim_obs::span!("serve.admission");
-            let admit_by =
-                effective_deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            self.gate.admit(admit_by)
+        match self.admit(deadline_ms, items.len()) {
+            Ok(_permit) => self
+                .run_cells(&items, deadline_ms)
+                .into_iter()
+                .map(|rec| rec.map(Ok))
+                .collect(),
+            Err(rej) => items.iter().map(|_| Ok(Err(rej.clone()))).collect(),
+        }
+    }
+
+    /// The serial-baseline sub-request: cache-or-compute on the ungated
+    /// flight table, with *no* admission gate — the parallel computation
+    /// asking for it already owns a permit, and its budget covers the
+    /// denominator. Books `baseline_fetches` and, in the `get`, exactly
+    /// one cache-tier counter (conservation).
+    fn fetch_baseline(&self, resolved: &ResolvedSpec) -> StudyResult<Record> {
+        self.baseline_fetches.fetch_add(1, Ordering::Relaxed);
+        let hash = resolved.content_hash();
+        match self.cache.get(hash) {
+            Some(rec) => Ok(rec),
+            None => self.sub_request(resolved, hash, None),
+        }
+    }
+
+    /// One exact cell, ungated and counter-neutral: single-flight, a
+    /// `peek` under the slot (never a `get` — whoever asked has booked
+    /// what it owed), else a one-cell sweep.
+    fn sub_request(
+        &self,
+        resolved: &ResolvedSpec,
+        hash: ConfigHash,
+        deadline_ms: Option<u64>,
+    ) -> StudyResult<Record> {
+        let peek = || self.cache.peek(hash);
+        let cell = || {
+            let mut cells = self.run_cells(std::slice::from_ref(resolved), deadline_ms);
+            cells.pop().expect("one-cell sweep has one result")
         };
-        let _permit = match admitted {
-            Ok(p) => p,
-            Err(AdmitError::Full { running, queued }) => {
-                self.rejected_overload
-                    .fetch_add(items.len() as u64, Ordering::Relaxed);
-                return items
-                    .iter()
-                    .map(|_| Ok(Err(Gated::Overloaded { running, queued })))
-                    .collect();
-            }
-            Err(AdmitError::Shed) => {
-                self.shed.fetch_add(items.len() as u64, Ordering::Relaxed);
-                static SHED: paxsim_obs::LazyCounter =
-                    paxsim_obs::LazyCounter::new("serve.admission.shed");
-                SHED.inc();
-                return items.iter().map(|_| Ok(Err(Gated::Shed))).collect();
-            }
-        };
+        flight(&self.sub_inflight, hash.0, peek, cell).0
+    }
+
+    /// Compute, store and account `items` — a gathered batch or a single
+    /// sub-request — as one sweep on the fault-isolating pool: a
+    /// panicking engine cell (injected or real) is caught and retried
+    /// with backoff instead of killing the worker thread, and the
+    /// watchdog deadline turns a runaway cell into a typed `deadline`
+    /// error. The only caller of `pool::map_indexed_isolated`.
+    fn run_cells(
+        &self,
+        items: &[ResolvedSpec],
+        deadline_ms: Option<u64>,
+    ) -> Vec<StudyResult<Record>> {
         let policy = CellPolicy {
-            deadline: effective_deadline_ms.map(Duration::from_millis),
+            deadline: self.deadline(deadline_ms),
             ..CellPolicy::default()
         };
         let sweep = pool::map_indexed_isolated(items.len(), &policy, |i| {
@@ -1099,7 +1090,7 @@ impl Service {
         sweep
             .results
             .into_iter()
-            .zip(&items)
+            .zip(items)
             .map(|(res, item)| {
                 let (sides, elapsed) = res?;
                 let rec = self.cache.put(item.content_hash(), sides)?;
@@ -1115,81 +1106,9 @@ impl Service {
                     .entry(item.spec.kernel.clone())
                     .or_default()
                     .push(elapsed * 1e3);
-                Ok(Ok(rec))
+                Ok(rec)
             })
             .collect()
-    }
-
-    /// The serial-baseline sub-request: cache-or-compute with its own
-    /// single-flight table and *no* admission gate — the parallel
-    /// computation asking for it already owns a permit, and its budget
-    /// covers the denominator.
-    fn fetch_baseline(&self, resolved: &ResolvedSpec) -> StudyResult<Record> {
-        self.baseline_fetches.fetch_add(1, Ordering::Relaxed);
-        let hash = resolved.content_hash();
-        if let Some(rec) = self.cache.get(hash) {
-            return Ok(rec);
-        }
-        let (result, _flight) = self.sub_inflight.run(hash.0, || {
-            // `peek`, not `get`: the fetch booked its one tier counter
-            // in the lookup above (see the conservation note in
-            // `simulate`).
-            if let Some(rec) = self.cache.peek(hash) {
-                return Ok(rec);
-            }
-            self.compute_and_cache(resolved, None)
-        });
-        result
-    }
-
-    /// Compute, store, and account one cold miss.
-    fn compute_and_cache(
-        &self,
-        resolved: &ResolvedSpec,
-        deadline_ms: Option<u64>,
-    ) -> StudyResult<Record> {
-        let _span = paxsim_obs::span!(
-            "serve.compute",
-            kernel = resolved.spec.kernel,
-            config = resolved.spec.config
-        );
-        let t0 = Instant::now();
-        let sides = self.compute(resolved, deadline_ms)?;
-        let rec = self.cache.put(resolved.content_hash(), sides)?;
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        let elapsed = t0.elapsed().as_secs_f64();
-        if paxsim_obs::enabled() {
-            paxsim_obs::histogram_with(
-                "serve.compute_seconds",
-                &[("kernel", resolved.spec.kernel.as_str())],
-            )
-            .observe(elapsed);
-        }
-        lock(&self.latencies)
-            .entry(resolved.spec.kernel.clone())
-            .or_default()
-            .push(elapsed * 1e3);
-        Ok(rec)
-    }
-
-    /// Run the simulation behind a one-cell fault-isolated sweep: a
-    /// panicking engine cell (injected or real) is caught and retried
-    /// with backoff instead of killing the connection thread, and the
-    /// watchdog deadline turns a runaway cell into a typed `deadline`
-    /// error.
-    fn compute(
-        &self,
-        resolved: &ResolvedSpec,
-        deadline_ms: Option<u64>,
-    ) -> StudyResult<Vec<SideRecord>> {
-        let policy = CellPolicy {
-            deadline: deadline_ms
-                .or(self.cfg.default_deadline_ms)
-                .map(Duration::from_millis),
-            ..CellPolicy::default()
-        };
-        let mut sweep = pool::map_indexed_isolated(1, &policy, |_| self.compute_cell(resolved));
-        sweep.results.pop().expect("one-cell sweep has one result")
     }
 
     /// The actual simulation: trace build (shared store), trials, and —
@@ -1197,12 +1116,7 @@ impl Service {
     /// the speedup divides by.
     fn compute_cell(&self, resolved: &ResolvedSpec) -> StudyResult<Vec<SideRecord>> {
         let opts = resolved.options();
-        let trace = self.store.try_get(TraceKey {
-            kernel: resolved.kernel,
-            class: resolved.class,
-            nthreads: resolved.config.threads,
-            schedule: resolved.schedule,
-        })?;
+        let trace = self.store.try_get(resolved.trace_key())?;
         let (cycles, counters) = run_trials_with(&opts, &trace, &resolved.config, &|jobs| {
             simulate(&opts.machine, jobs)
         });
@@ -1224,24 +1138,11 @@ impl Service {
 
     /// Render the `stats` reply.
     fn stats_reply(&self) -> String {
-        let (running, queued) = self.gate.depth();
-        let latency: Vec<(String, Value)> = {
-            let lat = lock(&self.latencies);
-            let mut kernels: Vec<&String> = lat.keys().collect();
-            kernels.sort();
-            kernels
-                .into_iter()
-                .map(|k| (k.clone(), Summary::of(&lat[k]).to_value()))
-                .collect()
-        };
-        let obj = |entries: Vec<(&str, Value)>| {
-            Value::Object(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
+        let mut latency: Vec<(String, Value)> = lock(&self.latencies)
+            .iter()
+            .filter_map(|(kernel, ms)| Some((kernel.clone(), ms.summary()?.to_value())))
+            .collect();
+        latency.sort_by(|a, b| a.0.cmp(&b.0));
         let v = obj(vec![
             ("ok", Value::Bool(true)),
             (
@@ -1252,10 +1153,7 @@ impl Service {
                 "requests",
                 Value::UInt(self.requests.load(Ordering::Relaxed)),
             ),
-            (
-                "simulate_requests",
-                Value::UInt(self.simulates.load(Ordering::Relaxed)),
-            ),
+            ("simulate_requests", Value::UInt(self.simulate_requests())),
             ("draining", Value::Bool(self.draining())),
             (
                 "cache",
@@ -1269,28 +1167,7 @@ impl Service {
                         "corrupt_dropped",
                         Value::UInt(self.cache.corrupt_dropped() as u64),
                     ),
-                    (
-                        "shards",
-                        Value::Array(
-                            self.cache
-                                .shard_stats()
-                                .iter()
-                                .map(|s| {
-                                    obj(vec![
-                                        ("mem_hits", Value::UInt(s.mem_hits)),
-                                        ("disk_hits", Value::UInt(s.disk_hits)),
-                                        ("misses", Value::UInt(s.misses)),
-                                        ("puts", Value::UInt(s.puts)),
-                                        ("entries_mem", Value::UInt(s.entries_mem as u64)),
-                                        ("entries_disk", Value::UInt(s.entries_disk as u64)),
-                                        ("corrupt_dropped", Value::UInt(s.corrupt_dropped as u64)),
-                                        ("write_errors", Value::UInt(s.write_errors as u64)),
-                                        ("stale_lines", Value::UInt(s.stale_lines as u64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("shards", self.shard_rows(false)),
                 ]),
             ),
             (
@@ -1309,7 +1186,7 @@ impl Service {
             (
                 "degraded",
                 obj(vec![
-                    ("shed", Value::UInt(self.shed.load(Ordering::Relaxed))),
+                    ("shed", Value::UInt(self.shed())),
                     (
                         "quarantined_rejections",
                         Value::UInt(self.breaker.rejected()),
@@ -1332,43 +1209,21 @@ impl Service {
             ),
             (
                 "admission",
-                obj(vec![
-                    ("running", Value::UInt(running as u64)),
-                    ("queued", Value::UInt(queued as u64)),
-                    ("max_running", Value::UInt(self.cfg.max_running as u64)),
-                    ("max_queue", Value::UInt(self.cfg.max_queue as u64)),
-                    (
-                        "rejected_overload",
-                        Value::UInt(self.rejected_overload.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "rejected_draining",
-                        Value::UInt(self.rejected_draining.load(Ordering::Relaxed)),
-                    ),
+                self.admission_block([
+                    ("rejected_overload", &self.rejected_overload),
+                    ("rejected_draining", &self.rejected_draining),
                 ]),
             ),
-            (
-                "computed",
-                Value::UInt(self.computed.load(Ordering::Relaxed)),
-            ),
-            (
-                "baseline_fetches",
-                Value::UInt(self.baseline_fetches.load(Ordering::Relaxed)),
-            ),
+            ("computed", Value::UInt(self.computed())),
+            ("baseline_fetches", Value::UInt(self.baseline_fetches())),
             ("predict", self.predict_block()),
             (
                 "tune",
                 obj(vec![
-                    ("requests", Value::UInt(self.tunes.load(Ordering::Relaxed))),
-                    ("hits", Value::UInt(self.tune_hits.load(Ordering::Relaxed))),
-                    (
-                        "completed",
-                        Value::UInt(self.tune_completed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "resumes",
-                        Value::UInt(self.tune_resumes.load(Ordering::Relaxed)),
-                    ),
+                    ("requests", Value::UInt(self.tunes())),
+                    ("hits", Value::UInt(self.tune_hits())),
+                    ("completed", Value::UInt(self.tune_completed())),
+                    ("resumes", Value::UInt(self.tune_resumes())),
                     (
                         "fresh_cells",
                         Value::UInt(self.tune_fresh.load(Ordering::Relaxed)),
@@ -1385,15 +1240,58 @@ impl Service {
         serde_json::to_string(&v).expect("value tree renders infallibly")
     }
 
+    /// The admission object shared by `stats` and `health`: gate depth and
+    /// limits, then the two refusal counts that reply carries.
+    fn admission_block(&self, refusals: [(&str, &AtomicU64); 2]) -> Value {
+        let (running, queued) = self.gate.depth();
+        let mut entries = vec![
+            ("running", Value::UInt(running as u64)),
+            ("queued", Value::UInt(queued as u64)),
+            ("max_running", Value::UInt(self.cfg.max_running as u64)),
+            ("max_queue", Value::UInt(self.cfg.max_queue as u64)),
+        ];
+        entries.extend(refusals.map(|(k, n)| (k, Value::UInt(n.load(Ordering::Relaxed)))));
+        obj(entries)
+    }
+
+    /// One row per cache shard: `stats` leads with the traffic counters,
+    /// `health` carries `put_failures`; the journal-health keys are
+    /// common.
+    fn shard_rows(&self, health: bool) -> Value {
+        let row = |s: &crate::cache::ShardStats| {
+            let mut entries = Vec::new();
+            if !health {
+                entries.extend([
+                    ("mem_hits", s.mem_hits),
+                    ("disk_hits", s.disk_hits),
+                    ("misses", s.misses),
+                    ("puts", s.puts),
+                ]);
+            }
+            entries.extend([
+                ("entries_mem", s.entries_mem as u64),
+                ("entries_disk", s.entries_disk as u64),
+                ("corrupt_dropped", s.corrupt_dropped as u64),
+                ("write_errors", s.write_errors as u64),
+            ]);
+            if health {
+                entries.push(("put_failures", s.put_failures));
+            }
+            entries.push(("stale_lines", s.stale_lines as u64));
+            obj(entries
+                .into_iter()
+                .map(|(k, n)| (k, Value::UInt(n)))
+                .collect())
+        };
+        Value::Array(self.cache.shard_stats().iter().map(row).collect())
+    }
+
     /// The predicted-tier status object shared by `stats` and `health`:
     /// volume, audit outcomes, quarantine state, and the auditor's
     /// measured p95 wall-clock error (absent until the first audit).
     fn predict_block(&self) -> Value {
         let mut entries = vec![
-            (
-                "served".to_string(),
-                Value::UInt(self.predicted_served.load(Ordering::Relaxed)),
-            ),
+            ("served".to_string(), Value::UInt(self.predicted_served())),
             (
                 "audits".to_string(),
                 Value::UInt(self.auditor.audits() as u64),
@@ -1407,11 +1305,8 @@ impl Service {
                 Value::UInt(self.auditor.fallbacks() as u64),
             ),
         ];
-        {
-            let lat = lock(&self.predict_latencies);
-            if !lat.is_empty() {
-                entries.push(("latency_ms".to_string(), Summary::of(&lat).to_value()));
-            }
+        if let Some(latency) = self.predict_latencies_ms() {
+            entries.push(("latency_ms".to_string(), latency.to_value()));
         }
         if let Some(p95) = self.auditor.error_p95() {
             entries.push(("error_p95".to_string(), Value::Float(p95)));
@@ -1428,15 +1323,6 @@ impl Service {
     /// quarantine list, per-shard journal health. Cheap (no compute, no
     /// cache traffic) and safe to poll every second.
     fn health_reply(&self) -> String {
-        let obj = |entries: Vec<(&str, Value)>| {
-            Value::Object(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        let (running, queued) = self.gate.depth();
         let quarantined: Vec<Value> = self
             .breaker
             .snapshot()
@@ -1447,21 +1333,6 @@ impl Service {
                     ("failures", Value::UInt(u64::from(q.failures))),
                     ("state", Value::String(q.state.to_string())),
                     ("retry_in_ms", Value::UInt(q.retry_in_ms)),
-                ])
-            })
-            .collect();
-        let shards: Vec<Value> = self
-            .cache
-            .shard_stats()
-            .iter()
-            .map(|s| {
-                obj(vec![
-                    ("entries_mem", Value::UInt(s.entries_mem as u64)),
-                    ("entries_disk", Value::UInt(s.entries_disk as u64)),
-                    ("corrupt_dropped", Value::UInt(s.corrupt_dropped as u64)),
-                    ("write_errors", Value::UInt(s.write_errors as u64)),
-                    ("put_failures", Value::UInt(s.put_failures)),
-                    ("stale_lines", Value::UInt(s.stale_lines as u64)),
                 ])
             })
             .collect();
@@ -1476,16 +1347,9 @@ impl Service {
             ("workers", Value::UInt(self.cfg.effective_workers() as u64)),
             (
                 "admission",
-                obj(vec![
-                    ("running", Value::UInt(running as u64)),
-                    ("queued", Value::UInt(queued as u64)),
-                    ("max_running", Value::UInt(self.cfg.max_running as u64)),
-                    ("max_queue", Value::UInt(self.cfg.max_queue as u64)),
-                    ("shed", Value::UInt(self.shed.load(Ordering::Relaxed))),
-                    (
-                        "rejected_overload",
-                        Value::UInt(self.rejected_overload.load(Ordering::Relaxed)),
-                    ),
+                self.admission_block([
+                    ("shed", &self.shed),
+                    ("rejected_overload", &self.rejected_overload),
                 ]),
             ),
             (
@@ -1513,7 +1377,7 @@ impl Service {
                 ]),
             ),
             ("predict", self.predict_block()),
-            ("shards", Value::Array(shards)),
+            ("shards", self.shard_rows(true)),
         ]);
         serde_json::to_string(&v).expect("value tree renders infallibly")
     }
@@ -1653,9 +1517,10 @@ impl Service {
         self.predicted_served.load(Ordering::Relaxed)
     }
 
-    /// Model-evaluation latencies observed so far, in milliseconds.
-    pub fn predict_latencies_ms(&self) -> Vec<f64> {
-        lock(&self.predict_latencies).clone()
+    /// Model-evaluation latency so far, in milliseconds (`None` before
+    /// the first evaluation).
+    pub fn predict_latencies_ms(&self) -> Option<Summary> {
+        lock(&self.predict_latencies).summary()
     }
 
     /// Requests that rode another request's batch (merge count).
@@ -1685,12 +1550,33 @@ impl Service {
     }
 }
 
-enum Rejection {
-    Overloaded { running: usize, queued: usize },
-    Draining,
-    Shed,
-    Quarantined { retry_ms: u64 },
-    Failed(StudyError),
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj(entries: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// The flight step of the miss pipeline: single-flight under `key`; the
+/// leader re-`peek`s under its slot — a flight for this key may have
+/// landed (and cached) between the caller's probe and this slot claim —
+/// else computes. `peek` must book nothing: whoever reached a flight
+/// already booked its miss.
+fn flight<V: Clone>(
+    table: &Inflight<V>,
+    key: u64,
+    peek: impl FnOnce() -> Option<V>,
+    compute: impl FnOnce() -> StudyResult<V>,
+) -> (StudyResult<V>, Flight) {
+    table.run(key, || peek().map_or_else(compute, Ok))
+}
+
+/// Fold what a gated flight landed with into the one rejection type.
+fn settle<T>(landed: Gated<T>) -> Result<T, Rejection> {
+    landed.unwrap_or_else(|e| Err(Rejection::Failed(e)))
 }
 
 /// The auditor's (kernel, config, class) key of a canonical spec.
@@ -2356,6 +2242,128 @@ mod tests {
             Some(0),
             "tune books no simulate traffic: {stats}"
         );
+    }
+
+    /// A named `op=stats` counter, as the wire reports it.
+    fn stat(s: &Service, block: &str, key: &str) -> u64 {
+        let stats = s.handle_line(r#"{"op":"stats"}"#);
+        serde_json::parse(&stats).unwrap()[block][key]
+            .as_u64()
+            .unwrap()
+    }
+
+    #[test]
+    fn every_refusal_reads_the_same_from_both_gated_tiers() {
+        // The envelope is one thing: an exact miss and a tune search
+        // refused for the same cause get the same typed line, and the
+        // always-on counter behind `op=stats` moves once per refused
+        // request. `cell-panic` only matters to the quarantined row, which
+        // needs one failed computation per key to trip a threshold-1
+        // breaker; the other rows never reach a computation.
+        paxsim_core::faultinject::with_plan("cell-panic:0:50", || {
+            for (cause, max_queue, deadline, block, key) in [
+                ("draining", 1, "", "admission", "rejected_draining"),
+                ("overloaded", 0, "", "admission", "rejected_overload"),
+                ("shed", 1, r#","deadline_ms":30"#, "degraded", "shed"),
+                ("quarantined", 1, "", "degraded", "quarantined_rejections"),
+            ] {
+                let s = Service::open(ServeConfig {
+                    cache_dir: tmp(&format!("envelope_{cause}")),
+                    max_running: 1,
+                    max_queue,
+                    breaker_threshold: 1,
+                    breaker_cooldown_ms: 60_000,
+                    ..ServeConfig::default()
+                })
+                .unwrap();
+                let lines = [
+                    format!(r#"{{"op":"simulate","kernel":"ep","config":"CMP"{deadline}}}"#),
+                    format!(r#"{{"op":"tune","kernel":"ep","configs":["CMP","CMT"]{deadline}}}"#),
+                ];
+                let _held = match cause {
+                    "draining" => {
+                        s.set_draining();
+                        None
+                    }
+                    "overloaded" | "shed" => Some(s.gate.admit(None).unwrap()),
+                    _ => {
+                        for line in &lines {
+                            let r = s.handle_line(line);
+                            assert!(r.contains("\"error\":\"panic\""), "{cause}: {r}");
+                        }
+                        None
+                    }
+                };
+                let before = stat(&s, block, key);
+                let [exact, tune] = lines.each_ref().map(|line| s.handle_line(line));
+                assert!(exact.contains(&format!("\"error\":\"{cause}\"")), "{exact}");
+                // The remaining cooldown is the one thing that differs
+                // between two quarantined replies.
+                let shape = |r: &str| match r.split_once("retry in ") {
+                    Some((head, tail)) => {
+                        format!(
+                            "{head}{}",
+                            tail.trim_start_matches(|c: char| c.is_ascii_digit())
+                        )
+                    }
+                    None => r.to_string(),
+                };
+                assert_eq!(shape(&exact), shape(&tune), "{cause}");
+                assert_eq!(stat(&s, block, key) - before, 2, "{cause}");
+            }
+        });
+    }
+
+    #[test]
+    fn shed_requests_are_booked_in_obs_and_stats_alike() {
+        // Regression: `op=tune` shed its search without telling the obs
+        // counter, so `op=metrics` under-reported `op=stats`. One `admit`
+        // books both, for every tier, per request.
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let s = Service::open(ServeConfig {
+            cache_dir: tmp("shed_obs"),
+            max_running: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let obs = || paxsim_obs::counter("serve.admission.shed").get();
+        let (obs_before, stats_before) = (obs(), stat(&s, "degraded", "shed"));
+        let held = s.gate.admit(None).unwrap();
+        for line in [
+            r#"{"op":"simulate","kernel":"ep","config":"CMP","deadline_ms":30}"#,
+            r#"{"op":"tune","kernel":"ep","configs":["CMP","CMT"],"deadline_ms":30}"#,
+        ] {
+            let r = s.handle_line(line);
+            assert!(r.contains("\"error\":\"shed\""), "{r}");
+        }
+        drop(held);
+        assert_eq!(stat(&s, "degraded", "shed") - stats_before, 2);
+        assert_eq!(obs() - obs_before, 2, "obs must count the shed search too");
+    }
+
+    #[test]
+    fn quarantined_tunes_are_booked_in_obs_and_breaker_alike() {
+        // Regression: only the exact tier told the obs counter about a
+        // quarantine rejection. The counter now moves inside
+        // `Breaker::check`, beside the atomic `op=health` reports.
+        paxsim_core::faultinject::with_plan("tune-abort:1:1", || {
+            let s = Service::open(ServeConfig {
+                cache_dir: tmp("tune_quarantine_obs"),
+                breaker_threshold: 1,
+                breaker_cooldown_ms: 60_000,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let obs = || paxsim_obs::counter("serve.breaker.rejected").get();
+            let (obs_before, atomic_before) = (obs(), s.breaker().rejected());
+            let tripped = s.handle_line(EP_TUNE);
+            assert!(tripped.contains("\"error\":\"panic\""), "{tripped}");
+            assert_eq!(s.breaker().trips(), 1);
+            let refused = s.handle_line(EP_TUNE);
+            assert!(refused.contains("\"error\":\"quarantined\""), "{refused}");
+            assert_eq!(s.breaker().rejected() - atomic_before, 1);
+            assert_eq!(obs() - obs_before, 1, "obs must count a quarantined tune");
+        });
     }
 
     #[test]
