@@ -26,6 +26,26 @@ echo "$GOLDEN" | grep -q "test result: ok. 1 passed" || {
 }
 echo "golden digests pinned: 1 test ran by name"
 
+echo "== single-context jittered replay vs the reference (run by name, memo on and off) =="
+# A one-context job replays from the memo table under jitter (its region
+# starts from the barrier-release snapshot aged by the jitter offset). The
+# test that pins that to the reference engine on all eight kernels runs by
+# its exact name and must be the one test that ran — with the table
+# consulted at every boundary, and with PAXSIM_DISABLE_MEMO=1 on the plain
+# fast path.
+for MEMO_ENV in PAXSIM_DISABLE_MEMO=0 PAXSIM_DISABLE_MEMO=1; do
+    AGED=$(env "$MEMO_ENV" cargo test -q -p paxsim-core --release --test differential -- --exact single_context_jittered_runs_match_reference 2>&1) || {
+        echo "$AGED"
+        exit 1
+    }
+    echo "$AGED" | grep -q "test result: ok. 1 passed" || {
+        echo "single_context_jittered_runs_match_reference did not run ($MEMO_ENV):"
+        echo "$AGED"
+        exit 1
+    }
+done
+echo "single-context jittered differential: 1 test ran by name, both ways"
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -333,10 +353,11 @@ echo "== engine throughput (quick, zero-drift check, memoization on) =="
 PAXSIM_BENCH_QUICK=1 cargo bench -p paxsim-bench --bench engine_throughput
 
 echo "== engine throughput (quick, zero-drift check, memoization off) =="
-# The '/quiet' workloads drift-check memoized replay against the reference
-# engine above; this second pass pins the same workloads with memoization
-# disabled, so any divergence between the memoized and plain fast paths
-# shows up as drift against the shared reference.
+# The '/quiet' workloads — and the jittered 'Serial' row, a one-context job
+# that replays from the table too — drift-check memoized replay against the
+# reference engine above; this second pass pins the same workloads with
+# memoization disabled, so any divergence between the memoized and plain
+# fast paths shows up as drift against the shared reference.
 PAXSIM_BENCH_QUICK=1 PAXSIM_DISABLE_MEMO=1 cargo bench -p paxsim-bench --bench engine_throughput
 
 echo "== paxbench golden fingerprints (all five workloads, quick) =="

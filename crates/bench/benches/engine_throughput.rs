@@ -128,8 +128,12 @@ fn write_report(rows: &[Row], sweep_ms: Option<f64>, obs_overhead: f64) {
                  trajectory. trace_bytes_packed counts the interned packed-word encoding, \
                  trace_bytes_unpacked the naive array-of-Op layout it replaced. '/quiet' \
                  rows run jitter-free, where the fast engine's steady-state region \
-                 memoization engages (memo_hit_rate > 0); the reference engine never \
-                 memoizes, so those rows stay drift-checked too. events_scheduled / \
+                 memoization engages (memo_hit_rate > 0); so does the jittered \
+                 cg/Serial row, a one-context job, whose timed samples are replays \
+                 of its warm-up — its speedup, like the quiet rows', compares a table \
+                 lookup with a simulation and is not an engine speed. The reference \
+                 engine never memoizes, so those rows stay drift-checked too. \
+                 events_scheduled / \
                  cycles_skipped are the discrete-event scheduler's dispatch count and \
                  the simulated cycles it jumped instead of stepping (quiescent-skip); \
                  cycles_skipped > 0 on every row proves the skip engages."
@@ -163,8 +167,9 @@ fn bench(c: &mut Criterion) {
     let store = warmed_store(&[KernelId::Ep, KernelId::Cg], class);
 
     let mut rows = Vec::new();
-    // Jittered rows exercise the general scheduler; '/quiet' (jitter 0)
-    // rows are where steady-state region memoization engages.
+    // Jittered rows of two or more contexts exercise the general
+    // scheduler; '/quiet' (jitter 0) rows and the jittered one-context row
+    // are where region memoization engages.
     for (kernel, cfg_name, jitter) in [
         (KernelId::Cg, "Serial", 250),
         (KernelId::Ep, "HT off -4-2", 250),

@@ -6,10 +6,10 @@
 //! the fast-path caches, the min-heap scheduler, or the batched replay
 //! fails here before it can skew a single figure.
 
-use paxsim_core::configs::all_configs;
+use paxsim_core::configs::{all_configs, serial};
 use paxsim_core::store::{TraceKey, TraceStore};
 use paxsim_machine::prelude::*;
-use paxsim_nas::{Class, KernelId};
+use paxsim_nas::{all_kernels, Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 
 fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
@@ -48,6 +48,40 @@ fn fast_engine_matches_reference_on_all_table1_configs() {
             let fast = simulate(&machine, spec());
             let slow = simulate_reference(&machine, spec());
             assert_outcomes_identical(&fast, &slow, &format!("{bench}/{}", config.name));
+        }
+    }
+}
+
+/// One context under jitter is memoized too — the state a region starts
+/// from is the barrier-release state aged by the jitter offset — so every
+/// kernel runs `Serial` against the reference at an offset shorter than
+/// anything a barrier leaves in flight, a middling one, and the studies'
+/// own; and the table must actually have been consulted at every boundary,
+/// or this proves nothing about ageing. (`ci.sh` runs it by name.)
+#[test]
+fn single_context_jittered_runs_match_reference() {
+    let machine = MachineConfig::paxville_smp();
+    let store = TraceStore::new();
+    // Identity holds either way; the table is only there to ask when on.
+    let memo_on = std::env::var_os("PAXSIM_DISABLE_MEMO").is_none_or(|v| v == "0");
+    for bench in all_kernels() {
+        let trace = store.get(TraceKey {
+            kernel: bench,
+            class: Class::T,
+            nthreads: 1,
+            schedule: Schedule::Static,
+        });
+        for jitter in [1, 250, 2_000] {
+            let spec =
+                || vec![JobSpec::pinned(trace.clone(), serial().contexts).with_jitter(jitter, 42)];
+            let fast = simulate(&machine, spec());
+            let slow = simulate_reference(&machine, spec());
+            assert_outcomes_identical(&fast, &slow, &format!("{bench}/Serial/jitter{jitter}"));
+            let m = fast.memo;
+            assert!(
+                !memo_on || (m.probes > 0 && m.probes == m.regions),
+                "{bench}/Serial/jitter{jitter} was not probed: {m:?}"
+            );
         }
     }
 }

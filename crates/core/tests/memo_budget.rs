@@ -1,7 +1,8 @@
 //! The region memo's byte budget, shrunk to a few snapshots: eviction may
 //! only cost hits, never change a result, and the table never outgrows the
-//! budget while distinct traces keep arriving. One test, in a process of
-//! its own, because the budget is process-wide.
+//! budget while distinct traces — and, on `Serial`, jittered runs of them
+//! with their aged snapshots — keep arriving. One test, in a process of its
+//! own, because the budget is process-wide.
 
 use paxsim_core::configs::all_configs;
 use paxsim_core::store::{TraceKey, TraceStore};
@@ -9,8 +10,9 @@ use paxsim_machine::prelude::*;
 use paxsim_nas::{Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 
-/// Room for about seven class T snapshots (100–150 KB each); a quiet CG
-/// run alone interns eleven.
+/// Room for about eleven class T snapshots (some 90 KB each, most of it the
+/// four predictor tables); a quiet serial CG run alone interns nine, and
+/// every aged image a jittered one adds is charged in full.
 const BUDGET: usize = 1 << 20;
 
 fn memo_gauge(name: &str) -> f64 {
@@ -23,16 +25,16 @@ fn shrunk_budget_evicts_but_never_changes_a_result() {
     paxsim_obs::set_enabled(true);
     let machine = MachineConfig::paxville_smp();
     let store = TraceStore::new();
-    let quiet = |bench, config: &paxsim_core::configs::HwConfig| {
+    let run = |bench, config: &paxsim_core::configs::HwConfig, jitter, seed| {
         let trace = store.get(TraceKey {
             kernel: bench,
             class: Class::T,
             nthreads: config.threads,
             schedule: Schedule::Static,
         });
-        vec![JobSpec::pinned(trace, config.contexts.clone())]
+        vec![JobSpec::pinned(trace, config.contexts.clone()).with_jitter(jitter, seed)]
     };
-    let cg = |config| quiet(KernelId::Cg, config);
+    let cg = |config| run(KernelId::Cg, config, 0, 0);
 
     // Unbounded, a second run replays every region.
     let roomy = &all_configs()[0];
@@ -44,14 +46,21 @@ fn shrunk_budget_evicts_but_never_changes_a_result() {
     let mut hits = 0;
     for bench in [KernelId::Ep, KernelId::Cg] {
         for config in all_configs() {
-            let what = format!("{bench}/{}", config.name);
-            let slow = simulate_reference(&machine, quiet(bench, &config));
-            for pass in 0..2 {
-                let fast = simulate(&machine, quiet(bench, &config));
-                assert_eq!(fast.wall_cycles, slow.wall_cycles, "{what} pass {pass}");
-                assert_eq!(fast.total, slow.total, "{what} pass {pass}");
+            // Quiet twice; one context is memoized under jitter too.
+            let jittered: &[(u64, u64)] = if config.threads == 1 {
+                &[(2_000, 1), (2_000, 2), (1, 3)]
+            } else {
+                &[]
+            };
+            for &(jitter, seed) in [(0, 0), (0, 0)].iter().chain(jittered) {
+                let what = format!("{bench}/{} jitter {jitter} seed {seed}", config.name);
+                let slow = simulate_reference(&machine, run(bench, &config, jitter, seed));
+                let fast = simulate(&machine, run(bench, &config, jitter, seed));
+                assert_eq!(fast.memo.probes, fast.memo.regions, "{what}");
+                assert_eq!(fast.wall_cycles, slow.wall_cycles, "{what}");
+                assert_eq!(fast.total, slow.total, "{what}");
                 for (f, s) in fast.jobs[0].regions.iter().zip(&slow.jobs[0].regions) {
-                    assert_eq!(f.end, s.end, "{what} pass {pass}: region end");
+                    assert_eq!(f.end, s.end, "{what}: region end");
                 }
                 let bytes = memo_gauge("machine.memo.bytes");
                 assert!(bytes <= BUDGET as f64, "{what}: {bytes} B held");

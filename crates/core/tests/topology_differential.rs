@@ -36,7 +36,10 @@ fn differential_sweep(machine: &MachineConfig, configs: &[HwConfig], tag: &str) 
                 nthreads: config.threads,
                 schedule: Schedule::Static,
             });
-            for jitter in [250u64, 0] {
+            // 1 is shorter than anything a barrier leaves in flight — in the
+            // L3 too, where the machine has one — so a one-context run ages
+            // its snapshots without settling them.
+            for jitter in [250u64, 0, 1] {
                 let spec = || {
                     let s = JobSpec::pinned(trace.clone(), config.contexts.clone());
                     vec![if jitter > 0 {
@@ -47,18 +50,20 @@ fn differential_sweep(machine: &MachineConfig, configs: &[HwConfig], tag: &str) 
                 };
                 let fast = simulate(machine, spec());
                 let slow = simulate_reference(machine, spec());
-                assert_outcomes_identical(
-                    &fast,
-                    &slow,
-                    &format!("{tag}/{bench}/{}/jitter{jitter}", config.name),
-                );
+                let what = format!("{tag}/{bench}/{}/jitter{jitter}", config.name);
+                assert_outcomes_identical(&fast, &slow, &what);
+                // One context (or no jitter) is the memoized path.
+                let memoized = jitter == 0 || config.threads == 1;
+                let probes = if memoized { fast.memo.regions } else { 0 };
+                assert_eq!(fast.memo.probes, probes, "{what}: {:?}", fast.memo);
             }
         }
     }
 }
 
 /// Quad-core single-chip machine: same engine, different topology value,
-/// still bit-identical to the reference (jittered and quiet/memoizing).
+/// still bit-identical to the reference (jittered — memoizing when the job
+/// has one context — and quiet/memoizing).
 #[test]
 fn quad_core_fast_engine_matches_reference() {
     differential_sweep(

@@ -60,6 +60,14 @@ impl Gshare {
 }
 
 #[cfg(test)]
+impl Gshare {
+    /// Heap bytes held (the snapshot-size test of `crate::memo`).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.pht)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -6,6 +6,8 @@
 //! them still observe the remaining fill latency — this is how partial
 //! prefetch coverage shows up in the model.
 
+use std::sync::Arc;
+
 use crate::config::CacheGeometry;
 
 /// Internal tag encoding: a stored tag is `line + 1`, so the all-zeros
@@ -222,51 +224,70 @@ impl SetAssoc {
     ///   carries exactly the information it uses. Empty ways vanish: their
     ///   stale stamps are never read (install prefers empties before
     ///   consulting stamps; access fails their tag compare);
-    /// * in-flight `ready` ticks become offsets from `base`; fills already
-    ///   complete at the boundary (ready ≤ base) clamp to "settled" (0)
-    ///   since every consumer compares them against a clock ≥ `base`;
+    /// * in-flight `ready` ticks become offsets from `base`, listed apart
+    ///   from the resident lines; fills already complete at the boundary
+    ///   (ready ≤ base) are simply not listed — "settled" — since every
+    ///   consumer compares them against a clock ≥ `base`;
     /// * `clock` and `mru_way` are omitted — the clock only generates fresh
     ///   stamps above all existing ones, and way prediction is proven
     ///   non-observable by `equivalent_to_reference_cache`.
     pub(crate) fn canon(&self, base: u64) -> SetAssocCanon {
-        let mut lines = Vec::with_capacity(self.occupancy());
+        // Never accessed (the idle cores of a narrow run, every structure
+        // of the pristine machine): nothing is resident, so nothing is
+        // walked.
+        if self.clock == 0 {
+            return SetAssocCanon::default();
+        }
+        let mut lines = Vec::new();
+        let mut inflight = Vec::new();
         let mut order: Vec<usize> = Vec::with_capacity(self.ways);
-        for set in 0..self.sets {
-            let first = set * self.ways;
+        for first in (0..self.tags.len()).step_by(self.ways) {
             order.clear();
             order.extend((first..first + self.ways).filter(|&i| self.tags[i] != EMPTY));
             order.sort_by_key(|&i| self.stamp[i]);
             for &i in &order {
-                lines.push((
-                    set as u32,
-                    self.tags[i],
-                    self.dirty[i],
-                    self.ready[i].saturating_sub(base),
-                ));
+                // Line and page addresses are byte addresses shifted right
+                // by at least six bits, so the top bit is free.
+                assert!(self.tags[i] & DIRTY == 0, "tag collides with the dirty bit");
+                if self.ready[i] > base {
+                    inflight.push((lines.len() as u32, self.ready[i] - base));
+                }
+                lines.push(self.tags[i] | if self.dirty[i] { DIRTY } else { 0 });
             }
         }
-        SetAssocCanon { lines }
+        SetAssocCanon {
+            lines: lines.into(),
+            inflight,
+        }
     }
 
     /// Install canonical state `c` re-anchored at boundary clock `base`.
     /// Lines land in each set's first ways, oldest first — one definite
     /// representative of the way-permutation equivalence class.
     pub(crate) fn restore(&mut self, c: &SetAssocCanon, base: u64) {
+        if self.clock == 0 && c.lines.is_empty() {
+            return; // pristine onto pristine
+        }
         self.tags.fill(EMPTY);
         self.stamp.fill(0);
         self.dirty.fill(false);
         self.ready.fill(0);
-        let mut fill = vec![0usize; self.sets];
-        for &(set, tag, dirty, ready_off) in &c.lines {
-            let set = set as usize;
-            let way = fill[set];
-            fill[set] += 1;
+        let mut inflight = c.inflight.iter().peekable();
+        let (mut prev_set, mut way) = (usize::MAX, 0);
+        for (n, &word) in c.lines.iter().enumerate() {
+            let tag = word & !DIRTY;
+            // `tag` is `enc(line)`; a set's lines are adjacent in `lines`.
+            let set = self.set_of(tag - 1);
+            way = if set == prev_set { way + 1 } else { 0 };
+            prev_set = set;
             let i = set * self.ways + way;
             self.tags[i] = tag;
             // Recency rank as the stamp: 1..=k oldest → newest.
             self.stamp[i] = (way + 1) as u64;
-            self.dirty[i] = dirty;
-            self.ready[i] = if ready_off == 0 { 0 } else { base + ready_off };
+            self.dirty[i] = word & DIRTY != 0;
+            self.ready[i] = inflight
+                .next_if(|&&(at, _)| at as usize == n)
+                .map_or(0, |&(_, off)| base + off);
         }
         // Fresh stamps must exceed every rank; prediction state is free.
         self.clock = self.ways as u64;
@@ -274,12 +295,45 @@ impl SetAssoc {
     }
 }
 
-/// See [`SetAssoc::canon`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Dirty flag of a [`SetAssocCanon`] line word.
+const DIRTY: u64 = 1 << 63;
+
+/// See [`SetAssoc::canon`]. What is resident is kept apart from what is
+/// still in flight, so the same state seen later ([`SetAssocCanon::aged`])
+/// shares the resident part and rewrites only the handful of fills that
+/// were still under way.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct SetAssocCanon {
-    /// Occupied lines in (set, recency) order: `(set, encoded tag, dirty,
-    /// ready − base clamped to 0)`.
-    lines: Vec<(u32, u64, bool, u64)>,
+    /// Occupied lines in (set, recency) order: the encoded tag, with
+    /// [`DIRTY`] set on a dirty line. The set index is a function of the
+    /// tag and is not stored.
+    lines: Arc<[u64]>,
+    /// `(index into lines, ready − base)` of every fill with `ready > base`,
+    /// in `lines` order.
+    inflight: Vec<(u32, u64)>,
+}
+
+impl SetAssocCanon {
+    /// The canon of the same structure `j` ticks later with no access in
+    /// between: `s.canon(t).aged(j) == s.canon(t + j)`.
+    pub(crate) fn aged(&self, j: u64) -> Self {
+        let later = self.inflight.iter().filter(|&&(_, off)| off > j);
+        Self {
+            lines: Arc::clone(&self.lines),
+            inflight: later.map(|&(at, off)| (at, off - j)).collect(),
+        }
+    }
+
+    /// Is every fill complete, i.e. is this state its own aged image?
+    pub(crate) fn settled(&self) -> bool {
+        self.inflight.is_empty()
+    }
+
+    /// Heap bytes held: the `Arc`'s two counts and its lines, and the pairs.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        2 * size_of::<usize>() + size_of_val(&*self.lines) + size_of_val(&*self.inflight)
+    }
 }
 
 #[cfg(test)]
@@ -379,6 +433,41 @@ mod tests {
         assert_eq!(a.install(8, false, 600), b.install(8, false, 600));
         assert_eq!(a.access(1, false), b.access(1, false));
         assert_eq!(a.access(1, false), Lookup::Hit { ready_at: 500 });
+    }
+
+    #[test]
+    fn aged_canon_is_the_canon_taken_later() {
+        let mut a = tiny();
+        a.install(0, true, 0);
+        a.install(1, false, 500);
+        a.install(5, false, 420);
+        a.install(2, false, 340);
+        let at = |t| a.canon(t);
+        assert_eq!(at(300).inflight.len(), 3);
+        for j in [0, 1, 39, 40, 41, 120, 199, 200, 10_000] {
+            assert_eq!(at(300).aged(j), at(300 + j), "aged by {j}");
+        }
+        let late = at(300).aged(200);
+        assert!(late.settled() && late == late.aged(7));
+        // Ageing rewrites offsets only: the resident lines are shared.
+        let young = at(300);
+        assert!(Arc::ptr_eq(&young.aged(50).lines, &young.lines));
+    }
+
+    #[test]
+    fn untouched_cache_canonicalizes_like_an_emptied_one() {
+        let mut emptied = tiny();
+        emptied.install(3, true, 90);
+        emptied.invalidate(3);
+        assert_eq!(tiny().canon(0), emptied.canon(0));
+        assert_eq!(tiny().canon(0), SetAssocCanon::default());
+        // Restoring nothing onto nothing leaves the O(1) path open.
+        let mut fresh = tiny();
+        fresh.restore(&SetAssocCanon::default(), 77);
+        assert_eq!(fresh.clock, 0);
+        emptied.restore(&SetAssocCanon::default(), 77);
+        assert_eq!(emptied.canon(77), fresh.canon(77));
+        assert_eq!(emptied.access(3, false), Lookup::Miss);
     }
 
     #[test]

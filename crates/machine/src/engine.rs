@@ -345,11 +345,13 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
         let starts: Vec<u64> = jobs.iter().map(|j| j.start).collect();
         crate::profile::begin(&starts);
     }
-    // Steady-state region memoization applies to a single quiet (jitter-
-    // free) job: its whole team then sits at one common clock at every
-    // region boundary, which is what makes a region's evolution a pure
-    // function of (trace, machine state) up to a time translation.
-    let memo_on = fast && specs.len() == 1 && specs[0].jitter_cycles == 0 && !memo::disabled();
+    // Region memoization applies to a single job whose whole team starts
+    // every region at one common clock, which is what makes a region's
+    // evolution a pure function of (trace, machine state) up to a time
+    // translation: a quiet (jitter-free) job, or — under jitter — a job of
+    // one context, whose start offset nothing else on the machine sees.
+    let aligned = |s: &JobSpec| s.jitter_cycles == 0 || s.placement.len() == 1;
+    let memo_on = fast && specs.len() == 1 && aligned(&specs[0]) && !memo::disabled();
     if memo_on {
         run_memoized(
             cfg,
@@ -433,8 +435,8 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
     }
 }
 
-/// Fast-path driver with region-boundary memoization (single quiet job
-/// only — see the gate in `run_impl`).
+/// Fast-path driver with region-boundary memoization (a single quiet job,
+/// or a single one-context job under jitter — see the gate in `run_impl`).
 ///
 /// Every boundary probes the process-wide table in `crate::memo` for an
 /// earlier execution — by this run or any before it — of the same interned
@@ -447,6 +449,12 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
 ///   as its post-state. `canon` is idempotent, so that interned snapshot
 ///   *is* the next boundary's pre-state: `snapshot()` runs once for the
 ///   pristine machine and once per miss, never per hit.
+/// * **Ageing** — a jittered context starts its next region some ticks
+///   after the release, and nothing else runs meanwhile (it is the only
+///   context), so the pre-state there is `post` aged by that offset
+///   (`memo::aged`): the same pointer when the offset is 0 or `post` has
+///   nothing in flight, otherwise offsets rewritten and one hash — still no
+///   `snapshot()` and no look at the machine.
 /// * **Lazy restore** — a hit does not write the machine back; concrete
 ///   state is materialized only when a probe misses and the region must be
 ///   simulated. (Nothing reads machine state after the final region.)
@@ -480,13 +488,17 @@ fn run_memoized(
                 .ctx_ids
                 .iter()
                 .all(|&i| ctxs[i].t == base && ctxs[i].idx == 0 && ctxs[i].phase == Phase::Run),
-            "quiet team must be aligned at every region boundary"
+            "the team must start every region aligned"
         );
         stats.regions += 1;
         stats.probes += 1;
-        let pre = cur
-            .take()
-            .unwrap_or_else(|| memo::intern(snapshot(m, base)));
+        let pre = match cur.take() {
+            None => memo::intern(snapshot(m, base)),
+            Some(post) => {
+                let released = jobs[0].region_ends.last().expect("chained from a region");
+                memo::aged(post, base - released)
+            }
+        };
         let key = memo::Key {
             run,
             region: Arc::as_ptr(&jobs[0].trace.regions[r]) as *const () as usize,
@@ -518,7 +530,8 @@ fn run_memoized(
         run_events(
             cfg, tpu, sib_at, ctxs, m, jobs, pf_buf, evq, profiling, true,
         );
-        let release = ctxs[lead].t;
+        // Not `ctxs[lead].t`: that already carries the next region's jitter.
+        let release = *jobs[0].region_ends.last().expect("the region just ended");
         let post = memo::intern(snapshot(m, release));
         cur = Some(Arc::clone(&post));
         let dcounters = jobs[0].counters.delta(&counters_before);
@@ -1396,6 +1409,159 @@ mod tests {
         assert_eq!(v.len(), 2);
         retire(&mut v, 25);
         assert_eq!(v, vec![30]);
+    }
+
+    /// The machine after context A0 ran `ops` as one region from clock 0,
+    /// and the clock it arrived at the barrier.
+    fn warmed(cfg: &MachineConfig, ops: Vec<Op>) -> (Machine, u64) {
+        let mut m = Machine::build(cfg, Topology::of(cfg));
+        let trace =
+            crate::trace::ProgramTrace::single_region("warm", vec![ops.into_iter().collect()]);
+        let mut jobs = [JobState {
+            trace: Arc::new(trace),
+            asid: 1,
+            seed: 0,
+            jitter: 0,
+            start: 0,
+            finish: 0,
+            arrived: 0,
+            counters: Counters::default(),
+            ctx_ids: vec![0],
+            region_ends: Vec::new(),
+        }];
+        let mut ctx = Ctx {
+            t: 0,
+            key: 0,
+            job: 0,
+            thread: 0,
+            lcpu: Lcpu::A0,
+            core_idx: m.topo.core_index(Lcpu::A0),
+            chip: 0,
+            region: 0,
+            idx: 0,
+            pending_uops: 0,
+            outstanding: Vec::new(),
+            wb: Vec::new(),
+            phase: Phase::Run,
+        };
+        let tpu = TPC / cfg.issue_width;
+        let (sched, pf_buf) = (Sched::Sole, &mut Vec::new());
+        let end = step_ctx(
+            cfg, tpu, false, true, sched, 0, 0, &mut ctx, &mut m, &mut jobs, pf_buf,
+        );
+        assert!(end == StepEnd::Arrived);
+        (m, ctx.t)
+    }
+
+    /// The metered size of a snapshot — what the byte budget is held to —
+    /// is what the snapshot holds: never less, and within a tenth. The
+    /// trace is CG-shaped (streamed matrix rows, gathered vector entries,
+    /// a result store per row) at class T scale; the real kernel lives
+    /// downstream of this crate.
+    #[test]
+    fn metered_snapshot_bytes_cover_the_bytes_held() {
+        let mut ops = Vec::new();
+        for row in 0..1_400u64 {
+            ops.push(Op::Block {
+                bb: 7,
+                uops: 3,
+                body: 0,
+            });
+            for nz in 0..8 {
+                ops.push(Op::Load {
+                    addr: 0x10_0000 + (row * 8 + nz) * 8,
+                });
+                let col = (row * 37 + nz * 211) % 1_400;
+                ops.push(Op::LoadDep {
+                    addr: 0x80_0000 + col * 8,
+                });
+                ops.push(Op::Flops { n: 2 });
+            }
+            ops.push(Op::Store {
+                addr: 0xc0_0000 + row * 8,
+            });
+            ops.push(Op::Branch {
+                site: 7,
+                taken: row != 1_399,
+            });
+        }
+        let cfg = MachineConfig::paxville_smp();
+        let (m, now) = warmed(&cfg, ops);
+        for base in [now, now + cycles(5_000)] {
+            let snap = snapshot(&m, base);
+            let (held, metered) = (snap.heap_bytes(), memo::measure(&snap).1);
+            assert!(snap.cores[0].l2.heap_bytes() > 8 * 1_024, "warmed");
+            assert!(
+                held <= metered && metered * 10 <= held * 11,
+                "metered {metered} B, held {held} B"
+            );
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::config::CacheGeometry;
+        use proptest::prelude::*;
+
+        /// Loads in short ascending runs (so the prefetcher leaves fills in
+        /// flight), stores, dependent loads, FP bursts and branches.
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let line = |l: u64| 0x4_0000 + l * 64;
+            prop_oneof![
+                (0u64..512).prop_map(move |l| Op::Load { addr: line(l) }),
+                (0u64..512).prop_map(move |l| Op::LoadDep { addr: line(l) }),
+                (0u64..512).prop_map(move |l| Op::Store { addr: line(l) }),
+                (1u32..200).prop_map(|n| Op::Flops { n }),
+                (0u32..8, proptest::bool::ANY).prop_map(|(site, taken)| Op::Branch { site, taken }),
+                (0u32..16).prop_map(|bb| Op::Block {
+                    bb,
+                    uops: 4,
+                    body: 0
+                }),
+            ]
+        }
+
+        fn small_machine() -> MachineConfig {
+            MachineConfig {
+                l1d: CacheGeometry::new(1024, 2, 64),
+                l2: CacheGeometry::new(8 * 1024, 4, 64),
+                ..MachineConfig::paxville_smp()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// The lemma single-context jittered replay rests on: ageing a
+            /// canonical state by `j` is taking it `j` ticks later.
+            #[test]
+            fn aged_snapshot_is_the_snapshot_taken_later(
+                runs in proptest::collection::vec((arb_op(), 1u64..6), 1..120),
+                dt in 0u64..200,
+                j in prop_oneof![0u64..300, 0u64..3_000, 0u64..40_000],
+            ) {
+                // Each drawn memory op becomes a short ascending run.
+                let ops = runs.into_iter().flat_map(|(op, n)| (0..n).map(move |k| match op {
+                    Op::Load { addr } => Op::Load { addr: addr + k * 64 },
+                    other => other,
+                })).collect();
+                let cfg = small_machine();
+                let (m, now) = warmed(&cfg, ops);
+                let t = now + dt;
+                let young = snapshot(&m, t);
+                prop_assert_eq!(&young.aged(j), &snapshot(&m, t + j));
+                prop_assert_eq!(&young.aged(0), &young);
+                // A settled state is its own aged image, and the interner
+                // hands back the pointer it already holds for it.
+                let settled = memo::intern(young.aged(u64::MAX));
+                prop_assert!(settled.state.settled());
+                prop_assert_eq!(&settled.state.aged(j), &settled.state);
+                prop_assert!(Arc::ptr_eq(&memo::aged(settled.clone(), j), &settled));
+                let young = memo::intern(young);
+                prop_assert!(Arc::ptr_eq(&memo::aged(young.clone(), 0), &young));
+                let later = memo::intern(snapshot(&m, t + j));
+                prop_assert!(Arc::ptr_eq(&memo::aged(young, j), &later));
+            }
+        }
     }
 
     #[test]

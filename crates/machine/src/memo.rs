@@ -1,17 +1,18 @@
 //! Region-boundary memoization: one process-wide table of interned
 //! canonical machine snapshots and the region executions between them.
 //!
-//! The simulator is deterministic, so one region of a single jitter-free
-//! job is a pure function of (region trace, replay-relevant machine state
-//! at the region boundary) — up to a *time translation*, because at a
-//! boundary the whole team sits at one common clock `base` and every
-//! engine timing rule is expressed through `max`/`saturating_sub`/`+`
-//! against clocks ≥ `base`. The engine therefore snapshots a *canonical*
-//! machine state at a boundary (absolute ticks → offsets from `base`,
-//! absolute LRU stamps → ranks; each structure documents next to its
-//! `canon()` why that loses nothing a replay could observe) and replays
-//! the recorded cycle and counter deltas of an earlier execution of the
-//! same interned region from the same canonical state.
+//! The simulator is deterministic, so one region of a job whose whole team
+//! starts it at one common clock — a jitter-free job, or a one-context job
+//! under any jitter — is a pure function of (region trace, replay-relevant
+//! machine state at the region's start) — up to a *time translation*,
+//! because every engine timing rule is expressed through
+//! `max`/`saturating_sub`/`+` against clocks ≥ that start clock `base`.
+//! The engine therefore snapshots a *canonical* machine state at a
+//! boundary (absolute ticks → offsets from `base`, absolute LRU stamps →
+//! ranks; each structure documents next to its `canon()` why that loses
+//! nothing a replay could observe) and replays the recorded cycle and
+//! counter deltas of an earlier execution of the same interned region from
+//! the same canonical state.
 //!
 //! * **Interner.** [`intern`] deduplicates snapshots: a 64-bit content
 //!   hash selects a bucket, full `MachineSnap` equality decides. Two live
@@ -23,6 +24,18 @@
 //!   lock, whichever `simulate()` call recorded the edge. The run context
 //!   is an id for (machine config, team placement). An edge holds its
 //!   region and its `pre`, so neither address in its key can be recycled.
+//! * **Ageing.** A jittered context starts its region `j` ticks after the
+//!   barrier released it. With one context nothing executes anywhere on
+//!   the machine in between, so the state the region starts from is the
+//!   release state seen `j` ticks later: [`MachineSnap::aged`] subtracts
+//!   `j` from every offset (those reaching 0 settle) and shares the
+//!   resident cache lines with its source, so `snapshot(m, t).aged(j) ==
+//!   snapshot(m, t + j)` without touching the machine. A state with
+//!   nothing in flight is its own aged image, which is why different
+//!   seeds and never-seen jitter magnitudes reconverge on the same
+//!   snapshots: a draw usually outlasts what a barrier leaves in flight.
+//!   With two or more contexts the others run during the offset, so such
+//!   jobs are not memoized under jitter.
 //! * **Absolute-base edges.** One rule is not translation-covariant: the
 //!   FP window clamp `fp_queue.min(start + cost)` reads absolute time
 //!   below `fp_queue` ticks. A boundary with `base < fp_queue` is keyed by
@@ -30,7 +43,12 @@
 //!   determinism alone. All later boundaries share the key `None`.
 //! * **Byte budget.** Live snapshot bytes above `BUDGET` evict the least
 //!   recently hit edges. What remains is still exact, so eviction can cost
-//!   future hits but never change a result.
+//!   future hits but never change a result. A snapshot is charged what it
+//!   holds — eight bytes for every word the hasher mixes (a vector's
+//!   elements, each padded to the word it is stored in) plus the inline
+//!   structs — and the resident lines an aged image shares with its source
+//!   are charged to *each* of them: the conservative choice, which can
+//!   only evict early and needs no bookkeeping of who still shares what.
 //!
 //! Set `PAXSIM_DISABLE_MEMO=1` to turn memoization off (used by `ci.sh`
 //! for an explicit on-vs-off drift check).
@@ -65,7 +83,8 @@ pub struct MemoStats {
 
 impl MemoStats {
     /// Fraction of probes answered from the table (0 when never probed —
-    /// e.g. the reference engine, multi-job or jittered runs).
+    /// the reference engine, multi-job runs, jittered runs of two or more
+    /// contexts).
     pub fn hit_rate(&self) -> f64 {
         if self.probes == 0 {
             0.0
@@ -99,6 +118,34 @@ pub(crate) struct CoreSnap {
     pub last_was_store: bool,
 }
 
+impl CoreSnap {
+    fn aged(&self, j: u64) -> Self {
+        Self {
+            issue_off: self.issue_off.saturating_sub(j),
+            fp_off: self.fp_off.saturating_sub(j),
+            l1d: self.l1d.aged(j),
+            l2: self.l2.aged(j),
+            last_ready_off: self.last_ready_off.saturating_sub(j),
+            // Time-free — or, the TLBs, never in flight.
+            tc: self.tc.clone(),
+            itlb: self.itlb.clone(),
+            dtlb: self.dtlb.clone(),
+            bp: self.bp.clone(),
+            pf: self.pf.clone(),
+            last_line: self.last_line,
+            last_was_store: self.last_was_store,
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.issue_off == 0
+            && self.fp_off == 0
+            && self.last_ready_off == 0
+            && self.l1d.settled()
+            && self.l2.settled()
+    }
+}
+
 /// Canonical replay-relevant state of the whole machine. Covers *all*
 /// cores, buses and the memory controller — not just the job's placement:
 /// stores invalidate remote caches and every transaction shares the
@@ -110,6 +157,49 @@ pub(crate) struct MachineSnap {
     pub l3s: Vec<SetAssocCanon>,
     pub fsb_offs: Vec<u64>,
     pub mem_off: u64,
+}
+
+impl MachineSnap {
+    /// The canonical state of the same machine `j` ticks later with nothing
+    /// run in between: `snapshot(m, t).aged(j) == snapshot(m, t + j)`.
+    pub(crate) fn aged(&self, j: u64) -> Self {
+        Self {
+            cores: self.cores.iter().map(|c| c.aged(j)).collect(),
+            l3s: self.l3s.iter().map(|l| l.aged(j)).collect(),
+            fsb_offs: self.fsb_offs.iter().map(|o| o.saturating_sub(j)).collect(),
+            mem_off: self.mem_off.saturating_sub(j),
+        }
+    }
+
+    /// Is nothing in flight, i.e. is this state its own aged image?
+    pub(crate) fn settled(&self) -> bool {
+        self.mem_off == 0
+            && self.fsb_offs.iter().all(|&o| o == 0)
+            && self.cores.iter().all(CoreSnap::settled)
+            && self.l3s.iter().all(SetAssocCanon::settled)
+    }
+
+    /// Heap bytes an interned copy of this state holds, counted from the
+    /// containers themselves — what [`measure`] must never under-state.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let core = |c: &CoreSnap| {
+            c.l1d.heap_bytes()
+                + c.l2.heap_bytes()
+                + c.tc.heap_bytes()
+                + c.itlb.heap_bytes()
+                + c.dtlb.heap_bytes()
+                + c.bp.heap_bytes()
+                + c.pf.heap_bytes()
+        };
+        2 * size_of::<usize>()
+            + size_of::<Snap>()
+            + size_of_val(&*self.cores)
+            + self.cores.iter().map(core).sum::<usize>()
+            + size_of_val(&*self.l3s)
+            + self.l3s.iter().map(|l| l.heap_bytes()).sum::<usize>()
+            + size_of_val(&*self.fsb_offs)
+    }
 }
 
 /// Bytes of all live interned snapshots, and the budget they are held to.
@@ -128,12 +218,15 @@ impl Drop for Snap {
     }
 }
 
-/// Fx-style word hasher that also meters what it is fed, so one pass over
-/// a snapshot yields both its bucket and its size.
+/// Fx-style word hasher that also meters the words it mixes, so one pass
+/// over a snapshot yields both its bucket and its size: `derive(Hash)`
+/// feeds it one field at a time, and a field narrower than a word (a
+/// `bool`, the `u32` of a pair) is padded to one here just as it is padded
+/// where it is stored.
 #[derive(Default)]
 struct WordHasher {
     hash: u64,
-    bytes: usize,
+    words: usize,
 }
 
 impl Hasher for WordHasher {
@@ -143,7 +236,7 @@ impl Hasher for WordHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.bytes += bytes.len();
+        self.words += bytes.len().div_ceil(8);
         for chunk in bytes.chunks(8) {
             let mut w = [0u8; 8];
             w[..chunk.len()].copy_from_slice(chunk);
@@ -151,6 +244,16 @@ impl Hasher for WordHasher {
                 .wrapping_mul(0x517c_c1b7_2722_0a95);
         }
     }
+}
+
+/// The bucket hash of `state` and the bytes it is charged (module docs).
+pub(crate) fn measure(state: &MachineSnap) -> (u64, usize) {
+    let mut h = WordHasher::default();
+    state.hash(&mut h);
+    let inline = size_of::<Snap>()
+        + state.cores.len() * size_of::<CoreSnap>()
+        + state.l3s.len() * size_of::<SetAssocCanon>();
+    (h.hash, 8 * h.words + inline)
 }
 
 /// What an edge is looked up by; see the module docs.
@@ -202,9 +305,19 @@ pub(crate) fn run_id(cfg: &MachineConfig, placement: &[Lcpu]) -> u32 {
 
 /// The one live `Arc<Snap>` canonically equal to `state`.
 pub(crate) fn intern(state: MachineSnap) -> Arc<Snap> {
-    let mut h = WordHasher::default();
-    state.hash(&mut h);
-    intern_hashed(h.hash, h.bytes, state)
+    let (hash, bytes) = measure(&state);
+    intern_hashed(hash, bytes, state)
+}
+
+/// The interned image of `snap` seen `j` ticks later — `snap` itself when
+/// no time passed or nothing was in flight, so a quiet boundary and a
+/// settled one take no snapshot and hash nothing.
+pub(crate) fn aged(snap: Arc<Snap>, j: u64) -> Arc<Snap> {
+    if j == 0 || snap.state.settled() {
+        snap
+    } else {
+        intern(snap.state.aged(j))
+    }
 }
 
 fn intern_hashed(hash: u64, bytes: usize, state: MachineSnap) -> Arc<Snap> {

@@ -167,6 +167,13 @@ pub(crate) struct PrefetcherCanon {
 }
 
 #[cfg(test)]
+impl PrefetcherCanon {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.streams)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -81,8 +81,9 @@ pub struct SimOutcome {
     pub jobs: Vec<JobOutcome>,
     /// Sum of all jobs' counters (machine-wide view).
     pub total: Counters,
-    /// Region-memoization telemetry (all zeros for the reference engine,
-    /// multi-job or jittered runs, where memoization never engages).
+    /// Region-memoization telemetry (all zeros where memoization never
+    /// engages: the reference engine, multi-job runs, and jittered runs of
+    /// two or more contexts — one context replays under jitter too).
     pub memo: crate::memo::MemoStats,
     /// Event-scheduler telemetry: dispatches taken and idle ticks skipped
     /// by quiescent-skip (all zeros for the reference engine, which scans

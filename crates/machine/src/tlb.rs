@@ -70,10 +70,14 @@ impl Tlb {
 
     /// Canonical replay-relevant snapshot (see `crate::memo`). The
     /// last-page filter is captured verbatim: it is semantic here — a
-    /// filtered repeat skips the inner re-stamp entirely.
+    /// filtered repeat skips the inner re-stamp entirely. Translations
+    /// install settled (`ready_at` 0), so a TLB canon never has anything in
+    /// flight: it is its own aged image at any later clock.
     pub(crate) fn canon(&self, base: u64) -> TlbCanon {
+        let inner = self.inner.canon(base);
+        debug_assert!(inner.settled(), "a translation is never in flight");
         TlbCanon {
-            inner: self.inner.canon(base),
+            inner,
             last_page: self.last_page,
         }
     }
@@ -89,6 +93,13 @@ impl Tlb {
 pub(crate) struct TlbCanon {
     inner: crate::cache::SetAssocCanon,
     last_page: u64,
+}
+
+#[cfg(test)]
+impl TlbCanon {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.inner.heap_bytes()
+    }
 }
 
 #[cfg(test)]

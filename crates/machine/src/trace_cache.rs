@@ -176,6 +176,13 @@ pub(crate) struct TraceCacheCanon {
 }
 
 #[cfg(test)]
+impl TraceCacheCanon {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.entries)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

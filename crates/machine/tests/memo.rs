@@ -1,6 +1,7 @@
 //! Region memoization seen from outside: whatever the process-wide table
 //! answers must be what the reference engine computes, at any start
-//! offset and from any number of threads.
+//! offset, from any number of threads, and — for a one-context job — under
+//! any jitter.
 
 use std::sync::{Arc, Barrier};
 
@@ -105,4 +106,107 @@ fn concurrent_fill_and_replay_match_the_reference() {
     let warm = simulate(&cfg, job(&p, 0));
     assert_eq!(warm.memo.hits, warm.memo.probes, "{:?}", warm.memo);
     assert_same(&warm, &reference, "after both threads");
+}
+
+/// A fresh one-thread iterative program: `iters` passes over the same
+/// interned regions, as `paxsim-omp` emits them for a solver loop. With
+/// `levels == 1` it is CG-shaped (a streamed sparse mat-vec with gathers, a
+/// dot product, an axpy); with more it is MG-shaped (the same sweep over a
+/// ladder of ever smaller grids, down and up again).
+fn iterative(tag: u64, levels: u32, iters: usize) -> Arc<ProgramTrace> {
+    let base = tag << 28;
+    let sweep = |level: u32, label: &str| {
+        let n = 512u64 >> level;
+        let mut b = TraceBuf::new();
+        for i in 0..n {
+            b.block(10 + level, 4);
+            b.load(base + ((level as u64) << 22) + i * 64);
+            b.load_dep(base + (1 << 26) + (i * 37 % n) * 64);
+            b.flops(8);
+            b.store(base + (2 << 26) + ((level as u64) << 22) + i * 64);
+            b.branch(10 + level, i + 1 != n);
+        }
+        Arc::new(RegionTrace::labeled(vec![b], format!("{label}{level}")))
+    };
+    let reduce = {
+        let mut b = TraceBuf::new();
+        for i in 0..256u64 {
+            b.block(3, 2);
+            b.load(base + (2 << 26) + i * 64);
+            b.flops(4);
+            b.branch(3, i != 255);
+        }
+        Arc::new(RegionTrace::labeled(vec![b], "dot"))
+    };
+    let down: Vec<_> = (0..levels).map(|l| sweep(l, "down")).collect();
+    let up: Vec<_> = (0..levels - 1).map(|l| sweep(l, "up")).collect();
+    let mut p = ProgramTrace::new("iterative", 1);
+    for _ in 0..iters {
+        for r in down.iter().chain(up.iter().rev()) {
+            p.push_region_arc(r.clone());
+        }
+        p.push_region_arc(reduce.clone());
+    }
+    Arc::new(p)
+}
+
+fn serial(p: &Arc<ProgramTrace>, jitter: u64, seed: u64) -> Vec<JobSpec> {
+    vec![JobSpec::pinned(p.clone(), vec![Lcpu::A0]).with_jitter(jitter, seed)]
+}
+
+/// One context under jitter replays from the table: the state a region
+/// starts from is the release state aged by the jitter offset, and a draw
+/// that outlasts what the barrier left in flight lands on the same settled
+/// snapshot whatever the seed or the magnitude. Every run equals the
+/// reference; the table answers ever more of them; a never-seen magnitude
+/// is answered in full.
+#[test]
+fn one_context_replays_under_jitter() {
+    let cfg = MachineConfig::paxville_smp();
+    for (what, p) in [("cg", iterative(3, 1, 6)), ("mg", iterative(4, 4, 3))] {
+        let mut hits = 0;
+        let chain = [(0, 0), (2_000, 1), (2_000, 2), (1_777, 2)];
+        for (jitter, seed) in chain {
+            let what = format!("{what} jitter {jitter} seed {seed}");
+            let out = simulate(&cfg, serial(&p, jitter, seed));
+            assert_same(
+                &out,
+                &simulate_reference(&cfg, serial(&p, jitter, seed)),
+                &what,
+            );
+            assert_eq!(out.memo.probes, out.memo.regions, "{what}");
+            assert!(
+                out.memo.hits >= hits,
+                "{what}: {:?} after {hits} hits",
+                out.memo
+            );
+            hits = out.memo.hits;
+        }
+        assert_eq!(
+            hits,
+            p.regions.len() as u64,
+            "{what}: a never-seen magnitude"
+        );
+
+        // An offset shorter than anything in flight ages without settling.
+        let out = simulate(&cfg, serial(&p, 1, 9));
+        assert_same(&out, &simulate_reference(&cfg, serial(&p, 1, 9)), what);
+        assert_eq!(out.memo.probes, out.memo.regions, "{what}");
+    }
+}
+
+/// With a second context the others run during a jitter offset, so nothing
+/// is probed — and the run still equals the reference.
+#[test]
+fn two_contexts_under_jitter_are_not_memoized() {
+    let cfg = MachineConfig::paxville_smp();
+    let p = program(5);
+    let spec = || vec![job(&p, 0).remove(0).with_jitter(2_000, 1)];
+    let out = simulate(&cfg, spec());
+    assert_eq!(out.memo, MemoStats::default());
+    assert_same(
+        &out,
+        &simulate_reference(&cfg, spec()),
+        "two contexts, jittered",
+    );
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use paxsim_omp::prelude::*;
 
 use crate::cfd::{
-    self, block_cyclic_residual, compute_residual, line_blocks, residual_norm_native,
-    solve_block_cyclic, Grid, Vec5, NC,
+    self, block_cyclic_residual, compute_residual, line_blocks, residual_norm_native, BlockCyclic,
+    Grid, Vec5, NC,
 };
 use crate::common::{bbid, Built, Class, NasKernel, Randlc, VerifyReport};
 
@@ -152,6 +152,8 @@ fn line_sweep(
         1 => "bt.ysolve",
         _ => "bt.zsolve",
     };
+    // Every line of the sweep has the same blocks and the same length.
+    let lines = BlockCyclic::factor(dblk, oblk, n);
     team.parallel(label, |p| {
         p.for_static(site, 5, nlines, |p, line| {
             let (a, b) = (line % n, line / n);
@@ -188,7 +190,7 @@ fn line_sweep(
                 p.flops(60);
                 p.branch(site + 2, e + 1 < n);
             }
-            let x = solve_block_cyclic(dblk, oblk, &rhs);
+            let x = lines.solve(&rhs);
             // Verify the first line of each sweep exactly.
             if p.tid == 0 && line == 0 {
                 let res = block_cyclic_residual(dblk, oblk, &x, &rhs);

@@ -278,123 +278,156 @@ pub fn line_blocks() -> (Block, Block) {
     (d, o)
 }
 
-/// Solve the *periodic* block-tridiagonal system `O·x[i−1] + D·x[i] +
-/// O·x[i+1] = rhs[i]` natively via the Sherman–Morrison–Woodbury-free
-/// doubled-elimination: we fold the wraparound by two bordered solves.
-/// For simplicity and robustness we solve the periodic system by dense
-/// block LU over the cyclic structure using the standard algorithm for
-/// cyclic block-tridiagonal matrices.
-pub fn solve_block_cyclic(d: &Block, o: &Block, rhs: &[Vec5]) -> Vec<Vec5> {
-    let m = rhs.len();
-    assert!(m >= 3);
-    // Condense the cyclic system: solve the non-cyclic tridiagonal part
-    // for two RHS sets (actual rhs, and the wraparound coupling columns),
-    // then close the loop with a small block solve.
-    //
-    // Unknowns x[0..m]. Write x[i] = y[i] + Z[i]·x[m−1] for i < m−1,
-    // where y solves the open chain with x[m−1] ≔ 0 and Z propagates the
-    // influence of x[m−1] through both ends.
-    let mm = m - 1;
-    // Open-chain block Thomas for: O x[i-1] + D x[i] + O x[i+1] = r[i],
-    // i = 0..mm, with the cyclic terms moved to the RHS:
-    //   row 0 gains −O·x[m−1]; row mm−1 gains −O·x[m−1].
-    // Forward elimination for y (numeric rhs) and Z (block rhs).
-    let mut diag: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
-    let mut y: Vec<Vec5> = vec![[0.0; NC]; mm];
-    let mut z: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
-    let neg_o: Block = {
-        let mut t = *o;
-        for r in t.iter_mut().flatten() {
-            *r = -*r;
-        }
-        t
-    };
-    for i in 0..mm {
-        let mut dd = *d;
-        let mut rr = rhs[i];
-        let mut zz = [[0.0; NC]; NC];
-        if i == 0 {
-            zz = neg_o; // −O·x[m−1] influence on row 0
-        }
-        if i == mm - 1 {
-            for r in 0..NC {
-                for c in 0..NC {
-                    zz[r][c] += neg_o[r][c]; // and on the last open row
+/// The *periodic* block-tridiagonal system `O·x[i−1] + D·x[i] + O·x[i+1]
+/// = rhs[i]` over lines of one length, factored once: everything the
+/// cyclic block-Thomas elimination computes from `(D, O)` and the line
+/// length alone is kept here, and [`BlockCyclic::solve`] performs only the
+/// operations a right-hand side takes part in — in the order the one-shot
+/// solver performed them, so every `x` is bit-identical to its.
+///
+/// The cyclic system is condensed: write `x[i] = p[i] + Q[i]·x[m−1]` for
+/// `i < m−1`, where `p` solves the open chain with `x[m−1] ≔ 0` and `Q`
+/// propagates the influence of `x[m−1]` through both ends, then close the
+/// loop with row `m−1`.
+pub struct BlockCyclic {
+    o: Block,
+    /// Pivot blocks of the open chain's forward elimination.
+    diag: Vec<Block>,
+    /// `Q[i]`: what one unit of `x[m−1]` adds to `x[i]`.
+    qmat: Vec<Block>,
+    /// The closing row's block: `D + O·Q[m−2] + O·Q[0]`.
+    lhs: Block,
+}
+
+impl BlockCyclic {
+    /// Factor for lines of `m` cells.
+    pub fn factor(d: &Block, o: &Block, m: usize) -> Self {
+        assert!(m >= 3);
+        let mm = m - 1;
+        // Open-chain block Thomas for: O x[i-1] + D x[i] + O x[i+1] = r[i],
+        // i = 0..mm, with the cyclic terms moved to the RHS:
+        //   row 0 gains −O·x[m−1]; row mm−1 gains −O·x[m−1].
+        // Forward elimination of the pivots and of Z (block rhs).
+        let mut diag: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
+        let mut z: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
+        let neg_o: Block = {
+            let mut t = *o;
+            for r in t.iter_mut().flatten() {
+                *r = -*r;
+            }
+            t
+        };
+        for i in 0..mm {
+            let mut dd = *d;
+            let mut zz = [[0.0; NC]; NC];
+            if i == 0 {
+                zz = neg_o; // −O·x[m−1] influence on row 0
+            }
+            if i == mm - 1 {
+                for r in 0..NC {
+                    for c in 0..NC {
+                        zz[r][c] += neg_o[r][c]; // and on the last open row
+                    }
                 }
             }
-        }
-        if i > 0 {
-            // Eliminate the subdiagonal O: row_i ← row_i − O·diag_{i−1}⁻¹·row_{i−1},
-            // so dd ← dd − O·diag⁻¹·O.
-            let correction = matmul(o, &solve5_block(&diag[i - 1], o));
-            for r in 0..NC {
-                for c in 0..NC {
-                    dd[r][c] -= correction[r][c];
+            if i > 0 {
+                // Eliminate the subdiagonal O: row_i ← row_i − O·diag_{i−1}⁻¹·row_{i−1},
+                // so dd ← dd − O·diag⁻¹·O.
+                let correction = matmul(o, &solve5_block(&diag[i - 1], o));
+                for r in 0..NC {
+                    for c in 0..NC {
+                        dd[r][c] -= correction[r][c];
+                    }
+                }
+                let oz = matmul(o, &solve5_block(&diag[i - 1], &z[i - 1]));
+                for r in 0..NC {
+                    for c in 0..NC {
+                        zz[r][c] -= oz[r][c];
+                    }
                 }
             }
-            let oy = matvec(o, &solve5(&diag[i - 1], &y[i - 1]));
-            for r in 0..NC {
-                rr[r] -= oy[r];
-            }
-            let oz = matmul(o, &solve5_block(&diag[i - 1], &z[i - 1]));
-            for r in 0..NC {
-                for c in 0..NC {
-                    zz[r][c] -= oz[r][c];
+            diag[i] = dd;
+            z[i] = zz;
+        }
+        // Back substitution of the block rhs: Q[i] = diag⁻¹(Z[i] − O·Q[i+1]).
+        let mut qmat: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
+        for i in (0..mm).rev() {
+            let mut zz = z[i];
+            if i + 1 < mm {
+                let oq = matmul(o, &qmat[i + 1]);
+                for r in 0..NC {
+                    for c in 0..NC {
+                        zz[r][c] -= oq[r][c];
+                    }
                 }
             }
+            qmat[i] = solve5_block(&diag[i], &zz);
         }
-        diag[i] = dd;
-        y[i] = rr;
-        z[i] = zz;
-    }
-    // Back substitution: x[i] = diag⁻¹(y[i] − O·x[i+1])  (+ Z influence).
-    // Express x[i] = p[i] + Q[i]·x[m−1].
-    let mut pvec: Vec<Vec5> = vec![[0.0; NC]; mm];
-    let mut qmat: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
-    for i in (0..mm).rev() {
-        let mut rr = y[i];
-        let mut zz = z[i];
-        if i + 1 < mm {
-            let oy = matvec(o, &pvec[i + 1]);
-            for r in 0..NC {
-                rr[r] -= oy[r];
-            }
-            let oq = matmul(o, &qmat[i + 1]);
-            for r in 0..NC {
-                for c in 0..NC {
-                    zz[r][c] -= oq[r][c];
-                }
-            }
-        }
-        pvec[i] = solve5(&diag[i], &rr);
-        qmat[i] = solve5_block(&diag[i], &zz);
-    }
-    // Close the loop with row m−1: O·x[m−2] + D·x[m−1] + O·x[0] = r[m−1].
-    //   O·(p[m−2] + Q[m−2]w) + D·w + O·(p[0] + Q[0]w) = r[m−1]
-    let mut lhs = *d;
-    let t1 = matmul(o, &qmat[mm - 1]);
-    let t2 = matmul(o, &qmat[0]);
-    for r in 0..NC {
-        for c in 0..NC {
-            lhs[r][c] += t1[r][c] + t2[r][c];
-        }
-    }
-    let mut rr = rhs[mm];
-    let o1 = matvec(o, &pvec[mm - 1]);
-    let o2 = matvec(o, &pvec[0]);
-    for r in 0..NC {
-        rr[r] -= o1[r] + o2[r];
-    }
-    let w = solve5(&lhs, &rr);
-    let mut x = vec![[0.0; NC]; m];
-    x[mm] = w;
-    for i in 0..mm {
-        let qw = matvec(&qmat[i], &w);
+        // Row m−1: O·x[m−2] + D·x[m−1] + O·x[0] = r[m−1], i.e.
+        //   O·(p[m−2] + Q[m−2]w) + D·w + O·(p[0] + Q[0]w) = r[m−1]
+        let mut lhs = *d;
+        let t1 = matmul(o, &qmat[mm - 1]);
+        let t2 = matmul(o, &qmat[0]);
         for r in 0..NC {
-            x[i][r] = pvec[i][r] + qw[r];
+            for c in 0..NC {
+                lhs[r][c] += t1[r][c] + t2[r][c];
+            }
+        }
+        Self {
+            o: *o,
+            diag,
+            qmat,
+            lhs,
         }
     }
-    x
+
+    /// Solve one line (`rhs.len()` is the `m` this was factored for).
+    pub fn solve(&self, rhs: &[Vec5]) -> Vec<Vec5> {
+        let (o, diag) = (&self.o, &self.diag);
+        let mm = diag.len();
+        assert_eq!(rhs.len(), mm + 1, "factored for another line length");
+        // Forward elimination of the numeric rhs.
+        let mut y: Vec<Vec5> = vec![[0.0; NC]; mm];
+        for i in 0..mm {
+            let mut rr = rhs[i];
+            if i > 0 {
+                let oy = matvec(o, &solve5(&diag[i - 1], &y[i - 1]));
+                for r in 0..NC {
+                    rr[r] -= oy[r];
+                }
+            }
+            y[i] = rr;
+        }
+        // Back substitution: p[i] = diag⁻¹(y[i] − O·p[i+1]).
+        let mut pvec: Vec<Vec5> = vec![[0.0; NC]; mm];
+        for i in (0..mm).rev() {
+            let mut rr = y[i];
+            if i + 1 < mm {
+                let oy = matvec(o, &pvec[i + 1]);
+                for r in 0..NC {
+                    rr[r] -= oy[r];
+                }
+            }
+            pvec[i] = solve5(&diag[i], &rr);
+        }
+        // Close the loop for w = x[m−1], then add its influence.
+        let mut rr = rhs[mm];
+        let o1 = matvec(o, &pvec[mm - 1]);
+        let o2 = matvec(o, &pvec[0]);
+        for r in 0..NC {
+            rr[r] -= o1[r] + o2[r];
+        }
+        let w = solve5(&self.lhs, &rr);
+        let mut x = vec![[0.0; NC]; mm + 1];
+        x[mm] = w;
+        for i in 0..mm {
+            let qw = matvec(&self.qmat[i], &w);
+            for r in 0..NC {
+                x[i][r] = pvec[i][r] + qw[r];
+            }
+        }
+        x
+    }
 }
 
 /// Residual of the cyclic block-tridiagonal system (test/verify helper).
@@ -430,120 +463,155 @@ pub fn penta_coeffs() -> (f64, f64, f64) {
     (main, b1, b2)
 }
 
-/// Solve the *periodic* pentadiagonal system with constant bands
-/// `(b2, b1, main, b1, b2)` by dense-free cyclic reduction: we reuse the
-/// block machinery by folding pairs… in practice `m` is small (the grid
-/// edge), so we solve via a banded LU on the open chain plus a 2-variable
-/// wraparound correction computed with two extra solves (Woodbury).
-pub fn solve_penta_cyclic(m: usize, rhs: &[f64]) -> Vec<f64> {
-    assert!(m >= 5);
-    let (dm, b1, b2) = penta_coeffs();
-    // Woodbury: cyclic matrix C = B + U·Vᵀ where B is the open banded
-    // matrix and U/V carry the 4 wraparound couplings (2 per corner).
-    // Solve B y = rhs and B W = U, then x = y − W(I + VᵀW)⁻¹Vᵀy.
-    let ncorr = 4;
-    let mut u_cols = vec![vec![0.0; m]; ncorr];
-    // Corner couplings: row 0 ← x[m−1](b1) + x[m−2](b2); row 1 ← x[m−1](b2);
-    // row m−1 ← x[0](b1) + x[1](b2); row m−2 ← x[0](b2).
-    // Use unit U columns at the affected rows with V selecting sources.
-    u_cols[0][0] = 1.0;
-    u_cols[1][1] = 1.0;
-    u_cols[2][m - 1] = 1.0;
-    u_cols[3][m - 2] = 1.0;
-    let vt = |col: usize, x: &[f64]| -> f64 {
-        match col {
-            0 => b1 * x[m - 1] + b2 * x[m - 2],
-            1 => b2 * x[m - 1],
-            2 => b1 * x[0] + b2 * x[1],
-            _ => b2 * x[0],
-        }
-    };
+/// The *periodic* pentadiagonal system with constant bands `(b2, b1, main,
+/// b1, b2)` over lines of `m` unknowns, factored once. `m` is small (the
+/// grid edge), so the cyclic matrix is taken as `C = B + U·Vᵀ` — `B` the
+/// open banded matrix, `U`/`V` the four wraparound couplings (two per
+/// corner) — and solved by Woodbury: `B y = rhs`, `B W = U`, `x = y −
+/// W(I + VᵀW)⁻¹Vᵀy`. The banded LU of `B`, `W` and `I + VᵀW` do not depend
+/// on the right-hand side and are kept here; [`PentaCyclic::solve`]
+/// performs what does, in the order the one-shot solver did, so every `x`
+/// is bit-identical to its.
+pub struct PentaCyclic {
+    /// Banded LU of `B` (bandwidth 2, no pivoting — diagonally dominant):
+    /// pivots, sub-1 and sub-2 multipliers, super-1 band.
+    d0: Vec<f64>,
+    l1: Vec<f64>,
+    l2: Vec<f64>,
+    u1: Vec<f64>,
+    /// `W = B⁻¹U`, one column per wraparound coupling.
+    w: [Vec<f64>; 4],
+    /// `S = I + VᵀW`.
+    s: [[f64; 4]; 4],
+}
 
-    let solve_open = |r: &[f64]| -> Vec<f64> {
-        // Banded LU, bandwidth 2, no pivoting (diagonally dominant).
+impl PentaCyclic {
+    /// Factor for lines of `m` unknowns.
+    pub fn factor(m: usize) -> Self {
+        assert!(m >= 5);
+        let (dm, b1, b2) = penta_coeffs();
         let mut d0 = vec![dm; m];
         let mut l1 = vec![b1; m]; // sub-1 multipliers (in place)
         let mut l2 = vec![b2; m]; // sub-2 multipliers
-        let mut u1 = vec![b1; m]; // super-1
-        let u2 = vec![b2; m]; // super-2
-        let mut x = r.to_vec();
+        let mut u1 = vec![b1; m]; // super-1; super-2 stays `b2`
         for i in 0..m {
             if i + 1 < m {
                 let f = l1[i + 1] / d0[i];
                 d0[i + 1] -= f * u1[i];
                 if i + 2 < m {
-                    u1[i + 1] -= f * u2[i];
+                    u1[i + 1] -= f * b2;
                 }
-                x[i + 1] -= f * x[i];
                 l1[i + 1] = f;
             }
             if i + 2 < m {
                 let f = l2[i + 2] / d0[i];
                 l1[i + 2] -= f * u1[i];
-                d0[i + 2] -= f * u2[i];
-                x[i + 2] -= f * x[i];
+                d0[i + 2] -= f * b2;
                 l2[i + 2] = f;
+            }
+        }
+        let mut this = Self {
+            d0,
+            l1,
+            l2,
+            u1,
+            w: Default::default(),
+            s: [[0.0; 4]; 4],
+        };
+        // Corner couplings: row 0 ← x[m−1](b1) + x[m−2](b2); row 1 ← x[m−1](b2);
+        // row m−1 ← x[0](b1) + x[1](b2); row m−2 ← x[0](b2).
+        // Unit U columns at the affected rows, with V selecting the sources.
+        this.w = [0, 1, m - 1, m - 2].map(|row| {
+            let mut u = vec![0.0; m];
+            u[row] = 1.0;
+            this.solve_open(u)
+        });
+        for r in 0..4 {
+            for c in 0..4 {
+                this.s[r][c] = vt(r, &this.w[c]) + if r == c { 1.0 } else { 0.0 };
+            }
+        }
+        this
+    }
+
+    /// `B⁻¹x`, in place: the factored forward elimination, then back
+    /// substitution.
+    fn solve_open(&self, mut x: Vec<f64>) -> Vec<f64> {
+        let (_, _, b2) = penta_coeffs();
+        let m = x.len();
+        for i in 0..m {
+            if i + 1 < m {
+                x[i + 1] -= self.l1[i + 1] * x[i];
+            }
+            if i + 2 < m {
+                x[i + 2] -= self.l2[i + 2] * x[i];
             }
         }
         for i in (0..m).rev() {
             let mut s = x[i];
             if i + 1 < m {
-                s -= u1[i] * x[i + 1];
+                s -= self.u1[i] * x[i + 1];
             }
             if i + 2 < m {
-                s -= u2[i] * x[i + 2];
+                s -= b2 * x[i + 2];
             }
-            x[i] = s / d0[i];
+            x[i] = s / self.d0[i];
         }
         x
-    };
+    }
 
-    let y = solve_open(rhs);
-    let w: Vec<Vec<f64>> = u_cols.iter().map(|u| solve_open(u)).collect();
-    // S = I + VᵀW (4×4), g = Vᵀy.
-    let mut s = [[0.0; 4]; 4];
-    let mut gv = [0.0; 4];
-    for r in 0..ncorr {
-        gv[r] = vt(r, &y);
-        for c in 0..ncorr {
-            s[r][c] = vt(r, &w[c]) + if r == c { 1.0 } else { 0.0 };
-        }
-    }
-    // Solve S h = g (tiny dense solve).
-    let mut a = s;
-    let mut h = gv;
-    for col in 0..4 {
-        let mut piv = col;
-        for r in col + 1..4 {
-            if a[r][col].abs() > a[piv][col].abs() {
-                piv = r;
+    /// Solve one line (`rhs.len()` is the `m` this was factored for).
+    pub fn solve(&self, rhs: &[f64]) -> Vec<f64> {
+        assert_eq!(rhs.len(), self.d0.len(), "factored for another line length");
+        let y = self.solve_open(rhs.to_vec());
+        // Solve S h = Vᵀy (tiny dense solve).
+        let mut a = self.s;
+        let mut h: [f64; 4] = std::array::from_fn(|r| vt(r, &y));
+        for col in 0..4 {
+            let mut piv = col;
+            for r in col + 1..4 {
+                if a[r][col].abs() > a[piv][col].abs() {
+                    piv = r;
+                }
+            }
+            a.swap(col, piv);
+            h.swap(col, piv);
+            for r in col + 1..4 {
+                let f = a[r][col] / a[col][col];
+                for c in col..4 {
+                    a[r][c] -= f * a[col][c];
+                }
+                h[r] -= f * h[col];
             }
         }
-        a.swap(col, piv);
-        h.swap(col, piv);
-        for r in col + 1..4 {
-            let f = a[r][col] / a[col][col];
-            for c in col..4 {
-                a[r][c] -= f * a[col][c];
+        for col in (0..4).rev() {
+            let mut sum = h[col];
+            for c in col + 1..4 {
+                sum -= a[col][c] * h[c];
             }
-            h[r] -= f * h[col];
+            h[col] = sum / a[col][col];
         }
-    }
-    for col in (0..4).rev() {
-        let mut sum = h[col];
-        for c in col + 1..4 {
-            sum -= a[col][c] * h[c];
+        // x = y − Σ h[c]·w[c].
+        let mut x = y;
+        for c in 0..4 {
+            for i in 0..x.len() {
+                x[i] -= h[c] * self.w[c][i];
+            }
         }
-        h[col] = sum / a[col][col];
+        x
     }
-    // x = y − Σ h[c]·w[c].
-    let mut x = y;
-    for c in 0..ncorr {
-        for i in 0..m {
-            x[i] -= h[c] * w[c][i];
-        }
+}
+
+/// Row `col` of `Vᵀ` applied to `x`: the wraparound terms of one corner row.
+fn vt(col: usize, x: &[f64]) -> f64 {
+    let (_, b1, b2) = penta_coeffs();
+    let m = x.len();
+    match col {
+        0 => b1 * x[m - 1] + b2 * x[m - 2],
+        1 => b2 * x[m - 1],
+        2 => b1 * x[0] + b2 * x[1],
+        _ => b2 * x[0],
     }
-    x
 }
 
 /// Residual of the cyclic pentadiagonal system (test/verify helper).
@@ -605,7 +673,7 @@ mod tests {
             let rhs: Vec<Vec5> = (0..m)
                 .map(|i| std::array::from_fn(|c| ((i * NC + c) as f64).sin()))
                 .collect();
-            let x = solve_block_cyclic(&d, &o, &rhs);
+            let x = BlockCyclic::factor(&d, &o, m).solve(&rhs);
             let res = block_cyclic_residual(&d, &o, &x, &rhs);
             assert!(res < 1e-9, "m={m}: residual {res}");
         }
@@ -615,7 +683,7 @@ mod tests {
     fn penta_cyclic_solver_exact() {
         for m in [5usize, 8, 20, 33] {
             let rhs: Vec<f64> = (0..m).map(|i| (i as f64 * 0.7).cos()).collect();
-            let x = solve_penta_cyclic(m, &rhs);
+            let x = PentaCyclic::factor(m).solve(&rhs);
             let res = penta_cyclic_residual(m, &x, &rhs);
             assert!(res < 1e-9, "m={m}: residual {res}");
         }
@@ -675,7 +743,7 @@ mod tests {
             fn penta_random(m in 5usize..40, seed in 0u64..1000) {
                 let mut rng = crate::common::Randlc::new(seed + 1);
                 let rhs: Vec<f64> = (0..m).map(|_| rng.next_f64() - 0.5).collect();
-                let x = solve_penta_cyclic(m, &rhs);
+                let x = PentaCyclic::factor(m).solve(&rhs);
                 prop_assert!(penta_cyclic_residual(m, &x, &rhs) < 1e-8);
             }
         }

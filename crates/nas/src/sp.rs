@@ -17,7 +17,7 @@ use std::sync::Arc;
 use paxsim_omp::prelude::*;
 
 use crate::cfd::{
-    compute_residual, penta_cyclic_residual, residual_norm_native, solve_penta_cyclic, Grid, NC,
+    compute_residual, penta_cyclic_residual, residual_norm_native, Grid, PentaCyclic, NC,
 };
 use crate::common::{bbid, Built, Class, NasKernel, Randlc, VerifyReport};
 
@@ -116,6 +116,8 @@ fn penta_sweep(team: &mut Team, site: u32, g: Grid, dir: usize, r: &mut Array<f6
         1 => "sp.ysolve",
         _ => "sp.zsolve",
     };
+    // Every line of the sweep, whatever its component, is the same system.
+    let lines = PentaCyclic::factor(n);
     team.parallel(label, |p| {
         p.for_static(site, 5, nlines, |p, line| {
             let (a, b) = (line % n, line / n);
@@ -136,7 +138,7 @@ fn penta_sweep(team: &mut Team, site: u32, g: Grid, dir: usize, r: &mut Array<f6
                     p.flops(4);
                     p.branch(site + 1, e + 1 < n);
                 }
-                let x = solve_penta_cyclic(n, &rhs);
+                let x = lines.solve(&rhs);
                 if p.tid == 0 && line == 0 && c == 0 {
                     max_res = max_res.max(penta_cyclic_residual(n, &x, &rhs));
                 }

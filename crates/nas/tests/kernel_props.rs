@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use paxsim_nas::cfd::{
-    block_cyclic_residual, line_blocks, penta_cyclic_residual, solve_block_cyclic,
-    solve_penta_cyclic, Vec5, NC,
+    block_cyclic_residual, line_blocks, penta_cyclic_residual, BlockCyclic, PentaCyclic, Vec5, NC,
 };
 use paxsim_nas::common::Randlc;
 use paxsim_nas::ft::{dft_naive, stockham, twiddles};
@@ -88,7 +87,7 @@ proptest! {
         let rhs: Vec<Vec5> = (0..m)
             .map(|_| std::array::from_fn(|_| rng.next_f64() - 0.5))
             .collect();
-        let x = solve_block_cyclic(&d, &o, &rhs);
+        let x = BlockCyclic::factor(&d, &o, m).solve(&rhs);
         prop_assert!(block_cyclic_residual(&d, &o, &x, &rhs) < 1e-8);
     }
 
@@ -97,7 +96,7 @@ proptest! {
     fn penta_solver_exact(m in 5usize..64, seed in 1u64..10_000) {
         let mut rng = Randlc::new(seed);
         let rhs: Vec<f64> = (0..m).map(|_| rng.next_f64() - 0.5).collect();
-        let x = solve_penta_cyclic(m, &rhs);
+        let x = PentaCyclic::factor(m).solve(&rhs);
         prop_assert!(penta_cyclic_residual(m, &x, &rhs) < 1e-8);
     }
 }
