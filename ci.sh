@@ -222,7 +222,19 @@ WAKEUPS=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_serve_reactor_wakeups_to
     echo "paxsim_serve_reactor_wakeups_total missing from the scrape"
     exit 1
 }
-echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B, $WAKEUPS reactor wakeups"
+# A run the memo table answers in full builds no machine. The same point
+# again with a second trial under a never-seen jitter is a new request
+# whose quiet trial and quiet baseline the CG request above already
+# recorded, so machines built must fall strictly behind runs.
+"$CLI" --unix "$SERVE_SOCK" simulate --kernel cg --config CMP --trials 2 --jitter 1777 > /dev/null
+SCRAPE3=$("$CLI" --unix "$SERVE_SOCK" metrics)
+RUNS=$(printf '%s\n' "$SCRAPE3" | awk '$1 == "paxsim_machine_sim_runs_total" { print $2 + 0 }')
+BUILT=$(printf '%s\n' "$SCRAPE3" | awk '$1 == "paxsim_machine_sim_machines_built_total" { print $2 + 0 }')
+{ [ -n "$RUNS" ] && [ -n "$BUILT" ] && [ "$BUILT" -gt 0 ] && [ "$BUILT" -lt "$RUNS" ]; } || {
+    echo "replayed runs still build machines: '$BUILT' built over '$RUNS' runs"
+    exit 1
+}
+echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B, $WAKEUPS reactor wakeups, $BUILT machines built over $RUNS runs"
 # SIGTERM must drain gracefully: exit 0, socket file removed.
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -357,7 +369,9 @@ echo "== engine throughput (quick, zero-drift check, memoization off) =="
 # that replays from the table too — drift-check memoized replay against the
 # reference engine above; this second pass pins the same workloads with
 # memoization disabled, so any divergence between the memoized and plain
-# fast paths shows up as drift against the shared reference.
+# fast paths shows up as drift against the shared reference. It is also the
+# only pass that builds the machine up front for a one-job run: with the
+# table on, such a run builds it at its first miss, or not at all.
 PAXSIM_BENCH_QUICK=1 PAXSIM_DISABLE_MEMO=1 cargo bench -p paxsim-bench --bench engine_throughput
 
 echo "== paxbench golden fingerprints (all five workloads, quick) =="

@@ -8,6 +8,7 @@
 
 use paxsim_core::configs::{all_configs, serial};
 use paxsim_core::store::{TraceKey, TraceStore};
+use paxsim_machine::engine::machines_built;
 use paxsim_machine::prelude::*;
 use paxsim_nas::{all_kernels, Class, KernelId};
 use paxsim_omp::schedule::Schedule;
@@ -136,12 +137,42 @@ fn memoization_fires_on_iterative_cg() {
         out.memo
     );
     // Every boundary of a second run — the first region's included — is
-    // answered from what the first run recorded.
+    // answered from what the first run recorded, so it builds no machine.
+    let built = machines_built();
     let again = simulate(&machine, spec());
+    assert_eq!(machines_built(), built, "a replayed run built a machine");
     assert_eq!(again.memo.hits, again.memo.probes, "{:?}", again.memo);
     assert_eq!(again.memo.probes, again.memo.regions, "{:?}", again.memo);
     assert_eq!(again.wall_cycles, out.wall_cycles);
     assert_eq!(again.total, out.total);
+}
+
+/// The daemon's traffic on a real kernel: after a quiet run and two
+/// jittered trials, `Serial` CG under a jitter magnitude never seen before
+/// lands on settled snapshots the table already holds — it is answered in
+/// full, builds no machine, and equals the reference in every counter and
+/// region end. Each earlier run builds exactly the one machine it needs.
+#[test]
+fn never_seen_jitter_replays_serial_cg_without_a_machine() {
+    let machine = MachineConfig::paxville_smp();
+    let trace = TraceStore::new().get(TraceKey {
+        kernel: KernelId::Cg,
+        class: Class::T,
+        nthreads: 1,
+        schedule: Schedule::Static,
+    });
+    for (jitter, seed) in [(0, 0), (2_000, 1), (2_000, 2), (1_777, 2)] {
+        let spec =
+            || vec![JobSpec::pinned(trace.clone(), serial().contexts).with_jitter(jitter, seed)];
+        let before = machines_built();
+        let fast = simulate(&machine, spec());
+        let built = machines_built() - before;
+        let what = format!("cg/Serial/jitter{jitter}/seed{seed}");
+        assert_outcomes_identical(&fast, &simulate_reference(&machine, spec()), &what);
+        let missed = fast.memo.hits < fast.memo.probes;
+        assert_eq!(built, missed as u64, "{what}: {:?}", fast.memo);
+        assert!(!missed || jitter != 1_777, "{what}: {:?}", fast.memo);
+    }
 }
 
 /// Multiprogrammed shape (two jobs splitting the machine, as in §4.2/§4.3):

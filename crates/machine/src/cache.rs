@@ -265,13 +265,17 @@ impl SetAssoc {
     /// Lines land in each set's first ways, oldest first — one definite
     /// representative of the way-permutation equivalence class.
     pub(crate) fn restore(&mut self, c: &SetAssocCanon, base: u64) {
-        if self.clock == 0 && c.lines.is_empty() {
-            return; // pristine onto pristine
+        // A structure never accessed is still its all-zeros allocation (a
+        // machine built at a memo miss is restored into at once): there is
+        // nothing to clear, and no page of it is touched beyond the lines
+        // installed below.
+        if self.clock != 0 {
+            self.tags.fill(EMPTY);
+            self.stamp.fill(0);
+            self.dirty.fill(false);
+            self.ready.fill(0);
+            self.mru_way.fill(0); // prediction state is free
         }
-        self.tags.fill(EMPTY);
-        self.stamp.fill(0);
-        self.dirty.fill(false);
-        self.ready.fill(0);
         let mut inflight = c.inflight.iter().peekable();
         let (mut prev_set, mut way) = (usize::MAX, 0);
         for (n, &word) in c.lines.iter().enumerate() {
@@ -289,9 +293,13 @@ impl SetAssoc {
                 .next_if(|&&(at, _)| at as usize == n)
                 .map_or(0, |&(_, off)| base + off);
         }
-        // Fresh stamps must exceed every rank; prediction state is free.
-        self.clock = self.ways as u64;
-        self.mru_way.fill(0);
+        // Fresh stamps must exceed every rank; with nothing resident the
+        // structure is again as good as never accessed.
+        self.clock = if c.lines.is_empty() {
+            0
+        } else {
+            self.ways as u64
+        };
     }
 }
 
@@ -425,8 +433,15 @@ mod tests {
         let canon = a.canon(base);
         let mut b = tiny();
         b.restore(&canon, base);
-        // Canonicalization is idempotent across restore.
+        // Canonicalization is idempotent across restore — onto a structure
+        // never accessed (nothing to clear) as onto a used one.
         assert_eq!(b.canon(base), canon);
+        let mut used = tiny();
+        used.install(2, true, 900);
+        used.install(6, false, 0);
+        used.restore(&canon, base);
+        assert_eq!(used.canon(base), canon);
+        assert_eq!(used.access(2, false), Lookup::Miss);
         // The restored cache replays like the original: same lookups, same
         // eviction choice (LRU line 4), same surviving in-flight tick.
         assert_eq!(a.access(0, false), b.access(0, false));

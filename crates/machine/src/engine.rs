@@ -31,6 +31,7 @@
 //! * region ends are OpenMP barriers: early threads accumulate
 //!   synchronization wait until the last arrives.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::branch::Gshare;
@@ -40,7 +41,7 @@ use crate::component::EventScheduler;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::cycles;
-use crate::memo::{self, CoreSnap, MachineSnap, MemoStats, Snap};
+use crate::memo::{self, CoreSnap, MachineSnap, MemoStats};
 use crate::op::{tag_address, unpack_at, Op};
 use crate::prefetch::StreamPrefetcher;
 use crate::sim::JobSpec;
@@ -105,7 +106,6 @@ impl CoreRes {
 /// variant, and an L3-backed hierarchy are all just different descriptions
 /// fed to the same engine.
 struct Machine {
-    topo: Topology,
     cores: Vec<CoreRes>,
     /// One shared L3 per chip when the topology has one (empty otherwise).
     l3s: Vec<SetAssoc>,
@@ -118,6 +118,7 @@ impl Machine {
     /// non-root unit appears exactly once as a wire source (enforced by
     /// the topology proptests), so counting sources sizes each tier.
     fn build(cfg: &MachineConfig, topo: Topology) -> Self {
+        BUILT.set(BUILT.get() + 1);
         let (mut ncores, mut nl3, mut nfsb) = (0usize, 0usize, 0usize);
         for w in topo.wiring() {
             match w.from {
@@ -130,7 +131,6 @@ impl Machine {
         debug_assert_eq!(ncores, topo.cores());
         debug_assert_eq!(nfsb, topo.chips);
         Self {
-            topo,
             cores: (0..ncores).map(|_| CoreRes::new(cfg)).collect(),
             l3s: (0..nl3)
                 .map(|_| SetAssoc::new(cfg.l3.expect("L3 wired but not configured").geom))
@@ -139,6 +139,18 @@ impl Machine {
             mem: MemCtl::default(),
         }
     }
+}
+
+thread_local! {
+    static BUILT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Machines built so far by `simulate*` calls on this thread: a replayed
+/// run builds none, so the difference across a call tells a replay from a
+/// simulation (`machine.sim.machines_built`, and the tests that assert it).
+#[doc(hidden)]
+pub fn machines_built() -> u64 {
+    BUILT.get()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,8 +287,7 @@ pub(crate) fn run_reference(cfg: &MachineConfig, specs: &[JobSpec]) -> EngineOut
 }
 
 fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome {
-    let mut m = Machine::build(cfg, Topology::of(cfg));
-    let topo = m.topo;
+    let topo = Topology::of(cfg);
     let mut ctxs: Vec<Ctx> = Vec::new();
     let mut jobs: Vec<JobState> = Vec::new();
     let mut pf_buf: Vec<u64> = Vec::new();
@@ -355,10 +366,10 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
     if memo_on {
         run_memoized(
             cfg,
+            topo,
             tpu,
             &sib_at,
             &mut ctxs,
-            &mut m,
             &mut jobs,
             &mut pf_buf,
             &mut memo_stats,
@@ -366,6 +377,7 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
             profiling,
         );
     } else if fast {
+        let mut m = Machine::build(cfg, topo);
         for ji in 0..jobs.len() {
             enqueue_team(ji, &mut ctxs, &jobs, &mut evq);
         }
@@ -382,6 +394,7 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
             false,
         );
     } else {
+        let mut m = Machine::build(cfg, topo);
         loop {
             // Pick the least-advanced runnable context (deterministic
             // tie-break on index).
@@ -447,24 +460,30 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
 /// * **Chaining** — a hit leaves the machine in the edge's `post` class at
 ///   the release clock, and a recorded miss just computed `canon(machine)`
 ///   as its post-state. `canon` is idempotent, so that interned snapshot
-///   *is* the next boundary's pre-state: `snapshot()` runs once for the
-///   pristine machine and once per miss, never per hit.
+///   *is* the next boundary's pre-state: `snapshot()` runs once per miss,
+///   never per hit. The first boundary chains from the *pristine* snapshot
+///   its run context pins (`memo::run_context`): a machine nothing ran on
+///   has every offset at 0 and every structure empty whatever the clock
+///   and whoever is placed on it.
 /// * **Ageing** — a jittered context starts its next region some ticks
 ///   after the release, and nothing else runs meanwhile (it is the only
 ///   context), so the pre-state there is `post` aged by that offset
 ///   (`memo::aged`): the same pointer when the offset is 0 or `post` has
 ///   nothing in flight, otherwise offsets rewritten and one hash — still no
 ///   `snapshot()` and no look at the machine.
-/// * **Lazy restore** — a hit does not write the machine back; concrete
-///   state is materialized only when a probe misses and the region must be
-///   simulated. (Nothing reads machine state after the final region.)
+/// * **No machine until a miss** — a hit does not write the machine back,
+///   and until a probe misses there is no machine to write to: it is built
+///   at the first boundary whose region must be simulated and `restore`d
+///   from that boundary's pre-state, exactly as a machine left behind by
+///   earlier hits is. A fully replayed run never allocates one. (Nothing
+///   reads machine state after the final region.)
 #[allow(clippy::too_many_arguments)]
 fn run_memoized(
     cfg: &MachineConfig,
+    topo: Topology,
     tpu: u64,
     sib_at: &[Option<usize>],
     ctxs: &mut [Ctx],
-    m: &mut Machine,
     jobs: &mut [JobState],
     pf_buf: &mut Vec<u64>,
     stats: &mut MemoStats,
@@ -474,11 +493,17 @@ fn run_memoized(
     // Which contexts run a region is as evolution-relevant as the machine
     // state they start in, so the placement is part of every edge's key.
     let placement: Vec<Lcpu> = jobs[0].ctx_ids.iter().map(|&i| ctxs[i].lcpu).collect();
-    let run = memo::run_id(cfg, &placement);
-    // canon(machine) at this boundary, when chained from the last region.
-    let mut cur: Option<Arc<Snap>> = None;
+    // The concrete machine, once a region had to be simulated. A run
+    // context seen for the first time builds it to take its pristine
+    // snapshot, and this run — which is about to miss — keeps it.
+    let mut m: Option<Machine> = None;
+    let (run, pristine) = memo::run_context(cfg, &placement, || {
+        snapshot(m.insert(Machine::build(cfg, topo)), 0)
+    });
+    // canon(machine) at the last release (or of the pristine machine).
+    let mut cur = pristine;
     // Is the concrete machine at this boundary (false after a lazy hit)?
-    let mut live = true;
+    let mut live = false;
     let lead = jobs[0].ctx_ids[0];
     while ctxs[lead].phase == Phase::Run {
         let r = ctxs[lead].region;
@@ -492,13 +517,10 @@ fn run_memoized(
         );
         stats.regions += 1;
         stats.probes += 1;
-        let pre = match cur.take() {
-            None => memo::intern(snapshot(m, base)),
-            Some(post) => {
-                let released = jobs[0].region_ends.last().expect("chained from a region");
-                memo::aged(post, base - released)
-            }
-        };
+        // Before the first release the machine is pristine since clock 0;
+        // nothing is in flight on it, so it ages to itself.
+        let released = jobs[0].region_ends.last().copied().unwrap_or(0);
+        let pre = memo::aged(cur, base - released);
         let key = memo::Key {
             run,
             region: Arc::as_ptr(&jobs[0].trace.regions[r]) as *const () as usize,
@@ -516,10 +538,11 @@ fn run_memoized(
                 ctx.t = release; // arrived on time: no sync wait beyond Δcounters
             }
             release_team(0, ctxs, jobs, release, profiling, true);
-            cur = Some(post);
+            cur = post;
             live = false;
             continue;
         }
+        let m = m.get_or_insert_with(|| Machine::build(cfg, topo));
         if !live {
             restore(m, &pre.state, base);
             live = true;
@@ -533,7 +556,7 @@ fn run_memoized(
         // Not `ctxs[lead].t`: that already carries the next region's jitter.
         let release = *jobs[0].region_ends.last().expect("the region just ended");
         let post = memo::intern(snapshot(m, release));
-        cur = Some(Arc::clone(&post));
+        cur = Arc::clone(&post);
         let dcounters = jobs[0].counters.delta(&counters_before);
         let region = &jobs[0].trace.regions[r];
         memo::record(key, region, pre, post, release - base, dcounters);
@@ -1435,7 +1458,7 @@ mod tests {
             job: 0,
             thread: 0,
             lcpu: Lcpu::A0,
-            core_idx: m.topo.core_index(Lcpu::A0),
+            core_idx: Topology::of(cfg).core_index(Lcpu::A0),
             chip: 0,
             region: 0,
             idx: 0,
@@ -1562,6 +1585,38 @@ mod tests {
                 prop_assert!(Arc::ptr_eq(&memo::aged(young, j), &later));
             }
         }
+    }
+
+    /// The pristine machine has one canonical state: whatever the boundary
+    /// clock, and whoever is placed on it — so every placement of a config
+    /// chains its first region from one pinned pointer.
+    #[test]
+    fn pristine_snapshot_is_one_pointer_at_any_base_for_any_placement() {
+        use Lcpu as L;
+        for cfg in [MachineConfig::paxville_smp(), MachineConfig::broadwell_l3()] {
+            let pristine =
+                |base| memo::intern(snapshot(&Machine::build(&cfg, Topology::of(&cfg)), base));
+            let at0 = pristine(0);
+            assert!(at0.state.settled());
+            assert!(Arc::ptr_eq(&pristine(1), &at0));
+            assert!(Arc::ptr_eq(&pristine(1_000_000_000), &at0));
+        }
+        // Table 1, Serial to HT on -8-2.
+        let table1: [&[Lcpu]; 8] = [
+            &[L::B0],
+            &[L::A0, L::A1],
+            &[L::B0, L::B1],
+            &[L::A0, L::A1, L::A2, L::A3],
+            &[L::B0, L::B2],
+            &[L::A0, L::A1, L::A4, L::A5],
+            &[L::B0, L::B1, L::B2, L::B3],
+            &L::all(),
+        ];
+        let cfg = MachineConfig::paxville_smp();
+        let fresh = || snapshot(&Machine::build(&cfg, Topology::of(&cfg)), 0);
+        let pinned = table1.map(|placement| memo::run_context(&cfg, placement, fresh).1);
+        assert!(pinned.iter().all(|p| Arc::ptr_eq(p, &pinned[0])));
+        assert!(Arc::ptr_eq(&pinned[0], &memo::intern(fresh())));
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //!   lock, whichever `simulate()` call recorded the edge. The run context
 //!   is an id for (machine config, team placement). An edge holds its
 //!   region and its `pre`, so neither address in its key can be recycled.
+//! * **Run contexts.** [`run_context`] keeps the most recently used few
+//!   and pins, for each, the snapshot of its *pristine* machine — one
+//!   canonical state whatever the clock and the placement — so a run's
+//!   first boundary has a pre-state without a machine to take it from,
+//!   and a run the table answers in full never builds one.
 //! * **Ageing.** A jittered context starts its region `j` ticks after the
 //!   barrier released it. With one context nothing executes anywhere on
 //!   the machine in between, so the state the region starts from is the
@@ -259,7 +264,7 @@ pub(crate) fn measure(state: &MachineSnap) -> (u64, usize) {
 /// What an edge is looked up by; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Key {
-    pub run: u32,
+    pub run: u64,
     pub region: usize,
     pub pre: usize,
     pub abs_base: Option<u64>,
@@ -276,11 +281,27 @@ struct Edge {
     used: u64,
 }
 
+/// A run context: what, besides region and pre-state, an edge is keyed by.
+struct RunCtx {
+    /// Never reused, so no edge of a dropped context can answer a later one.
+    id: u64,
+    cfg: MachineConfig,
+    placement: Vec<Lcpu>,
+    /// Canonical state of a machine of `cfg` nothing ran on yet — the first
+    /// boundary's pre-state, held so a replayed run need not build one.
+    pristine: Arc<Snap>,
+}
+
+/// Run contexts kept (a study uses one per configuration; the wire's
+/// `machine` override lets a peer name any number).
+const RUN_CAP: usize = 64;
+
 #[derive(Default)]
 struct Table {
-    /// Run contexts by id. `MachineConfig` holds floats, so it is compared,
-    /// not hashed; a process sees a handful of these.
-    runs: Vec<(MachineConfig, Vec<Lcpu>)>,
+    /// The `RUN_CAP` most recently used run contexts, latest last.
+    /// `MachineConfig` holds floats, so it is compared, not hashed.
+    runs: Vec<RunCtx>,
+    next_run: u64,
     snaps: HashMap<u64, Vec<Weak<Snap>>>,
     edges: HashMap<Key, Edge>,
     tick: u64,
@@ -293,14 +314,49 @@ fn table() -> MutexGuard<'static, Table> {
     TABLE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The id of run context (`cfg`, `placement`).
-pub(crate) fn run_id(cfg: &MachineConfig, placement: &[Lcpu]) -> u32 {
+impl Table {
+    /// The id and pristine snapshot of (`cfg`, `placement`), now the most
+    /// recently used context.
+    fn run(&mut self, cfg: &MachineConfig, placement: &[Lcpu]) -> Option<(u64, Arc<Snap>)> {
+        let known = |r: &RunCtx| r.cfg == *cfg && r.placement == placement;
+        let at = self.runs.iter().rposition(known)?;
+        let found = (self.runs[at].id, Arc::clone(&self.runs[at].pristine));
+        self.runs[at..].rotate_left(1);
+        Some(found)
+    }
+}
+
+/// The id of run context (`cfg`, `placement`) and the interned snapshot of
+/// its pristine machine, which `pristine` takes when the context is new (or
+/// was dropped: beyond `RUN_CAP` the least recently used one goes, with its
+/// pin on the snapshot; its edges can no longer be reached and leave
+/// through the byte budget, oldest first).
+pub(crate) fn run_context(
+    cfg: &MachineConfig,
+    placement: &[Lcpu],
+    pristine: impl FnOnce() -> MachineSnap,
+) -> (u64, Arc<Snap>) {
+    if let Some(known) = table().run(cfg, placement) {
+        return known;
+    }
+    let pristine = intern(pristine()); // takes the lock itself
     let mut t = table();
-    let known = t.runs.iter().position(|(c, p)| c == cfg && p == placement);
-    known.unwrap_or_else(|| {
-        t.runs.push((cfg.clone(), placement.to_vec()));
-        t.runs.len() - 1
-    }) as u32
+    // A concurrent run may have registered the same context meanwhile.
+    if let Some(known) = t.run(cfg, placement) {
+        return known;
+    }
+    if t.runs.len() == RUN_CAP {
+        t.runs.remove(0);
+    }
+    let id = t.next_run;
+    t.next_run += 1;
+    t.runs.push(RunCtx {
+        id,
+        cfg: cfg.clone(),
+        placement: placement.to_vec(),
+        pristine: Arc::clone(&pristine),
+    });
+    (id, pristine)
 }
 
 /// The one live `Arc<Snap>` canonically equal to `state`.
@@ -417,6 +473,46 @@ mod tests {
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
+    /// A peer can name any number of machine configs (the wire's `machine`
+    /// override); the table keeps `RUN_CAP` run contexts. One pushed out
+    /// comes back under a new id — its old edges cannot answer — and from
+    /// there replays exactly.
+    #[test]
+    fn run_contexts_are_capped_and_a_dropped_one_comes_back_exact() {
+        use crate::sim::{simulate, simulate_reference, JobSpec, SimOutcome};
+        let mut b = crate::trace::TraceBuf::new();
+        for i in 0..48u64 {
+            b.block(1, 3);
+            b.load((77 << 28) + (i % 24) * 4096);
+            b.flops(5);
+            b.branch(1, i != 47);
+        }
+        let trace = Arc::new(crate::trace::ProgramTrace::single_region("cap", vec![b]));
+        let job = || vec![JobSpec::pinned(trace.clone(), vec![Lcpu::A0])];
+        let machine = |l2_lat| MachineConfig {
+            l2_lat,
+            ..MachineConfig::paxville_smp()
+        };
+        let same = |fast: &SimOutcome, cfg: &MachineConfig| {
+            let slow = simulate_reference(cfg, job());
+            assert_eq!(fast.wall_cycles, slow.wall_cycles, "l2_lat {}", cfg.l2_lat);
+            assert_eq!(fast.total, slow.total, "l2_lat {}", cfg.l2_lat);
+        };
+        for l2_lat in 1..=1_000 {
+            let cfg = machine(l2_lat);
+            same(&simulate(&cfg, job()), &cfg);
+            assert!(table().runs.len() <= RUN_CAP);
+        }
+        assert_eq!(table().runs.len(), RUN_CAP);
+        let cfg = machine(1);
+        let back = simulate(&cfg, job());
+        assert_eq!(back.memo.hits, 0, "the dropped context's id is not reused");
+        same(&back, &cfg);
+        let replay = simulate(&cfg, job());
+        assert_eq!(replay.memo.hits, replay.memo.probes);
+        same(&replay, &cfg);
+    }
+
     /// Equality decides, the hash only selects: two different states forced
     /// into one bucket stay two pointers and never answer each other's
     /// edges, while an equal state interns to the pointer it equals.
@@ -437,7 +533,7 @@ mod tests {
 
         let region = Arc::new(RegionTrace::labeled(Vec::new(), "collide"));
         let key = |pre: &Arc<Snap>| Key {
-            run: run_id(&MachineConfig::paxville_smp(), &[Lcpu::A0]),
+            run: u64::MAX, // no run context's id
             region: Arc::as_ptr(&region) as *const () as usize,
             pre: Arc::as_ptr(pre) as usize,
             abs_base: None,

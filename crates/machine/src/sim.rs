@@ -100,16 +100,20 @@ pub struct SimOutcome {
 /// context outside the configured topology, or two jobs share a context.
 pub fn simulate(cfg: &MachineConfig, jobs: Vec<JobSpec>) -> SimOutcome {
     validate(cfg, &jobs);
+    let built = engine::machines_built();
     let out = shape_outcome(engine::run(cfg, &jobs), &jobs);
-    record_run_metrics(&out);
+    record_run_metrics(&out, engine::machines_built() - built);
     out
 }
 
 /// Post-run observability counters (no-ops while the obs layer is off;
 /// recorded *after* the outcome is fully shaped, so they cannot feed back
-/// into simulated state).
-fn record_run_metrics(out: &SimOutcome) {
+/// into simulated state). `built` is 0 for a run replayed in full from the
+/// memo table and 1 for one that had to simulate a region.
+fn record_run_metrics(out: &SimOutcome, built: u64) {
     static RUNS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("machine.sim.runs");
+    static BUILT: paxsim_obs::LazyCounter =
+        paxsim_obs::LazyCounter::new("machine.sim.machines_built");
     static PROBES: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("machine.memo.probes");
     static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("machine.memo.hits");
     static EVENTS: paxsim_obs::LazyCounter =
@@ -117,6 +121,7 @@ fn record_run_metrics(out: &SimOutcome) {
     static SKIPPED: paxsim_obs::LazyCounter =
         paxsim_obs::LazyCounter::new("machine.sched.cycles_skipped");
     RUNS.inc();
+    BUILT.add(built);
     PROBES.add(out.memo.probes);
     HITS.add(out.memo.hits);
     EVENTS.add(out.sched.events_scheduled);
