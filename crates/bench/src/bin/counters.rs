@@ -23,18 +23,6 @@ struct Args {
     prefetch: bool,
 }
 
-fn parse_schedule(s: &str) -> Schedule {
-    let (kind, chunk) = s.split_once(',').unwrap_or((s, ""));
-    let chunk: usize = chunk.parse().unwrap_or(1);
-    match kind {
-        "static" if chunk <= 1 => Schedule::Static,
-        "static" => Schedule::StaticChunk(chunk),
-        "dynamic" => Schedule::Dynamic(chunk),
-        "guided" => Schedule::Guided(chunk),
-        other => panic!("unknown schedule '{other}' (static|static,N|dynamic,N|guided,N)"),
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         bench: KernelId::Cg,
@@ -64,7 +52,16 @@ fn parse_args() -> Args {
                     other => panic!("unknown class {other:?}"),
                 }
             }
-            "--schedule" => args.schedule = parse_schedule(&it.next().expect("--schedule S")),
+            "--schedule" => {
+                args.schedule = it
+                    .next()
+                    .expect("--schedule S")
+                    .parse()
+                    .unwrap_or_else(|e| {
+                        eprintln!("counters: {e}");
+                        std::process::exit(2);
+                    })
+            }
             "--no-prefetch" => args.prefetch = false,
             other => panic!("unknown argument '{other}'"),
         }

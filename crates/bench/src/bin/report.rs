@@ -27,7 +27,33 @@ struct Args {
     sections: Vec<String>,
 }
 
-fn parse_args() -> Args {
+/// Every section name the command line accepts: the module doc's set
+/// plus the opt-in `profile`.
+const SECTIONS: [&str; 12] = [
+    "table1",
+    "platform",
+    "fig2",
+    "fig3",
+    "table2",
+    "headlines",
+    "efficiency",
+    "phases",
+    "fig4",
+    "fig5",
+    "all",
+    "profile",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: report [--class T|S|W] [--trials N] [--json DIR] [--csv DIR] [SECTION...]\n\
+         SECTION: {}",
+        SECTIONS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         class: Class::S,
         trials: 3,
@@ -35,7 +61,6 @@ fn parse_args() -> Args {
         csv_dir: None,
         sections: Vec::new(),
     };
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--class" => {
@@ -43,24 +68,26 @@ fn parse_args() -> Args {
                     Some("T") | Some("t") => Class::T,
                     Some("S") | Some("s") => Class::S,
                     Some("W") | Some("w") => Class::W,
-                    other => panic!("unknown class {other:?}"),
+                    other => return Err(format!("unknown class {other:?}")),
                 }
             }
             "--trials" => {
                 args.trials = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--trials needs a number")
+                    .ok_or("--trials needs a number")?
             }
-            "--json" => args.json_dir = Some(it.next().expect("--json needs a directory")),
-            "--csv" => args.csv_dir = Some(it.next().expect("--csv needs a directory")),
-            s => args.sections.push(s.to_string()),
+            "--json" => args.json_dir = Some(it.next().ok_or("--json needs a directory")?),
+            "--csv" => args.csv_dir = Some(it.next().ok_or("--csv needs a directory")?),
+            s if SECTIONS.contains(&s) => args.sections.push(a),
+            s if s.starts_with('-') => return Err(format!("unknown flag `{s}`")),
+            s => return Err(format!("unknown section `{s}`")),
         }
     }
     if args.sections.is_empty() {
         args.sections.push("all".into());
     }
-    args
+    Ok(args)
 }
 
 fn want(args: &Args, s: &str) -> bool {
@@ -162,7 +189,10 @@ fn profile_json(
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        usage()
+    });
     let opts = StudyOptions::paper(args.class).with_trials(args.trials);
     let store = TraceStore::new();
 
@@ -309,5 +339,45 @@ fn main() {
         let cross = run_cross_product(&opts5, &store);
         println!("{}", fig5_text(&cross));
         write_json(&args.json_dir, "cross", report::cross_to_json(&cross));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    /// The accepted list is the module doc's `SECTION ∈ { … }` set plus
+    /// `profile`; a section added to one and not the other fails here.
+    #[test]
+    fn accepted_sections_are_the_documented_ones() {
+        let doc: String = include_str!("report.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .collect();
+        let set = &doc[doc.find('{').unwrap() + 1..doc.find('}').unwrap()];
+        let mut documented: Vec<&str> = set.split(',').map(str::trim).collect();
+        assert!(
+            doc.contains("`profile`"),
+            "the doc names the opt-in section"
+        );
+        documented.push("profile");
+        assert_eq!(documented, SECTIONS);
+        for s in SECTIONS {
+            assert_eq!(parse(s).unwrap().sections, [s]);
+        }
+    }
+
+    #[test]
+    fn unknown_sections_and_flags_are_refused() {
+        assert_eq!(parse("").unwrap().sections, ["all"]);
+        assert!(parse("--class T --trials 2 fig3").is_ok());
+        assert_eq!(parse("tabel2").err().unwrap(), "unknown section `tabel2`");
+        assert_eq!(parse("--clas S").err().unwrap(), "unknown flag `--clas`");
+        assert!(parse("--class X").is_err());
+        assert!(parse("--trials").is_err());
     }
 }

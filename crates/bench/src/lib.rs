@@ -20,6 +20,15 @@
 //! | `fig4_multiprogram`    | Figure 4 |
 //! | `fig5_pairs`           | Figure 5 |
 //! | `ablation`             | model-design ablations (DESIGN.md §3) |
+//!
+//! These six are **paper regeneration, not performance gates**: each
+//! prints its artifact at tiny class and then times the driver that made
+//! it, and nothing compares those timings with a committed number. The
+//! fig5-shaped sweep time (ten pairs of EP/IS/CG/BT × seven configurations
+//! on a warm trace store) is read from `fig5_pairs`, as
+//! `fig5/cross_product/4benchmarks`. Performance claims are made with
+//! paxbench (`benchmark/`, `BENCHMARK.json`): a paired parent-vs-change
+//! run of its five workloads is the only performance gate this repo has.
 
 /// Common helpers for the bench targets.
 pub mod helpers {

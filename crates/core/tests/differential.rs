@@ -28,6 +28,26 @@ fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
     }
 }
 
+/// What the fast path and the packed trace are *for*, at the same points
+/// the identity tests visit: the event scheduler dispatched and jumped
+/// simulated cycles instead of stepping them (quiescent skip engages —
+/// a replayed region is one such jump), and packing + interning shrink
+/// the trace ~12× on iterative CG and ~2× on EP, whose only saving is the
+/// 8-byte word against the 16-byte `Op`.
+fn assert_skips_and_packs(fast: &SimOutcome, trace: &ProgramTrace, bench: KernelId, what: &str) {
+    assert!(
+        fast.sched.events_scheduled > 0 && fast.sched.cycles_skipped > 0,
+        "{what}: quiescent skip never engaged: {:?}",
+        fast.sched
+    );
+    let reduction = trace.unpacked_bytes() as f64 / trace.packed_bytes() as f64;
+    let floor = if bench == KernelId::Cg { 10.0 } else { 1.9 };
+    assert!(
+        reduction >= floor,
+        "{what}: trace packs {reduction:.2}x (floor {floor})"
+    );
+}
+
 /// Every Table 1 configuration × two kernels with opposite characters
 /// (EP compute-bound, CG memory-bound), tiny class: the optimized engine
 /// reproduces the reference bit for bit.
@@ -48,7 +68,9 @@ fn fast_engine_matches_reference_on_all_table1_configs() {
             };
             let fast = simulate(&machine, spec());
             let slow = simulate_reference(&machine, spec());
-            assert_outcomes_identical(&fast, &slow, &format!("{bench}/{}", config.name));
+            let what = format!("{bench}/{}", config.name);
+            assert_outcomes_identical(&fast, &slow, &what);
+            assert_skips_and_packs(&fast, &trace, bench, &what);
         }
     }
 }
@@ -106,7 +128,9 @@ fn memoizing_engine_matches_reference_on_all_table1_configs() {
             let spec = || vec![JobSpec::pinned(trace.clone(), config.contexts.clone())];
             let fast = simulate(&machine, spec());
             let slow = simulate_reference(&machine, spec());
-            assert_outcomes_identical(&fast, &slow, &format!("quiet {bench}/{}", config.name));
+            let what = format!("quiet {bench}/{}", config.name);
+            assert_outcomes_identical(&fast, &slow, &what);
+            assert_skips_and_packs(&fast, &trace, bench, &what);
         }
     }
 }

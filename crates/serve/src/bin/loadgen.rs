@@ -1,5 +1,5 @@
-//! `paxsim-loadgen` — loopback load generator and scaling benchmark for
-//! the paxsim-serve daemon.
+//! `paxsim-loadgen` — self-asserting loopback load smoke for the
+//! paxsim-serve daemon.
 //!
 //! ```text
 //! paxsim-loadgen [--connections N] [--requests N] [--quick] [--chaos]
@@ -14,29 +14,24 @@
 //!    concurrently from one connection per spec, with a nonzero gather
 //!    window. Compatible misses must merge into shared sweeps
 //!    (`merged > 0`).
-//! 2. **Hot / throughput** — the now-cached grid round-robined over
-//!    `--connections` persistent pipelined connections for `--requests`
-//!    total requests, measuring sustained coalesced requests/sec with
-//!    p50/p99 latency. Then the same grid over **one** closed-loop
-//!    connection (`hot_1conn`): with a single request in flight nothing
-//!    hides the time the reactor takes to notice a request, which sixteen
-//!    connections keeping it busy do.
+//! 2. **Hot** — the now-cached grid round-robined over `--connections`
+//!    persistent pipelined connections for `--requests` total requests;
+//!    every one must book exactly one memory-tier hit. Then the same grid
+//!    over **one** closed-loop connection (`hot_1conn`): with a single
+//!    request in flight nothing hides the time the reactor takes to notice
+//!    a request, which sixteen connections keeping it busy do.
 //!
 //! Then a **predicted-tier** pass: the same grid at
 //! `fidelity=predicted`, cold (every pair's first prediction is
 //! sentinel-audited against the cached exact records) then hot. The
 //! pass asserts the tier's contract — predictions never enter the
-//! batcher, and model evaluation stays under 100 µs server-side — and
-//! records wire latency plus server-side evaluation cost alongside the
-//! exact tier's numbers in `BENCH_serve.json`.
+//! batcher, and model evaluation stays under 100 µs server-side.
 //!
 //! Then an **autotune** pass: one budgeted `op=tune` search over a small
 //! config × schedule grid, then an identical repeat. The pass asserts
 //! the endpoint's contract — a search never enters the batcher, books no
 //! simulate traffic (the conservation envelope below stays exact), and a
-//! finished search replays byte-identical from its own cache — and
-//! records the winner, search provenance, and both wall times in
-//! `BENCH_serve.json`.
+//! finished search replays byte-identical from its own cache.
 //!
 //! With `--chaos` a third phase soaks the server under an injected fault
 //! plan — connection kills every ~97 dispatched frames plus worker
@@ -52,12 +47,11 @@
 //!
 //! Afterwards it scrapes `op=stats`, checks the cross-shard conservation
 //! law (`Σ shard hits + Σ shard misses == simulate requests + baseline
-//! fetches`), drains the server gracefully, and — outside `--quick` —
-//! writes `BENCH_serve.json` at the workspace root so successive PRs
-//! compare like for like (including chaos/shed/retry counters when the
-//! chaos phase ran). Any violated invariant (reply not ok, zero merges,
-//! broken conservation, hung request, failed drain) exits nonzero, which
-//! lets `ci.sh` use `--quick --chaos` as the serve chaos smoke.
+//! fetches`) and drains the server gracefully. Any violated invariant
+//! (reply not ok, zero merges, broken conservation, hung request, failed
+//! drain) exits nonzero, which is what `ci.sh` runs it for. The rates it
+//! prints on stderr are a log: it writes no file, and performance is read
+//! from paxbench (`benchmark/`, workloads `serve_hot` and `serve_mixed`).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -305,19 +299,10 @@ fn chaos_phase(addr: &str, lines: &[String], connections: usize, total: usize) -
     })
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn main() {
     let mut connections: usize = 16;
     let mut requests: usize = 60_000;
-    let mut quick = std::env::var_os("PAXSIM_BENCH_QUICK").is_some_and(|v| v != "0");
+    let mut quick = false;
     let mut chaos = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -384,12 +369,12 @@ fn main() {
         "compatible concurrent cold misses must merge (batches = {batches})"
     );
 
-    // Phase 2: hot sustained throughput. Every request of it is a hit on
-    // a resident entry, so each must be answered inline and book one
-    // memory-tier hit — in the shard's own counter and, with obs on, in
-    // the two `op=metrics` counters. A hit served from a stored reply
-    // line that forgot to book would pass every byte comparison and only
-    // drift the stats; here it fails the run.
+    // Phase 2: hot. Every request of it is a hit on a resident entry, so
+    // each must be answered inline and book one memory-tier hit — in the
+    // shard's own counter and, with obs on, in the two `op=metrics`
+    // counters. A hit served from a stored reply line that forgot to book
+    // would pass every byte comparison and only drift the stats; here it
+    // fails the run.
     let booked = || {
         (
             service.cache().mem_hits(),
@@ -423,17 +408,14 @@ fn main() {
 
     // Phase 2.2: one closed-loop connection. Every request finds the
     // reactor asleep, so its wake latency is in every sample. The rate is
-    // reported, not held to a line: it is two thread wakes per request,
-    // and on a shared host those cost 4 µs rested and 32-46 µs for some
-    // ten seconds after the VM has been busy. This reactor read 18-20k
-    // req/s rested and 6.8-10.2k then; one that sleeps through request
-    // bytes read 6.0-7.4k and 4.1-6.5k. What is asserted holds on any
-    // host: every request answered (`hot_phase` panics on a reply that is
-    // not ok), and a median under 500 µs. That catches a reactor waiting
-    // out a millisecond timer with a request on its socket (the 10 ms
-    // accept back-off left on, a lost wake papered over by a timeout); a
-    // park of tens of µs like the old one (p50 ~140 µs) shows only in the
-    // rate, which ci.sh prints beside the committed one.
+    // logged, not held to a line: it is two thread wakes per request, and
+    // a shared host wakes threads late for a while after it has been
+    // busy. What is asserted holds on any host: every request answered
+    // (`hot_phase` panics on a reply that is not ok), and a median under
+    // 500 µs. That catches a reactor waiting out a millisecond timer with
+    // a request on its socket (the 10 ms accept back-off left on, a lost
+    // wake papered over by a timeout); a park of tens of µs shows only in
+    // the rate, which paxbench measures as `serve.server.hit_rps_1conn`.
     let one_requests = if quick { 4_000 } else { 20_000 };
     let (one_lat, one_wall) = hot_phase(&addr, &lines, 1, one_requests);
     let one_rps = one_lat.len() as f64 / one_wall;
@@ -469,7 +451,6 @@ fn main() {
     let (pred_lat, pred_wall) = hot_phase(&addr, &pred_lines, connections, pred_requests);
     let pred_rps = pred_lat.len() as f64 / pred_wall;
     let pred_p50 = percentile(&pred_lat, 0.5);
-    let pred_p99 = percentile(&pred_lat, 0.99);
     let eval = service
         .predict_latencies_ms()
         .expect("cold predictions must have evaluated the model");
@@ -482,7 +463,6 @@ fn main() {
     );
     let audits = service.predict_auditor().audits();
     let quarantined = service.predict_auditor().quarantined_pairs();
-    let fallbacks = service.predict_auditor().fallbacks();
     let predict_error_p95 = service.predict_auditor().error_p95();
     eprintln!(
         "loadgen: predicted cold grid in {pred_cold_ms:.1} ms, hot {} requests in {pred_wall:.2} s \
@@ -525,32 +505,13 @@ fn main() {
         (2, 1),
         "the repeat must be a finished-search cache hit"
     );
-    let tune_v = serde_json::parse(&tune_cold).expect("tune reply parses");
-    let tune_best = tune_v["tune"]["best_config"]
-        .as_str()
-        .unwrap_or("?")
-        .to_string();
-    let tune_best_schedule = tune_v["tune"]["best_schedule"]
-        .as_str()
-        .unwrap_or("?")
-        .to_string();
-    let tune_speedup = tune_v["tune"]["speedup"].as_f64().unwrap_or(f64::NAN);
-    let tune_grid = tune_v["tune"]["grid"].as_u64().unwrap_or(0);
-    let tune_evaluated = tune_v["tune"]["evaluated"].as_u64().unwrap_or(0);
-    let tune_spent = tune_v["tune"]["budget_spent"].as_u64().unwrap_or(0);
-    let tune_rounds = match &tune_v["tune"]["rounds"] {
-        Value::Array(a) => a.len() as u64,
-        _ => 0,
-    };
     eprintln!(
-        "loadgen: tune {tune_grid}-cell grid in {tune_search_ms:.1} ms — best {tune_best} \
-         / {tune_best_schedule}, speedup {tune_speedup:.2}, {tune_evaluated} cells scored \
-         over {tune_rounds} rounds ({tune_spent} budget), cached replay {tune_replay_ms:.3} ms"
+        "loadgen: tune search in {tune_search_ms:.1} ms, cached replay {tune_replay_ms:.3} ms"
     );
 
     // Phase 3 (optional): chaos soak under an injected fault plan.
     drop(quiesced);
-    let chaos_report = if chaos {
+    let chaos_sent = if chaos {
         let chaos_requests = if quick { 1_500 } else { 12_000 };
         let t0 = Instant::now();
         // Budgets are effectively unlimited; the periods set the rates:
@@ -593,9 +554,9 @@ fn main() {
             conn_kills > 0 && worker_panics > 0,
             "the chaos soak must actually fire faults (kills {conn_kills}, panics {worker_panics})"
         );
-        Some((chaos_requests, resends, conn_kills, worker_panics, wall))
+        (chaos_requests + resends) as u64
     } else {
-        None
+        0
     };
 
     // Conservation across shards, scraped over the wire like any client.
@@ -618,7 +579,7 @@ fn main() {
     // (a killed connection's request may or may not have been dispatched
     // before the kill, so the server count can only be >=).
     let floor = (lines.len() + requests + one_requests + pred_lines.len() + pred_requests) as u64;
-    let client_sent = floor + chaos_report.map_or(0, |(n, heals, ..)| (n + heals) as u64);
+    let client_sent = floor + chaos_sent;
     let simulate_requests = stats["simulate_requests"].as_u64().unwrap_or(0);
     assert!(
         simulate_requests >= floor && simulate_requests <= client_sent,
@@ -648,157 +609,4 @@ fn main() {
     assert!(drained, "server must drain cleanly inside the grace period");
     eprintln!("loadgen: drained cleanly");
     let _ = std::fs::remove_dir_all(&cache_dir);
-
-    if quick {
-        eprintln!("loadgen: quick mode, BENCH_serve.json left untouched");
-        return;
-    }
-
-    let per_shard = Value::Array(
-        shards
-            .iter()
-            .map(|s| {
-                let hits = field(s, "mem_hits") + field(s, "disk_hits");
-                let total = hits + field(s, "misses");
-                obj(vec![
-                    ("hits", Value::UInt(hits)),
-                    ("misses", Value::UInt(field(s, "misses"))),
-                    ("entries_disk", Value::UInt(field(s, "entries_disk"))),
-                    (
-                        "hit_rate",
-                        Value::Float(if total > 0 {
-                            hits as f64 / total as f64
-                        } else {
-                            0.0
-                        }),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let report = obj(vec![
-        ("bench", Value::String("serve_load".into())),
-        (
-            "notes",
-            Value::String(
-                "Loopback TCP against the in-process reactor server. Cold phase: the \
-                 kernels x configs grid fired concurrently through a 50 ms gather window \
-                 (merged = requests that rode another request's sweep). Hot phase: the \
-                 cached grid round-robined over persistent pipelined connections; rps is \
-                 coalesced requests per second of wall clock. hot_1conn: the same grid over \
-                 one closed-loop connection, where every request pays the reactor's wake \
-                 latency. Conservation: sum of \
-                 per-shard (hits + misses) equals simulate requests + baseline fetches, \
-                 checked before every run of this report. drained = graceful shutdown \
-                 flushed every reply and joined every thread inside the grace period."
-                    .into(),
-            ),
-        ),
-        ("connections", Value::UInt(connections as u64)),
-        (
-            "cold",
-            obj(vec![
-                ("specs", Value::UInt(lines.len() as u64)),
-                ("wall_ms", Value::Float(cold_ms)),
-                ("batches", Value::UInt(batches)),
-                ("merged", Value::UInt(merged)),
-                ("merge_rate", Value::Float(merge_rate)),
-            ]),
-        ),
-        (
-            "hot",
-            obj(vec![
-                ("requests", Value::UInt(latencies.len() as u64)),
-                ("wall_s", Value::Float(wall)),
-                ("rps", Value::Float(rps)),
-                ("p50_ms", Value::Float(p50)),
-                ("p99_ms", Value::Float(p99)),
-            ]),
-        ),
-        (
-            "hot_1conn",
-            obj(vec![
-                ("requests", Value::UInt(one_lat.len() as u64)),
-                ("rps", Value::Float(one_rps)),
-                ("p50_us", Value::Float(one_p50_us)),
-                ("p99_us", Value::Float(one_p99_us)),
-            ]),
-        ),
-        (
-            "predicted",
-            obj(vec![
-                ("requests", Value::UInt(pred_lat.len() as u64)),
-                ("cold_wall_ms", Value::Float(pred_cold_ms)),
-                ("wall_s", Value::Float(pred_wall)),
-                ("rps", Value::Float(pred_rps)),
-                ("p50_ms", Value::Float(pred_p50)),
-                ("p99_ms", Value::Float(pred_p99)),
-                ("model_eval_mean_us", Value::Float(eval_mean * 1e3)),
-                ("model_eval_max_us", Value::Float(eval_max * 1e3)),
-                ("audits", Value::UInt(audits as u64)),
-                ("quarantined_pairs", Value::UInt(quarantined as u64)),
-                ("fallbacks", Value::UInt(fallbacks as u64)),
-                (
-                    "error_p95",
-                    predict_error_p95.map_or(Value::Null, Value::Float),
-                ),
-            ]),
-        ),
-        (
-            "tune",
-            obj(vec![
-                ("grid", Value::UInt(tune_grid)),
-                ("evaluated", Value::UInt(tune_evaluated)),
-                ("rounds", Value::UInt(tune_rounds)),
-                ("budget_spent", Value::UInt(tune_spent)),
-                ("best_config", Value::String(tune_best.clone())),
-                ("best_schedule", Value::String(tune_best_schedule.clone())),
-                ("best_speedup", Value::Float(tune_speedup)),
-                ("search_wall_ms", Value::Float(tune_search_ms)),
-                ("cached_replay_ms", Value::Float(tune_replay_ms)),
-            ]),
-        ),
-        (
-            "conservation",
-            obj(vec![
-                ("shard_hits", Value::UInt(shard_hits)),
-                ("shard_misses", Value::UInt(shard_misses)),
-                ("simulate_requests", Value::UInt(simulate_requests)),
-                ("baseline_fetches", Value::UInt(baseline_fetches)),
-                ("holds", Value::Bool(conserved)),
-            ]),
-        ),
-        ("shards", per_shard),
-        ("drained", Value::Bool(drained)),
-    ]);
-    // Chaos/shed/retry counters ride along when the soak ran, so
-    // successive PRs can compare resilience numbers like the perf ones.
-    let report = match (report, chaos_report) {
-        (Value::Object(mut fields), Some((requests, resends, kills, panics, wall))) => {
-            fields.push((
-                "chaos".to_string(),
-                obj(vec![
-                    ("requests", Value::UInt(requests as u64)),
-                    ("wall_s", Value::Float(wall)),
-                    ("conn_kills", Value::UInt(kills)),
-                    ("worker_panics_injected", Value::UInt(panics)),
-                    ("client_resends", Value::UInt(resends as u64)),
-                    ("hung_requests", Value::UInt(0)),
-                    ("shed", Value::UInt(service.shed())),
-                    ("quarantine_trips", Value::UInt(service.breaker().trips())),
-                    ("batch_poisoned", Value::UInt(service.batch_poisoned())),
-                    (
-                        "journal_put_failures",
-                        Value::UInt(service.cache().put_failures()),
-                    ),
-                ]),
-            ));
-            Value::Object(fields)
-        }
-        (report, _) => report,
-    };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&path, json + "\n").expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
 }

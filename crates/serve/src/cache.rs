@@ -15,6 +15,16 @@
 //! wrong answer. Disk hits are promoted into the shard's LRU; every put
 //! lands in both tiers; duplicate keys are legal and last-record-wins.
 //!
+//! **What the "disk tier" is at run time.** The file is read once, at
+//! open: [`Journal`](paxsim_core::journal::Journal) loads every valid
+//! record into an in-memory index and `lookup` reads only that index.
+//! A `disk_hit` therefore touches no disk — it is a second map lookup
+//! (plus the `serve|<hash>` key string and a clone of the record) for a
+//! key the LRU does not hold — and the LRU capacity bounds only the
+//! LRU's own copies of records and their reply lines: the daemon's
+//! resident records are the journal index, one per distinct result ever
+//! stored.
+//!
 //! **An entry owns its reply line.** A memory-tier entry is its
 //! [`Record`] plus the reply body rendered from it on the entry's first
 //! reply hit (`ResultCache::probe_reply`); later hits copy that line

@@ -7,11 +7,15 @@
 //! request into a stable content hash ([`paxsim_core::hash`]) and answers
 //! from a two-tier content-addressed cache:
 //!
-//! * an in-memory LRU for the hot working set;
+//! * an in-memory LRU for the hot working set (records plus their
+//!   rendered reply lines);
 //! * a CRC-checked on-disk journal (the same record format the resilient
 //!   sweep drivers checkpoint into), so results survive restarts and
 //!   corruption is *detected* — a bit-flipped entry recomputes, it is
-//!   never served.
+//!   never served. The file is read only at open: the journal keeps every
+//!   record in an in-memory index, so a "disk hit" is a second map lookup,
+//!   not I/O, and that index — not the LRU — is what bounds the daemon's
+//!   resident records ([`cache`]).
 //!
 //! The cache is **sharded**: N independent shards selected by
 //! consistent-hashing the content hash, each with its own LRU and

@@ -64,7 +64,9 @@ use crate::protocol::{self, Request};
 pub struct ServeConfig {
     /// Directory holding the on-disk cache tier.
     pub cache_dir: std::path::PathBuf,
-    /// Memory-tier capacity in records.
+    /// Memory-tier (LRU) capacity in records. It bounds the LRU's copies
+    /// and their rendered reply lines, not the daemon's resident records:
+    /// every journaled record also stays in the journal's in-memory index.
     pub mem_cap: usize,
     /// Concurrent cache-miss computations admitted.
     pub max_running: usize,
