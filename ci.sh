@@ -194,9 +194,13 @@ awk -v cmp="$SWEEP_CMP" -v cmt="$SWEEP_CMT" \
 }'
 # Observability smoke: the daemon runs obs-on by default; a metrics
 # scrape must be Prometheus exposition text with a healthy series count,
-# and the request counter must be monotonic across scrapes.
+# and the request counter must be monotonic across scrapes. The same
+# line goes out three times between them: a miss, the hit that lets the
+# line into the resolve memo, and a hit answered out of it.
 SCRAPE1=$("$CLI" --unix "$SERVE_SOCK" metrics)
-"$CLI" --unix "$SERVE_SOCK" simulate --kernel cg --config CMP > /dev/null
+for _ in 1 2 3; do
+    "$CLI" --unix "$SERVE_SOCK" simulate --kernel cg --config CMP > /dev/null
+done
 SCRAPE2=$("$CLI" --unix "$SERVE_SOCK" metrics)
 SERIES=$(printf '%s\n' "$SCRAPE2" | grep -cv '^#')
 [ "$SERIES" -ge 20 ] || {
@@ -208,6 +212,12 @@ REQ1=$(printf '%s\n' "$SCRAPE1" | awk '$1 == "paxsim_serve_requests_total" { pri
 REQ2=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_serve_requests_total" { print $2 }')
 { [ -n "$REQ1" ] && [ -n "$REQ2" ] && [ "$REQ2" -gt "$REQ1" ]; } || {
     echo "paxsim_serve_requests_total not monotonic: '$REQ1' -> '$REQ2'"
+    exit 1
+}
+MEMO_HITS1=$(printf '%s\n' "$SCRAPE1" | awk '$1 == "paxsim_serve_resolve_memo_hits_total" { print $2 + 0 }')
+MEMO_HITS2=$(printf '%s\n' "$SCRAPE2" | awk '$1 == "paxsim_serve_resolve_memo_hits_total" { print $2 + 0 }')
+[ "${MEMO_HITS2:-0}" -gt "${MEMO_HITS1:-0}" ] || {
+    echo "a line asked three times was never answered out of the resolve memo: paxsim_serve_resolve_memo_hits_total '$MEMO_HITS1' -> '$MEMO_HITS2'"
     exit 1
 }
 # The engine's memo table is sampled at scrape time: the CG request above
@@ -237,7 +247,7 @@ BUILT=$(printf '%s\n' "$SCRAPE3" | awk '$1 == "paxsim_machine_sim_machines_built
     echo "replayed runs still build machines: '$BUILT' built over '$RUNS' runs"
     exit 1
 }
-echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, memo $EDGES edges / $MEMO_BYTES B, $WAKEUPS reactor wakeups, $BUILT machines built over $RUNS runs"
+echo "obs smoke passed: $SERIES series, requests_total $REQ1 -> $REQ2, resolve memo hits ${MEMO_HITS1:-0} -> $MEMO_HITS2, memo $EDGES edges / $MEMO_BYTES B, $WAKEUPS reactor wakeups, $BUILT machines built over $RUNS runs"
 # SIGTERM must drain gracefully: exit 0, socket file removed.
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"

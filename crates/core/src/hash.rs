@@ -22,6 +22,14 @@
 //! schedule and the full [`MachineConfig`]. Its [`StudySpec::content_hash`]
 //! keys the serve cache, the serve journal *and* (via the machine-config
 //! digest folded into [`crate::journal::cell_key`]) the sweep journal.
+//!
+//! A [`ResolvedSpec`] derives each of its digests **at most once** and
+//! keeps it: whoever holds on to a resolved request (the serve daemon's
+//! line memo does, across requests) pays for the canonical form once per
+//! fidelity, not once per lookup. That is sound only while the spec inside
+//! it stays as [`StudySpec::resolve`] left it — see [`ResolvedSpec::spec`].
+
+use std::sync::OnceLock;
 
 use paxsim_machine::config::MachineConfig;
 use paxsim_nas::{kernel_by_name, Class, KernelId};
@@ -285,6 +293,7 @@ impl StudySpec {
             config,
             schedule,
             spec,
+            hashes: Default::default(),
         })
     }
 
@@ -309,20 +318,32 @@ pub struct ResolvedSpec {
     pub class: Class,
     pub config: HwConfig,
     pub schedule: Schedule,
-    /// The spec with every field in canonical spelling; hash this.
+    /// The spec with every field in canonical spelling: what the digests
+    /// below are digests *of*. **Must not be mutated after `resolve`** —
+    /// a digest already derived would go on keying the old spec. Nothing
+    /// does; to ask about a different spec, build it and resolve it
+    /// ([`ResolvedSpec::serial_variant`] is the pattern).
     pub spec: StudySpec,
+    /// `spec`'s digest under each [`Fidelity`] (indexed by discriminant),
+    /// derived on first use.
+    hashes: [OnceLock<ConfigHash>; 3],
 }
 
 impl ResolvedSpec {
     /// Cache/journal key of this request.
     pub fn content_hash(&self) -> ConfigHash {
-        self.spec.content_hash()
+        self.content_hash_with_fidelity(Fidelity::Exact)
     }
 
     /// Cache/journal key with `fidelity` folded in; `Exact` is identical
-    /// to [`ResolvedSpec::content_hash`].
+    /// to [`ResolvedSpec::content_hash`]. The canonical form is digested on
+    /// the first call per fidelity and remembered; a debug build re-derives
+    /// it on every call and holds the remembered value to it.
     pub fn content_hash_with_fidelity(&self, fidelity: Fidelity) -> ConfigHash {
-        self.spec.content_hash_with_fidelity(fidelity)
+        let derive = || self.spec.content_hash_with_fidelity(fidelity);
+        let cached = *self.hashes[fidelity as usize].get_or_init(derive);
+        debug_assert_eq!(cached, derive(), "`spec` was mutated after `resolve`");
+        cached
     }
 
     /// The trace this spec replays, as the shared store keys it.
@@ -664,6 +685,24 @@ mod tests {
         let predicted_rec = j.lookup(&format!("serve|{predicted}")).unwrap();
         assert_eq!(exact_rec.sides[0].counters.instructions, 1);
         assert_eq!(predicted_rec.sides[0].counters.instructions, 2);
+    }
+
+    #[test]
+    fn remembered_digests_equal_the_derived_ones() {
+        let mut l3 = StudySpec::new("cg", "cmt").with_class("s").with_trials(3);
+        l3.machine = MachineConfig::broadwell_l3();
+        for spec in [StudySpec::new("EP", "CMP"), l3] {
+            let r = spec.resolve().unwrap();
+            let all = [Fidelity::Exact, Fidelity::Fast, Fidelity::Predicted];
+            // Asked twice, and again through a clone that carries the
+            // remembered values: always what the spec itself derives.
+            for f in all.into_iter().chain(all) {
+                let want = r.spec.content_hash_with_fidelity(f);
+                assert_eq!(r.content_hash_with_fidelity(f), want, "{f}");
+                assert_eq!(r.clone().content_hash_with_fidelity(f), want, "{f}");
+            }
+            assert_eq!(r.content_hash(), r.spec.content_hash());
+        }
     }
 
     #[test]

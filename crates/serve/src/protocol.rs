@@ -19,16 +19,26 @@
 //! `error_bounds` extras), or `fast` (cached exact if warm, else
 //! predicted).
 //!
-//! Unknown fields are rejected (a typo must not silently change the
-//! request's identity); omitted optional fields take the [`StudySpec`]
+//! Unknown fields are rejected, and so is a top-level field given twice
+//! (a typo must not silently change the request's identity, and of a
+//! repeated key this parser would keep the first where most clients keep
+//! the last); omitted optional fields take the [`StudySpec`]
 //! defaults, so a request's content hash is the same whether defaults are
 //! spelled out or omitted. Replies are `{"ok":true,…}` or
 //! `{"ok":false,"error":"<category>","detail":"…"}` — categories are the
 //! closed set in [`error_category`] plus the service-level `overloaded`,
 //! `draining`, `shed`, and `quarantined`.
+//!
+//! Everything up to the resolved request is a pure function of the line's
+//! bytes, and clients re-ask the same grid with the same bytes, so the
+//! service reads its lines through a [`ResolveMemo`]: a bounded, exact
+//! table from line to [`Simulate`] that turns parse, resolve and
+//! the content hashes of a repeated line into one comparison.
+
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use paxsim_core::error::{StudyError, StudyResult};
-use paxsim_core::hash::{ConfigHash, Fidelity, StudySpec};
+use paxsim_core::hash::{fnv1a, ConfigHash, Fidelity, ResolvedSpec, StudySpec};
 use paxsim_core::journal::Record;
 use paxsim_core::tune::{TuneAlgo, TuneRequest, TuneResult};
 use paxsim_machine::config::MachineConfig;
@@ -162,6 +172,34 @@ fn check_nesting_depth(line: &str) -> StudyResult<()> {
     Ok(())
 }
 
+#[rustfmt::skip]
+const SIMULATE_FIELDS: [&str; 10] = [
+    "op", "kernel", "config", "class", "trials", "jitter", "schedule", "machine", "deadline_ms",
+    "fidelity",
+];
+
+#[rustfmt::skip]
+const TUNE_FIELDS: [&str; 13] = [
+    "op", "kernel", "class", "trials", "jitter", "configs", "schedules", "budget", "algo",
+    "fidelity", "margin", "machine", "deadline_ms",
+];
+
+/// The top-level keys an op takes: every key of `obj` is one of `known`,
+/// and none is given twice. A key is compared with the keys before it
+/// only once those are known and distinct, so the scan is bounded by
+/// `known.len()` however many keys the peer sends.
+fn check_fields(obj: &[(String, Value)], op: &str, known: &[&str]) -> StudyResult<()> {
+    for (i, (k, _)) in obj.iter().enumerate() {
+        if !known.contains(&k.as_str()) {
+            return Err(bad(k, format!("unknown field for op={op}")));
+        }
+        if obj[..i].iter().any(|(earlier, _)| earlier == k) {
+            return Err(bad(k, "given more than once"));
+        }
+    }
+    Ok(())
+}
+
 /// Parse one request line.
 ///
 /// # Errors
@@ -179,38 +217,11 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
     let op = str_field(&v, "op")?
         .ok_or_else(|| bad("op", "missing (simulate, tune, stats, metrics or health)"))?;
     match op.as_str() {
-        "stats" => {
-            for (k, _) in obj {
-                if k != "op" {
-                    return Err(bad(k, "unknown field for op=stats"));
-                }
-            }
-            Ok(Request::Stats)
-        }
-        "metrics" => {
-            for (k, _) in obj {
-                if k != "op" {
-                    return Err(bad(k, "unknown field for op=metrics"));
-                }
-            }
-            Ok(Request::Metrics)
-        }
-        "health" => {
-            for (k, _) in obj {
-                if k != "op" {
-                    return Err(bad(k, "unknown field for op=health"));
-                }
-            }
-            Ok(Request::Health)
-        }
+        "stats" => check_fields(obj, &op, &["op"]).map(|()| Request::Stats),
+        "metrics" => check_fields(obj, &op, &["op"]).map(|()| Request::Metrics),
+        "health" => check_fields(obj, &op, &["op"]).map(|()| Request::Health),
         "simulate" => {
-            for (k, _) in obj {
-                match k.as_str() {
-                    "op" | "kernel" | "config" | "class" | "trials" | "jitter" | "schedule"
-                    | "machine" | "deadline_ms" | "fidelity" => {}
-                    other => return Err(bad(other, "unknown field for op=simulate")),
-                }
-            }
+            check_fields(obj, &op, &SIMULATE_FIELDS)?;
             let kernel = str_field(&v, "kernel")?.ok_or_else(|| bad("kernel", "missing"))?;
             let config = str_field(&v, "config")?.ok_or_else(|| bad("config", "missing"))?;
             let mut spec = StudySpec::new(&kernel, &config);
@@ -250,13 +261,7 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
             })
         }
         "tune" => {
-            for (k, _) in obj {
-                match k.as_str() {
-                    "op" | "kernel" | "class" | "trials" | "jitter" | "configs" | "schedules"
-                    | "budget" | "algo" | "fidelity" | "margin" | "machine" | "deadline_ms" => {}
-                    other => return Err(bad(other, "unknown field for op=tune")),
-                }
-            }
+            check_fields(obj, &op, &TUNE_FIELDS)?;
             let kernel = str_field(&v, "kernel")?.ok_or_else(|| bad("kernel", "missing"))?;
             let mut req = TuneRequest::new(&kernel);
             if let Some(class) = str_field(&v, "class")? {
@@ -313,6 +318,157 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
     }
 }
 
+/// A `simulate` request with the pure half of its handling done: parsed,
+/// validated, resolved to canonical spelling and typed pieces. Everything
+/// in it is a function of the request line alone; the digests of
+/// `resolved` are derived on first use and remembered with it.
+#[derive(Debug)]
+pub(crate) struct Simulate {
+    pub(crate) resolved: ResolvedSpec,
+    pub(crate) fidelity: Fidelity,
+    /// Per-request watchdog deadline for a cache miss's computation.
+    pub(crate) deadline_ms: Option<u64>,
+}
+
+/// A request line as the service dispatches it: a [`Request`] whose
+/// `simulate` arm is already resolved.
+#[derive(Debug)]
+pub(crate) enum Line {
+    Simulate(Arc<Simulate>),
+    Tune {
+        req: Box<TuneRequest>,
+        deadline_ms: Option<u64>,
+    },
+    Stats,
+    Metrics,
+    Health,
+}
+
+/// Slots of a [`ResolveMemo`]. A study's grid is tens to hundreds of
+/// distinct lines (the paper's is 8 kernels × 8 configurations); two hot
+/// lines that share a slot take turns in it and are resolved afresh each
+/// time, as every line was before there was a memo.
+pub(crate) const MEMO_SLOTS: usize = 1024;
+
+/// Longest line a [`ResolveMemo`] keeps; a full `machine` override is
+/// about half of it. A longer line is resolved afresh every time.
+pub(crate) const MEMO_MAX_LINE: usize = 2048;
+
+/// More than a resolved request weighs, heap included (a test holds
+/// [`Simulate`] to it): the stated worst case of the memo stands on it.
+const MEMO_REQUEST_BYTES: usize = 2048;
+const _: () = assert!(MEMO_SLOTS * (MEMO_MAX_LINE + MEMO_REQUEST_BYTES) <= 4 << 20);
+
+type MemoSlot = Mutex<Option<(Box<str>, Arc<Simulate>)>>;
+
+/// Request line → [`Simulate`], for lines the service has answered
+/// from its cache before: a byte-identical repeat costs one FNV-1a of the
+/// line, one comparison with the line its slot holds and one `Arc` clone
+/// instead of a `Value` tree, a resolve and a canonical-JSON digest per
+/// key.
+///
+/// It memoizes a **pure function of the line** — no reply, no record, no
+/// cache state — so there is nothing to invalidate and an entry can never
+/// be stale: whoever gets a request out of it still walks the whole hit
+/// ladder, which checks, books and touches what it always did. Nothing in
+/// it grows or wants tuning: [`MEMO_SLOTS`] direct-mapped slots indexed by
+/// the line's digest, each holding the whole line (a digest match alone
+/// never answers) and overwritten on collision; lines over
+/// [`MEMO_MAX_LINE`] bytes pass it by; and the service admits a line only
+/// once it was answered as a hit, so a stream of never-seen requests
+/// writes nothing and cannot push the hot set out. Worst case, every slot
+/// holding a line at the cap: `MEMO_SLOTS × (MEMO_MAX_LINE` + a resolved
+/// request of about 1 KiB, canonical strings and context list included`)`
+/// ≈ 3 MiB, and under 4 MiB even at twice that request (asserted at
+/// compile time); a table full of ordinary 80-byte lines is about 1 MiB.
+pub(crate) struct ResolveMemo {
+    slots: Box<[MemoSlot]>,
+}
+
+impl ResolveMemo {
+    pub(crate) fn new() -> ResolveMemo {
+        ResolveMemo {
+            slots: (0..MEMO_SLOTS).map(|_| MemoSlot::default()).collect(),
+        }
+    }
+
+    /// The slot `line` maps to; `None` for a line too long to keep.
+    fn slot(&self, line: &str) -> Option<&MemoSlot> {
+        if line.len() > MEMO_MAX_LINE {
+            return None;
+        }
+        let digest = fnv1a(line.as_bytes());
+        // FNV-1a mixes upward: fold the well-mixed high half into the index.
+        Some(&self.slots[(digest ^ (digest >> 32)) as usize % MEMO_SLOTS])
+    }
+
+    /// Parse `line` and resolve its `simulate` request — or, when the memo
+    /// holds these very bytes, hand back what that made of them before.
+    /// The flag says which: `true` for a request out of the memo.
+    ///
+    /// # Errors
+    ///
+    /// [`parse_request`]'s and [`StudySpec::resolve`]'s, unchanged.
+    pub(crate) fn resolve(&self, line: &str) -> (StudyResult<Line>, bool) {
+        let held = self.slot(line).and_then(|slot| match &*lock(slot) {
+            Some((held, request)) if **held == *line => Some(request.clone()),
+            _ => None,
+        });
+        if let Some(request) = held {
+            return (Ok(Line::Simulate(request)), true);
+        }
+        let fresh = parse_request(line).and_then(|request| {
+            Ok(match request {
+                Request::Simulate {
+                    spec,
+                    deadline_ms,
+                    fidelity,
+                } => Line::Simulate(Arc::new(Simulate {
+                    resolved: spec.resolve()?,
+                    fidelity,
+                    deadline_ms,
+                })),
+                Request::Tune { req, deadline_ms } => Line::Tune { req, deadline_ms },
+                Request::Stats => Line::Stats,
+                Request::Metrics => Line::Metrics,
+                Request::Health => Line::Health,
+            })
+        });
+        (fresh, false)
+    }
+
+    /// Keep what `line` resolved to: called once the line was answered as
+    /// a cache hit, with the request [`ResolveMemo::resolve`] made of it.
+    pub(crate) fn admit(&self, line: &str, request: &Arc<Simulate>) {
+        if let Some(slot) = self.slot(line) {
+            *lock(slot) = Some((line.into(), request.clone()));
+        }
+    }
+
+    /// One request line was answered; `memoized` is what
+    /// [`ResolveMemo::resolve`] said of it. The two counters give the
+    /// repeated-line share of the daemon's traffic — the only traffic the
+    /// memo helps — as `hits / (hits + misses)`.
+    pub(crate) fn book(memoized: bool) {
+        static HITS: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.resolve.memo_hits");
+        static MISSES: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.resolve.memo_misses");
+        let counter = if memoized { &HITS } else { &MISSES };
+        counter.inc();
+    }
+
+    /// Lines held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.iter().filter(|s| lock(s).is_some()).count()
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The part of a simulation reply every tier shares —
 /// `{"ok":true,"hash":…,"spec":…,"result":…` with the object left open —
 /// rendered from the *journal record*, so a cold miss and every later hit
@@ -332,21 +488,37 @@ pub(crate) fn render_body(hash: ConfigHash, spec: &StudySpec, record: &Record) -
     body
 }
 
-/// Close a reply body as the exact tier's reply.
-pub(crate) fn close(body: &str) -> String {
-    [body, "}"].concat()
+/// `body` and `closing` as one reply line, with room for the newline the
+/// connection appends (so that push does not reallocate and copy it all).
+fn closed(body: &str, closing: &str) -> String {
+    let mut reply = String::with_capacity(body.len() + closing.len() + 1);
+    reply.push_str(body);
+    reply.push_str(closing);
+    reply
 }
 
-/// Close a reply body as a predicted-tier reply: the fields only this
+/// Close a reply body as the exact tier's reply.
+pub(crate) fn close(body: &str) -> String {
+    closed(body, "}")
+}
+
+/// Close a reply body as a predicted-tier reply under the declared
+/// [`ErrorBounds`](paxsim_predict::ErrorBounds): the fields only this
 /// tier carries — the serving `fidelity` and the declared `error_bounds`
 /// — are *appended* after the standard ones, so default-fidelity replies
 /// stay byte-identical to pre-fidelity daemons and tolerant clients simply
-/// see extra keys.
-pub(crate) fn close_predicted(
-    body: &str,
-    fidelity: Fidelity,
-    bounds: &paxsim_predict::ErrorBounds,
-) -> String {
+/// see extra keys. The bounds are constants, so each fidelity's closing is
+/// rendered once per process.
+pub(crate) fn close_predicted(body: &str, fidelity: Fidelity) -> String {
+    static CLOSINGS: [OnceLock<String>; 3] = [const { OnceLock::new() }; 3];
+    let closing = CLOSINGS[fidelity as usize]
+        .get_or_init(|| predicted_closing(fidelity, &paxsim_predict::ErrorBounds::default()));
+    closed(body, closing)
+}
+
+/// What continues an open reply body as a predicted-tier reply:
+/// `,"fidelity":…,"error_bounds":{…}}`.
+fn predicted_closing(fidelity: Fidelity, bounds: &paxsim_predict::ErrorBounds) -> String {
     let extras = Value::Object(vec![
         (
             "fidelity".to_string(),
@@ -362,9 +534,10 @@ pub(crate) fn close_predicted(
             ]),
         ),
     ]);
-    let extras = serde_json::to_string(&extras).expect("value tree renders infallibly");
+    let mut closing = serde_json::to_string(&extras).expect("value tree renders infallibly");
     // `{"fidelity":…}` continues the open body as `,"fidelity":…}`.
-    [body, ",", &extras[1..]].concat()
+    closing.replace_range(..1, ",");
+    closing
 }
 
 /// Render a successful simulation reply.
@@ -381,7 +554,8 @@ pub fn render_result_predicted(
     fidelity: Fidelity,
     bounds: &paxsim_predict::ErrorBounds,
 ) -> String {
-    close_predicted(&render_body(hash, spec, record), fidelity, bounds)
+    let closing = predicted_closing(fidelity, bounds);
+    closed(&render_body(hash, spec, record), &closing)
 }
 
 /// Render a tune reply: the request identity, the normalized request
@@ -565,6 +739,100 @@ mod tests {
     }
 
     #[test]
+    fn a_field_given_twice_is_refused_for_every_op() {
+        // Regression: `Value::get` keeps the first of a repeated key and
+        // most clients keep the last, so each of these was answered as a
+        // request its sender did not mean (`Serial` for `CMP`, a simulate
+        // for a stats).
+        let refused = |line: &str| match parse_request(line).unwrap_err() {
+            StudyError::BadSpec { field, detail } => {
+                assert!(detail.contains("more than once"), "{line}: {detail}");
+                field
+            }
+            e => panic!("unexpected error {e}"),
+        };
+        for (line, field) in [
+            (
+                r#"{"op":"simulate","kernel":"ep","config":"Serial","config":"CMP"}"#,
+                "config",
+            ),
+            (
+                r#"{"op":"simulate","op":"stats","kernel":"ep","config":"CMP"}"#,
+                "op",
+            ),
+            (
+                r#"{"op":"simulate","kernel":"ep","config":"CMP","fidelity":"exact","fidelity":"predicted"}"#,
+                "fidelity",
+            ),
+            // Even an identical repeat: the line is not what a client's
+            // serializer would have produced.
+            (
+                r#"{"op":"simulate","kernel":"ep","kernel":"ep","config":"CMP"}"#,
+                "kernel",
+            ),
+            (
+                r#"{"op":"tune","kernel":"ep","budget":4,"budget":64}"#,
+                "budget",
+            ),
+            (r#"{"op":"stats","op":"stats"}"#, "op"),
+            (r#"{"op":"metrics","op":"health"}"#, "op"),
+            (r#"{"op":"health","op":"health"}"#, "op"),
+        ] {
+            assert_eq!(refused(line), field, "{line}");
+        }
+        // An unknown field is still named as unknown, repeated or not.
+        let err = parse_request(r#"{"op":"stats","x":1,"x":2}"#).unwrap_err();
+        assert!(err.to_string().contains("unknown field"), "{err}");
+        // A peer cannot buy a quadratic scan with a long run of repeats.
+        let many = format!(r#"{{"op":"stats"{}}}"#, r#","op":"stats""#.repeat(10_000));
+        assert_eq!(refused(&many), "op");
+    }
+
+    #[test]
+    fn memo_returns_what_resolving_afresh_returns_and_only_what_was_admitted() {
+        let memo = ResolveMemo::new();
+        let line =
+            r#"{"op":"simulate","kernel":"EP","config":"cmp","deadline_ms":7,"fidelity":"fast"}"#;
+        let (Ok(Line::Simulate(fresh)), false) = memo.resolve(line) else {
+            panic!("a valid simulate line resolves, and not from an empty memo");
+        };
+        assert_eq!(memo.len(), 0, "resolving admits nothing");
+        memo.admit(line, &fresh);
+        let (Ok(Line::Simulate(held)), true) = memo.resolve(line) else {
+            panic!("an admitted line comes out of the memo");
+        };
+        assert!(Arc::ptr_eq(&fresh, &held));
+        assert_eq!(held.resolved.spec, StudySpec::new("ep", "HT off -2-1"));
+        assert_eq!((held.fidelity, held.deadline_ms), (Fidelity::Fast, Some(7)));
+        // Whole-line comparison: one byte more is another line.
+        assert!(!memo.resolve(&format!("{line} ")).1);
+        // A line over the cap is resolved, never kept.
+        let long = format!("{line}{}", " ".repeat(MEMO_MAX_LINE));
+        let (Ok(Line::Simulate(request)), false) = memo.resolve(&long) else {
+            panic!("trailing blanks are valid JSON");
+        };
+        memo.admit(&long, &request);
+        assert!(!memo.resolve(&long).1);
+        assert_eq!(memo.len(), 1);
+        // The other ops and malformed lines pass through unchanged.
+        assert!(matches!(
+            memo.resolve(r#"{"op":"stats"}"#),
+            (Ok(Line::Stats), false)
+        ));
+        assert!(matches!(memo.resolve("garbage"), (Err(_), false)));
+        assert!(matches!(
+            memo.resolve(r#"{"op":"simulate","kernel":"zz","config":"CMP"}"#),
+            (Err(StudyError::BadSpec { .. }), false)
+        ));
+        // The stated worst case: every slot holding a line at the cap and
+        // a resolved request — the struct plus what it owns on the heap,
+        // five short canonical strings and at most eight contexts, for
+        // which 512 bytes is generous.
+        let request_bytes = std::mem::size_of::<Simulate>() + 512;
+        assert!(request_bytes <= MEMO_REQUEST_BYTES, "{request_bytes}");
+    }
+
+    #[test]
     fn minimal_tune_takes_defaults() {
         let r = parse_request(r#"{"op":"tune","kernel":"ep"}"#).unwrap();
         let Request::Tune { req, deadline_ms } = r else {
@@ -741,6 +1009,25 @@ mod tests {
         // record either way.
         let prefix = exact.trim_end_matches('}');
         assert!(pred.starts_with(prefix), "{pred} must extend {exact}");
+        // The closings a hit appends — rendered once per fidelity — are
+        // the ones the full render makes, and both leave room for the
+        // connection's newline.
+        let body = render_body(ConfigHash(0xfeed), &spec, &rec);
+        for fidelity in [Fidelity::Predicted, Fidelity::Fast, Fidelity::Predicted] {
+            let full = render_result_predicted(
+                ConfigHash(0xfeed),
+                &spec,
+                &rec,
+                fidelity,
+                &paxsim_predict::ErrorBounds::default(),
+            );
+            let hit = close_predicted(&body, fidelity);
+            assert_eq!(hit, full, "{fidelity}");
+            assert!(hit.capacity() > hit.len(), "room for the terminator");
+        }
+        let closed = close(&body);
+        assert_eq!(closed, exact);
+        assert!(closed.capacity() > closed.len(), "room for the terminator");
     }
 
     #[test]

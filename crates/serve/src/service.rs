@@ -1,9 +1,14 @@
 //! Request handling: the hit ladder, the miss pipeline, and daemon
 //! statistics.
 //!
-//! One [`Service`] is shared by every connection. A request is parsed,
-//! resolved and content-hashed, and [`Service::hit`] probes the sharded
-//! cache; a hit is a copy of the stored reply line. A miss walks **one
+//! One [`Service`] is shared by every connection. A request line is
+//! parsed and resolved — once: [`ResolveMemo::resolve`], the entry point of
+//! the inline and the worker path alike, hands a byte-identical repeat of
+//! a line that hit before the request it resolved to then, content hashes
+//! included — and [`Service::hit`] probes the sharded cache; a hit is a
+//! copy of the stored reply line. The memo holds the pure half of a hit
+//! only: which tier answers, every counter and the cache's recency are
+//! decided and booked per request, by the ladder. A miss walks **one
 //! pipeline**, each step defined once:
 //!
 //! 1. **flight** ([`flight`]) — single-flight under the key; the leader
@@ -37,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use paxsim_core::error::{StudyError, StudyResult};
@@ -51,13 +56,13 @@ use paxsim_core::store::TraceStore;
 use paxsim_core::tune::{self, TunePlan, TuneRequest, TuneResult};
 use paxsim_machine::sim::simulate;
 use paxsim_perfmon::stats::{RunningSummary, Summary};
-use paxsim_predict::{predict_program, profile_program, ErrorBounds, Predicted};
+use paxsim_predict::{predict_program, profile_program, Predicted};
 use serde::{Serialize, Value};
 
 use crate::batch::{Batcher, Role};
 use crate::breaker::Breaker;
 use crate::cache::ResultCache;
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Line, ResolveMemo, Simulate};
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -285,6 +290,8 @@ pub struct Service {
     cfg: ServeConfig,
     store: TraceStore,
     cache: ResultCache,
+    /// Request lines answered as hits before, already parsed and resolved.
+    memo: ResolveMemo,
     /// Client-facing flights: one admission-gate pass per flight, shared
     /// by every identical concurrent request.
     inflight: Inflight<Result<Record, Rejection>>,
@@ -400,6 +407,7 @@ impl Service {
             cfg,
             store: TraceStore::new(),
             cache,
+            memo: ResolveMemo::new(),
             inflight: Inflight::new(),
             sub_inflight: Inflight::new(),
             batcher,
@@ -439,21 +447,16 @@ impl Service {
         static REQUESTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.requests");
         REQUESTS.inc();
         let _span = paxsim_obs::span!("serve.request");
-        match protocol::parse_request(line) {
-            Ok(Request::Stats) => self.stats_reply(),
-            Ok(Request::Metrics) => self.metrics_reply(),
-            Ok(Request::Health) => self.health_reply(),
-            Ok(Request::Simulate {
-                spec,
-                deadline_ms,
-                fidelity,
-            }) => match spec.resolve() {
-                Ok(resolved) => self
-                    .hit(&resolved, fidelity)
-                    .unwrap_or_else(|miss| self.miss(&resolved, miss, fidelity, deadline_ms)),
-                Err(e) => protocol::render_error(protocol::error_category(&e), &e.to_string()),
-            },
-            Ok(Request::Tune { req, deadline_ms }) => self
+        let (request, memoized) = self.memo.resolve(line);
+        ResolveMemo::book(memoized);
+        match request {
+            Ok(Line::Stats) => self.stats_reply(),
+            Ok(Line::Metrics) => self.metrics_reply(),
+            Ok(Line::Health) => self.health_reply(),
+            Ok(Line::Simulate(request)) => self
+                .ladder(line, &request, memoized)
+                .unwrap_or_else(|miss| self.miss(&request, miss)),
+            Ok(Line::Tune { req, deadline_ms }) => self
                 .tune(&req, deadline_ms)
                 .unwrap_or_else(Self::render_rejection),
             Err(e) => protocol::render_error(protocol::error_category(&e), &e.to_string()),
@@ -491,11 +494,12 @@ impl Service {
     /// and must be dispatched to the worker pool as usual.
     ///
     /// Serving hits on the reactor thread skips the pool round trip: two
-    /// thread wakes, which cost as much as the whole hit on a rested host
-    /// and several times it on a busy one — the hit being parse, resolve,
-    /// one streamed hash, a probe and a copy of the stored reply line.
-    /// The reply comes out of the same [`Service::hit`] ladder the worker
-    /// path walks, so the two are byte-identical and book alike.
+    /// thread wakes, which cost many times the whole hit — the hit being
+    /// a memo lookup (parse, resolve and one streamed hash per key, the
+    /// first time a line hits), a probe and a copy of the stored reply
+    /// line. The line is resolved by the same [`ResolveMemo::resolve`] and
+    /// the reply comes out of the same [`Service::ladder`] as on the worker
+    /// path, so the two are byte-identical and book alike.
     ///
     /// Accounting matches [`Service::handle_line`] exactly: the request
     /// counter moves only when the request is actually answered here,
@@ -504,10 +508,11 @@ impl Service {
     /// itself, so every simulate request still books exactly one tier
     /// counter.
     pub fn try_hit(&self, line: &str) -> Option<String> {
-        let Ok(Request::Simulate { spec, fidelity, .. }) = protocol::parse_request(line) else {
+        let (Ok(Line::Simulate(request)), memoized) = self.memo.resolve(line) else {
             return None;
         };
-        let reply = self.hit(&spec.resolve().ok()?, fidelity).ok()?;
+        let reply = self.ladder(line, &request, memoized).ok()?;
+        ResolveMemo::book(memoized);
         self.requests.fetch_add(1, Ordering::Relaxed);
         static REQUESTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.requests");
         static INLINE: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.inline_hits");
@@ -517,10 +522,25 @@ impl Service {
         Some(reply)
     }
 
+    /// Walk the hit ladder for the request `line` resolved to, and let a
+    /// line that was answered from the cache into the memo. Only such
+    /// lines enter: a stream of never-seen requests leaves the memo alone.
+    fn ladder(&self, line: &str, request: &Arc<Simulate>, memoized: bool) -> Result<String, Miss> {
+        let answer = self.hit(&request.resolved, request.fidelity);
+        if answer.is_ok() && !memoized {
+            self.memo.admit(line, request);
+        }
+        answer
+    }
+
     /// The hit ladder, walked once per `simulate` request by the
     /// reactor's inline path and by the worker path alike. Each key is
-    /// hashed once, each tier probed once, and a hit copies the reply
-    /// line its cache entry stores instead of rendering the record.
+    /// hashed once per resolved request (a memoized line's never again),
+    /// each tier probed once, and a hit copies the reply line its cache
+    /// entry stores instead of rendering the record. Everything with state
+    /// is here and runs on every request — the quarantine check, the tier
+    /// choice, the probe's recency, promotion and counters — whether or
+    /// not the memo supplied the request.
     ///
     /// Which tier answers: `exact` — and any request for a quarantined
     /// (kernel, config, class) pair, which must reply byte-identical to
@@ -561,8 +581,7 @@ impl Service {
         let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
         let body = probe(hash).ok_or_else(|| miss(hash, true))?;
         self.book_simulate(quarantined);
-        let bounds = ErrorBounds::default();
-        Ok(protocol::close_predicted(&body, fidelity, &bounds))
+        Ok(protocol::close_predicted(&body, fidelity))
     }
 
     /// One `simulate` request is being answered, hit or miss: the
@@ -582,30 +601,23 @@ impl Service {
     /// left unbooked, compute in the tier — and under the key — the
     /// ladder settled on, and render the fresh record the way a later
     /// hit will.
-    fn miss(
-        &self,
-        resolved: &ResolvedSpec,
-        miss: Miss,
-        fidelity: Fidelity,
-        deadline_ms: Option<u64>,
-    ) -> String {
+    fn miss(&self, request: &Simulate, miss: Miss) -> String {
+        let resolved = &request.resolved;
         self.book_simulate(miss.quarantined);
         self.cache.book_miss(miss.hash);
         let computed = if miss.predicted {
             self.predicted_flight(resolved, miss.hash)
         } else {
-            self.exact_flight(resolved, miss.hash, deadline_ms)
+            self.exact_flight(resolved, miss.hash, request.deadline_ms)
         };
-        match computed {
-            Ok(rec) if miss.predicted => protocol::render_result_predicted(
-                miss.hash,
-                &resolved.spec,
-                &rec,
-                fidelity,
-                &ErrorBounds::default(),
-            ),
-            Ok(rec) => protocol::render_result(miss.hash, &resolved.spec, &rec),
-            Err(rej) => Self::render_rejection(rej),
+        let body = match computed {
+            Ok(rec) => protocol::render_body(miss.hash, &resolved.spec, &rec),
+            Err(rej) => return Self::render_rejection(rej),
+        };
+        if miss.predicted {
+            protocol::close_predicted(&body, request.fidelity)
+        } else {
+            protocol::close(&body)
         }
     }
 
@@ -1632,6 +1644,77 @@ mod tests {
         assert_eq!(s.store().builds(), builds, "hit built no traces");
         assert_eq!(s.computed(), computed, "hit computed nothing");
         assert!(s.cache().hits() >= 1);
+    }
+
+    #[test]
+    fn memo_is_bounded_exact_and_fed_only_by_hits() {
+        use crate::protocol::{MEMO_MAX_LINE, MEMO_SLOTS};
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let s = service("memo_bound");
+        let want = s.handle_line(EP_CMP);
+        assert_eq!(s.memo.len(), 0, "a computed miss enters nothing");
+        let conserved = || {
+            assert_eq!(
+                s.cache().hits() + s.cache().misses(),
+                s.simulate_requests() + s.baseline_fetches(),
+            );
+        };
+        // Ten times the capacity in distinct lines, all for the cached
+        // point (`deadline_ms` is no part of its identity): each hits the
+        // first time it is asked, on alternating paths, and is in the memo
+        // from then on; the table never outgrows its slots and every
+        // reply, memoized or not, is the cached one.
+        let line = |i: usize| {
+            format!(r#"{{"op":"simulate","kernel":"ep","config":"CMP","deadline_ms":{i}}}"#)
+        };
+        for i in 0..10 * MEMO_SLOTS {
+            let line = line(i);
+            assert!(!s.memo.resolve(&line).1, "never asked: {line}");
+            let first = match i % 2 {
+                0 => s.try_hit(&line).expect("the point is cached"),
+                _ => s.handle_line(&line),
+            };
+            assert_eq!(first, want, "{line}");
+            assert!(s.memo.resolve(&line).1, "answered as a hit: {line}");
+            assert_eq!(s.try_hit(&line).as_deref(), Some(want.as_str()));
+            assert!(s.memo.len() <= MEMO_SLOTS);
+        }
+        assert!(
+            s.memo.len() > MEMO_SLOTS / 2,
+            "the lines spread over the slots"
+        );
+        conserved();
+        // An over-long line is answered like any other and never kept.
+        let held = s.memo.len();
+        let long = format!("{EP_CMP}{}", " ".repeat(MEMO_MAX_LINE));
+        for _ in 0..3 {
+            assert_eq!(s.try_hit(&long).as_deref(), Some(want.as_str()));
+            assert_eq!(s.handle_line(&long), want);
+            assert!(!s.memo.resolve(&long).1);
+        }
+        // Never-seen lines that miss leave the table as it was: the inline
+        // path passes them, and a computed reply is not a hit.
+        let recent: Vec<String> = (9 * MEMO_SLOTS..10 * MEMO_SLOTS).map(line).collect();
+        let kept = |s: &Service| -> Vec<bool> {
+            recent.iter().map(|line| s.memo.resolve(line).1).collect()
+        };
+        let before = kept(&s);
+        let cold = |i: usize| {
+            format!(
+                r#"{{"op":"simulate","kernel":"ep","config":"CMP","jitter":{}}}"#,
+                i + 1
+            )
+        };
+        for i in 0..2 * MEMO_SLOTS {
+            assert_eq!(s.try_hit(&cold(i)), None);
+        }
+        let computed = s.handle_line(&cold(0));
+        assert!(computed.contains("\"ok\":true"), "{computed}");
+        assert_eq!((s.memo.len(), kept(&s)), (held, before));
+        // … until it is asked again and hits.
+        assert_eq!(s.try_hit(&cold(0)), Some(computed));
+        assert!(s.memo.resolve(&cold(0)).1);
+        conserved();
     }
 
     #[test]

@@ -379,6 +379,66 @@ fn queued_request_past_deadline_is_shed_typed() {
     });
 }
 
+/// Predictor gone bad under a line the memo already holds: the *same
+/// bytes* are asked before and after their (kernel, config, class) pair is
+/// quarantined. The memo remembers only what the line *means* — a
+/// `predicted` request for this spec — and the hit ladder decides the tier
+/// on every request, so the memoized line moves to the exact tier the
+/// moment the auditor says so, byte-identical to an exact request, and
+/// books its fallback.
+#[test]
+fn memoized_predicted_line_moves_to_the_exact_tier_on_quarantine() {
+    const PREDICTED: &str =
+        r#"{"op":"simulate","kernel":"ep","config":"CMP","fidelity":"predicted"}"#;
+    // Audit every fresh prediction, not only a pair's first.
+    let (service, server) = start("predict_bias", |cfg| cfg.predict_sample_every = 1);
+    let (predicted, exact) = {
+        let _quiet = quiesced();
+        let cold = roundtrip(&server, PREDICTED);
+        assert!(cold.contains(r#""fidelity":"predicted""#), "{cold}");
+        assert_eq!(
+            service.predict_auditor().quarantined_pairs(),
+            0,
+            "EP audits in bounds"
+        );
+        // Two hits: the first lets the line into the memo, the second is
+        // answered out of it.
+        assert_eq!(roundtrip(&server, PREDICTED), cold);
+        assert_eq!(roundtrip(&server, PREDICTED), cold);
+        // The audit cached the exact answer.
+        (cold, roundtrip(&server, EP_CMP))
+    };
+    assert_eq!(
+        service.computed(),
+        2,
+        "the audit's exact run and its baseline"
+    );
+    // The model drifts: another spec of the same pair is predicted afresh,
+    // audited, and found far out of bounds.
+    with_plan("predict-bias", || {
+        let other = roundtrip(
+            &server,
+            r#"{"op":"simulate","kernel":"ep","config":"CMP","trials":2,"fidelity":"predicted"}"#,
+        );
+        assert!(other.contains("\"ok\":true"), "{other}");
+    });
+    assert_eq!(service.predict_auditor().quarantined_pairs(), 1);
+    let fallbacks = service.predict_auditor().fallbacks();
+    let _quiet = quiesced();
+    let after = roundtrip(&server, PREDICTED);
+    assert_eq!(
+        after, exact,
+        "a quarantined pair answers from the exact tier"
+    );
+    assert_ne!(after, predicted);
+    assert_eq!(service.predict_auditor().fallbacks(), fallbacks + 1);
+    assert_eq!(
+        service.cache().hits() + service.cache().misses(),
+        service.simulate_requests() + service.baseline_fetches(),
+    );
+    assert!(server.shutdown(Duration::from_secs(10)));
+}
+
 /// The reply to a request that arrives while faults are live must never
 /// be a half-written line: read the raw byte stream and require exactly
 /// one well-formed JSON line per request, even under 1-byte write caps.

@@ -118,6 +118,45 @@ fn cache_hit_is_byte_identical_and_does_no_engine_work() {
 }
 
 #[test]
+fn a_field_given_twice_is_refused_over_the_wire() {
+    // Regression: the parser kept the first of a repeated key where most
+    // clients keep the last, so these were answered — `Serial` for `CMP`,
+    // a simulate for a stats — as requests their senders did not mean.
+    let _quiet = paxsim_core::faultinject::quiesced();
+    let (service, server) = start("dup_keys", |_| {});
+    let mut client = Client::connect(&server);
+    for (line, field) in [
+        (
+            r#"{"op":"simulate","kernel":"ep","config":"Serial","config":"CMP"}"#,
+            "config",
+        ),
+        (
+            r#"{"op":"simulate","op":"stats","kernel":"ep","config":"CMP"}"#,
+            "op",
+        ),
+        (r#"{"op":"tune","kernel":"ep","kernel":"cg"}"#, "kernel"),
+        (r#"{"op":"stats","op":"stats"}"#, "op"),
+    ] {
+        let reply = client.roundtrip(line);
+        let v = serde_json::parse(&reply).unwrap();
+        assert_eq!(v["error"].as_str(), Some("bad-request"), "{line}: {reply}");
+        let detail = v["detail"].as_str().unwrap();
+        assert!(
+            detail.contains(&format!("{field}: given more than once")),
+            "{line}: {reply}"
+        );
+    }
+    assert_eq!(
+        (service.simulate_requests(), service.computed()),
+        (0, 0),
+        "a refused line reaches neither the cache nor the engine"
+    );
+    // Typed, in order, and the connection keeps serving.
+    assert!(client.roundtrip(EP_CMP).contains("\"ok\":true"));
+    assert!(server.shutdown(Duration::from_secs(10)));
+}
+
+#[test]
 fn overload_rejects_typed_and_drain_finishes_in_flight() {
     // One running slot, zero queue slots; the first computation is
     // stalled 400 ms by an injected slow fault so the second distinct

@@ -9,11 +9,21 @@
 //! must come back as typed errors, never a panic and never a hang (every
 //! property here drains the buffer to `None`, so an infinite loop would
 //! time the test out rather than pass).
+//!
+//! And one property of the service behind the parser: however a valid
+//! `simulate` line is spelled, and whether or not the line memo supplies
+//! its resolved request, the reply is the bytes the renderer makes of the
+//! record the cache holds under the independently derived key.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use paxsim_core::hash::{Fidelity, ResolvedSpec, StudySpec};
+use paxsim_core::sentinel::PredictAuditor;
 use paxsim_serve::frame::{FrameBuffer, FrameError, MAX_FRAME_BYTES};
 use paxsim_serve::protocol::{self, Request};
+use paxsim_serve::{ServeConfig, Service};
 
 const KERNELS: [&str; 8] = ["ep", "is", "cg", "mg", "ft", "bt", "sp", "lu"];
 const CONFIGS: [&str; 5] = ["Serial", "CMP", "CMT", "HT off -4-2", "HT on -8-2"];
@@ -66,6 +76,132 @@ fn arb_stream(limit: usize) -> impl Strategy<Value = (Vec<u8>, Vec<usize>)> {
         proptest::collection::vec(1usize..40, 1..64),
     )
         .prop_map(|(lines, cuts)| (lines.concat(), cuts))
+}
+
+/// A valid `simulate` line in an arbitrary spelling, beside the request it
+/// means: the canonical spec built field by field (never parsed from the
+/// line) and the fidelity asked for.
+struct AnySimulateLine;
+
+impl Strategy for AnySimulateLine {
+    type Value = (String, StudySpec, Fidelity);
+
+    fn generate(&self, rng: &mut proptest::rng::Rng) -> Self::Value {
+        fn pick<T: Copy>(rng: &mut proptest::rng::Rng, of: &[T]) -> T {
+            of[rng.below(of.len() as u64) as usize]
+        }
+        let recase = |rng: &mut proptest::rng::Rng, s: &str| -> String {
+            s.chars()
+                .map(|c| match rng.bool() {
+                    true => c.to_ascii_uppercase(),
+                    false => c.to_ascii_lowercase(),
+                })
+                .collect()
+        };
+        let quoted = |s: String| format!("\"{s}\"");
+
+        let kernel = pick(rng, &["ep", "is"]);
+        // (a spelling, the Table 1 name it resolves to)
+        let (config, canonical) = pick(
+            rng,
+            &[
+                ("Serial", "Serial"),
+                ("CMP", "HT off -2-1"),
+                ("HT off -2-1", "HT off -2-1"),
+            ],
+        );
+        let mut spec = StudySpec::new(kernel, canonical);
+        let mut fields = vec![
+            ("op", quoted("simulate".into())),
+            ("kernel", quoted(recase(rng, kernel))),
+            ("config", quoted(recase(rng, config))),
+        ];
+        // Defaults, omitted or spelled out.
+        if rng.bool() {
+            fields.push(("class", quoted(recase(rng, "T"))));
+        }
+        if rng.bool() {
+            fields.push(("jitter", "0".into()));
+        }
+        if rng.bool() {
+            let schedule = pick(rng, &["static", " static "]);
+            fields.push(("schedule", quoted(recase(rng, schedule))));
+        }
+        match rng.below(3) {
+            0 => {}
+            1 => fields.push(("trials", "1".into())),
+            _ => {
+                spec.trials = 2;
+                fields.push(("trials", "2".into()));
+            }
+        }
+        // No part of the identity.
+        if rng.bool() {
+            fields.push(("deadline_ms", (60_000 + rng.below(1_000)).to_string()));
+        }
+        let fidelity = match rng.below(4) {
+            0 => Fidelity::Exact, // by omission
+            n => {
+                let f = [Fidelity::Exact, Fidelity::Fast, Fidelity::Predicted][n as usize - 1];
+                fields.push(("fidelity", quoted(recase(rng, f.wire()))));
+                f
+            }
+        };
+        // The paper machine spelled out in full is the default; one
+        // perturbed latency is a different point.
+        match rng.below(4) {
+            0 => fields.push(("machine", serde_json::to_string(&spec.machine).unwrap())),
+            1 => {
+                spec.machine.l2_lat += 5;
+                fields.push(("machine", serde_json::to_string(&spec.machine).unwrap()));
+            }
+            _ => {}
+        }
+        // Key order.
+        for i in (1..fields.len()).rev() {
+            fields.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        // Insignificant whitespace between tokens.
+        let mut gap = || pick(rng, &["", "", " ", "\t", "  "]);
+        let mut line = format!("{}{{", gap());
+        for (i, (key, value)) in fields.iter().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            line += &format!(
+                "{comma}{}\"{key}\"{}:{}{value}{}",
+                gap(),
+                gap(),
+                gap(),
+                gap()
+            );
+        }
+        line += &format!("}}{}", gap());
+        (line, spec, fidelity)
+    }
+}
+
+/// What the service must reply to a request for `point` at `fidelity`
+/// right now — `hit_path.rs`'s oracle, with the tier chosen as the hit
+/// ladder documents it: exact for `exact`, for a quarantined pair, and for
+/// `fast` beside a cached exact answer; the predicted entry otherwise.
+fn oracle(s: &Service, point: &ResolvedSpec, fidelity: Fidelity) -> String {
+    let spec = &point.spec;
+    let pair = PredictAuditor::pair_key(&spec.kernel, &spec.config, &spec.class);
+    let exact = spec.content_hash();
+    let exact_record = s.cache().peek(exact);
+    let exact_tier = match fidelity {
+        Fidelity::Exact => true,
+        _ if s.predict_auditor().is_quarantined(pair) => true,
+        Fidelity::Fast => exact_record.is_some(),
+        Fidelity::Predicted => false,
+    };
+    if exact_tier {
+        let record = exact_record.expect("exact entry present");
+        return protocol::render_result(exact, spec, &record);
+    }
+    let hash = spec.content_hash_with_fidelity(Fidelity::Predicted);
+    let record = s.cache().peek(hash).expect("predicted entry present");
+    let bounds = paxsim_predict::ErrorBounds::default();
+    protocol::render_result_predicted(hash, spec, &record, fidelity, &bounds)
 }
 
 proptest! {
@@ -215,6 +351,53 @@ proptest! {
                 Ok("{\"op\":\"stats\"}".to_string()),
             ]
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Aliases, case, key order, whitespace, spelled-out defaults,
+    /// `fidelity`, `deadline_ms`, a `machine` override: asked three times
+    /// on each path, so through a memo that holds the line from its first
+    /// hit on, every reply is the oracle's bytes and every call leaves the
+    /// conservation law standing.
+    #[test]
+    fn any_spelling_of_a_simulate_line_hits_byte_identical_through_the_memo(
+        case in AnySimulateLine,
+    ) {
+        static SERVICE: OnceLock<Service> = OnceLock::new();
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let s = SERVICE.get_or_init(|| {
+            let dir = std::env::temp_dir().join("paxsim_serve_protocol_props");
+            let _ = std::fs::remove_dir_all(&dir);
+            Service::open(ServeConfig { cache_dir: dir, ..ServeConfig::default() }).unwrap()
+        });
+        let conserved = || prop_assert_eq!(
+            s.cache().hits() + s.cache().misses(),
+            s.simulate_requests() + s.baseline_fetches(),
+            "hits + misses == simulates + baseline_fetches"
+        );
+        let (line, spec, fidelity) = case;
+        // Whatever this first ask is — a computation, a fresh prediction
+        // with its audit, a hit — every later one is a hit.
+        let first = s.handle_line(&line);
+        prop_assert!(first.starts_with(r#"{"ok":true"#), "{line}: {first}");
+        conserved();
+        let want = oracle(s, &spec.resolve().expect("the spec is valid"), fidelity);
+        let memo_hits = || paxsim_obs::counter("serve.resolve.memo_hits").get();
+        let before = memo_hits();
+        // Either path may be the one whose hit lets the line into the memo.
+        let inline_first = line.len() % 2 == 0;
+        for round in 0..6 {
+            if (round < 3) == inline_first {
+                prop_assert_eq!(s.try_hit(&line).as_deref(), Some(want.as_str()), "inline: {line}");
+            } else {
+                prop_assert_eq!(&s.handle_line(&line), &want, "worker path: {line}");
+            }
+            conserved();
+        }
+        prop_assert!(memo_hits() - before >= 5, "all but the first hit are memoized: {line}");
     }
 }
 
