@@ -12,20 +12,34 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+# The suite above ran these tests too; here each runs by its exact name and
+# must be the one test that ran, so a rename or a filter cannot silently
+# drop it. Usage: by_name TEST CARGO-TEST-ARGS...
+by_name() {
+    local name=$1 out
+    shift
+    out=$(cargo test -q "$@" -- --exact "$name" 2>&1) || {
+        echo "$out"
+        exit 1
+    }
+    echo "$out" | grep -q "test result: ok. 1 passed" || {
+        echo "$name did not run:"
+        echo "$out"
+        exit 1
+    }
+    echo "$name: 1 test ran by name"
+}
+
 echo "== content-hash golden digests (run by name) =="
-# The pinned ConfigHash digests key every journal on disk. The suite above
-# ran this test too; here it runs by its exact name and must be the one
-# test that ran, so a rename or a filter cannot silently drop it.
-GOLDEN=$(cargo test -q -p paxsim-core --lib -- --exact hash::tests::golden_digests_are_pinned 2>&1) || {
-    echo "$GOLDEN"
-    exit 1
-}
-echo "$GOLDEN" | grep -q "test result: ok. 1 passed" || {
-    echo "hash::tests::golden_digests_are_pinned did not run:"
-    echo "$GOLDEN"
-    exit 1
-}
-echo "golden digests pinned: 1 test ran by name"
+# The pinned ConfigHash digests key every journal on disk.
+by_name hash::tests::golden_digests_are_pinned -p paxsim-core --lib
+
+echo "== trace identity: class T goldens and the 5x5 factorization (run by name) =="
+# Every kernel's class T trace (digest, regions, interned regions, packed
+# bytes, verdict) as recorded before the build path was optimized, and the
+# factored 5x5 solve bit for bit against the one-shot elimination.
+by_name class_t_traces_did_not_move -p paxsim-nas --test trace_goldens
+by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib
 
 echo "== engine identity vs the reference (run by name, memo on and off) =="
 # The four tests of `differential` that pin the fast engine to the

@@ -130,8 +130,9 @@ fn word(tag: u64, payload: u64) -> u64 {
 }
 
 /// Append the packed encoding of `op` (one word, or two for a `Block` with
-/// an id of 2^29 or more).
-#[inline]
+/// an id of 2^29 or more). Always inlined: every emitter passes a known
+/// variant, so the match folds away and only the push is left.
+#[inline(always)]
 pub fn pack_into(op: Op, words: &mut Vec<u64>) {
     match op {
         Op::Load { addr } => {

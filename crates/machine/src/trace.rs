@@ -15,7 +15,10 @@
 //!   replay locality;
 //! * regions are held by `Arc`, so emitters (the `paxsim-omp` runtime)
 //!   can *intern* structurally identical regions: an iterative solver's
-//!   N identical iterations occupy one region's storage, not N.
+//!   N identical iterations occupy one region's storage, not N. A buffer
+//!   whose region turned out to be a repeat is emptied with
+//!   [`TraceBuf::clear`] and refilled by the next region, so the repeats
+//!   cost no fresh pages either.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -142,6 +145,22 @@ impl TraceBuf {
             uops,
             body: uops,
         });
+    }
+
+    /// Empty the buffer for another region's ops, keeping its allocation:
+    /// what a [`TraceBuf::new`] would be, minus the regrowth.
+    pub fn clear(&mut self) {
+        let mut words = std::mem::take(&mut self.words);
+        words.clear();
+        *self = Self {
+            words,
+            ..Self::default()
+        };
+    }
+
+    /// Release spare capacity (a buffer about to be kept for good).
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
     }
 
     /// Finalize the trailing open block's body footprint.
@@ -297,8 +316,8 @@ impl RegionTrace {
 }
 
 /// Structural equality: same label and bit-identical packed streams. This
-/// is what region interning keys on — two equal regions replay identically
-/// from any machine state.
+/// is the rule region interning shares by — two equal regions replay
+/// identically from any machine state.
 impl PartialEq for RegionTrace {
     fn eq(&self, other: &Self) -> bool {
         self.label == other.label

@@ -15,6 +15,13 @@
 //! each method's convergence is provable and *verified* on every run:
 //! the preconditioned Richardson iteration (BT/SP) and SSOR (LU) must
 //! contract the true residual.
+//!
+//! Everything that depends only on the operator is computed once: BT's and
+//! SP's line systems are factored per sweep ([`BlockCyclic`],
+//! [`PentaCyclic`]) and every constant 5×5 block once ([`Lu5`]), and a
+//! right-hand side then takes exactly the floating-point operations, in
+//! the order, that eliminating afresh gave it — every value is
+//! bit-identical to the one-shot solvers.
 
 use paxsim_omp::prelude::*;
 
@@ -209,55 +216,93 @@ pub fn matmul(a: &Block, b: &Block) -> Block {
     out
 }
 
-/// Solve A·x = b by Gaussian elimination with partial pivoting.
-/// Panics on a (numerically) singular block — never happens for the
-/// diagonally dominant blocks the benchmarks build.
+/// A 5×5 block factored once by Gaussian elimination with partial
+/// pivoting: the row each step swapped in, the multipliers it eliminated
+/// with, and the upper factor. [`Lu5::solve`] gives a right-hand side
+/// exactly the operations the one-shot elimination gave it, in the same
+/// order, so solving against a factored block is bit-identical to
+/// eliminating the block afresh beside every right-hand side.
+#[derive(Debug, Clone, Copy)]
+pub struct Lu5 {
+    /// `piv[col]`: the row swapped with row `col` at step `col`.
+    piv: [usize; NC],
+    /// `mul[r][col]` (`r > col`): the multiple of pivot row `col` that step
+    /// `col` subtracted from row `r`.
+    mul: Block,
+    /// The eliminated block; its upper triangle is the upper factor.
+    upper: Block,
+}
+
+impl Lu5 {
+    /// Factor `a`. Panics on a (numerically) singular block — never
+    /// happens for the diagonally dominant blocks the benchmarks build.
+    pub fn new(a: &Block) -> Self {
+        let mut m = *a;
+        let mut piv = [0; NC];
+        let mut mul = [[0.0; NC]; NC];
+        for col in 0..NC {
+            let mut p = col;
+            for r in col + 1..NC {
+                if m[r][col].abs() > m[p][col].abs() {
+                    p = r;
+                }
+            }
+            assert!(m[p][col].abs() > 1e-12, "singular 5x5 block");
+            m.swap(col, p);
+            piv[col] = p;
+            let d = m[col][col];
+            for r in col + 1..NC {
+                let fct = m[r][col] / d;
+                for c in col..NC {
+                    m[r][c] -= fct * m[col][c];
+                }
+                mul[r][col] = fct;
+            }
+        }
+        Self { piv, mul, upper: m }
+    }
+
+    /// Solve A·x = b.
+    pub fn solve(&self, b: &Vec5) -> Vec5 {
+        let mut x = *b;
+        for col in 0..NC {
+            x.swap(col, self.piv[col]);
+            for r in col + 1..NC {
+                x[r] -= self.mul[r][col] * x[col];
+            }
+        }
+        for col in (0..NC).rev() {
+            let mut s = x[col];
+            for c in col + 1..NC {
+                s -= self.upper[col][c] * x[c];
+            }
+            x[col] = s / self.upper[col][col];
+        }
+        x
+    }
+
+    /// Solve A·X = B for a block RHS, column by column.
+    pub fn solve_block(&self, b: &Block) -> Block {
+        let mut out = [[0.0; NC]; NC];
+        for c in 0..NC {
+            let x = self.solve(&std::array::from_fn(|r| b[r][c]));
+            for r in 0..NC {
+                out[r][c] = x[r];
+            }
+        }
+        out
+    }
+}
+
+/// Solve A·x = b by Gaussian elimination with partial pivoting (see
+/// [`Lu5`]; factor once where `a` is shared by many right-hand sides).
 pub fn solve5(a: &Block, b: &Vec5) -> Vec5 {
-    let mut m = *a;
-    let mut x = *b;
-    for col in 0..NC {
-        // Pivot.
-        let mut piv = col;
-        for r in col + 1..NC {
-            if m[r][col].abs() > m[piv][col].abs() {
-                piv = r;
-            }
-        }
-        assert!(m[piv][col].abs() > 1e-12, "singular 5x5 block");
-        m.swap(col, piv);
-        x.swap(col, piv);
-        // Eliminate below.
-        let d = m[col][col];
-        for r in col + 1..NC {
-            let fct = m[r][col] / d;
-            for c in col..NC {
-                m[r][c] -= fct * m[col][c];
-            }
-            x[r] -= fct * x[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..NC).rev() {
-        let mut s = x[col];
-        for c in col + 1..NC {
-            s -= m[col][c] * x[c];
-        }
-        x[col] = s / m[col][col];
-    }
-    x
+    Lu5::new(a).solve(b)
 }
 
 /// Solve A·X = B for a block RHS.
 pub fn solve5_block(a: &Block, b: &Block) -> Block {
-    let mut out = [[0.0; NC]; NC];
-    for c in 0..NC {
-        let col: Vec5 = std::array::from_fn(|r| b[r][c]);
-        let x = solve5(a, &col);
-        for r in 0..NC {
-            out[r][c] = x[r];
-        }
-    }
-    out
+    Lu5::new(a).solve_block(b)
 }
 
 /// The one-direction implicit operator's blocks: diagonal
@@ -291,12 +336,12 @@ pub fn line_blocks() -> (Block, Block) {
 /// loop with row `m−1`.
 pub struct BlockCyclic {
     o: Block,
-    /// Pivot blocks of the open chain's forward elimination.
-    diag: Vec<Block>,
+    /// Pivot blocks of the open chain's forward elimination, factored.
+    diag: Vec<Lu5>,
     /// `Q[i]`: what one unit of `x[m−1]` adds to `x[i]`.
     qmat: Vec<Block>,
-    /// The closing row's block: `D + O·Q[m−2] + O·Q[0]`.
-    lhs: Block,
+    /// The closing row's block, `D + O·Q[m−2] + O·Q[0]`, factored.
+    lhs: Lu5,
 }
 
 impl BlockCyclic {
@@ -308,7 +353,7 @@ impl BlockCyclic {
         // i = 0..mm, with the cyclic terms moved to the RHS:
         //   row 0 gains −O·x[m−1]; row mm−1 gains −O·x[m−1].
         // Forward elimination of the pivots and of Z (block rhs).
-        let mut diag: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
+        let mut diag: Vec<Lu5> = Vec::with_capacity(mm);
         let mut z: Vec<Block> = vec![[[0.0; NC]; NC]; mm];
         let neg_o: Block = {
             let mut t = *o;
@@ -333,20 +378,20 @@ impl BlockCyclic {
             if i > 0 {
                 // Eliminate the subdiagonal O: row_i ← row_i − O·diag_{i−1}⁻¹·row_{i−1},
                 // so dd ← dd − O·diag⁻¹·O.
-                let correction = matmul(o, &solve5_block(&diag[i - 1], o));
+                let correction = matmul(o, &diag[i - 1].solve_block(o));
                 for r in 0..NC {
                     for c in 0..NC {
                         dd[r][c] -= correction[r][c];
                     }
                 }
-                let oz = matmul(o, &solve5_block(&diag[i - 1], &z[i - 1]));
+                let oz = matmul(o, &diag[i - 1].solve_block(&z[i - 1]));
                 for r in 0..NC {
                     for c in 0..NC {
                         zz[r][c] -= oz[r][c];
                     }
                 }
             }
-            diag[i] = dd;
+            diag.push(Lu5::new(&dd));
             z[i] = zz;
         }
         // Back substitution of the block rhs: Q[i] = diag⁻¹(Z[i] − O·Q[i+1]).
@@ -361,7 +406,7 @@ impl BlockCyclic {
                     }
                 }
             }
-            qmat[i] = solve5_block(&diag[i], &zz);
+            qmat[i] = diag[i].solve_block(&zz);
         }
         // Row m−1: O·x[m−2] + D·x[m−1] + O·x[0] = r[m−1], i.e.
         //   O·(p[m−2] + Q[m−2]w) + D·w + O·(p[0] + Q[0]w) = r[m−1]
@@ -377,7 +422,7 @@ impl BlockCyclic {
             o: *o,
             diag,
             qmat,
-            lhs,
+            lhs: Lu5::new(&lhs),
         }
     }
 
@@ -391,7 +436,7 @@ impl BlockCyclic {
         for i in 0..mm {
             let mut rr = rhs[i];
             if i > 0 {
-                let oy = matvec(o, &solve5(&diag[i - 1], &y[i - 1]));
+                let oy = matvec(o, &diag[i - 1].solve(&y[i - 1]));
                 for r in 0..NC {
                     rr[r] -= oy[r];
                 }
@@ -408,7 +453,7 @@ impl BlockCyclic {
                     rr[r] -= oy[r];
                 }
             }
-            pvec[i] = solve5(&diag[i], &rr);
+            pvec[i] = diag[i].solve(&rr);
         }
         // Close the loop for w = x[m−1], then add its influence.
         let mut rr = rhs[mm];
@@ -417,7 +462,7 @@ impl BlockCyclic {
         for r in 0..NC {
             rr[r] -= o1[r] + o2[r];
         }
-        let w = solve5(&self.lhs, &rr);
+        let w = self.lhs.solve(&rr);
         let mut x = vec![[0.0; NC]; mm + 1];
         x[mm] = w;
         for i in 0..mm {
@@ -711,11 +756,103 @@ mod tests {
         assert!(residual_norm_native(&g, &u, &f) < 1e-10);
     }
 
+    /// The one-shot elimination [`Lu5`] replaced, kept as its oracle: pivot,
+    /// eliminate and carry the right-hand side along, all in one pass.
+    fn eliminate_once(a: &Block, b: &Vec5) -> Vec5 {
+        let mut m = *a;
+        let mut x = *b;
+        for col in 0..NC {
+            let mut piv = col;
+            for r in col + 1..NC {
+                if m[r][col].abs() > m[piv][col].abs() {
+                    piv = r;
+                }
+            }
+            assert!(m[piv][col].abs() > 1e-12, "singular 5x5 block");
+            m.swap(col, piv);
+            x.swap(col, piv);
+            let d = m[col][col];
+            for r in col + 1..NC {
+                let fct = m[r][col] / d;
+                for c in col..NC {
+                    m[r][c] -= fct * m[col][c];
+                }
+                x[r] -= fct * x[col];
+            }
+        }
+        for col in (0..NC).rev() {
+            let mut s = x[col];
+            for c in col + 1..NC {
+                s -= m[col][c] * x[c];
+            }
+            x[col] = s / m[col][col];
+        }
+        x
+    }
+
+    /// A row-diagonally-dominant block from 25 off-diagonal draws, its rows
+    /// then dealt out in the `perm`-th order of 5! (0 keeps them in place),
+    /// so that partial pivoting has to put them back.
+    fn dominant(vals: &[f64], perm: usize) -> Block {
+        let mut a = [[0.0; NC]; NC];
+        for r in 0..NC {
+            let mut off = 0.0;
+            for c in 0..NC {
+                if r != c {
+                    a[r][c] = vals[r * NC + c];
+                    off += a[r][c].abs();
+                }
+            }
+            a[r][r] = off + 1.0;
+        }
+        let mut rows: Vec<usize> = (0..NC).collect();
+        let mut code = perm;
+        let mut out = [[0.0; NC]; NC];
+        for (slot, left) in (1..=NC).rev().enumerate() {
+            out[slot] = a[rows.remove(code % left)];
+            code /= left;
+        }
+        out
+    }
+
+    fn bits(x: &Vec5) -> [u64; NC] {
+        x.map(f64::to_bits)
+    }
+
+    #[test]
+    fn lu5_pivots_a_permuted_block_and_matches_the_oracle() {
+        let vals: Vec<f64> = (0..25).map(|i| ((i * 7) as f64 * 0.31).sin()).collect();
+        let b = [0.5, -1.0, 2.0, 3.5, -0.25];
+        let a = dominant(&vals, 119); // rows reversed
+        let lu = Lu5::new(&a);
+        assert_ne!(lu.piv, [0, 1, 2, 3, 4], "a reversed block needs pivoting");
+        assert_eq!(bits(&lu.solve(&b)), bits(&eliminate_once(&a, &b)));
+        let (d, _) = line_blocks();
+        assert_eq!(bits(&Lu5::new(&d).solve(&b)), bits(&eliminate_once(&d, &b)));
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// Factoring once and solving is the one-shot elimination, bit
+            /// for bit, on random dominant blocks in any row order and for
+            /// several right-hand sides per factorization.
+            #[test]
+            fn lu5_solve_is_the_one_shot_elimination_bit_for_bit(
+                vals in proptest::collection::vec(-1.0f64..1.0, 25),
+                perm in 0usize..120,
+                rhs in proptest::collection::vec(-10.0f64..10.0, 15),
+            ) {
+                let a = dominant(&vals, perm);
+                let lu = Lu5::new(&a);
+                for b in rhs.chunks(NC) {
+                    let b: Vec5 = std::array::from_fn(|i| b[i]);
+                    prop_assert_eq!(bits(&lu.solve(&b)), bits(&eliminate_once(&a, &b)));
+                }
+            }
+
             /// solve5 inverts any diagonally dominant random block.
             #[test]
             fn solve5_random_dominant(vals in proptest::collection::vec(-1.0f64..1.0, 25), b in proptest::collection::vec(-10.0f64..10.0, 5)) {

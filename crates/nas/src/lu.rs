@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use paxsim_omp::prelude::*;
 
-use crate::cfd::{residual_norm_native, solve5, Block, Grid, COUPLE, EPS, NC, SIGMA};
+use crate::cfd::{residual_norm_native, Block, Grid, Lu5, COUPLE, EPS, NC, SIGMA};
 use crate::common::{bbid, Built, Class, NasKernel, Randlc, VerifyReport};
 
 /// (grid edge, SSOR iterations).
@@ -62,7 +62,8 @@ impl NasKernel for Lu {
     fn build(&self, class: Class, nthreads: usize, sched: Schedule) -> Built {
         let (n, iters) = size(class);
         let g = Grid::new(n);
-        let dblk = diag_block();
+        // Every cell's block-diagonal solve is against this one block.
+        let dblk = Lu5::new(&diag_block());
 
         let mut arena = Arena::new();
         let mut u = arena.alloc::<f64>("lu.u", g.values());
@@ -113,7 +114,7 @@ fn ssor_sweep(
     team: &mut Team,
     site: u32,
     g: Grid,
-    dblk: &Block,
+    dblk: &Lu5,
     f: &Array<f64>,
     u: &mut Array<f64>,
     backward: bool,
@@ -180,7 +181,7 @@ fn ssor_sweep(
                     p.raw_load(f.addr(g.at(0, i, j, k)));
                     p.flops(16);
                     // Block-diagonal solve and relaxed update.
-                    let dx = solve5(dblk, &rhs);
+                    let dx = dblk.solve(&rhs);
                     p.flops(20);
                     for c in 0..NC {
                         u.set(g.at(c, i, j, k), cell[c] + OMEGA * dx[c]);

@@ -1,0 +1,128 @@
+//! What a trace build emits, pinned: every kernel at class T on 1, 2, 4
+//! and 8 threads under `static` and `dynamic,2`. A build may get faster
+//! (interning by a bucket key instead of hashing every word, thread buffers
+//! recycled across repeated regions, 5×5 pivots factored once) but must not
+//! move a word, a region or a verdict. Every row was recorded at the commit
+//! before those changes (956ac97).
+
+use paxsim_machine::trace::ProgramTrace;
+use paxsim_nas::KernelId::{self, *};
+use paxsim_nas::{all_kernels, Class};
+use paxsim_omp::schedule::Schedule;
+
+/// FNV-1a over every region occurrence: its label's bytes, then per thread
+/// the word count and the packed words, a word at a time. No digest depends
+/// on the standard library's hasher or on how `RegionTrace` hashes itself.
+fn digest(trace: &ProgramTrace) -> u64 {
+    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for region in &trace.regions {
+        h = region.label.bytes().fold(h, |h, b| mix(h, b as u64));
+        for thread in &region.threads {
+            h = mix(h, thread.words().len() as u64);
+            h = thread.words().iter().fold(h, |h, &w| mix(h, w));
+        }
+    }
+    h
+}
+
+/// (kernel, threads, schedule, digest, `regions.len()`, `unique_regions()`,
+/// `packed_bytes()`, `verify.details`).
+type Row = (
+    KernelId,
+    usize,
+    &'static str,
+    u64,
+    usize,
+    usize,
+    usize,
+    &'static str,
+);
+
+#[rustfmt::skip]
+const RECORDED: [Row; 64] = [
+    (Ep, 1, "static", 0xd176_4701_35ac_079d, 2, 2, 415_184, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 1, "dynamic,2", 0xd176_4701_35ac_079d, 2, 2, 415_184, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 2, "static", 0xfd8d_1da2_a145_d0cc, 2, 2, 415_232, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 2, "dynamic,2", 0xfd8d_1da2_a145_d0cc, 2, 2, 415_232, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 4, "static", 0xf286_89fd_97cb_1b40, 2, 2, 415_296, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 4, "dynamic,2", 0xf286_89fd_97cb_1b40, 2, 2, 415_296, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 8, "static", 0xe88c_c1fd_e07c_4be4, 2, 2, 415_424, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Ep, 8, "dynamic,2", 0xe88c_c1fd_e07c_4be4, 2, 2, 415_424, "accepted=6376 sx=-6.289100 sy=128.523207"),
+    (Is, 1, "static", 0x0751_d250_e398_08c6, 7, 7, 1_843_264, "16384 keys fully ranked and sorted"),
+    (Is, 1, "dynamic,2", 0x0751_d250_e398_08c6, 7, 7, 1_843_264, "16384 keys fully ranked and sorted"),
+    (Is, 2, "static", 0x4962_e084_1a6c_5c6c, 7, 7, 1_859_696, "16384 keys fully ranked and sorted"),
+    (Is, 2, "dynamic,2", 0x5e64_5695_58b2_5914, 7, 7, 1_859_696, "16384 keys fully ranked and sorted"),
+    (Is, 4, "static", 0x7362_440a_ceef_1418, 7, 7, 1_892_560, "16384 keys fully ranked and sorted"),
+    (Is, 4, "dynamic,2", 0x76ed_c479_5e15_6860, 7, 7, 1_892_560, "16384 keys fully ranked and sorted"),
+    (Is, 8, "static", 0x97a8_5c79_31ef_a510, 7, 7, 1_958_288, "16384 keys fully ranked and sorted"),
+    (Is, 8, "dynamic,2", 0x1b88_2d0c_2c2a_9e68, 7, 7, 1_958_288, "16384 keys fully ranked and sorted"),
+    (Cg, 1, "static", 0x5ef2_0805_4285_f841, 24, 4, 589_000, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 1, "dynamic,2", 0x5ef2_0805_4285_f841, 24, 4, 589_000, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 2, "static", 0x209e_9cd5_2db8_7eed, 24, 4, 589_080, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 2, "dynamic,2", 0xd32c_3ef3_987f_c615, 24, 4, 589_080, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 4, "static", 0x5a37_2d08_7adb_bcd9, 24, 4, 589_176, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 4, "dynamic,2", 0x0cea_caad_cbfb_2e55, 24, 4, 589_176, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 8, "static", 0x4252_2d31_4608_faad, 24, 4, 589_368, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Cg, 8, "dynamic,2", 0xf9c1_37b4_3442_57c1, 24, 4, 589_368, "residual 3.464e1 → 7.092e-1 in 6 iterations"),
+    (Mg, 1, "static", 0xd553_fdc0_5828_3833, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 1, "dynamic,2", 0xd553_fdc0_5828_3833, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 2, "static", 0x1c0c_9002_2c29_12ea, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 2, "dynamic,2", 0x22ad_4bc6_5ce0_912a, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 4, "static", 0xa794_03ac_796f_44ac, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 4, "dynamic,2", 0x5677_443e_e376_c64e, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 8, "static", 0x01fa_1371_61d7_acb4, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Mg, 8, "dynamic,2", 0x7920_bfec_5d6e_e3aa, 13, 13, 1_164_096, "residual 6.3246e0 → 2.2910e0 after 1 V-cycle(s)"),
+    (Ft, 1, "static", 0xeb91_6287_3515_37b0, 8, 8, 3_623_048, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 1, "dynamic,2", 0xeb91_6287_3515_37b0, 8, 8, 3_623_048, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 2, "static", 0xb565_ede5_0ac9_a5f8, 8, 8, 3_623_088, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 2, "dynamic,2", 0x4a17_0a28_e49c_b438, 8, 8, 3_623_088, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 4, "static", 0x4477_94d4_c90b_e216, 8, 8, 3_623_136, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 4, "dynamic,2", 0x85b8_e209_6c2c_3376, 8, 8, 3_623_136, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 8, "static", 0xb98a_80de_a2f1_95ca, 8, 8, 3_623_232, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Ft, 8, "dynamic,2", 0xbb0f_e032_a380_54de, 8, 8, 3_623_232, "parseval rel err 1.6e-15; checksum(1) = 19.538246 + 3.787884i"),
+    (Bt, 1, "static", 0x6c9e_5586_d058_b9d1, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 1, "dynamic,2", 0x6c9e_5586_d058_b9d1, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 2, "static", 0xe992_49d7_57dc_b2dd, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 2, "dynamic,2", 0x3efe_8a0e_a8f4_2085, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 4, "static", 0x53e8_77f9_dc8f_ab79, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 4, "dynamic,2", 0xa8d5_d348_74a2_b701, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 8, "static", 0x2b11_21b9_f9c1_ab51, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Bt, 8, "dynamic,2", 0x8d6f_3195_d546_4c25, 10, 5, 750_560, "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16"),
+    (Sp, 1, "static", 0xbc51_d7a1_e7e8_5969, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 1, "dynamic,2", 0xbc51_d7a1_e7e8_5969, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 2, "static", 0xcbfa_5067_85f8_3c05, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 2, "dynamic,2", 0x7cec_7db4_7a29_b39d, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 4, "static", 0x775c_f35a_4456_eec9, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 4, "dynamic,2", 0xb5cc_b275_b302_6421, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 8, "static", 0x83ce_6fb1_956e_80e1, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Sp, 8, "dynamic,2", 0x4832_b7bb_c282_816d, 10, 5, 1_134_560, "residual 2.0433e1 → 1.6735e-2 in 2 ADI iterations; max line residual 2.2e-16"),
+    (Lu, 1, "static", 0x5ec2_5014_43e5_6a35, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+    (Lu, 1, "dynamic,2", 0x5ec2_5014_43e5_6a35, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+    (Lu, 2, "static", 0x924b_2650_c8e8_7769, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+    (Lu, 2, "dynamic,2", 0x3766_6bac_1689_bdc9, 4, 2, 227_520, "residual 2.0357e1 → 5.5247e-2 in 2 SSOR iterations"),
+    (Lu, 4, "static", 0x3341_e7c6_02fa_9ea1, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+    (Lu, 4, "dynamic,2", 0x595c_01ba_c3c4_a971, 4, 2, 227_520, "residual 2.0357e1 → 5.5243e-2 in 2 SSOR iterations"),
+    (Lu, 8, "static", 0x8576_ba6c_f0d8_8aa9, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+    (Lu, 8, "dynamic,2", 0xc370_32a1_263d_0179, 4, 2, 227_520, "residual 2.0357e1 → 5.5343e-2 in 2 SSOR iterations"),
+];
+
+#[test]
+fn class_t_traces_did_not_move() {
+    for (kernel, threads, schedule, want, regions, unique, packed, details) in RECORDED {
+        let sched: Schedule = schedule.parse().expect("a schedule the study uses");
+        let built = kernel.build(Class::T, threads, sched);
+        let t = &built.trace;
+        let point = format!("{kernel} on {threads} threads, {schedule}");
+        assert_eq!(digest(t), want, "{point}: region labels and words");
+        assert_eq!(t.regions.len(), regions, "{point}: region occurrences");
+        assert_eq!(t.unique_regions(), unique, "{point}: interned regions");
+        assert_eq!(t.packed_bytes(), packed, "{point}: packed bytes");
+        assert_eq!(built.verify.details, details, "{point}: verdict");
+    }
+    // Every kernel × thread count × schedule, each once.
+    let mut seen: Vec<_> = RECORDED.iter().map(|r| (r.0, r.1, r.2)).collect();
+    seen.sort();
+    seen.dedup();
+    assert_eq!(seen.len(), all_kernels().len() * 4 * 2);
+}

@@ -4,10 +4,13 @@
 //! handle a thread body uses to perform *traced* work: loads/stores against
 //! [`Array`]s, FP work, branches and worksharing loops. The numerics happen
 //! natively; the trace captures their architectural footprint.
+//!
+//! A build writes each op once: a region emits into thread buffers the
+//! team already owns, is interned by an O(threads) bucket key with full
+//! equality deciding, and — when it repeats an earlier region, as most of
+//! an iterative solver's do — hands those buffers back for the next one.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use paxsim_machine::trace::{ProgramTrace, RegionTrace, TraceBuf};
@@ -20,6 +23,24 @@ use crate::schedule::Schedule;
 const REDUX_BASE: u64 = 0x0e00_0000_0000;
 /// Lock words for `critical` / atomic updates.
 const LOCK_BASE: u64 = 0x0e80_0000_0000;
+
+/// The interner's bucket for a region of sealed buffers: its label and, per
+/// thread, the word count and the first and last word — O(threads), never
+/// the words in between. Two regions that share a bucket still share
+/// storage only if every word is equal.
+fn bucket_key(label: &str, bufs: &[TraceBuf]) -> u64 {
+    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = label
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| mix(h, b as u64));
+    for buf in bufs {
+        let words = buf.words();
+        h = mix(h, words.len() as u64);
+        h = mix(h, words.first().copied().unwrap_or(0));
+        h = mix(h, words.last().copied().unwrap_or(0));
+    }
+    h
+}
 
 /// A `sections` body: one closure per OpenMP section.
 pub type SectionBody<'a> = Box<dyn FnMut(&mut Par) + 'a>;
@@ -107,8 +128,9 @@ impl<'a> Par<'a> {
     #[inline]
     pub fn block(&mut self, bb: u32, uops: u16) {
         let rot = self.code_rot;
-        if self.code_expansion > 1 {
-            self.code_rot = (self.code_rot + 1) % self.code_expansion;
+        self.code_rot += 1;
+        if self.code_rot == self.code_expansion {
+            self.code_rot = 0;
         }
         self.trace.block(bb * 256 + rot, uops);
     }
@@ -202,12 +224,16 @@ impl<'a> Par<'a> {
 /// instead of materializing another copy. Iterative solvers like CG keep one
 /// region's storage for N iterations, and the engine keys its steady-state
 /// region memoization on the shared pointer.
+/// Interning a region costs [`bucket_key`] and one comparison.
 pub struct Team {
     name: String,
     nthreads: usize,
     regions: Vec<Arc<RegionTrace>>,
-    /// Content-hash buckets of previously recorded regions.
+    /// Previously recorded regions, by [`bucket_key`].
     interner: HashMap<u64, Vec<Arc<RegionTrace>>>,
+    /// The emptied thread buffers of the last region that interned to an
+    /// earlier copy: none, or exactly one region's worth.
+    spare: Vec<TraceBuf>,
     schedule: Schedule,
     code_expansion: u32,
     /// Stable reduction-slot ids, keyed by region label so repeated
@@ -225,23 +251,38 @@ impl Team {
             nthreads,
             regions: Vec::new(),
             interner: HashMap::new(),
+            spare: Vec::new(),
             schedule: Schedule::Static,
             code_expansion: 1,
             redux_ids: HashMap::new(),
         }
     }
 
-    /// Record `region`, reusing a previously interned copy when one with
-    /// identical content exists.
-    fn intern(&mut self, region: RegionTrace) {
-        let mut h = DefaultHasher::new();
-        region.hash(&mut h);
-        let bucket = self.interner.entry(h.finish()).or_default();
-        if let Some(existing) = bucket.iter().find(|r| ***r == region) {
+    /// One empty buffer per thread for the next region: the spare ones
+    /// when the last region left them, fresh ones otherwise.
+    fn buffers(&mut self) -> Vec<TraceBuf> {
+        let mut bufs = std::mem::take(&mut self.spare);
+        bufs.resize_with(self.nthreads, TraceBuf::new);
+        bufs
+    }
+
+    /// Record the region `label` emitted into `bufs`, reusing a previously
+    /// interned copy when one with identical content exists — and then
+    /// keeping `bufs`, emptied, for the next region.
+    fn intern(&mut self, label: &str, mut bufs: Vec<TraceBuf>) {
+        bufs.iter_mut().for_each(TraceBuf::seal);
+        let bucket = self.interner.entry(bucket_key(label, &bufs)).or_default();
+        let same = |r: &&Arc<RegionTrace>| {
+            r.label == label && r.threads.iter().zip(&bufs).all(|(a, b)| **a == *b)
+        };
+        if let Some(existing) = bucket.iter().find(same) {
             self.regions.push(Arc::clone(existing));
+            bufs.iter_mut().for_each(TraceBuf::clear);
+            self.spare = bufs;
             return;
         }
-        let region = Arc::new(region);
+        bufs.iter_mut().for_each(TraceBuf::shrink_to_fit);
+        let region = Arc::new(RegionTrace::labeled(bufs, label));
         bucket.push(Arc::clone(&region));
         self.regions.push(region);
     }
@@ -273,27 +314,25 @@ impl Team {
     /// in thread order) with that thread's tracing context; an implicit
     /// barrier ends the region.
     pub fn parallel(&mut self, label: &str, mut f: impl FnMut(&mut Par)) {
-        let mut bufs = Vec::with_capacity(self.nthreads);
-        for tid in 0..self.nthreads {
-            let mut buf = TraceBuf::new();
+        let mut bufs = self.buffers();
+        for (tid, buf) in bufs.iter_mut().enumerate() {
             let mut par = Par {
                 tid,
                 nthreads: self.nthreads,
                 schedule: self.schedule,
                 code_expansion: self.code_expansion,
                 code_rot: 0,
-                trace: &mut buf,
+                trace: buf,
             };
             f(&mut par);
-            bufs.push(buf);
         }
-        self.intern(RegionTrace::labeled(bufs, label));
+        self.intern(label, bufs);
     }
 
     /// Execute a serial (master-only) section: `f` runs once as thread 0;
     /// the other threads idle at the closing barrier.
     pub fn serial(&mut self, label: &str, f: impl FnOnce(&mut Par)) {
-        let mut bufs: Vec<TraceBuf> = (0..self.nthreads).map(|_| TraceBuf::new()).collect();
+        let mut bufs = self.buffers();
         let mut par = Par {
             tid: 0,
             nthreads: self.nthreads,
@@ -303,7 +342,7 @@ impl Team {
             trace: &mut bufs[0],
         };
         f(&mut par);
-        self.intern(RegionTrace::labeled(bufs, label));
+        self.intern(label, bufs);
     }
 
     /// A parallel region with an OpenMP `reduction` clause: each thread's
@@ -325,22 +364,20 @@ impl Team {
         let slot = |tid: usize| REDUX_BASE + (redux as u64) * 4096 + (tid as u64) * 64;
 
         let mut acc = init;
-        let mut bufs = Vec::with_capacity(self.nthreads);
-        for tid in 0..self.nthreads {
-            let mut buf = TraceBuf::new();
+        let mut bufs = self.buffers();
+        for (tid, buf) in bufs.iter_mut().enumerate() {
             let mut par = Par {
                 tid,
                 nthreads: self.nthreads,
                 schedule: self.schedule,
                 code_expansion: self.code_expansion,
                 code_rot: 0,
-                trace: &mut buf,
+                trace: buf,
             };
             let partial = f(&mut par);
             acc = combine(acc, partial);
             // Publish the partial to the padded reduction array.
             buf.store(slot(tid));
-            bufs.push(buf);
         }
         // Master combines the partials after the barrier.
         if self.nthreads > 1 {
@@ -349,7 +386,7 @@ impl Team {
                 bufs[0].flops(1);
             }
         }
-        self.intern(RegionTrace::labeled(bufs, label));
+        self.intern(label, bufs);
         acc
     }
 
@@ -359,7 +396,7 @@ impl Team {
     pub fn parallel_sections(&mut self, label: &str, sections: Vec<SectionBody<'_>>) {
         let nthreads = self.nthreads;
         let mut sections = sections;
-        let mut bufs: Vec<TraceBuf> = (0..nthreads).map(|_| TraceBuf::new()).collect();
+        let mut bufs = self.buffers();
         for (si, sec) in sections.iter_mut().enumerate() {
             let tid = si % nthreads;
             let mut par = Par {
@@ -372,7 +409,7 @@ impl Team {
             };
             sec(&mut par);
         }
-        self.intern(RegionTrace::labeled(bufs, label));
+        self.intern(label, bufs);
     }
 
     /// Number of regions recorded so far.
@@ -621,6 +658,79 @@ mod tests {
         team.parallel("b", |p| p.flops(1));
         let prog = team.finish();
         assert_eq!(prog.unique_regions(), 3);
+    }
+
+    #[test]
+    fn a_different_middle_word_is_a_different_region() {
+        // Same label, same per-thread word counts, same first and last
+        // words: the same bucket, and still two regions.
+        let mut team = Team::new("t", 2);
+        for middle in [0x40, 0x80, 0x40] {
+            team.parallel("r", |p| {
+                p.raw_load(0);
+                p.raw_load(middle);
+                p.raw_store(0x1000);
+            });
+        }
+        assert_eq!(team.interner.len(), 1, "one bucket");
+        let prog = team.finish();
+        assert_eq!(prog.unique_regions(), 2);
+        assert!(!Arc::ptr_eq(&prog.regions[0], &prog.regions[1]));
+        assert!(Arc::ptr_eq(&prog.regions[0], &prog.regions[2]));
+    }
+
+    #[test]
+    fn a_recycled_buffer_emits_what_a_fresh_one_does() {
+        // The long region ends inside an open block on a coalescable
+        // `Flops`; the short one starts with `Flops` — nothing of the
+        // first may leak into the second.
+        let long = |p: &mut Par| {
+            p.lp(1, 2, 500, |p, i| p.raw_load(i as u64 * 64));
+            p.block(9, 3);
+            p.flops(7);
+        };
+        let short = |p: &mut Par| {
+            p.flops(5);
+            p.raw_store(0x2000);
+            p.block(4, 1);
+        };
+        let mut recycled = Team::new("t", 3);
+        recycled.parallel("long", long);
+        recycled.parallel("long", long);
+        assert_eq!(recycled.spare.len(), 3, "the repeat left its buffers");
+        recycled.parallel("short", short);
+        assert!(recycled.spare.is_empty(), "a kept region keeps its buffers");
+        let mut fresh = Team::new("t", 3);
+        fresh.parallel("short", short);
+        let (recycled, fresh) = (recycled.finish(), fresh.finish());
+        let (got, want) = (&recycled.regions[2], &fresh.regions[0]);
+        assert_eq!(got.label, want.label);
+        for (g, w) in got.threads.iter().zip(&want.threads) {
+            assert_eq!(g.words(), w.words());
+            assert_eq!(g.len(), w.len());
+        }
+    }
+
+    #[test]
+    fn identical_iterations_share_one_region_per_phase() {
+        let mut team = Team::new("t", 4);
+        for _ in 0..6 {
+            team.parallel("spmv", |p| {
+                p.for_static(1, 2, 64, |p, i| p.raw_load_dep(i as u64 * 8));
+            });
+            team.parallel_reduce("dot", 0.0, |a: f64, b| a + b, |p| p.tid as f64);
+            team.serial("norm", |p| p.flops(3));
+            assert!(
+                matches!(team.spare.len(), 0 | 4),
+                "at most one region's buffers"
+            );
+        }
+        let prog = team.finish();
+        assert_eq!(prog.regions.len(), 18);
+        assert_eq!(prog.unique_regions(), 3);
+        for (i, r) in prog.regions.iter().enumerate() {
+            assert!(Arc::ptr_eq(r, &prog.regions[i % 3]), "occurrence {i}");
+        }
     }
 
     #[test]

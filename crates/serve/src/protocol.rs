@@ -19,7 +19,8 @@
 //! `error_bounds` extras), or `fast` (cached exact if warm, else
 //! predicted).
 //!
-//! Unknown fields are rejected, and so is a top-level field given twice
+//! Unknown fields are rejected, and so is a field given twice, at the top
+//! level or at any depth of a `machine` override
 //! (a typo must not silently change the request's identity, and of a
 //! repeated key this parser would keep the first where most clients keep
 //! the last); omitted optional fields take the [`StudySpec`]
@@ -200,6 +201,53 @@ fn check_fields(obj: &[(String, Value)], op: &str, known: &[&str]) -> StudyResul
     Ok(())
 }
 
+/// A full `MachineConfig` as the wire spells it, with an L3 so that the
+/// keys under `l3` are spelled out too: the keys a `machine` override
+/// takes at every path.
+fn machine_keys() -> &'static Value {
+    static KEYS: OnceLock<Value> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        serde_json::to_value(MachineConfig::broadwell_l3())
+            .expect("a machine config serializes to a JSON object")
+    })
+}
+
+/// The derived deserializer keeps the first of a repeated key and ignores
+/// an unknown one, so `check_fields`' rule is applied here at every depth
+/// of a `machine` override, in one pass: each key is looked up among the
+/// reference's keys at the same path, and compared with the keys before it
+/// only once those are known and distinct. Values that are not objects
+/// are left to the deserializer.
+fn check_machine_fields(given: &Value, known: &Value, path: &str) -> StudyResult<()> {
+    let (Value::Object(given), Value::Object(known)) = (given, known) else {
+        return Ok(());
+    };
+    for (i, (k, v)) in given.iter().enumerate() {
+        let field = || format!("{path}.{k}");
+        let Some((_, reference)) = known.iter().find(|(name, _)| name == k) else {
+            return Err(bad(&field(), "unknown field"));
+        };
+        if given[..i].iter().any(|(earlier, _)| earlier == k) {
+            return Err(bad(&field(), "given more than once"));
+        }
+        if matches!(v, Value::Object(_)) {
+            check_machine_fields(v, reference, &field())?;
+        }
+    }
+    Ok(())
+}
+
+/// The `machine` override of a request, when it has one.
+fn machine_field(v: &Value) -> StudyResult<Option<MachineConfig>> {
+    let Some(m) = v.get("machine") else {
+        return Ok(None);
+    };
+    check_machine_fields(m, machine_keys(), "machine")?;
+    serde_json::from_value::<MachineConfig>(m)
+        .map(Some)
+        .map_err(|e| bad("machine", format!("not a full machine config: {e}")))
+}
+
 /// Parse one request line.
 ///
 /// # Errors
@@ -240,9 +288,8 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
             if let Some(schedule) = str_field(&v, "schedule")? {
                 spec.schedule = schedule;
             }
-            if let Some(m) = v.get("machine") {
-                spec.machine = serde_json::from_value::<MachineConfig>(m)
-                    .map_err(|e| bad("machine", format!("not a full machine config: {e}")))?;
+            if let Some(m) = machine_field(&v)? {
+                spec.machine = m;
             }
             let deadline_ms = u64_field(&v, "deadline_ms")?;
             let fidelity = match str_field(&v, "fidelity")? {
@@ -304,9 +351,8 @@ pub fn parse_request(line: &str) -> StudyResult<Request> {
             if let Some(margin) = f64_field(&v, "margin")? {
                 req.margin = margin;
             }
-            if let Some(m) = v.get("machine") {
-                req.machine = serde_json::from_value::<MachineConfig>(m)
-                    .map_err(|e| bad("machine", format!("not a full machine config: {e}")))?;
+            if let Some(m) = machine_field(&v)? {
+                req.machine = m;
             }
             let deadline_ms = u64_field(&v, "deadline_ms")?;
             Ok(Request::Tune {
@@ -786,6 +832,87 @@ mod tests {
         // A peer cannot buy a quadratic scan with a long run of repeats.
         let many = format!(r#"{{"op":"stats"{}}}"#, r#","op":"stats""#.repeat(10_000));
         assert_eq!(refused(&many), "op");
+    }
+
+    #[test]
+    fn a_machine_override_refuses_repeated_and_unknown_keys_at_every_depth() {
+        // Regression: the derived deserializer kept the first of a repeated
+        // key and ignored an unknown one, so each of these was answered as
+        // the stock Paxville machine.
+        let full = serde_json::to_string(&MachineConfig::paxville_smp()).unwrap();
+        let edit = |from: &str, to: &str| {
+            assert!(full.contains(from), "{from}");
+            full.replacen(from, to, 1)
+        };
+        // Both ops that take an override refuse it alike; "field: detail".
+        let refused = |machine: &str| {
+            let mut seen: Vec<String> = [r#""op":"simulate","config":"CMP""#, r#""op":"tune""#]
+                .iter()
+                .map(|head| {
+                    let line = format!(r#"{{{head},"kernel":"ep","machine":{machine}}}"#);
+                    match parse_request(&line).unwrap_err() {
+                        StudyError::BadSpec { field, detail } => format!("{field}: {detail}"),
+                        e => panic!("unexpected error {e}"),
+                    }
+                })
+                .collect();
+            assert_eq!(seen[0], seen[1], "simulate and tune refuse alike");
+            seen.swap_remove(0)
+        };
+        let l3 = r#""l3":{"geom":{"bytes":8388608,"ways":16,"line":64},"lat":50}"#;
+        for (machine, want) in [
+            (
+                edit(r#""l2_lat":28"#, r#""l2_lat":28,"l2_lat":99"#),
+                "machine.l2_lat: given more than once",
+            ),
+            (
+                edit(r#""l2_lat":28"#, r#""l2_lat":28,"l2_latt":99"#),
+                "machine.l2_latt: unknown field",
+            ),
+            (
+                edit(r#""ways":8"#, r#""ways":8,"ways":2"#),
+                "machine.l1d.ways: given more than once",
+            ),
+            (
+                edit(r#""ways":8"#, r#""ways":8,"wayz":4"#),
+                "machine.l1d.wayz: unknown field",
+            ),
+            (
+                edit(
+                    r#""l3":null"#,
+                    &l3.replace(r#""lat":50"#, r#""lat":50,"lat":9"#),
+                ),
+                "machine.l3.lat: given more than once",
+            ),
+            (
+                edit(
+                    r#""l3":null"#,
+                    &l3.replace(r#""line":64"#, r#""line":64,"lines":1"#),
+                ),
+                "machine.l3.geom.lines: unknown field",
+            ),
+        ] {
+            assert_eq!(refused(&machine), want, "{machine}");
+        }
+        // A full override with an L3 spelled out is still a machine.
+        let Request::Simulate { spec, .. } = parse_request(&format!(
+            r#"{{"op":"simulate","kernel":"ep","config":"CMP","machine":{}}}"#,
+            serde_json::to_string(&MachineConfig::broadwell_l3()).unwrap()
+        ))
+        .unwrap() else {
+            panic!("wrong op");
+        };
+        assert_eq!(spec.machine, MachineConfig::broadwell_l3());
+        // One pass: a long run of repeats or of unknown keys is refused at
+        // its first offender, not after a scan quadratic in its length.
+        let repeats = edit(
+            r#""l2_lat":28"#,
+            &format!(r#"{}"l2_lat":28"#, r#""l2_lat":28,"#.repeat(2_000)),
+        );
+        assert_eq!(refused(&repeats), "machine.l2_lat: given more than once");
+        let strangers: String = (0..2_000).map(|i| format!(r#""x{i}":0,"#)).collect();
+        let strangers = edit(r#""l2_lat":28"#, &format!(r#"{strangers}"l2_lat":28"#));
+        assert_eq!(refused(&strangers), "machine.x0: unknown field");
     }
 
     #[test]

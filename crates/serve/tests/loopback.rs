@@ -157,6 +157,42 @@ fn a_field_given_twice_is_refused_over_the_wire() {
 }
 
 #[test]
+fn a_machine_override_with_a_repeated_or_unknown_key_is_refused_over_the_wire() {
+    // Regression: inside `machine` the derived deserializer kept the first
+    // of a repeated key and ignored an unknown one, so both lines below
+    // were answered as the stock Paxville machine.
+    let _quiet = paxsim_core::faultinject::quiesced();
+    let (service, server) = start("machine_keys", |_| {});
+    let mut client = Client::connect(&server);
+    let full =
+        serde_json::to_string(&paxsim_machine::config::MachineConfig::paxville_smp()).unwrap();
+    for (machine, want) in [
+        (
+            full.replacen(r#""l2_lat":28"#, r#""l2_lat":28,"l2_lat":99"#, 1),
+            "machine.l2_lat: given more than once",
+        ),
+        (
+            full.replacen(r#""ways":8"#, r#""ways":8,"wayz":4"#, 1),
+            "machine.l1d.wayz: unknown field",
+        ),
+    ] {
+        assert_ne!(machine, full);
+        let line =
+            format!(r#"{{"op":"simulate","kernel":"ep","config":"CMP","machine":{machine}}}"#);
+        let reply = client.roundtrip(&line);
+        let v = serde_json::parse(&reply).unwrap();
+        assert_eq!(v["error"].as_str(), Some("bad-request"), "{reply}");
+        assert!(v["detail"].as_str().unwrap().contains(want), "{reply}");
+    }
+    assert_eq!(
+        (service.simulate_requests(), service.computed()),
+        (0, 0),
+        "a refused override reaches neither the cache nor the engine"
+    );
+    assert!(server.shutdown(Duration::from_secs(10)));
+}
+
+#[test]
 fn overload_rejects_typed_and_drain_finishes_in_flight() {
     // One running slot, zero queue slots; the first computation is
     // stalled 400 ms by an injected slow fault so the second distinct
