@@ -41,6 +41,16 @@ echo "== trace identity: class T goldens and the 5x5 factorization (run by name)
 by_name class_t_traces_did_not_move -p paxsim-nas --test trace_goldens
 by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib
 
+echo "== pooled calibration, unpinned one-shot runs, linear string parse (run by name) =="
+# Every row of the pooled calibrate() bit for bit its probe run alone; a
+# run whose trace nobody else holds leaves nothing pinned in the region
+# memo; a 250 KB string parses in well under a second, and the vendored
+# parser (outside the workspace run) decodes across its plain runs' edges.
+by_name calibrate::tests::pooled_rows_equal_each_probe_run_alone -p paxsim-core --lib
+by_name a_run_nobody_can_repeat_pins_nothing -p paxsim-machine --test memo
+by_name protocol::tests::a_long_string_parses_in_linear_time -p paxsim-serve --lib
+by_name tests::strings_decode_across_run_edges -p serde_json --lib
+
 echo "== engine identity vs the reference (run by name, memo on and off) =="
 # The four tests of `differential` that pin the fast engine to the
 # reference — all Table 1 configs jittered and quiet, every kernel on one

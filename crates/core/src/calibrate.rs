@@ -2,31 +2,74 @@
 //! simulator and compare against the numbers the paper measured on the
 //! real PowerEdge 2850.
 
-use paxsim_lmbench::{platform_numbers, PlatformNumbers};
+use paxsim_lmbench::{latency_ns, read_bw_gbs, write_bw_gbs};
 use paxsim_machine::config::MachineConfig;
+use paxsim_machine::topology::Lcpu;
 
-/// The paper's measured values (Section 3; see DESIGN.md §5 for the
-/// reconstruction of OCR-damaged digits).
+use crate::pool;
+
+/// One Section 3 quantity: what the paper measured, and the probe that
+/// measures it on the simulator.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperPlatform {
-    pub l1_ns: f64,
-    pub l2_ns: f64,
-    pub mem_ns: f64,
-    pub read_bw_1chip: f64,
-    pub write_bw_1chip: f64,
-    pub read_bw_2chip: f64,
-    pub write_bw_2chip: f64,
+pub struct Quantity {
+    pub name: &'static str,
+    pub unit: &'static str,
+    /// The paper's value (see DESIGN.md §5 for the reconstruction of
+    /// OCR-damaged digits).
+    pub paper: f64,
+    pub probe: fn(&MachineConfig) -> f64,
 }
 
-pub const PAPER_PLATFORM: PaperPlatform = PaperPlatform {
-    l1_ns: 1.43,
-    l2_ns: 11.4,
-    mem_ns: 136.85,
-    read_bw_1chip: 3.57,
-    write_bw_1chip: 1.77,
-    read_bw_2chip: 4.43,
-    write_bw_2chip: 2.6,
-};
+/// The paper's Section 3 numbers, in report order.
+pub const SECTION3: [Quantity; 7] = [
+    Quantity {
+        name: "L1 latency",
+        unit: "ns",
+        paper: 1.43,
+        probe: |cfg| latency_ns(cfg, 8 * 1024), // fits L1
+    },
+    Quantity {
+        name: "L2 latency",
+        unit: "ns",
+        paper: 11.4,
+        probe: |cfg| latency_ns(cfg, 256 * 1024), // fits L2, misses L1
+    },
+    Quantity {
+        name: "Memory latency",
+        unit: "ns",
+        paper: 136.85,
+        probe: |cfg| latency_ns(cfg, 16 * 1024 * 1024), // misses L2
+    },
+    Quantity {
+        name: "Read BW, 1 chip",
+        unit: "GB/s",
+        paper: 3.57,
+        probe: |cfg| read_bw_gbs(cfg, &[Lcpu::B0]),
+    },
+    Quantity {
+        name: "Write BW, 1 chip",
+        unit: "GB/s",
+        paper: 1.77,
+        probe: |cfg| write_bw_gbs(cfg, &[Lcpu::B0]),
+    },
+    Quantity {
+        name: "Read BW, 2 chips",
+        unit: "GB/s",
+        paper: 4.43,
+        probe: |cfg| read_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
+    },
+    Quantity {
+        name: "Write BW, 2 chips",
+        unit: "GB/s",
+        paper: 2.6,
+        probe: |cfg| write_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
+    },
+];
+
+/// [`SECTION3`] indices, longest probe first (memory latency ≈ 150 ms on
+/// one core, then the 2-chip and 1-chip streams; the two cached latencies
+/// take a few ms), so the probe that finishes the pool's work is a short one.
+const LONGEST_FIRST: [usize; 7] = [2, 6, 5, 4, 3, 1, 0];
 
 /// One calibration check.
 #[derive(Debug, Clone)]
@@ -47,7 +90,6 @@ impl CalibrationRow {
 #[derive(Debug, Clone)]
 pub struct CalibrationReport {
     pub rows: Vec<CalibrationRow>,
-    pub measured: PlatformNumbers,
 }
 
 impl CalibrationReport {
@@ -64,55 +106,26 @@ impl CalibrationReport {
     }
 }
 
-/// Run all Section 3 probes and compare against the paper.
+/// Run all Section 3 probes on the pool and compare against the paper.
+/// Each probe is its own simulation of its own trace, so running them
+/// concurrently changes no value.
 pub fn calibrate(cfg: &MachineConfig) -> CalibrationReport {
-    let m = platform_numbers(cfg);
-    let p = PAPER_PLATFORM;
-    let rows = vec![
-        CalibrationRow {
-            name: "L1 latency",
-            unit: "ns",
-            paper: p.l1_ns,
-            measured: m.l1_ns,
-        },
-        CalibrationRow {
-            name: "L2 latency",
-            unit: "ns",
-            paper: p.l2_ns,
-            measured: m.l2_ns,
-        },
-        CalibrationRow {
-            name: "Memory latency",
-            unit: "ns",
-            paper: p.mem_ns,
-            measured: m.mem_ns,
-        },
-        CalibrationRow {
-            name: "Read BW, 1 chip",
-            unit: "GB/s",
-            paper: p.read_bw_1chip,
-            measured: m.read_bw_1chip,
-        },
-        CalibrationRow {
-            name: "Write BW, 1 chip",
-            unit: "GB/s",
-            paper: p.write_bw_1chip,
-            measured: m.write_bw_1chip,
-        },
-        CalibrationRow {
-            name: "Read BW, 2 chips",
-            unit: "GB/s",
-            paper: p.read_bw_2chip,
-            measured: m.read_bw_2chip,
-        },
-        CalibrationRow {
-            name: "Write BW, 2 chips",
-            unit: "GB/s",
-            paper: p.write_bw_2chip,
-            measured: m.write_bw_2chip,
-        },
-    ];
-    CalibrationReport { rows, measured: m }
+    let mut measured = [0.0; SECTION3.len()];
+    let results = pool::map(&LONGEST_FIRST, |&i| (SECTION3[i].probe)(cfg));
+    for (&i, m) in LONGEST_FIRST.iter().zip(results) {
+        measured[i] = m;
+    }
+    let rows = SECTION3
+        .iter()
+        .zip(measured)
+        .map(|(q, measured)| CalibrationRow {
+            name: q.name,
+            unit: q.unit,
+            paper: q.paper,
+            measured,
+        })
+        .collect();
+    CalibrationReport { rows }
 }
 
 #[cfg(test)]
@@ -145,5 +158,23 @@ mod tests {
     fn rows_cover_all_section3_numbers() {
         let report = calibrate(&MachineConfig::paxville_smp());
         assert_eq!(report.rows.len(), 7);
+    }
+
+    /// The pool changes when a probe runs, never what it measures: every
+    /// row of a pooled calibration is bit for bit its probe run alone.
+    #[test]
+    fn pooled_rows_equal_each_probe_run_alone() {
+        let cfg = MachineConfig::paxville_smp();
+        let report = calibrate(&cfg);
+        for (row, q) in report.rows.iter().zip(&SECTION3) {
+            assert_eq!((row.name, row.unit, row.paper), (q.name, q.unit, q.paper));
+            assert_eq!(
+                row.measured.to_bits(),
+                (q.probe)(&cfg).to_bits(),
+                "{}: pooled {} vs alone",
+                row.name,
+                row.measured
+            );
+        }
     }
 }

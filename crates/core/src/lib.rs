@@ -45,7 +45,7 @@ pub mod study;
 pub mod tune;
 
 pub mod prelude {
-    pub use crate::calibrate::{calibrate, CalibrationReport, PAPER_PLATFORM};
+    pub use crate::calibrate::{calibrate, CalibrationReport, SECTION3};
     pub use crate::configs::{
         all_configs, config_by_name, parallel_configs, quad_core_configs, serial, HwConfig,
     };

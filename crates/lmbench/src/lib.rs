@@ -122,32 +122,6 @@ pub fn write_bw_gbs(cfg: &MachineConfig, contexts: &[Lcpu]) -> f64 {
     stream_bw_gbs(cfg, contexts, true)
 }
 
-/// The paper's Section 3 platform characterization, reproduced on the
-/// simulator.
-#[derive(Debug, Clone)]
-pub struct PlatformNumbers {
-    pub l1_ns: f64,
-    pub l2_ns: f64,
-    pub mem_ns: f64,
-    pub read_bw_1chip: f64,
-    pub write_bw_1chip: f64,
-    pub read_bw_2chip: f64,
-    pub write_bw_2chip: f64,
-}
-
-/// Measure all Section 3 quantities.
-pub fn platform_numbers(cfg: &MachineConfig) -> PlatformNumbers {
-    PlatformNumbers {
-        l1_ns: latency_ns(cfg, 8 * 1024),          // fits L1
-        l2_ns: latency_ns(cfg, 256 * 1024),        // fits L2, misses L1
-        mem_ns: latency_ns(cfg, 16 * 1024 * 1024), // misses L2
-        read_bw_1chip: read_bw_gbs(cfg, &[Lcpu::B0]),
-        write_bw_1chip: write_bw_gbs(cfg, &[Lcpu::B0]),
-        read_bw_2chip: read_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
-        write_bw_2chip: write_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

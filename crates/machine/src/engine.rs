@@ -287,6 +287,25 @@ pub(crate) fn run_reference(cfg: &MachineConfig, specs: &[JobSpec]) -> EngineOut
 }
 
 fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome {
+    // Region memoization applies to a single job whose whole team starts
+    // every region at one common clock, which is what makes a region's
+    // evolution a pure function of (trace, machine state) up to a time
+    // translation: a quiet (jitter-free) job, or — under jitter — a job of
+    // one context, whose start offset nothing else on the machine sees.
+    let aligned = |s: &JobSpec| s.jitter_cycles == 0 || s.placement.len() == 1;
+    // An edge pins its region, and only a run presenting that region
+    // pointer again can hit it. A trace nobody else holds, none of whose
+    // regions repeats or is held elsewhere, can never be presented again:
+    // recording its edges would only pin them. (Read before `JobState`
+    // takes its own reference to the trace.)
+    let repeatable = |s: &JobSpec| {
+        Arc::strong_count(&s.trace) > 1 || s.trace.regions.iter().any(|r| Arc::strong_count(r) > 1)
+    };
+    let memo_on = fast
+        && specs.len() == 1
+        && aligned(&specs[0])
+        && !memo::disabled()
+        && repeatable(&specs[0]);
     let topo = Topology::of(cfg);
     let mut ctxs: Vec<Ctx> = Vec::new();
     let mut jobs: Vec<JobState> = Vec::new();
@@ -356,13 +375,6 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
         let starts: Vec<u64> = jobs.iter().map(|j| j.start).collect();
         crate::profile::begin(&starts);
     }
-    // Region memoization applies to a single job whose whole team starts
-    // every region at one common clock, which is what makes a region's
-    // evolution a pure function of (trace, machine state) up to a time
-    // translation: a quiet (jitter-free) job, or — under jitter — a job of
-    // one context, whose start offset nothing else on the machine sees.
-    let aligned = |s: &JobSpec| s.jitter_cycles == 0 || s.placement.len() == 1;
-    let memo_on = fast && specs.len() == 1 && aligned(&specs[0]) && !memo::disabled();
     if memo_on {
         run_memoized(
             cfg,

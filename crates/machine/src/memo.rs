@@ -23,7 +23,9 @@
 //!   → (post, Δt, Δcounters)`; [`probe`] is one map lookup under a short
 //!   lock, whichever `simulate()` call recorded the edge. The run context
 //!   is an id for (machine config, team placement). An edge holds its
-//!   region and its `pre`, so neither address in its key can be recycled.
+//!   region and its `pre`, so neither address in its key can be recycled
+//!   — and pins both; a run whose trace nobody else holds, none of whose
+//!   regions repeats, could never be answered again, so it records none.
 //! * **Run contexts.** [`run_context`] keeps the most recently used few
 //!   and pins, for each, the snapshot of its *pristine* machine — one
 //!   canonical state whatever the clock and the placement — so a run's
@@ -89,7 +91,7 @@ pub struct MemoStats {
 impl MemoStats {
     /// Fraction of probes answered from the table (0 when never probed —
     /// the reference engine, multi-job runs, jittered runs of two or more
-    /// contexts).
+    /// contexts, runs no later run can repeat).
     pub fn hit_rate(&self) -> f64 {
         if self.probes == 0 {
             0.0

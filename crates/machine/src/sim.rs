@@ -82,8 +82,11 @@ pub struct SimOutcome {
     /// Sum of all jobs' counters (machine-wide view).
     pub total: Counters,
     /// Region-memoization telemetry (all zeros where memoization never
-    /// engages: the reference engine, multi-job runs, and jittered runs of
-    /// two or more contexts — one context replays under jitter too).
+    /// engages: the reference engine, multi-job runs, jittered runs of two
+    /// or more contexts — one context replays under jitter too — and runs
+    /// no later run can repeat: a trace moved into this call and held by
+    /// no one else, none of whose regions occurs twice or is held
+    /// elsewhere).
     pub memo: crate::memo::MemoStats,
     /// Event-scheduler telemetry: dispatches taken and idle ticks skipped
     /// by quiescent-skip (all zeros for the reference engine, which scans

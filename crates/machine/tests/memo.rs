@@ -235,6 +235,61 @@ fn two_contexts_under_jitter_are_not_memoized() {
     );
 }
 
+/// A fresh one-region, two-thread program.
+fn one_region(tag: u64) -> Arc<ProgramTrace> {
+    let mut p = ProgramTrace::new("once", 2);
+    p.push_region_arc(region(tag, 0));
+    Arc::new(p)
+}
+
+/// A trace moved into `simulate` and held by no one else, whose one region
+/// occurs once, can never be presented again: the run probes nothing and
+/// leaves no edge pinning its region — which dies with the call.
+#[test]
+fn a_run_nobody_can_repeat_pins_nothing() {
+    let cfg = MachineConfig::paxville_smp();
+    let moved = one_region(20);
+    let region = Arc::downgrade(&moved.regions[0]);
+    let out = sim(&cfg, vec![JobSpec::pinned(moved, vec![Lcpu::A0, Lcpu::A1])]);
+    assert_eq!(out.memo, MemoStats::default());
+    assert!(region.upgrade().is_none(), "the table pinned the region");
+    assert_same(
+        &out,
+        &simulate_reference(&cfg, job(&one_region(20), 0)),
+        "moved",
+    );
+}
+
+/// A moved trace whose regions repeat can still answer itself: every
+/// boundary is probed and the repeats hit.
+#[test]
+fn a_moved_trace_with_repeated_regions_still_replays_them() {
+    let cfg = MachineConfig::paxville_smp();
+    let moved = iterative(21, 1, 6);
+    let regions = moved.regions.len() as u64;
+    let out = sim(&cfg, vec![JobSpec::pinned(moved, vec![Lcpu::A0])]);
+    assert_eq!(out.memo.probes, regions, "{:?}", out.memo);
+    assert!(out.memo.hits > 0, "{:?}", out.memo);
+    assert_same(
+        &out,
+        &simulate_reference(&cfg, serial(&iterative(21, 1, 6), 0, 0)),
+        "moved, repeated",
+    );
+}
+
+/// A trace its caller keeps may come back, so its run records.
+#[test]
+fn a_kept_trace_still_records() {
+    let cfg = MachineConfig::paxville_smp();
+    let kept = one_region(22);
+    let out = sim(&cfg, job(&kept, 0));
+    assert_eq!(out.memo.probes, out.memo.regions, "{:?}", out.memo);
+    assert_eq!(out.memo.regions, 1);
+    assert_same(&out, &simulate_reference(&cfg, job(&kept, 0)), "kept");
+    let again = sim(&cfg, job(&kept, 0));
+    assert_eq!(again.memo.hits, 1, "{:?}", again.memo);
+}
+
 /// Trace Q shares P's first `k` regions and differs after. Once P has run,
 /// Q replays `k` boundaries with no machine, then builds one at boundary
 /// `k` and restores it from the post-state of a region it never simulated

@@ -834,6 +834,25 @@ mod tests {
         assert_eq!(refused(&many), "op");
     }
 
+    /// Regression: the parser re-validated the rest of the line for every
+    /// string character, so one 250 KB string (a frame holds 256 KB) held
+    /// the reactor thread for seconds in a release build. It is linear
+    /// now: well under a second even unoptimized.
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let long = "é".repeat(125_000);
+        let line = format!(r#"{{"op":"{long}"}}"#);
+        assert!(line.len() > 250_000 && line.len() < crate::frame::MAX_FRAME_BYTES);
+        let start = std::time::Instant::now();
+        let err = parse_request(&line).unwrap_err();
+        let took = start.elapsed();
+        assert!(
+            matches!(err, StudyError::BadSpec { ref field, .. } if field == "op"),
+            "{err}"
+        );
+        assert!(took.as_secs_f64() < 1.0, "parsing took {took:?}");
+    }
+
     #[test]
     fn a_machine_override_refuses_repeated_and_unknown_keys_at_every_depth() {
         // Regression: the derived deserializer kept the first of a repeated
