@@ -17,6 +17,8 @@
 //!
 //! ```text
 //! build-panic:<kernel>[:times]   panic the first <times> trace builds of <kernel> (default 1)
+//! build-asid:<kernel>[:times]    make the first <times> trace builds of <kernel> emit a store at
+//!                                the ASID byte, which the trace codec refuses (default 1)
 //! cell-panic:<index>[:times]     panic the first <times> executions of sweep item <index> (default 1)
 //! cell-slow:<index>:<ms>[:times] sleep <ms> at the start of sweep item <index> (default unlimited)
 //! drift:<kernel>[:times]         perturb the fast-engine counters for <kernel> cells (default unlimited)
@@ -40,6 +42,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use paxsim_machine::op::ADDR_LIMIT;
+use paxsim_machine::trace::TraceBuf;
+
 /// One injected fault with its remaining-use budget.
 #[derive(Debug)]
 struct Fault {
@@ -50,6 +55,7 @@ struct Fault {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FaultKind {
     BuildPanic { kernel: String },
+    BuildAsid { kernel: String },
     CellPanic { index: usize },
     CellSlow { index: usize, ms: u64 },
     Drift { kernel: String },
@@ -85,6 +91,15 @@ impl FaultPlan {
             let (kind, default_times) = match fields[0] {
                 "build-panic" => (
                     FaultKind::BuildPanic {
+                        kernel: fields
+                            .get(1)
+                            .ok_or_else(|| format!("fault `{part}`: missing kernel"))?
+                            .to_string(),
+                    },
+                    1,
+                ),
+                "build-asid" => (
+                    FaultKind::BuildAsid {
                         kernel: fields
                             .get(1)
                             .ok_or_else(|| format!("fault `{part}`: missing kernel"))?
@@ -275,7 +290,9 @@ fn consume(want: impl Fn(&FaultKind) -> bool + Copy) -> Option<FaultKind> {
 }
 
 /// Hook: start of a trace build for `kernel`. Panics if a matching
-/// `build-panic` fault has budget left.
+/// `build-panic` fault has budget left; on a matching `build-asid` fault
+/// emits a store at [`ADDR_LIMIT`], the first address the engine's ASID
+/// tag would alias, which the trace codec itself refuses.
 #[inline]
 pub(crate) fn build_hook(kernel: &str) {
     if !active() {
@@ -283,6 +300,9 @@ pub(crate) fn build_hook(kernel: &str) {
     }
     if consume(|k| matches!(k, FaultKind::BuildPanic { kernel: fk } if fk == kernel)).is_some() {
         panic!("injected build fault for {kernel}");
+    }
+    if consume(|k| matches!(k, FaultKind::BuildAsid { kernel: fk } if fk == kernel)).is_some() {
+        TraceBuf::new().store(ADDR_LIMIT);
     }
 }
 
@@ -526,6 +546,7 @@ mod tests {
         assert!(FaultPlan::parse("explode:now").is_err());
         assert!(FaultPlan::parse("cell-panic:notanumber").is_err());
         assert!(FaultPlan::parse("build-panic").is_err());
+        assert!(FaultPlan::parse("build-asid").is_err());
         assert!(FaultPlan::parse("serve-worker-panic").is_err());
         assert!(FaultPlan::parse("serve-shard-slow:fast").is_err());
         assert!(FaultPlan::parse("").unwrap().faults.is_empty());

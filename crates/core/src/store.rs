@@ -356,6 +356,29 @@ mod tests {
         });
     }
 
+    /// Not gated on `debug_assertions`: the codec refuses an address at
+    /// the ASID byte in release builds too, and the store turns that into
+    /// the typed error.
+    #[test]
+    fn an_address_at_the_asid_byte_fails_the_build_typed() {
+        faultinject::with_plan(&format!("build-asid:ep:{MAX_BUILD_ATTEMPTS}"), || {
+            let store = TraceStore::new();
+            match store.try_get(ep_key()).unwrap_err() {
+                StudyError::BuildFailed {
+                    kernel,
+                    attempts,
+                    reason,
+                    ..
+                } => {
+                    assert_eq!(kernel, "ep");
+                    assert_eq!(attempts, MAX_BUILD_ATTEMPTS);
+                    assert!(reason.contains("reaches the ASID byte"), "{reason}");
+                }
+                e => panic!("unexpected error {e}"),
+            }
+        });
+    }
+
     #[test]
     #[should_panic(expected = "trace build failed")]
     fn get_panics_with_context_on_exhausted_budget() {

@@ -32,8 +32,9 @@ fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
 /// the identity tests visit: the event scheduler dispatched and jumped
 /// simulated cycles instead of stepping them (quiescent skip engages —
 /// a replayed region is one such jump), and packing + interning shrink
-/// the trace ~12× on iterative CG and ~2× on EP, whose only saving is the
-/// 8-byte word against the 16-byte `Op`.
+/// the trace ~20× on iterative CG and ~3.5× on EP, whose only saving is
+/// the 4-byte word against the 16-byte `Op` (8-byte words would read
+/// ~12× and 2×, and fail).
 fn assert_skips_and_packs(fast: &SimOutcome, trace: &ProgramTrace, bench: KernelId, what: &str) {
     assert!(
         fast.sched.events_scheduled > 0 && fast.sched.cycles_skipped > 0,
@@ -41,7 +42,7 @@ fn assert_skips_and_packs(fast: &SimOutcome, trace: &ProgramTrace, bench: Kernel
         fast.sched
     );
     let reduction = trace.unpacked_bytes() as f64 / trace.packed_bytes() as f64;
-    let floor = if bench == KernelId::Cg { 10.0 } else { 1.9 };
+    let floor = if bench == KernelId::Cg { 19.0 } else { 3.3 };
     assert!(
         reduction >= floor,
         "{what}: trace packs {reduction:.2}x (floor {floor})"

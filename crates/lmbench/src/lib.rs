@@ -78,36 +78,43 @@ pub fn latency_sweep(cfg: &MachineConfig, sizes: &[usize]) -> Vec<(usize, f64)> 
     sizes.iter().map(|&s| (s, latency_ns(cfg, s))).collect()
 }
 
+const STREAM_LINES: usize = 48 * 1024; // 3 MiB per stream: beyond L2 reach
+const STREAM_PASSES: usize = 4; // steady state: every line misses / dirty-evicts
+
+/// Stream `ji`'s trace: every word of its own buffer, read or written.
+fn stream_trace(ji: usize, write: bool) -> TraceBuf {
+    let base = 0x4000_0000u64 + ji as u64 * 0x1000_0000;
+    let mut t = TraceBuf::new();
+    for _ in 0..STREAM_PASSES {
+        for i in 0..STREAM_LINES as u64 {
+            for w in 0..8u64 {
+                if write {
+                    t.store(base + i * 64 + w * 8);
+                } else {
+                    t.load(base + i * 64 + w * 8);
+                }
+            }
+        }
+    }
+    t
+}
+
 /// Streaming bandwidth in GB/s over `contexts` (one independent stream per
 /// context, distinct buffers), reading (`write = false`) or writing every
 /// word of a buffer much larger than L2.
 pub fn stream_bw_gbs(cfg: &MachineConfig, contexts: &[Lcpu], write: bool) -> f64 {
     assert!(!contexts.is_empty());
-    let lines_per_ctx = 48 * 1024; // 3 MiB per stream: beyond L2 reach
-    let passes = 4u64; // steady state: every line misses / dirty-evicts
     let jobs: Vec<JobSpec> = contexts
         .iter()
         .enumerate()
         .map(|(ji, &l)| {
-            let base = 0x4000_0000u64 + ji as u64 * 0x1000_0000;
-            let mut t = TraceBuf::new();
-            for _ in 0..passes {
-                for i in 0..lines_per_ctx as u64 {
-                    for w in 0..8u64 {
-                        if write {
-                            t.store(base + i * 64 + w * 8);
-                        } else {
-                            t.load(base + i * 64 + w * 8);
-                        }
-                    }
-                }
-            }
+            let t = stream_trace(ji, write);
             let prog = Arc::new(ProgramTrace::single_region(format!("bw{ji}"), vec![t]));
             JobSpec::pinned(prog, vec![l])
         })
         .collect();
     let out = simulate(cfg, jobs);
-    let bytes = (passes as usize * contexts.len() * lines_per_ctx * 64) as f64;
+    let bytes = (STREAM_PASSES * contexts.len() * STREAM_LINES * 64) as f64;
     let seconds = out.wall_cycles as f64 / (cfg.freq_ghz * 1e9);
     bytes / seconds / 1e9
 }
@@ -142,6 +149,19 @@ mod tests {
                 cur = next[cur] as usize;
             }
             assert_eq!(cur, 0, "n={n}: must return to start");
+        }
+    }
+
+    #[test]
+    fn probe_traces_take_one_word_an_op() {
+        // No probe address leaves its buffer's base window: calibration
+        // replays only the one-word form.
+        for t in [
+            chase_trace(16 * 1024 * 1024, 1),
+            stream_trace(1, false),
+            stream_trace(1, true),
+        ] {
+            assert_eq!(t.packed_bytes(), 4 * t.len());
         }
     }
 

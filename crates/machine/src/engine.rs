@@ -765,7 +765,8 @@ fn step_ctx(
     // Disjoint field borrows: the trace is read-only while counters mutate.
     // The packed words are replayed directly; `ctx.idx` is a *word* index
     // (always on an op boundary — `unpack_at` returns the next one).
-    let words = job.trace.regions[ctx.region].threads[ctx.thread].words();
+    let buf = &job.trace.regions[ctx.region].threads[ctx.thread];
+    let (words, base) = (buf.words(), buf.base());
     let core_idx = ctx.core_idx;
     let slot = ctx.lcpu.ctx as usize;
     let fast = sched != Sched::Quantum;
@@ -793,7 +794,7 @@ fn step_ctx(
     let tpu = if sibling_active { cfg.smt_tpu } else { tpu };
 
     while ctx.idx < words.len() {
-        let (op, next_idx) = unpack_at(words, ctx.idx);
+        let (op, next_idx) = unpack_at(words, base, ctx.idx);
         if ctx.t >= limit {
             // Quantum block boundary: grant the walk's next block.
             match sched {

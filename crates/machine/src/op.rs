@@ -7,10 +7,14 @@
 //! streams against the shared hardware structures.
 //!
 //! Storage is *packed*: a [`TraceBuf`](crate::trace::TraceBuf) holds one
-//! 8-byte word per op (two for the rare oversized block id), with the op
-//! kind in the top three tag bits and the payload below. The codec here
-//! ([`pack_into`] / [`unpack_at`]) is lossless, so the engine and the
-//! reference engine decode the exact same `Op` stream the emitters produced.
+//! 32-bit word per op — two for a `Block` — with the op kind in the top
+//! three tag bits and a 29-bit payload below. A memory op stores its
+//! address as an offset from its buffer's *base* (see [`base_for`]); an
+//! address outside the base's ±2^28 window, or any other value too wide
+//! for 29 bits, takes the *wide* form: a tag of its own, then the value as
+//! two raw words. The codec ([`pack_into`] / [`unpack_at`]) is lossless, so the
+//! engine and the reference engine decode the exact `Op` stream the
+//! emitters produced.
 
 /// One traced operation.
 ///
@@ -74,7 +78,8 @@ impl Op {
 }
 
 /// Highest address (exclusive) a trace may reference: the ASID byte starts
-/// at bit 56, and [`tag_address`] must never destroy address bits.
+/// at bit 56, and [`tag_address`] must never destroy address bits. The
+/// codec refuses a larger address in every build (see [`pack_into`]).
 pub const ADDR_LIMIT: u64 = 1 << 56;
 
 /// Compose the effective physical tag for `addr` under address-space `asid`.
@@ -91,150 +96,218 @@ pub fn tag_address(asid: u8, addr: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Packed codec: one 8-byte word per op (two for oversized block ids).
+// Packed codec: one 32-bit word per op, two for a `Block`.
 //
-// Word layout: [ tag: 3 bits | payload: 61 bits ].
+// Word layout: [ tag: 3 bits | payload: 29 bits ].
 //
-//   tag 0  Load      payload = addr            (addr < 2^56 < 2^61)
-//   tag 1  LoadDep   payload = addr
-//   tag 2  Store     payload = addr
-//   tag 3  Flops     payload = n               (u32)
+//   tag 0  Load      payload = addr - base + 2^28
+//   tag 1  LoadDep   payload = addr - base + 2^28
+//   tag 2  Store     payload = addr - base + 2^28
+//   tag 3  Flops     payload = n
 //   tag 4  Branch    payload = site << 1 | taken
-//   tag 5  Block     payload = bb << 32 | uops << 16 | body   (bb < 2^29)
-//   tag 6  BlockExt  payload = uops << 16 | body; the *next* word is the
-//                    raw 64-bit block id (no tag — never inspect a word
-//                    without decoding from a known op boundary)
+//   tag 5  Block     payload = bb; the next word is uops << 16 | body
+//   tag 7  Wide      payload = the tag the op would have had; its value
+//                    follows as two raw words, low half first (after the
+//                    uops/body word for a `Block`): the absolute address
+//                    of a memory op, `n`, `site << 1 | taken` or `bb`
 //
-// In both block encodings `body` occupies the low 16 bits of the first
-// word, so the trace builder can backfill it with one masked store.
+// An op takes the wide form only when its value does not fit 29 bits, so
+// the inline decode is one dispatch on the tag. Raw words carry no tag:
+// decoding is only defined from a known op boundary.
 // ---------------------------------------------------------------------------
 
-const TAG_SHIFT: u32 = 61;
-const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
+const TAG_SHIFT: u32 = 29;
+/// Values below this fit a word's payload; also one past its mask.
+const INLINE: u32 = 1 << TAG_SHIFT;
+/// An inline memory op stores `addr - base + BIAS`: addresses from
+/// `base - 2^28` up to `base + 2^28 - 1` fit.
+const BIAS: u64 = 1 << 28;
 
-const TAG_LOAD: u64 = 0;
-const TAG_LOAD_DEP: u64 = 1;
-const TAG_STORE: u64 = 2;
-const TAG_FLOPS: u64 = 3;
-const TAG_BRANCH: u64 = 4;
-const TAG_BLOCK: u64 = 5;
-const TAG_BLOCK_EXT: u64 = 6;
+const TAG_LOAD: u32 = 0;
+const TAG_LOAD_DEP: u32 = 1;
+const TAG_STORE: u32 = 2;
+const TAG_FLOPS: u32 = 3;
+const TAG_BRANCH: u32 = 4;
+const TAG_BLOCK: u32 = 5;
+const TAG_WIDE: u32 = 7;
 
-/// Largest block id that fits the one-word `Block` encoding.
-const BB_INLINE_LIMIT: u64 = 1 << 29;
-
+/// The base a buffer whose first memory op is at `addr` encodes against:
+/// `addr` itself, clamped so that every address inside the base's window
+/// lies in `0..ADDR_LIMIT`. An address the window does not hold takes the
+/// wide form, and that is where the codec refuses one at the ASID byte.
+/// Never 0, so a buffer may use 0 for "no base yet".
 #[inline]
-fn word(tag: u64, payload: u64) -> u64 {
-    debug_assert!(payload <= PAYLOAD_MASK);
-    (tag << TAG_SHIFT) | payload
+pub fn base_for(addr: u64) -> u64 {
+    addr.clamp(BIAS, ADDR_LIMIT - BIAS)
 }
 
-/// Append the packed encoding of `op` (one word, or two for a `Block` with
-/// an id of 2^29 or more). Always inlined: every emitter passes a known
-/// variant, so the match folds away and only the push is left.
+/// Append the packed encoding of `op` against address base `base` (a
+/// [`base_for`] value; only memory ops read it). Always inlined: every
+/// emitter passes a known variant, so the match folds away and only the
+/// push is left.
+///
+/// # Panics
+///
+/// On an address at or above [`ADDR_LIMIT`], in release builds too: the
+/// engine's ASID tag would alias it into another job's lines. Such an
+/// address is never inside a base's window, so only the cold wide path
+/// checks.
 #[inline(always)]
-pub fn pack_into(op: Op, words: &mut Vec<u64>) {
+pub fn pack_into(op: Op, base: u64, words: &mut Vec<u32>) {
     match op {
-        Op::Load { addr } => {
-            debug_assert!(addr < ADDR_LIMIT, "trace address {addr:#x} out of range");
-            words.push(word(TAG_LOAD, addr));
-        }
-        Op::LoadDep { addr } => {
-            debug_assert!(addr < ADDR_LIMIT, "trace address {addr:#x} out of range");
-            words.push(word(TAG_LOAD_DEP, addr));
-        }
-        Op::Store { addr } => {
-            debug_assert!(addr < ADDR_LIMIT, "trace address {addr:#x} out of range");
-            words.push(word(TAG_STORE, addr));
-        }
-        Op::Flops { n } => words.push(word(TAG_FLOPS, n as u64)),
+        Op::Load { addr } => push_addr(TAG_LOAD, addr, base, words),
+        Op::LoadDep { addr } => push_addr(TAG_LOAD_DEP, addr, base, words),
+        Op::Store { addr } => push_addr(TAG_STORE, addr, base, words),
+        Op::Flops { n } => push_value(TAG_FLOPS, n as u64, words),
         Op::Branch { site, taken } => {
-            words.push(word(TAG_BRANCH, ((site as u64) << 1) | taken as u64));
+            push_value(TAG_BRANCH, ((site as u64) << 1) | taken as u64, words)
         }
         Op::Block { bb, uops, body } => {
-            let tail = ((uops as u64) << 16) | body as u64;
-            if (bb as u64) < BB_INLINE_LIMIT {
-                words.push(word(TAG_BLOCK, ((bb as u64) << 32) | tail));
+            let tail = ((uops as u32) << 16) | body as u32;
+            if bb < INLINE {
+                words.extend_from_slice(&[(TAG_BLOCK << TAG_SHIFT) | bb, tail]);
             } else {
-                words.push(word(TAG_BLOCK_EXT, tail));
-                words.push(bb as u64);
+                wide(TAG_BLOCK, Some(tail), bb as u64, words);
             }
         }
     }
 }
 
-/// Decode the op whose first word is `words[i]`; returns the op and the
-/// index of the next op's first word. `i` must be an op boundary.
-#[inline]
-pub fn unpack_at(words: &[u64], i: usize) -> (Op, usize) {
+#[inline(always)]
+fn push_addr(tag: u32, addr: u64, base: u64, words: &mut Vec<u32>) {
+    debug_assert_eq!(base, base_for(base), "not a codec base: {base:#x}");
+    let off = addr.wrapping_sub(base).wrapping_add(BIAS);
+    if off < INLINE as u64 {
+        words.push((tag << TAG_SHIFT) | off as u32);
+    } else {
+        wide_addr(tag, addr, words);
+    }
+}
+
+#[inline(always)]
+fn push_value(tag: u32, v: u64, words: &mut Vec<u32>) {
+    if v < INLINE as u64 {
+        words.push((tag << TAG_SHIFT) | v as u32);
+    } else {
+        wide(tag, None, v, words);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn wide_addr(tag: u32, addr: u64, words: &mut Vec<u32>) {
+    assert!(
+        addr < ADDR_LIMIT,
+        "trace address {addr:#x} reaches the ASID byte (>= {ADDR_LIMIT:#x})"
+    );
+    wide(tag, None, addr, words);
+}
+
+#[cold]
+#[inline(never)]
+fn wide(tag: u32, block_tail: Option<u32>, v: u64, words: &mut Vec<u32>) {
+    words.push((TAG_WIDE << TAG_SHIFT) | tag);
+    words.extend(block_tail);
+    words.extend_from_slice(&[v as u32, (v >> 32) as u32]);
+}
+
+/// Decode the op whose first word is `words[i]` in a buffer with address
+/// base `base`; returns the op and the index of the next op's first word.
+/// `i` must be an op boundary. Always inlined: it is the engine's inner
+/// loop, and building the `Op` right here lets the caller's match on it
+/// fold into this one.
+#[inline(always)]
+pub fn unpack_at(words: &[u32], base: u64, i: usize) -> (Op, usize) {
     let w = words[i];
-    let payload = w & PAYLOAD_MASK;
-    let op = match w >> TAG_SHIFT {
-        TAG_LOAD => Op::Load { addr: payload },
-        TAG_LOAD_DEP => Op::LoadDep { addr: payload },
-        TAG_STORE => Op::Store { addr: payload },
-        TAG_FLOPS => Op::Flops { n: payload as u32 },
-        TAG_BRANCH => Op::Branch {
-            site: (payload >> 1) as u32,
-            taken: payload & 1 != 0,
-        },
-        TAG_BLOCK => Op::Block {
-            bb: (payload >> 32) as u32,
-            uops: (payload >> 16) as u16,
-            body: payload as u16,
-        },
-        TAG_BLOCK_EXT => {
-            return (
-                Op::Block {
-                    bb: words[i + 1] as u32,
-                    uops: (payload >> 16) as u16,
-                    body: payload as u16,
+    let p = w & (INLINE - 1);
+    let addr = || base.wrapping_sub(BIAS).wrapping_add(p as u64);
+    match w >> TAG_SHIFT {
+        TAG_LOAD => (Op::Load { addr: addr() }, i + 1),
+        TAG_LOAD_DEP => (Op::LoadDep { addr: addr() }, i + 1),
+        TAG_STORE => (Op::Store { addr: addr() }, i + 1),
+        TAG_FLOPS => (Op::Flops { n: p }, i + 1),
+        TAG_BRANCH => (
+            Op::Branch {
+                site: p >> 1,
+                taken: p & 1 != 0,
+            },
+            i + 1,
+        ),
+        TAG_BLOCK => (block(p, words[i + 1]), i + 2),
+        TAG_WIDE => {
+            let at = i + 1 + (p == TAG_BLOCK) as usize;
+            let v = words[at] as u64 | (words[at + 1] as u64) << 32;
+            let op = match p {
+                TAG_LOAD => Op::Load { addr: v },
+                TAG_LOAD_DEP => Op::LoadDep { addr: v },
+                TAG_STORE => Op::Store { addr: v },
+                TAG_FLOPS => Op::Flops { n: v as u32 },
+                TAG_BRANCH => Op::Branch {
+                    site: (v >> 1) as u32,
+                    taken: v & 1 != 0,
                 },
-                i + 2,
-            );
+                TAG_BLOCK => block(v as u32, words[i + 1]),
+                t => unreachable!("corrupt packed trace word: wide tag {t}"),
+            };
+            (op, at + 2)
         }
         t => unreachable!("corrupt packed trace word: tag {t}"),
-    };
-    (op, i + 1)
+    }
 }
 
-/// Is `w` (known to start an op) a `Flops` word? Used by the trace builder
-/// for adjacent-`Flops` coalescing.
-#[inline]
-pub(crate) fn is_flops_word(w: u64) -> bool {
-    w >> TAG_SHIFT == TAG_FLOPS
+#[inline(always)]
+fn block(bb: u32, tail: u32) -> Op {
+    Op::Block {
+        bb,
+        uops: (tail >> 16) as u16,
+        body: tail as u16,
+    }
 }
 
-/// The `n` of a `Flops` word.
-#[inline]
-pub(crate) fn flops_of(w: u64) -> u32 {
-    debug_assert!(is_flops_word(w));
-    (w & PAYLOAD_MASK) as u32
+/// The `n` of the `Flops` op whose first word is `words[i]`. Used by the
+/// trace builder for adjacent-`Flops` coalescing.
+#[inline(always)]
+pub(crate) fn flops_at(words: &[u32], i: usize) -> u32 {
+    match words[i] >> TAG_SHIFT {
+        TAG_WIDE => words[i + 1],
+        _ => words[i] & (INLINE - 1),
+    }
 }
 
-/// Build a `Flops` word.
+/// Replace the `body` field of a block's uops/body word (the word after
+/// its id word, in both forms).
 #[inline]
-pub(crate) fn flops_word(n: u32) -> u64 {
-    word(TAG_FLOPS, n as u64)
+pub(crate) fn patch_body(tail: u32, body: u16) -> u32 {
+    (tail & !0xffff) | body as u32
 }
 
-/// Replace the `body` field (low 16 bits) of a block's first word.
+/// The current `body` field of a block's uops/body word.
 #[inline]
-pub(crate) fn patch_body(w: u64, body: u16) -> u64 {
-    debug_assert!(matches!(w >> TAG_SHIFT, TAG_BLOCK | TAG_BLOCK_EXT));
-    (w & !0xffff) | body as u64
-}
-
-/// The current `body` field of a block's first word.
-#[inline]
-pub(crate) fn body_of(w: u64) -> u16 {
-    debug_assert!(matches!(w >> TAG_SHIFT, TAG_BLOCK | TAG_BLOCK_EXT));
-    w as u16
+pub(crate) fn body_of(tail: u32) -> u16 {
+    tail as u16
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pack `ops` against `base` and decode them back, checking that op
+    /// boundaries re-synchronize exactly.
+    fn roundtrip(ops: &[Op], base: u64) -> (Vec<Op>, usize) {
+        let mut words = Vec::new();
+        for &op in ops {
+            pack_into(op, base, &mut words);
+        }
+        let mut decoded = Vec::with_capacity(ops.len());
+        let mut i = 0;
+        while i < words.len() {
+            let (op, next) = unpack_at(&words, base, i);
+            decoded.push(op);
+            i = next;
+        }
+        assert_eq!(i, words.len());
+        (decoded, words.len())
+    }
 
     #[test]
     fn uop_accounting() {
@@ -294,28 +367,53 @@ mod tests {
         let _ = tag_address(1, ADDR_LIMIT);
     }
 
+    /// Not gated on `debug_assertions`: a release build refuses the
+    /// address too, whether it is a buffer's first or sits beside a base.
+    #[test]
+    fn an_address_at_the_asid_byte_is_refused_in_every_build() {
+        for (base_addr, addr) in [
+            (ADDR_LIMIT, ADDR_LIMIT),
+            (ADDR_LIMIT - 1, ADDR_LIMIT),
+            (0x1000_0000, ADDR_LIMIT + 0x40),
+            (0x1000_0000, u64::MAX),
+        ] {
+            let r = std::panic::catch_unwind(|| {
+                pack_into(Op::Store { addr }, base_for(base_addr), &mut Vec::new())
+            });
+            let msg = r.expect_err("refused").downcast::<String>().unwrap();
+            assert!(msg.contains("reaches the ASID byte"), "{msg}");
+        }
+    }
+
     #[test]
     fn op_is_compact() {
         // Keep the trace footprint bounded: 16 bytes per decoded op, and
-        // the packed form is a single 8-byte word for every common op.
+        // the packed form is one 4-byte word for every common op but a
+        // block, which is two.
         assert!(std::mem::size_of::<Op>() <= 16);
-        let mut w = Vec::new();
-        for op in [
-            Op::Load { addr: 0x1234 },
-            Op::Flops { n: 9 },
-            Op::Branch {
-                site: 7,
-                taken: true,
-            },
-            Op::Block {
-                bb: 205_000,
-                uops: 5,
-                body: 40,
-            },
+        let base = base_for(0x1000_0000);
+        for (op, n) in [
+            (Op::Load { addr: 0x1234_5678 }, 1),
+            (Op::Flops { n: 9 }, 1),
+            (
+                Op::Branch {
+                    site: 7,
+                    taken: true,
+                },
+                1,
+            ),
+            (
+                Op::Block {
+                    bb: 205_000,
+                    uops: 5,
+                    body: 40,
+                },
+                2,
+            ),
         ] {
-            w.clear();
-            pack_into(op, &mut w);
-            assert_eq!(w.len(), 1, "{op:?} must pack to one word");
+            let mut w = Vec::new();
+            pack_into(op, base, &mut w);
+            assert_eq!(w.len(), n, "{op:?} must pack to {n} word(s)");
         }
     }
 
@@ -343,62 +441,120 @@ mod tests {
                 taken: true,
             },
             Op::Block {
-                bb: (BB_INLINE_LIMIT - 1) as u32,
+                bb: INLINE - 1,
                 uops: u16::MAX,
                 body: 0,
             },
-            // Oversized id: takes the two-word escape.
             Op::Block {
                 bb: u32::MAX,
                 uops: 3,
                 body: 77,
             },
         ];
-        let mut words = Vec::new();
-        for &op in &ops {
-            pack_into(op, &mut words);
+        for base in [base_for(0), base_for(0x1000_0000), base_for(u64::MAX)] {
+            assert_eq!(roundtrip(&ops, base).0, ops);
         }
-        let mut i = 0;
-        for &op in &ops {
-            let (got, next) = unpack_at(&words, i);
-            assert_eq!(got, op);
-            i = next;
-        }
-        assert_eq!(i, words.len());
     }
 
     #[test]
-    fn block_ext_uses_two_words() {
-        let mut w = Vec::new();
-        pack_into(
+    fn codec_roundtrips_at_the_offset_edges() {
+        let base = base_for(0x1000_0000 + 0x7_7740);
+        let far = BIAS as i64;
+        // (offset from base, inline?)
+        let edges = [
+            (0, true),
+            (-1, true),
+            (-far, true),
+            (-far - 1, false),
+            (far - 1, true), // an all-ones payload
+            (far, false),
+            (1 << 40, false), // a reduction line of the runtime
+        ];
+        for (off, inline) in edges {
+            let addr = base.wrapping_add_signed(off);
+            for op in [Op::Load { addr }, Op::LoadDep { addr }, Op::Store { addr }] {
+                let (decoded, words) = roundtrip(&[op], base);
+                assert_eq!(decoded, [op], "offset {off}");
+                assert_eq!(words, if inline { 1 } else { 3 }, "offset {off}");
+            }
+        }
+        // The last inline value and the first wide one of every kind.
+        let ops = [
+            Op::Flops { n: INLINE - 1 },
+            Op::Flops { n: INLINE },
+            Op::Branch {
+                site: (INLINE >> 1) - 1,
+                taken: true,
+            },
+            Op::Branch {
+                site: INLINE >> 1,
+                taken: false,
+            },
             Op::Block {
-                bb: u32::MAX,
+                bb: INLINE - 1,
                 uops: 1,
                 body: 2,
             },
-            &mut w,
-        );
-        assert_eq!(w.len(), 2);
-        // Body patching works on both encodings.
-        assert_eq!(body_of(w[0]), 2);
-        w[0] = patch_body(w[0], 500);
-        let (op, n) = unpack_at(&w, 0);
-        assert_eq!(n, 2);
-        assert_eq!(
-            op,
             Op::Block {
-                bb: u32::MAX,
+                bb: INLINE,
                 uops: 1,
-                body: 500
-            }
-        );
+                body: 2,
+            },
+        ];
+        let (decoded, words) = roundtrip(&ops, base);
+        assert_eq!(decoded, ops);
+        assert_eq!(words, 1 + 3 + 1 + 3 + 2 + 4);
+        // A base at either clamp keeps its whole window below the ASID
+        // byte and above 0.
+        for base in [base_for(0), base_for(u64::MAX)] {
+            let ops = [
+                Op::Load { addr: base - BIAS },
+                Op::Load {
+                    addr: base + BIAS - 1,
+                },
+            ];
+            assert_eq!(roundtrip(&ops, base), (ops.to_vec(), 2));
+        }
+    }
+
+    #[test]
+    fn block_body_patches_in_both_forms() {
+        let body_word = |bb: u32| {
+            let mut w = Vec::new();
+            pack_into(
+                Op::Block {
+                    bb,
+                    uops: 1,
+                    body: 2,
+                },
+                0,
+                &mut w,
+            );
+            // The uops/body word follows the id word in both forms.
+            assert_eq!(body_of(w[1]), 2);
+            w[1] = patch_body(w[1], 500);
+            let (op, n) = unpack_at(&w, 0, 0);
+            assert_eq!(n, w.len());
+            assert_eq!(
+                op,
+                Op::Block {
+                    bb,
+                    uops: 1,
+                    body: 500
+                }
+            );
+            n
+        };
+        assert_eq!(body_word(INLINE - 1), 2, "the largest inline id");
+        assert_eq!(body_word(INLINE), 4, "the first wide id");
+        assert_eq!(body_word(u32::MAX), 4);
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        pub(crate) fn arb_op() -> impl Strategy<Value = Op> {
+        fn arb_op() -> impl Strategy<Value = Op> {
             prop_oneof![
                 (0..ADDR_LIMIT).prop_map(|addr| Op::Load { addr }),
                 (0..ADDR_LIMIT).prop_map(|addr| Op::LoadDep { addr }),
@@ -411,23 +567,58 @@ mod tests {
             ]
         }
 
+        /// An op whose value lies within four of an edge: for a memory op
+        /// the base window's two ends, the base itself or either end of the
+        /// address space; otherwise the inline limit, `u32::MAX` or 0.
+        fn edge_op(base: u64, kind: u8, edge: u8, d: u64, tail: u16) -> Op {
+            let near = |c: u64| c.wrapping_add(d).wrapping_sub(4);
+            let addrs = [base - BIAS, base + BIAS, base, ADDR_LIMIT - 4, 4];
+            let addr = near(addrs[edge as usize % addrs.len()]).min(ADDR_LIMIT - 1);
+            let values = [INLINE as u64, u32::MAX as u64 - 3, 4];
+            let v = near(values[edge as usize % values.len()]).min(u32::MAX as u64) as u32;
+            match kind {
+                0 => Op::Load { addr },
+                1 => Op::LoadDep { addr },
+                2 => Op::Store { addr },
+                3 => Op::Flops { n: v },
+                4 => Op::Branch {
+                    site: v,
+                    taken: d & 1 != 0,
+                },
+                _ => Op::Block {
+                    bb: v,
+                    uops: tail,
+                    body: tail.rotate_left(5),
+                },
+            }
+        }
+
         proptest! {
-            /// Pack → unpack is the identity on arbitrary op streams, and
-            /// op boundaries re-synchronize exactly.
+            /// Pack → unpack is the identity on arbitrary op streams and
+            /// bases, and op boundaries re-synchronize exactly.
             #[test]
-            fn codec_roundtrip(ops in proptest::collection::vec(arb_op(), 0..300)) {
-                let mut words = Vec::new();
-                for &op in &ops {
-                    pack_into(op, &mut words);
-                }
-                let mut decoded = Vec::with_capacity(ops.len());
-                let mut i = 0;
-                while i < words.len() {
-                    let (op, next) = unpack_at(&words, i);
-                    decoded.push(op);
-                    i = next;
-                }
-                prop_assert_eq!(decoded, ops);
+            fn codec_roundtrip(
+                ops in proptest::collection::vec(arb_op(), 0..300),
+                first in 0..ADDR_LIMIT,
+            ) {
+                prop_assert_eq!(roundtrip(&ops, base_for(first)).0, ops);
+            }
+
+            /// The same at the edges, where inline and wide forms meet.
+            #[test]
+            fn codec_edges_roundtrip(
+                first in 0..ADDR_LIMIT,
+                picks in proptest::collection::vec(
+                    (0u8..6, 0u8..15, 0u64..9, 0u16..=u16::MAX),
+                    0..100,
+                ),
+            ) {
+                let base = base_for(first);
+                let ops: Vec<Op> = picks
+                    .iter()
+                    .map(|&(kind, edge, d, tail)| edge_op(base, kind, edge, d, tail))
+                    .collect();
+                prop_assert_eq!(roundtrip(&ops, base).0, ops);
             }
         }
     }

@@ -9,10 +9,11 @@
 //!
 //! Two sharing layers keep big iterative programs small:
 //!
-//! * each buffer stores its ops *packed* — one 8-byte word per op (see
-//!   [`crate::op`]) with adjacent `Flops` coalesced at emission time —
-//!   halving memory against the old 16-byte `Op` array and improving
-//!   replay locality;
+//! * each buffer stores its ops *packed* — one 4-byte word per op, two
+//!   for a block, addresses as offsets from the buffer's base (see
+//!   [`crate::op`]) — with adjacent `Flops` coalesced and uops counted at
+//!   emission time, so neither replay nor an instruction count needs the
+//!   16-byte `Op`;
 //! * regions are held by `Arc`, so emitters (the `paxsim-omp` runtime)
 //!   can *intern* structurally identical regions: an iterative solver's
 //!   N identical iterations occupy one region's storage, not N. A buffer
@@ -30,16 +31,22 @@ use crate::op::{self, Op};
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuf {
     /// Packed op words (see [`crate::op::pack_into`]).
-    words: Vec<u64>,
-    /// Decoded op count (a two-word block is still one op).
+    words: Vec<u32>,
+    /// Address base the memory ops encode against: [`op::base_for`] of
+    /// the first one, 0 (never a base) until there is one.
+    base: u64,
+    /// Decoded op count (a multi-word op is still one op).
     n_ops: usize,
-    /// Word index of the most recent `Block` op, for body backfilling.
+    /// Uops of every op emitted so far.
+    uops: u64,
+    /// Word index of the most recent `Block` op's uops/body word, for body
+    /// backfilling.
     open_block: Option<usize>,
     /// Uops accumulated since that block began (including its own).
     open_uops: u64,
     /// Word index of a trailing `Flops` op eligible for coalescing. Must be
-    /// tracked explicitly: the last *word* of the buffer may be the raw id
-    /// word of a two-word block and carries no tag.
+    /// tracked explicitly: the last *word* of the buffer may be a raw
+    /// word of a multi-word op and carries no tag.
     tail_flops: Option<usize>,
 }
 
@@ -55,12 +62,24 @@ impl TraceBuf {
         }
     }
 
-    /// Append one encoded op word (or word pair) without touching the
-    /// open-block or coalescing state beyond what `op` requires.
-    #[inline]
+    /// Append one encoded op without touching the open-block or
+    /// coalescing state beyond what `op` requires.
+    #[inline(always)]
     fn emit(&mut self, op: Op) {
-        op::pack_into(op, &mut self.words);
+        op::pack_into(op, self.base, &mut self.words);
         self.n_ops += 1;
+        self.uops += op.uops();
+    }
+
+    /// Append a memory op, fixing the buffer's address base on its first.
+    #[inline(always)]
+    fn memory(&mut self, op: Op, addr: u64) {
+        if self.base == 0 {
+            self.base = op::base_for(addr);
+        }
+        self.open_uops += 1;
+        self.tail_flops = None;
+        self.emit(op);
     }
 
     /// Append `op`. `Flops` coalesce with a trailing `Flops` op exactly as
@@ -71,6 +90,7 @@ impl TraceBuf {
     pub fn push(&mut self, op: Op) {
         match op {
             Op::Flops { n } => self.flops(n),
+            Op::Load { addr } | Op::LoadDep { addr } | Op::Store { addr } => self.memory(op, addr),
             _ => {
                 self.open_uops += op.uops();
                 self.tail_flops = None;
@@ -80,41 +100,38 @@ impl TraceBuf {
     }
 
     /// Emit an independent (streaming) load.
-    #[inline]
+    #[inline(always)]
     pub fn load(&mut self, addr: u64) {
-        self.open_uops += 1;
-        self.tail_flops = None;
-        self.emit(Op::Load { addr });
+        self.memory(Op::Load { addr }, addr);
     }
 
     /// Emit a dependent (critical-path) load.
-    #[inline]
+    #[inline(always)]
     pub fn load_dep(&mut self, addr: u64) {
-        self.open_uops += 1;
-        self.tail_flops = None;
-        self.emit(Op::LoadDep { addr });
+        self.memory(Op::LoadDep { addr }, addr);
     }
 
     /// Emit a store.
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, addr: u64) {
-        self.open_uops += 1;
-        self.tail_flops = None;
-        self.emit(Op::Store { addr });
+        self.memory(Op::Store { addr }, addr);
     }
 
     /// Emit `n` uops of FP/ALU work. Coalesces with a preceding `Flops` op
     /// to keep traces compact when kernels emit work in small pieces.
-    #[inline]
+    #[inline(always)]
     pub fn flops(&mut self, n: u32) {
         if n == 0 {
             return;
         }
         self.open_uops += n as u64;
         if let Some(i) = self.tail_flops {
-            let last = op::flops_of(self.words[i]);
-            if let Some(sum) = last.checked_add(n) {
-                self.words[i] = op::flops_word(sum);
+            if let Some(sum) = op::flops_at(&self.words, i).checked_add(n) {
+                // The trailing op is rewritten whole: the sum may need the
+                // wide form where the addend did not.
+                self.words.truncate(i);
+                op::pack_into(Op::Flops { n: sum }, self.base, &mut self.words);
+                self.uops += n as u64;
                 return;
             }
         }
@@ -123,7 +140,7 @@ impl TraceBuf {
     }
 
     /// Emit a conditional branch outcome at static site `site`.
-    #[inline]
+    #[inline(always)]
     pub fn branch(&mut self, site: u32, taken: bool) {
         self.open_uops += 1;
         self.tail_flops = None;
@@ -134,11 +151,12 @@ impl TraceBuf {
     /// footprint is backfilled now that its extent is known; call
     /// [`TraceBuf::seal`] (or let the runtime do it) after the last op so
     /// the final block is finalized too.
-    #[inline]
+    #[inline(always)]
     pub fn block(&mut self, bb: u32, uops: u16) {
         self.seal();
         self.tail_flops = None;
-        self.open_block = Some(self.words.len());
+        // The uops/body word follows the id word in both forms.
+        self.open_block = Some(self.words.len() + 1);
         self.open_uops = uops as u64;
         self.emit(Op::Block {
             bb,
@@ -181,22 +199,30 @@ impl TraceBuf {
         self.n_ops == 0
     }
 
-    /// The packed op words; decode with [`crate::op::unpack_at`] starting
-    /// from word 0 (every other starting index may land mid-op).
+    /// The packed op words; decode with [`crate::op::unpack_at`] and
+    /// [`TraceBuf::base`] starting from word 0 (every other starting index
+    /// may land mid-op).
     #[inline]
-    pub fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u32] {
         &self.words
+    }
+
+    /// The address base the memory ops are encoded against.
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base
     }
 
     /// Bytes of packed op storage.
     pub fn packed_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+        self.words.len() * std::mem::size_of::<u32>()
     }
 
     /// Iterate the ops, decoding on the fly.
     pub fn iter(&self) -> OpIter<'_> {
         OpIter {
             words: &self.words,
+            base: self.base,
             i: 0,
         }
     }
@@ -207,9 +233,10 @@ impl TraceBuf {
         self.iter().collect()
     }
 
-    /// Total retired instructions represented by this buffer.
+    /// Total retired instructions represented by this buffer, counted as
+    /// the ops were emitted.
     pub fn instructions(&self) -> u64 {
-        self.iter().map(|o| o.uops()).sum()
+        self.uops
     }
 
     /// Number of memory operations.
@@ -218,11 +245,13 @@ impl TraceBuf {
     }
 }
 
-/// Content equality over the packed words (builder scratch state — open
-/// block, coalescing cursor — is excluded; compare sealed buffers).
+/// Content equality over the address base and the packed words (builder
+/// scratch state — open block, coalescing cursor — is excluded; compare
+/// sealed buffers). Equal words against different bases are different
+/// addresses.
 impl PartialEq for TraceBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.words == other.words
+        self.base == other.base && self.words == other.words
     }
 }
 
@@ -230,6 +259,7 @@ impl Eq for TraceBuf {}
 
 impl Hash for TraceBuf {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        self.base.hash(state);
         self.words.hash(state);
     }
 }
@@ -247,7 +277,8 @@ impl FromIterator<Op> for TraceBuf {
 /// Decoding iterator over a packed op stream.
 #[derive(Debug, Clone)]
 pub struct OpIter<'a> {
-    words: &'a [u64],
+    words: &'a [u32],
+    base: u64,
     i: usize,
 }
 
@@ -259,7 +290,7 @@ impl Iterator for OpIter<'_> {
         if self.i >= self.words.len() {
             return None;
         }
-        let (op, next) = op::unpack_at(self.words, self.i);
+        let (op, next) = op::unpack_at(self.words, self.base, self.i);
         self.i = next;
         Some(op)
     }
@@ -524,8 +555,9 @@ mod tests {
     fn two_word_block_does_not_confuse_coalescing() {
         let mut b = TraceBuf::new();
         b.flops(5);
-        // An oversized block id takes the two-word escape; its raw second
-        // word must not be mistaken for anything by the coalescer.
+        // A block is two words, and an oversized id takes the wide form,
+        // two raw words more; none of them may be mistaken for anything by
+        // the coalescer.
         b.push(Op::Block {
             bb: u32::MAX,
             uops: 2,
@@ -557,9 +589,10 @@ mod tests {
         b.branch(1, true);
         b.seal();
         assert_eq!(b.len(), 4);
-        // One 8-byte word per op: half the 16-byte decoded Op.
-        assert_eq!(b.packed_bytes(), 4 * 8);
-        assert!(b.packed_bytes() * 2 <= b.len() * std::mem::size_of::<Op>());
+        // One 4-byte word per op, two for the block: under a third of the
+        // 16-byte decoded Op.
+        assert_eq!(b.packed_bytes(), 5 * 4);
+        assert!(b.packed_bytes() * 3 <= b.len() * std::mem::size_of::<Op>());
     }
 
     #[test]
@@ -600,6 +633,60 @@ mod tests {
     }
 
     #[test]
+    fn equal_words_at_different_bases_are_different_buffers() {
+        use std::collections::hash_map::DefaultHasher;
+        let emit = |base: u64| {
+            let mut b = TraceBuf::new();
+            b.load(base);
+            b.store(base + 64);
+            b.seal();
+            b
+        };
+        let (a, b) = (emit(0x1000_0000), emit(0x2000_0000));
+        assert_eq!(a.words(), b.words(), "offsets from each base agree");
+        assert_ne!(a.base(), b.base());
+        assert_ne!(a, b);
+        assert_ne!(a.to_ops(), b.to_ops());
+        let h = |t: &TraceBuf| {
+            let mut s = DefaultHasher::new();
+            t.hash(&mut s);
+            s.finish()
+        };
+        assert_ne!(h(&a), h(&b));
+    }
+
+    #[test]
+    fn flops_coalesce_across_the_wide_boundary() {
+        // 2^29 is the first count a word's payload cannot hold.
+        let wide = 1u32 << 29;
+        let mut b = TraceBuf::new();
+        b.flops(wide - 1);
+        assert_eq!(b.packed_bytes(), 4);
+        b.flops(1); // the sum takes the wide form
+        assert_eq!(b.packed_bytes(), 3 * 4);
+        b.flops(u32::MAX - wide); // exactly u32::MAX: still one op
+        b.flops(1); // would overflow: a new, inline op
+        b.branch(3, false);
+        b.flops(wide);
+        b.flops(2);
+        assert_eq!(
+            b.to_ops(),
+            [
+                Op::Flops { n: u32::MAX },
+                Op::Flops { n: 1 },
+                Op::Branch {
+                    site: 3,
+                    taken: false
+                },
+                Op::Flops { n: wide + 2 },
+            ]
+        );
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.packed_bytes(), (3 + 1 + 1 + 3) * 4);
+        assert_eq!(b.instructions(), u32::MAX as u64 + 1 + 1 + wide as u64 + 2);
+    }
+
+    #[test]
     fn program_arity_checked() {
         let mut p = ProgramTrace::new("t", 2);
         p.push_region(RegionTrace::new(vec![TraceBuf::new(), TraceBuf::new()]));
@@ -631,7 +718,7 @@ mod tests {
         assert_eq!(p.unique_regions(), 1);
         assert_eq!(p.total_ops(), 1000);
         // Storage: one interned copy of 100 packed words.
-        assert_eq!(p.packed_bytes(), 100 * 8);
+        assert_eq!(p.packed_bytes(), 100 * 4);
         assert_eq!(p.unpacked_bytes(), 1000 * std::mem::size_of::<Op>());
         // Identical content in fresh (non-interned) regions still counts
         // per copy — only true sharing is credited.
@@ -639,7 +726,7 @@ mod tests {
         q.push_region(region());
         q.push_region(region());
         assert_eq!(q.unique_regions(), 2);
-        assert_eq!(q.packed_bytes(), 2 * 100 * 8);
+        assert_eq!(q.packed_bytes(), 2 * 100 * 4);
     }
 
     #[test]
@@ -674,7 +761,14 @@ mod tests {
                 (0u64..crate::op::ADDR_LIMIT).prop_map(|addr| Op::Load { addr }),
                 (0u64..crate::op::ADDR_LIMIT).prop_map(|addr| Op::LoadDep { addr }),
                 (0u64..crate::op::ADDR_LIMIT).prop_map(|addr| Op::Store { addr }),
-                (1u32..5000).prop_map(|n| Op::Flops { n }),
+                // Small counts, and counts on either side of the wide form
+                // and of u32 overflow.
+                prop_oneof![
+                    1u32..5000,
+                    ((1u32 << 29) - 8)..((1u32 << 29) + 8),
+                    (u32::MAX - 8)..=u32::MAX,
+                ]
+                .prop_map(|n| Op::Flops { n }),
                 ((0u32..=u32::MAX), proptest::bool::ANY)
                     .prop_map(|(site, taken)| Op::Branch { site, taken }),
                 ((0u32..=u32::MAX), 0u16..200, 0u16..400).prop_map(|(bb, uops, body)| Op::Block {
@@ -700,6 +794,7 @@ mod tests {
                 // uops totals are exactly preserved.
                 let want: u64 = ops.iter().map(|o| o.uops()).sum();
                 prop_assert_eq!(buf.instructions(), want);
+                prop_assert_eq!(decoded.iter().map(Op::uops).sum::<u64>(), want);
 
                 // The decoded stream equals the input with adjacent Flops
                 // coalesced (splitting on u32 overflow, as the builder
@@ -732,6 +827,41 @@ mod tests {
                 // Packed size never exceeds the decoded AoS size and is at
                 // least 2x smaller once every op packs to one word.
                 prop_assert!(buf.packed_bytes() <= buf.len() * 16);
+            }
+
+            /// The count kept while emitting is the decoded sum, whatever
+            /// mix of emitters built the buffer — `block` backfills, a
+            /// recycled buffer starts from zero.
+            #[test]
+            fn instructions_are_the_decoded_sum(
+                ops in proptest::collection::vec(arb_op(), 0..200),
+                blocks in proptest::collection::vec((0u32..=u32::MAX, 0u16..=u16::MAX), 0..20),
+                recycle in proptest::bool::ANY,
+            ) {
+                let mut buf = TraceBuf::new();
+                if recycle {
+                    buf.flops(7);
+                    buf.block(1, 2);
+                    buf.clear();
+                }
+                for (k, &op) in ops.iter().enumerate() {
+                    if let Some(&(bb, uops)) = blocks.get(k % 10) {
+                        buf.block(bb, uops);
+                    }
+                    match op {
+                        Op::Load { addr } => buf.load(addr),
+                        Op::LoadDep { addr } => buf.load_dep(addr),
+                        Op::Store { addr } => buf.store(addr),
+                        Op::Flops { n } => buf.flops(n),
+                        Op::Branch { site, taken } => buf.branch(site, taken),
+                        Op::Block { .. } => buf.push(op),
+                    }
+                }
+                buf.seal();
+                let decoded: u64 = buf.iter().map(|o| o.uops()).sum();
+                prop_assert_eq!(buf.instructions(), decoded);
+                let region = RegionTrace::new(vec![buf.clone(), buf]);
+                prop_assert_eq!(region.instructions(), 2 * decoded);
             }
         }
     }

@@ -1,8 +1,13 @@
 //! BT and SP factor their constant line systems once per sweep and solve
 //! per line. The split must not move a bit: every value below was recorded
-//! from the one-shot per-line solvers it replaced (commit dc48f63).
+//! from the one-shot per-line solvers it replaced (commit dc48f63), the
+//! trace digests over the 8-byte words of the codec then in use.
+
+mod common;
 
 use std::hash::{Hash, Hasher};
+
+use common::eight_byte_words;
 
 use paxsim_nas::cfd::{line_blocks, BlockCyclic, PentaCyclic, Vec5};
 use paxsim_nas::{Class, KernelId};
@@ -29,8 +34,9 @@ fn digest(feed: impl FnOnce(&mut Fnv)) -> u64 {
     h.finish()
 }
 
-/// The traces (every region's label and packed streams) and the verdicts
-/// (which print the residuals the solves produced) of class T.
+/// The traces (every region's label and ops, hashed as `RegionTrace`
+/// hashed its 8-byte words) and the verdicts (which print the residuals
+/// the solves produced) of class T.
 #[test]
 fn class_t_traces_and_verdicts_did_not_move() {
     const BT: &str = "residual 2.0555e1 → 3.5244e-2 in 2 ADI iterations; max line residual 3.5e-16";
@@ -47,7 +53,12 @@ fn class_t_traces_and_verdicts_did_not_move() {
     ];
     for (id, threads, regions, details) in recorded {
         let built = id.kernel().build(Class::T, threads, Schedule::Static);
-        let got = digest(|h| built.trace.regions.iter().for_each(|r| r.hash(h)));
+        let got = digest(|h| {
+            for r in &built.trace.regions {
+                r.label.hash(h);
+                r.threads.iter().for_each(|t| eight_byte_words(t).hash(h));
+            }
+        });
         assert_eq!(got, regions, "{id} on {threads} threads: region content");
         assert_eq!(built.verify.details, details, "{id} on {threads} threads");
     }

@@ -25,9 +25,9 @@ const REDUX_BASE: u64 = 0x0e00_0000_0000;
 const LOCK_BASE: u64 = 0x0e80_0000_0000;
 
 /// The interner's bucket for a region of sealed buffers: its label and, per
-/// thread, the word count and the first and last word — O(threads), never
-/// the words in between. Two regions that share a bucket still share
-/// storage only if every word is equal.
+/// thread, the address base, the word count and the first and last word —
+/// O(threads), never the words in between. Two regions that share a bucket
+/// still share storage only if every base and word is equal.
 fn bucket_key(label: &str, bufs: &[TraceBuf]) -> u64 {
     let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     let mut h = label
@@ -35,9 +35,10 @@ fn bucket_key(label: &str, bufs: &[TraceBuf]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| mix(h, b as u64));
     for buf in bufs {
         let words = buf.words();
+        h = mix(h, buf.base());
         h = mix(h, words.len() as u64);
-        h = mix(h, words.first().copied().unwrap_or(0));
-        h = mix(h, words.last().copied().unwrap_or(0));
+        h = mix(h, words.first().copied().unwrap_or(0) as u64);
+        h = mix(h, words.last().copied().unwrap_or(0) as u64);
     }
     h
 }
@@ -677,6 +678,26 @@ mod tests {
         assert_eq!(prog.unique_regions(), 2);
         assert!(!Arc::ptr_eq(&prog.regions[0], &prog.regions[1]));
         assert!(Arc::ptr_eq(&prog.regions[0], &prog.regions[2]));
+    }
+
+    #[test]
+    fn equal_words_at_different_bases_are_different_regions() {
+        // A buffer's first address is its base, so both regions emit the
+        // same words on every thread — against different bases.
+        let mut team = Team::new("t", 2);
+        for base in [0x1000_0000u64, 0x2000_0000] {
+            team.parallel("r", |p| {
+                p.raw_load(base);
+                p.raw_store(base + 64);
+            });
+        }
+        let prog = team.finish();
+        let (a, b) = (&prog.regions[0], &prog.regions[1]);
+        for (x, y) in a.threads.iter().zip(&b.threads) {
+            assert_eq!(x.words(), y.words());
+        }
+        assert_eq!(prog.unique_regions(), 2);
+        assert_ne!(**a, **b);
     }
 
     #[test]
