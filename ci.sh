@@ -106,13 +106,10 @@ echo "== predicted-fidelity error gate (CG/EP/MG p95 <= 25%) =="
 # fails if calibration drifts.
 cargo test -q -p paxsim-predict --release --test fidelity_gate
 
-echo "== resilience suite under live fault injection =="
-# Both injected faults are single-use: the resilient sweep must absorb
-# them (retry the panicked cell, rebuild the panicked trace) and come out
-# clean and bit-identical to an uninjected run. Runs alone in its own
-# process — fault plans are process-global.
-PAXSIM_FAULTS="cell-panic:1:1,build-panic:ep:1" \
-    cargo test -q -p paxsim-core --release --test resilience env_fault_plan_is_absorbed_cleanly
+echo "== two daemons, two fault plans, one process (run by name) =="
+# Fault plans are values: a faulted and a clean daemon side by side, the
+# first firing exactly its budget, the second nothing, same reply bytes.
+by_name two_daemons_with_different_plans_share_a_process -p paxsim-serve --test chaos
 
 echo "== SIGKILL-mid-sweep resume smoke =="
 # Kill a journaled study partway through, resume it, and require the
@@ -129,6 +126,24 @@ wait "$RESIL_PID" 2>/dev/null || true
 "$RESIL_BIN" "$RESIL_TMP/kill.jsonl" "$RESIL_TMP/kill.report"
 cmp "$RESIL_TMP/ref.report" "$RESIL_TMP/kill.report"
 echo "resumed report is byte-identical to the uninterrupted run"
+
+echo "== a malformed PAXSIM_FAULTS is refused =="
+# A typo in a fault plan stops the binary that reads it (exit 2, naming
+# the fault) instead of letting it run clean. Usage: refuses_bad_plan CMD...
+refuses_bad_plan() {
+    local out code
+    set +e
+    out=$(PAXSIM_FAULTS="explode:now" timeout 20 "$@" 2>&1)
+    code=$?
+    set -e
+    { [ "$code" -eq 2 ] && echo "$out" | grep -q "explode:now"; } || {
+        echo "$1 under PAXSIM_FAULTS=explode:now exited $code, want 2 naming the fault: $out"
+        exit 1
+    }
+    echo "$1 refused it: $out"
+}
+refuses_bad_plan "$RESIL_BIN" "$RESIL_TMP/bad.jsonl" "$RESIL_TMP/bad.report"
+refuses_bad_plan target/release/paxsim-serve --unix "$RESIL_TMP/bad.sock" --cache "$RESIL_TMP/bad_cache"
 
 echo "== serve daemon smoke (miss → hit, SIGTERM drain) =="
 SERVE_TMP=$(mktemp -d)
@@ -302,8 +317,8 @@ echo "== serve chaos smoke (connection kills + worker panics, quick) =="
 target/release/paxsim-loadgen --quick --chaos
 
 echo "== serve under PAXSIM_FAULTS (worker panic + journal write failure) =="
-# Same env-plan discipline as the sweep resilience pass, now against the
-# daemon: the first worker job panics (retried transparently) and the
+# The daemon's plan from the environment: the first worker job panics
+# (retried transparently) and the
 # first journal append fails (the put degrades to the memory tier). The
 # miss -> hit pair must still be byte-identical, op=health must report
 # the degradation, and SIGTERM must drain cleanly.
@@ -411,10 +426,11 @@ echo "== paxbench golden fingerprints (all five workloads, quick) =="
 
 echo "== retired harness names stay retired =="
 # paxbench is the only performance harness. The two it replaced, their
-# data files and their environment variable must not come back (history
-# in CHANGES.md / ROADMAP.md, and benchmark/'s own prose, excepted). The
-# one-letter brackets keep this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK' \
+# data files and their environment variable must not come back, and
+# neither may a process-wide fault plan or the lock that serialized it
+# (history in CHANGES.md / ROADMAP.md, and benchmark/'s own prose,
+# excepted). The one-letter brackets keep this line from matching itself.
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired benchmark name reappeared (see above)"
     exit 1

@@ -1,19 +1,29 @@
-//! Deterministic fault injection for the resilience test harness.
+//! Deterministic fault injection for the resilience and chaos tests.
 //!
-//! The sweep machinery calls tiny hooks at its recovery-relevant choke
-//! points (trace build start, cell start, fast-engine result). Each hook
-//! first does a single relaxed atomic load; when no faults are installed —
-//! the production configuration — that load is the *entire* cost, so the
-//! harness is a no-op on the hot path.
+//! A fault plan is a value. Every component with fault points holds a
+//! [`Faults`] handle: the default is empty, one word wide, and a hook on
+//! it is one branch. A test or a binary that wants faults parses a plan
+//! into a handle and hands clones of it to the components it builds; the
+//! clones share one plan, so use budgets and counters belong to one
+//! daemon or one sweep, and two daemons with different plans can run
+//! side by side in one process.
 //!
-//! Faults come from two sources:
+//! | holder | faults |
+//! |---|---|
+//! | [`TraceStore::with_faults`](crate::store::TraceStore::with_faults) | `build-panic`, `build-asid` |
+//! | [`CellPolicy::faults`](crate::pool::CellPolicy) | `cell-panic`, `cell-slow` |
+//! | [`DriftSentinel::with_faults`](crate::sentinel::DriftSentinel::with_faults) | `drift` |
+//! | [`Journal::open_with`](crate::journal::Journal::open_with) | `journal-fail` |
+//! | the serve result cache | `serve-shard-slow` |
+//! | the serve `ServeConfig::faults` | the rest; the daemon hands its clones to all of the above |
 //!
-//! * the `PAXSIM_FAULTS` environment variable, parsed once per process
-//!   (used by `ci.sh` to run the whole resilience suite under injection);
-//! * [`with_plan`], which installs a plan for the duration of a closure
-//!   under a global lock (used by tests; overrides the env plan).
+//! A resilient sweep takes its plan from its `ResilienceOptions`' policy.
+//! `PAXSIM_FAULTS` is read in one place, [`Faults::from_env`], by the
+//! binaries that accept it, and a malformed spec is refused there.
 //!
-//! Spec syntax — comma-separated faults, colon-separated fields:
+//! Spec syntax — comma-separated faults, colon-separated fields. A kernel
+//! is named as in a wire request; an unknown kernel, a field the kind does
+//! not take, and a zero budget or period are refused:
 //!
 //! ```text
 //! build-panic:<kernel>[:times]   panic the first <times> trace builds of <kernel> (default 1)
@@ -32,18 +42,39 @@
 //!                                exercising the partial-write/slow-reader path (default 64)
 //! predict-bias[:times]           bias the analytical predictor's wall-clock estimate so the
 //!                                prediction auditor must catch it (default unlimited)
+//! tune-abort:<period>[:times]    fail a tune search on fresh evaluation n when n % period == 0
+//!                                (default 1)
 //! ```
 //!
-//! Every fault carries a remaining-use counter, so "fail the first
-//! attempt, succeed on retry" scenarios are expressed as `…:1`. The
+//! Jobs and frames are counted per plan, and so are the fired worker
+//! panics, connection kills and partial writes a soak asserts on. The
 //! module also ships journal corruption helpers ([`truncate_tail`],
 //! [`flip_bit`]) used by the resume/corruption tests and the CI smoke.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use paxsim_machine::op::ADDR_LIMIT;
 use paxsim_machine::trace::TraceBuf;
+use paxsim_nas::{kernel_by_name, KernelId};
+
+/// Every fault kind: its name, the fields it requires, and the use budget
+/// it gets when the optional trailing `times` field is absent.
+const KINDS: [(&str, &[&str], u32); 13] = [
+    ("build-panic", &["kernel"], 1),
+    ("build-asid", &["kernel"], 1),
+    ("cell-panic", &["index"], 1),
+    ("cell-slow", &["index", "milliseconds"], u32::MAX),
+    ("drift", &["kernel"], u32::MAX),
+    ("journal-fail", &[], 1),
+    ("serve-worker-panic", &["period"], 1),
+    ("serve-conn-kill", &["period"], 1),
+    ("serve-batch-panic", &[], 1),
+    ("serve-shard-slow", &["milliseconds"], u32::MAX),
+    ("serve-partial-write", &[], 64),
+    ("predict-bias", &[], u32::MAX),
+    ("tune-abort", &["period"], 1),
+];
 
 /// One injected fault with its remaining-use budget.
 #[derive(Debug)]
@@ -52,13 +83,13 @@ struct Fault {
     remaining: AtomicU32,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultKind {
-    BuildPanic { kernel: String },
-    BuildAsid { kernel: String },
+    BuildPanic { kernel: KernelId },
+    BuildAsid { kernel: KernelId },
     CellPanic { index: usize },
     CellSlow { index: usize, ms: u64 },
-    Drift { kernel: String },
+    Drift { kernel: KernelId },
     JournalFail,
     ServeWorkerPanic { period: u64 },
     ServeConnKill { period: u64 },
@@ -69,363 +100,335 @@ enum FaultKind {
     TuneAbort { period: u64 },
 }
 
-/// A parsed fault plan.
+/// A parsed fault plan, with the counters its serve hooks keep.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
+    /// Worker jobs and dispatched frames seen, for the `<period>` matchers.
+    jobs: AtomicU64,
+    frames: AtomicU64,
+    /// Worker panics, connection kills and partial writes fired.
+    fired: [AtomicU64; 3],
 }
 
 impl FaultPlan {
     /// Parse a `PAXSIM_FAULTS`-syntax spec. Empty spec = empty plan.
+    ///
+    /// # Errors
+    ///
+    /// The first fault that does not parse, named with what is wrong.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for part in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let fields: Vec<&str> = part.split(':').collect();
-            let u = |i: usize, what: &str| -> Result<u64, String> {
-                fields
-                    .get(i)
-                    .ok_or_else(|| format!("fault `{part}`: missing {what}"))?
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{part}`: bad {what}"))
-            };
-            let (kind, default_times) = match fields[0] {
-                "build-panic" => (
-                    FaultKind::BuildPanic {
-                        kernel: fields
-                            .get(1)
-                            .ok_or_else(|| format!("fault `{part}`: missing kernel"))?
-                            .to_string(),
-                    },
-                    1,
-                ),
-                "build-asid" => (
-                    FaultKind::BuildAsid {
-                        kernel: fields
-                            .get(1)
-                            .ok_or_else(|| format!("fault `{part}`: missing kernel"))?
-                            .to_string(),
-                    },
-                    1,
-                ),
-                "cell-panic" => (
-                    FaultKind::CellPanic {
-                        index: u(1, "index")? as usize,
-                    },
-                    1,
-                ),
-                "cell-slow" => (
-                    FaultKind::CellSlow {
-                        index: u(1, "index")? as usize,
-                        ms: u(2, "milliseconds")?,
-                    },
-                    u32::MAX as u64,
-                ),
-                "drift" => (
-                    FaultKind::Drift {
-                        kernel: fields
-                            .get(1)
-                            .ok_or_else(|| format!("fault `{part}`: missing kernel"))?
-                            .to_string(),
-                    },
-                    u32::MAX as u64,
-                ),
-                "journal-fail" => (FaultKind::JournalFail, 1),
-                "serve-worker-panic" => (
-                    FaultKind::ServeWorkerPanic {
-                        period: u(1, "period")?.max(1),
-                    },
-                    1,
-                ),
-                "serve-conn-kill" => (
-                    FaultKind::ServeConnKill {
-                        period: u(1, "period")?.max(1),
-                    },
-                    1,
-                ),
-                "serve-batch-panic" => (FaultKind::ServeBatchPanic, 1),
-                "serve-shard-slow" => (
-                    FaultKind::ServeShardSlow {
-                        ms: u(1, "milliseconds")?,
-                    },
-                    u32::MAX as u64,
-                ),
-                "serve-partial-write" => (FaultKind::ServePartialWrite, 64),
-                "predict-bias" => (FaultKind::PredictBias, u32::MAX as u64),
-                "tune-abort" => (
-                    FaultKind::TuneAbort {
-                        period: u(1, "period")?.max(1),
-                    },
-                    1,
-                ),
-                other => return Err(format!("unknown fault kind `{other}`")),
-            };
-            // The trailing optional field is always the use budget.
-            let times_idx = match kind {
-                FaultKind::CellSlow { .. } => 3,
-                FaultKind::JournalFail
-                | FaultKind::ServeBatchPanic
-                | FaultKind::ServePartialWrite
-                | FaultKind::PredictBias => 1,
-                _ => 2,
-            };
-            let times = match fields.get(times_idx) {
-                Some(_) => u(times_idx, "times")?,
-                None => default_times,
-            };
+            let (kind, times) = parse_fault(part).map_err(|e| format!("fault `{part}`: {e}"))?;
             faults.push(Fault {
                 kind,
-                remaining: AtomicU32::new(times.min(u32::MAX as u64) as u32),
+                remaining: AtomicU32::new(times),
             });
         }
-        Ok(FaultPlan { faults })
+        Ok(FaultPlan {
+            faults,
+            ..FaultPlan::default()
+        })
     }
 
-    fn consume(&self, want: impl Fn(&FaultKind) -> bool) -> Option<&FaultKind> {
-        for f in &self.faults {
-            if want(&f.kind) {
-                // Claim one use; a raced-out decrement means the budget is
-                // spent and the fault no longer fires.
-                let mut cur = f.remaining.load(Ordering::Relaxed);
-                while cur > 0 {
-                    match f.remaining.compare_exchange(
-                        cur,
-                        cur - 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return Some(&f.kind),
-                        Err(now) => cur = now,
-                    }
-                }
-            }
+    /// Claim one use of the first fault `want` accepts that has budget
+    /// left; a raced-out decrement means that budget is spent.
+    fn consume(&self, want: impl Fn(&FaultKind) -> bool) -> Option<FaultKind> {
+        self.faults
+            .iter()
+            .filter(|f| want(&f.kind))
+            .find(|f| {
+                f.remaining
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_ok()
+            })
+            .map(|f| f.kind)
+    }
+
+    /// Claim one use of exactly `kind`.
+    fn fires(&self, kind: FaultKind) -> bool {
+        self.consume(|k| *k == kind).is_some()
+    }
+}
+
+fn parse_fault(part: &str) -> Result<(FaultKind, u32), String> {
+    let fields: Vec<&str> = part.split(':').collect();
+    let (name, args) = (fields[0], &fields[1..]);
+    let &(_, need, default_times) = KINDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| format!("unknown kind `{name}`"))?;
+    if args.len() < need.len() {
+        return Err(format!("missing {}", need[args.len()]));
+    }
+    if args.len() > need.len() + 1 {
+        let most = need.len() + 1;
+        return Err(format!(
+            "{} fields, {name} takes at most {most}",
+            args.len()
+        ));
+    }
+    let what = |i: usize| need.get(i).copied().unwrap_or("times");
+    let num = |i: usize| {
+        args[i]
+            .parse::<u64>()
+            .map_err(|_| format!("bad {} `{}`", what(i), args[i]))
+    };
+    let nonzero = |i: usize| match num(i)? {
+        0 => Err(format!("{} 0 never fires", what(i))),
+        n => Ok(n),
+    };
+    let kernel =
+        |i: usize| kernel_by_name(args[i]).ok_or_else(|| format!("unknown kernel `{}`", args[i]));
+    let kind = match name {
+        "build-panic" => FaultKind::BuildPanic { kernel: kernel(0)? },
+        "build-asid" => FaultKind::BuildAsid { kernel: kernel(0)? },
+        "cell-panic" => FaultKind::CellPanic {
+            index: num(0)? as usize,
+        },
+        "cell-slow" => FaultKind::CellSlow {
+            index: num(0)? as usize,
+            ms: num(1)?,
+        },
+        "drift" => FaultKind::Drift { kernel: kernel(0)? },
+        "journal-fail" => FaultKind::JournalFail,
+        "serve-worker-panic" => FaultKind::ServeWorkerPanic {
+            period: nonzero(0)?,
+        },
+        "serve-conn-kill" => FaultKind::ServeConnKill {
+            period: nonzero(0)?,
+        },
+        "serve-batch-panic" => FaultKind::ServeBatchPanic,
+        "serve-shard-slow" => FaultKind::ServeShardSlow { ms: num(0)? },
+        "serve-partial-write" => FaultKind::ServePartialWrite,
+        "predict-bias" => FaultKind::PredictBias,
+        "tune-abort" => FaultKind::TuneAbort {
+            period: nonzero(0)?,
+        },
+        _ => unreachable!("KINDS names every kind"),
+    };
+    let times = match args.get(need.len()) {
+        Some(_) => nonzero(need.len())?.min(u32::MAX as u64) as u32,
+        None => default_times,
+    };
+    Ok((kind, times))
+}
+
+/// The fault points of one component: empty (the default, and what
+/// production runs) or a [`FaultPlan`] shared with every other clone.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Option<Arc<FaultPlan>>);
+
+impl Faults {
+    /// Parse `spec` into a handle; an empty spec is the empty handle.
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultPlan::parse`].
+    pub fn parse(spec: &str) -> Result<Faults, String> {
+        let plan = FaultPlan::parse(spec)?;
+        Ok(Faults((!plan.faults.is_empty()).then(|| Arc::new(plan))))
+    }
+
+    /// The plan `PAXSIM_FAULTS` spells, empty when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// A malformed (or non-UTF-8) value, naming the fault that is wrong.
+    pub fn from_env() -> Result<Faults, String> {
+        match std::env::var("PAXSIM_FAULTS") {
+            Err(std::env::VarError::NotPresent) => Ok(Faults::default()),
+            spec => spec
+                .map_err(|e| e.to_string())
+                .and_then(|spec| Faults::parse(&spec))
+                .map_err(|e| format!("PAXSIM_FAULTS: {e}")),
         }
-        None
     }
-}
 
-/// Fast-path gate: true iff *any* plan (env or installed) is live.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Test-installed plan; overrides the env plan while present.
-static INSTALLED: Mutex<Option<FaultPlan>> = Mutex::new(None);
-/// Serializes tests that install plans (fault state is process-global).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// True for the handle that never fires.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking faulted test must not poison the harness for the rest
-    // of the suite — the guarded state stays consistent either way.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+    #[inline]
+    fn take(&self, want: impl Fn(&FaultKind) -> bool) -> Option<FaultKind> {
+        self.0.as_ref()?.consume(want)
+    }
 
-/// The process-wide env plan, parsed once from `PAXSIM_FAULTS`.
-fn env_plan() -> &'static Option<FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("PAXSIM_FAULTS").ok()?;
-        match FaultPlan::parse(&spec) {
-            Ok(p) if !p.faults.is_empty() => {
-                ACTIVE.store(true, Ordering::Relaxed);
-                Some(p)
-            }
-            Ok(_) => None,
-            Err(e) => {
-                eprintln!("PAXSIM_FAULTS ignored: {e}");
-                None
-            }
+    #[inline]
+    fn fires(&self, kind: FaultKind) -> bool {
+        self.0.as_ref().is_some_and(|plan| plan.fires(kind))
+    }
+
+    /// Start of a trace build of `kernel`: panics on a matching
+    /// `build-panic`; on a matching `build-asid` emits a store at
+    /// [`ADDR_LIMIT`], the first address the engine's ASID tag would
+    /// alias, which the trace codec itself refuses.
+    #[inline]
+    pub fn build_start(&self, kernel: KernelId) {
+        let Some(plan) = &self.0 else { return };
+        if plan.fires(FaultKind::BuildPanic { kernel }) {
+            panic!("injected build fault for {kernel}");
         }
-    })
-}
-
-/// Force env-plan parsing (call once early so `active()` is accurate
-/// before the first hook fires). Returns whether an env plan is live.
-pub fn init_from_env() -> bool {
-    env_plan().is_some()
-}
-
-/// Is any fault plan live? One relaxed load — the entire disabled-path
-/// cost of every hook.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Hold off every [`with_plan`] caller for the guard's lifetime.
-///
-/// Fault plans are process-global: a sweep running in one test can
-/// consume a fault another test just installed. Tests that run clean
-/// sweeps (baselines for a bit-identity comparison, resume runs) take
-/// this guard so no plan can be live while they execute; tests that
-/// inject take [`with_plan`], which holds the same lock. Acquire it
-/// *before* computing a baseline and drop it before calling `with_plan`
-/// — the lock is not reentrant.
-pub fn quiesced() -> MutexGuard<'static, ()> {
-    lock(&TEST_LOCK)
-}
-
-/// Run `f` with `spec` installed as the process fault plan, serializing
-/// against every other `with_plan` caller. The previous state is restored
-/// even if `f` panics.
-pub fn with_plan<R>(spec: &str, f: impl FnOnce() -> R) -> R {
-    let plan = FaultPlan::parse(spec).expect("with_plan: bad fault spec");
-    let _serial = lock(&TEST_LOCK);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            *lock(&INSTALLED) = None;
-            ACTIVE.store(env_plan().is_some(), Ordering::Relaxed);
+        if plan.fires(FaultKind::BuildAsid { kernel }) {
+            TraceBuf::new().store(ADDR_LIMIT);
         }
     }
-    *lock(&INSTALLED) = Some(plan);
-    ACTIVE.store(true, Ordering::Relaxed);
-    let _restore = Restore;
-    f()
+
+    /// Start of sweep item `index`: sleeps on a matching `cell-slow`,
+    /// panics on a matching `cell-panic`.
+    #[inline]
+    pub fn cell_start(&self, index: usize) {
+        let Some(plan) = &self.0 else { return };
+        if let Some(FaultKind::CellSlow { ms, .. }) =
+            plan.consume(|k| matches!(k, FaultKind::CellSlow { index: i, .. } if *i == index))
+        {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        if plan.fires(FaultKind::CellPanic { index }) {
+            panic!("injected cell fault at item {index}");
+        }
+    }
+
+    /// Should the fast-engine result for `kernel` be perturbed (engine
+    /// drift the sentinel must catch)?
+    #[inline]
+    pub fn drift(&self, kernel: KernelId) -> bool {
+        self.fires(FaultKind::Drift { kernel })
+    }
+
+    /// About to append a journal record: true while `journal-fail` has
+    /// budget — the caller turns that into an I/O error.
+    #[inline]
+    pub fn journal_fail(&self) -> bool {
+        self.fires(FaultKind::JournalFail)
+    }
+
+    /// Top of every serve worker job, inside the worker's `catch_unwind`
+    /// boundary: panics when a `serve-worker-panic:<period>` matches this
+    /// job's number.
+    #[inline]
+    pub fn worker_job(&self) {
+        static OBS: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.chaos.worker_panics");
+        let Some(plan) = &self.0 else { return };
+        let n = plan.jobs.fetch_add(1, Ordering::Relaxed) + 1;
+        if plan
+            .consume(|k| matches!(k, FaultKind::ServeWorkerPanic { period } if n.is_multiple_of(*period)))
+            .is_some()
+        {
+            plan.fired[0].fetch_add(1, Ordering::Relaxed);
+        OBS.inc();
+            panic!("injected serve worker fault (job {n})");
+        }
+    }
+
+    /// Once per frame the reactor dispatches: true when a
+    /// `serve-conn-kill:<period>` matches — the reactor drops the
+    /// connection that carried the frame.
+    #[inline]
+    pub fn conn_kill(&self) -> bool {
+        static OBS: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.chaos.conn_kills");
+        let Some(plan) = &self.0 else { return false };
+        let n = plan.frames.fetch_add(1, Ordering::Relaxed) + 1;
+        let kill = plan
+            .consume(
+                |k| matches!(k, FaultKind::ServeConnKill { period } if n.is_multiple_of(*period)),
+            )
+            .is_some();
+        if kill {
+            plan.fired[1].fetch_add(1, Ordering::Relaxed);
+            OBS.inc();
+        }
+        kill
+    }
+
+    /// Byte cap for one reactor write pass: `Some(1)` while
+    /// `serve-partial-write` has budget, leaving the rest of the reply
+    /// queued as a saturated socket would.
+    #[inline]
+    pub fn write_cap(&self) -> Option<usize> {
+        static OBS: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("serve.chaos.partial_writes");
+        let plan = self
+            .0
+            .as_ref()
+            .filter(|p| p.fires(FaultKind::ServePartialWrite))?;
+        plan.fired[2].fetch_add(1, Ordering::Relaxed);
+        OBS.inc();
+        Some(1)
+    }
+
+    /// Batch leader about to execute a gathered sweep: true while
+    /// `serve-batch-panic` has budget — the caller panics so the
+    /// batcher's poison recovery runs.
+    #[inline]
+    pub fn batch_panic(&self) -> bool {
+        self.fires(FaultKind::ServeBatchPanic)
+    }
+
+    /// A tune search is about to run fresh evaluation number `evals`
+    /// (1-based): true when a `tune-abort:<period>` matches — the caller
+    /// fails the search so the journaled resume runs.
+    #[inline]
+    pub fn tune_abort(&self, evals: u64) -> bool {
+        self.take(|k| matches!(k, FaultKind::TuneAbort { period } if evals.is_multiple_of(*period)))
+            .is_some()
+    }
+
+    /// Shard cache lookup: sleeps for a `serve-shard-slow` fault's
+    /// milliseconds while it has budget.
+    #[inline]
+    pub fn shard_slow(&self) {
+        if let Some(FaultKind::ServeShardSlow { ms }) =
+            self.take(|k| matches!(k, FaultKind::ServeShardSlow { .. }))
+        {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+    }
+
+    /// The analytical predictor is about to emit a prediction: true while
+    /// `predict-bias` has budget — the caller skews the prediction past
+    /// its declared bound for the auditor to catch.
+    #[inline]
+    pub fn predict_bias(&self) -> bool {
+        self.fires(FaultKind::PredictBias)
+    }
+
+    /// Serve faults this plan fired: `(worker_panics, conn_kills,
+    /// partial_writes)`.
+    pub fn fired(&self) -> (u64, u64, u64) {
+        let n = |i: usize| {
+            self.0
+                .as_ref()
+                .map_or(0, |p| p.fired[i].load(Ordering::Relaxed))
+        };
+        (n(0), n(1), n(2))
+    }
 }
 
-fn consume(want: impl Fn(&FaultKind) -> bool + Copy) -> Option<FaultKind> {
-    let installed = lock(&INSTALLED);
-    if let Some(plan) = installed.as_ref() {
-        return plan.consume(want).cloned();
-    }
-    drop(installed);
-    env_plan().as_ref().and_then(|p| p.consume(want).cloned())
+/// Keep the backtraces of injected panics (which the daemon and the
+/// sweeps absorb by design) out of the log, so a real panic stands out.
+pub fn hide_injected_panics() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        if !msg.is_some_and(|m| m.contains("injected")) {
+            prev(info);
+        }
+    }));
 }
 
-/// Hook: start of a trace build for `kernel`. Panics if a matching
-/// `build-panic` fault has budget left; on a matching `build-asid` fault
-/// emits a store at [`ADDR_LIMIT`], the first address the engine's ASID
-/// tag would alias, which the trace codec itself refuses.
-#[inline]
-pub(crate) fn build_hook(kernel: &str) {
-    if !active() {
-        return;
-    }
-    if consume(|k| matches!(k, FaultKind::BuildPanic { kernel: fk } if fk == kernel)).is_some() {
-        panic!("injected build fault for {kernel}");
-    }
-    if consume(|k| matches!(k, FaultKind::BuildAsid { kernel: fk } if fk == kernel)).is_some() {
-        TraceBuf::new().store(ADDR_LIMIT);
-    }
-}
-
-/// Hook: start of sweep item `index`. Sleeps on a matching `cell-slow`
-/// fault, panics on a matching `cell-panic` fault.
-#[inline]
-pub(crate) fn cell_hook(index: usize) {
-    if !active() {
-        return;
-    }
-    if let Some(FaultKind::CellSlow { ms, .. }) =
-        consume(|k| matches!(k, FaultKind::CellSlow { index: fi, .. } if *fi == index))
-    {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-    if consume(|k| matches!(k, FaultKind::CellPanic { index: fi } if *fi == index)).is_some() {
-        panic!("injected cell fault at item {index}");
-    }
-}
-
-/// Hook: should the fast-engine result for `kernel` be perturbed
-/// (simulating engine drift the sentinel must catch)?
-#[inline]
-pub(crate) fn drift_hook(kernel: &str) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::Drift { kernel: fk } if fk == kernel)).is_some()
-}
-
-/// Hook: about to append a journal record. True iff a `journal-fail`
-/// fault has budget left — the caller must turn that into an I/O error.
-#[inline]
-pub(crate) fn journal_fail_hook() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::JournalFail)).is_some()
-}
-
-/// Hook: serve worker about to run job number `job`. True iff a
-/// `serve-worker-panic` fault matches (`job % period == 0`) and has
-/// budget left — the caller panics inside its own isolation boundary.
-#[inline]
-pub fn serve_worker_panic(job: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeWorkerPanic { period } if job.is_multiple_of(*period)))
-        .is_some()
-}
-
-/// Hook: reactor dispatched frame number `frame`. True iff a
-/// `serve-conn-kill` fault matches (`frame % period == 0`) and has budget
-/// left — the caller drops the connection carrying that frame.
-#[inline]
-pub fn serve_conn_kill(frame: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeConnKill { period } if frame.is_multiple_of(*period)))
-        .is_some()
-}
-
-/// Hook: batch leader about to execute a gathered sweep. True iff a
-/// `serve-batch-panic` fault has budget left — the caller panics so the
-/// batcher's poison-recovery path is exercised.
-#[inline]
-pub fn serve_batch_panic() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeBatchPanic)).is_some()
-}
-
-/// Hook: tune search about to run fresh evaluation number `evals`
-/// (1-based within one search). True iff a `tune-abort` fault matches
-/// (`evals % period == 0`) and has budget left — the caller fails the
-/// tune request mid-search so the journaled-resume path is exercised.
-#[inline]
-pub fn tune_abort(evals: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::TuneAbort { period } if evals.is_multiple_of(*period)))
-        .is_some()
-}
-
-/// Hook: shard cache lookup. Returns the injected latency of a matching
-/// `serve-shard-slow` fault, if any — the caller sleeps that long.
-#[inline]
-pub fn serve_shard_slow() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    match consume(|k| matches!(k, FaultKind::ServeShardSlow { .. })) {
-        Some(FaultKind::ServeShardSlow { ms }) => Some(ms),
-        _ => None,
-    }
-}
-
-/// Hook: reactor about to flush a connection's write queue. True iff a
-/// `serve-partial-write` fault has budget left — the caller caps this
-/// write pass at one byte, modelling a saturated socket / slow reader.
-#[inline]
-pub fn serve_partial_write() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServePartialWrite)).is_some()
-}
-
-/// Hook: the analytical predictor is about to emit a prediction. True iff
-/// a `predict-bias` fault has budget left — the caller skews the
-/// predicted wall clock well past its declared error bound, modelling a
-/// miscalibrated model the prediction auditor must detect and quarantine.
-#[inline]
-pub fn predict_bias() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::PredictBias)).is_some()
-}
+/// No-op. Fault plans are values a caller hands to what it builds, so
+/// nothing is live unless it was given one; kept for callers that still
+/// hold the guard across a run.
+pub fn quiesced() {}
 
 // ---------------------------------------------------------------------------
 // Journal corruption helpers (used by resume/corruption tests and CI).
@@ -459,15 +462,26 @@ pub fn flip_bit(path: &std::path::Path, offset: u64) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    fn faults(spec: &str) -> Faults {
+        Faults::parse(spec).unwrap()
+    }
+
+    fn remaining(p: &FaultPlan) -> Vec<u32> {
+        let n = |f: &Fault| f.remaining.load(Ordering::Relaxed);
+        p.faults.iter().map(n).collect()
+    }
+
     #[test]
     fn parse_all_kinds() {
         let p =
             FaultPlan::parse("build-panic:cg:2, cell-panic:7, cell-slow:3:50, drift:ep:4").unwrap();
-        assert_eq!(p.faults.len(), 4);
-        assert_eq!(p.faults[0].remaining.load(Ordering::Relaxed), 2);
-        assert_eq!(p.faults[1].remaining.load(Ordering::Relaxed), 1);
-        assert_eq!(p.faults[2].remaining.load(Ordering::Relaxed), u32::MAX);
-        assert_eq!(p.faults[3].remaining.load(Ordering::Relaxed), 4);
+        assert_eq!(remaining(&p), [2, 1, u32::MAX, 4]);
+        assert_eq!(
+            p.faults[0].kind,
+            FaultKind::BuildPanic {
+                kernel: KernelId::Cg
+            }
+        );
     }
 
     #[test]
@@ -477,119 +491,181 @@ mod tests {
              serve-batch-panic, serve-shard-slow:25:2, serve-partial-write:10",
         )
         .unwrap();
-        assert_eq!(p.faults.len(), 6);
-        assert_eq!(p.faults[0].remaining.load(Ordering::Relaxed), 3);
+        assert_eq!(remaining(&p), [3, 5, 1, 1, 2, 10]);
         assert_eq!(p.faults[1].kind, FaultKind::ServeWorkerPanic { period: 97 });
-        assert_eq!(p.faults[1].remaining.load(Ordering::Relaxed), 5);
-        assert_eq!(p.faults[2].remaining.load(Ordering::Relaxed), 1);
         assert_eq!(p.faults[3].kind, FaultKind::ServeBatchPanic);
         assert_eq!(p.faults[4].kind, FaultKind::ServeShardSlow { ms: 25 });
-        assert_eq!(p.faults[4].remaining.load(Ordering::Relaxed), 2);
-        assert_eq!(p.faults[5].remaining.load(Ordering::Relaxed), 10);
     }
 
     #[test]
     fn serve_hooks_match_period_and_budget() {
-        with_plan("serve-worker-panic:10:2, serve-conn-kill:3:1", || {
-            assert!(!serve_worker_panic(7), "7 % 10 != 0");
-            assert!(serve_worker_panic(20));
-            assert!(serve_worker_panic(30));
-            assert!(!serve_worker_panic(40), "budget of 2 spent");
-            assert!(serve_conn_kill(9));
-            assert!(!serve_conn_kill(12), "budget of 1 spent");
-        });
-        with_plan("serve-shard-slow:17:1, serve-partial-write:2", || {
-            assert_eq!(serve_shard_slow(), Some(17));
-            assert_eq!(serve_shard_slow(), None);
-            assert!(serve_partial_write());
-            assert!(serve_partial_write());
-            assert!(!serve_partial_write());
-        });
-        with_plan("journal-fail, serve-batch-panic", || {
-            assert!(journal_fail_hook());
-            assert!(!journal_fail_hook());
-            assert!(serve_batch_panic());
-            assert!(!serve_batch_panic());
-        });
+        let f = faults("serve-conn-kill:3:1, tune-abort:10:2");
+        assert!(!f.conn_kill() && !f.conn_kill(), "frames 1, 2");
+        assert!(f.conn_kill(), "frame 3");
+        assert!(
+            !f.conn_kill() && !f.conn_kill() && !f.conn_kill(),
+            "budget of 1 spent"
+        );
+        assert!(!f.tune_abort(7), "7 % 10 != 0");
+        assert!(f.tune_abort(20));
+        assert!(f.tune_abort(30));
+        assert!(!f.tune_abort(40), "budget of 2 spent");
+        assert_eq!(f.fired(), (0, 1, 0));
+        let f = faults("serve-shard-slow:17:1, serve-partial-write:2");
+        let t0 = std::time::Instant::now();
+        f.shard_slow();
+        assert!(t0.elapsed() >= std::time::Duration::from_millis(17));
+        f.shard_slow();
+        assert_eq!(
+            remaining(f.0.as_ref().unwrap()),
+            [0, 2],
+            "budget of 1 spent"
+        );
+        let f = faults("journal-fail, serve-batch-panic");
+        assert!(f.journal_fail());
+        assert!(!f.journal_fail());
+        assert!(f.batch_panic());
+        assert!(!f.batch_panic());
     }
 
     #[test]
     fn tune_abort_parses_and_fires_on_period() {
         let p = FaultPlan::parse("tune-abort:3:2").unwrap();
         assert_eq!(p.faults[0].kind, FaultKind::TuneAbort { period: 3 });
-        assert_eq!(p.faults[0].remaining.load(Ordering::Relaxed), 2);
-        with_plan("tune-abort:3:1", || {
-            assert!(!tune_abort(1));
-            assert!(!tune_abort(2));
-            assert!(tune_abort(3));
-            assert!(!tune_abort(6), "budget of 1 spent");
-        });
+        assert_eq!(remaining(&p), [2]);
+        let f = faults("tune-abort:3:1");
+        assert!(!f.tune_abort(1));
+        assert!(!f.tune_abort(2));
+        assert!(f.tune_abort(3));
+        assert!(!f.tune_abort(6), "budget of 1 spent");
     }
 
     #[test]
     fn predict_bias_parses_and_consumes() {
         let p = FaultPlan::parse("predict-bias").unwrap();
         assert_eq!(p.faults[0].kind, FaultKind::PredictBias);
-        assert_eq!(p.faults[0].remaining.load(Ordering::Relaxed), u32::MAX);
-        let p = FaultPlan::parse("predict-bias:2").unwrap();
-        assert_eq!(p.faults[0].remaining.load(Ordering::Relaxed), 2);
-        with_plan("predict-bias:1", || {
-            assert!(predict_bias());
-            assert!(!predict_bias(), "budget of 1 spent");
-        });
-        let _q = quiesced();
-        assert!(!predict_bias(), "no plan, no bias");
+        assert_eq!(remaining(&p), [u32::MAX]);
+        assert_eq!(remaining(&FaultPlan::parse("predict-bias:2").unwrap()), [2]);
+        let f = faults("predict-bias:1");
+        assert!(f.predict_bias());
+        assert!(!f.predict_bias(), "budget of 1 spent");
+        assert!(!Faults::default().predict_bias(), "no plan, no bias");
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(FaultPlan::parse("explode:now").is_err());
-        assert!(FaultPlan::parse("cell-panic:notanumber").is_err());
-        assert!(FaultPlan::parse("build-panic").is_err());
-        assert!(FaultPlan::parse("build-asid").is_err());
-        assert!(FaultPlan::parse("serve-worker-panic").is_err());
-        assert!(FaultPlan::parse("serve-shard-slow:fast").is_err());
+        for (spec, why) in [
+            ("explode:now", "unknown kind `explode`"),
+            ("cell-panic:notanumber", "bad index `notanumber`"),
+            ("build-panic", "missing kernel"),
+            ("build-asid", "missing kernel"),
+            ("serve-worker-panic", "missing period"),
+            ("serve-shard-slow:fast", "bad milliseconds `fast`"),
+            // Surplus fields were silently dropped.
+            ("journal-fail:3:9", "2 fields, journal-fail takes at most 1"),
+            ("cell-slow:3:50:1:2", "4 fields, cell-slow takes at most 3"),
+            // A kernel no request can name never matched a build or a cell.
+            ("build-panic:epp", "unknown kernel `epp`"),
+            ("drift:e p", "unknown kernel `e p`"),
+            // Neither does a budget or a period of zero.
+            ("cell-panic:1:0", "times 0 never fires"),
+            ("serve-conn-kill:0", "period 0 never fires"),
+        ] {
+            let err = FaultPlan::parse(spec).map(|_| ()).unwrap_err();
+            assert_eq!(err, format!("fault `{spec}`: {why}"));
+        }
+        // A kernel resolves as on the wire, so this one fires on ep cells.
+        let p = FaultPlan::parse("drift:EP").unwrap();
+        assert_eq!(
+            p.faults[0].kind,
+            FaultKind::Drift {
+                kernel: KernelId::Ep
+            }
+        );
         assert!(FaultPlan::parse("").unwrap().faults.is_empty());
+        assert!(Faults::parse(" , ").unwrap().is_empty());
     }
 
     #[test]
     fn budgets_are_consumed() {
         let p = FaultPlan::parse("cell-panic:5:2").unwrap();
-        let hit = |p: &FaultPlan| {
-            p.consume(|k| matches!(k, FaultKind::CellPanic { index: 5 }))
-                .is_some()
-        };
-        assert!(hit(&p));
-        assert!(hit(&p));
-        assert!(!hit(&p), "budget of 2 must be spent");
+        let kind = FaultKind::CellPanic { index: 5 };
+        assert!(p.fires(kind));
+        assert!(p.fires(kind));
+        assert!(!p.fires(kind), "budget of 2 must be spent");
     }
 
     #[test]
-    fn with_plan_installs_and_restores() {
-        // Either fully off, or the env plan. Read under the plan lock: a
-        // sibling test's plan may be live at any other moment.
-        let at_rest = || {
-            let _quiet = quiesced();
-            let env = env_plan().is_some();
-            active() == env
-        };
-        assert!(at_rest());
-        with_plan("drift:ep", || {
-            assert!(active());
-            assert!(drift_hook("ep"));
-            assert!(!drift_hook("cg"));
-        });
-        assert!(at_rest(), "restored");
+    fn a_plan_lives_in_its_handle_alone() {
+        // Clones share one plan and its budget; another handle, or the
+        // default one, never sees it.
+        let drifting = faults("drift:ep:2");
+        let clone = drifting.clone();
+        let other = faults("drift:cg");
+        assert!(drifting.drift(KernelId::Ep));
+        assert!(!other.drift(KernelId::Ep) && !Faults::default().drift(KernelId::Ep));
+        assert!(
+            clone.drift(KernelId::Ep),
+            "the clone spends the same budget"
+        );
+        assert!(!drifting.drift(KernelId::Ep), "budget of 2 spent");
+        assert!(other.drift(KernelId::Cg));
     }
 
     #[test]
     fn hooks_panic_with_budget() {
-        with_plan("cell-panic:3:1", || {
-            let r = std::panic::catch_unwind(|| cell_hook(3));
-            assert!(r.is_err(), "first use must panic");
-            cell_hook(3); // budget spent: no panic
-            cell_hook(4); // different index: no panic
-        });
+        let f = faults("cell-panic:3:1");
+        let r = std::panic::catch_unwind(|| f.cell_start(3));
+        assert!(r.is_err(), "first use must panic");
+        f.cell_start(3); // budget spent: no panic
+        f.cell_start(4); // different index: no panic
+    }
+
+    #[test]
+    fn worker_panic_fires_on_period_and_is_counted() {
+        let f = faults("serve-worker-panic:2:1");
+        f.worker_job(); // job 1: 1 % 2 != 0
+        let r = std::panic::catch_unwind(|| f.worker_job());
+        assert!(r.is_err(), "period 2 must fire on job 2");
+        assert_eq!(f.fired(), (1, 0, 0));
+        f.worker_job(); // budget spent: quiet
+        f.worker_job();
+        assert_eq!(f.fired(), (1, 0, 0));
+    }
+
+    #[test]
+    fn partial_write_cap_respects_budget() {
+        let f = faults("serve-partial-write:2");
+        assert_eq!(f.write_cap(), Some(1));
+        assert_eq!(f.write_cap(), Some(1));
+        assert_eq!(f.write_cap(), None, "budget of 2 spent");
+        assert_eq!(f.fired(), (0, 0, 2));
+    }
+
+    /// The default handle is one word and none of its hooks fires or
+    /// counts, whichever of the thirteen kinds it stands for.
+    #[test]
+    fn hooks_are_quiet_without_a_plan() {
+        assert_eq!(std::mem::size_of::<Faults>(), std::mem::size_of::<usize>());
+        assert_eq!(KINDS.len(), 13);
+        let f = Faults::default();
+        assert!(f.is_empty());
+        for n in 0..64u64 {
+            for kernel in paxsim_nas::all_kernels() {
+                f.build_start(kernel); // build-panic, build-asid
+                assert!(!f.drift(kernel));
+            }
+            f.cell_start(n as usize); // cell-panic, cell-slow
+            assert!(!f.journal_fail());
+            f.worker_job();
+            assert!(!f.conn_kill());
+            assert!(!f.batch_panic());
+            f.shard_slow();
+            assert_eq!(f.write_cap(), None);
+            assert!(!f.predict_bias());
+            assert!(!f.tune_abort(n));
+        }
+        assert_eq!(f.fired(), (0, 0, 0));
     }
 
     #[test]

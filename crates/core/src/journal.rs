@@ -28,6 +28,7 @@ use paxsim_perfmon::stats::Summary;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{StudyError, StudyResult};
+use crate::faultinject::Faults;
 use crate::study::Cell;
 
 // ---------------------------------------------------------------------------
@@ -146,6 +147,7 @@ pub struct Journal {
     /// Records dropped on load (bad CRC, bad JSON, partial line).
     corrupt: usize,
     fsync: FsyncPolicy,
+    faults: Faults,
 }
 
 fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
@@ -156,11 +158,12 @@ impl Journal {
     /// Open (creating if absent) the journal at `path`, loading every
     /// valid record and counting — not trusting — corrupt ones.
     pub fn open(path: &Path) -> StudyResult<Journal> {
-        Self::open_with(path, FsyncPolicy::Flush)
+        Self::open_with(path, FsyncPolicy::Flush, Faults::default())
     }
 
-    /// [`open`](Self::open) with an explicit append durability policy.
-    pub fn open_with(path: &Path, fsync: FsyncPolicy) -> StudyResult<Journal> {
+    /// [`open`](Self::open) with an explicit append durability policy, and
+    /// `faults` whose `journal-fail` fails appends.
+    pub fn open_with(path: &Path, fsync: FsyncPolicy, faults: Faults) -> StudyResult<Journal> {
         let io_err = |op: &'static str, e: std::io::Error| StudyError::JournalIo {
             path: path.display().to_string(),
             op,
@@ -224,6 +227,7 @@ impl Journal {
             }),
             corrupt,
             fsync,
+            faults,
         })
     }
 
@@ -247,7 +251,7 @@ impl Journal {
         })?;
         let line = format!("{:08x}\t{payload}\n", crc32(payload.as_bytes()));
         let mut inner = lock(&self.inner);
-        let res = if crate::faultinject::journal_fail_hook() {
+        let res = if self.faults.journal_fail() {
             Err(std::io::Error::other("injected journal append fault"))
         } else {
             inner
@@ -446,7 +450,6 @@ mod tests {
 
     #[test]
     fn roundtrip_exact() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("roundtrip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -466,7 +469,6 @@ mod tests {
 
     #[test]
     fn last_record_wins() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("dup.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k", sample_sides()).unwrap();
@@ -481,7 +483,6 @@ mod tests {
 
     #[test]
     fn truncated_tail_detected_and_dropped() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("trunc.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -498,7 +499,6 @@ mod tests {
 
     #[test]
     fn bitflip_detected_by_crc() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("flip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -515,7 +515,6 @@ mod tests {
         // A CRC-corrupt record in the *middle* of the journal must drop
         // only itself: every well-framed record after it (and before it)
         // still loads, and the drop is counted, never silent.
-        let _q = crate::faultinject::quiesced();
         let path = tmp("midflip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -540,7 +539,6 @@ mod tests {
 
     #[test]
     fn append_after_corruption_keeps_working() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("heal.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -559,7 +557,6 @@ mod tests {
 
     #[test]
     fn compact_drops_stale_lines_and_preserves_live_set() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("compact.jsonl");
         let j = Journal::open(&path).unwrap();
         for i in 0..4 {
@@ -591,7 +588,6 @@ mod tests {
     fn compact_is_deterministic() {
         let pa = tmp("compact_det_a.jsonl");
         let pb = tmp("compact_det_b.jsonl");
-        let _q = crate::faultinject::quiesced();
         for (path, order) in [(&pa, [0usize, 1, 2]), (&pb, [2, 0, 1])] {
             let j = Journal::open(path).unwrap();
             for i in order {
@@ -611,7 +607,6 @@ mod tests {
         // A compaction killed before its atomic rename leaves the journal
         // intact plus a stray temp file; open must clean it up and load
         // the original data untouched.
-        let _q = crate::faultinject::quiesced();
         let path = tmp("stray.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -625,9 +620,8 @@ mod tests {
 
     #[test]
     fn fsync_policy_roundtrips() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("fsync.jsonl");
-        let j = Journal::open_with(&path, FsyncPolicy::Fsync).unwrap();
+        let j = Journal::open_with(&path, FsyncPolicy::Fsync, Faults::default()).unwrap();
         j.record("k1", sample_sides()).unwrap();
         j.compact().unwrap();
         j.record("k2", sample_sides()).unwrap();
@@ -639,21 +633,18 @@ mod tests {
 
     #[test]
     fn injected_append_fault_is_typed_and_counted() {
-        // No quiesced() guard here: with_plan takes the same non-reentrant
-        // test lock, and it serializes this test against the others itself.
         let path = tmp("append_fault.jsonl");
-        let j = Journal::open(&path).unwrap();
-        crate::faultinject::with_plan("journal-fail:1", || {
-            let err = j.record("k1", sample_sides()).unwrap_err();
-            assert!(
-                matches!(err, StudyError::JournalIo { op: "append", .. }),
-                "injected append failure must surface as typed JournalIo: {err:?}"
-            );
-            assert_eq!(j.write_errors(), 1);
-            assert!(j.lookup("k1").is_none(), "failed append must not be served");
-            // Budget spent: the next append succeeds and is durable.
-            j.record("k1", sample_sides()).unwrap();
-        });
+        let faults = Faults::parse("journal-fail:1").unwrap();
+        let j = Journal::open_with(&path, FsyncPolicy::Flush, faults).unwrap();
+        let err = j.record("k1", sample_sides()).unwrap_err();
+        assert!(
+            matches!(err, StudyError::JournalIo { op: "append", .. }),
+            "injected append failure must surface as typed JournalIo: {err:?}"
+        );
+        assert_eq!(j.write_errors(), 1);
+        assert!(j.lookup("k1").is_none(), "failed append must not be served");
+        // Budget spent: the next append succeeds and is durable.
+        j.record("k1", sample_sides()).unwrap();
         drop(j);
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.len(), 1);
@@ -749,7 +740,6 @@ mod tests {
                 victim_seed in 0u64..1_000_000_000,
                 cut_seed in 0u64..1_000_000_000,
             ) {
-                let _q = crate::faultinject::quiesced();
                 let (_dir, paths) = write_shards("trunc", n, shards);
                 let victim = (victim_seed % shards as u64) as usize;
                 let bytes = std::fs::read(&paths[victim]).unwrap();
@@ -806,7 +796,6 @@ mod tests {
                 victim_seed in 0u64..1_000_000_000,
                 offset_seed in 0u64..1_000_000_000,
             ) {
-                let _q = crate::faultinject::quiesced();
                 let (_dir, paths) = write_shards("flip", n, shards);
                 let victim = (victim_seed % shards as u64) as usize;
                 let len = std::fs::metadata(&paths[victim]).unwrap().len();

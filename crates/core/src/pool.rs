@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::{panic_payload, StudyError};
-use crate::faultinject;
+use crate::faultinject::Faults;
 
 /// Number of workers a sweep of `tasks` items gets.
 fn workers_for(tasks: usize) -> usize {
@@ -131,6 +131,9 @@ pub struct CellPolicy {
     /// reported as [`StudyError::CellTimedOut`] (its result is discarded;
     /// slow cells are not retried — they would only be slow again).
     pub deadline: Option<Duration>,
+    /// Run at the start of every attempt: `cell-panic:<i>` exercises the
+    /// retry path, `cell-slow:<i>:<ms>` the watchdog.
+    pub faults: Faults,
 }
 
 impl Default for CellPolicy {
@@ -139,6 +142,7 @@ impl Default for CellPolicy {
             max_retries: 2,
             backoff: Duration::from_millis(5),
             deadline: None,
+            faults: Faults::default(),
         }
     }
 }
@@ -169,12 +173,8 @@ impl<T> IsolatedSweep<T> {
 /// panics become [`StudyError::CellPanicked`] and are retried up to
 /// `policy.max_retries` times with doubling backoff; items that outlive
 /// `policy.deadline` are flagged; the sweep always runs to completion and
-/// reports every item's individual outcome in index order.
-///
-/// Fault injection: each attempt first runs the
-/// [`faultinject`](crate::faultinject) cell hook, so an installed
-/// `cell-panic:<i>:<times>` plan exercises exactly the retry path and a
-/// `cell-slow:<i>:<ms>` plan exercises the watchdog.
+/// reports every item's individual outcome in index order. Each attempt
+/// first runs `policy.faults`' cell hook.
 pub fn map_indexed_isolated<T, F>(n: usize, policy: &CellPolicy, f: F) -> IsolatedSweep<T>
 where
     T: Send,
@@ -194,7 +194,7 @@ where
             let _span = paxsim_obs::span!("sweep.cell", index = i, attempt = attempt);
             let start = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                faultinject::cell_hook(i);
+                policy.faults.cell_start(i);
                 f(i)
             }));
             let elapsed = start.elapsed();
@@ -373,13 +373,9 @@ mod tests {
     }
 
     // --- fault-isolated mode ---
-    //
-    // Fault plans are process-global, so the clean sweeps below hold
-    // `quiesced()`: no other test's plan can fire in their cells.
 
     #[test]
     fn isolated_completes_around_persistent_failure() {
-        let _clean = crate::faultinject::quiesced();
         let sweep = map_indexed_isolated(16, &CellPolicy::default(), |i| {
             if i == 5 {
                 panic!("persistent failure");
@@ -405,7 +401,6 @@ mod tests {
 
     #[test]
     fn isolated_retry_recovers_transient_failure() {
-        let _clean = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(8, &CellPolicy::default(), |i| {
             if i == 2 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -420,7 +415,6 @@ mod tests {
 
     #[test]
     fn isolated_watchdog_flags_slow_cells() {
-        let _clean = crate::faultinject::quiesced();
         let policy = CellPolicy {
             deadline: Some(Duration::from_millis(20)),
             ..CellPolicy::default()
@@ -442,7 +436,6 @@ mod tests {
 
     #[test]
     fn isolated_typed_errors_are_not_retried() {
-        let _clean = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(4, &CellPolicy::default(), |i| {
             if i == 0 {
@@ -466,25 +459,28 @@ mod tests {
         assert_eq!(sweep.failures().len(), 1);
     }
 
+    fn faulted(spec: &str) -> CellPolicy {
+        CellPolicy {
+            faults: Faults::parse(spec).unwrap(),
+            ..CellPolicy::default()
+        }
+    }
+
     #[test]
     fn isolated_injected_cell_fault_exercises_retry() {
-        crate::faultinject::with_plan("cell-panic:6:1", || {
-            let sweep = map_indexed_isolated(12, &CellPolicy::default(), Ok);
-            assert!(sweep.failures().is_empty());
-            assert_eq!(sweep.retries, 1, "one injected transient panic");
-        });
+        let sweep = map_indexed_isolated(12, &faulted("cell-panic:6:1"), Ok);
+        assert!(sweep.failures().is_empty());
+        assert_eq!(sweep.retries, 1, "one injected transient panic");
     }
 
     #[test]
     fn isolated_injected_persistent_fault_poisons_cell() {
-        crate::faultinject::with_plan("cell-panic:6:100", || {
-            let sweep = map_indexed_isolated(12, &CellPolicy::default(), Ok);
-            assert_eq!(sweep.failures().len(), 1);
-            let e = sweep.results[6].as_ref().unwrap_err();
-            assert!(
-                matches!(e, StudyError::CellPanicked { index: 6, .. }),
-                "{e}"
-            );
-        });
+        let sweep = map_indexed_isolated(12, &faulted("cell-panic:6:100"), Ok);
+        assert_eq!(sweep.failures().len(), 1);
+        let e = sweep.results[6].as_ref().unwrap_err();
+        assert!(
+            matches!(e, StudyError::CellPanicked { index: 6, .. }),
+            "{e}"
+        );
     }
 }

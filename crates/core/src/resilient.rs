@@ -23,6 +23,10 @@
 //!
 //! Resumed cells skip the sentinel: they were subject to it in the run
 //! that computed and journaled them.
+//!
+//! Faults: the cell policy's [`Faults`](crate::faultinject::Faults) handle
+//! reaches the cells, the sentinel and the journal; trace builds take the
+//! plan of the [`TraceStore`] the caller passes.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -38,7 +42,7 @@ use serde::Serialize;
 use crate::configs::{parallel_configs, serial, HwConfig};
 use crate::cross::{all_pairs, CrossStudy, PairPoint};
 use crate::error::StudyResult;
-use crate::journal::{cell_key, Journal, SideRecord};
+use crate::journal::{cell_key, FsyncPolicy, Journal, SideRecord};
 use crate::multi::{run_workload_with, JobSide, MultiCell, MultiStudy};
 use crate::pool::{self, CellPolicy};
 use crate::sentinel::{sampled, DriftEvent, DriftSentinel};
@@ -56,7 +60,8 @@ pub struct ResilienceOptions {
     /// reference engine. `1` checks every cell, `0` disables the
     /// sentinel.
     pub sample_every: usize,
-    /// Per-cell retry/backoff/watchdog policy.
+    /// Per-cell retry/backoff/watchdog policy, and the fault plan of the
+    /// whole sweep.
     pub policy: CellPolicy,
 }
 
@@ -169,8 +174,9 @@ impl<'a> Ctx<'a> {
         store: &'a TraceStore,
         ropts: &'a ResilienceOptions,
     ) -> StudyResult<Self> {
+        let faults = &ropts.policy.faults;
         let journal = match &ropts.journal_path {
-            Some(p) => Some(Journal::open(p)?),
+            Some(p) => Some(Journal::open_with(p, FsyncPolicy::Flush, faults.clone())?),
             None => None,
         };
         Ok(Self {
@@ -178,7 +184,7 @@ impl<'a> Ctx<'a> {
             store,
             ropts,
             journal,
-            sentinel: DriftSentinel::new(),
+            sentinel: DriftSentinel::with_faults(faults.clone()),
             resumed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
             machine_hash: crate::hash::content_hash(&opts.machine).to_string(),
@@ -855,7 +861,6 @@ mod tests {
 
     #[test]
     fn single_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let plain = crate::single::run_single_program(&opts, &TraceStore::new());
         let res =
@@ -873,7 +878,6 @@ mod tests {
 
     #[test]
     fn multi_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = StudyOptions::quick();
         let w = paper_workloads();
         let plain = crate::multi::run_multi_program(&opts, &TraceStore::new(), &w);
@@ -894,7 +898,6 @@ mod tests {
 
     #[test]
     fn cross_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let plain = crate::cross::run_cross_product(&opts, &TraceStore::new());
         let res =
@@ -910,7 +913,6 @@ mod tests {
 
     #[test]
     fn journal_resume_skips_recompute() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let path = tmp("resume_unit.jsonl");
         let ropts = ResilienceOptions::default().with_journal(&path);

@@ -32,7 +32,7 @@ use paxsim_machine::sim::{simulate, simulate_reference, JobSpec, SimOutcome};
 use paxsim_nas::KernelId;
 use serde::Serialize;
 
-use crate::faultinject;
+use crate::faultinject::Faults;
 
 /// One observed fast-vs-reference disagreement.
 #[derive(Debug, Clone, Serialize)]
@@ -49,6 +49,7 @@ pub struct DriftSentinel {
     events: Mutex<Vec<DriftEvent>>,
     checks: AtomicUsize,
     fallbacks: AtomicUsize,
+    faults: Faults,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -58,6 +59,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl DriftSentinel {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A sentinel whose fast results `faults`' `drift` perturbs.
+    pub fn with_faults(faults: Faults) -> Self {
+        Self {
+            faults,
+            ..Self::default()
+        }
     }
 
     /// Is this kernel's fast path quarantined?
@@ -95,7 +104,7 @@ impl DriftSentinel {
     ///   quarantines every kernel in the cell, and returns the
     ///   *reference* outcome — a checked cell is always trustworthy.
     ///
-    /// Fault injection: an active `drift:<kernel>` fault perturbs the
+    /// Fault injection: a `drift:<kernel>` fault perturbs the
     /// fast outcome here (modeling a fast-path defect); the perturbation
     /// never touches the reference path, so the sentinel sees exactly
     /// what a real defect would produce.
@@ -114,13 +123,11 @@ impl DriftSentinel {
         // Only a checked cell pays for cloning the job specs.
         let checked_jobs = check.then(|| jobs.clone());
         let mut fast = simulate(cfg, jobs);
-        if faultinject::active() {
-            for &k in kernels {
-                if faultinject::drift_hook(k.name()) {
-                    // Model a miscounting fast path: one phantom L1 miss.
-                    fast.jobs[0].counters.l1d_miss += 1;
-                    fast.total.l1d_miss += 1;
-                }
+        for &k in kernels {
+            if self.faults.drift(k) {
+                // Model a miscounting fast path: one phantom L1 miss.
+                fast.jobs[0].counters.l1d_miss += 1;
+                fast.total.l1d_miss += 1;
             }
         }
         let Some(jobs) = checked_jobs else {
@@ -357,7 +364,6 @@ mod tests {
 
     #[test]
     fn clean_check_passes_and_counts() {
-        let _q = crate::faultinject::quiesced();
         let s = DriftSentinel::new();
         let (cfg, jobs) = job();
         let out = s.simulate_checked(&[KernelId::Ep], "CMT", true, &cfg, jobs);
@@ -369,31 +375,28 @@ mod tests {
 
     #[test]
     fn injected_drift_quarantines_and_returns_reference() {
-        crate::faultinject::with_plan("drift:ep", || {
-            let s = DriftSentinel::new();
-            let (cfg, jobs) = job();
-            let clean = simulate_reference(&cfg, jobs.clone());
-            let out = s.simulate_checked(&[KernelId::Ep], "CMT", true, &cfg, jobs.clone());
-            // The drifted fast result was discarded for the reference one.
-            assert_eq!(out.jobs[0].counters, clean.jobs[0].counters);
-            assert!(s.is_quarantined(KernelId::Ep));
-            assert_eq!(s.events().len(), 1);
-            assert!(
-                s.events()[0].detail.contains("counters"),
-                "{:?}",
-                s.events()
-            );
-            // Quarantined: the next call never touches the fast path, so
-            // the (still-active) drift fault cannot perturb it.
-            let out2 = s.simulate_checked(&[KernelId::Ep], "CMT", false, &cfg, jobs);
-            assert_eq!(out2.jobs[0].counters, clean.jobs[0].counters);
-            assert_eq!(s.fallbacks(), 1);
-        });
+        let s = DriftSentinel::with_faults(Faults::parse("drift:ep").unwrap());
+        let (cfg, jobs) = job();
+        let clean = simulate_reference(&cfg, jobs.clone());
+        let out = s.simulate_checked(&[KernelId::Ep], "CMT", true, &cfg, jobs.clone());
+        // The drifted fast result was discarded for the reference one.
+        assert_eq!(out.jobs[0].counters, clean.jobs[0].counters);
+        assert!(s.is_quarantined(KernelId::Ep));
+        assert_eq!(s.events().len(), 1);
+        assert!(
+            s.events()[0].detail.contains("counters"),
+            "{:?}",
+            s.events()
+        );
+        // Quarantined: the next call never touches the fast path, so
+        // the (still-active) drift fault cannot perturb it.
+        let out2 = s.simulate_checked(&[KernelId::Ep], "CMT", false, &cfg, jobs);
+        assert_eq!(out2.jobs[0].counters, clean.jobs[0].counters);
+        assert_eq!(s.fallbacks(), 1);
     }
 
     #[test]
     fn unchecked_unquarantined_uses_fast_path() {
-        let _q = crate::faultinject::quiesced();
         let s = DriftSentinel::new();
         let (cfg, jobs) = job();
         let out = s.simulate_checked(&[KernelId::Ep], "CMT", false, &cfg, jobs);

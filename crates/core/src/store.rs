@@ -23,7 +23,7 @@ use paxsim_nas::{Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 
 use crate::error::{panic_payload, StudyError, StudyResult};
-use crate::faultinject;
+use crate::faultinject::Faults;
 
 /// Total build attempts (first try + waiter retries) per key.
 pub const MAX_BUILD_ATTEMPTS: u32 = 3;
@@ -81,11 +81,20 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub struct TraceStore {
     map: Mutex<HashMap<TraceKey, Entry>>,
     builds: AtomicU64,
+    faults: Faults,
 }
 
 impl TraceStore {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A store whose builds run `faults`' `build-panic` / `build-asid`.
+    pub fn with_faults(faults: Faults) -> Self {
+        Self {
+            faults,
+            ..Self::default()
+        }
     }
 
     /// Get the trace for `key`, building (and verifying) it on first use.
@@ -188,7 +197,7 @@ impl TraceStore {
             attempt = prior_attempts + 1
         );
         let built = catch_unwind(AssertUnwindSafe(|| {
-            faultinject::build_hook(key.kernel.name());
+            self.faults.build_start(key.kernel);
             let built = key.kernel.build(key.class, key.nthreads, key.schedule);
             if built.verify.passed {
                 Ok(built.trace)
@@ -257,7 +266,6 @@ mod tests {
 
     #[test]
     fn memoizes_by_key() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let key = ep_key();
         let a = store.get(key);
@@ -268,7 +276,6 @@ mod tests {
 
     #[test]
     fn concurrent_gets_build_once() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let key = ep_key();
         let traces: Vec<Arc<ProgramTrace>> = std::thread::scope(|scope| {
@@ -286,7 +293,6 @@ mod tests {
 
     #[test]
     fn distinct_thread_counts_distinct_traces() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let mk = |n| TraceKey {
             kernel: KernelId::Ep,
@@ -302,58 +308,57 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
+    /// A store whose builds run the plan `spec`.
+    fn faulted(spec: &str) -> TraceStore {
+        TraceStore::with_faults(Faults::parse(spec).unwrap())
+    }
+
     #[test]
     fn first_attempt_panic_is_retried_to_success() {
         // Injected fault: the first build of EP panics; the bounded retry
         // (claimed by the same caller re-entering) succeeds.
-        faultinject::with_plan("build-panic:ep:1", || {
-            let store = TraceStore::new();
-            let t = store.try_get(ep_key()).expect("retry must recover");
-            assert_eq!(t.nthreads, 2);
-            assert_eq!(store.builds(), 2, "one failed + one successful build");
-            assert_eq!(store.len(), 1);
-        });
+        let store = faulted("build-panic:ep:1");
+        let t = store.try_get(ep_key()).expect("retry must recover");
+        assert_eq!(t.nthreads, 2);
+        assert_eq!(store.builds(), 2, "one failed + one successful build");
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn concurrent_waiters_survive_first_attempt_panic() {
         // Exactly one waiter retries; every concurrent caller gets the
         // trace; total builds = 1 failed + 1 successful.
-        faultinject::with_plan("build-panic:ep:1", || {
-            let store = TraceStore::new();
-            let key = ep_key();
-            let results: Vec<StudyResult<Arc<ProgramTrace>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| store.try_get(key))).collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for r in &results {
-                let t = r.as_ref().expect("all waiters must recover");
-                assert_eq!(t.nthreads, 2);
-            }
-            assert_eq!(store.builds(), 2, "failure plus exactly one retry");
+        let store = faulted("build-panic:ep:1");
+        let key = ep_key();
+        let results: Vec<StudyResult<Arc<ProgramTrace>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| store.try_get(key))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        for r in &results {
+            let t = r.as_ref().expect("all waiters must recover");
+            assert_eq!(t.nthreads, 2);
+        }
+        assert_eq!(store.builds(), 2, "failure plus exactly one retry");
     }
 
     #[test]
     fn exhausted_budget_yields_typed_error_and_poisons_key() {
-        faultinject::with_plan(&format!("build-panic:ep:{MAX_BUILD_ATTEMPTS}"), || {
-            let store = TraceStore::new();
-            let err = store.try_get(ep_key()).unwrap_err();
-            match &err {
-                StudyError::BuildFailed {
-                    kernel, attempts, ..
-                } => {
-                    assert_eq!(kernel, "ep");
-                    assert_eq!(*attempts, MAX_BUILD_ATTEMPTS);
-                }
-                e => panic!("unexpected error {e}"),
+        let store = faulted(&format!("build-panic:ep:{MAX_BUILD_ATTEMPTS}"));
+        let err = store.try_get(ep_key()).unwrap_err();
+        match &err {
+            StudyError::BuildFailed {
+                kernel, attempts, ..
+            } => {
+                assert_eq!(kernel, "ep");
+                assert_eq!(*attempts, MAX_BUILD_ATTEMPTS);
             }
-            assert_eq!(store.builds(), MAX_BUILD_ATTEMPTS as u64);
-            // Poisoned: further gets fail immediately without rebuilding.
-            assert!(store.try_get(ep_key()).is_err());
-            assert_eq!(store.builds(), MAX_BUILD_ATTEMPTS as u64);
-            assert_eq!(store.len(), 0);
-        });
+            e => panic!("unexpected error {e}"),
+        }
+        assert_eq!(store.builds(), MAX_BUILD_ATTEMPTS as u64);
+        // Poisoned: further gets fail immediately without rebuilding.
+        assert!(store.try_get(ep_key()).is_err());
+        assert_eq!(store.builds(), MAX_BUILD_ATTEMPTS as u64);
+        assert_eq!(store.len(), 0);
     }
 
     /// Not gated on `debug_assertions`: the codec refuses an address at
@@ -361,33 +366,26 @@ mod tests {
     /// the typed error.
     #[test]
     fn an_address_at_the_asid_byte_fails_the_build_typed() {
-        faultinject::with_plan(&format!("build-asid:ep:{MAX_BUILD_ATTEMPTS}"), || {
-            let store = TraceStore::new();
-            match store.try_get(ep_key()).unwrap_err() {
-                StudyError::BuildFailed {
-                    kernel,
-                    attempts,
-                    reason,
-                    ..
-                } => {
-                    assert_eq!(kernel, "ep");
-                    assert_eq!(attempts, MAX_BUILD_ATTEMPTS);
-                    assert!(reason.contains("reaches the ASID byte"), "{reason}");
-                }
-                e => panic!("unexpected error {e}"),
+        let store = faulted(&format!("build-asid:ep:{MAX_BUILD_ATTEMPTS}"));
+        match store.try_get(ep_key()).unwrap_err() {
+            StudyError::BuildFailed {
+                kernel,
+                attempts,
+                reason,
+                ..
+            } => {
+                assert_eq!(kernel, "ep");
+                assert_eq!(attempts, MAX_BUILD_ATTEMPTS);
+                assert!(reason.contains("reaches the ASID byte"), "{reason}");
             }
-        });
+            e => panic!("unexpected error {e}"),
+        }
     }
 
     #[test]
     #[should_panic(expected = "trace build failed")]
     fn get_panics_with_context_on_exhausted_budget() {
-        faultinject::with_plan(
-            &format!("build-panic:ep:{}", MAX_BUILD_ATTEMPTS + 2),
-            || {
-                let store = TraceStore::new();
-                let _ = store.get(ep_key());
-            },
-        );
+        let store = faulted(&format!("build-panic:ep:{}", MAX_BUILD_ATTEMPTS + 2));
+        let _ = store.get(ep_key());
     }
 }

@@ -5,17 +5,14 @@
 //! something (a panicking cell, an exhausted build budget, a truncated or
 //! bit-flipped journal, a drifting fast engine, a runaway cell), run the
 //! resilient driver, and assert both the recovery bookkeeping *and* that
-//! every unaffected cell is bit-identical to the clean run.
-//!
-//! Fault plans are process-global, so clean baselines are computed under
-//! [`faultinject::quiesced`] and injections under
-//! [`faultinject::with_plan`]; the two share a lock, which serializes the
-//! fault-sensitive sections of this binary.
+//! every unaffected cell is bit-identical to the clean run. A faulted run
+//! hands one [`Faults`] handle to its trace store and its cell policy;
+//! nothing else in the process sees it.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use paxsim_core::faultinject;
+use paxsim_core::faultinject::{self, Faults};
 use paxsim_core::prelude::*;
 use paxsim_core::report::single_to_json;
 use paxsim_core::single::SingleStudy;
@@ -34,10 +31,24 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// The plain (non-resilient) driver's study, computed with no plan live.
+/// The plain (non-resilient) driver's study.
 fn clean_single(opts: &StudyOptions) -> SingleStudy {
-    let _q = faultinject::quiesced();
     paxsim_core::single::run_single_program(opts, &TraceStore::new())
+}
+
+fn plan(spec: &str) -> Faults {
+    Faults::parse(spec).unwrap()
+}
+
+/// The resilient study with `faults` in its trace store and its policy.
+fn resilient(
+    opts: &StudyOptions,
+    faults: &Faults,
+    mut ropts: ResilienceOptions,
+) -> Resilient<SingleStudy> {
+    ropts.policy.faults = faults.clone();
+    let store = TraceStore::with_faults(faults.clone());
+    run_single_program_resilient(opts, &store, &ropts).unwrap()
 }
 
 /// The final report artifact, as bytes — what "byte-identical" means.
@@ -79,9 +90,7 @@ fn transient_cell_panic_is_retried_to_a_bit_identical_study() {
     let opts = quick2();
     let clean = clean_single(&opts);
     // Parallel-sweep item 3 panics exactly once; the retry succeeds.
-    let res = faultinject::with_plan("cell-panic:3:1", || {
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap()
-    });
+    let res = resilient(&opts, &plan("cell-panic:3:1"), Default::default());
     assert!(res.resilience.is_clean(), "{:?}", res.resilience);
     assert!(res.resilience.retries >= 1);
     assert_study_eq(&clean, &res.study);
@@ -92,9 +101,7 @@ fn persistent_cell_panic_poisons_only_that_cell() {
     let opts = quick2();
     let clean = clean_single(&opts);
     // Item 5 of the parallel sweep panics on every attempt.
-    let res = faultinject::with_plan("cell-panic:5:100", || {
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap()
-    });
+    let res = resilient(&opts, &plan("cell-panic:5:100"), Default::default());
     let r = &res.resilience;
     assert!(!r.is_clean());
     assert_eq!(r.failed_cells.len(), 1, "{:?}", r.failed_cells);
@@ -138,9 +145,7 @@ fn exhausted_build_budget_poisons_the_whole_row() {
     let opts = quick2();
     let clean = clean_single(&opts);
     // Every one of the store's bounded build attempts for ep panics.
-    let res = faultinject::with_plan("build-panic:ep:3", || {
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap()
-    });
+    let res = resilient(&opts, &plan("build-panic:ep:3"), Default::default());
     let r = &res.resilience;
     // The serial baseline failed, so the entire ep row is unusable.
     assert_eq!(
@@ -177,7 +182,6 @@ fn truncated_journal_tail_is_detected_and_recomputed() {
     let opts = quick2();
     let path = tmp("truncated.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let _q = faultinject::quiesced();
     let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
@@ -199,7 +203,6 @@ fn bit_flipped_journal_record_fails_crc_and_is_recomputed() {
     let opts = quick2();
     let path = tmp("bitflip.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let _q = faultinject::quiesced();
     let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
@@ -226,9 +229,7 @@ fn injected_engine_drift_is_quarantined_and_repaired_bit_identically() {
     let opts = quick2();
     let clean = clean_single(&opts);
     let ropts = ResilienceOptions::default().with_sampling(1);
-    let res = faultinject::with_plan("drift:ep", || {
-        run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap()
-    });
+    let res = resilient(&opts, &plan("drift:ep"), ropts);
     let r = &res.resilience;
     assert!(!r.is_clean());
     assert_eq!(r.quarantined, vec!["ep".to_string()]);
@@ -258,12 +259,11 @@ fn watchdog_flags_a_runaway_cell_and_the_sweep_completes() {
             max_retries: 0,
             backoff: Duration::from_millis(1),
             deadline: Some(Duration::from_millis(500)),
+            ..CellPolicy::default()
         });
     // Serial-sweep item 1 (the is baseline) stalls well past the deadline,
     // once.
-    let res = faultinject::with_plan("cell-slow:1:2000:1", || {
-        run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap()
-    });
+    let res = resilient(&opts, &plan("cell-slow:1:2000:1"), ropts);
     let r = &res.resilience;
     assert_eq!(r.timeouts, 1, "{r:?}");
     // Baseline lost → the whole is row reports failed cells.
@@ -287,27 +287,23 @@ fn watchdog_flags_a_runaway_cell_and_the_sweep_completes() {
 }
 
 // ---------------------------------------------------------------------------
-// Environment-driven injection (the ci.sh pass).
+// A plan spent across runs.
 // ---------------------------------------------------------------------------
 
-/// Run by `ci.sh` alone in its own process with
-/// `PAXSIM_FAULTS="cell-panic:1:1,build-panic:ep:1"`: both faults are
-/// single-use, so a resilient study must absorb them (retry the cell,
-/// rebuild the trace) and still come out clean — and a second run, with
-/// the budgets spent, must reproduce it bit-identically. A no-op when the
-/// variable is unset.
+/// Both faults are single-use, so a resilient study must absorb them
+/// (retry the cell, rebuild the trace) and still come out clean — and a
+/// second run under the same plan, its budgets spent, must reproduce it
+/// bit-identically.
 #[test]
 fn env_fault_plan_is_absorbed_cleanly() {
-    if !faultinject::init_from_env() {
-        return;
-    }
     let opts = quick2();
-    let first =
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
+    let faults = plan("cell-panic:1:1,build-panic:ep:1");
+    let first = resilient(&opts, &faults, Default::default());
     assert!(first.resilience.is_clean(), "{:?}", first.resilience);
-    let second =
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
+    assert!(first.resilience.retries >= 1, "the cell fault fired");
+    let second = resilient(&opts, &faults, Default::default());
     assert!(second.resilience.is_clean(), "{:?}", second.resilience);
+    assert_eq!(second.resilience.retries, 0, "budgets spent");
     assert_study_eq(&first.study, &second.study);
     assert_eq!(report_bytes(&first.study), report_bytes(&second.study));
 }

@@ -62,7 +62,7 @@ struct Collector {
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Collector>> = const { RefCell::new(None) };
+    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static LAST: RefCell<Option<Vec<RegionRow>>> = const { RefCell::new(None) };
 }
 
@@ -77,7 +77,7 @@ pub(crate) fn begin(starts: &[u64]) {
             rows_by_key: Vec::new(),
         })
         .collect();
-    ACTIVE.with(|a| {
+    COLLECTOR.with(|a| {
         *a.borrow_mut() = Some(Collector {
             rows: Vec::new(),
             cursors,
@@ -96,7 +96,7 @@ pub(crate) fn on_region(
     cumulative: &Counters,
     replay: bool,
 ) {
-    ACTIVE.with(|a| {
+    COLLECTOR.with(|a| {
         let mut a = a.borrow_mut();
         let Some(c) = a.as_mut() else { return };
         let Collector { rows, cursors } = c;
@@ -136,7 +136,7 @@ pub(crate) fn on_region(
 
 /// Disarm the collector and publish its rows as the thread's last run.
 pub(crate) fn finish() {
-    let done = ACTIVE.with(|a| a.borrow_mut().take());
+    let done = COLLECTOR.with(|a| a.borrow_mut().take());
     if let Some(c) = done {
         LAST.with(|l| *l.borrow_mut() = Some(c.rows));
     }

@@ -45,7 +45,7 @@ pub use span::{recent_spans, spans_ndjson, SpanGuard, SpanRecord};
 /// Tri-state switch: 0 = uninitialized, 1 = off, 2 = on.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-fn init_from_env() -> bool {
+fn read_env_switch() -> bool {
     let on = std::env::var_os("PAXSIM_OBS").is_some_and(|v| v != "0" && !v.is_empty());
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     on
@@ -58,7 +58,7 @@ pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
-        _ => init_from_env(),
+        _ => read_env_switch(),
     }
 }
 

@@ -33,9 +33,10 @@
 //! simulate traffic (the conservation envelope below stays exact), and a
 //! finished search replays byte-identical from its own cache.
 //!
-//! With `--chaos` a third phase soaks the server under an injected fault
-//! plan — connection kills every ~97 dispatched frames plus worker
-//! panics on ~1% of jobs — using a **self-healing client**: every
+//! With `--chaos` a third phase soaks a second daemon, opened on the warm
+//! cache directory with a fault plan in its `ServeConfig` — connection
+//! kills every ~97 dispatched frames plus worker panics on ~1% of jobs —
+//! using a **self-healing client**: every
 //! dropped connection is reopened and the request resent (safe: the
 //! content hash is the idempotency key, so a resend dedupes against the
 //! cache and single-flight table). The phase asserts zero hung requests
@@ -59,6 +60,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use paxsim_core::faultinject::{self, Faults};
 use paxsim_serve::{ServeConfig, Server, Service};
 use serde::Value;
 
@@ -171,7 +173,7 @@ fn hot_phase(addr: &str, lines: &[String], connections: usize, total: usize) -> 
 }
 
 /// Chaos soak: `total` requests over `connections` self-healing clients
-/// while the installed fault plan kills connections and panics workers.
+/// while the daemon's fault plan kills connections and panics workers.
 ///
 /// Client discipline per request: send, then read with a hard timeout.
 /// * A reply that is `ok` finishes the request.
@@ -328,26 +330,27 @@ fn main() {
         connections = connections.min(8);
         requests = requests.min(6_000);
     }
-    // Cold and hot phases measure the clean server; the guard keeps any
-    // concurrent fault plan out. It must drop before the chaos phase —
-    // `with_plan` takes the same non-reentrant lock.
-    let quiesced = paxsim_core::faultinject::quiesced();
-
     let cache_dir: PathBuf =
         std::env::temp_dir().join(format!("paxsim_loadgen_cache_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let service = Arc::new(
-        Service::open(ServeConfig {
-            cache_dir: cache_dir.clone(),
-            // Wide enough that the barrier-released cold grid lands in
-            // one gather window even on a loaded CI host.
-            batch_window_ms: 50,
-            ..ServeConfig::default()
-        })
-        .expect("open service"),
-    );
-    let server = Server::start(service.clone(), Some("127.0.0.1:0"), None).expect("start server");
-    let addr = server.tcp_addr().expect("tcp bound").to_string();
+    let start = |faults: Faults| {
+        let service = Arc::new(
+            Service::open(ServeConfig {
+                cache_dir: cache_dir.clone(),
+                // Wide enough that the barrier-released cold grid lands in
+                // one gather window even on a loaded CI host.
+                batch_window_ms: 50,
+                faults,
+                ..ServeConfig::default()
+            })
+            .expect("open service"),
+        );
+        let server =
+            Server::start(service.clone(), Some("127.0.0.1:0"), None).expect("start server");
+        let addr = server.tcp_addr().expect("tcp bound").to_string();
+        (service, server, addr)
+    };
+    let (service, server, addr) = start(Faults::default());
 
     let lines = grid();
     eprintln!(
@@ -509,92 +512,9 @@ fn main() {
         "loadgen: tune search in {tune_search_ms:.1} ms, cached replay {tune_replay_ms:.3} ms"
     );
 
-    // Phase 3 (optional): chaos soak under an injected fault plan.
-    drop(quiesced);
-    let chaos_sent = if chaos {
-        let chaos_requests = if quick { 1_500 } else { 12_000 };
-        let t0 = Instant::now();
-        // Budgets are effectively unlimited; the periods set the rates:
-        // one connection kill per ~97 dispatched frames, one worker panic
-        // per 7 jobs. Only cache-miss requests become worker jobs (~5% of
-        // the soak), so the panic rate lands near 1% of requests overall.
-        // Injected worker panics are caught and healed by design; keep
-        // their backtraces out of the log so real failures stand out.
-        let prev_hook = std::sync::Arc::new(std::panic::take_hook());
-        let filter_prev = prev_hook.clone();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("injected"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("injected"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                filter_prev(info);
-            }
-        }));
-        let resends = paxsim_core::faultinject::with_plan(
-            "serve-conn-kill:97:1000000, serve-worker-panic:7:1000000",
-            || chaos_phase(&addr, &lines, connections.min(8), chaos_requests),
-        );
-        drop(std::panic::take_hook());
-        drop(prev_hook);
-        let wall = t0.elapsed().as_secs_f64();
-        let (worker_panics, conn_kills, _partial) = paxsim_serve::chaos::fired();
-        eprintln!(
-            "loadgen: chaos {chaos_requests} requests in {wall:.2} s — {conn_kills} connections \
-             killed, {worker_panics} worker panics injected, {resends} client heals/resends, \
-             0 hung requests",
-        );
-        assert!(
-            conn_kills > 0 && worker_panics > 0,
-            "the chaos soak must actually fire faults (kills {conn_kills}, panics {worker_panics})"
-        );
-        (chaos_requests + resends) as u64
-    } else {
-        0
-    };
-
-    // Conservation across shards, scraped over the wire like any client.
-    let stats_line = roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats I/O");
-    let stats = serde_json::parse(&stats_line).expect("stats parses");
-    let shards = match &stats["cache"]["shards"] {
-        Value::Array(a) => a.clone(),
-        other => panic!("stats.cache.shards must be an array, got {other:?}"),
-    };
-    let field = |v: &Value, k: &str| v[k].as_u64().unwrap_or(0);
-    let shard_hits: u64 = shards
-        .iter()
-        .map(|s| field(s, "mem_hits") + field(s, "disk_hits"))
-        .sum();
-    let shard_misses: u64 = shards.iter().map(|s| field(s, "misses")).sum();
-    let baseline_fetches = stats["baseline_fetches"].as_u64().unwrap_or(0);
-    // The law is checked against the *server's* own simulate count: with
-    // chaos on, client resends are extra simulate requests the law must
-    // absorb exactly. The client-side count is a lower-bound cross-check
-    // (a killed connection's request may or may not have been dispatched
-    // before the kill, so the server count can only be >=).
     let floor = (lines.len() + requests + one_requests + pred_lines.len() + pred_requests) as u64;
-    let client_sent = floor + chaos_sent;
-    let simulate_requests = stats["simulate_requests"].as_u64().unwrap_or(0);
-    assert!(
-        simulate_requests >= floor && simulate_requests <= client_sent,
-        "server simulate count {simulate_requests} outside client envelope [{floor}, {client_sent}]"
-    );
-    let conserved = shard_hits + shard_misses == simulate_requests + baseline_fetches;
-    eprintln!(
-        "loadgen: conservation {} — Σ shard hits {shard_hits} + misses {shard_misses} \
-         vs requests {simulate_requests} + baselines {baseline_fetches}",
-        if conserved { "holds" } else { "VIOLATED" }
-    );
-    assert!(
-        conserved,
-        "cross-shard conservation: {shard_hits} + {shard_misses} != {simulate_requests} + {baseline_fetches}"
-    );
+    let shards = conservation(&addr, floor, floor);
+    let field = |v: &Value, k: &str| v[k].as_u64().unwrap_or(0);
     let populated = shards
         .iter()
         .filter(|s| field(s, "mem_hits") + field(s, "disk_hits") + field(s, "misses") > 0)
@@ -608,5 +528,80 @@ fn main() {
     let drained = server.shutdown(Duration::from_secs(30));
     assert!(drained, "server must drain cleanly inside the grace period");
     eprintln!("loadgen: drained cleanly");
+
+    // Phase 3 (optional): chaos soak on a second daemon over the warm
+    // cache, its fault plan in its config. Budgets are effectively
+    // unlimited; the periods set the rates: one connection kill per ~97
+    // dispatched frames, one worker panic per 7 jobs. Only cache-miss
+    // requests become worker jobs (~5% of the soak), so the panic rate
+    // lands near 1% of requests overall.
+    if chaos {
+        let chaos_requests = if quick { 1_500 } else { 12_000 };
+        let faults = Faults::parse("serve-conn-kill:97:1000000, serve-worker-panic:7:1000000")
+            .expect("the chaos plan parses");
+        let (_service, server, addr) = start(faults.clone());
+        // Injected worker panics are caught and healed by design.
+        faultinject::hide_injected_panics();
+        let t0 = Instant::now();
+        let resends = chaos_phase(&addr, &lines, connections.min(8), chaos_requests);
+        let wall = t0.elapsed().as_secs_f64();
+        let (worker_panics, conn_kills, _partial) = faults.fired();
+        eprintln!(
+            "loadgen: chaos {chaos_requests} requests in {wall:.2} s — {conn_kills} connections \
+             killed, {worker_panics} worker panics injected, {resends} client heals/resends, \
+             0 hung requests",
+        );
+        assert!(
+            conn_kills > 0 && worker_panics > 0,
+            "the chaos soak must actually fire faults (kills {conn_kills}, panics {worker_panics})"
+        );
+        conservation(
+            &addr,
+            chaos_requests as u64,
+            (chaos_requests + resends) as u64,
+        );
+        let drained = server.shutdown(Duration::from_secs(30));
+        assert!(drained, "the chaos daemon must drain cleanly");
+        eprintln!("loadgen: chaos daemon drained cleanly");
+    }
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Scrape `op=stats` over the wire like any client and check the
+/// cross-shard conservation law (`Σ shard hits + Σ shard misses ==
+/// simulate requests + baseline fetches`) against the *server's* own
+/// simulate count, which must lie in `[floor, ceiling]`: client resends
+/// are extra simulate requests the law must absorb exactly, and a killed
+/// connection's request may or may not have been dispatched before the
+/// kill. Returns the per-shard rows.
+fn conservation(addr: &str, floor: u64, ceiling: u64) -> Vec<Value> {
+    let stats_line = roundtrip(addr, r#"{"op":"stats"}"#).expect("stats I/O");
+    let stats = serde_json::parse(&stats_line).expect("stats parses");
+    let shards = match &stats["cache"]["shards"] {
+        Value::Array(a) => a.clone(),
+        other => panic!("stats.cache.shards must be an array, got {other:?}"),
+    };
+    let field = |v: &Value, k: &str| v[k].as_u64().unwrap_or(0);
+    let shard_hits: u64 = shards
+        .iter()
+        .map(|s| field(s, "mem_hits") + field(s, "disk_hits"))
+        .sum();
+    let shard_misses: u64 = shards.iter().map(|s| field(s, "misses")).sum();
+    let baseline_fetches = field(&stats, "baseline_fetches");
+    let simulate_requests = field(&stats, "simulate_requests");
+    assert!(
+        simulate_requests >= floor && simulate_requests <= ceiling,
+        "server simulate count {simulate_requests} outside client envelope [{floor}, {ceiling}]"
+    );
+    let conserved = shard_hits + shard_misses == simulate_requests + baseline_fetches;
+    eprintln!(
+        "loadgen: conservation {} — Σ shard hits {shard_hits} + misses {shard_misses} \
+         vs requests {simulate_requests} + baselines {baseline_fetches}",
+        if conserved { "holds" } else { "VIOLATED" }
+    );
+    assert!(
+        conserved,
+        "cross-shard conservation: {shard_hits} + {shard_misses} != {simulate_requests} + {baseline_fetches}"
+    );
+    shards
 }

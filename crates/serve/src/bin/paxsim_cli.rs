@@ -551,7 +551,6 @@ mod tests {
 
     #[test]
     fn cached_tcp_round_trips_do_not_wait_for_delayed_acks() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = std::env::temp_dir().join(format!("paxsim_cli_tcp_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let service = paxsim_serve::Service::open(paxsim_serve::ServeConfig {

@@ -63,6 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use paxsim_core::error::{StudyError, StudyResult};
+use paxsim_core::faultinject::Faults;
 use paxsim_core::hash::{fnv1a, ConfigHash};
 use paxsim_core::journal::{FsyncPolicy, Journal, Record, SideRecord};
 
@@ -188,6 +189,9 @@ struct Shard {
     /// Puts whose journal append failed and that degraded to the memory
     /// tier only (served correct but not durable; a restart recomputes).
     put_failures: AtomicU64,
+    /// `serve-shard-slow` stalls lookups; the journal holds its own clone
+    /// for `journal-fail`.
+    faults: Faults,
 }
 
 fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
@@ -224,9 +228,7 @@ impl Shard {
         // here — after shard selection, before either tier — modelling a
         // shard pinned on slow storage. Latency only; the reply that
         // eventually flows is byte-identical.
-        if let Some(ms) = paxsim_core::faultinject::serve_shard_slow() {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
+        self.faults.shard_slow();
         if let Some(entry) = lock(&self.mem).get(hash.0) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             MEM.inc();
@@ -326,11 +328,12 @@ impl ResultCache {
     ///
     /// Journal I/O errors opening, reading, or migrating the disk tier.
     pub fn open(dir: &Path, mem_cap: usize, shards: usize) -> StudyResult<ResultCache> {
-        Self::open_with(dir, mem_cap, shards, FsyncPolicy::Flush)
+        Self::open_with(dir, mem_cap, shards, FsyncPolicy::Flush, Faults::default())
     }
 
     /// [`ResultCache::open`] with an explicit per-append durability
-    /// policy for the shard journals (`--fsync` on the daemon).
+    /// policy for the shard journals (`--fsync` on the daemon) and the
+    /// shards' fault plan (`serve-shard-slow`, `journal-fail`).
     ///
     /// # Errors
     ///
@@ -340,6 +343,7 @@ impl ResultCache {
         mem_cap: usize,
         shards: usize,
         fsync: FsyncPolicy,
+        faults: Faults,
     ) -> StudyResult<ResultCache> {
         let n = shards.max(1);
         let ring = Ring::new(n);
@@ -351,7 +355,8 @@ impl ResultCache {
         };
         let shards = (0..n)
             .map(|i| {
-                let journal = Journal::open_with(&dir.join(shard_file_name(i)), fsync)?;
+                let journal =
+                    Journal::open_with(&dir.join(shard_file_name(i)), fsync, faults.clone())?;
                 Ok(Shard {
                     journal,
                     mem: Mutex::new(Lru {
@@ -364,6 +369,7 @@ impl ResultCache {
                     misses: AtomicU64::new(0),
                     puts: AtomicU64::new(0),
                     put_failures: AtomicU64::new(0),
+                    faults: faults.clone(),
                 })
             })
             .collect::<StudyResult<Vec<Shard>>>()?;
@@ -654,7 +660,6 @@ mod tests {
 
     #[test]
     fn miss_put_hit_roundtrip() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("roundtrip");
         let c = open(&dir, 8, 4);
         let h = ConfigHash(0xabc);
@@ -719,7 +724,6 @@ mod tests {
 
     #[test]
     fn puts_and_gets_route_to_the_same_shard() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("routing");
         let c = open(&dir, 64, 8);
         for raw in 0..64u64 {
@@ -746,7 +750,6 @@ mod tests {
 
     #[test]
     fn disk_tier_survives_reopen_and_promotes() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("reopen");
         let h = ConfigHash(0x11);
         {
@@ -765,7 +768,6 @@ mod tests {
 
     #[test]
     fn legacy_journal_migrates_into_shards() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("migrate");
         // Write a legacy-format single-file cache by hand.
         let legacy = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
@@ -797,7 +799,6 @@ mod tests {
 
     #[test]
     fn single_shard_lru_evicts_coldest_but_disk_retains() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("evict");
         let c = open(&dir, 2, 1);
         for i in 0..3u64 {
@@ -812,7 +813,6 @@ mod tests {
 
     #[test]
     fn lru_touch_on_get_protects_hot_keys() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("touch");
         let c = open(&dir, 2, 1);
         c.put(ConfigHash(0), sides(0)).unwrap();
@@ -826,7 +826,6 @@ mod tests {
 
     #[test]
     fn get_refreshes_recency() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         // Regression (LRU recency audit): `get` must move the key to the
         // hot end of `order`, otherwise a steadily re-read key gets
         // evicted as if it were cold.
@@ -854,7 +853,6 @@ mod tests {
 
     #[test]
     fn double_put_then_evict() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         // Regression (LRU reinsert audit): re-`put` of a resident key must
         // not leave a stale duplicate in `order` — the next eviction would
         // pop the duplicate and remove the wrong key (or nothing), letting
@@ -888,7 +886,6 @@ mod tests {
 
     #[test]
     fn peek_serves_both_tiers_without_stats_or_recency() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("peek");
         let c = open(&dir, 2, 1);
         c.put(ConfigHash(0), sides(0)).unwrap();
@@ -913,7 +910,6 @@ mod tests {
 
     #[test]
     fn reply_line_is_rendered_once_per_entry_and_dies_with_it() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("reply_line");
         let c = open(&dir, 2, 1);
         let renders = std::cell::Cell::new(0);
@@ -960,7 +956,6 @@ mod tests {
 
     #[test]
     fn corrupt_shard_record_is_dropped_not_served() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("corrupt");
         let h = ConfigHash(0xdead);
         let shard = shard_index(h, 4);
@@ -980,33 +975,31 @@ mod tests {
 
     #[test]
     fn put_degrades_to_memory_on_journal_fault() {
-        paxsim_core::faultinject::with_plan("journal-fail:1", || {
-            let dir = tmp("degraded_put");
-            let c = open(&dir, 8, 2);
-            let h = ConfigHash(0x77);
-            let stored = c.put(h, sides(5)).unwrap();
-            assert_eq!(stored.sides[0].counters.instructions, 5);
-            assert_eq!(c.put_failures(), 1, "degraded put must be counted");
-            assert_eq!(c.write_errors(), 1, "journal must count the failed append");
-            assert_eq!(c.puts(), 1, "a degraded put is still a put");
-            let hit = c.get(h).unwrap();
-            assert_eq!(
-                serde_json::to_string(&hit).unwrap(),
-                serde_json::to_string(&stored).unwrap(),
-                "degraded record must serve byte-identically"
-            );
-            assert_eq!(c.mem_hits(), 1);
-            // Not durable: a reopen recomputes (misses), never serves junk.
-            drop(c);
-            let c = open(&dir, 8, 2);
-            assert!(c.get(h).is_none(), "memory-only record must not survive");
-            assert_eq!(c.corrupt_dropped(), 0, "nothing torn landed on disk");
-        });
+        let dir = tmp("degraded_put");
+        let faults = Faults::parse("journal-fail:1").unwrap();
+        let c = ResultCache::open_with(&dir, 8, 2, FsyncPolicy::Flush, faults).unwrap();
+        let h = ConfigHash(0x77);
+        let stored = c.put(h, sides(5)).unwrap();
+        assert_eq!(stored.sides[0].counters.instructions, 5);
+        assert_eq!(c.put_failures(), 1, "degraded put must be counted");
+        assert_eq!(c.write_errors(), 1, "journal must count the failed append");
+        assert_eq!(c.puts(), 1, "a degraded put is still a put");
+        let hit = c.get(h).unwrap();
+        assert_eq!(
+            serde_json::to_string(&hit).unwrap(),
+            serde_json::to_string(&stored).unwrap(),
+            "degraded record must serve byte-identically"
+        );
+        assert_eq!(c.mem_hits(), 1);
+        // Not durable: a reopen recomputes (misses), never serves junk.
+        drop(c);
+        let c = open(&dir, 8, 2);
+        assert!(c.get(h).is_none(), "memory-only record must not survive");
+        assert_eq!(c.corrupt_dropped(), 0, "nothing torn landed on disk");
     }
 
     #[test]
     fn compact_reclaims_stale_shard_lines() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("compact");
         let c = open(&dir, 8, 2);
         let h = ConfigHash(0x5);
@@ -1027,7 +1020,6 @@ mod tests {
 
     #[test]
     fn conservation_holds_across_shards() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("conserve");
         let c = open(&dir, 32, 8);
         let mut gets = 0u64;

@@ -45,8 +45,8 @@
 //! rendering it.
 //!
 //! Failure behavior is a first-class surface (DESIGN.md §14): the
-//! [`chaos`] hooks extend the deterministic fault harness into the
-//! reactor, workers, batcher, and shard journals; the [`breaker`]
+//! daemon's fault plan ([`ServeConfig::faults`]) reaches the reactor,
+//! workers, batcher, and shard journals; the [`breaker`]
 //! quarantines deterministically-crashing configs with typed rejections;
 //! the admission gate sheds deadline-expired queued work; and `op=health`
 //! reports per-shard + breaker state for orchestrators.
@@ -54,7 +54,6 @@
 pub mod batch;
 pub mod breaker;
 pub mod cache;
-pub mod chaos;
 pub mod frame;
 pub mod protocol;
 pub mod server;

@@ -91,6 +91,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use paxsim_core::faultinject::Faults;
 use paxsim_obs::{LazyCounter, LazyHistogram};
 
 use crate::frame::FrameBuffer;
@@ -258,7 +259,7 @@ impl WorkerPool {
                 }
             };
             // The worker is the last line of panic isolation: a panic
-            // escaping `handle_line` (or injected by `chaos::worker_job`)
+            // escaping `handle_line` (or injected by `Faults::worker_job`)
             // must not kill the thread — that would strand the job's
             // reply, leak the `active` count, and hang drain forever.
             // One retry (panics here are transient by construction: the
@@ -284,11 +285,11 @@ impl WorkerPool {
 }
 
 /// Run one request line inside the worker's `catch_unwind` boundary.
-/// `chaos::worker_job` fires injected worker panics here, so the
-/// boundary (and its retry) is exercised deterministically in tests.
+/// The daemon's `serve-worker-panic` fires here, so the boundary (and its
+/// retry) is exercised deterministically in tests.
 fn run_job(service: &Service, line: &str) -> Result<String, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::chaos::worker_job();
+        service.config().faults.worker_job();
         service.handle_line(line)
     }))
     .map_err(|p| {
@@ -368,17 +369,17 @@ struct Conn<S> {
     closing: bool,
     /// Socket write failed; drop without flushing.
     dead: bool,
+    /// The daemon's plan, for `serve-partial-write`.
+    faults: Faults,
 }
 
 /// One `write` of `bytes`, returning how many the socket took (0 when it
 /// is full) and setting `dead` when it failed.
-fn write_some(stream: &mut impl Write, dead: &mut bool, bytes: &[u8]) -> usize {
+fn write_some(stream: &mut impl Write, dead: &mut bool, faults: &Faults, bytes: &[u8]) -> usize {
     // Chaos hook: a `serve-partial-write` plan caps this write at one
     // byte, exercising the partial-write bookkeeping a saturated socket
     // produces (the rest stays queued and goes out in later writes).
-    let cap = crate::chaos::write_cap()
-        .unwrap_or(bytes.len())
-        .min(bytes.len());
+    let cap = faults.write_cap().unwrap_or(bytes.len()).min(bytes.len());
     match stream.write(&bytes[..cap]) {
         Ok(0) => *dead = true,
         Ok(n) => return n,
@@ -389,7 +390,7 @@ fn write_some(stream: &mut impl Write, dead: &mut bool, bytes: &[u8]) -> usize {
 }
 
 impl<S: Write> Conn<S> {
-    fn new(stream: S, generation: u64) -> Conn<S> {
+    fn new(stream: S, generation: u64, faults: Faults) -> Conn<S> {
         Conn {
             stream,
             generation,
@@ -401,6 +402,7 @@ impl<S: Write> Conn<S> {
             pending_jobs: 0,
             closing: false,
             dead: false,
+            faults,
         }
     }
 
@@ -435,7 +437,12 @@ impl<S: Write> Conn<S> {
         reply.push('\n');
         let mut sent = 0;
         if self.out.is_empty() && self.frames.pending() == 0 {
-            sent = write_some(&mut self.stream, &mut self.dead, reply.as_bytes());
+            sent = write_some(
+                &mut self.stream,
+                &mut self.dead,
+                &self.faults,
+                reply.as_bytes(),
+            );
         }
         self.out.extend(&reply.as_bytes()[sent..]);
     }
@@ -456,7 +463,7 @@ impl<S: Write> Conn<S> {
     fn flush(&mut self) {
         while !self.out.is_empty() && !self.dead {
             let (front, _) = self.out.as_slices();
-            match write_some(&mut self.stream, &mut self.dead, front) {
+            match write_some(&mut self.stream, &mut self.dead, &self.faults, front) {
                 0 => break,
                 n => drop(self.out.drain(..n)),
             }
@@ -736,7 +743,8 @@ impl Reactor {
                         Ok(stream) => {
                             generation += 1;
                             self.service.open_connections.fetch_add(1, Ordering::SeqCst);
-                            let conn = Conn::new(stream, generation);
+                            let faults = self.service.config().faults.clone();
+                            let conn = Conn::new(stream, generation, faults);
                             match free.pop() {
                                 Some(slot) => conns[slot] = Some(conn),
                                 None => conns.push(Some(conn)),
@@ -792,7 +800,7 @@ impl Reactor {
                 // request is received but its reply never leaves, exactly
                 // the torn state a mid-request network partition produces.
                 // The client sees EOF and must retry elsewhere.
-                if crate::chaos::conn_kill() {
+                if self.service.config().faults.conn_kill() {
                     conn.dead = true;
                     return;
                 }

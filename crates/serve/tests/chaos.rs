@@ -4,21 +4,20 @@
 //! receives is byte-identical to what a fault-free run produces, and the
 //! failure surface is typed, never a hang.
 //!
-//! The byte-identity discipline: run the faulted exchange inside
-//! [`with_plan`], then (under [`quiesced`], so no plan can leak in)
-//! compute the same request on a *fresh* service in a *fresh* cache
-//! directory and require the two reply lines to be equal. Simulation is
-//! deterministic and the wire rendering canonical, so any divergence —
-//! a half-applied put, a retry that drifted, a corrupted record — shows
-//! up as a byte diff.
+//! The byte-identity discipline: run the faulted exchange on a daemon
+//! whose `ServeConfig` carries the plan, then compute the same request on
+//! a *fresh*, plan-free service in a *fresh* cache directory and require
+//! the two reply lines to be equal. Simulation is deterministic and the
+//! wire rendering canonical, so any divergence — a half-applied put, a
+//! retry that drifted, a corrupted record — shows up as a byte diff.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use paxsim_core::faultinject::{quiesced, with_plan};
+use paxsim_core::faultinject::Faults;
 use paxsim_serve::{ServeConfig, Server, Service};
 
 fn tmp(name: &str) -> PathBuf {
@@ -36,6 +35,10 @@ fn start(name: &str, cfg_mod: impl FnOnce(&mut ServeConfig)) -> (Arc<Service>, S
     let service = Arc::new(Service::open(cfg).unwrap());
     let server = Server::start(service.clone(), Some("127.0.0.1:0"), None).unwrap();
     (service, server)
+}
+
+fn plan(spec: &str) -> Faults {
+    Faults::parse(spec).unwrap()
 }
 
 /// One round trip on a fresh connection; panics on any transport error.
@@ -83,9 +86,8 @@ fn healing_roundtrip(server: &Server, line: &str, retries: u32) -> (String, u32)
 }
 
 /// Fault-free reference reply for `line`: a fresh service over a fresh
-/// cache directory, computed with fault injection quiesced.
+/// cache directory.
 fn reference_reply(name: &str, line: &str) -> String {
-    let _quiet = quiesced();
     let (_service, server) = start(name, |_| {});
     let reply = roundtrip(&server, line);
     assert!(reply.contains("\"ok\":true"), "{reply}");
@@ -100,12 +102,12 @@ const EP_CMP: &str = r#"{"op":"simulate","kernel":"ep","config":"CMP"}"#;
 /// reconnects, resends, and ends up with the byte-identical result.
 #[test]
 fn killed_connection_heals_by_reconnect_and_resend() {
-    let (reply, heals) = with_plan("serve-conn-kill:1:1", || {
-        let (_service, server) = start("conn_kill", |_| {});
+    let (reply, heals) = {
+        let (_service, server) = start("conn_kill", |cfg| cfg.faults = plan("serve-conn-kill:1:1"));
         let out = healing_roundtrip(&server, EP_CMP, 5);
         assert!(server.shutdown(Duration::from_secs(10)));
         out
-    });
+    };
     assert!(heals >= 1, "the kill must actually sever a connection");
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert_eq!(
@@ -120,8 +122,10 @@ fn killed_connection_heals_by_reconnect_and_resend() {
 /// intact and byte-identical.
 #[test]
 fn partial_write_trickle_delivers_the_intact_reply() {
-    let hot = with_plan("serve-partial-write:100000", || {
-        let (_service, server) = start("partial_write", |_| {});
+    let hot = {
+        let (_service, server) = start("partial_write", |cfg| {
+            cfg.faults = plan("serve-partial-write:100000")
+        });
         // Cold compute first (under the same plan: the trickle applies to
         // its reply too), then a cache hit; both must survive 1-byte
         // write passes.
@@ -131,7 +135,7 @@ fn partial_write_trickle_delivers_the_intact_reply() {
         assert_eq!(cold, hot, "hit must match the miss byte for byte");
         assert!(server.shutdown(Duration::from_secs(10)));
         hot
-    });
+    };
     assert_eq!(
         hot,
         reference_reply("partial_write_ref", EP_CMP),
@@ -144,10 +148,7 @@ fn partial_write_trickle_delivers_the_intact_reply() {
 /// reassembly buffers partial lines without stalling the reactor.
 #[test]
 fn slow_loris_client_request_is_reassembled() {
-    // Computed first: `reference_reply` takes the same non-reentrant
-    // quiesce lock this test body holds below.
     let reference = reference_reply("slow_loris_ref", EP_CMP);
-    let _quiet = quiesced();
     let (_service, server) = start("slow_loris", |_| {});
     // A fast client on a second connection must not be held hostage by
     // the trickler (reactor threads never block on one peer).
@@ -183,14 +184,16 @@ fn slow_loris_client_request_is_reassembled() {
 /// reply — byte-identical to a run where no worker ever panicked.
 #[test]
 fn worker_panic_is_retried_to_a_byte_identical_reply() {
-    let reply = with_plan("serve-worker-panic:1:1", || {
-        let (_service, server) = start("worker_panic", |_| {});
+    let reply = {
+        let (_service, server) = start("worker_panic", |cfg| {
+            cfg.faults = plan("serve-worker-panic:1:1")
+        });
         // A fresh miss is dispatched to the worker pool (hits answer
         // inline from the reactor), so the panic lands on this job.
         let reply = roundtrip(&server, EP_CMP);
         assert!(server.shutdown(Duration::from_secs(10)));
         reply
-    });
+    };
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert_eq!(
         reply,
@@ -205,8 +208,9 @@ fn worker_panic_is_retried_to_a_byte_identical_reply() {
 #[test]
 fn batch_leader_panic_reruns_riders_byte_identical() {
     let kernels = ["ep", "cg", "is"];
-    let replies = with_plan("serve-batch-panic:1", || {
+    let replies = {
         let (service, server) = start("batch_panic", |cfg| {
+            cfg.faults = plan("serve-batch-panic:1");
             cfg.batch_window_ms = 100;
         });
         let replies: Vec<String> = std::thread::scope(|scope| {
@@ -226,7 +230,7 @@ fn batch_leader_panic_reruns_riders_byte_identical() {
         );
         assert!(server.shutdown(Duration::from_secs(10)));
         replies
-    });
+    };
     for (k, r) in kernels.iter().zip(&replies) {
         assert!(r.contains("\"ok\":true"), "{k} rider must recover: {r}");
         let reference = reference_reply(
@@ -242,8 +246,8 @@ fn batch_leader_panic_reruns_riders_byte_identical() {
 /// never wrong.
 #[test]
 fn journal_write_failure_serves_byte_identical_degraded() {
-    let reply = with_plan("journal-fail:2", || {
-        let (service, server) = start("journal_fail", |_| {});
+    let reply = {
+        let (service, server) = start("journal_fail", |cfg| cfg.faults = plan("journal-fail:2"));
         let reply = roundtrip(&server, EP_CMP);
         assert!(
             service.cache().put_failures() >= 1,
@@ -251,7 +255,7 @@ fn journal_write_failure_serves_byte_identical_degraded() {
         );
         assert!(server.shutdown(Duration::from_secs(10)));
         reply
-    });
+    };
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert_eq!(
         reply,
@@ -264,14 +268,16 @@ fn journal_write_failure_serves_byte_identical_degraded() {
 /// reply is late, typed-nothing, and byte-identical.
 #[test]
 fn shard_latency_delays_but_serves_byte_identical() {
-    let (elapsed, reply) = with_plan("serve-shard-slow:40:2", || {
-        let (_service, server) = start("shard_slow", |_| {});
+    let (elapsed, reply) = {
+        let (_service, server) = start("shard_slow", |cfg| {
+            cfg.faults = plan("serve-shard-slow:40:2")
+        });
         let t0 = Instant::now();
         let reply = roundtrip(&server, EP_CMP);
         let elapsed = t0.elapsed();
         assert!(server.shutdown(Duration::from_secs(10)));
         (elapsed, reply)
-    });
+    };
     assert!(
         elapsed >= Duration::from_millis(40),
         "the latency fault must actually stall the lookup ({elapsed:?})"
@@ -292,43 +298,42 @@ fn shard_latency_delays_but_serves_byte_identical() {
 fn breaker_quarantines_then_probe_recovers_over_the_wire() {
     // Budget 6 = exactly two failing requests (each burns the cell's
     // 1 + 2 retries); the post-cooldown probe then runs clean.
-    with_plan("cell-panic:0:6", || {
-        let (service, server) = start("breaker", |cfg| {
-            cfg.breaker_threshold = 2;
-            cfg.breaker_cooldown_ms = 200;
-        });
-        let line = r#"{"op":"simulate","kernel":"cg","config":"CMT"}"#;
-        for i in 0..2 {
-            let r = roundtrip(&server, line);
-            assert!(r.contains("\"error\":\"panic\""), "failure {i}: {r}");
-        }
-        let quarantined = roundtrip(&server, line);
-        assert!(
-            quarantined.contains("\"error\":\"quarantined\""),
-            "tripped breaker must reject typed: {quarantined}"
-        );
-        assert!(
-            quarantined.contains("retry in"),
-            "rejection must carry the retry hint: {quarantined}"
-        );
-        let health = roundtrip(&server, r#"{"op":"health"}"#);
-        assert!(
-            health.contains("\"state\":\"open\""),
-            "health must show the open breaker: {health}"
-        );
-        std::thread::sleep(Duration::from_millis(250));
-        let probed = roundtrip(&server, line);
-        assert!(
-            probed.contains("\"ok\":true"),
-            "post-cooldown probe must recover: {probed}"
-        );
-        assert_eq!(
-            service.breaker().snapshot().len(),
-            0,
-            "a successful probe must close the breaker"
-        );
-        assert!(server.shutdown(Duration::from_secs(10)));
+    let (service, server) = start("breaker", |cfg| {
+        cfg.faults = plan("cell-panic:0:6");
+        cfg.breaker_threshold = 2;
+        cfg.breaker_cooldown_ms = 200;
     });
+    let line = r#"{"op":"simulate","kernel":"cg","config":"CMT"}"#;
+    for i in 0..2 {
+        let r = roundtrip(&server, line);
+        assert!(r.contains("\"error\":\"panic\""), "failure {i}: {r}");
+    }
+    let quarantined = roundtrip(&server, line);
+    assert!(
+        quarantined.contains("\"error\":\"quarantined\""),
+        "tripped breaker must reject typed: {quarantined}"
+    );
+    assert!(
+        quarantined.contains("retry in"),
+        "rejection must carry the retry hint: {quarantined}"
+    );
+    let health = roundtrip(&server, r#"{"op":"health"}"#);
+    assert!(
+        health.contains("\"state\":\"open\""),
+        "health must show the open breaker: {health}"
+    );
+    std::thread::sleep(Duration::from_millis(250));
+    let probed = roundtrip(&server, line);
+    assert!(
+        probed.contains("\"ok\":true"),
+        "post-cooldown probe must recover: {probed}"
+    );
+    assert_eq!(
+        service.breaker().snapshot().len(),
+        0,
+        "a successful probe must close the breaker"
+    );
+    assert!(server.shutdown(Duration::from_secs(10)));
 }
 
 /// Load shedding over the wire: with one running slot held by a stalled
@@ -336,47 +341,46 @@ fn breaker_quarantines_then_probe_recovers_over_the_wire() {
 /// typed `shed` rejection instead of waiting forever.
 #[test]
 fn queued_request_past_deadline_is_shed_typed() {
-    with_plan("cell-slow:0:400:1", || {
-        let (service, server) = start("shed", |cfg| {
-            cfg.max_running = 1;
-            cfg.max_queue = 4;
-        });
-        let addr = server.tcp_addr().unwrap();
-        let slow = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            writer.write_all(EP_CMP.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply
-        });
-        let t0 = Instant::now();
-        while service.busy() == 0 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "slow request never admitted"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let shed = roundtrip(
-            &server,
-            r#"{"op":"simulate","kernel":"is","config":"CMT","deadline_ms":30}"#,
-        );
-        assert!(
-            shed.contains("\"error\":\"shed\""),
-            "expired queued request must be shed typed: {shed}"
-        );
-        assert!(service.shed() >= 1, "the shed counter must increment");
-        let slow_reply = slow.join().unwrap();
-        assert!(
-            slow_reply.contains("\"ok\":true"),
-            "the stalled request itself must still finish: {slow_reply}"
-        );
-        assert!(server.shutdown(Duration::from_secs(10)));
+    let (service, server) = start("shed", |cfg| {
+        cfg.faults = plan("cell-slow:0:400:1");
+        cfg.max_running = 1;
+        cfg.max_queue = 4;
     });
+    let addr = server.tcp_addr().unwrap();
+    let slow = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(EP_CMP.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    });
+    let t0 = Instant::now();
+    while service.busy() == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "slow request never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let shed = roundtrip(
+        &server,
+        r#"{"op":"simulate","kernel":"is","config":"CMT","deadline_ms":30}"#,
+    );
+    assert!(
+        shed.contains("\"error\":\"shed\""),
+        "expired queued request must be shed typed: {shed}"
+    );
+    assert!(service.shed() >= 1, "the shed counter must increment");
+    let slow_reply = slow.join().unwrap();
+    assert!(
+        slow_reply.contains("\"ok\":true"),
+        "the stalled request itself must still finish: {slow_reply}"
+    );
+    assert!(server.shutdown(Duration::from_secs(10)));
 }
 
 /// Predictor gone bad under a line the memo already holds: the *same
@@ -392,45 +396,47 @@ fn memoized_predicted_line_moves_to_the_exact_tier_on_quarantine() {
         r#"{"op":"simulate","kernel":"ep","config":"CMP","fidelity":"predicted"}"#;
     // Audit every fresh prediction, not only a pair's first.
     let (service, server) = start("predict_bias", |cfg| cfg.predict_sample_every = 1);
-    let (predicted, exact) = {
-        let _quiet = quiesced();
-        let cold = roundtrip(&server, PREDICTED);
-        assert!(cold.contains(r#""fidelity":"predicted""#), "{cold}");
-        assert_eq!(
-            service.predict_auditor().quarantined_pairs(),
-            0,
-            "EP audits in bounds"
-        );
-        // Two hits: the first lets the line into the memo, the second is
-        // answered out of it.
-        assert_eq!(roundtrip(&server, PREDICTED), cold);
-        assert_eq!(roundtrip(&server, PREDICTED), cold);
-        // The audit cached the exact answer.
-        (cold, roundtrip(&server, EP_CMP))
-    };
+    let cold = roundtrip(&server, PREDICTED);
+    assert!(cold.contains(r#""fidelity":"predicted""#), "{cold}");
+    assert_eq!(
+        service.predict_auditor().quarantined_pairs(),
+        0,
+        "EP audits in bounds"
+    );
+    // The audit cached the exact answer.
+    let exact = roundtrip(&server, EP_CMP);
     assert_eq!(
         service.computed(),
         2,
         "the audit's exact run and its baseline"
     );
-    // The model drifts: another spec of the same pair is predicted afresh,
-    // audited, and found far out of bounds.
-    with_plan("predict-bias", || {
-        let other = roundtrip(
-            &server,
-            r#"{"op":"simulate","kernel":"ep","config":"CMP","trials":2,"fidelity":"predicted"}"#,
-        );
-        assert!(other.contains("\"ok\":true"), "{other}");
+    assert!(server.shutdown(Duration::from_secs(10)));
+    // The model drifts: a daemon whose plan biases every prediction opens
+    // the same cache. The line hits there twice — the first hit lets it
+    // into the memo, the second is answered out of it — then another spec
+    // of the same pair is predicted afresh, audited, and found far out of
+    // bounds.
+    let dir = service.config().cache_dir.clone();
+    let (service, server) = start("predict_bias_drift", |cfg| {
+        cfg.cache_dir = dir;
+        cfg.predict_sample_every = 1;
+        cfg.faults = plan("predict-bias");
     });
+    assert_eq!(roundtrip(&server, PREDICTED), cold);
+    assert_eq!(roundtrip(&server, PREDICTED), cold);
+    let other = roundtrip(
+        &server,
+        r#"{"op":"simulate","kernel":"ep","config":"CMP","trials":2,"fidelity":"predicted"}"#,
+    );
+    assert!(other.contains("\"ok\":true"), "{other}");
     assert_eq!(service.predict_auditor().quarantined_pairs(), 1);
     let fallbacks = service.predict_auditor().fallbacks();
-    let _quiet = quiesced();
     let after = roundtrip(&server, PREDICTED);
     assert_eq!(
         after, exact,
         "a quarantined pair answers from the exact tier"
     );
-    assert_ne!(after, predicted);
+    assert_ne!(after, cold);
     assert_eq!(service.predict_auditor().fallbacks(), fallbacks + 1);
     assert_eq!(
         service.cache().hits() + service.cache().misses(),
@@ -444,38 +450,95 @@ fn memoized_predicted_line_moves_to_the_exact_tier_on_quarantine() {
 /// one well-formed JSON line per request, even under 1-byte write caps.
 #[test]
 fn faulted_replies_are_always_whole_lines() {
-    with_plan("serve-partial-write:100000", || {
-        let (_service, server) = start("whole_lines", |_| {});
-        let stream = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        for _ in 0..3 {
-            writer.write_all(EP_CMP.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-        }
-        writer.flush().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut replies = Vec::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.ends_with('\n'), "torn reply line: {line:?}");
-            serde_json::parse(line.trim_end()).expect("every reply line parses as JSON");
-            replies.push(line.trim_end().to_string());
-        }
-        assert_eq!(replies[1], replies[0], "hits must match the miss");
-        assert_eq!(replies[2], replies[0], "hits must match the miss");
-        // No trailing garbage after the last reply.
-        drop(writer);
-        let mut rest = Vec::new();
-        reader
-            .get_mut()
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let _ = reader.read_to_end(&mut rest);
-        assert!(
-            rest.is_empty() || rest.iter().all(|&b| b == b'\n'),
-            "stray bytes after replies: {rest:?}"
-        );
-        assert!(server.shutdown(Duration::from_secs(10)));
+    let (_service, server) = start("whole_lines", |cfg| {
+        cfg.faults = plan("serve-partial-write:100000")
     });
+    let stream = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    for _ in 0..3 {
+        writer.write_all(EP_CMP.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+    }
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.ends_with('\n'), "torn reply line: {line:?}");
+        serde_json::parse(line.trim_end()).expect("every reply line parses as JSON");
+        replies.push(line.trim_end().to_string());
+    }
+    assert_eq!(replies[1], replies[0], "hits must match the miss");
+    assert_eq!(replies[2], replies[0], "hits must match the miss");
+    // No trailing garbage after the last reply.
+    drop(writer);
+    let mut rest = Vec::new();
+    reader
+        .get_mut()
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(
+        rest.is_empty() || rest.iter().all(|&b| b == b'\n'),
+        "stray bytes after replies: {rest:?}"
+    );
+    assert!(server.shutdown(Duration::from_secs(10)));
+}
+
+/// Fault plans are values: two daemons started side by side in one
+/// process, one under `serve-conn-kill:1:1,journal-fail:1` and one with no
+/// plan. The faulted one fires exactly its budget — one killed
+/// connection, one failed append — the clean one fires nothing and never
+/// degrades, and both answer the same lines byte for byte.
+#[test]
+fn two_daemons_with_different_plans_share_a_process() {
+    let faults = plan("serve-conn-kill:1:1,journal-fail:1");
+    let lines = [EP_CMP, r#"{"op":"simulate","kernel":"is","config":"CMT"}"#];
+    let started = Barrier::new(2);
+    let run = |name: &str, faults: Faults| {
+        let (service, server) = start(name, |cfg| cfg.faults = faults);
+        started.wait();
+        let (replies, heals): (Vec<String>, Vec<u32>) = lines
+            .iter()
+            .map(|line| healing_roundtrip(&server, line, 5))
+            .unzip();
+        let health = roundtrip(&server, r#"{"op":"health"}"#);
+        assert!(server.shutdown(Duration::from_secs(10)));
+        (service, replies, heals.iter().sum::<u32>(), health)
+    };
+    let (faulted, clean) = std::thread::scope(|scope| {
+        let faulted = scope.spawn(|| run("two_faulted", faults.clone()));
+        let clean = scope.spawn(|| run("two_clean", Faults::default()));
+        (faulted.join().unwrap(), clean.join().unwrap())
+    });
+    let (faulted, faulted_replies, faulted_heals, faulted_health) = faulted;
+    let (clean, clean_replies, clean_heals, clean_health) = clean;
+    for reply in &clean_replies {
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    assert_eq!(faulted_replies, clean_replies, "same lines, same bytes");
+    assert_eq!(faults.fired(), (0, 1, 0), "exactly the one kill");
+    assert_eq!(faulted_heals, 1, "one resend healed the one kill");
+    assert_eq!(
+        faulted.cache().put_failures(),
+        1,
+        "exactly the one failed append"
+    );
+    assert_eq!(faulted.cache().write_errors(), 1);
+    let degraded = |health: &str| {
+        let health = serde_json::parse(health).unwrap();
+        health["degraded"]["put_failures"].as_u64()
+    };
+    assert_eq!(degraded(&faulted_health), Some(1), "{faulted_health}");
+    assert!(clean.config().faults.is_empty());
+    assert_eq!(clean.config().faults.fired(), (0, 0, 0));
+    assert_eq!(clean_heals, 0, "no connection of the clean daemon died");
+    assert_eq!(
+        (clean.cache().put_failures(), clean.cache().write_errors()),
+        (0, 0)
+    );
+    assert_eq!(clean.batch_poisoned(), 0);
+    assert_eq!(clean.breaker().trips(), 0);
+    assert_eq!(degraded(&clean_health), Some(0), "{clean_health}");
 }

@@ -179,13 +179,11 @@ fn lifecycle(name: &str, mem_cap: usize) {
 
 #[test]
 fn stored_line_lives_and_dies_with_its_entry() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     lifecycle("lifecycle", 2);
 }
 
 #[test]
 fn no_memory_tier_stores_nothing_and_serves_the_same_bytes() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     lifecycle("lifecycle_no_mem", 0);
 }
 
@@ -195,7 +193,6 @@ fn no_memory_tier_stores_nothing_and_serves_the_same_bytes() {
 /// today's hash and render to the same bytes: every request is a disk hit.
 #[test]
 fn journals_written_before_the_streamed_hash_serve_as_disk_hits() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_journal");
     let dir = tmp("parent_journal");
     std::fs::create_dir_all(&dir).unwrap();

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use paxsim_core::faultinject::Faults;
 use paxsim_serve::{ServeConfig, Server, Service};
 
 fn tmp(name: &str) -> PathBuf {
@@ -29,6 +30,10 @@ fn start(name: &str, cfg_mod: impl FnOnce(&mut ServeConfig)) -> (Arc<Service>, S
     let service = Arc::new(Service::open(cfg).unwrap());
     let server = Server::start(service.clone(), Some("127.0.0.1:0"), None).unwrap();
     (service, server)
+}
+
+fn plan(spec: &str) -> Faults {
+    Faults::parse(spec).unwrap()
 }
 
 struct Client {
@@ -77,7 +82,6 @@ const EP_CMP: &str = r#"{"op":"simulate","kernel":"ep","config":"CMP"}"#;
 
 #[test]
 fn concurrent_identical_requests_compute_exactly_once() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("coalesce", |_| {});
     let replies: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
@@ -102,7 +106,6 @@ fn concurrent_identical_requests_compute_exactly_once() {
 
 #[test]
 fn cache_hit_is_byte_identical_and_does_no_engine_work() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("hit", |_| {});
     let mut client = Client::connect(&server);
     let cold = client.roundtrip(EP_CMP);
@@ -122,7 +125,6 @@ fn a_field_given_twice_is_refused_over_the_wire() {
     // Regression: the parser kept the first of a repeated key where most
     // clients keep the last, so these were answered — `Serial` for `CMP`,
     // a simulate for a stats — as requests their senders did not mean.
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("dup_keys", |_| {});
     let mut client = Client::connect(&server);
     for (line, field) in [
@@ -161,7 +163,6 @@ fn a_machine_override_with_a_repeated_or_unknown_key_is_refused_over_the_wire() 
     // Regression: inside `machine` the derived deserializer kept the first
     // of a repeated key and ignored an unknown one, so both lines below
     // were answered as the stock Paxville machine.
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("machine_keys", |_| {});
     let mut client = Client::connect(&server);
     let full =
@@ -197,44 +198,43 @@ fn overload_rejects_typed_and_drain_finishes_in_flight() {
     // One running slot, zero queue slots; the first computation is
     // stalled 400 ms by an injected slow fault so the second distinct
     // request meets a full daemon.
-    paxsim_core::faultinject::with_plan("cell-slow:0:400:1", || {
-        let (service, server) = start("overload", |cfg| {
-            cfg.max_running = 1;
-            cfg.max_queue = 0;
-        });
-        let mut slow = Client::connect(&server);
-        let mut fast = Client::connect(&server);
-        let mut late = Client::connect(&server);
-        slow.send(EP_CMP);
-        wait_until("slow request admitted", Duration::from_secs(5), || {
-            service.busy() > 0
-        });
-        let rejected = fast.roundtrip(r#"{"op":"simulate","kernel":"cg","config":"CMP"}"#);
-        assert!(
-            rejected.contains("\"error\":\"overloaded\""),
-            "full daemon must reject typed: {rejected}"
-        );
-        // Drain while the slow computation is still in flight: it must
-        // finish and reply; new misses must be refused.
-        server.drain();
-        let slow_reply = slow.recv();
-        assert!(
-            slow_reply.contains("\"ok\":true"),
-            "in-flight work must finish during drain: {slow_reply}"
-        );
-        let refused = late.roundtrip(r#"{"op":"simulate","kernel":"is","config":"CMP"}"#);
-        assert!(
-            refused.contains("\"error\":\"draining\""),
-            "draining daemon must refuse new work: {refused}"
-        );
-        let stats = late.roundtrip(r#"{"op":"stats"}"#);
-        assert!(stats.contains("\"draining\":true"), "{stats}");
-        assert!(stats.contains("\"rejected_overload\":1"), "{stats}");
-        assert!(
-            server.shutdown(Duration::from_secs(10)),
-            "drain must reach quiescence"
-        );
+    let (service, server) = start("overload", |cfg| {
+        cfg.faults = plan("cell-slow:0:400:1");
+        cfg.max_running = 1;
+        cfg.max_queue = 0;
     });
+    let mut slow = Client::connect(&server);
+    let mut fast = Client::connect(&server);
+    let mut late = Client::connect(&server);
+    slow.send(EP_CMP);
+    wait_until("slow request admitted", Duration::from_secs(5), || {
+        service.busy() > 0
+    });
+    let rejected = fast.roundtrip(r#"{"op":"simulate","kernel":"cg","config":"CMP"}"#);
+    assert!(
+        rejected.contains("\"error\":\"overloaded\""),
+        "full daemon must reject typed: {rejected}"
+    );
+    // Drain while the slow computation is still in flight: it must
+    // finish and reply; new misses must be refused.
+    server.drain();
+    let slow_reply = slow.recv();
+    assert!(
+        slow_reply.contains("\"ok\":true"),
+        "in-flight work must finish during drain: {slow_reply}"
+    );
+    let refused = late.roundtrip(r#"{"op":"simulate","kernel":"is","config":"CMP"}"#);
+    assert!(
+        refused.contains("\"error\":\"draining\""),
+        "draining daemon must refuse new work: {refused}"
+    );
+    let stats = late.roundtrip(r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"draining\":true"), "{stats}");
+    assert!(stats.contains("\"rejected_overload\":1"), "{stats}");
+    assert!(
+        server.shutdown(Duration::from_secs(10)),
+        "drain must reach quiescence"
+    );
 }
 
 #[test]
@@ -246,28 +246,25 @@ fn shutdown_joins_every_handler_and_flushes_in_flight_replies() {
     // (a) reports a clean drain and (b) returns only after the reply
     // bytes reached the socket — readable afterwards even though every
     // server thread is already joined.
-    paxsim_core::faultinject::with_plan("cell-slow:0:300:1", || {
-        let (service, server) = start("drain_join", |_| {});
-        let mut client = Client::connect(&server);
-        client.send(EP_CMP);
-        wait_until("slow request admitted", Duration::from_secs(5), || {
-            service.busy() > 0
-        });
-        assert!(
-            server.shutdown(Duration::from_secs(10)),
-            "shutdown must wait for the in-flight reply, not abandon it"
-        );
-        let reply = client.recv();
-        assert!(
-            reply.contains("\"ok\":true"),
-            "reply flushed before the handlers were joined: {reply}"
-        );
+    let (service, server) = start("drain_join", |cfg| cfg.faults = plan("cell-slow:0:300:1"));
+    let mut client = Client::connect(&server);
+    client.send(EP_CMP);
+    wait_until("slow request admitted", Duration::from_secs(5), || {
+        service.busy() > 0
     });
+    assert!(
+        server.shutdown(Duration::from_secs(10)),
+        "shutdown must wait for the in-flight reply, not abandon it"
+    );
+    let reply = client.recv();
+    assert!(
+        reply.contains("\"ok\":true"),
+        "reply flushed before the handlers were joined: {reply}"
+    );
 }
 
 #[test]
 fn draining_closes_the_listener_to_new_connections() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (_service, server) = start("drain_refuse", |_| {});
     let addr = server.tcp_addr().unwrap();
     let mut established = Client::connect(&server);
@@ -292,7 +289,6 @@ fn draining_closes_the_listener_to_new_connections() {
 
 #[test]
 fn bitflipped_disk_entry_is_recomputed_not_served() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let dir = tmp("bitflip");
     // The parallel ep/CMP record lands in the shard its content hash
     // selects; corrupt that shard's journal, not a monolithic file.
@@ -356,79 +352,74 @@ fn stats_counters_conserve_under_coalescing_and_deadline() {
     // sub-fetches — even when four clients coalesce onto one flight
     // (riders re-check with the stats-neutral `peek`) and a watchdog
     // deadline cancels a computation mid-flight.
-    paxsim_core::faultinject::with_plan("cell-slow:0:60:1", || {
-        let (service, server) = start("conserve", |_| {});
-        let mut client = Client::connect(&server);
-        // One simulate request whose computation the watchdog cancels.
-        let dead =
-            client.roundtrip(r#"{"op":"simulate","kernel":"cg","config":"CMP","deadline_ms":1}"#);
-        assert!(dead.contains("\"error\":\"deadline\""), "{dead}");
-        // Four identical cold requests race onto a coalesced flight.
-        let replies: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let server = &server;
-                    scope.spawn(move || Client::connect(server).roundtrip(EP_CMP))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in &replies {
-            assert!(r.contains("\"ok\":true"), "{r}");
-            assert_eq!(r, &replies[0], "coalesced replies must be identical");
-        }
-        // Two repeat requests served straight from cache.
-        assert_eq!(client.roundtrip(EP_CMP), replies[0]);
-        assert_eq!(client.roundtrip(EP_CMP), replies[0]);
-        let simulate_requests = 1 + 4 + 2;
-        // The cancelled cell's detached thread may still be mid-way
-        // through its own baseline fetch; conservation re-converges the
-        // moment both of its sides (fetch counter, cache lookup) settle.
-        wait_until("counter conservation", Duration::from_secs(5), || {
-            service.cache().hits() + service.cache().misses()
-                == simulate_requests + service.baseline_fetches()
-        });
-        let stats = client.roundtrip(r#"{"op":"stats"}"#);
-        let v = serde_json::parse(&stats).unwrap();
-        let led = v["inflight"]["led"].as_u64().unwrap();
-        let joined = v["inflight"]["joined"].as_u64().unwrap();
-        // Flights: the deadline request led one; the four coalesced
-        // requests account for at most four slots (a straggler that
-        // arrives after the flight lands hits the cache instead) and at
-        // least one leader — never more, or the double-check re-counted.
-        assert!(led >= 2, "{stats}");
-        assert!((2..=5).contains(&(led + joined)), "{stats}");
-        assert!(v["baseline_fetches"].as_u64().unwrap() >= 1, "{stats}");
-        assert!(service.cache().hits() >= 2, "repeats must hit: {stats}");
-        assert!(server.shutdown(Duration::from_secs(10)));
+    let (service, server) = start("conserve", |cfg| cfg.faults = plan("cell-slow:0:60:1"));
+    let mut client = Client::connect(&server);
+    // One simulate request whose computation the watchdog cancels.
+    let dead =
+        client.roundtrip(r#"{"op":"simulate","kernel":"cg","config":"CMP","deadline_ms":1}"#);
+    assert!(dead.contains("\"error\":\"deadline\""), "{dead}");
+    // Four identical cold requests race onto a coalesced flight.
+    let replies: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let server = &server;
+                scope.spawn(move || Client::connect(server).roundtrip(EP_CMP))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    for r in &replies {
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert_eq!(r, &replies[0], "coalesced replies must be identical");
+    }
+    // Two repeat requests served straight from cache.
+    assert_eq!(client.roundtrip(EP_CMP), replies[0]);
+    assert_eq!(client.roundtrip(EP_CMP), replies[0]);
+    let simulate_requests = 1 + 4 + 2;
+    // The cancelled cell's detached thread may still be mid-way
+    // through its own baseline fetch; conservation re-converges the
+    // moment both of its sides (fetch counter, cache lookup) settle.
+    wait_until("counter conservation", Duration::from_secs(5), || {
+        service.cache().hits() + service.cache().misses()
+            == simulate_requests + service.baseline_fetches()
+    });
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    let v = serde_json::parse(&stats).unwrap();
+    let led = v["inflight"]["led"].as_u64().unwrap();
+    let joined = v["inflight"]["joined"].as_u64().unwrap();
+    // Flights: the deadline request led one; the four coalesced
+    // requests account for at most four slots (a straggler that
+    // arrives after the flight lands hits the cache instead) and at
+    // least one leader — never more, or the double-check re-counted.
+    assert!(led >= 2, "{stats}");
+    assert!((2..=5).contains(&(led + joined)), "{stats}");
+    assert!(v["baseline_fetches"].as_u64().unwrap() >= 1, "{stats}");
+    assert!(service.cache().hits() >= 2, "repeats must hit: {stats}");
+    assert!(server.shutdown(Duration::from_secs(10)));
 }
 
 #[test]
 fn injected_cell_panic_does_not_drop_other_clients() {
-    paxsim_core::faultinject::with_plan("cell-panic:0:1", || {
-        let (_service, server) = start("panic", |_| {});
-        let kernels = ["ep", "cg", "is"];
-        let replies: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = kernels
-                .iter()
-                .map(|k| {
-                    let server = &server;
-                    let line =
-                        format!(r#"{{"op":"simulate","kernel":"{k}","config":"HT on -2-1"}}"#);
-                    scope.spawn(move || Client::connect(server).roundtrip(&line))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (k, r) in kernels.iter().zip(&replies) {
-            assert!(
-                r.contains("\"ok\":true"),
-                "{k} client must survive the injected panic: {r}"
-            );
-        }
-        assert!(server.shutdown(Duration::from_secs(10)));
+    let (_service, server) = start("panic", |cfg| cfg.faults = plan("cell-panic:0:1"));
+    let kernels = ["ep", "cg", "is"];
+    let replies: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = kernels
+            .iter()
+            .map(|k| {
+                let server = &server;
+                let line = format!(r#"{{"op":"simulate","kernel":"{k}","config":"HT on -2-1"}}"#);
+                scope.spawn(move || Client::connect(server).roundtrip(&line))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    for (k, r) in kernels.iter().zip(&replies) {
+        assert!(
+            r.contains("\"ok\":true"),
+            "{k} client must survive the injected panic: {r}"
+        );
+    }
+    assert!(server.shutdown(Duration::from_secs(10)));
 }
 
 #[test]
@@ -442,8 +433,9 @@ fn batch_leader_panic_does_not_strand_followers() {
     // and the loopback replies must be byte-identical to fault-free runs.
     let kernels = ["ep", "cg", "is"];
     let line = |k: &str| format!(r#"{{"op":"simulate","kernel":"{k}","config":"CMP"}}"#);
-    let faulted: Vec<String> = paxsim_core::faultinject::with_plan("serve-batch-panic:1", || {
+    let faulted: Vec<String> = {
         let (service, server) = start("batch_poison", |cfg| {
+            cfg.faults = plan("serve-batch-panic:1");
             cfg.batch_window_ms = 100;
         });
         let replies: Vec<String> = std::thread::scope(|scope| {
@@ -463,8 +455,7 @@ fn batch_leader_panic_does_not_strand_followers() {
         );
         assert!(server.shutdown(Duration::from_secs(10)));
         replies
-    });
-    let _quiet = paxsim_core::faultinject::quiesced();
+    };
     let (_service, server) = start("batch_poison_ref", |_| {});
     for (k, faulted_reply) in kernels.iter().zip(&faulted) {
         assert!(
@@ -482,7 +473,6 @@ fn batch_leader_panic_does_not_strand_followers() {
 
 #[test]
 fn health_endpoint_reports_readiness_shards_and_breaker() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (_service, server) = start("health", |_| {});
     let mut client = Client::connect(&server);
     let h = client.roundtrip(r#"{"op":"health"}"#);
@@ -518,7 +508,6 @@ fn health_endpoint_reports_readiness_shards_and_breaker() {
 
 #[test]
 fn unix_socket_serves_the_same_protocol() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let dir = tmp("unix");
     let sock = dir.join("serve.sock");
     std::fs::create_dir_all(&dir).unwrap();

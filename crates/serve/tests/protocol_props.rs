@@ -367,7 +367,6 @@ proptest! {
         case in AnySimulateLine,
     ) {
         static SERVICE: OnceLock<Service> = OnceLock::new();
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = SERVICE.get_or_init(|| {
             let dir = std::env::temp_dir().join("paxsim_serve_protocol_props");
             let _ = std::fs::remove_dir_all(&dir);

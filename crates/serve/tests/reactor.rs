@@ -92,7 +92,6 @@ const HITS: [&str; 3] = [
 
 #[test]
 fn reactor_sleeps_until_woken_and_loses_nothing() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let dir = std::env::temp_dir().join(format!("paxsim_serve_reactor_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

@@ -18,14 +18,18 @@
 //! study results, so two runs of the same study always compare equal.
 //!
 //! Set `PAXSIM_FAULTS` (see `paxsim_core::faultinject`) to watch the
-//! recovery paths fire on a real sweep.
+//! recovery paths fire on a real sweep; a malformed plan exits 2.
 
+use paxsim_core::faultinject::Faults;
 use paxsim_core::prelude::*;
 use paxsim_core::report::{multi_to_json, single_to_json};
 use paxsim_nas::Class;
 
 fn main() {
-    paxsim_core::faultinject::init_from_env();
+    let faults = Faults::from_env().unwrap_or_else(|e| {
+        eprintln!("resilient_study: {e}");
+        std::process::exit(2);
+    });
     let mut args = std::env::args().skip(1);
     let (Some(journal), Some(report)) = (args.next(), args.next()) else {
         eprintln!("usage: resilient_study <journal-path> <report-path>");
@@ -33,8 +37,9 @@ fn main() {
     };
 
     let opts = StudyOptions::paper(Class::T);
-    let store = TraceStore::new();
-    let ropts = ResilienceOptions::default().with_journal(&journal);
+    let store = TraceStore::with_faults(faults.clone());
+    let mut ropts = ResilienceOptions::default().with_journal(&journal);
+    ropts.policy.faults = faults;
 
     let single = run_single_program_resilient(&opts, &store, &ropts)
         .unwrap_or_else(|e| panic!("single-program study: {e}"));
