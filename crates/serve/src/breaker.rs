@@ -206,9 +206,11 @@ impl Breaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::tests::obs_series;
 
     #[test]
     fn trips_only_at_threshold_and_success_resets() {
+        let _series = obs_series();
         let b = Breaker::new(3, Duration::from_millis(200));
         b.failure(7);
         b.failure(7);
@@ -227,6 +229,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_then_close_or_reopen() {
+        let _series = obs_series();
         let b = Breaker::new(1, Duration::from_millis(20));
         b.failure(5);
         assert!(b.check(5).is_err(), "tripped at threshold 1");

@@ -1612,11 +1612,19 @@ struct Miss {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use paxsim_core::faultinject::Faults;
     use std::path::PathBuf;
     use std::sync::Barrier;
+
+    /// Held by every test in this crate that books `serve.predict.fallbacks`,
+    /// `serve.admission.shed` or `serve.breaker.rejected`. Obs series are
+    /// process-wide, and three tests here pin their exact deltas.
+    pub(crate) fn obs_series() -> MutexGuard<'static, ()> {
+        static SERIES: Mutex<()> = Mutex::new(());
+        lock(&SERIES)
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1850,6 +1858,7 @@ mod tests {
         // burns 1 + max_retries (= 3) attempts, fails post-retry, and
         // counts one breaker failure; at threshold 2 the third request
         // must be refused as `quarantined` without computing at all.
+        let _series = obs_series();
         let faults = plan("cell-panic:0:50");
         let s = Service::open(ServeConfig {
             cache_dir: tmp("breaker"),
@@ -2162,6 +2171,7 @@ mod tests {
         // (kernel, config, class) pair, and every later non-exact request
         // for that pair must silently serve the exact tier, byte-identical
         // to a fault-free exact run.
+        let _series = obs_series();
         let reference = service("bias_ref").handle_line(EP_CMP);
         let s = faulted("bias", &plan("predict-bias"));
         let biased = s.handle_line(EP_CMP_PRED);
@@ -2203,9 +2213,10 @@ mod tests {
         // under-counted `op=stats` by every inline-served fallback. One
         // ladder serves both paths now; both counts must move together,
         // whichever path answers and whether it hits or misses.
+        let _series = obs_series();
         let s = faulted("fallback_obs", &plan("predict-bias"));
-        let before = paxsim_obs::counter("serve.predict.fallbacks").get();
-        let obs = || obs_since("serve.predict.fallbacks", before);
+        let obs = || paxsim_obs::counter("serve.predict.fallbacks").get();
+        let before = obs();
         s.handle_line(EP_CMP_PRED); // biased, audited, pair quarantined
         assert_eq!(s.predict_auditor().quarantined_pairs(), 1);
         assert_eq!(s.predict_auditor().fallbacks(), 0);
@@ -2215,7 +2226,7 @@ mod tests {
         assert_eq!(inline, worker);
         assert!(!worker.contains("\"fidelity\""), "exact bytes: {worker}");
         assert_eq!(s.predict_auditor().fallbacks(), 2);
-        assert!(obs() >= 2, "obs must count inline fallbacks too");
+        assert_eq!(obs() - before, 2, "obs must count inline fallbacks too");
         // A fallback that misses books once, on the worker path only.
         s.handle_line(
             r#"{"op":"simulate","kernel":"ep","config":"CMP","class":"S","fidelity":"predicted"}"#,
@@ -2230,7 +2241,7 @@ mod tests {
         );
         assert!(s.handle_line(other).contains("\"ok\":true"));
         assert_eq!(s.predict_auditor().fallbacks(), 3);
-        assert!(obs() >= 3);
+        assert_eq!(obs() - before, 3);
         assert_eq!(
             s.cache().hits() + s.cache().misses(),
             s.simulate_requests() + s.baseline_fetches(),
@@ -2315,13 +2326,6 @@ mod tests {
         );
     }
 
-    /// How far a process-wide obs counter moved since `before`. Other
-    /// services in this test binary book the same series concurrently, so
-    /// it can read more than this service booked, never less.
-    fn obs_since(name: &str, before: u64) -> u64 {
-        paxsim_obs::counter(name).get() - before
-    }
-
     /// A named `op=stats` counter, as the wire reports it.
     fn stat(s: &Service, block: &str, key: &str) -> u64 {
         let stats = s.handle_line(r#"{"op":"stats"}"#);
@@ -2338,6 +2342,7 @@ mod tests {
         // request. `cell-panic` only matters to the quarantined row, which
         // needs one failed computation per key to trip a threshold-1
         // breaker; the other rows never reach a computation.
+        let _series = obs_series();
         let faults = plan("cell-panic:0:50");
         for (cause, max_queue, deadline, block, key) in [
             ("draining", 1, "", "admission", "rejected_draining"),
@@ -2397,14 +2402,15 @@ mod tests {
         // Regression: `op=tune` shed its search without telling the obs
         // counter, so `op=metrics` under-reported `op=stats`. One `admit`
         // books both, for every tier, per request.
+        let _series = obs_series();
         let s = Service::open(ServeConfig {
             cache_dir: tmp("shed_obs"),
             max_running: 1,
             ..ServeConfig::default()
         })
         .unwrap();
-        let obs_before = paxsim_obs::counter("serve.admission.shed").get();
-        let stats_before = stat(&s, "degraded", "shed");
+        let obs = || paxsim_obs::counter("serve.admission.shed").get();
+        let (obs_before, stats_before) = (obs(), stat(&s, "degraded", "shed"));
         let held = s.gate.admit(None).unwrap();
         for line in [
             r#"{"op":"simulate","kernel":"ep","config":"CMP","deadline_ms":30}"#,
@@ -2415,10 +2421,7 @@ mod tests {
         }
         drop(held);
         assert_eq!(stat(&s, "degraded", "shed") - stats_before, 2);
-        assert!(
-            obs_since("serve.admission.shed", obs_before) >= 2,
-            "obs must count the shed search too"
-        );
+        assert_eq!(obs() - obs_before, 2, "obs must count the shed search too");
     }
 
     #[test]
@@ -2426,6 +2429,7 @@ mod tests {
         // Regression: only the exact tier told the obs counter about a
         // quarantine rejection. The counter now moves inside
         // `Breaker::check`, beside the atomic `op=health` reports.
+        let _series = obs_series();
         let faults = plan("tune-abort:1:1");
         let s = Service::open(ServeConfig {
             cache_dir: tmp("tune_quarantine_obs"),
@@ -2435,18 +2439,15 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
-        let obs_before = paxsim_obs::counter("serve.breaker.rejected").get();
-        let atomic_before = s.breaker().rejected();
+        let obs = || paxsim_obs::counter("serve.breaker.rejected").get();
+        let (obs_before, atomic_before) = (obs(), s.breaker().rejected());
         let tripped = s.handle_line(EP_TUNE);
         assert!(tripped.contains("\"error\":\"panic\""), "{tripped}");
         assert_eq!(s.breaker().trips(), 1);
         let refused = s.handle_line(EP_TUNE);
         assert!(refused.contains("\"error\":\"quarantined\""), "{refused}");
         assert_eq!(s.breaker().rejected() - atomic_before, 1);
-        assert!(
-            obs_since("serve.breaker.rejected", obs_before) >= 1,
-            "obs must count a quarantined tune"
-        );
+        assert_eq!(obs() - obs_before, 1, "obs must count a quarantined tune");
     }
 
     #[test]
