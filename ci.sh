@@ -37,7 +37,8 @@ by_name hash::tests::golden_digests_are_pinned -p paxsim-core --lib
 echo "== trace identity: class T goldens, the codec's edges, the 5x5 factorization (run by name) =="
 # Every kernel's class T trace (digest of the decoded ops, regions,
 # interned regions, packed bytes, verdict) as recorded before the build
-# path was optimized and the words shrank to four bytes; the codec round
+# path was optimized, the words shrank to four bytes and threads came to
+# share equal words (packed bytes re-recorded, downward only); the codec round
 # trip where inline and wide forms meet; an address at the ASID byte
 # refused by the codec in this (non-debug-gated) test and, through
 # TraceStore, as a typed BuildFailed; the factored 5x5 solve bit for bit
@@ -48,13 +49,22 @@ by_name op::tests::an_address_at_the_asid_byte_is_refused_in_every_build -p paxs
 by_name store::tests::an_address_at_the_asid_byte_fails_the_build_typed -p paxsim-core --lib
 by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib
 
-echo "== pooled calibration, unpinned one-shot runs, linear string parse (run by name) =="
+echo "== pooled calibration, what the memo and a trace store once, linear string parse (run by name) =="
 # Every row of the pooled calibrate() bit for bit its probe run alone; a
 # run whose trace nobody else holds leaves nothing pinned in the region
-# memo; a 250 KB string parses in well under a second, and the vendored
-# parser (outside the workspace run) decodes across its plain runs' edges.
+# memo; snapshots share every cache chunk a region left alone, an aged
+# image all of its source's, and the meter counts a shared chunk once; an
+# eviction burst drops exactly the least recently used edges; threads that
+# emit equal words hold one array; a 250 KB string parses in well under a
+# second, and the vendored parser (outside the workspace run) decodes
+# across its plain runs' edges.
 by_name calibrate::tests::pooled_rows_equal_each_probe_run_alone -p paxsim-core --lib
 by_name a_run_nobody_can_repeat_pins_nothing -p paxsim-machine --test memo
+by_name cache::tests::canons_share_every_chunk_but_the_touched_sets -p paxsim-machine --lib
+by_name cache::tests::an_aged_canon_shares_all_its_source_chunks -p paxsim-machine --lib
+by_name engine::tests::metered_snapshot_bytes_cover_the_bytes_held -p paxsim-machine --lib
+by_name memo::tests::an_eviction_burst_drops_exactly_the_least_recently_used_edges -p paxsim-machine --lib
+by_name team::tests::threads_with_equal_words_at_different_bases_hold_one_array -p paxsim-omp --lib
 by_name protocol::tests::a_long_string_parses_in_linear_time -p paxsim-serve --lib
 by_name tests::strings_decode_across_run_edges -p serde_json --lib
 

@@ -10,10 +10,12 @@ use paxsim_machine::prelude::*;
 use paxsim_nas::{Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 
-/// Room for about eleven class T snapshots (some 90 KB each, most of it the
-/// four predictor tables); a quiet serial CG run alone interns nine, and
-/// every aged image a jittered one adds is charged in full.
-const BUDGET: usize = 1 << 20;
+/// Room for about a dozen class T snapshots: a quiet serial CG run alone
+/// interns nine in about 190 KB — some 20 KB each, most of it the running
+/// core's predictor table, since what snapshots share (the idle cores'
+/// tables, the cache chunks a region left alone) is charged once — and an
+/// aged image a jittered run adds holds its source's chunks.
+const BUDGET: usize = 256 << 10;
 
 fn memo_gauge(name: &str) -> f64 {
     paxsim_machine::memo::publish_gauges();

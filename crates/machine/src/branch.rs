@@ -6,12 +6,13 @@
 //! benchmarks' prediction rates collapse under HT: the two contexts alias
 //! into each other's two-bit counters.
 
+use std::sync::Arc;
+
+use crate::memo::Chunk;
+
 /// Per-core gshare predictor. Contexts are identified by their SMT slot
 /// (0 or 1) for history purposes.
-///
-/// Every field is time-free, so the whole struct is its own canonical
-/// memoization snapshot (`Eq` + `Hash` + `Clone`, see `crate::memo`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub struct Gshare {
     /// Two-bit saturating counters, initialized weakly taken (2).
     pht: Vec<u8>,
@@ -57,13 +58,47 @@ impl Gshare {
         self.ghr[slot] = ((self.ghr[slot] << 1) | taken as u64) & self.ghr_mask;
         predicted_taken == taken
     }
+
+    /// Canonical memoization snapshot (see `crate::memo`). Every field is
+    /// time-free, so it is the state itself: the counters, shared with
+    /// every other snapshot holding the same table once interned, and the
+    /// histories. The masks follow from the configuration.
+    pub(crate) fn canon(&self) -> GshareCanon {
+        GshareCanon {
+            pht: Chunk::new(self.pht.as_slice().into()),
+            ghr: self.ghr,
+        }
+    }
+
+    /// Install canonical state `c`, taken from a predictor of this size.
+    pub(crate) fn restore(&mut self, c: &GshareCanon) {
+        self.pht.copy_from_slice(&c.pht);
+        self.ghr = c.ghr;
+    }
 }
 
-#[cfg(test)]
-impl Gshare {
-    /// Heap bytes held (the snapshot-size test of `crate::memo`).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        size_of_val(&*self.pht)
+/// See [`Gshare::canon`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct GshareCanon {
+    pht: Arc<Chunk<u8>>,
+    ghr: [u64; 2],
+}
+
+impl GshareCanon {
+    /// The counter table, for the interner to swap for its shared copy.
+    pub(crate) fn pht_mut(&mut self) -> &mut Arc<Chunk<u8>> {
+        &mut self.pht
+    }
+
+    /// Heap bytes held, a table already in `seen` counted no more (the
+    /// snapshot-size test of `crate::memo`).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+        if seen.insert(Arc::as_ptr(&self.pht) as usize) {
+            self.pht.footprint()
+        } else {
+            0
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use crate::config::CacheGeometry;
+use crate::memo::Chunk;
 
 /// Internal tag encoding: a stored tag is `line + 1`, so the all-zeros
 /// allocation `vec![0; n]` (serviced by calloc as untouched, lazily-zeroed
@@ -231,6 +232,10 @@ impl SetAssoc {
     /// * `clock` and `mru_way` are omitted — the clock only generates fresh
     ///   stamps above all existing ones, and way prediction is proven
     ///   non-observable by `equivalent_to_reference_cache`.
+    ///
+    /// The lines are cut into chunks of [`CHUNK_SETS`] consecutive sets and
+    /// a chunk with nothing resident is left out, so the chunks are a
+    /// function of the lines alone and canon equality is line equality.
     pub(crate) fn canon(&self, base: u64) -> SetAssocCanon {
         // Never accessed (the idle cores of a narrow run, every structure
         // of the pristine machine): nothing is resident, so nothing is
@@ -238,27 +243,34 @@ impl SetAssoc {
         if self.clock == 0 {
             return SetAssocCanon::default();
         }
-        let mut lines = Vec::new();
+        let mut chunks = Vec::new();
         let mut inflight = Vec::new();
+        let mut lines = Vec::new();
+        let mut before = 0; // lines in the chunks already cut
         let mut order: Vec<usize> = Vec::with_capacity(self.ways);
-        for first in (0..self.tags.len()).step_by(self.ways) {
-            order.clear();
-            order.extend((first..first + self.ways).filter(|&i| self.tags[i] != EMPTY));
-            order.sort_by_key(|&i| self.stamp[i]);
-            for &i in &order {
-                // Line and page addresses are byte addresses shifted right
-                // by at least six bits, so the top bit is free.
-                assert!(self.tags[i] & DIRTY == 0, "tag collides with the dirty bit");
-                if self.ready[i] > base {
-                    inflight.push((lines.len() as u32, self.ready[i] - base));
+        let run = CHUNK_SETS.min(self.sets) * self.ways;
+        for start in (0..self.tags.len()).step_by(run) {
+            for first in (start..start + run).step_by(self.ways) {
+                order.clear();
+                order.extend((first..first + self.ways).filter(|&i| self.tags[i] != EMPTY));
+                order.sort_by_key(|&i| self.stamp[i]);
+                for &i in &order {
+                    // Line and page addresses are byte addresses shifted
+                    // right by at least six bits, so the top bit is free.
+                    assert!(self.tags[i] & DIRTY == 0, "tag collides with the dirty bit");
+                    if self.ready[i] > base {
+                        inflight.push(((before + lines.len()) as u32, self.ready[i] - base));
+                    }
+                    lines.push(self.tags[i] | if self.dirty[i] { DIRTY } else { 0 });
                 }
-                lines.push(self.tags[i] | if self.dirty[i] { DIRTY } else { 0 });
+            }
+            if !lines.is_empty() {
+                before += lines.len();
+                chunks.push(Chunk::new(lines.as_slice().into()));
+                lines.clear();
             }
         }
-        SetAssocCanon {
-            lines: lines.into(),
-            inflight,
-        }
+        SetAssocCanon { chunks, inflight }
     }
 
     /// Install canonical state `c` re-anchored at boundary clock `base`.
@@ -278,7 +290,8 @@ impl SetAssoc {
         }
         let mut inflight = c.inflight.iter().peekable();
         let (mut prev_set, mut way) = (usize::MAX, 0);
-        for (n, &word) in c.lines.iter().enumerate() {
+        let lines = c.chunks.iter().flat_map(|k| k.iter());
+        for (n, &word) in lines.enumerate() {
             let tag = word & !DIRTY;
             // `tag` is `enc(line)`; a set's lines are adjacent in `lines`.
             let set = self.set_of(tag - 1);
@@ -295,7 +308,7 @@ impl SetAssoc {
         }
         // Fresh stamps must exceed every rank; with nothing resident the
         // structure is again as good as never accessed.
-        self.clock = if c.lines.is_empty() {
+        self.clock = if c.chunks.is_empty() {
             0
         } else {
             self.ways as u64
@@ -306,18 +319,24 @@ impl SetAssoc {
 /// Dirty flag of a [`SetAssocCanon`] line word.
 const DIRTY: u64 = 1 << 63;
 
+/// Consecutive sets per [`SetAssocCanon`] chunk: a region that touched a
+/// few sets leaves the other chunks of a 4 096-set L2 equal to, and once
+/// interned shared with, the previous snapshot's.
+const CHUNK_SETS: usize = 64;
+
 /// See [`SetAssoc::canon`]. What is resident is kept apart from what is
 /// still in flight, so the same state seen later ([`SetAssocCanon::aged`])
 /// shares the resident part and rewrites only the handful of fills that
 /// were still under way.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct SetAssocCanon {
-    /// Occupied lines in (set, recency) order: the encoded tag, with
-    /// [`DIRTY`] set on a dirty line. The set index is a function of the
-    /// tag and is not stored.
-    lines: Arc<[u64]>,
-    /// `(index into lines, ready − base)` of every fill with `ready > base`,
-    /// in `lines` order.
+    /// Occupied lines in (set, recency) order, [`CHUNK_SETS`] sets to a
+    /// chunk, chunks with no line left out: the encoded tag, with [`DIRTY`]
+    /// set on a dirty line. The set index is a function of the tag and is
+    /// not stored.
+    chunks: Vec<Arc<Chunk<u64>>>,
+    /// `(index into the lines, ready − base)` of every fill with
+    /// `ready > base`, in line order; the index runs across the chunks.
     inflight: Vec<(u32, u64)>,
 }
 
@@ -327,7 +346,7 @@ impl SetAssocCanon {
     pub(crate) fn aged(&self, j: u64) -> Self {
         let later = self.inflight.iter().filter(|&&(_, off)| off > j);
         Self {
-            lines: Arc::clone(&self.lines),
+            chunks: self.chunks.clone(),
             inflight: later.map(|&(at, off)| (at, off - j)).collect(),
         }
     }
@@ -337,10 +356,22 @@ impl SetAssocCanon {
         self.inflight.is_empty()
     }
 
-    /// Heap bytes held: the `Arc`'s two counts and its lines, and the pairs.
+    /// The chunks, for the interner to swap for their shared copies.
+    pub(crate) fn chunks_mut(&mut self) -> std::slice::IterMut<'_, Arc<Chunk<u64>>> {
+        self.chunks.iter_mut()
+    }
+
+    /// Heap bytes held: the chunk pointers and the pairs, and each chunk
+    /// not yet in `seen`.
     #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
-        2 * size_of::<usize>() + size_of_val(&*self.lines) + size_of_val(&*self.inflight)
+    pub(crate) fn heap_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+        let chunks = self
+            .chunks
+            .iter()
+            .filter(|k| seen.insert(Arc::as_ptr(k) as usize));
+        size_of_val(&*self.chunks)
+            + size_of_val(&*self.inflight)
+            + chunks.map(|k| k.footprint()).sum::<usize>()
     }
 }
 
@@ -348,6 +379,7 @@ impl SetAssocCanon {
 mod tests {
     use super::*;
     use crate::config::CacheGeometry;
+    use crate::memo::Pool;
 
     fn tiny() -> SetAssoc {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -464,9 +496,71 @@ mod tests {
         }
         let late = at(300).aged(200);
         assert!(late.settled() && late == late.aged(7));
-        // Ageing rewrites offsets only: the resident lines are shared.
-        let young = at(300);
-        assert!(Arc::ptr_eq(&young.aged(50).lines, &young.lines));
+    }
+
+    /// `canon` with its chunks swapped for the ones `pool` interned.
+    fn interned(pool: &mut Pool<Chunk<u64>>, mut c: SetAssocCanon) -> SetAssocCanon {
+        c.chunks_mut().for_each(|k| pool.intern(k));
+        c
+    }
+
+    /// 512 sets × 2 ways, all full: eight chunks.
+    fn filled() -> SetAssoc {
+        let mut c = SetAssoc::new(CacheGeometry::new(64 * 1024, 2, 64));
+        for line in 0..1_024 {
+            c.install(line, line % 3 == 0, 0);
+        }
+        c
+    }
+
+    #[test]
+    fn canons_share_every_chunk_but_the_touched_sets() {
+        let mut pool = Pool::default();
+        let mut c = filled();
+        let before = interned(&mut pool, c.canon(10));
+        assert_eq!(before.chunks.len(), 8);
+        // A new line in set 70 (the second chunk) evicts that set's LRU way.
+        assert!(c.install(1_024 + 70, false, 0).is_some());
+        let after = interned(&mut pool, c.canon(10));
+        assert_ne!(before, after);
+        for (k, (b, a)) in before.chunks.iter().zip(&after.chunks).enumerate() {
+            assert_eq!(Arc::ptr_eq(b, a), k != 1, "chunk {k}");
+        }
+        // Equal content is one pointer, whichever canon brought it first.
+        let again = interned(&mut pool, c.canon(99));
+        assert!(again
+            .chunks
+            .iter()
+            .zip(&after.chunks)
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
+        // An empty chunk is left out, so chunking cannot tell caches apart
+        // that hold the same lines.
+        let mut sparse = tiny();
+        sparse.install(3, false, 0);
+        assert_eq!(sparse.canon(0).chunks.len(), 1);
+        let mut big = SetAssoc::new(CacheGeometry::new(64 * 1024, 2, 64));
+        big.install(500, true, 0);
+        assert_eq!(big.canon(0).chunks.len(), 1, "only the eighth chunk");
+    }
+
+    #[test]
+    fn an_aged_canon_shares_all_its_source_chunks() {
+        let mut pool = Pool::default();
+        let mut c = filled();
+        c.install(2_000, false, 500);
+        c.install(2_001, true, 420);
+        let young = interned(&mut pool, c.canon(300));
+        assert_eq!(young.inflight.len(), 2);
+        for j in [0, 50, 120, 10_000] {
+            let aged = interned(&mut pool, young.aged(j));
+            assert_eq!(aged, c.canon(300 + j), "aged by {j}");
+            assert_eq!(aged.chunks.len(), young.chunks.len());
+            let shared = aged.chunks.iter().zip(&young.chunks);
+            assert!(
+                shared.into_iter().all(|(a, y)| Arc::ptr_eq(a, y)),
+                "aged by {j}"
+            );
+        }
     }
 
     #[test]

@@ -680,7 +680,7 @@ fn snapshot(m: &Machine, base: u64) -> MachineSnap {
                 tc: c.tc.canon(),
                 itlb: c.itlb.canon(base),
                 dtlb: c.dtlb.canon(base),
-                bp: c.bp.clone(),
+                bp: c.bp.canon(),
                 pf: c.pf.canon(),
                 last_line: c.last_line,
                 last_ready_off: c.last_ready.saturating_sub(base),
@@ -707,7 +707,7 @@ fn restore(m: &mut Machine, snap: &MachineSnap, base: u64) {
         c.tc.restore(&s.tc);
         c.itlb.restore(&s.itlb, base);
         c.dtlb.restore(&s.dtlb, base);
-        c.bp = s.bp.clone();
+        c.bp.restore(&s.bp);
         c.pf.restore(&s.pf);
         c.last_line = s.last_line;
         c.last_ready = base + s.last_ready_off;
@@ -1415,6 +1415,7 @@ fn release_team(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
@@ -1489,11 +1490,11 @@ mod tests {
         (m, ctx.t)
     }
 
-    /// The metered size of a snapshot — what the byte budget is held to —
-    /// is what the snapshot holds: never less, and within a tenth. The
-    /// trace is CG-shaped (streamed matrix rows, gathered vector entries,
-    /// a result store per row) at class T scale; the real kernel lives
-    /// downstream of this crate.
+    /// The meter — what the byte budget is held to — charges what the
+    /// snapshots hold: never less, and within a tenth, with a chunk two
+    /// snapshots share counted once. The trace is CG-shaped (streamed
+    /// matrix rows, gathered vector entries, a result store per row) at
+    /// class T scale; the real kernel lives downstream of this crate.
     #[test]
     fn metered_snapshot_bytes_cover_the_bytes_held() {
         let mut ops = Vec::new();
@@ -1522,16 +1523,33 @@ mod tests {
             });
         }
         let cfg = MachineConfig::paxville_smp();
-        let (m, now) = warmed(&cfg, ops);
-        for base in [now, now + cycles(5_000)] {
-            let snap = snapshot(&m, base);
-            let (held, metered) = (snap.heap_bytes(), memo::measure(&snap).1);
-            assert!(snap.cores[0].l2.heap_bytes() > 8 * 1_024, "warmed");
+        // The same run, and the same run with one more line stored: the
+        // two machines differ in one set of each cache.
+        let mut longer = ops.clone();
+        longer.push(Op::Store { addr: 0xf0_0000 });
+        let snaps = [ops, longer].map(|ops| {
+            let (m, now) = warmed(&cfg, ops);
+            memo::intern(snapshot(&m, now))
+        });
+        let l2 = |i: usize| &snaps[i].state.cores[0].l2;
+        assert!(l2(0).heap_bytes(&mut HashSet::new()) > 8 * 1_024, "warmed");
+        let held = |snaps: &[Arc<memo::Snap>]| {
+            let mut seen = HashSet::new();
+            let bytes = snaps.iter().map(|s| s.state.heap_bytes(&mut seen));
+            bytes.sum::<usize>()
+        };
+        for pair in [&snaps[..1], &snaps[1..], &snaps[..]] {
+            let (held, metered) = (held(pair), memo::metered(pair));
             assert!(
                 held <= metered && metered * 10 <= held * 11,
                 "metered {metered} B, held {held} B"
             );
         }
+        // Each shared chunk once: the second snapshot adds its own few
+        // changed chunks, not another copy of all of them.
+        let (one, both) = (memo::metered(&snaps[..1]), memo::metered(&snaps));
+        assert!(both < one + one / 5, "{one} B alone, {both} B together");
+        assert_ne!(l2(0), l2(1));
     }
 
     mod properties {

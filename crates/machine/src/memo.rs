@@ -17,8 +17,12 @@
 //! * **Interner.** [`intern`] deduplicates snapshots: a 64-bit content
 //!   hash selects a bucket, full `MachineSnap` equality decides. Two live
 //!   `Arc<Snap>`s are thus one pointer exactly when canonically equal, and
-//!   a hit can never be a hash collision. The interner holds `Weak`s, so a
-//!   snapshot dies with its last edge.
+//!   a hit can never be a hash collision. Under the same lock it first
+//!   interns the snapshot's [`Chunk`]s the same way — the lines of each run
+//!   of 64 cache sets, each core's predictor table — so snapshots a region
+//!   changed in a few sets share everything else, and equal chunks compare
+//!   at the pointer. The interner holds `Weak`s, so a snapshot dies with
+//!   its last edge and a chunk with its last snapshot.
 //! * **Edges.** [`record`] stores `(run context, region, pre, base class)
 //!   → (post, Δt, Δcounters)`; [`probe`] is one map lookup under a short
 //!   lock, whichever `simulate()` call recorded the edge. The run context
@@ -35,8 +39,8 @@
 //!   barrier released it. With one context nothing executes anywhere on
 //!   the machine in between, so the state the region starts from is the
 //!   release state seen `j` ticks later: [`MachineSnap::aged`] subtracts
-//!   `j` from every offset (those reaching 0 settle) and shares the
-//!   resident cache lines with its source, so `snapshot(m, t).aged(j) ==
+//!   `j` from every offset (those reaching 0 settle) and holds its
+//!   source's chunks, so `snapshot(m, t).aged(j) ==
 //!   snapshot(m, t + j)` without touching the machine. A state with
 //!   nothing in flight is its own aged image, which is why different
 //!   seeds and never-seen jitter magnitudes reconverge on the same
@@ -48,14 +52,16 @@
 //!   below `fp_queue` ticks. A boundary with `base < fp_queue` is keyed by
 //!   `Some(base)` and replays only there, untranslated — exact by
 //!   determinism alone. All later boundaries share the key `None`.
-//! * **Byte budget.** Live snapshot bytes above `BUDGET` evict the least
-//!   recently hit edges. What remains is still exact, so eviction can cost
-//!   future hits but never change a result. A snapshot is charged what it
-//!   holds — eight bytes for every word the hasher mixes (a vector's
-//!   elements, each padded to the word it is stored in) plus the inline
-//!   structs — and the resident lines an aged image shares with its source
-//!   are charged to *each* of them: the conservative choice, which can
-//!   only evict early and needs no bookkeeping of who still shares what.
+//! * **Byte budget.** `machine.memo.bytes` is the bytes the table holds,
+//!   each shared chunk and predictor table counted once: a chunk is
+//!   charged when the interner first keeps it and gives its bytes back
+//!   when its last holder drops it; a snapshot is charged the rest of what
+//!   it holds — eight bytes for every word the hasher mixes (a vector's
+//!   elements, each padded to the word it is stored in; a chunk, one
+//!   pointer) plus the inline structs. Above `BUDGET` the least recently
+//!   hit edges go, the candidates ordered once per burst. What remains is
+//!   still exact, so eviction can cost future hits but never change a
+//!   result.
 //!
 //! Set `PAXSIM_DISABLE_MEMO=1` to turn memoization off (used by `ci.sh`
 //! for an explicit on-vs-off drift check).
@@ -67,7 +73,7 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, Weak};
 
 use serde::{Deserialize, Serialize};
 
-use crate::branch::Gshare;
+use crate::branch::GshareCanon;
 use crate::cache::SetAssocCanon;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
@@ -118,7 +124,7 @@ pub(crate) struct CoreSnap {
     pub tc: TraceCacheCanon,
     pub itlb: TlbCanon,
     pub dtlb: TlbCanon,
-    pub bp: Gshare,
+    pub bp: GshareCanon,
     pub pf: PrefetcherCanon,
     pub last_line: u64,
     pub last_ready_off: u64,
@@ -178,6 +184,25 @@ impl MachineSnap {
         }
     }
 
+    /// Visit every chunk the state holds: the lines of each cache and TLB,
+    /// and each core's predictor table.
+    pub(crate) fn chunks_mut(
+        &mut self,
+        mut lines: impl FnMut(&mut Arc<Chunk<u64>>),
+        mut pht: impl FnMut(&mut Arc<Chunk<u8>>),
+    ) {
+        for c in &mut self.cores {
+            let caches = c.l1d.chunks_mut().chain(c.l2.chunks_mut());
+            let tlbs = c.itlb.chunks_mut().chain(c.dtlb.chunks_mut());
+            caches.chain(tlbs).for_each(&mut lines);
+            pht(c.bp.pht_mut());
+        }
+        self.l3s
+            .iter_mut()
+            .flat_map(SetAssocCanon::chunks_mut)
+            .for_each(lines);
+    }
+
     /// Is nothing in flight, i.e. is this state its own aged image?
     pub(crate) fn settled(&self) -> bool {
         self.mem_off == 0
@@ -187,29 +212,32 @@ impl MachineSnap {
     }
 
     /// Heap bytes an interned copy of this state holds, counted from the
-    /// containers themselves — what [`measure`] must never under-state.
+    /// containers themselves, with a chunk already in `seen` counted no
+    /// more — what the meter must never under-state.
     #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
-        let core = |c: &CoreSnap| {
-            c.l1d.heap_bytes()
-                + c.l2.heap_bytes()
+    pub(crate) fn heap_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+        let mut core = |c: &CoreSnap| {
+            c.l1d.heap_bytes(seen)
+                + c.l2.heap_bytes(seen)
                 + c.tc.heap_bytes()
-                + c.itlb.heap_bytes()
-                + c.dtlb.heap_bytes()
-                + c.bp.heap_bytes()
+                + c.itlb.heap_bytes(seen)
+                + c.dtlb.heap_bytes(seen)
+                + c.bp.heap_bytes(seen)
                 + c.pf.heap_bytes()
         };
+        let cores: usize = self.cores.iter().map(&mut core).sum();
         2 * size_of::<usize>()
             + size_of::<Snap>()
             + size_of_val(&*self.cores)
-            + self.cores.iter().map(core).sum::<usize>()
+            + cores
             + size_of_val(&*self.l3s)
-            + self.l3s.iter().map(|l| l.heap_bytes()).sum::<usize>()
+            + self.l3s.iter().map(|l| l.heap_bytes(seen)).sum::<usize>()
             + size_of_val(&*self.fsb_offs)
     }
 }
 
-/// Bytes of all live interned snapshots, and the budget they are held to.
+/// Bytes of all live interned snapshots and chunks, and the budget they
+/// are held to.
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static BUDGET: AtomicUsize = AtomicUsize::new(512 << 20);
 
@@ -222,6 +250,130 @@ pub(crate) struct Snap {
 impl Drop for Snap {
     fn drop(&mut self) {
         BYTES.fetch_sub(self.bytes, Relaxed);
+    }
+}
+
+/// A run of snapshot state that many snapshots hold at once: the lines of
+/// a fixed run of consecutive cache sets, or a core's predictor table.
+/// [`intern`] keeps one live `Arc` per content and charges it to the meter
+/// once; the last holder to drop it gives the bytes back.
+#[derive(Debug)]
+pub(crate) struct Chunk<T> {
+    data: Box<[T]>,
+    /// Content hash: what a snapshot's hash mixes in place of the data.
+    hash: u64,
+    /// Bytes charged to the meter: 0 until interned.
+    charged: usize,
+}
+
+impl<T: Hash> Chunk<T> {
+    pub(crate) fn new(data: Box<[T]>) -> Arc<Self> {
+        let mut h = WordHasher::default();
+        data.hash(&mut h);
+        Arc::new(Self {
+            data,
+            hash: h.hash,
+            charged: 0,
+        })
+    }
+}
+
+impl<T> Chunk<T> {
+    /// Heap bytes one interned copy holds: the `Arc`'s counts, the struct
+    /// and its data.
+    pub(crate) fn footprint(&self) -> usize {
+        2 * size_of::<usize>() + size_of::<Self>() + size_of_val(&*self.data)
+    }
+}
+
+impl<T> std::ops::Deref for Chunk<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.data
+    }
+}
+
+impl<T: PartialEq> PartialEq for Chunk<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.data == other.data
+    }
+}
+
+impl<T: Eq> Eq for Chunk<T> {}
+
+impl<T> Hash for Chunk<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl<T> Drop for Chunk<T> {
+    fn drop(&mut self) {
+        BYTES.fetch_sub(self.charged, Relaxed);
+    }
+}
+
+/// Interned values by content hash. It holds `Weak`s, so it never keeps a
+/// value alive; dead members fail to upgrade until [`Pool::prune`].
+pub(crate) struct Pool<T>(HashMap<u64, Vec<Weak<T>>>);
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self(HashMap::new())
+    }
+}
+
+impl<T> Pool<T> {
+    /// The live member of bucket `hash` that `same` accepts.
+    fn find(&self, hash: u64, same: impl Fn(&T) -> bool) -> Option<Arc<T>> {
+        let bucket = self.0.get(&hash)?;
+        bucket.iter().filter_map(Weak::upgrade).find(|p| same(p))
+    }
+
+    fn insert(&mut self, hash: u64, p: &Arc<T>) {
+        self.0.entry(hash).or_default().push(Arc::downgrade(p));
+    }
+
+    fn prune(&mut self) {
+        self.0.retain(|_, bucket| {
+            bucket.retain(|w| w.strong_count() > 0);
+            !bucket.is_empty()
+        });
+    }
+
+    fn live(&self) -> usize {
+        self.0
+            .values()
+            .flatten()
+            .filter(|w| w.strong_count() > 0)
+            .count()
+    }
+}
+
+impl<T: Clone + PartialEq> Pool<Chunk<T>> {
+    /// Replace `c` by the live interned chunk equal to it, or intern and
+    /// charge `c` itself when there is none.
+    pub(crate) fn intern(&mut self, c: &mut Arc<Chunk<T>>) {
+        if c.charged != 0 {
+            return; // already interned: an aged image shares its source's
+        }
+        if let Some(p) = self.find(c.hash, |p| *p == **c) {
+            *c = p;
+            return;
+        }
+        if Arc::get_mut(c).is_none() {
+            // Shared by a clone of a snapshot nobody interned (tests age
+            // one): that copy keeps its own and interns on its own.
+            *c = Arc::new(Chunk {
+                data: c.data.clone(),
+                hash: c.hash,
+                charged: 0,
+            });
+        }
+        let fresh = Arc::get_mut(c).expect("a chunk just made is unshared");
+        fresh.charged = fresh.footprint();
+        BYTES.fetch_add(fresh.charged, Relaxed);
+        self.insert(c.hash, c);
     }
 }
 
@@ -253,7 +405,8 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The bucket hash of `state` and the bytes it is charged (module docs).
+/// The bucket hash of `state` and the bytes it is charged besides its
+/// chunks, which hash and count as the one pointer each (module docs).
 pub(crate) fn measure(state: &MachineSnap) -> (u64, usize) {
     let mut h = WordHasher::default();
     state.hash(&mut h);
@@ -304,7 +457,10 @@ struct Table {
     /// `MachineConfig` holds floats, so it is compared, not hashed.
     runs: Vec<RunCtx>,
     next_run: u64,
-    snaps: HashMap<u64, Vec<Weak<Snap>>>,
+    snaps: Pool<Snap>,
+    /// The cache chunks and predictor tables live snapshots hold.
+    lines: Pool<Chunk<u64>>,
+    phts: Pool<Chunk<u8>>,
     edges: HashMap<Key, Edge>,
     tick: u64,
 }
@@ -325,6 +481,45 @@ impl Table {
         let found = (self.runs[at].id, Arc::clone(&self.runs[at].pristine));
         self.runs[at..].rotate_left(1);
         Some(found)
+    }
+
+    /// The one live `Arc<Snap>` canonically equal to `state`, whose bucket
+    /// hash and own bytes are `hash` and `bytes`. Its chunks are swapped
+    /// for the interned ones first, so equal snapshots compare equal at
+    /// the chunk pointers.
+    fn intern(&mut self, hash: u64, bytes: usize, mut state: MachineSnap) -> Arc<Snap> {
+        let (lines, phts) = (&mut self.lines, &mut self.phts);
+        state.chunks_mut(|k| lines.intern(k), |k| phts.intern(k));
+        if let Some(equal) = self.snaps.find(hash, |p| p.state == state) {
+            return equal;
+        }
+        BYTES.fetch_add(bytes, Relaxed);
+        let p = Arc::new(Snap { state, bytes });
+        self.snaps.insert(hash, &p);
+        p
+    }
+
+    /// Drop edges, least recently used first, for as long as `over` says
+    /// the table is over budget; returns how many went. The candidates are
+    /// ordered once, however many go.
+    fn evict(&mut self, mut over: impl FnMut() -> bool) -> u64 {
+        if !over() {
+            return 0;
+        }
+        let mut lru: Vec<(u64, Key)> = self.edges.iter().map(|(k, e)| (e.used, *k)).collect();
+        lru.sort_unstable_by_key(|&(used, _)| used);
+        let mut evicted = 0;
+        for (_, k) in lru {
+            self.edges.remove(&k);
+            evicted += 1;
+            if !over() {
+                break;
+            }
+        }
+        self.snaps.prune();
+        self.lines.prune();
+        self.phts.prune();
+        evicted
     }
 }
 
@@ -361,10 +556,11 @@ pub(crate) fn run_context(
     (id, pristine)
 }
 
-/// The one live `Arc<Snap>` canonically equal to `state`.
+/// The one live `Arc<Snap>` canonically equal to `state`; its chunks are
+/// interned under the same lock.
 pub(crate) fn intern(state: MachineSnap) -> Arc<Snap> {
     let (hash, bytes) = measure(&state);
-    intern_hashed(hash, bytes, state)
+    table().intern(hash, bytes, state)
 }
 
 /// The interned image of `snap` seen `j` ticks later — `snap` itself when
@@ -376,22 +572,6 @@ pub(crate) fn aged(snap: Arc<Snap>, j: u64) -> Arc<Snap> {
     } else {
         intern(snap.state.aged(j))
     }
-}
-
-fn intern_hashed(hash: u64, bytes: usize, state: MachineSnap) -> Arc<Snap> {
-    let mut t = table();
-    let bucket = t.snaps.entry(hash).or_default();
-    // Dead members (pruned at the next eviction) simply fail to upgrade.
-    let equal = bucket
-        .iter()
-        .filter_map(Weak::upgrade)
-        .find(|p| p.state == state);
-    equal.unwrap_or_else(|| {
-        BYTES.fetch_add(bytes, Relaxed);
-        let p = Arc::new(Snap { state, bytes });
-        bucket.push(Arc::downgrade(&p));
-        p
-    })
 }
 
 /// The recorded execution under `key`: (post-state, Δt, Δcounters).
@@ -428,30 +608,42 @@ pub(crate) fn record(
         dcounters,
         used,
     });
-    let mut evicted = 0;
-    while BYTES.load(Relaxed) > BUDGET.load(Relaxed) {
-        let oldest = t.edges.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| *k);
-        let Some(k) = oldest else { break };
-        t.edges.remove(&k);
-        evicted += 1;
-    }
+    let evicted = t.evict(|| BYTES.load(Relaxed) > BUDGET.load(Relaxed));
     if evicted > 0 {
-        t.snaps.retain(|_, bucket| {
-            bucket.retain(|w| w.strong_count() > 0);
-            !bucket.is_empty()
-        });
         EVICTIONS.add(evicted);
     }
 }
 
-/// Refresh the scrape-time gauges `machine.memo.{bytes,edges,snapshots}`.
+/// Refresh the scrape-time gauges
+/// `machine.memo.{bytes,edges,snapshots,chunks}` (chunks: the cache
+/// chunks and predictor tables the live snapshots share).
 pub fn publish_gauges() {
     let t = table();
-    let live = |w: &&Weak<Snap>| w.strong_count() > 0;
-    let snapshots = t.snaps.values().flatten().filter(live).count();
+    let chunks = t.lines.live() + t.phts.live();
     paxsim_obs::gauge("machine.memo.bytes").set(BYTES.load(Relaxed) as f64);
     paxsim_obs::gauge("machine.memo.edges").set(t.edges.len() as f64);
-    paxsim_obs::gauge("machine.memo.snapshots").set(snapshots as f64);
+    paxsim_obs::gauge("machine.memo.snapshots").set(t.snaps.live() as f64);
+    paxsim_obs::gauge("machine.memo.chunks").set(chunks as f64);
+}
+
+/// What the meter holds for `snaps` alone: each one's own bytes, and each
+/// chunk they hold once, however many of them hold it.
+#[cfg(test)]
+pub(crate) fn metered(snaps: &[Arc<Snap>]) -> usize {
+    let seen = std::cell::RefCell::new(std::collections::HashSet::new());
+    let bytes = std::cell::Cell::new(snaps.iter().map(|s| s.bytes).sum::<usize>());
+    let charge = |at: *const (), charged: usize| {
+        if seen.borrow_mut().insert(at as usize) {
+            assert!(charged > 0, "a snapshot holds only interned chunks");
+            bytes.set(bytes.get() + charged);
+        }
+    };
+    for s in snaps {
+        let lines = |k: &mut Arc<Chunk<u64>>| charge(Arc::as_ptr(k).cast(), k.charged);
+        let pht = |k: &mut Arc<Chunk<u8>>| charge(Arc::as_ptr(k).cast(), k.charged);
+        s.state.clone().chunks_mut(lines, pht);
+    }
+    bytes.get()
 }
 
 /// Test hook: replace the byte budget.
@@ -473,6 +665,47 @@ mod tests {
             hits: 6,
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    /// Over budget, the table drops edges oldest first — exactly the least
+    /// recently used ones, however many a burst takes — and not one more.
+    #[test]
+    fn an_eviction_burst_drops_exactly_the_least_recently_used_edges() {
+        let mut t = Table::default();
+        let region = Arc::new(RegionTrace::labeled(Vec::new(), "burst"));
+        let snap = Arc::new(Snap {
+            state: MachineSnap::default(),
+            bytes: 0,
+        });
+        let used = [7u64, 3, 9, 1, 8, 2, 6, 4, 5, 0];
+        for (run, &used) in used.iter().enumerate() {
+            let key = Key {
+                run: run as u64,
+                region: 0,
+                pre: 0,
+                abs_base: None,
+            };
+            let edge = Edge {
+                _region: Arc::clone(&region),
+                _pre: Arc::clone(&snap),
+                post: Arc::clone(&snap),
+                dt: 0,
+                dcounters: Counters::default(),
+                used,
+            };
+            t.edges.insert(key, edge);
+        }
+        assert_eq!(t.evict(|| false), 0, "within budget nothing goes");
+        // Over budget until four edges are gone.
+        let mut asked = 0;
+        let evicted = t.evict(|| {
+            asked += 1;
+            asked <= 4
+        });
+        assert_eq!(evicted, 4);
+        let mut kept: Vec<u64> = t.edges.values().map(|e| e.used).collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [4, 5, 6, 7, 8, 9]);
     }
 
     /// A peer can name any number of machine configs (the wire's `machine`
@@ -525,13 +758,11 @@ mod tests {
             mem_off,
             ..MachineSnap::default()
         };
-        let (a, b) = (
-            intern_hashed(BUCKET, 24, snap(1)),
-            intern_hashed(BUCKET, 24, snap(2)),
-        );
+        let intern = |state| table().intern(BUCKET, 24, state);
+        let (a, b) = (intern(snap(1)), intern(snap(2)));
         assert!(!Arc::ptr_eq(&a, &b));
-        assert!(Arc::ptr_eq(&a, &intern_hashed(BUCKET, 24, snap(1))));
-        assert!(Arc::ptr_eq(&b, &intern_hashed(BUCKET, 24, snap(2))));
+        assert!(Arc::ptr_eq(&a, &intern(snap(1))));
+        assert!(Arc::ptr_eq(&b, &intern(snap(2))));
 
         let region = Arc::new(RegionTrace::labeled(Vec::new(), "collide"));
         let key = |pre: &Arc<Snap>| Key {

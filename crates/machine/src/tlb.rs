@@ -95,10 +95,17 @@ pub(crate) struct TlbCanon {
     last_page: u64,
 }
 
-#[cfg(test)]
 impl TlbCanon {
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
+    /// The entries' chunks, for the interner to swap for shared copies.
+    pub(crate) fn chunks_mut(
+        &mut self,
+    ) -> std::slice::IterMut<'_, std::sync::Arc<crate::memo::Chunk<u64>>> {
+        self.inner.chunks_mut()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+        self.inner.heap_bytes(seen)
     }
 }
 

@@ -7,7 +7,7 @@
 //! every hardware configuration of the study, and twice concurrently for
 //! multi-program workloads.
 //!
-//! Two sharing layers keep big iterative programs small:
+//! Three sharing layers keep big iterative programs small:
 //!
 //! * each buffer stores its ops *packed* — one 4-byte word per op, two
 //!   for a block, addresses as offsets from the buffer's base (see
@@ -19,19 +19,67 @@
 //!   N identical iterations occupy one region's storage, not N. A buffer
 //!   whose region turned out to be a repeat is emptied with
 //!   [`TraceBuf::clear`] and refilled by the next region, so the repeats
-//!   cost no fresh pages either.
+//!   cost no fresh pages either;
+//! * a kept region's buffers share their *words*: a buffer whose words
+//!   equal those of a buffer the same build kept earlier — most often
+//!   another thread's, the same sweep over its own slab — holds that array
+//!   and keeps its own base ([`WordTable`]), and its own allocation goes
+//!   back for the next region. The engine reads `words()` and `base()`
+//!   as before.
 
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::op::{self, Op};
+
+/// A buffer's packed words: its own while it is written, and once a build
+/// keeps it ([`WordTable::keep`]) an array every kept buffer with equal
+/// words holds. Writing to a kept buffer copies the array first.
+#[derive(Debug, Clone)]
+enum Words {
+    Own(Vec<u32>),
+    Kept(Arc<Vec<u32>>),
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Own(Vec::new())
+    }
+}
+
+impl Words {
+    /// The words to write to.
+    #[inline(always)]
+    fn vec(&mut self) -> &mut Vec<u32> {
+        if let Words::Kept(kept) = self {
+            *self = Words::Own(kept.to_vec());
+        }
+        match self {
+            Words::Own(words) => words,
+            Words::Kept(_) => unreachable!("copied above"),
+        }
+    }
+}
+
+impl std::ops::Deref for Words {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        match self {
+            Words::Own(words) => words,
+            Words::Kept(kept) => kept,
+        }
+    }
+}
 
 /// A growable buffer of trace operations for one thread in one region,
 /// with convenience emitters used by the runtime and by tests.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuf {
     /// Packed op words (see [`crate::op::pack_into`]).
-    words: Vec<u32>,
+    words: Words,
     /// Address base the memory ops encode against: [`op::base_for`] of
     /// the first one, 0 (never a base) until there is one.
     base: u64,
@@ -57,7 +105,7 @@ impl TraceBuf {
 
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            words: Vec::with_capacity(n),
+            words: Words::Own(Vec::with_capacity(n)),
             ..Self::default()
         }
     }
@@ -66,7 +114,7 @@ impl TraceBuf {
     /// coalescing state beyond what `op` requires.
     #[inline(always)]
     fn emit(&mut self, op: Op) {
-        op::pack_into(op, self.base, &mut self.words);
+        op::pack_into(op, self.base, self.words.vec());
         self.n_ops += 1;
         self.uops += op.uops();
     }
@@ -129,8 +177,9 @@ impl TraceBuf {
             if let Some(sum) = op::flops_at(&self.words, i).checked_add(n) {
                 // The trailing op is rewritten whole: the sum may need the
                 // wide form where the addend did not.
-                self.words.truncate(i);
-                op::pack_into(Op::Flops { n: sum }, self.base, &mut self.words);
+                let words = self.words.vec();
+                words.truncate(i);
+                op::pack_into(Op::Flops { n: sum }, self.base, words);
                 self.uops += n as u64;
                 return;
             }
@@ -165,27 +214,28 @@ impl TraceBuf {
         });
     }
 
-    /// Empty the buffer for another region's ops, keeping its allocation:
-    /// what a [`TraceBuf::new`] would be, minus the regrowth.
+    /// Empty the buffer for another region's ops, keeping its own
+    /// allocation: what a [`TraceBuf::new`] would be, minus the regrowth.
     pub fn clear(&mut self) {
-        let mut words = std::mem::take(&mut self.words);
-        words.clear();
+        let words = match std::mem::take(&mut self.words) {
+            Words::Own(mut words) => {
+                words.clear();
+                words
+            }
+            Words::Kept(_) => Vec::new(),
+        };
         *self = Self {
-            words,
+            words: Words::Own(words),
             ..Self::default()
         };
-    }
-
-    /// Release spare capacity (a buffer about to be kept for good).
-    pub fn shrink_to_fit(&mut self) {
-        self.words.shrink_to_fit();
     }
 
     /// Finalize the trailing open block's body footprint.
     pub fn seal(&mut self) {
         if let Some(i) = self.open_block.take() {
             let total = self.open_uops.min(u16::MAX as u64) as u16;
-            self.words[i] = op::patch_body(self.words[i], total.max(op::body_of(self.words[i])));
+            let words = self.words.vec();
+            words[i] = op::patch_body(words[i], total.max(op::body_of(words[i])));
         }
         self.open_uops = 0;
     }
@@ -251,7 +301,7 @@ impl TraceBuf {
 /// addresses.
 impl PartialEq for TraceBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.base == other.base && self.words == other.words
+        self.base == other.base && *self.words == *other.words
     }
 }
 
@@ -260,7 +310,7 @@ impl Eq for TraceBuf {}
 impl Hash for TraceBuf {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.base.hash(state);
-        self.words.hash(state);
+        (*self.words).hash(state);
     }
 }
 
@@ -272,6 +322,56 @@ impl FromIterator<Op> for TraceBuf {
         }
         buf
     }
+}
+
+/// The words of the buffers one build kept, by content: a bucket key of a
+/// few sampled words selects, equality decides. Owned by the build (the
+/// `paxsim-omp` `Team`), so it lives as long as the build does.
+#[derive(Debug, Default)]
+pub struct WordTable(HashMap<u64, Vec<Arc<Vec<u32>>>>);
+
+impl WordTable {
+    /// Keep sealed `buf` for good. Its words become the array a buffer kept
+    /// earlier with equal words holds, or else its own array — shrunk to
+    /// fit, and held for the buffers after it. Its base stays its own.
+    /// When it needs no allocation of its own (its words were shared, or
+    /// there are none), that allocation comes back as an empty buffer to
+    /// write another region into.
+    pub fn keep(&mut self, buf: &mut TraceBuf) -> Option<TraceBuf> {
+        let Words::Own(words) = &mut buf.words else {
+            return None; // kept already
+        };
+        if words.is_empty() {
+            let mut spare = TraceBuf::new();
+            std::mem::swap(&mut spare.words, &mut buf.words);
+            return Some(spare);
+        }
+        let bucket = self.0.entry(sampled_key(words)).or_default();
+        if let Some(same) = bucket.iter().find(|kept| ***kept == *words) {
+            let own = std::mem::replace(&mut buf.words, Words::Kept(Arc::clone(same)));
+            let mut spare = TraceBuf {
+                words: own,
+                ..TraceBuf::default()
+            };
+            spare.clear();
+            return Some(spare);
+        }
+        words.shrink_to_fit();
+        let kept = Arc::new(std::mem::take(words));
+        bucket.push(Arc::clone(&kept));
+        buf.words = Words::Kept(kept);
+        None
+    }
+}
+
+/// [`WordTable`]'s bucket: the length and five words spread over the
+/// array, never the words in between.
+fn sampled_key(words: &[u32]) -> u64 {
+    let n = words.len();
+    let at = [0, n / 4, n / 2, n - n / 4 - 1, n - 1];
+    at.iter().fold(n as u64, |h, &i| {
+        (h ^ words[i] as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Decoding iterator over a packed op stream.
@@ -432,14 +532,15 @@ impl ProgramTrace {
             .count()
     }
 
-    /// Bytes of packed op storage actually held, counting each interned
-    /// buffer once.
+    /// Bytes of packed op storage actually held, counting each word array
+    /// once however many buffers (of interned regions, or threads sharing
+    /// words) hold it.
     pub fn packed_bytes(&self) -> usize {
         let mut seen = std::collections::HashSet::new();
         self.regions
             .iter()
             .flat_map(|r| r.threads.iter())
-            .filter(|t| seen.insert(Arc::as_ptr(t)))
+            .filter(|t| seen.insert(t.words().as_ptr()))
             .map(|t| t.packed_bytes())
             .sum()
     }
@@ -653,6 +754,39 @@ mod tests {
             s.finish()
         };
         assert_ne!(h(&a), h(&b));
+    }
+
+    #[test]
+    fn kept_buffers_share_equal_words_and_copy_them_to_write() {
+        let emit = || {
+            let mut b = TraceBuf::new();
+            b.load(0x1000);
+            b.flops(3);
+            b.seal();
+            b
+        };
+        let mut table = WordTable::default();
+        let (mut a, mut b) = (emit(), emit());
+        assert!(table.keep(&mut a).is_none(), "the first keeps its own");
+        let spare = table
+            .keep(&mut b)
+            .expect("the second hands its buffer back");
+        assert!(spare.is_empty() && spare.words().is_empty());
+        assert_eq!(a.words().as_ptr(), b.words().as_ptr());
+        let mut empty = TraceBuf::new();
+        assert!(table.keep(&mut empty).is_some(), "no words, no array");
+        // A clone of a kept buffer written to copies the words first.
+        let mut c = b.clone();
+        c.flops(1);
+        c.store(0x1040);
+        assert_eq!((a.clone(), b), (emit(), emit()));
+        assert_ne!(c.words().as_ptr(), a.words().as_ptr());
+        let want = [
+            Op::Load { addr: 0x1000 },
+            Op::Flops { n: 4 },
+            Op::Store { addr: 0x1040 },
+        ];
+        assert_eq!(c.to_ops(), want);
     }
 
     #[test]

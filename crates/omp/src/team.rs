@@ -9,11 +9,14 @@
 //! team already owns, is interned by an O(threads) bucket key with full
 //! equality deciding, and — when it repeats an earlier region, as most of
 //! an iterative solver's do — hands those buffers back for the next one.
+//! A region that is kept keeps each buffer's words once per build: a
+//! thread whose words another kept buffer already holds shares that array
+//! and hands its own buffer back.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use paxsim_machine::trace::{ProgramTrace, RegionTrace, TraceBuf};
+use paxsim_machine::trace::{ProgramTrace, RegionTrace, TraceBuf, WordTable};
 
 use crate::mem::Array;
 use crate::schedule::Schedule;
@@ -232,8 +235,11 @@ pub struct Team {
     regions: Vec<Arc<RegionTrace>>,
     /// Previously recorded regions, by [`bucket_key`].
     interner: HashMap<u64, Vec<Arc<RegionTrace>>>,
-    /// The emptied thread buffers of the last region that interned to an
-    /// earlier copy: none, or exactly one region's worth.
+    /// The words of every thread buffer kept so far.
+    words: WordTable,
+    /// Emptied thread buffers the last region handed back: all of a region
+    /// that interned to an earlier copy, those of a kept region that hold
+    /// no words of their own — at most one region's worth.
     spare: Vec<TraceBuf>,
     schedule: Schedule,
     code_expansion: u32,
@@ -252,6 +258,7 @@ impl Team {
             nthreads,
             regions: Vec::new(),
             interner: HashMap::new(),
+            words: WordTable::default(),
             spare: Vec::new(),
             schedule: Schedule::Static,
             code_expansion: 1,
@@ -269,7 +276,8 @@ impl Team {
 
     /// Record the region `label` emitted into `bufs`, reusing a previously
     /// interned copy when one with identical content exists — and then
-    /// keeping `bufs`, emptied, for the next region.
+    /// keeping `bufs`, emptied, for the next region; a kept region hands
+    /// back the buffers whose words it shares.
     fn intern(&mut self, label: &str, mut bufs: Vec<TraceBuf>) {
         bufs.iter_mut().for_each(TraceBuf::seal);
         let bucket = self.interner.entry(bucket_key(label, &bufs)).or_default();
@@ -282,7 +290,7 @@ impl Team {
             self.spare = bufs;
             return;
         }
-        bufs.iter_mut().for_each(TraceBuf::shrink_to_fit);
+        self.spare = bufs.iter_mut().filter_map(|b| self.words.keep(b)).collect();
         let region = Arc::new(RegionTrace::labeled(bufs, label));
         bucket.push(Arc::clone(&region));
         self.regions.push(region);
@@ -433,6 +441,7 @@ impl Team {
 mod tests {
     use super::*;
     use crate::mem::Arena;
+    use paxsim_machine::op::{self, Op};
 
     #[test]
     fn parallel_region_traces_every_thread() {
@@ -701,6 +710,45 @@ mod tests {
     }
 
     #[test]
+    fn threads_with_equal_words_at_different_bases_hold_one_array() {
+        // Each thread sweeps its own slab: the same offsets from its own
+        // base, so the same words on every thread.
+        let slab = |tid: usize| 0x4000_0000 + tid as u64 * 0x10_0000;
+        let sweep = |p: &mut Par| {
+            let base = slab(p.tid);
+            p.lp(3, 2, 40, |p, i| {
+                p.raw_load(base + i as u64 * 64);
+                p.flops(3);
+                p.raw_store(base + 0x8000 + i as u64 * 64);
+            });
+        };
+        let mut team = Team::new("t", 4);
+        team.parallel("sweep", sweep);
+        assert_eq!(team.spare.len(), 3, "three threads' buffers came back");
+        // A later region of other words, and then one sharing the words of
+        // the first region's threads once more.
+        team.parallel("other", |p| p.flops(p.tid as u32 + 1));
+        team.parallel("again", sweep);
+        let prog = team.finish();
+        let sweep = &prog.regions[0].threads;
+        let again = &prog.regions[2].threads;
+        for t in sweep.iter().chain(again) {
+            assert_eq!(t.words().as_ptr(), sweep[0].words().as_ptr());
+        }
+        for (tid, t) in sweep.iter().enumerate() {
+            assert_eq!(t.base(), op::base_for(slab(tid)));
+            let first = t.iter().find(Op::is_memory);
+            assert_eq!(first, Some(Op::Load { addr: slab(tid) }), "thread {tid}");
+            let last_store = t.iter().filter(|o| matches!(o, Op::Store { .. })).last();
+            let want = slab(tid) + 0x8000 + 39 * 64;
+            assert_eq!(last_store, Some(Op::Store { addr: want }), "thread {tid}");
+        }
+        // One sweep array, four one-op arrays of `other`.
+        assert_eq!(prog.packed_bytes(), sweep[0].packed_bytes() + 4 * 4);
+        assert_eq!(prog.unique_regions(), 3);
+    }
+
+    #[test]
     fn a_recycled_buffer_emits_what_a_fresh_one_does() {
         // The long region ends inside an open block on a coalescable
         // `Flops`; the short one starts with `Flops` — nothing of the
@@ -720,7 +768,11 @@ mod tests {
         recycled.parallel("long", long);
         assert_eq!(recycled.spare.len(), 3, "the repeat left its buffers");
         recycled.parallel("short", short);
-        assert!(recycled.spare.is_empty(), "a kept region keeps its buffers");
+        assert_eq!(
+            recycled.spare.len(),
+            2,
+            "threads 1 and 2 share thread 0's words and hand their buffers back"
+        );
         let mut fresh = Team::new("t", 3);
         fresh.parallel("short", short);
         let (recycled, fresh) = (recycled.finish(), fresh.finish());
@@ -741,10 +793,7 @@ mod tests {
             });
             team.parallel_reduce("dot", 0.0, |a: f64, b| a + b, |p| p.tid as f64);
             team.serial("norm", |p| p.flops(3));
-            assert!(
-                matches!(team.spare.len(), 0 | 4),
-                "at most one region's buffers"
-            );
+            assert!(team.spare.len() <= 4, "at most one region's buffers");
         }
         let prog = team.finish();
         assert_eq!(prog.regions.len(), 18);
