@@ -39,12 +39,14 @@ echo "== trace identity: class T goldens, the codec's edges, the 5x5 factorizati
 # interned regions, packed bytes, verdict) as recorded before the build
 # path was optimized, the words shrank to four bytes and threads came to
 # share equal words (packed bytes re-recorded, downward only); the codec round
-# trip where inline and wide forms meet; an address at the ASID byte
+# trip where inline and wide forms meet, and where runs stand for strided
+# stretches of words; an address at the ASID byte
 # refused by the codec in this (non-debug-gated) test and, through
 # TraceStore, as a typed BuildFailed; the factored 5x5 solve bit for bit
 # against the one-shot elimination.
 by_name class_t_traces_did_not_move -p paxsim-nas --test trace_goldens
 by_name op::tests::properties::codec_edges_roundtrip -p paxsim-machine --lib
+by_name trace::tests::properties::runs_roundtrip -p paxsim-machine --lib
 by_name op::tests::an_address_at_the_asid_byte_is_refused_in_every_build -p paxsim-machine --lib
 by_name store::tests::an_address_at_the_asid_byte_fails_the_build_typed -p paxsim-core --lib
 by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib

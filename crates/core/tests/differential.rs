@@ -12,6 +12,7 @@ use paxsim_machine::engine::machines_built;
 use paxsim_machine::prelude::*;
 use paxsim_nas::{all_kernels, Class, KernelId};
 use paxsim_omp::schedule::Schedule;
+use std::sync::Arc;
 
 fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
     assert_eq!(fast.wall_cycles, slow.wall_cycles, "{what}: wall cycles");
@@ -31,10 +32,9 @@ fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
 /// What the fast path and the packed trace are *for*, at the same points
 /// the identity tests visit: the event scheduler dispatched and jumped
 /// simulated cycles instead of stepping them (quiescent skip engages —
-/// a replayed region is one such jump), and packing + interning shrink
-/// the trace ~20× on iterative CG and ~3.5× on EP, whose only saving is
-/// the 4-byte word against the 16-byte `Op` (8-byte words would read
-/// ~12× and 2×, and fail).
+/// a replayed region is one such jump), and packing, interning and run
+/// encoding shrink the trace ~28× on iterative CG and ~4.6× on EP (without
+/// runs, 4-byte words would read ~20× and ~3.5×, and fail).
 fn assert_skips_and_packs(fast: &SimOutcome, trace: &ProgramTrace, bench: KernelId, what: &str) {
     assert!(
         fast.sched.events_scheduled > 0 && fast.sched.cycles_skipped > 0,
@@ -42,11 +42,54 @@ fn assert_skips_and_packs(fast: &SimOutcome, trace: &ProgramTrace, bench: Kernel
         fast.sched
     );
     let reduction = trace.unpacked_bytes() as f64 / trace.packed_bytes() as f64;
-    let floor = if bench == KernelId::Cg { 19.0 } else { 3.3 };
+    let floor = if bench == KernelId::Cg { 28.0 } else { 4.5 };
     assert!(
         reduction >= floor,
         "{what}: trace packs {reduction:.2}x (floor {floor})"
     );
+}
+
+/// The identity tests above run both engines through one decoder, so a
+/// decode bug would pass them. Here every kernel's ops are simulated twice
+/// — from the kept, run-encoded buffers its build stores, and from the
+/// same ops pushed into buffers never kept — on the eight-context
+/// configuration with a one-cycle quantum, so contexts yield inside runs
+/// and resume from their readers.
+#[test]
+fn run_encoded_traces_simulate_as_their_raw_twins() {
+    let smt8 = all_configs()
+        .into_iter()
+        .find(|c| c.name == "HT on -8-2")
+        .expect("Table 1 has HT on -8-2");
+    let machine = MachineConfig {
+        quantum: TPC,
+        ..MachineConfig::paxville_smp()
+    };
+    for bench in all_kernels() {
+        let kept = bench.build(Class::T, smt8.threads, Schedule::Static).trace;
+        let mut raw = ProgramTrace::new(kept.name.clone(), kept.nthreads);
+        let mut encoded = false;
+        for region in &kept.regions {
+            let threads: Vec<TraceBuf> =
+                region.threads.iter().map(|t| t.iter().collect()).collect();
+            for (k, r) in region.threads.iter().zip(&threads) {
+                assert!(**k == *r, "{bench}: a raw twin equals its kept buffer");
+                encoded |= k.words().len() < r.words().len();
+            }
+            raw.push_region(RegionTrace::labeled(threads, region.label.clone()));
+        }
+        assert!(
+            encoded || bench == KernelId::Is,
+            "{bench}: no kept buffer holds a run"
+        );
+        let run = |trace: ProgramTrace| {
+            let spec =
+                JobSpec::pinned(Arc::new(trace), smt8.contexts.clone()).with_jitter(2_000, 5);
+            simulate(&machine, vec![spec])
+        };
+        let what = format!("{bench} kept vs raw");
+        assert_outcomes_identical(&run((*kept).clone()), &run(raw), &what);
+    }
 }
 
 /// Every Table 1 configuration × two kernels with opposite characters

@@ -42,11 +42,12 @@ use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::cycles;
 use crate::memo::{self, CoreSnap, MachineSnap, MemoStats};
-use crate::op::{tag_address, unpack_at, Op};
+use crate::op::{tag_address, unpack_at, Op, RUN_CAP};
 use crate::prefetch::StreamPrefetcher;
 use crate::sim::JobSpec;
 use crate::tlb::Tlb;
 use crate::topology::{Lcpu, Topology, Unit};
+use crate::trace::Cursor;
 use crate::trace_cache::TraceCache;
 use crate::TPC;
 
@@ -220,6 +221,8 @@ struct Ctx {
     /// Chip index, for bus and L3 selection.
     chip: usize,
     region: usize,
+    /// Index of the context's next op in the segment its reader (in
+    /// `JobState::readers`) is at.
     idx: usize,
     /// Remaining uops of a partially issued `Flops` op (0 = none pending).
     pending_uops: u32,
@@ -240,6 +243,10 @@ struct JobState {
     arrived: usize,
     counters: Counters,
     ctx_ids: Vec<usize>,
+    /// Where each thread reads its buffer's words: apart from `Ctx`, so a
+    /// running context borrows its segment from here beside `&mut Ctx`.
+    /// Empty until a context first runs, so a replayed run allocates none.
+    readers: Vec<Reader>,
     /// Barrier-release tick of each completed region, in order.
     region_ends: Vec<u64>,
 }
@@ -347,6 +354,7 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
             arrived: 0,
             counters: Counters::default(),
             ctx_ids,
+            readers: Vec::new(),
             region_ends: Vec::with_capacity(spec.trace.regions.len()),
         });
     }
@@ -521,10 +529,13 @@ fn run_memoized(
         let r = ctxs[lead].region;
         let base = ctxs[lead].t;
         debug_assert!(
-            jobs[0]
-                .ctx_ids
-                .iter()
-                .all(|&i| ctxs[i].t == base && ctxs[i].idx == 0 && ctxs[i].phase == Phase::Run),
+            jobs[0].ctx_ids.iter().all(|&i| ctxs[i].t == base
+                && ctxs[i].idx == 0
+                && jobs[0]
+                    .readers
+                    .get(ctxs[i].thread)
+                    .is_none_or(|r| r.cursor == Cursor::default())
+                && ctxs[i].phase == Phase::Run),
             "the team must start every region aligned"
         );
         stats.regions += 1;
@@ -763,10 +774,19 @@ fn step_ctx(
     let asid = job.asid;
     let ctr = &mut job.counters;
     // Disjoint field borrows: the trace is read-only while counters mutate.
-    // The packed words are replayed directly; `ctx.idx` is a *word* index
-    // (always on an op boundary — `unpack_at` returns the next one).
+    // The packed words are replayed directly from `seg`, the segment the
+    // reader is at — a literal stretch of the stored words, or a run it
+    // expanded — and `rest`, its words from the next op on (always an op
+    // boundary — `unpack_at` returns the next one), held here rather than
+    // behind `ctx`. Where `rest` starts goes back into `ctx` on return.
     let buf = &job.trace.regions[ctx.region].threads[ctx.thread];
-    let (words, base) = (buf.words(), buf.base());
+    let (stored, base) = (buf.words(), buf.base());
+    if job.readers.is_empty() {
+        job.readers.resize_with(job.ctx_ids.len(), Reader::default);
+    }
+    let reader = &mut job.readers[ctx.thread];
+    let mut seg = reader.segment(stored);
+    let mut rest = &seg[ctx.idx..];
     let core_idx = ctx.core_idx;
     let slot = ctx.lcpu.ctx as usize;
     let fast = sched != Sched::Quantum;
@@ -793,8 +813,24 @@ fn step_ctx(
     };
     let tpu = if sibling_active { cfg.smt_tpu } else { tpu };
 
-    while ctx.idx < words.len() {
-        let (op, next_idx) = unpack_at(words, base, ctx.idx);
+    let yielded = loop {
+        let step = if rest.is_empty() {
+            None
+        } else {
+            unpack_at(rest, base, 0)
+        };
+        let Some((op, len)) = step else {
+            // The segment ended, or a run word starts `rest`.
+            let at = seg.len() - rest.len();
+            match reader.refill(at, stored) {
+                Some(next) => (seg, rest) = (next, next),
+                None => {
+                    (seg, rest) = (&[], &[]);
+                    break None;
+                }
+            }
+            continue;
+        };
         if ctx.t >= limit {
             // Quantum block boundary: grant the walk's next block.
             match sched {
@@ -812,13 +848,13 @@ fn step_ctx(
                     limit = grant + cfg.quantum;
                     authorized = false;
                 }
-                _ => return StepEnd::Yield(ctx.t),
+                _ => break Some(ctx.t),
             }
         }
         if !authorized && matches!(op, Op::Load { .. } | Op::LoadDep { .. } | Op::Store { .. }) {
             // A memory op inside an unauthorized block: park until the
             // scheduler reaches this block's merge position.
-            return StepEnd::Yield(grant);
+            break Some(grant);
         }
         match op {
             Op::Flops { n } => {
@@ -850,7 +886,7 @@ fn step_ctx(
                     ctx.pending_uops -= chunk;
                 }
                 if ctx.pending_uops == 0 {
-                    ctx.idx = next_idx;
+                    rest = &rest[len..];
                 }
                 continue;
             }
@@ -937,7 +973,11 @@ fn step_ctx(
                 ctr.instructions += uops as u64;
             }
         }
-        ctx.idx = next_idx;
+        rest = &rest[len..];
+    };
+    ctx.idx = seg.len() - rest.len();
+    if let Some(key) = yielded {
+        return StepEnd::Yield(key);
     }
 
     if !authorized {
@@ -967,6 +1007,35 @@ fn step_ctx(
     }
     ctx.wb.clear();
     StepEnd::Arrived
+}
+
+/// A context's [`Cursor`] and the buffer it expands runs into: empty until
+/// the first run.
+#[derive(Default)]
+struct Reader {
+    cursor: Cursor,
+    x: Box<[u32]>,
+}
+
+impl Reader {
+    #[inline(always)]
+    fn segment<'a>(&'a self, stored: &'a [u32]) -> &'a [u32] {
+        self.cursor.segment(stored, &self.x)
+    }
+
+    /// The segment after index `i` of this one ([`Cursor::refill`]), or
+    /// `None` at the end of `stored`. Out of line, so the loop keeps only
+    /// the segment and its index in registers.
+    #[cold]
+    #[inline(never)]
+    fn refill<'a>(&'a mut self, i: usize, stored: &'a [u32]) -> Option<&'a [u32]> {
+        if self.x.is_empty() {
+            self.x = vec![0; RUN_CAP].into_boxed_slice();
+        }
+        self.cursor
+            .refill(i, stored, &mut self.x)
+            .then(|| self.cursor.segment(stored, &self.x))
+    }
 }
 
 /// Reserve `cost` ticks of the core's shared issue bandwidth.
@@ -1391,6 +1460,9 @@ fn release_team(
         } else {
             ctxs[i].phase = Phase::Run;
             ctxs[i].region = next_region;
+            if let Some(reader) = job.readers.get_mut(ctxs[i].thread) {
+                reader.cursor = Cursor::default();
+            }
             ctxs[i].idx = 0;
             ctxs[i].pending_uops = 0;
             ctxs[i].t += jitter_ticks(job.seed, next_region, ctxs[i].thread, job.jitter);
@@ -1464,6 +1536,7 @@ mod tests {
             arrived: 0,
             counters: Counters::default(),
             ctx_ids: vec![0],
+            readers: Vec::new(),
             region_ends: Vec::new(),
         }];
         let mut ctx = Ctx {

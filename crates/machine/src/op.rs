@@ -14,7 +14,9 @@
 //! for 29 bits, takes the *wide* form: a tag of its own, then the value as
 //! two raw words. The codec ([`pack_into`] / [`unpack_at`]) is lossless, so the
 //! engine and the reference engine decode the exact `Op` stream the
-//! emitters produced.
+//! emitters produced. A buffer a build keeps is stored *run-encoded*
+//! (`encode_runs`): one word stands for each stretch of whole ops whose
+//! words repeat the words one loop body back, advanced by their stride.
 
 /// One traced operation.
 ///
@@ -106,6 +108,9 @@ pub fn tag_address(asid: u8, addr: u64) -> u64 {
 //   tag 3  Flops     payload = n
 //   tag 4  Branch    payload = site << 1 | taken
 //   tag 5  Block     payload = bb; the next word is uops << 16 | body
+//   tag 6  Run       payload = count << 5 | (period - 1): the next `count`
+//                    words (1 <= period <= 32, count <= RUN_CAP) are each
+//                    w[j-p] + (w[j-p] - w[j-2p]) over the decoded words
 //   tag 7  Wide      payload = the tag the op would have had; its value
 //                    follows as two raw words, low half first (after the
 //                    uops/body word for a `Block`): the absolute address
@@ -113,7 +118,9 @@ pub fn tag_address(asid: u8, addr: u64) -> u64 {
 //
 // An op takes the wide form only when its value does not fit 29 bits, so
 // the inline decode is one dispatch on the tag. Raw words carry no tag:
-// decoding is only defined from a known op boundary.
+// decoding is only defined from a known op boundary. A run starts and
+// ends on op boundaries, so its word sits where a tag is read; only a
+// kept buffer holds runs, and a reader expands them (`trace::Cursor`).
 // ---------------------------------------------------------------------------
 
 const TAG_SHIFT: u32 = 29;
@@ -129,7 +136,17 @@ const TAG_STORE: u32 = 2;
 const TAG_FLOPS: u32 = 3;
 const TAG_BRANCH: u32 = 4;
 const TAG_BLOCK: u32 = 5;
+const TAG_RUN: u32 = 6;
 const TAG_WIDE: u32 = 7;
+
+/// The longest period a run word names, in words.
+pub(crate) const RUN_PERIOD_MAX: usize = 32;
+/// The most words one run word stands for: what a reader expands at once.
+/// A longer stretch takes several run words.
+pub(crate) const RUN_CAP: usize = 256;
+/// The fewest words worth a run word; a shorter stretch stays literal,
+/// where reading it costs the engine nothing extra.
+const RUN_MIN: usize = 16;
 
 /// The base a buffer whose first memory op is at `addr` encodes against:
 /// `addr` itself, clamped so that every address inside the base's window
@@ -212,16 +229,17 @@ fn wide(tag: u32, block_tail: Option<u32>, v: u64, words: &mut Vec<u32>) {
 }
 
 /// Decode the op whose first word is `words[i]` in a buffer with address
-/// base `base`; returns the op and the index of the next op's first word.
-/// `i` must be an op boundary. Always inlined: it is the engine's inner
-/// loop, and building the `Op` right here lets the caller's match on it
-/// fold into this one.
+/// base `base`; returns the op and the index of the next op's first word,
+/// or `None` where a run word stands instead (a reader expands it; see
+/// `trace::Cursor`). `i` must be an op boundary. Always inlined: it is the
+/// engine's inner loop, and building the `Op` right here lets the caller's
+/// match on it fold into this one — a run word is one more arm of it.
 #[inline(always)]
-pub fn unpack_at(words: &[u32], base: u64, i: usize) -> (Op, usize) {
+pub fn unpack_at(words: &[u32], base: u64, i: usize) -> Option<(Op, usize)> {
     let w = words[i];
     let p = w & (INLINE - 1);
     let addr = || base.wrapping_sub(BIAS).wrapping_add(p as u64);
-    match w >> TAG_SHIFT {
+    Some(match w >> TAG_SHIFT {
         TAG_LOAD => (Op::Load { addr: addr() }, i + 1),
         TAG_LOAD_DEP => (Op::LoadDep { addr: addr() }, i + 1),
         TAG_STORE => (Op::Store { addr: addr() }, i + 1),
@@ -234,6 +252,7 @@ pub fn unpack_at(words: &[u32], base: u64, i: usize) -> (Op, usize) {
             i + 1,
         ),
         TAG_BLOCK => (block(p, words[i + 1]), i + 2),
+        TAG_RUN => return None,
         TAG_WIDE => {
             let at = i + 1 + (p == TAG_BLOCK) as usize;
             let v = words[at] as u64 | (words[at + 1] as u64) << 32;
@@ -252,7 +271,191 @@ pub fn unpack_at(words: &[u32], base: u64, i: usize) -> (Op, usize) {
             (op, at + 2)
         }
         t => unreachable!("corrupt packed trace word: tag {t}"),
+    })
+}
+
+/// The index after the op whose first word is `words[i]` (not a run word).
+#[inline]
+pub(crate) fn op_end(words: &[u32], i: usize) -> usize {
+    match words[i] >> TAG_SHIFT {
+        TAG_BLOCK => i + 2,
+        TAG_WIDE => i + 3 + (words[i] & (INLINE - 1) == TAG_BLOCK) as usize,
+        _ => i + 1,
     }
+}
+
+/// The `(count, period)` of a run word, `None` for any other first word.
+#[inline(always)]
+pub(crate) fn run_of(w: u32) -> Option<(usize, usize)> {
+    (w >> TAG_SHIFT == TAG_RUN).then(|| (((w & (INLINE - 1)) >> 5) as usize, (w & 31) as usize + 1))
+}
+
+/// The word a run of period `p` holds at `k` of `words`.
+#[inline(always)]
+pub(crate) fn predicted(words: &[u32], k: usize, p: usize) -> u32 {
+    words[k - p].wrapping_mul(2).wrapping_sub(words[k - 2 * p])
+}
+
+/// Write the words of a run of period `p` to `out`, after the `2p` words
+/// of `history`. Each word is the one `p` back plus that position's
+/// stride, so it is the one `q` back plus `q / p` strides for `q` any
+/// multiple of `p`: with `q` at least 16, the words fill in blocks the
+/// compiler vectorizes, starting from a block `q` before the run's first.
+pub(crate) fn expand_run(history: &[u32], out: &mut [u32], p: usize) {
+    let reps = 16usize.div_ceil(p);
+    let q = reps * p;
+    let (mut step, mut block) = ([0u32; 2 * RUN_PERIOD_MAX], [0u32; 2 * RUN_PERIOD_MAX]);
+    for r in 0..p {
+        let last = history[p + r];
+        let stride = last.wrapping_sub(history[r]);
+        for m in 0..reps {
+            block[m * p + r] = last.wrapping_sub(stride.wrapping_mul((reps - 1 - m) as u32));
+            step[m * p + r] = stride.wrapping_mul(reps as u32);
+        }
+    }
+    for words in out.chunks_mut(q) {
+        let n = words.len();
+        let (block, step) = (&mut block[..n], &step[..n]);
+        for k in 0..n {
+            block[k] = block[k].wrapping_add(step[k]);
+            words[k] = block[k];
+        }
+    }
+}
+
+/// Run-encode the sealed, decoded words `raw` onto `out`, and the index
+/// in `out` of each run word onto `runs`. A greedy walk over the ops: an op
+/// opens a run with the first period that predicts the `RUN_MIN` words
+/// from it — the last run's, then the distances back to the last two ops
+/// with its tag (the same op one loop body back, when a body holds two of
+/// them) — and the run takes every whole op after it up to the first word
+/// the period does not predict. A run reads back no further than the
+/// start of the run before it, so a reader keeps just that run's words.
+/// O(words): a run's words are checked once, in blocks, and an op outside
+/// runs against at most three periods, none twice where it already
+/// failed. Deterministic, so equal words encode equal.
+pub(crate) fn encode_runs(raw: &[u32], out: &mut Vec<u32>, runs: &mut Vec<u32>) {
+    // Per period, the first word it failed to predict: an op before that
+    // word cannot open a run with it.
+    let mut failed = [0; RUN_PERIOD_MAX + 1];
+    let mut opens = |i: usize, p: usize, floor: usize| {
+        if p.wrapping_sub(1) >= RUN_PERIOD_MAX || i < floor + 2 * p || i + RUN_MIN > raw.len() {
+            return false;
+        }
+        if i <= failed[p] && failed[p] != 0 {
+            return false;
+        }
+        match (i..i + RUN_MIN).find(|&k| raw[k] != predicted(raw, k, p)) {
+            Some(k) => {
+                failed[p] = k;
+                false
+            }
+            None => true,
+        }
+    };
+    // The first word not yet on `out`.
+    let mut lit = 0;
+    let mut close = |start: usize, end: usize, p: usize| {
+        let kept = end - start >= RUN_MIN;
+        if kept {
+            out.extend_from_slice(&raw[lit..start]);
+            runs.push(out.len() as u32);
+            out.push(TAG_RUN << TAG_SHIFT | ((end - start) as u32) << 5 | (p as u32 - 1));
+            lit = end;
+        }
+        kept
+    };
+    // Per tag, the first words of the last two ops with it.
+    let mut last = [[usize::MAX; 2]; 8];
+    let mut seen = |i: usize| {
+        let tag = (raw[i] >> TAG_SHIFT) as usize;
+        let [a, b] = last[tag];
+        last[tag] = [i, a];
+        [a, b]
+    };
+    // The period of the last run opened, and where the last run kept starts.
+    let (mut period, mut floor) = (0, 0);
+    let mut i = 0;
+    while i < raw.len() {
+        let end = op_end(raw, i);
+        let [a, b] = seen(i);
+        let tries = [period, i.wrapping_sub(a), i.wrapping_sub(b)];
+        let Some(p) = tries.into_iter().find(|&p| opens(i, p, floor)) else {
+            i = end;
+            continue;
+        };
+        period = p;
+        let stop = predicted_to(raw, i + RUN_MIN, p);
+        let (mut start, mut j) = (i, end);
+        while j < stop {
+            let end = op_end(raw, j);
+            if end > stop {
+                break;
+            }
+            seen(j);
+            if end - start > RUN_CAP {
+                close(start, j, p);
+                (floor, start) = (start, j);
+            }
+            j = end;
+        }
+        if close(start, j, p) {
+            floor = start;
+        }
+        i = j;
+    }
+    out.extend_from_slice(&raw[lit..]);
+}
+
+/// The first index from `start` on whose word a run of period `p` does not
+/// predict (`raw.len()` if none), checked sixteen words at a time.
+fn predicted_to(raw: &[u32], start: usize, p: usize) -> usize {
+    let mut k = start;
+    while k < raw.len() {
+        let end = (k + 16).min(raw.len());
+        if !follows(raw, k, end, p) {
+            return (k..end)
+                .find(|&m| raw[m] != predicted(raw, m, p))
+                .expect("a word the block check missed");
+        }
+        k = end;
+    }
+    raw.len()
+}
+
+/// Does run-encoded `stored`, with its run words at `runs`, decode to
+/// `raw`? Compares without decoding: each literal stretch as it is, and
+/// each word a run stands for must be what the run predicts from `raw`
+/// itself — then, word by word, it is what a reader would expand.
+pub(crate) fn decodes_to(stored: &[u32], runs: &[u32], raw: &[u32]) -> bool {
+    let (mut s, mut j) = (0, 0);
+    for &r in runs {
+        let r = r as usize;
+        let (count, p) = run_of(stored[r]).expect("the index holds run words");
+        let run = j + r - s;
+        if raw.get(j..run) != Some(&stored[s..r])
+            || run < 2 * p
+            || run + count > raw.len()
+            || !follows(raw, run, run + count, p)
+        {
+            return false;
+        }
+        (s, j) = (r + 1, run + count);
+    }
+    raw.get(j..) == Some(&stored[s..])
+}
+
+/// Do `raw[start..end]` follow the run of period `p`? Branch-free over the
+/// words, so it vectorizes: the interner compares every repeat this way.
+fn follows(raw: &[u32], start: usize, end: usize, p: usize) -> bool {
+    let (now, back, back2) = (&raw[start..end], &raw[start - p..], &raw[start - 2 * p..]);
+    now.iter()
+        .zip(back)
+        .zip(back2)
+        .fold(0, |miss, ((&w, &b), &b2)| {
+            miss | (w ^ b.wrapping_mul(2).wrapping_sub(b2))
+        })
+        == 0
 }
 
 #[inline(always)]
@@ -301,7 +504,7 @@ mod tests {
         let mut decoded = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < words.len() {
-            let (op, next) = unpack_at(&words, base, i);
+            let (op, next) = unpack_at(&words, base, i).expect("no run words");
             decoded.push(op);
             i = next;
         }
@@ -533,7 +736,7 @@ mod tests {
             // The uops/body word follows the id word in both forms.
             assert_eq!(body_of(w[1]), 2);
             w[1] = patch_body(w[1], 500);
-            let (op, n) = unpack_at(&w, 0, 0);
+            let (op, n) = unpack_at(&w, 0, 0).unwrap();
             assert_eq!(n, w.len());
             assert_eq!(
                 op,

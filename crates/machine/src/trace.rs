@@ -7,7 +7,7 @@
 //! every hardware configuration of the study, and twice concurrently for
 //! multi-program workloads.
 //!
-//! Three sharing layers keep big iterative programs small:
+//! Four layers keep big iterative programs small:
 //!
 //! * each buffer stores its ops *packed* — one 4-byte word per op, two
 //!   for a block, addresses as offsets from the buffer's base (see
@@ -23,9 +23,15 @@
 //! * a kept region's buffers share their *words*: a buffer whose words
 //!   equal those of a buffer the same build kept earlier — most often
 //!   another thread's, the same sweep over its own slab — holds that array
-//!   and keeps its own base ([`WordTable`]), and its own allocation goes
-//!   back for the next region. The engine reads `words()` and `base()`
-//!   as before.
+//!   and keeps its own base ([`WordTable`]);
+//! * a kept array is *run-encoded*: one word stands for each stretch of
+//!   whole ops whose words repeat the words one loop body back, advanced
+//!   by their stride — a strided loop keeps two iterations and a run word
+//!   per 256 words. Readers see the decoded words through a `Cursor`:
+//!   literal stretches in place, runs expanded into a small buffer of
+//!   the reader's. Equality, hashing and the interner's key are over the
+//!   decoded words, and the buffer's own allocation goes back for the
+//!   next region.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -34,12 +40,35 @@ use std::sync::Arc;
 use crate::op::{self, Op};
 
 /// A buffer's packed words: its own while it is written, and once a build
-/// keeps it ([`WordTable::keep`]) an array every kept buffer with equal
-/// words holds. Writing to a kept buffer copies the array first.
+/// keeps it ([`WordTable::keep`]) a run-encoded array every kept buffer
+/// with equal words holds. Writing to a kept buffer decodes it first.
 #[derive(Debug, Clone)]
 enum Words {
     Own(Vec<u32>),
-    Kept(Arc<Vec<u32>>),
+    Kept(Arc<Kept>),
+}
+
+/// A kept buffer's run-encoded words, the index of each run word among
+/// them — so that comparing words against them takes whole literal
+/// stretches at a time — and what the interner's key reads of the decoded
+/// words: their count, first and last word.
+#[derive(Debug)]
+struct Kept {
+    stored: Box<[u32]>,
+    runs: Box<[u32]>,
+    ends: (usize, u32, u32),
+}
+
+impl Kept {
+    /// Do these words decode to `raw`?
+    fn holds(&self, raw: &[u32]) -> bool {
+        self.ends.0 == raw.len() && op::decodes_to(&self.stored, &self.runs, raw)
+    }
+
+    /// Bytes held: the stored words and the run index.
+    fn bytes(&self) -> usize {
+        (self.stored.len() + self.runs.len()) * std::mem::size_of::<u32>()
+    }
 }
 
 impl Default for Words {
@@ -49,29 +78,68 @@ impl Default for Words {
 }
 
 impl Words {
-    /// The words to write to.
+    /// The decoded words, to write to.
     #[inline(always)]
     fn vec(&mut self) -> &mut Vec<u32> {
         if let Words::Kept(kept) = self {
-            *self = Words::Own(kept.to_vec());
+            *self = Words::Own(decode(&kept.stored));
         }
         match self {
             Words::Own(words) => words,
-            Words::Kept(_) => unreachable!("copied above"),
+            Words::Kept(_) => unreachable!("decoded above"),
+        }
+    }
+
+    /// The words as stored: run-encoded once kept.
+    #[inline]
+    fn stored(&self) -> &[u32] {
+        match self {
+            Words::Own(words) => words,
+            Words::Kept(kept) => &kept.stored,
+        }
+    }
+
+    fn ends(&self) -> (usize, u32, u32) {
+        match self {
+            Words::Own(words) => ends_of(words),
+            Words::Kept(kept) => kept.ends,
         }
     }
 }
 
-impl std::ops::Deref for Words {
-    type Target = [u32];
-
-    #[inline]
-    fn deref(&self) -> &[u32] {
-        match self {
-            Words::Own(words) => words,
-            Words::Kept(kept) => kept,
+/// Equality of the decoded words. A kept array against words being
+/// written compares without decoding; two kept arrays compare as stored,
+/// since equal words encode equal.
+impl PartialEq for Words {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Words::Own(a), Words::Own(b)) => a == b,
+            (Words::Kept(a), Words::Kept(b)) => {
+                Arc::ptr_eq(a, b) || (a.ends == b.ends && a.stored == b.stored)
+            }
+            (Words::Own(raw), Words::Kept(kept)) | (Words::Kept(kept), Words::Own(raw)) => {
+                kept.holds(raw)
+            }
         }
     }
+}
+
+/// The words run-encoded `stored` decodes to, read op by op as every
+/// reader reads them.
+#[cold]
+#[inline(never)]
+fn decode(stored: &[u32]) -> Vec<u32> {
+    let mut words = Vec::with_capacity(stored.len());
+    let mut ops = OpIter::new(stored, 0);
+    while let Some((_, at)) = ops.step() {
+        words.extend_from_slice(&ops.segment()[at]);
+    }
+    words
+}
+
+fn ends_of(words: &[u32]) -> (usize, u32, u32) {
+    let at = |w: Option<&u32>| w.copied().unwrap_or(0);
+    (words.len(), at(words.first()), at(words.last()))
 }
 
 /// A growable buffer of trace operations for one thread in one region,
@@ -174,17 +242,17 @@ impl TraceBuf {
         }
         self.open_uops += n as u64;
         if let Some(i) = self.tail_flops {
-            if let Some(sum) = op::flops_at(&self.words, i).checked_add(n) {
+            let words = self.words.vec();
+            if let Some(sum) = op::flops_at(words, i).checked_add(n) {
                 // The trailing op is rewritten whole: the sum may need the
                 // wide form where the addend did not.
-                let words = self.words.vec();
                 words.truncate(i);
                 op::pack_into(Op::Flops { n: sum }, self.base, words);
                 self.uops += n as u64;
                 return;
             }
         }
-        self.tail_flops = Some(self.words.len());
+        self.tail_flops = Some(self.words.vec().len());
         self.emit(Op::Flops { n });
     }
 
@@ -205,7 +273,7 @@ impl TraceBuf {
         self.seal();
         self.tail_flops = None;
         // The uops/body word follows the id word in both forms.
-        self.open_block = Some(self.words.len() + 1);
+        self.open_block = Some(self.words.vec().len() + 1);
         self.open_uops = uops as u64;
         self.emit(Op::Block {
             bb,
@@ -249,12 +317,19 @@ impl TraceBuf {
         self.n_ops == 0
     }
 
-    /// The packed op words; decode with [`crate::op::unpack_at`] and
-    /// [`TraceBuf::base`] starting from word 0 (every other starting index
-    /// may land mid-op).
+    /// The packed op words as stored — run-encoded once a build kept the
+    /// buffer, so decode them with [`TraceBuf::iter`]. Only word 0 is
+    /// sure to start an op.
     #[inline]
     pub fn words(&self) -> &[u32] {
-        &self.words
+        self.words.stored()
+    }
+
+    /// The decoded word count and the first and last decoded word (0 when
+    /// there are none): what an interner's bucket key reads, stored or not.
+    #[inline]
+    pub fn ends(&self) -> (usize, u32, u32) {
+        self.words.ends()
     }
 
     /// The address base the memory ops are encoded against.
@@ -263,18 +338,18 @@ impl TraceBuf {
         self.base
     }
 
-    /// Bytes of packed op storage.
+    /// Bytes of packed op storage: the words as stored, and a kept
+    /// buffer's index of its run words.
     pub fn packed_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u32>()
+        match &self.words {
+            Words::Own(words) => words.len() * std::mem::size_of::<u32>(),
+            Words::Kept(kept) => kept.bytes(),
+        }
     }
 
     /// Iterate the ops, decoding on the fly.
     pub fn iter(&self) -> OpIter<'_> {
-        OpIter {
-            words: &self.words,
-            base: self.base,
-            i: 0,
-        }
+        OpIter::new(self.words(), self.base)
     }
 
     /// Decode the full op sequence (tests / diagnostics; the engine replays
@@ -295,22 +370,24 @@ impl TraceBuf {
     }
 }
 
-/// Content equality over the address base and the packed words (builder
-/// scratch state — open block, coalescing cursor — is excluded; compare
-/// sealed buffers). Equal words against different bases are different
-/// addresses.
+/// Content equality over the address base and the decoded words, kept or
+/// not (builder scratch state — open block, coalescing cursor — is
+/// excluded; compare sealed buffers). Equal words against different bases
+/// are different addresses.
 impl PartialEq for TraceBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.base == other.base && *self.words == *other.words
+        self.base == other.base && self.words == other.words
     }
 }
 
 impl Eq for TraceBuf {}
 
+/// Over the base and [`TraceBuf::ends`], which equal buffers share however
+/// they are stored.
 impl Hash for TraceBuf {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.base.hash(state);
-        (*self.words).hash(state);
+        self.ends().hash(state);
     }
 }
 
@@ -328,39 +405,52 @@ impl FromIterator<Op> for TraceBuf {
 /// few sampled words selects, equality decides. Owned by the build (the
 /// `paxsim-omp` `Team`), so it lives as long as the build does.
 #[derive(Debug, Default)]
-pub struct WordTable(HashMap<u64, Vec<Arc<Vec<u32>>>>);
+pub struct WordTable {
+    kept: HashMap<u64, Vec<Arc<Kept>>>,
+    /// Where the next new array and its run index are encoded before they
+    /// are copied to fit.
+    scratch: (Vec<u32>, Vec<u32>),
+}
 
 impl WordTable {
     /// Keep sealed `buf` for good. Its words become the array a buffer kept
-    /// earlier with equal words holds, or else its own array — shrunk to
-    /// fit, and held for the buffers after it. Its base stays its own.
-    /// When it needs no allocation of its own (its words were shared, or
-    /// there are none), that allocation comes back as an empty buffer to
-    /// write another region into.
+    /// earlier with equal words holds — compared against the words as they
+    /// are, never encoded — or else their run encoding, held for the
+    /// buffers after it. Its base stays its own. Its own allocation comes
+    /// back as an empty buffer to write another region into; `None` when
+    /// it was kept already.
     pub fn keep(&mut self, buf: &mut TraceBuf) -> Option<TraceBuf> {
-        let Words::Own(words) = &mut buf.words else {
-            return None; // kept already
+        let Words::Own(words) = &buf.words else {
+            return None;
         };
-        if words.is_empty() {
-            let mut spare = TraceBuf::new();
-            std::mem::swap(&mut spare.words, &mut buf.words);
-            return Some(spare);
-        }
-        let bucket = self.0.entry(sampled_key(words)).or_default();
-        if let Some(same) = bucket.iter().find(|kept| ***kept == *words) {
-            let own = std::mem::replace(&mut buf.words, Words::Kept(Arc::clone(same)));
-            let mut spare = TraceBuf {
-                words: own,
-                ..TraceBuf::default()
+        let own = if words.is_empty() {
+            std::mem::take(&mut buf.words)
+        } else {
+            let bucket = self.kept.entry(sampled_key(words)).or_default();
+            let kept = match bucket.iter().find(|k| k.holds(words)) {
+                Some(same) => Arc::clone(same),
+                None => {
+                    let (stored, runs) = (&mut self.scratch.0, &mut self.scratch.1);
+                    stored.clear();
+                    runs.clear();
+                    op::encode_runs(words, stored, runs);
+                    let kept = Arc::new(Kept {
+                        stored: stored.as_slice().into(),
+                        runs: runs.as_slice().into(),
+                        ends: ends_of(words),
+                    });
+                    bucket.push(Arc::clone(&kept));
+                    kept
+                }
             };
-            spare.clear();
-            return Some(spare);
-        }
-        words.shrink_to_fit();
-        let kept = Arc::new(std::mem::take(words));
-        bucket.push(Arc::clone(&kept));
-        buf.words = Words::Kept(kept);
-        None
+            std::mem::replace(&mut buf.words, Words::Kept(kept))
+        };
+        let mut spare = TraceBuf {
+            words: own,
+            ..TraceBuf::default()
+        };
+        spare.clear();
+        Some(spare)
     }
 }
 
@@ -374,12 +464,125 @@ fn sampled_key(words: &[u32]) -> u64 {
     })
 }
 
-/// Decoding iterator over a packed op stream.
+/// Decoded words a run reads back: two of its longest periods.
+const HIST: usize = 2 * op::RUN_PERIOD_MAX;
+
+/// A reader's place in a buffer's stored words: in a *literal stretch* —
+/// every op up to the next run word, read in place — or in a *run*,
+/// expanded into the reader's buffer `x` of `RUN_CAP` words, where it
+/// stays while the next stretch is read: a run reads back no further than
+/// the start of the run before it.
+///
+/// A reader decodes ops from [`Cursor::segment`] with [`op::unpack_at`];
+/// where that finds a run word, or the segment ends, it calls
+/// [`Cursor::refill`] and goes on from index 0 of the new segment. The
+/// engine, [`OpIter`] and the decoding of a kept buffer to write to all
+/// read this way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Cursor {
+    /// Stored index of the literal stretch being read, or the one after the
+    /// word of the run being read.
+    at: usize,
+    /// Words of the last run expanded, `x[..run]`.
+    run: usize,
+    /// Reading that run, not the stretch at `at`.
+    in_run: bool,
+}
+
+impl Cursor {
+    /// The words being read: a literal stretch to the end of `stored`, or
+    /// the run expanded into `x`.
+    #[inline(always)]
+    pub(crate) fn segment<'a>(&self, stored: &'a [u32], x: &'a [u32]) -> &'a [u32] {
+        if self.in_run {
+            &x[..self.run]
+        } else {
+            &stored[self.at..]
+        }
+    }
+
+    /// Move on from index `i` of the segment — its end, or a run word in a
+    /// literal stretch — to the next segment; `false` at the end of the
+    /// words, where the segment is empty from then on. A run's history is
+    /// the tail of the last run, in `x`, and the stretch since, in place.
+    #[inline]
+    pub(crate) fn refill(&mut self, i: usize, stored: &[u32], x: &mut [u32]) -> bool {
+        if self.in_run {
+            self.in_run = false;
+            return self.at < stored.len();
+        }
+        let s = self.at + i;
+        let Some(&w) = stored.get(s) else {
+            self.at = stored.len();
+            return false;
+        };
+        let (count, p) = op::run_of(w).expect("a segment ends at a run word or its end");
+        let lit = &stored[self.at..s];
+        let mut history = [0; HIST];
+        let history = &mut history[..2 * p];
+        let from_lit = lit.len().min(2 * p);
+        let (from_run, in_lit) = history.split_at_mut(2 * p - from_lit);
+        from_run.copy_from_slice(&x[self.run - from_run.len()..self.run]);
+        in_lit.copy_from_slice(&lit[lit.len() - from_lit..]);
+        op::expand_run(history, &mut x[..count], p);
+        *self = Cursor {
+            at: s + 1,
+            run: count,
+            in_run: true,
+        };
+        true
+    }
+}
+
+/// Decoding iterator over a packed op stream. Allocates nothing: runs
+/// expand into a buffer of its own.
 #[derive(Debug, Clone)]
 pub struct OpIter<'a> {
-    words: &'a [u32],
+    stored: &'a [u32],
     base: u64,
+    cursor: Cursor,
+    /// The next op's index in the segment.
     i: usize,
+    x: [u32; op::RUN_CAP],
+}
+
+impl<'a> OpIter<'a> {
+    fn new(stored: &'a [u32], base: u64) -> Self {
+        OpIter {
+            stored,
+            base,
+            cursor: Cursor::default(),
+            i: 0,
+            x: [0; op::RUN_CAP],
+        }
+    }
+
+    /// The words being read.
+    fn segment(&self) -> &[u32] {
+        self.cursor.segment(self.stored, &self.x)
+    }
+
+    /// Decode the next op: it and where its words lie in `segment()`.
+    #[inline]
+    fn step(&mut self) -> Option<(Op, std::ops::Range<usize>)> {
+        loop {
+            let seg = self.cursor.segment(self.stored, &self.x);
+            let i = self.i;
+            let op = if i < seg.len() {
+                op::unpack_at(seg, self.base, i)
+            } else {
+                None
+            };
+            if let Some((op, next)) = op {
+                self.i = next;
+                return Some((op, i..next));
+            }
+            if !self.cursor.refill(i, self.stored, &mut self.x) {
+                return None;
+            }
+            self.i = 0;
+        }
+    }
 }
 
 impl Iterator for OpIter<'_> {
@@ -387,12 +590,7 @@ impl Iterator for OpIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Op> {
-        if self.i >= self.words.len() {
-            return None;
-        }
-        let (op, next) = op::unpack_at(self.words, self.base, self.i);
-        self.i = next;
-        Some(op)
+        self.step().map(|(op, _)| op)
     }
 }
 
@@ -767,12 +965,12 @@ mod tests {
         };
         let mut table = WordTable::default();
         let (mut a, mut b) = (emit(), emit());
-        assert!(table.keep(&mut a).is_none(), "the first keeps its own");
-        let spare = table
-            .keep(&mut b)
-            .expect("the second hands its buffer back");
-        assert!(spare.is_empty() && spare.words().is_empty());
+        for buf in [&mut a, &mut b] {
+            let spare = table.keep(buf).expect("each hands its buffer back");
+            assert!(spare.is_empty() && spare.words().is_empty());
+        }
         assert_eq!(a.words().as_ptr(), b.words().as_ptr());
+        assert!(table.keep(&mut a).is_none(), "kept already");
         let mut empty = TraceBuf::new();
         assert!(table.keep(&mut empty).is_some(), "no words, no array");
         // A clone of a kept buffer written to copies the words first.
@@ -886,9 +1084,231 @@ mod tests {
         assert_eq!(s.memory_ops(), 3);
     }
 
+    /// Run-encode `raw`: the stored words and the `(count, period)` of each
+    /// run word, after checking the words decode back to `raw` and that
+    /// each run starts and ends on an op boundary of `raw`.
+    fn encoded(raw: &[u32]) -> (Vec<u32>, Vec<(usize, usize)>) {
+        let (mut stored, mut runs) = (Vec::new(), Vec::new());
+        op::encode_runs(raw, &mut stored, &mut runs);
+        assert_eq!(decode(&stored), raw, "decodes to what was encoded");
+        assert!(op::decodes_to(&stored, &runs, raw));
+        let mut bounds = vec![false; raw.len() + 1];
+        let mut i = 0;
+        while i < raw.len() {
+            bounds[i] = true;
+            i = op::op_end(raw, i);
+        }
+        bounds[raw.len()] = true;
+        let (mut s, mut j, mut found) = (0, 0, Vec::new());
+        while s < stored.len() {
+            if let Some((count, p)) = op::run_of(stored[s]) {
+                assert!(
+                    bounds[j] && bounds[j + count],
+                    "a run of {count} at {j} ends mid-op"
+                );
+                assert_eq!(
+                    runs[found.len()] as usize,
+                    s,
+                    "the index holds each run word"
+                );
+                found.push((count, p));
+                (s, j) = (s + 1, j + count);
+            } else {
+                let end = op::op_end(&stored, s);
+                (s, j) = (end, j + end - s);
+            }
+        }
+        assert_eq!(found.len(), runs.len());
+        (stored, found)
+    }
+
+    /// `passes` passes over a loop body: each slot is an op, and a memory
+    /// slot's address advances by its stride from pass to pass.
+    fn strided(body: &[(Op, u64)], passes: u64) -> TraceBuf {
+        let at = |addr: u64, stride: u64, pass: u64| addr + stride * pass;
+        let mut buf = TraceBuf::new();
+        for pass in 0..passes {
+            for &(op, stride) in body {
+                buf.push(match op {
+                    Op::Load { addr } => Op::Load {
+                        addr: at(addr, stride, pass),
+                    },
+                    Op::LoadDep { addr } => Op::LoadDep {
+                        addr: at(addr, stride, pass),
+                    },
+                    Op::Store { addr } => Op::Store {
+                        addr: at(addr, stride, pass),
+                    },
+                    other => other,
+                });
+            }
+        }
+        buf.seal();
+        buf
+    }
+
+    #[test]
+    fn a_one_word_body_is_a_period_one_run_split_at_the_cap() {
+        let buf = strided(&[(Op::Load { addr: 0x4000 }, 64)], 600);
+        let (stored, runs) = encoded(buf.words());
+        // Two words of history, then runs of at most RUN_CAP words back to
+        // back: the second and third read their history from the one
+        // before.
+        assert_eq!(runs, [(256, 1), (256, 1), (86, 1)]);
+        assert_eq!(stored.len(), 2 + 3);
+    }
+
+    #[test]
+    fn a_thirty_two_word_body_is_a_period_32_run_whose_history_is_a_run() {
+        // A block (two words) and 30 loads whose bases no shorter period
+        // predicts: only the block one body back names the period.
+        let mut body = vec![(
+            Op::Block {
+                bb: 7,
+                uops: 2,
+                body: 40,
+            },
+            0,
+        )];
+        body.extend((0..30u64).map(|s| {
+            (
+                Op::Load {
+                    addr: 0x10_0000 + s * s * 0x1000,
+                },
+                8,
+            )
+        }));
+        let buf = strided(&body, 11);
+        assert_eq!(buf.words().len(), 11 * 32);
+        let (stored, runs) = encoded(buf.words());
+        assert_eq!(runs, [(256, 32), (32, 32)]);
+        assert_eq!(
+            stored.len(),
+            2 * 32 + 2,
+            "two passes of history, two run words"
+        );
+        let mut kept = buf.clone();
+        WordTable::default().keep(&mut kept);
+        assert_eq!(kept.to_ops(), buf.to_ops());
+        assert_eq!(kept.packed_bytes(), (stored.len() + runs.len()) * 4);
+    }
+
+    #[test]
+    fn a_stretch_shorter_than_a_run_is_worth_stays_literal() {
+        // Each pass is broken by a load no period predicts, so no stretch
+        // reaches RUN_MIN words.
+        let mut buf = TraceBuf::new();
+        for pass in 0..200u64 {
+            buf.block(3, 2);
+            buf.load(0x8000 + pass * 8);
+            buf.load_dep(0x9_0000 + (pass * pass * 0x40) % 0x7_0000);
+            buf.flops(2);
+        }
+        buf.seal();
+        let (stored, runs) = encoded(buf.words());
+        assert!(runs.is_empty());
+        assert_eq!(stored, buf.words());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// A loop body slot: any kind, a value on either side of the wide
+        /// form, and for a memory op a base near the buffer's or far from
+        /// it (wide) and a stride.
+        fn arb_slot() -> impl Strategy<Value = (Op, u64)> {
+            let value = prop_oneof![0u32..5000, ((1u32 << 29) - 4)..((1u32 << 29) + 4)];
+            let addr = prop_oneof![
+                0x4000_0000u64..0x4010_0000,
+                0x7f_0000_0000u64..0x7f_1000_0000
+            ];
+            ((0u8..6, value), (addr, 0u64..300, proptest::bool::ANY)).prop_map(
+                |((kind, v), (addr, stride, taken))| {
+                    let op = match kind {
+                        0 => Op::Load { addr },
+                        1 => Op::LoadDep { addr },
+                        2 => Op::Store { addr },
+                        3 => Op::Flops { n: v + 1 },
+                        4 => Op::Branch { site: v, taken },
+                        _ => Op::Block {
+                            bb: v,
+                            uops: 2,
+                            body: 9,
+                        },
+                    };
+                    (op, stride)
+                },
+            )
+        }
+
+        /// A strided loop, with arbitrary ops before it and after it and
+        /// one pass's slot replaced by an arbitrary op — the edges of runs.
+        fn arb_loop() -> impl Strategy<Value = Vec<Op>> {
+            (
+                proptest::collection::vec(arb_op(), 0..6),
+                proptest::collection::vec(arb_slot(), 1..12),
+                (0u64..70, 0usize..1000, arb_op()),
+                proptest::collection::vec(arb_op(), 0..6),
+            )
+                .prop_map(|(before, body, (passes, at, odd), after)| {
+                    let mut ops = before;
+                    let mut looped = strided(&body, passes).to_ops();
+                    if let Some(op) = looped.get_mut(at) {
+                        *op = odd;
+                    }
+                    ops.extend(looped);
+                    ops.extend(after);
+                    ops
+                })
+        }
+
+        fn hash_of(t: &TraceBuf) -> u64 {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            t.hash(&mut s);
+            s.finish()
+        }
+
+        proptest! {
+            /// Run encoding is lossless on arbitrary op streams — wide ops
+            /// and blocks inside runs and at their edges — and every run
+            /// starts and ends on an op boundary (`encoded` checks both);
+            /// the ops read back through the cursor, and a changed word
+            /// no longer compares equal.
+            #[test]
+            fn runs_roundtrip(ops in arb_loop(), flip in 0usize..4000) {
+                let buf: TraceBuf = ops.iter().copied().collect();
+                let raw = buf.words();
+                let (stored, _) = encoded(raw);
+                prop_assert_eq!(OpIter::new(&stored, buf.base()).collect::<Vec<_>>(), buf.to_ops());
+                if !raw.is_empty() {
+                    let mut changed = raw.to_vec();
+                    changed[flip % raw.len()] ^= 1;
+                    let (mut again, mut runs) = (Vec::new(), Vec::new());
+                    op::encode_runs(raw, &mut again, &mut runs);
+                    prop_assert!(!op::decodes_to(&again, &runs, &changed));
+                }
+            }
+
+            /// A kept, run-encoded buffer equals the buffer it was kept
+            /// from, both ways round, and hashes the same; one op more is
+            /// a different buffer.
+            #[test]
+            fn a_kept_buffer_equals_its_raw_twin(ops in arb_loop()) {
+                let raw: TraceBuf = ops.iter().copied().collect();
+                let mut kept = raw.clone();
+                WordTable::default().keep(&mut kept);
+                prop_assert_eq!(&kept, &raw);
+                prop_assert_eq!(&raw, &kept);
+                prop_assert_eq!(hash_of(&kept), hash_of(&raw));
+                prop_assert_eq!(kept.ends(), raw.ends());
+                prop_assert_eq!(kept.to_ops(), raw.to_ops());
+                let mut longer = raw.clone();
+                longer.branch(1, true);
+                prop_assert_ne!(&kept, &longer);
+                prop_assert_ne!(&longer, &kept);
+            }
+        }
 
         fn arb_op() -> impl Strategy<Value = Op> {
             prop_oneof![

@@ -9,9 +9,9 @@
 //! team already owns, is interned by an O(threads) bucket key with full
 //! equality deciding, and — when it repeats an earlier region, as most of
 //! an iterative solver's do — hands those buffers back for the next one.
-//! A region that is kept keeps each buffer's words once per build: a
-//! thread whose words another kept buffer already holds shares that array
-//! and hands its own buffer back.
+//! A region that is kept keeps each buffer's words once per build,
+//! run-encoded: a thread whose words another kept buffer already holds
+//! shares that array, and every buffer goes back for the next region.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,19 +29,20 @@ const LOCK_BASE: u64 = 0x0e80_0000_0000;
 
 /// The interner's bucket for a region of sealed buffers: its label and, per
 /// thread, the address base, the word count and the first and last word —
-/// O(threads), never the words in between. Two regions that share a bucket
-/// still share storage only if every base and word is equal.
+/// O(threads), never the words in between, and the same whether a buffer
+/// is kept (run-encoded) or not. Two regions that share a bucket still
+/// share storage only if every base and word is equal.
 fn bucket_key(label: &str, bufs: &[TraceBuf]) -> u64 {
     let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     let mut h = label
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| mix(h, b as u64));
     for buf in bufs {
-        let words = buf.words();
+        let (len, first, last) = buf.ends();
         h = mix(h, buf.base());
-        h = mix(h, words.len() as u64);
-        h = mix(h, words.first().copied().unwrap_or(0) as u64);
-        h = mix(h, words.last().copied().unwrap_or(0) as u64);
+        h = mix(h, len as u64);
+        h = mix(h, first as u64);
+        h = mix(h, last as u64);
     }
     h
 }
@@ -237,9 +238,8 @@ pub struct Team {
     interner: HashMap<u64, Vec<Arc<RegionTrace>>>,
     /// The words of every thread buffer kept so far.
     words: WordTable,
-    /// Emptied thread buffers the last region handed back: all of a region
-    /// that interned to an earlier copy, those of a kept region that hold
-    /// no words of their own — at most one region's worth.
+    /// Emptied thread buffers the last region handed back, whether it
+    /// interned to an earlier copy or was kept — one region's worth.
     spare: Vec<TraceBuf>,
     schedule: Schedule,
     code_expansion: u32,
@@ -275,9 +275,8 @@ impl Team {
     }
 
     /// Record the region `label` emitted into `bufs`, reusing a previously
-    /// interned copy when one with identical content exists — and then
-    /// keeping `bufs`, emptied, for the next region; a kept region hands
-    /// back the buffers whose words it shares.
+    /// interned copy when one with identical content exists, and keep
+    /// `bufs`, emptied, for the next region either way.
     fn intern(&mut self, label: &str, mut bufs: Vec<TraceBuf>) {
         bufs.iter_mut().for_each(TraceBuf::seal);
         let bucket = self.interner.entry(bucket_key(label, &bufs)).or_default();
@@ -724,7 +723,7 @@ mod tests {
         };
         let mut team = Team::new("t", 4);
         team.parallel("sweep", sweep);
-        assert_eq!(team.spare.len(), 3, "three threads' buffers came back");
+        assert_eq!(team.spare.len(), 4, "every thread's buffer came back");
         // A later region of other words, and then one sharing the words of
         // the first region's threads once more.
         team.parallel("other", |p| p.flops(p.tid as u32 + 1));
@@ -770,8 +769,8 @@ mod tests {
         recycled.parallel("short", short);
         assert_eq!(
             recycled.spare.len(),
-            2,
-            "threads 1 and 2 share thread 0's words and hand their buffers back"
+            3,
+            "a kept region hands every buffer back: its words are stored apart"
         );
         let mut fresh = Team::new("t", 3);
         fresh.parallel("short", short);
