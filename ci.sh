@@ -34,19 +34,24 @@ echo "== content-hash golden digests (run by name) =="
 # The pinned ConfigHash digests key every journal on disk.
 by_name hash::tests::golden_digests_are_pinned -p paxsim-core --lib
 
-echo "== trace identity: class T goldens, the codec's edges, the 5x5 factorization (run by name) =="
+echo "== trace identity and build memory: class T goldens, the codec's edges, the streaming encoder, the 5x5 factorization (run by name) =="
 # Every kernel's class T trace (digest of the decoded ops, regions,
 # interned regions, packed bytes, verdict) as recorded before the build
 # path was optimized, the words shrank to four bytes and threads came to
 # share equal words (packed bytes re-recorded, downward only); the codec round
 # trip where inline and wide forms meet, and where runs stand for strided
-# stretches of words; an address at the ASID byte
+# stretches of words; the streaming run encoder storing the same words
+# however its input is chunked; a CG class S build whose heap never
+# passes twice the words it keeps (plus 4 MiB), its own binary's
+# allocator counting; an address at the ASID byte
 # refused by the codec in this (non-debug-gated) test and, through
 # TraceStore, as a typed BuildFailed; the factored 5x5 solve bit for bit
 # against the one-shot elimination.
 by_name class_t_traces_did_not_move -p paxsim-nas --test trace_goldens
 by_name op::tests::properties::codec_edges_roundtrip -p paxsim-machine --lib
 by_name trace::tests::properties::runs_roundtrip -p paxsim-machine --lib
+by_name trace::tests::properties::chunked_pushes_encode_as_one_push -p paxsim-machine --lib
+by_name a_cg_build_peaks_within_twice_what_it_keeps -p paxsim-nas --test build_memory
 by_name op::tests::an_address_at_the_asid_byte_is_refused_in_every_build -p paxsim-machine --lib
 by_name store::tests::an_address_at_the_asid_byte_fails_the_build_typed -p paxsim-core --lib
 by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib

@@ -15,7 +15,7 @@
 //! two raw words. The codec ([`pack_into`] / [`unpack_at`]) is lossless, so the
 //! engine and the reference engine decode the exact `Op` stream the
 //! emitters produced. A buffer a build keeps is stored *run-encoded*
-//! (`encode_runs`): one word stands for each stretch of whole ops whose
+//! (`RunEncoder`): one word stands for each stretch of whole ops whose
 //! words repeat the words one loop body back, advanced by their stride.
 
 /// One traced operation.
@@ -323,130 +323,334 @@ pub(crate) fn expand_run(history: &[u32], out: &mut [u32], p: usize) {
     }
 }
 
-/// Run-encode the sealed, decoded words `raw` onto `out`, and the index
-/// in `out` of each run word onto `runs`. A greedy walk over the ops: an op
-/// opens a run with the first period that predicts the `RUN_MIN` words
-/// from it — the last run's, then the distances back to the last two ops
-/// with its tag (the same op one loop body back, when a body holds two of
-/// them) — and the run takes every whole op after it up to the first word
-/// the period does not predict. A run reads back no further than the
-/// start of the run before it, so a reader keeps just that run's words.
-/// O(words): a run's words are checked once, in blocks, and an op outside
-/// runs against at most three periods, none twice where it already
-/// failed. Deterministic, so equal words encode equal.
-pub(crate) fn encode_runs(raw: &[u32], out: &mut Vec<u32>, runs: &mut Vec<u32>) {
-    // Per period, the first word it failed to predict: an op before that
-    // word cannot open a run with it.
-    let mut failed = [0; RUN_PERIOD_MAX + 1];
-    let mut opens = |i: usize, p: usize, floor: usize| {
-        if p.wrapping_sub(1) >= RUN_PERIOD_MAX || i < floor + 2 * p || i + RUN_MIN > raw.len() {
-            return false;
+/// The run encoder: decoded words in, pushed in chunks of any size, run-
+/// encoded words and the index of each run word among them out. A greedy
+/// walk over the ops: an op opens a run with the first period that
+/// predicts the `RUN_MIN` words from it — the last run's, then the
+/// distances back to the last two ops with its tag (the same op one loop
+/// body back, when a body holds two of them) — and the run takes every
+/// whole op after it up to the first word the period does not predict. A
+/// run reads back no further than the start of the run before it, so a
+/// reader keeps just that run's words. O(words): a run's words are checked
+/// once, in blocks, and an op outside runs against at most three periods,
+/// none twice where it already failed. Every decision waits for the words
+/// it reads, so the output is the same however the input is chunked, and
+/// equal words encode equal. It holds the words it may still read — two
+/// periods before the run or op it is at, and the run's words — and
+/// passes every word behind them on to the output.
+#[derive(Debug, Clone)]
+pub(crate) struct RunEncoder {
+    /// The input words it may still read. Every index below is into them,
+    /// and moves down as they are dropped from the front.
+    raw: Vec<u32>,
+    /// The encoded words so far, and the index of each run word in them.
+    out: Vec<u32>,
+    runs: Vec<u32>,
+    /// Per period, the first word it failed to predict: an op before that
+    /// word cannot open a run with it (0: none yet).
+    failed: [usize; RUN_PERIOD_MAX + 1],
+    /// Per tag, the first words of the last two ops with it.
+    last: [[usize; 2]; 8],
+    /// The period of the last run opened, and where the last run kept
+    /// starts.
+    period: usize,
+    floor: usize,
+    /// The first word not yet on `out`.
+    lit: usize,
+    /// The op to look at next, while no run is open (stale while one is).
+    at: usize,
+    /// The run being extended.
+    run: Option<OpenRun>,
+}
+
+/// A run the encoder has opened and not yet closed.
+#[derive(Debug, Clone, Copy)]
+struct OpenRun {
+    p: usize,
+    /// Where the part not yet closed starts, and the op after its last.
+    start: usize,
+    j: usize,
+    /// Every word before `checked` is predicted.
+    checked: usize,
+}
+
+impl Default for RunEncoder {
+    fn default() -> Self {
+        RunEncoder {
+            raw: Vec::new(),
+            out: Vec::new(),
+            runs: Vec::new(),
+            failed: [0; RUN_PERIOD_MAX + 1],
+            last: [[usize::MAX; 2]; 8],
+            period: 0,
+            floor: 0,
+            lit: 0,
+            at: 0,
+            run: None,
         }
-        if i <= failed[p] && failed[p] != 0 {
-            return false;
-        }
-        match (i..i + RUN_MIN).find(|&k| raw[k] != predicted(raw, k, p)) {
-            Some(k) => {
-                failed[p] = k;
-                false
-            }
-            None => true,
-        }
-    };
-    // The first word not yet on `out`.
-    let mut lit = 0;
-    let mut close = |start: usize, end: usize, p: usize| {
-        let kept = end - start >= RUN_MIN;
-        if kept {
-            out.extend_from_slice(&raw[lit..start]);
-            runs.push(out.len() as u32);
-            out.push(TAG_RUN << TAG_SHIFT | ((end - start) as u32) << 5 | (p as u32 - 1));
-            lit = end;
-        }
-        kept
-    };
-    // Per tag, the first words of the last two ops with it.
-    let mut last = [[usize::MAX; 2]; 8];
-    let mut seen = |i: usize| {
-        let tag = (raw[i] >> TAG_SHIFT) as usize;
-        let [a, b] = last[tag];
-        last[tag] = [i, a];
-        [a, b]
-    };
-    // The period of the last run opened, and where the last run kept starts.
-    let (mut period, mut floor) = (0, 0);
-    let mut i = 0;
-    while i < raw.len() {
-        let end = op_end(raw, i);
-        let [a, b] = seen(i);
-        let tries = [period, i.wrapping_sub(a), i.wrapping_sub(b)];
-        let Some(p) = tries.into_iter().find(|&p| opens(i, p, floor)) else {
-            i = end;
-            continue;
-        };
-        period = p;
-        let stop = predicted_to(raw, i + RUN_MIN, p);
-        let (mut start, mut j) = (i, end);
-        while j < stop {
-            let end = op_end(raw, j);
-            if end > stop {
-                break;
-            }
-            seen(j);
-            if end - start > RUN_CAP {
-                close(start, j, p);
-                (floor, start) = (start, j);
-            }
-            j = end;
-        }
-        if close(start, j, p) {
-            floor = start;
-        }
-        i = j;
     }
-    out.extend_from_slice(&raw[lit..]);
+}
+
+impl RunEncoder {
+    /// Take the next words of the input.
+    pub(crate) fn push(&mut self, words: &[u32]) {
+        self.raw.extend_from_slice(words);
+        self.advance(false);
+        // Every word before the op or run it is at is decided: pass the
+        // literal ones on, and keep two periods of them to read back.
+        let pos = self.run.map_or(self.at, |r| r.start);
+        self.out.extend_from_slice(&self.raw[self.lit..pos]);
+        self.lit = pos;
+        let gone = pos.saturating_sub(2 * RUN_PERIOD_MAX);
+        if gone > 0 {
+            self.raw.drain(..gone);
+            self.rebase(gone);
+        }
+    }
+
+    /// The encoded words and the index of their run words, the input ended.
+    pub(crate) fn finish(mut self) -> (Vec<u32>, Vec<u32>) {
+        self.advance(true);
+        self.out.extend_from_slice(&self.raw[self.lit..]);
+        (self.out, self.runs)
+    }
+
+    /// Move every index down by the `gone` words dropped from the front.
+    /// The last ops of each tag keep their distances, wrapping; a failure
+    /// or floor that falls below the front saturates to 0, which still
+    /// says what it said: every op from here on, at or past
+    /// `2 * RUN_PERIOD_MAX`, is past it.
+    fn rebase(&mut self, gone: usize) {
+        for f in &mut self.failed {
+            *f = f.saturating_sub(gone);
+        }
+        for i in self.last.iter_mut().flatten() {
+            *i = i.wrapping_sub(gone);
+        }
+        self.floor = self.floor.saturating_sub(gone);
+        self.lit -= gone;
+        match &mut self.run {
+            Some(run) => {
+                run.start -= gone;
+                run.j -= gone;
+                run.checked -= gone;
+            }
+            None => self.at -= gone,
+        }
+    }
+
+    /// Walk the ops as far as the words seen decide; at the `end` of the
+    /// input, to it.
+    fn advance(&mut self, end: bool) {
+        // The tables the walk reads and writes per op, as locals.
+        let (mut last, mut failed) = (self.last, self.failed);
+        self.walk(end, &mut last, &mut failed);
+        (self.last, self.failed) = (last, failed);
+    }
+
+    /// [`RunEncoder::advance`] with `last` and `failed` held apart.
+    fn walk(
+        &mut self,
+        end: bool,
+        last: &mut [[usize; 2]; 8],
+        failed: &mut [usize; RUN_PERIOD_MAX + 1],
+    ) {
+        let raw = &self.raw[..];
+        let len = raw.len();
+        // Note the op at `i` among its tag's last two; the two before it.
+        let mut seen = |i: usize| {
+            let tag = (raw[i] >> TAG_SHIFT) as usize;
+            let [a, b] = last[tag];
+            last[tag] = [i, a];
+            [a, b]
+        };
+        let (out, runs, lit) = (&mut self.out, &mut self.runs, &mut self.lit);
+        let mut close = |start: usize, end: usize, p: usize| {
+            let kept = end - start >= RUN_MIN;
+            if kept {
+                out.extend_from_slice(&raw[*lit..start]);
+                runs.push(out.len() as u32);
+                out.push(TAG_RUN << TAG_SHIFT | ((end - start) as u32) << 5 | (p as u32 - 1));
+                *lit = end;
+            }
+            kept
+        };
+        loop {
+            if let Some(OpenRun {
+                p,
+                mut start,
+                mut j,
+                checked,
+            }) = self.run
+            {
+                let stop = predicted_to(raw, checked, p).or(end.then_some(len));
+                let limit = stop.unwrap_or(len);
+                while j < limit {
+                    let next = op_end(raw, j);
+                    if next > limit {
+                        break;
+                    }
+                    seen(j);
+                    if next - start > RUN_CAP {
+                        close(start, j, p);
+                        (self.floor, start) = (start, j);
+                    }
+                    j = next;
+                }
+                if stop.is_none() {
+                    let run = OpenRun {
+                        p,
+                        start,
+                        j,
+                        checked: len,
+                    };
+                    self.run = Some(run);
+                    return;
+                }
+                if close(start, j, p) {
+                    self.floor = start;
+                }
+                (self.at, self.run) = (j, None);
+                continue;
+            }
+            // No run open: look at one op after another, with what a run
+            // opening would change held still.
+            let (floor, period) = (self.floor, self.period);
+            let mut opens = |i: usize, p: usize| {
+                if p.wrapping_sub(1) >= RUN_PERIOD_MAX || i < floor + 2 * p || i + RUN_MIN > len {
+                    return false;
+                }
+                if i <= failed[p] && failed[p] != 0 {
+                    return false;
+                }
+                match (i..i + RUN_MIN).find(|&k| raw[k] != predicted(raw, k, p)) {
+                    Some(k) => {
+                        failed[p] = k;
+                        false
+                    }
+                    None => true,
+                }
+            };
+            // Short of the end, an op waits for the RUN_MIN words it reads.
+            let scan_end = if end {
+                len
+            } else {
+                (len + 1).saturating_sub(RUN_MIN)
+            };
+            let mut i = self.at;
+            let opened = loop {
+                if i >= scan_end {
+                    break None;
+                }
+                let next = op_end(raw, i);
+                let [a, b] = seen(i);
+                let tries = [period, i.wrapping_sub(a), i.wrapping_sub(b)];
+                if let Some(p) = tries.into_iter().find(|&p| opens(i, p)) {
+                    break Some((p, next));
+                }
+                i = next;
+            };
+            self.at = i;
+            let Some((p, next)) = opened else {
+                return;
+            };
+            self.period = p;
+            self.run = Some(OpenRun {
+                p,
+                start: i,
+                j: next,
+                checked: i + RUN_MIN,
+            });
+        }
+    }
 }
 
 /// The first index from `start` on whose word a run of period `p` does not
-/// predict (`raw.len()` if none), checked sixteen words at a time.
-fn predicted_to(raw: &[u32], start: usize, p: usize) -> usize {
+/// predict, checked sixteen words at a time; `None` if every word to the
+/// end of `raw` is predicted.
+fn predicted_to(raw: &[u32], start: usize, p: usize) -> Option<usize> {
     let mut k = start;
     while k < raw.len() {
         let end = (k + 16).min(raw.len());
         if !follows(raw, k, end, p) {
-            return (k..end)
-                .find(|&m| raw[m] != predicted(raw, m, p))
-                .expect("a word the block check missed");
+            let miss = (k..end).find(|&m| raw[m] != predicted(raw, m, p));
+            return Some(miss.expect("a word the block check missed"));
         }
         k = end;
     }
-    raw.len()
+    None
+}
+
+/// How far a stream of decoded words has followed a run-encoded array:
+/// compared without decoding, each literal stretch as it is, and each word
+/// a run stands for against what the run predicts from the stream itself —
+/// then, word by word, it is what a reader would expand. The stream may
+/// come in chunks of any size.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Follow {
+    /// Index in the stored words of the next literal word, or of the word
+    /// after the run being followed.
+    s: usize,
+    /// Index in the run index of the next run word.
+    r: usize,
+    /// Words of that run still to come, and its period.
+    left: usize,
+    p: usize,
+}
+
+impl Follow {
+    /// Do `raw[from..]` continue the words run-encoded `stored`, with its
+    /// run words at `runs`, decodes to, from where this follow stands?
+    /// `raw[..from]` are the words before, as far back as a run reads.
+    pub(crate) fn advance(
+        &mut self,
+        stored: &[u32],
+        runs: &[u32],
+        raw: &[u32],
+        from: usize,
+    ) -> bool {
+        let mut a = from;
+        while a < raw.len() {
+            if self.left > 0 {
+                let n = self.left.min(raw.len() - a);
+                if a < 2 * self.p || !follows(raw, a, a + n, self.p) {
+                    return false;
+                }
+                (self.left, a) = (self.left - n, a + n);
+                continue;
+            }
+            let run = runs.get(self.r).map_or(stored.len(), |&r| r as usize);
+            if self.s == run {
+                let Some((count, p)) = stored.get(run).and_then(|&w| run_of(w)) else {
+                    return false;
+                };
+                (self.left, self.p, self.s, self.r) = (count, p, run + 1, self.r + 1);
+                continue;
+            }
+            let n = (run - self.s).min(raw.len() - a);
+            if raw[a..a + n] != stored[self.s..self.s + n] {
+                return false;
+            }
+            (self.s, a) = (self.s + n, a + n);
+        }
+        true
+    }
+
+    /// Has the stream followed every word `stored` decodes to?
+    pub(crate) fn done(&self, stored: &[u32]) -> bool {
+        self.left == 0 && self.s == stored.len()
+    }
 }
 
 /// Does run-encoded `stored`, with its run words at `runs`, decode to
-/// `raw`? Compares without decoding: each literal stretch as it is, and
-/// each word a run stands for must be what the run predicts from `raw`
-/// itself — then, word by word, it is what a reader would expand.
+/// `raw`?
 pub(crate) fn decodes_to(stored: &[u32], runs: &[u32], raw: &[u32]) -> bool {
-    let (mut s, mut j) = (0, 0);
-    for &r in runs {
-        let r = r as usize;
-        let (count, p) = run_of(stored[r]).expect("the index holds run words");
-        let run = j + r - s;
-        if raw.get(j..run) != Some(&stored[s..r])
-            || run < 2 * p
-            || run + count > raw.len()
-            || !follows(raw, run, run + count, p)
-        {
-            return false;
-        }
-        (s, j) = (r + 1, run + count);
-    }
-    raw.get(j..) == Some(&stored[s..])
+    let mut follow = Follow::default();
+    follow.advance(stored, runs, raw, 0) && follow.done(stored)
 }
 
 /// Do `raw[start..end]` follow the run of period `p`? Branch-free over the
-/// words, so it vectorizes: the interner compares every repeat this way.
+/// words, so it vectorizes: a build compares every repeat this way.
 fn follows(raw: &[u32], start: usize, end: usize, p: usize) -> bool {
     let (now, back, back2) = (&raw[start..end], &raw[start - p..], &raw[start - 2 * p..]);
     now.iter()

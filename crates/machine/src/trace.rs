@@ -16,22 +16,23 @@
 //!   16-byte `Op`;
 //! * regions are held by `Arc`, so emitters (the `paxsim-omp` runtime)
 //!   can *intern* structurally identical regions: an iterative solver's
-//!   N identical iterations occupy one region's storage, not N. A buffer
-//!   whose region turned out to be a repeat is emptied with
-//!   [`TraceBuf::clear`] and refilled by the next region, so the repeats
-//!   cost no fresh pages either;
-//! * a kept region's buffers share their *words*: a buffer whose words
-//!   equal those of a buffer the same build kept earlier — most often
-//!   another thread's, the same sweep over its own slab — holds that array
-//!   and keeps its own base ([`WordTable`]);
+//!   N identical iterations occupy one region's storage, not N;
+//! * a build's buffers share their *words*: a buffer whose words equal
+//!   those of a buffer the same build kept earlier — the same thread of an
+//!   earlier region, or another thread's, the same sweep over its own
+//!   slab — holds that array and keeps its own base ([`WordTable`]);
 //! * a kept array is *run-encoded*: one word stands for each stretch of
 //!   whole ops whose words repeat the words one loop body back, advanced
 //!   by their stride — a strided loop keeps two iterations and a run word
 //!   per 256 words. Readers see the decoded words through a `Cursor`:
 //!   literal stretches in place, runs expanded into a small buffer of
-//!   the reader's. Equality, hashing and the interner's key are over the
-//!   decoded words, and the buffer's own allocation goes back for the
-//!   next region.
+//!   the reader's. Equality and hashing are over the decoded words.
+//!
+//! A build never holds a region's words whole. A buffer it writes
+//! ([`WordTable::open`]) keeps a small window: a word leaves it once
+//! neither the body backfill nor `Flops` coalescing can rewrite it, and is
+//! compared with the kept arrays it may repeat — or, once none is left,
+//! run-encoded.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -40,8 +41,8 @@ use std::sync::Arc;
 use crate::op::{self, Op};
 
 /// A buffer's packed words: its own while it is written, and once a build
-/// keeps it ([`WordTable::keep`]) a run-encoded array every kept buffer
-/// with equal words holds. Writing to a kept buffer decodes it first.
+/// keeps it a run-encoded array every kept buffer with equal words holds.
+/// Writing to a kept buffer decodes it first.
 #[derive(Debug, Clone)]
 enum Words {
     Own(Vec<u32>),
@@ -50,8 +51,8 @@ enum Words {
 
 /// A kept buffer's run-encoded words, the index of each run word among
 /// them — so that comparing words against them takes whole literal
-/// stretches at a time — and what the interner's key reads of the decoded
-/// words: their count, first and last word.
+/// stretches at a time — and what hashing reads of the decoded words:
+/// their count, first and last word.
 #[derive(Debug)]
 struct Kept {
     stored: Box<[u32]>,
@@ -69,6 +70,32 @@ impl Kept {
     fn bytes(&self) -> usize {
         (self.stored.len() + self.runs.len()) * std::mem::size_of::<u32>()
     }
+
+    /// Pass the first `n` decoded words to `f`, a literal stretch or a run
+    /// at a time, as every reader reads them.
+    fn decode(&self, mut n: usize, mut f: impl FnMut(&[u32])) {
+        let stored = &self.stored[..];
+        let (mut cursor, mut x) = (Cursor::default(), [0; op::RUN_CAP]);
+        let mut runs = self.runs.iter().map(|&r| r as usize);
+        let mut stretch_end = runs.next().unwrap_or(stored.len());
+        while n > 0 {
+            let seg = cursor.segment(stored, &x);
+            let len = if cursor.in_run {
+                seg.len()
+            } else {
+                stretch_end - cursor.at
+            };
+            let take = len.min(n);
+            f(&seg[..take]);
+            n -= take;
+            if !cursor.in_run {
+                stretch_end = runs.next().unwrap_or(stored.len());
+            }
+            if !cursor.refill(len, stored, &mut x) {
+                return;
+            }
+        }
+    }
 }
 
 impl Default for Words {
@@ -82,7 +109,7 @@ impl Words {
     #[inline(always)]
     fn vec(&mut self) -> &mut Vec<u32> {
         if let Words::Kept(kept) = self {
-            *self = Words::Own(decode(&kept.stored));
+            *self = Words::Own(decoded(kept));
         }
         match self {
             Words::Own(words) => words,
@@ -124,16 +151,12 @@ impl PartialEq for Words {
     }
 }
 
-/// The words run-encoded `stored` decodes to, read op by op as every
-/// reader reads them.
+/// The words `kept` decodes to, to write to.
 #[cold]
 #[inline(never)]
-fn decode(stored: &[u32]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(stored.len());
-    let mut ops = OpIter::new(stored, 0);
-    while let Some((_, at)) = ops.step() {
-        words.extend_from_slice(&ops.segment()[at]);
-    }
+fn decoded(kept: &Kept) -> Vec<u32> {
+    let mut words = Vec::with_capacity(kept.ends.0);
+    kept.decode(kept.ends.0, |w| words.extend_from_slice(w));
     words
 }
 
@@ -142,11 +165,16 @@ fn ends_of(words: &[u32]) -> (usize, u32, u32) {
     (words.len(), at(words.first()), at(words.last()))
 }
 
+/// Words a streamed buffer's window may grow by before its final words
+/// leave it.
+const WINDOW: usize = 4096;
+
 /// A growable buffer of trace operations for one thread in one region,
 /// with convenience emitters used by the runtime and by tests.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceBuf {
-    /// Packed op words (see [`crate::op::pack_into`]).
+    /// Packed op words (see [`crate::op::pack_into`]); while a build
+    /// streams them, the window of those not yet passed on.
     words: Words,
     /// Address base the memory ops encode against: [`op::base_for`] of
     /// the first one, 0 (never a base) until there is one.
@@ -164,6 +192,27 @@ pub struct TraceBuf {
     /// tracked explicitly: the last *word* of the buffer may be a raw
     /// word of a multi-word op and carries no tag.
     tail_flops: Option<usize>,
+    /// Where the final words go while a build streams them.
+    stream: Option<Box<Stream>>,
+    /// The window length at which its final words leave it; never for a
+    /// buffer that is not streamed.
+    limit: usize,
+}
+
+impl Default for TraceBuf {
+    fn default() -> Self {
+        TraceBuf {
+            words: Words::default(),
+            base: 0,
+            n_ops: 0,
+            uops: 0,
+            open_block: None,
+            open_uops: 0,
+            tail_flops: None,
+            stream: None,
+            limit: usize::MAX,
+        }
+    }
 }
 
 impl TraceBuf {
@@ -182,9 +231,49 @@ impl TraceBuf {
     /// coalescing state beyond what `op` requires.
     #[inline(always)]
     fn emit(&mut self, op: Op) {
-        op::pack_into(op, self.base, self.words.vec());
+        let words = self.words.vec();
+        op::pack_into(op, self.base, words);
+        if words.len() >= self.limit {
+            self.pass_on();
+        }
         self.n_ops += 1;
         self.uops += op.uops();
+    }
+
+    /// Pass the window's final words on to the stream: every word before
+    /// the open block's body word, which the backfill patches, and before
+    /// a trailing `Flops` op, which coalescing rewrites. Two periods of
+    /// them stay behind, for a run to read back.
+    #[cold]
+    #[inline(never)]
+    fn pass_on(&mut self) {
+        let Words::Own(window) = &mut self.words else {
+            unreachable!("a streamed buffer writes its own words")
+        };
+        let stream = self
+            .stream
+            .as_mut()
+            .expect("only a streamed buffer passes words on");
+        // A body of u16::MAX uops or more is final: backfill it now.
+        if let Some(i) = self
+            .open_block
+            .filter(|_| self.open_uops >= u16::MAX as u64)
+        {
+            window[i] = op::patch_body(window[i], u16::MAX);
+            self.open_block = None;
+        }
+        let end = [self.open_block, self.tail_flops]
+            .into_iter()
+            .flatten()
+            .fold(window.len(), usize::min);
+        stream.push(&window[..end]);
+        let gone = end.saturating_sub(HIST);
+        window.drain(..gone);
+        stream.front = end - gone;
+        stream.gone += gone;
+        self.open_block = self.open_block.map(|i| i - gone);
+        self.tail_flops = self.tail_flops.map(|i| i - gone);
+        self.limit = window.len() + WINDOW;
     }
 
     /// Append a memory op, fixing the buffer's address base on its first.
@@ -282,22 +371,6 @@ impl TraceBuf {
         });
     }
 
-    /// Empty the buffer for another region's ops, keeping its own
-    /// allocation: what a [`TraceBuf::new`] would be, minus the regrowth.
-    pub fn clear(&mut self) {
-        let words = match std::mem::take(&mut self.words) {
-            Words::Own(mut words) => {
-                words.clear();
-                words
-            }
-            Words::Kept(_) => Vec::new(),
-        };
-        *self = Self {
-            words: Words::Own(words),
-            ..Self::default()
-        };
-    }
-
     /// Finalize the trailing open block's body footprint.
     pub fn seal(&mut self) {
         if let Some(i) = self.open_block.take() {
@@ -326,7 +399,7 @@ impl TraceBuf {
     }
 
     /// The decoded word count and the first and last decoded word (0 when
-    /// there are none): what an interner's bucket key reads, stored or not.
+    /// there are none): what hashing reads, stored or not.
     #[inline]
     pub fn ends(&self) -> (usize, u32, u32) {
         self.words.ends()
@@ -401,56 +474,165 @@ impl FromIterator<Op> for TraceBuf {
     }
 }
 
+/// Where a streamed buffer's final words go: compared with the kept arrays
+/// they may repeat, as they come, and run-encoded once none is left.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    /// The kept arrays the words have followed so far, each with how far.
+    follows: Vec<(Arc<Kept>, op::Follow)>,
+    /// Their run encoding, from the first word on, once every array failed.
+    encoder: Option<op::RunEncoder>,
+    /// The count, first and last of the words passed on so far.
+    ends: (usize, u32, u32),
+    /// Words at the window's front passed on already, which a run reads
+    /// back, and words dropped from before it.
+    front: usize,
+    gone: usize,
+}
+
+impl Stream {
+    /// Take `window[front..]`, the next final words.
+    fn push(&mut self, window: &[u32]) {
+        let (front, n) = (self.front, self.ends.0);
+        let new = &window[front..];
+        let (Some(&first), Some(&last)) = (new.first(), new.last()) else {
+            return;
+        };
+        if n == 0 {
+            self.ends.1 = first;
+        }
+        self.ends.2 = last;
+        if self.encoder.is_none() {
+            let mut lost = None;
+            self.follows.retain_mut(|(kept, follow)| {
+                let on = follow.advance(&kept.stored, &kept.runs, window, front);
+                if !on {
+                    lost = Some(Arc::clone(kept));
+                }
+                on
+            });
+            if self.follows.is_empty() {
+                self.encoder = Some(encoder_after(lost.as_deref(), n));
+            }
+        }
+        if let Some(encoder) = &mut self.encoder {
+            encoder.push(new);
+        }
+        self.ends.0 += new.len();
+    }
+
+    /// The words, all passed on: the kept array they repeat, or their own
+    /// run encoding, shared through `table`.
+    fn finish(self, table: &mut WordTable) -> Words {
+        let n = self.ends.0;
+        if n == 0 {
+            return Words::default();
+        }
+        let encoder = match self.encoder {
+            Some(encoder) => encoder,
+            None => {
+                let done = self.follows.iter().find(|(kept, f)| f.done(&kept.stored));
+                if let Some((kept, _)) = done {
+                    return Words::Kept(Arc::clone(kept));
+                }
+                // Every array still followed is longer: the words are a
+                // prefix of any of them.
+                encoder_after(self.follows.first().map(|(kept, _)| &**kept), n)
+            }
+        };
+        let (stored, runs) = encoder.finish();
+        table.encoded += n;
+        Words::Kept(table.share(Kept {
+            stored: stored.into(),
+            runs: runs.into(),
+            ends: self.ends,
+        }))
+    }
+}
+
+/// An encoder that has taken the first `n` words, which `prefix` decodes
+/// to: the words a stream had followed when the last array failed.
+fn encoder_after(prefix: Option<&Kept>, n: usize) -> op::RunEncoder {
+    let mut encoder = op::RunEncoder::default();
+    if let Some(kept) = prefix {
+        kept.decode(n, |w| encoder.push(w));
+    }
+    encoder
+}
+
 /// The words of the buffers one build kept, by content: a bucket key of a
-/// few sampled words selects, equality decides. Owned by the build (the
-/// `paxsim-omp` `Team`), so it lives as long as the build does.
+/// few sampled stored words selects, equality of the stored words decides
+/// (equal words encode equal). Owned by the build (the `paxsim-omp`
+/// `Team`), so it lives as long as the build does.
 #[derive(Debug, Default)]
 pub struct WordTable {
     kept: HashMap<u64, Vec<Arc<Kept>>>,
-    /// Where the next new array and its run index are encoded before they
-    /// are copied to fit.
-    scratch: (Vec<u32>, Vec<u32>),
+    /// Words run-encoded so far.
+    encoded: usize,
 }
 
 impl WordTable {
-    /// Keep sealed `buf` for good. Its words become the array a buffer kept
-    /// earlier with equal words holds — compared against the words as they
-    /// are, never encoded — or else their run encoding, held for the
-    /// buffers after it. Its base stays its own. Its own allocation comes
-    /// back as an empty buffer to write another region into; `None` when
-    /// it was kept already.
-    pub fn keep(&mut self, buf: &mut TraceBuf) -> Option<TraceBuf> {
-        let Words::Own(words) = &buf.words else {
-            return None;
-        };
-        let own = if words.is_empty() {
-            std::mem::take(&mut buf.words)
-        } else {
-            let bucket = self.kept.entry(sampled_key(words)).or_default();
-            let kept = match bucket.iter().find(|k| k.holds(words)) {
-                Some(same) => Arc::clone(same),
-                None => {
-                    let (stored, runs) = (&mut self.scratch.0, &mut self.scratch.1);
-                    stored.clear();
-                    runs.clear();
-                    op::encode_runs(words, stored, runs);
-                    let kept = Arc::new(Kept {
-                        stored: stored.as_slice().into(),
-                        runs: runs.as_slice().into(),
-                        ends: ends_of(words),
-                    });
-                    bucket.push(Arc::clone(&kept));
-                    kept
+    /// A buffer to write one thread's words into, through `window` (empty;
+    /// its allocation is reused). As they become final its words are
+    /// compared with the kept arrays the `candidates` hold — buffers they
+    /// may repeat; the others are passed over — and once every one has
+    /// differed, run-encoded. [`WordTable::close`] ends it.
+    pub fn open<'a>(
+        &self,
+        window: Vec<u32>,
+        candidates: impl IntoIterator<Item = &'a TraceBuf>,
+    ) -> TraceBuf {
+        let mut follows: Vec<(Arc<Kept>, op::Follow)> = Vec::new();
+        for buf in candidates {
+            if let Words::Kept(kept) = &buf.words {
+                if !follows.iter().any(|(k, _)| Arc::ptr_eq(k, kept)) {
+                    follows.push((Arc::clone(kept), op::Follow::default()));
                 }
-            };
-            std::mem::replace(&mut buf.words, Words::Kept(kept))
-        };
-        let mut spare = TraceBuf {
-            words: own,
+            }
+        }
+        debug_assert!(window.is_empty());
+        TraceBuf {
+            words: Words::Own(window),
+            stream: Some(Box::new(Stream {
+                follows,
+                ..Stream::default()
+            })),
+            limit: WINDOW,
             ..TraceBuf::default()
+        }
+    }
+
+    /// Seal streamed `buf` and keep its words for good: the kept array
+    /// they repeat, or their run encoding, shared with any equal array
+    /// kept before. Its base stays its own. Returns the window, emptied.
+    pub fn close(&mut self, buf: &mut TraceBuf) -> Vec<u32> {
+        buf.seal();
+        let mut stream = buf.stream.take().expect("a streamed buffer");
+        let Words::Own(mut window) = std::mem::take(&mut buf.words) else {
+            unreachable!("a streamed buffer writes its own words")
         };
-        spare.clear();
-        Some(spare)
+        stream.push(&window);
+        buf.tail_flops = buf.tail_flops.map(|i| i + stream.gone);
+        buf.limit = usize::MAX;
+        buf.words = stream.finish(self);
+        window.clear();
+        window
+    }
+
+    /// Words run-encoded so far: every word of an array no candidate held.
+    pub fn encoded_words(&self) -> usize {
+        self.encoded
+    }
+
+    /// The array kept earlier with `kept`'s words, or `kept` from now on.
+    fn share(&mut self, kept: Kept) -> Arc<Kept> {
+        let bucket = self.kept.entry(sampled_key(&kept.stored)).or_default();
+        if let Some(same) = bucket.iter().find(|k| k.stored == kept.stored) {
+            return Arc::clone(same);
+        }
+        let kept = Arc::new(kept);
+        bucket.push(Arc::clone(&kept));
+        kept
     }
 }
 
@@ -555,11 +737,6 @@ impl<'a> OpIter<'a> {
             i: 0,
             x: [0; op::RUN_CAP],
         }
-    }
-
-    /// The words being read.
-    fn segment(&self) -> &[u32] {
-        self.cursor.segment(self.stored, &self.x)
     }
 
     /// Decode the next op: it and where its words lie in `segment()`.
@@ -954,6 +1131,15 @@ mod tests {
         assert_ne!(h(&a), h(&b));
     }
 
+    /// `buf`'s ops written into `table` and kept, as a build keeps a
+    /// thread's.
+    fn kept(table: &mut WordTable, buf: &TraceBuf) -> TraceBuf {
+        let mut kept = table.open(Vec::new(), std::iter::empty());
+        buf.iter().for_each(|op| kept.push(op));
+        table.close(&mut kept);
+        kept
+    }
+
     #[test]
     fn kept_buffers_share_equal_words_and_copy_them_to_write() {
         let emit = || {
@@ -964,15 +1150,10 @@ mod tests {
             b
         };
         let mut table = WordTable::default();
-        let (mut a, mut b) = (emit(), emit());
-        for buf in [&mut a, &mut b] {
-            let spare = table.keep(buf).expect("each hands its buffer back");
-            assert!(spare.is_empty() && spare.words().is_empty());
-        }
+        let (a, b) = (kept(&mut table, &emit()), kept(&mut table, &emit()));
         assert_eq!(a.words().as_ptr(), b.words().as_ptr());
-        assert!(table.keep(&mut a).is_none(), "kept already");
-        let mut empty = TraceBuf::new();
-        assert!(table.keep(&mut empty).is_some(), "no words, no array");
+        let empty = kept(&mut table, &TraceBuf::new());
+        assert!(empty.words().is_empty(), "no words, no array");
         // A clone of a kept buffer written to copies the words first.
         let mut c = b.clone();
         c.flops(1);
@@ -985,6 +1166,85 @@ mod tests {
             Op::Store { addr: 0x1040 },
         ];
         assert_eq!(c.to_ops(), want);
+    }
+
+    #[test]
+    fn a_streamed_buffer_keeps_the_words_a_plain_one_holds() {
+        // Many windows of words: wide stores, `Flops` coalescing across
+        // the window's edge, a block whose body passes u16::MAX uops before
+        // the next block, and a trailing `Flops` op at the close.
+        let emit = |buf: &mut TraceBuf, last: u32| {
+            for i in 0..3000u64 {
+                buf.block(1, 2);
+                buf.load(0x4000_0000 + i * 64);
+                buf.flops(1);
+                buf.flops(2);
+                if i % 7 == 0 {
+                    buf.store((1 << 40) + i * 64);
+                }
+                buf.branch(1, i + 1 < 3000);
+            }
+            buf.block(2, 3);
+            for i in 0..70_000u64 {
+                buf.load(0x4800_0000 + i * 8);
+            }
+            buf.flops(last);
+        };
+        let mut table = WordTable::default();
+        let plain = |last: u32| {
+            let mut buf = TraceBuf::new();
+            emit(&mut buf, last);
+            buf.seal();
+            buf
+        };
+        let stream = |table: &mut WordTable, candidates: &[&TraceBuf], last: u32| {
+            let mut buf = table.open(Vec::new(), candidates.iter().copied());
+            emit(&mut buf, last);
+            // At most a body of u16::MAX one-word ops waits in the window.
+            let window = table.close(&mut buf);
+            assert!(window.is_empty() && window.capacity() <= 2 * (u16::MAX as usize + WINDOW));
+            buf
+        };
+        let kept = kept(&mut table, &plain(5));
+        let words = kept.ends().0;
+        assert!(words > 20 * WINDOW);
+        // Encoded afresh, the words are the kept array's.
+        let alone = stream(&mut table, &[], 5);
+        assert_eq!(alone.words().as_ptr(), kept.words().as_ptr());
+        assert_eq!(table.encoded_words(), 2 * words);
+        assert_eq!(
+            (alone.len(), alone.instructions()),
+            (kept.len(), kept.instructions())
+        );
+        assert_eq!(alone.to_ops(), plain(5).to_ops());
+        // Followed against the kept array, they encode nothing.
+        let repeat = stream(&mut table, &[&kept, &alone], 5);
+        assert_eq!(repeat.words().as_ptr(), kept.words().as_ptr());
+        assert_eq!(table.encoded_words(), 2 * words);
+        // One word apart at the very end: every word is encoded, the ones
+        // before read back from the array they followed.
+        let apart = stream(&mut table, &[&kept], 6);
+        assert_ne!(apart.words().as_ptr(), kept.words().as_ptr());
+        assert_eq!(table.encoded_words(), 3 * words);
+        assert_eq!(apart, plain(6));
+        assert_eq!(apart.to_ops(), plain(6).to_ops());
+        // A strict prefix (no trailing `Flops` op): read back whole.
+        let prefix = stream(&mut table, &[&kept], 0);
+        assert_eq!(table.encoded_words(), 4 * words - 1);
+        assert_eq!(prefix, plain(0));
+        // A stream that stops short of its candidate's words, and differs.
+        let short = |buf: &mut TraceBuf| {
+            buf.block(1, 2);
+            buf.load(0x4000_0000);
+            buf.seal();
+        };
+        let mut streamed = table.open(Vec::new(), [&kept]);
+        short(&mut streamed);
+        table.close(&mut streamed);
+        assert_eq!(table.encoded_words(), 4 * words - 1 + 3);
+        let mut want = TraceBuf::new();
+        short(&mut want);
+        assert_eq!(streamed, want);
     }
 
     #[test]
@@ -1084,13 +1344,29 @@ mod tests {
         assert_eq!(s.memory_ops(), 3);
     }
 
+    /// Run-encode the words of `chunks`, pushed one chunk at a time: the
+    /// stored words and the index of the run words among them.
+    fn encode(chunks: &[&[u32]]) -> (Vec<u32>, Vec<u32>) {
+        let mut encoder = op::RunEncoder::default();
+        for chunk in chunks {
+            encoder.push(chunk);
+        }
+        encoder.finish()
+    }
+
     /// Run-encode `raw`: the stored words and the `(count, period)` of each
     /// run word, after checking the words decode back to `raw` and that
     /// each run starts and ends on an op boundary of `raw`.
     fn encoded(raw: &[u32]) -> (Vec<u32>, Vec<(usize, usize)>) {
-        let (mut stored, mut runs) = (Vec::new(), Vec::new());
-        op::encode_runs(raw, &mut stored, &mut runs);
-        assert_eq!(decode(&stored), raw, "decodes to what was encoded");
+        let (stored, runs) = encode(&[raw]);
+        let kept = Kept {
+            stored: stored.as_slice().into(),
+            runs: runs.as_slice().into(),
+            ends: ends_of(raw),
+        };
+        let mut decoded = Vec::new();
+        kept.decode(usize::MAX, |w| decoded.extend_from_slice(w));
+        assert_eq!(decoded, raw, "decodes to what was encoded");
         assert!(op::decodes_to(&stored, &runs, raw));
         let mut bounds = vec![false; raw.len() + 1];
         let mut i = 0;
@@ -1187,8 +1463,7 @@ mod tests {
             2 * 32 + 2,
             "two passes of history, two run words"
         );
-        let mut kept = buf.clone();
-        WordTable::default().keep(&mut kept);
+        let kept = kept(&mut WordTable::default(), &buf);
         assert_eq!(kept.to_ops(), buf.to_ops());
         assert_eq!(kept.packed_bytes(), (stored.len() + runs.len()) * 4);
     }
@@ -1284,10 +1559,36 @@ mod tests {
                 if !raw.is_empty() {
                     let mut changed = raw.to_vec();
                     changed[flip % raw.len()] ^= 1;
-                    let (mut again, mut runs) = (Vec::new(), Vec::new());
-                    op::encode_runs(raw, &mut again, &mut runs);
+                    let (again, runs) = encode(&[raw]);
                     prop_assert!(!op::decodes_to(&again, &runs, &changed));
                 }
+            }
+
+            /// The encoding does not depend on how the words come: pushed
+            /// in chunks of arbitrary sizes — one word at a time, chunks
+            /// that split a wide op or a block, a finish while a run is
+            /// still open — the encoder stores the same words and run
+            /// index as from one push of them all.
+            #[test]
+            fn chunked_pushes_encode_as_one_push(
+                ops in arb_loop(),
+                sizes in proptest::collection::vec(1usize..40, 1..8),
+                one_at_a_time in proptest::bool::ANY,
+            ) {
+                let buf: TraceBuf = ops.iter().copied().collect();
+                let raw = buf.words();
+                let sizes = if one_at_a_time { vec![1] } else { sizes };
+                let mut chunks = Vec::new();
+                let mut rest = raw;
+                for &size in sizes.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                    chunks.push(chunk);
+                    rest = tail;
+                }
+                prop_assert_eq!(encode(&chunks), encode(&[raw]));
             }
 
             /// A kept, run-encoded buffer equals the buffer it was kept
@@ -1296,8 +1597,7 @@ mod tests {
             #[test]
             fn a_kept_buffer_equals_its_raw_twin(ops in arb_loop()) {
                 let raw: TraceBuf = ops.iter().copied().collect();
-                let mut kept = raw.clone();
-                WordTable::default().keep(&mut kept);
+                let kept = kept(&mut WordTable::default(), &raw);
                 prop_assert_eq!(&kept, &raw);
                 prop_assert_eq!(&raw, &kept);
                 prop_assert_eq!(hash_of(&kept), hash_of(&raw));
@@ -1384,20 +1684,20 @@ mod tests {
             }
 
             /// The count kept while emitting is the decoded sum, whatever
-            /// mix of emitters built the buffer — `block` backfills, a
-            /// recycled buffer starts from zero.
+            /// mix of emitters built the buffer — `block` backfills — and
+            /// whether a build streamed its words or not.
             #[test]
             fn instructions_are_the_decoded_sum(
                 ops in proptest::collection::vec(arb_op(), 0..200),
                 blocks in proptest::collection::vec((0u32..=u32::MAX, 0u16..=u16::MAX), 0..20),
-                recycle in proptest::bool::ANY,
+                streamed in proptest::bool::ANY,
             ) {
-                let mut buf = TraceBuf::new();
-                if recycle {
-                    buf.flops(7);
-                    buf.block(1, 2);
-                    buf.clear();
-                }
+                let mut table = WordTable::default();
+                let mut buf = if streamed {
+                    table.open(Vec::new(), std::iter::empty())
+                } else {
+                    TraceBuf::new()
+                };
                 for (k, &op) in ops.iter().enumerate() {
                     if let Some(&(bb, uops)) = blocks.get(k % 10) {
                         buf.block(bb, uops);
@@ -1411,7 +1711,11 @@ mod tests {
                         Op::Block { .. } => buf.push(op),
                     }
                 }
-                buf.seal();
+                if streamed {
+                    table.close(&mut buf);
+                } else {
+                    buf.seal();
+                }
                 let decoded: u64 = buf.iter().map(|o| o.uops()).sum();
                 prop_assert_eq!(buf.instructions(), decoded);
                 let region = RegionTrace::new(vec![buf.clone(), buf]);

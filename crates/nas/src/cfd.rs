@@ -81,6 +81,19 @@ impl Grid {
 
 /// Native (untraced) application of M: out = u + σ(6u − Σnb) + ε·Ĉu.
 pub fn apply_m_native(g: &Grid, u: &[f64], out: &mut [f64]) {
+    each_m_native(g, u, |id, m| out[id] = m);
+}
+
+/// Native residual norm ‖f − M·u‖₂, summed in index order without
+/// holding M·u.
+pub fn residual_norm_native(g: &Grid, u: &[f64], f: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    each_m_native(g, u, |id, m| sum += (f[id] - m) * (f[id] - m));
+    sum.sqrt()
+}
+
+/// Every value of M·u with its index, in index order.
+fn each_m_native(g: &Grid, u: &[f64], mut value: impl FnMut(usize, f64)) {
     let n = g.n;
     for k in 0..n {
         for j in 0..n {
@@ -97,22 +110,11 @@ pub fn apply_m_native(g: &Grid, u: &[f64], out: &mut [f64]) {
                     for c2 in 0..NC {
                         couple += COUPLE[c][c2] * u[g.at(c2, i, j, k)];
                     }
-                    out[id] = u[id] + SIGMA * (6.0 * u[id] - nb) + EPS * couple;
+                    value(id, u[id] + SIGMA * (6.0 * u[id] - nb) + EPS * couple);
                 }
             }
         }
     }
-}
-
-/// Native residual norm ‖f − M·u‖₂.
-pub fn residual_norm_native(g: &Grid, u: &[f64], f: &[f64]) -> f64 {
-    let mut mu = vec![0.0; g.values()];
-    apply_m_native(g, u, &mut mu);
-    f.iter()
-        .zip(mu.iter())
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Traced residual: r = f − M·u, parallel over k-planes.

@@ -38,13 +38,18 @@ pub struct Csr {
 impl Csr {
     /// y = A·x (native, untraced).
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.n {
-            let mut s = 0.0;
-            for j in self.rowptr[i] as usize..self.rowptr[i + 1] as usize {
-                s += self.values[j] * x[self.colidx[j] as usize];
-            }
-            y[i] = s;
+        spmv(&self.rowptr, &self.colidx, &self.values, x, y);
+    }
+}
+
+/// y = A·x over A's CSR arrays (native, untraced).
+fn spmv(rowptr: &[u32], colidx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
+    for (i, y) in y.iter_mut().enumerate() {
+        let mut s = 0.0;
+        for j in rowptr[i] as usize..rowptr[i + 1] as usize {
+            s += values[j] * x[colidx[j] as usize];
         }
+        *y = s;
     }
 }
 
@@ -119,6 +124,8 @@ impl NasKernel for Cg {
         rowptr.as_mut_slice().copy_from_slice(&m.rowptr);
         colidx.as_mut_slice().copy_from_slice(&m.colidx);
         values.as_mut_slice().copy_from_slice(&m.values);
+        // The arena holds the matrix from here on.
+        drop(m);
 
         let mut x = arena.alloc::<f64>("cg.x", n); // solution (starts 0)
         let mut r = arena.alloc_with::<f64>("cg.r", n, 1.0); // residual = b = 1
@@ -213,7 +220,8 @@ impl NasKernel for Cg {
         // Verify: the true residual ‖b − A·x‖ matches the recurrence and
         // has dropped substantially (dominant SPD ⇒ fast convergence).
         let mut ax = vec![0.0; n];
-        m.spmv(x.as_slice(), &mut ax);
+        let (a, ja, ia) = (values.as_slice(), colidx.as_slice(), rowptr.as_slice());
+        spmv(ia, ja, a, x.as_slice(), &mut ax);
         let true_res: f64 = ax
             .iter()
             .map(|&v| (1.0 - v) * (1.0 - v))
