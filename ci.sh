@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, full test suite, lints, the engine identity tests
-# by name with the memo table on and off, the daemon smokes, and paxbench's
+# by name, the daemon smokes, and paxbench's
 # golden fingerprints. It holds no committed performance number: a
 # performance claim is a paired parent-vs-change paxbench run (benchmark/).
 set -euo pipefail
@@ -12,22 +12,29 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
-# The suite above ran these tests too; here each runs by its exact name and
-# must be the one test that ran, so a rename or a filter cannot silently
-# drop it. Usage: by_name TEST CARGO-TEST-ARGS...
-by_name() {
-    local name=$1 out
+# The suite above ran these tests too; here they run again by name, and
+# exactly COUNT must have run, so a rename or a filter cannot silently drop
+# one. Usage: must_run COUNT CARGO-TEST-ARGS -- FILTER...
+must_run() {
+    local count=$1 out
     shift
-    out=$(cargo test -q "$@" -- --exact "$name" 2>&1) || {
+    out=$(cargo test -q "$@" 2>&1) || {
         echo "$out"
         exit 1
     }
-    echo "$out" | grep -q "test result: ok. 1 passed" || {
-        echo "$name did not run:"
+    echo "$out" | grep -q "test result: ok. $count passed" || {
+        echo "${*: -1} did not run $count tests:"
         echo "$out"
         exit 1
     }
-    echo "$name: 1 test ran by name"
+    echo "${*: -1}: $count passed"
+}
+
+# One test by its exact name. Usage: by_name TEST CARGO-TEST-ARGS...
+by_name() {
+    local name=$1
+    shift
+    must_run 1 "$@" -- --exact "$name"
 }
 
 echo "== content-hash golden digests (run by name) =="
@@ -75,27 +82,14 @@ by_name team::tests::threads_with_equal_words_at_different_bases_hold_one_array 
 by_name protocol::tests::a_long_string_parses_in_linear_time -p paxsim-serve --lib
 by_name tests::strings_decode_across_run_edges -p serde_json --lib
 
-echo "== engine identity vs the reference (run by name, memo on and off) =="
+echo "== engine identity vs the reference (run by name) =="
 # The four tests of `differential` that pin the fast engine to the
 # reference — all Table 1 configs jittered and quiet, every kernel on one
 # context under jitter, the multiprogrammed pairs — are the four whose
-# names contain `reference`, and all four must have run: with the table
-# consulted at every boundary, and with PAXSIM_DISABLE_MEMO=1 on the plain
-# fast path, the only pass that builds the machine up front for a one-job
-# run. (The tests that assert memo *behaviour* do not match the filter and
-# stay out of the off pass.)
-for MEMO_ENV in PAXSIM_DISABLE_MEMO=0 PAXSIM_DISABLE_MEMO=1; do
-    IDENT=$(env "$MEMO_ENV" cargo test -q -p paxsim-core --release --test differential -- reference 2>&1) || {
-        echo "$IDENT"
-        exit 1
-    }
-    echo "$IDENT" | grep -q "test result: ok. 4 passed" || {
-        echo "the four *reference* identity tests did not all run ($MEMO_ENV):"
-        echo "$IDENT"
-        exit 1
-    }
-    echo "$MEMO_ENV: 4 passed"
-done
+# names contain `reference`, and all four must have run. Each holds the
+# fast engine with the process-default memo, consulted at every boundary,
+# and with no memo, the plain fast path, to one reference run.
+must_run 4 -p paxsim-core --release --test differential -- reference
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -444,10 +438,11 @@ echo "== paxbench golden fingerprints (all five workloads, quick) =="
 echo "== retired harness names stay retired =="
 # paxbench is the only performance harness. The two it replaced, their
 # data files and their environment variable must not come back, and
-# neither may a process-wide fault plan or the lock that serialized it
-# (history in CHANGES.md / ROADMAP.md, and benchmark/'s own prose,
-# excepted). The one-letter brackets keep this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv' \
+# neither may a process-wide fault plan or the lock that serialized it,
+# nor the region memo's process-wide budget hook and off switch (history
+# in CHANGES.md / ROADMAP.md, and benchmark/'s own prose, excepted). The
+# one-letter brackets keep this line from matching itself.
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired benchmark name reappeared (see above)"
     exit 1

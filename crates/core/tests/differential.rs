@@ -7,27 +7,15 @@
 //! fails here before it can skew a single figure.
 
 use paxsim_core::configs::{all_configs, serial};
-use paxsim_core::store::{TraceKey, TraceStore};
+use paxsim_core::store::TraceStore;
 use paxsim_machine::engine::machines_built;
 use paxsim_machine::prelude::*;
 use paxsim_nas::{all_kernels, Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 use std::sync::Arc;
 
-fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
-    assert_eq!(fast.wall_cycles, slow.wall_cycles, "{what}: wall cycles");
-    assert_eq!(fast.total, slow.total, "{what}: machine-wide counters");
-    assert_eq!(fast.jobs.len(), slow.jobs.len());
-    for (f, s) in fast.jobs.iter().zip(slow.jobs.iter()) {
-        assert_eq!(f.cycles, s.cycles, "{what}/{}: job cycles", f.name);
-        assert_eq!(f.counters, s.counters, "{what}/{}: job counters", f.name);
-        assert_eq!(f.regions.len(), s.regions.len());
-        for (fr, sr) in f.regions.iter().zip(s.regions.iter()) {
-            assert_eq!(fr.end, sr.end, "{what}/{}: region end", fr.label);
-            assert_eq!(fr.cycles, sr.cycles, "{what}/{}: region cycles", fr.label);
-        }
-    }
-}
+mod common;
+use common::{assert_outcomes_identical, class_t, fast_matches_reference};
 
 /// What the fast path and the packed trace are *for*, at the same points
 /// the identity tests visit: the event scheduler dispatched and jumped
@@ -101,19 +89,12 @@ fn fast_engine_matches_reference_on_all_table1_configs() {
     let store = TraceStore::new();
     for bench in [KernelId::Ep, KernelId::Cg] {
         for config in all_configs() {
-            let trace = store.get(TraceKey {
-                kernel: bench,
-                class: Class::T,
-                nthreads: config.threads,
-                schedule: Schedule::Static,
-            });
+            let trace = class_t(&store, bench, config.threads);
             let spec = || {
                 vec![JobSpec::pinned(trace.clone(), config.contexts.clone()).with_jitter(250, 42)]
             };
-            let fast = simulate(&machine, spec());
-            let slow = simulate_reference(&machine, spec());
             let what = format!("{bench}/{}", config.name);
-            assert_outcomes_identical(&fast, &slow, &what);
+            let fast = fast_matches_reference(&machine, spec, &what);
             assert_skips_and_packs(&fast, &trace, bench, &what);
         }
     }
@@ -123,31 +104,23 @@ fn fast_engine_matches_reference_on_all_table1_configs() {
 /// from is the barrier-release state aged by the jitter offset — so every
 /// kernel runs `Serial` against the reference at an offset shorter than
 /// anything a barrier leaves in flight, a middling one, and the studies'
-/// own; and the table must actually have been consulted at every boundary,
-/// or this proves nothing about ageing. (`ci.sh` runs it by name.)
+/// own; and the memoized run must actually have consulted its memo at
+/// every boundary, or this proves nothing about ageing (the run without a
+/// memo is held to identity only). (`ci.sh` runs it by name.)
 #[test]
 fn single_context_jittered_runs_match_reference() {
     let machine = MachineConfig::paxville_smp();
     let store = TraceStore::new();
-    // Identity holds either way; the table is only there to ask when on.
-    let memo_on = std::env::var_os("PAXSIM_DISABLE_MEMO").is_none_or(|v| v == "0");
     for bench in all_kernels() {
-        let trace = store.get(TraceKey {
-            kernel: bench,
-            class: Class::T,
-            nthreads: 1,
-            schedule: Schedule::Static,
-        });
+        let trace = class_t(&store, bench, 1);
         for jitter in [1, 250, 2_000] {
             let spec =
                 || vec![JobSpec::pinned(trace.clone(), serial().contexts).with_jitter(jitter, 42)];
-            let fast = simulate(&machine, spec());
-            let slow = simulate_reference(&machine, spec());
-            assert_outcomes_identical(&fast, &slow, &format!("{bench}/Serial/jitter{jitter}"));
-            let m = fast.memo;
+            let what = format!("{bench}/Serial/jitter{jitter}");
+            let m = fast_matches_reference(&machine, spec, &what).memo;
             assert!(
-                !memo_on || (m.probes > 0 && m.probes == m.regions),
-                "{bench}/Serial/jitter{jitter} was not probed: {m:?}"
+                m.probes > 0 && m.probes == m.regions,
+                "{what} was not probed: {m:?}"
             );
         }
     }
@@ -163,17 +136,10 @@ fn memoizing_engine_matches_reference_on_all_table1_configs() {
     let store = TraceStore::new();
     for bench in [KernelId::Ep, KernelId::Cg] {
         for config in all_configs() {
-            let trace = store.get(TraceKey {
-                kernel: bench,
-                class: Class::T,
-                nthreads: config.threads,
-                schedule: Schedule::Static,
-            });
+            let trace = class_t(&store, bench, config.threads);
             let spec = || vec![JobSpec::pinned(trace.clone(), config.contexts.clone())];
-            let fast = simulate(&machine, spec());
-            let slow = simulate_reference(&machine, spec());
             let what = format!("quiet {bench}/{}", config.name);
-            assert_outcomes_identical(&fast, &slow, &what);
+            let fast = fast_matches_reference(&machine, spec, &what);
             assert_skips_and_packs(&fast, &trace, bench, &what);
         }
     }
@@ -190,12 +156,7 @@ fn memoization_fires_on_iterative_cg() {
         .into_iter()
         .find(|c| c.threads >= 4)
         .expect("a 4-context configuration exists");
-    let trace = store.get(TraceKey {
-        kernel: KernelId::Cg,
-        class: Class::T,
-        nthreads: config.threads,
-        schedule: Schedule::Static,
-    });
+    let trace = class_t(&store, KernelId::Cg, config.threads);
     let spec = || vec![JobSpec::pinned(trace.clone(), config.contexts.clone())];
     let out = simulate(&machine, spec());
     assert!(out.memo.probes > 0, "quiet single-job run must probe");
@@ -223,12 +184,7 @@ fn memoization_fires_on_iterative_cg() {
 #[test]
 fn never_seen_jitter_replays_serial_cg_without_a_machine() {
     let machine = MachineConfig::paxville_smp();
-    let trace = TraceStore::new().get(TraceKey {
-        kernel: KernelId::Cg,
-        class: Class::T,
-        nthreads: 1,
-        schedule: Schedule::Static,
-    });
+    let trace = class_t(&TraceStore::new(), KernelId::Cg, 1);
     for (jitter, seed) in [(0, 0), (2_000, 1), (2_000, 2), (1_777, 2)] {
         let spec =
             || vec![JobSpec::pinned(trace.clone(), serial().contexts).with_jitter(jitter, seed)];
@@ -257,14 +213,7 @@ fn fast_engine_matches_reference_multiprogrammed() {
         .expect("a 4-context configuration exists");
     let per = config.threads / 2;
     let placements = split_jobs(&config.contexts, 2, PlacementPolicy::Spread);
-    let traces = [KernelId::Cg, KernelId::Ft].map(|k| {
-        store.get(TraceKey {
-            kernel: k,
-            class: Class::T,
-            nthreads: per,
-            schedule: Schedule::Static,
-        })
-    });
+    let traces = [KernelId::Cg, KernelId::Ft].map(|k| class_t(&store, k, per));
     let specs = || {
         (0..2)
             .map(|j| {
@@ -272,7 +221,62 @@ fn fast_engine_matches_reference_multiprogrammed() {
             })
             .collect::<Vec<_>>()
     };
-    let fast = simulate(&machine, specs());
-    let slow = simulate_reference(&machine, specs());
-    assert_outcomes_identical(&fast, &slow, &format!("CG+FT on {}", config.name));
+    fast_matches_reference(&machine, specs, &format!("CG+FT on {}", config.name));
+}
+
+/// A memo's byte budget, shrunk to a few snapshots: eviction may only cost
+/// hits, never change a result, and the memo never outgrows its budget
+/// while distinct traces — and, on `Serial`, jittered runs of them with
+/// their aged snapshots — keep arriving. The budget leaves room for about
+/// a dozen class T snapshots: a quiet serial CG run alone interns nine in
+/// about 190 KB — some 20 KB each, most of it the running core's predictor
+/// table, since what snapshots share (the idle cores' tables, the cache
+/// chunks a region left alone) is charged once — and an aged image a
+/// jittered run adds holds its source's chunks.
+#[test]
+fn shrunk_budget_evicts_but_never_changes_a_result() {
+    const BUDGET: usize = 256 << 10;
+    let machine = MachineConfig::paxville_smp();
+    let store = TraceStore::new();
+    let run = |bench, config: &paxsim_core::configs::HwConfig, jitter, seed| {
+        let trace = class_t(&store, bench, config.threads);
+        vec![JobSpec::pinned(trace, config.contexts.clone()).with_jitter(jitter, seed)]
+    };
+    let cg = |config| run(KernelId::Cg, config, 0, 0);
+
+    // Unbounded, a second run replays every region.
+    let roomy = &all_configs()[0];
+    let unbounded = Memo::default();
+    simulate_in(Some(&unbounded), &machine, cg(roomy));
+    let replay = simulate_in(Some(&unbounded), &machine, cg(roomy));
+    assert_eq!(replay.memo.hits, replay.memo.probes);
+
+    let small = Memo::with_budget(BUDGET);
+    let mut hits = 0;
+    for bench in [KernelId::Ep, KernelId::Cg] {
+        for config in all_configs() {
+            // Quiet twice; one context is memoized under jitter too.
+            let jittered: &[(u64, u64)] = if config.threads == 1 {
+                &[(2_000, 1), (2_000, 2), (1, 3)]
+            } else {
+                &[]
+            };
+            for &(jitter, seed) in [(0, 0), (0, 0)].iter().chain(jittered) {
+                let what = format!("{bench}/{} jitter {jitter} seed {seed}", config.name);
+                let slow = simulate_reference(&machine, run(bench, &config, jitter, seed));
+                let fast = simulate_in(Some(&small), &machine, run(bench, &config, jitter, seed));
+                assert_eq!(fast.memo.probes, fast.memo.regions, "{what}");
+                assert_outcomes_identical(&fast, &slow, &what);
+                assert!(small.bytes() <= BUDGET, "{what}: {} B held", small.bytes());
+                hits += fast.memo.hits;
+            }
+        }
+    }
+    assert!(small.bytes() > 0);
+
+    // The chain's head was evicted long ago: the same run now has to
+    // re-simulate at least its first regions.
+    let cold = simulate_in(Some(&small), &machine, cg(roomy));
+    assert!(cold.memo.hits < cold.memo.probes, "{:?}", cold.memo);
+    assert!(hits > 0, "a small memo still answers some probes");
 }

@@ -9,31 +9,19 @@
 use std::sync::{Mutex, MutexGuard};
 
 use paxsim_core::configs::all_configs;
-use paxsim_core::store::{TraceKey, TraceStore};
+use paxsim_core::store::TraceStore;
 use paxsim_machine::prelude::*;
-use paxsim_nas::{Class, KernelId};
-use paxsim_omp::schedule::Schedule;
+use paxsim_nas::KernelId;
+
+#[allow(dead_code)] // the identity tests' `fast_matches_reference` is not used here
+mod common;
+use common::{assert_outcomes_identical, class_t};
 
 /// `paxsim_obs::set_enabled` is process-global; serialize the tests that
 /// flip it.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn assert_outcomes_identical(on: &SimOutcome, off: &SimOutcome, what: &str) {
-    assert_eq!(on.wall_cycles, off.wall_cycles, "{what}: wall cycles");
-    assert_eq!(on.total, off.total, "{what}: machine-wide counters");
-    assert_eq!(on.jobs.len(), off.jobs.len());
-    for (a, b) in on.jobs.iter().zip(off.jobs.iter()) {
-        assert_eq!(a.cycles, b.cycles, "{what}/{}: job cycles", a.name);
-        assert_eq!(a.counters, b.counters, "{what}/{}: job counters", a.name);
-        assert_eq!(a.regions.len(), b.regions.len());
-        for (ar, br) in a.regions.iter().zip(b.regions.iter()) {
-            assert_eq!(ar.end, br.end, "{what}/{}: region end", ar.label);
-            assert_eq!(ar.cycles, br.cycles, "{what}/{}: region cycles", ar.label);
-        }
-    }
 }
 
 /// Every Table 1 configuration × two kernels with opposite characters,
@@ -46,12 +34,7 @@ fn sim_outcome_is_bit_identical_with_obs_enabled() {
     let store = TraceStore::new();
     for bench in [KernelId::Ep, KernelId::Cg] {
         for config in all_configs() {
-            let trace = store.get(TraceKey {
-                kernel: bench,
-                class: Class::T,
-                nthreads: config.threads,
-                schedule: Schedule::Static,
-            });
+            let trace = class_t(&store, bench, config.threads);
             let what = format!("{bench}/{}", config.name);
             // Jittered fast path, quiet (memoizing) fast path, reference.
             for (tag, jitter, reference) in [
@@ -93,12 +76,7 @@ fn enabled_runs_record_profile_rows_and_metrics() {
         .into_iter()
         .find(|c| c.threads == 2)
         .expect("Table 1 has a 2-thread configuration");
-    let trace = store.get(TraceKey {
-        kernel: KernelId::Cg,
-        class: Class::T,
-        nthreads: config.threads,
-        schedule: Schedule::Static,
-    });
+    let trace = class_t(&store, KernelId::Cg, config.threads);
     paxsim_obs::set_enabled(true);
     let runs_before = paxsim_machine::profile::take_last_run(); // drain
     drop(runs_before);

@@ -8,34 +8,16 @@
 use paxsim_core::configs::quad_core_configs;
 use paxsim_core::prelude::*;
 use paxsim_machine::prelude::*;
-use paxsim_nas::{Class, KernelId};
-use paxsim_omp::schedule::Schedule;
+use paxsim_nas::KernelId;
 
-fn assert_outcomes_identical(fast: &SimOutcome, slow: &SimOutcome, what: &str) {
-    assert_eq!(fast.wall_cycles, slow.wall_cycles, "{what}: wall cycles");
-    assert_eq!(fast.total, slow.total, "{what}: machine-wide counters");
-    assert_eq!(fast.jobs.len(), slow.jobs.len());
-    for (f, s) in fast.jobs.iter().zip(slow.jobs.iter()) {
-        assert_eq!(f.cycles, s.cycles, "{what}/{}: job cycles", f.name);
-        assert_eq!(f.counters, s.counters, "{what}/{}: job counters", f.name);
-        assert_eq!(f.regions.len(), s.regions.len());
-        for (fr, sr) in f.regions.iter().zip(s.regions.iter()) {
-            assert_eq!(fr.end, sr.end, "{what}/{}: region end", fr.label);
-            assert_eq!(fr.cycles, sr.cycles, "{what}/{}: region cycles", fr.label);
-        }
-    }
-}
+mod common;
+use common::{class_t, fast_matches_reference};
 
 fn differential_sweep(machine: &MachineConfig, configs: &[HwConfig], tag: &str) {
     let store = TraceStore::new();
     for bench in [KernelId::Ep, KernelId::Cg] {
         for config in configs {
-            let trace = store.get(TraceKey {
-                kernel: bench,
-                class: Class::T,
-                nthreads: config.threads,
-                schedule: Schedule::Static,
-            });
+            let trace = class_t(&store, bench, config.threads);
             // 1 is shorter than anything a barrier leaves in flight — in the
             // L3 too, where the machine has one — so a one-context run ages
             // its snapshots without settling them.
@@ -48,10 +30,8 @@ fn differential_sweep(machine: &MachineConfig, configs: &[HwConfig], tag: &str) 
                         s
                     }]
                 };
-                let fast = simulate(machine, spec());
-                let slow = simulate_reference(machine, spec());
                 let what = format!("{tag}/{bench}/{}/jitter{jitter}", config.name);
-                assert_outcomes_identical(&fast, &slow, &what);
+                let fast = fast_matches_reference(machine, spec, &what);
                 // One context (or no jitter) is the memoized path.
                 let memoized = jitter == 0 || config.threads == 1;
                 let probes = if memoized { fast.memo.regions } else { 0 };
@@ -83,12 +63,7 @@ fn broadwell_l3_fast_engine_matches_reference() {
     // proves nothing about the new tier.
     let store = TraceStore::new();
     let config = &quad_core_configs()[1];
-    let trace = store.get(TraceKey {
-        kernel: KernelId::Cg,
-        class: Class::T,
-        nthreads: config.threads,
-        schedule: Schedule::Static,
-    });
+    let trace = class_t(&store, KernelId::Cg, config.threads);
     let out = simulate(
         &machine,
         vec![JobSpec::pinned(trace, config.contexts.clone())],

@@ -379,7 +379,7 @@ impl SetAssocCanon {
 mod tests {
     use super::*;
     use crate::config::CacheGeometry;
-    use crate::memo::Pool;
+    use crate::memo::{Meter, Pool};
 
     fn tiny() -> SetAssoc {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -498,9 +498,10 @@ mod tests {
         assert!(late.settled() && late == late.aged(7));
     }
 
-    /// `canon` with its chunks swapped for the ones `pool` interned.
-    fn interned(pool: &mut Pool<Chunk<u64>>, mut c: SetAssocCanon) -> SetAssocCanon {
-        c.chunks_mut().for_each(|k| pool.intern(k));
+    /// `canon` with its chunks swapped for the ones `pool` interned and
+    /// charged to its meter.
+    fn interned(pool: &mut (Pool<Chunk<u64>>, Meter), mut c: SetAssocCanon) -> SetAssocCanon {
+        c.chunks_mut().for_each(|k| pool.0.intern(k, &pool.1));
         c
     }
 
@@ -515,7 +516,7 @@ mod tests {
 
     #[test]
     fn canons_share_every_chunk_but_the_touched_sets() {
-        let mut pool = Pool::default();
+        let mut pool = Default::default();
         let mut c = filled();
         let before = interned(&mut pool, c.canon(10));
         assert_eq!(before.chunks.len(), 8);
@@ -545,7 +546,7 @@ mod tests {
 
     #[test]
     fn an_aged_canon_shares_all_its_source_chunks() {
-        let mut pool = Pool::default();
+        let mut pool = Default::default();
         let mut c = filled();
         c.install(2_000, false, 500);
         c.install(2_001, true, 420);

@@ -41,7 +41,7 @@ use crate::component::EventScheduler;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::cycles;
-use crate::memo::{self, CoreSnap, MachineSnap, MemoStats};
+use crate::memo::{self, CoreSnap, MachineSnap, Memo, MemoStats};
 use crate::op::{tag_address, unpack_at, Op, RUN_CAP};
 use crate::prefetch::StreamPrefetcher;
 use crate::sim::JobSpec;
@@ -279,21 +279,27 @@ pub(crate) struct EngineOutcome {
 
 /// Run the optimized engine: discrete-event context scheduling (quiescent
 /// structures are skipped entirely), the repeated-reference fast path, and
-/// run-ahead execution of core-local work when the SMT sibling is gone.
-/// Produces counters bit-identical to [`run_reference`] (asserted by
-/// `paxsim-core`'s differential tests).
-pub(crate) fn run(cfg: &MachineConfig, specs: &[JobSpec]) -> EngineOutcome {
-    run_impl(cfg, specs, true)
+/// run-ahead execution of core-local work when the SMT sibling is gone,
+/// and region replay from `memo` when given one. Produces counters
+/// bit-identical to [`run_reference`] (asserted by `paxsim-core`'s
+/// differential tests).
+pub(crate) fn run(cfg: &MachineConfig, specs: &[JobSpec], memo: Option<&Memo>) -> EngineOutcome {
+    run_impl(cfg, specs, true, memo)
 }
 
 /// Run the seed-shaped reference engine: linear least-local-time scan and
 /// full DTLB/L1/L2 lookups on every reference. Kept as the oracle for the
 /// fast path and as the baseline for the throughput benchmark.
 pub(crate) fn run_reference(cfg: &MachineConfig, specs: &[JobSpec]) -> EngineOutcome {
-    run_impl(cfg, specs, false)
+    run_impl(cfg, specs, false, None)
 }
 
-fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome {
+fn run_impl(
+    cfg: &MachineConfig,
+    specs: &[JobSpec],
+    fast: bool,
+    memo: Option<&Memo>,
+) -> EngineOutcome {
     // Region memoization applies to a single job whose whole team starts
     // every region at one common clock, which is what makes a region's
     // evolution a pure function of (trace, machine state) up to a time
@@ -308,11 +314,8 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
     let repeatable = |s: &JobSpec| {
         Arc::strong_count(&s.trace) > 1 || s.trace.regions.iter().any(|r| Arc::strong_count(r) > 1)
     };
-    let memo_on = fast
-        && specs.len() == 1
-        && aligned(&specs[0])
-        && !memo::disabled()
-        && repeatable(&specs[0]);
+    let memo =
+        memo.filter(|_| fast && specs.len() == 1 && aligned(&specs[0]) && repeatable(&specs[0]));
     let topo = Topology::of(cfg);
     let mut ctxs: Vec<Ctx> = Vec::new();
     let mut jobs: Vec<JobState> = Vec::new();
@@ -383,8 +386,9 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
         let starts: Vec<u64> = jobs.iter().map(|j| j.start).collect();
         crate::profile::begin(&starts);
     }
-    if memo_on {
+    if let Some(memo) = memo {
         run_memoized(
+            memo,
             cfg,
             topo,
             tpu,
@@ -471,24 +475,25 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
 /// Fast-path driver with region-boundary memoization (a single quiet job,
 /// or a single one-context job under jitter — see the gate in `run_impl`).
 ///
-/// Every boundary probes the process-wide table in `crate::memo` for an
-/// earlier execution — by this run or any before it — of the same interned
-/// region from the same canonical machine state, and on a hit replays the
-/// recorded deltas instead of re-simulating (the `memo` module argues why
-/// that is exact). Two facts keep snapshots off the steady-state path:
+/// Every boundary probes `memo` (see `crate::memo`) for an earlier
+/// execution — by this run or any before it on that memo — of the same
+/// interned region from the same canonical machine state, and on a hit
+/// replays the recorded deltas instead of re-simulating (the `memo` module
+/// argues why that is exact). Two facts keep snapshots off the
+/// steady-state path:
 ///
 /// * **Chaining** — a hit leaves the machine in the edge's `post` class at
 ///   the release clock, and a recorded miss just computed `canon(machine)`
 ///   as its post-state. `canon` is idempotent, so that interned snapshot
 ///   *is* the next boundary's pre-state: `snapshot()` runs once per miss,
 ///   never per hit. The first boundary chains from the *pristine* snapshot
-///   its run context pins (`memo::run_context`): a machine nothing ran on
+///   its run context pins (`Memo::run_context`): a machine nothing ran on
 ///   has every offset at 0 and every structure empty whatever the clock
 ///   and whoever is placed on it.
 /// * **Ageing** — a jittered context starts its next region some ticks
 ///   after the release, and nothing else runs meanwhile (it is the only
 ///   context), so the pre-state there is `post` aged by that offset
-///   (`memo::aged`): the same pointer when the offset is 0 or `post` has
+///   (`Memo::aged`): the same pointer when the offset is 0 or `post` has
 ///   nothing in flight, otherwise offsets rewritten and one hash — still no
 ///   `snapshot()` and no look at the machine.
 /// * **No machine until a miss** — a hit does not write the machine back,
@@ -499,6 +504,7 @@ fn run_impl(cfg: &MachineConfig, specs: &[JobSpec], fast: bool) -> EngineOutcome
 ///   reads machine state after the final region.)
 #[allow(clippy::too_many_arguments)]
 fn run_memoized(
+    memo: &Memo,
     cfg: &MachineConfig,
     topo: Topology,
     tpu: u64,
@@ -517,7 +523,7 @@ fn run_memoized(
     // context seen for the first time builds it to take its pristine
     // snapshot, and this run — which is about to miss — keeps it.
     let mut m: Option<Machine> = None;
-    let (run, pristine) = memo::run_context(cfg, &placement, || {
+    let (run, pristine) = memo.run_context(cfg, &placement, || {
         snapshot(m.insert(Machine::build(cfg, topo)), 0)
     });
     // canon(machine) at the last release (or of the pristine machine).
@@ -543,14 +549,14 @@ fn run_memoized(
         // Before the first release the machine is pristine since clock 0;
         // nothing is in flight on it, so it ages to itself.
         let released = jobs[0].region_ends.last().copied().unwrap_or(0);
-        let pre = memo::aged(cur, base - released);
+        let pre = memo.aged(cur, base - released);
         let key = memo::Key {
             run,
             region: Arc::as_ptr(&jobs[0].trace.regions[r]) as *const () as usize,
             pre: Arc::as_ptr(&pre) as usize,
             abs_base: (base < cfg.fp_queue).then_some(base),
         };
-        if let Some((post, dt, dcounters)) = memo::probe(&key) {
+        if let Some((post, dt, dcounters)) = memo.probe(&key) {
             stats.hits += 1;
             let release = base + dt;
             // One scheduler event that jumps the whole region: the replay
@@ -578,11 +584,11 @@ fn run_memoized(
         );
         // Not `ctxs[lead].t`: that already carries the next region's jitter.
         let release = *jobs[0].region_ends.last().expect("the region just ended");
-        let post = memo::intern(snapshot(m, release));
+        let post = memo.intern(snapshot(m, release));
         cur = Arc::clone(&post);
         let dcounters = jobs[0].counters.delta(&counters_before);
         let region = &jobs[0].trace.regions[r];
-        memo::record(key, region, pre, post, release - base, dcounters);
+        memo.record(key, region, pre, post, release - base, dcounters);
     }
 }
 
@@ -1600,9 +1606,10 @@ mod tests {
         // two machines differ in one set of each cache.
         let mut longer = ops.clone();
         longer.push(Op::Store { addr: 0xf0_0000 });
+        let memo = Memo::default();
         let snaps = [ops, longer].map(|ops| {
             let (m, now) = warmed(&cfg, ops);
-            memo::intern(snapshot(&m, now))
+            memo.intern(snapshot(&m, now))
         });
         let l2 = |i: usize| &snaps[i].state.cores[0].l2;
         assert!(l2(0).heap_bytes(&mut HashSet::new()) > 8 * 1_024, "warmed");
@@ -1679,14 +1686,15 @@ mod tests {
                 prop_assert_eq!(&young.aged(0), &young);
                 // A settled state is its own aged image, and the interner
                 // hands back the pointer it already holds for it.
-                let settled = memo::intern(young.aged(u64::MAX));
+                let memo = Memo::default();
+                let settled = memo.intern(young.aged(u64::MAX));
                 prop_assert!(settled.state.settled());
                 prop_assert_eq!(&settled.state.aged(j), &settled.state);
-                prop_assert!(Arc::ptr_eq(&memo::aged(settled.clone(), j), &settled));
-                let young = memo::intern(young);
-                prop_assert!(Arc::ptr_eq(&memo::aged(young.clone(), 0), &young));
-                let later = memo::intern(snapshot(&m, t + j));
-                prop_assert!(Arc::ptr_eq(&memo::aged(young, j), &later));
+                prop_assert!(Arc::ptr_eq(&memo.aged(settled.clone(), j), &settled));
+                let young = memo.intern(young);
+                prop_assert!(Arc::ptr_eq(&memo.aged(young.clone(), 0), &young));
+                let later = memo.intern(snapshot(&m, t + j));
+                prop_assert!(Arc::ptr_eq(&memo.aged(young, j), &later));
             }
         }
     }
@@ -1697,9 +1705,10 @@ mod tests {
     #[test]
     fn pristine_snapshot_is_one_pointer_at_any_base_for_any_placement() {
         use Lcpu as L;
+        let memo = Memo::default();
         for cfg in [MachineConfig::paxville_smp(), MachineConfig::broadwell_l3()] {
             let pristine =
-                |base| memo::intern(snapshot(&Machine::build(&cfg, Topology::of(&cfg)), base));
+                |base| memo.intern(snapshot(&Machine::build(&cfg, Topology::of(&cfg)), base));
             let at0 = pristine(0);
             assert!(at0.state.settled());
             assert!(Arc::ptr_eq(&pristine(1), &at0));
@@ -1718,9 +1727,9 @@ mod tests {
         ];
         let cfg = MachineConfig::paxville_smp();
         let fresh = || snapshot(&Machine::build(&cfg, Topology::of(&cfg)), 0);
-        let pinned = table1.map(|placement| memo::run_context(&cfg, placement, fresh).1);
+        let pinned = table1.map(|placement| memo.run_context(&cfg, placement, fresh).1);
         assert!(pinned.iter().all(|p| Arc::ptr_eq(p, &pinned[0])));
-        assert!(Arc::ptr_eq(&pinned[0], &memo::intern(fresh())));
+        assert!(Arc::ptr_eq(&pinned[0], &memo.intern(fresh())));
     }
 
     #[test]

@@ -89,10 +89,10 @@ pub mod prelude {
     pub use crate::component::SchedStats;
     pub use crate::config::MachineConfig;
     pub use crate::counters::{Counters, Metrics};
-    pub use crate::memo::MemoStats;
+    pub use crate::memo::{Memo, MemoStats};
     pub use crate::op::Op;
     pub use crate::sim::{
-        simulate, simulate_reference, JobOutcome, JobSpec, RegionSpan, SimOutcome,
+        simulate, simulate_in, simulate_reference, JobOutcome, JobSpec, RegionSpan, SimOutcome,
     };
     pub use crate::topology::{Lcpu, Topology};
     pub use crate::trace::{ProgramTrace, RegionTrace, TraceBuf};

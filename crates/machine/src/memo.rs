@@ -1,5 +1,7 @@
-//! Region-boundary memoization: one process-wide table of interned
-//! canonical machine snapshots and the region executions between them.
+//! Region-boundary memoization: a [`Memo`] handle holds a table of
+//! interned canonical machine snapshots and the region executions between
+//! them. Clones share one table; `simulate` uses [`PROCESS`], and
+//! `simulate_in` takes any memo or none.
 //!
 //! The simulator is deterministic, so one region of a job whose whole team
 //! starts it at one common clock — a jitter-free job, or a one-context job
@@ -14,27 +16,29 @@
 //! counter deltas of an earlier execution of the same interned region from
 //! the same canonical state.
 //!
-//! * **Interner.** [`intern`] deduplicates snapshots: a 64-bit content
-//!   hash selects a bucket, full `MachineSnap` equality decides. Two live
-//!   `Arc<Snap>`s are thus one pointer exactly when canonically equal, and
-//!   a hit can never be a hash collision. Under the same lock it first
-//!   interns the snapshot's [`Chunk`]s the same way — the lines of each run
-//!   of 64 cache sets, each core's predictor table — so snapshots a region
-//!   changed in a few sets share everything else, and equal chunks compare
-//!   at the pointer. The interner holds `Weak`s, so a snapshot dies with
-//!   its last edge and a chunk with its last snapshot.
-//! * **Edges.** [`record`] stores `(run context, region, pre, base class)
-//!   → (post, Δt, Δcounters)`; [`probe`] is one map lookup under a short
-//!   lock, whichever `simulate()` call recorded the edge. The run context
-//!   is an id for (machine config, team placement). An edge holds its
-//!   region and its `pre`, so neither address in its key can be recycled
-//!   — and pins both; a run whose trace nobody else holds, none of whose
+//! * **Interner.** [`Memo::intern`] deduplicates snapshots: a 64-bit
+//!   content hash selects a bucket, full `MachineSnap` equality decides.
+//!   Two live `Arc<Snap>`s of one memo are thus one pointer exactly when
+//!   canonically equal, and a hit can never be a hash collision. Under the
+//!   same lock it first interns the snapshot's [`Chunk`]s the same way —
+//!   the lines of each run of 64 cache sets, each core's predictor table —
+//!   so snapshots a region changed in a few sets share everything else,
+//!   and equal chunks compare at the pointer. The interner holds `Weak`s,
+//!   so a snapshot dies with its last edge and a chunk with its last
+//!   snapshot.
+//! * **Edges.** [`Memo::record`] stores `(run context, region, pre, base
+//!   class) → (post, Δt, Δcounters)`; [`Memo::probe`] is one map lookup
+//!   under a short lock, whichever `simulate_in` call on the memo recorded
+//!   the edge. The run context is an id for (machine config, team
+//!   placement). An edge holds its region and its `pre`, so neither
+//!   address in its key can be recycled — and pins both until the edge or
+//!   the memo goes; a run whose trace nobody else holds, none of whose
 //!   regions repeats, could never be answered again, so it records none.
-//! * **Run contexts.** [`run_context`] keeps the most recently used few
-//!   and pins, for each, the snapshot of its *pristine* machine — one
+//! * **Run contexts.** [`Memo::run_context`] keeps the most recently used
+//!   few and pins, for each, the snapshot of its *pristine* machine — one
 //!   canonical state whatever the clock and the placement — so a run's
 //!   first boundary has a pre-state without a machine to take it from,
-//!   and a run the table answers in full never builds one.
+//!   and a run the memo answers in full never builds one.
 //! * **Ageing.** A jittered context starts its region `j` ticks after the
 //!   barrier released it. With one context nothing executes anywhere on
 //!   the machine in between, so the state the region starts from is the
@@ -52,24 +56,21 @@
 //!   below `fp_queue` ticks. A boundary with `base < fp_queue` is keyed by
 //!   `Some(base)` and replays only there, untranslated — exact by
 //!   determinism alone. All later boundaries share the key `None`.
-//! * **Byte budget.** `machine.memo.bytes` is the bytes the table holds,
-//!   each shared chunk and predictor table counted once: a chunk is
-//!   charged when the interner first keeps it and gives its bytes back
-//!   when its last holder drops it; a snapshot is charged the rest of what
-//!   it holds — eight bytes for every word the hasher mixes (a vector's
-//!   elements, each padded to the word it is stored in; a chunk, one
-//!   pointer) plus the inline structs. Above `BUDGET` the least recently
-//!   hit edges go, the candidates ordered once per burst. What remains is
-//!   still exact, so eviction can cost future hits but never change a
-//!   result.
-//!
-//! Set `PAXSIM_DISABLE_MEMO=1` to turn memoization off (used by `ci.sh`
-//! for an explicit on-vs-off drift check).
+//! * **Byte budget.** [`Memo::bytes`] is what the memo holds, each shared
+//!   chunk and predictor table counted once: a chunk is charged when the
+//!   interner first keeps it, a snapshot the rest of what it holds — eight
+//!   bytes for every word the hasher mixes (a vector's elements, each
+//!   padded to the word it is stored in; a chunk, one pointer) plus the
+//!   inline structs. Each holds its memo's meter and gives the bytes back
+//!   when its last holder drops it, inside the memo or not. Above the
+//!   budget the least recently hit edges go, the candidates ordered once
+//!   per burst. What remains is still exact, so eviction can cost future
+//!   hits but never change a result.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Weak};
 
 use serde::{Deserialize, Serialize};
 
@@ -105,13 +106,6 @@ impl MemoStats {
             self.hits as f64 / self.probes as f64
         }
     }
-}
-
-/// Is memoization disabled for this process (env `PAXSIM_DISABLE_MEMO`,
-/// read once)?
-pub(crate) fn disabled() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("PAXSIM_DISABLE_MEMO").is_some_and(|v| v != "0"))
 }
 
 /// Canonical replay-relevant state of one core at a region boundary.
@@ -236,34 +230,34 @@ impl MachineSnap {
     }
 }
 
-/// Bytes of all live interned snapshots and chunks, and the budget they
-/// are held to.
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static BUDGET: AtomicUsize = AtomicUsize::new(512 << 20);
+/// Bytes of a memo's live interned snapshots and chunks, held by each of
+/// them so it gives its bytes back wherever it drops.
+pub(crate) type Meter = Arc<AtomicUsize>;
 
-/// An interned snapshot (only [`intern`] makes one).
+/// An interned snapshot (only [`Memo::intern`] makes one).
 pub(crate) struct Snap {
     pub state: MachineSnap,
     bytes: usize,
+    meter: Meter,
 }
 
 impl Drop for Snap {
     fn drop(&mut self) {
-        BYTES.fetch_sub(self.bytes, Relaxed);
+        self.meter.fetch_sub(self.bytes, Relaxed);
     }
 }
 
 /// A run of snapshot state that many snapshots hold at once: the lines of
 /// a fixed run of consecutive cache sets, or a core's predictor table.
-/// [`intern`] keeps one live `Arc` per content and charges it to the meter
-/// once; the last holder to drop it gives the bytes back.
+/// [`Memo::intern`] keeps one live `Arc` per content and charges it to the
+/// memo's meter once; the last holder to drop it gives the bytes back.
 #[derive(Debug)]
 pub(crate) struct Chunk<T> {
     data: Box<[T]>,
     /// Content hash: what a snapshot's hash mixes in place of the data.
     hash: u64,
-    /// Bytes charged to the meter: 0 until interned.
-    charged: usize,
+    /// The meter of the memo that interned it (charged its footprint).
+    meter: Option<Meter>,
 }
 
 impl<T: Hash> Chunk<T> {
@@ -273,7 +267,7 @@ impl<T: Hash> Chunk<T> {
         Arc::new(Self {
             data,
             hash: h.hash,
-            charged: 0,
+            meter: None,
         })
     }
 }
@@ -283,6 +277,12 @@ impl<T> Chunk<T> {
     /// and its data.
     pub(crate) fn footprint(&self) -> usize {
         2 * size_of::<usize>() + size_of::<Self>() + size_of_val(&*self.data)
+    }
+
+    /// Bytes charged to a meter: 0 until interned.
+    #[cfg(test)]
+    fn charged(&self) -> usize {
+        self.meter.as_ref().map_or(0, |_| self.footprint())
     }
 }
 
@@ -309,7 +309,9 @@ impl<T> Hash for Chunk<T> {
 
 impl<T> Drop for Chunk<T> {
     fn drop(&mut self) {
-        BYTES.fetch_sub(self.charged, Relaxed);
+        if let Some(meter) = &self.meter {
+            meter.fetch_sub(self.footprint(), Relaxed);
+        }
     }
 }
 
@@ -350,11 +352,12 @@ impl<T> Pool<T> {
     }
 }
 
-impl<T: Clone + PartialEq> Pool<Chunk<T>> {
+impl<T: Clone + Hash + PartialEq> Pool<Chunk<T>> {
     /// Replace `c` by the live interned chunk equal to it, or intern and
-    /// charge `c` itself when there is none.
-    pub(crate) fn intern(&mut self, c: &mut Arc<Chunk<T>>) {
-        if c.charged != 0 {
+    /// charge `c` itself to `meter` when there is none.
+    pub(crate) fn intern(&mut self, c: &mut Arc<Chunk<T>>, meter: &Meter) {
+        if let Some(m) = &c.meter {
+            debug_assert!(Arc::ptr_eq(m, meter), "a memo interned another's chunk");
             return; // already interned: an aged image shares its source's
         }
         if let Some(p) = self.find(c.hash, |p| *p == **c) {
@@ -364,15 +367,11 @@ impl<T: Clone + PartialEq> Pool<Chunk<T>> {
         if Arc::get_mut(c).is_none() {
             // Shared by a clone of a snapshot nobody interned (tests age
             // one): that copy keeps its own and interns on its own.
-            *c = Arc::new(Chunk {
-                data: c.data.clone(),
-                hash: c.hash,
-                charged: 0,
-            });
+            *c = Chunk::new(c.data.clone());
         }
         let fresh = Arc::get_mut(c).expect("a chunk just made is unshared");
-        fresh.charged = fresh.footprint();
-        BYTES.fetch_add(fresh.charged, Relaxed);
+        fresh.meter = Some(Arc::clone(meter));
+        meter.fetch_add(fresh.footprint(), Relaxed);
         self.insert(c.hash, c);
     }
 }
@@ -463,13 +462,9 @@ struct Table {
     phts: Pool<Chunk<u8>>,
     edges: HashMap<Key, Edge>,
     tick: u64,
-}
-
-fn table() -> MutexGuard<'static, Table> {
-    static TABLE: LazyLock<Mutex<Table>> = LazyLock::new(Mutex::default);
-    // Every update is one whole map operation, so the table is valid even
-    // if a holder panicked.
-    TABLE.lock().unwrap_or_else(|e| e.into_inner())
+    /// What the live snapshots and chunks hold, and the budget for it.
+    meter: Meter,
+    budget: usize,
 }
 
 impl Table {
@@ -488,13 +483,18 @@ impl Table {
     /// for the interned ones first, so equal snapshots compare equal at
     /// the chunk pointers.
     fn intern(&mut self, hash: u64, bytes: usize, mut state: MachineSnap) -> Arc<Snap> {
-        let (lines, phts) = (&mut self.lines, &mut self.phts);
-        state.chunks_mut(|k| lines.intern(k), |k| phts.intern(k));
+        let (lines, phts, meter) = (&mut self.lines, &mut self.phts, &self.meter);
+        state.chunks_mut(|k| lines.intern(k, meter), |k| phts.intern(k, meter));
         if let Some(equal) = self.snaps.find(hash, |p| p.state == state) {
             return equal;
         }
-        BYTES.fetch_add(bytes, Relaxed);
-        let p = Arc::new(Snap { state, bytes });
+        meter.fetch_add(bytes, Relaxed);
+        let meter = Arc::clone(meter);
+        let p = Arc::new(Snap {
+            state,
+            bytes,
+            meter,
+        });
         self.snaps.insert(hash, &p);
         p
     }
@@ -502,8 +502,8 @@ impl Table {
     /// Drop edges, least recently used first, for as long as `over` says
     /// the table is over budget; returns how many went. The candidates are
     /// ordered once, however many go.
-    fn evict(&mut self, mut over: impl FnMut() -> bool) -> u64 {
-        if !over() {
+    fn evict(&mut self, mut over: impl FnMut(&Self) -> bool) -> u64 {
+        if !over(self) {
             return 0;
         }
         let mut lru: Vec<(u64, Key)> = self.edges.iter().map(|(k, e)| (e.used, *k)).collect();
@@ -512,7 +512,7 @@ impl Table {
         for (_, k) in lru {
             self.edges.remove(&k);
             evicted += 1;
-            if !over() {
+            if !over(self) {
                 break;
             }
         }
@@ -523,107 +523,152 @@ impl Table {
     }
 }
 
-/// The id of run context (`cfg`, `placement`) and the interned snapshot of
-/// its pristine machine, which `pristine` takes when the context is new (or
-/// was dropped: beyond `RUN_CAP` the least recently used one goes, with its
-/// pin on the snapshot; its edges can no longer be reached and leave
-/// through the byte budget, oldest first).
-pub(crate) fn run_context(
-    cfg: &MachineConfig,
-    placement: &[Lcpu],
-    pristine: impl FnOnce() -> MachineSnap,
-) -> (u64, Arc<Snap>) {
-    if let Some(known) = table().run(cfg, placement) {
-        return known;
-    }
-    let pristine = intern(pristine()); // takes the lock itself
-    let mut t = table();
-    // A concurrent run may have registered the same context meanwhile.
-    if let Some(known) = t.run(cfg, placement) {
-        return known;
-    }
-    if t.runs.len() == RUN_CAP {
-        t.runs.remove(0);
-    }
-    let id = t.next_run;
-    t.next_run += 1;
-    t.runs.push(RunCtx {
-        id,
-        cfg: cfg.clone(),
-        placement: placement.to_vec(),
-        pristine: Arc::clone(&pristine),
-    });
-    (id, pristine)
-}
+/// A region memo: the table the module docs describe, with its byte meter
+/// and budget. A clone is another handle on the same table; the table and
+/// every edge in it, with the regions the edges pin, go when the last
+/// handle does.
+#[derive(Clone)]
+pub struct Memo(Arc<Mutex<Table>>);
 
-/// The one live `Arc<Snap>` canonically equal to `state`; its chunks are
-/// interned under the same lock.
-pub(crate) fn intern(state: MachineSnap) -> Arc<Snap> {
-    let (hash, bytes) = measure(&state);
-    table().intern(hash, bytes, state)
-}
+/// The process-default memo, the one [`simulate`](crate::sim::simulate)
+/// uses.
+pub static PROCESS: LazyLock<Memo> = LazyLock::new(Memo::default);
 
-/// The interned image of `snap` seen `j` ticks later — `snap` itself when
-/// no time passed or nothing was in flight, so a quiet boundary and a
-/// settled one take no snapshot and hash nothing.
-pub(crate) fn aged(snap: Arc<Snap>, j: u64) -> Arc<Snap> {
-    if j == 0 || snap.state.settled() {
-        snap
-    } else {
-        intern(snap.state.aged(j))
+impl Default for Memo {
+    /// A memo held to 512 MiB.
+    fn default() -> Self {
+        Self::with_budget(512 << 20)
     }
 }
 
-/// The recorded execution under `key`: (post-state, Δt, Δcounters).
-pub(crate) fn probe(key: &Key) -> Option<(Arc<Snap>, u64, Counters)> {
-    let mut t = table();
-    t.tick += 1;
-    let now = t.tick;
-    let e = t.edges.get_mut(key)?;
-    e.used = now;
-    Some((Arc::clone(&e.post), e.dt, e.dcounters))
-}
-
-/// Record that `region`, run from `pre` under `key`, ended in `post` after
-/// `dt` ticks and `dcounters`; then evict down to the byte budget.
-pub(crate) fn record(
-    key: Key,
-    region: &Arc<RegionTrace>,
-    pre: Arc<Snap>,
-    post: Arc<Snap>,
-    dt: u64,
-    dcounters: Counters,
-) {
-    static EVICTIONS: paxsim_obs::LazyCounter =
-        paxsim_obs::LazyCounter::new("machine.memo.evictions");
-    let mut t = table();
-    t.tick += 1;
-    let used = t.tick;
-    // A concurrent run may have recorded the same execution already.
-    t.edges.entry(key).or_insert(Edge {
-        _region: Arc::clone(region),
-        _pre: pre,
-        post,
-        dt,
-        dcounters,
-        used,
-    });
-    let evicted = t.evict(|| BYTES.load(Relaxed) > BUDGET.load(Relaxed));
-    if evicted > 0 {
-        EVICTIONS.add(evicted);
+impl Memo {
+    /// A fresh, empty memo that evicts above `budget` bytes.
+    pub fn with_budget(budget: usize) -> Self {
+        Self(Arc::new(Mutex::new(Table {
+            budget,
+            ..Table::default()
+        })))
     }
-}
 
-/// Refresh the scrape-time gauges
-/// `machine.memo.{bytes,edges,snapshots,chunks}` (chunks: the cache
-/// chunks and predictor tables the live snapshots share).
-pub fn publish_gauges() {
-    let t = table();
-    let chunks = t.lines.live() + t.phts.live();
-    paxsim_obs::gauge("machine.memo.bytes").set(BYTES.load(Relaxed) as f64);
-    paxsim_obs::gauge("machine.memo.edges").set(t.edges.len() as f64);
-    paxsim_obs::gauge("machine.memo.snapshots").set(t.snaps.live() as f64);
-    paxsim_obs::gauge("machine.memo.chunks").set(chunks as f64);
+    /// Bytes of the snapshots and chunks this memo interned that are still
+    /// alive (see the module docs).
+    pub fn bytes(&self) -> usize {
+        self.table().meter.load(Relaxed)
+    }
+
+    fn table(&self) -> MutexGuard<'_, Table> {
+        // Every update is one whole map operation, so the table is valid
+        // even if a holder panicked.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The id of run context (`cfg`, `placement`) and the interned snapshot
+    /// of its pristine machine, which `pristine` takes when the context is
+    /// new (or was dropped: beyond `RUN_CAP` the least recently used one
+    /// goes, with its pin on the snapshot; its edges can no longer be
+    /// reached and leave through the byte budget, oldest first).
+    pub(crate) fn run_context(
+        &self,
+        cfg: &MachineConfig,
+        placement: &[Lcpu],
+        pristine: impl FnOnce() -> MachineSnap,
+    ) -> (u64, Arc<Snap>) {
+        if let Some(known) = self.table().run(cfg, placement) {
+            return known;
+        }
+        let pristine = self.intern(pristine()); // takes the lock itself
+        let mut t = self.table();
+        // A concurrent run may have registered the same context meanwhile.
+        if let Some(known) = t.run(cfg, placement) {
+            return known;
+        }
+        if t.runs.len() == RUN_CAP {
+            t.runs.remove(0);
+        }
+        let id = t.next_run;
+        t.next_run += 1;
+        t.runs.push(RunCtx {
+            id,
+            cfg: cfg.clone(),
+            placement: placement.to_vec(),
+            pristine: Arc::clone(&pristine),
+        });
+        (id, pristine)
+    }
+
+    /// The one live `Arc<Snap>` of this memo canonically equal to `state`;
+    /// its chunks are interned under the same lock.
+    pub(crate) fn intern(&self, state: MachineSnap) -> Arc<Snap> {
+        let (hash, bytes) = measure(&state);
+        self.table().intern(hash, bytes, state)
+    }
+
+    /// The interned image of `snap` seen `j` ticks later — `snap` itself
+    /// when no time passed or nothing was in flight, so a quiet boundary
+    /// and a settled one take no snapshot and hash nothing.
+    pub(crate) fn aged(&self, snap: Arc<Snap>, j: u64) -> Arc<Snap> {
+        debug_assert!(
+            Arc::ptr_eq(&snap.meter, &self.table().meter),
+            "a memo never interns another memo's snapshot"
+        );
+        if j == 0 || snap.state.settled() {
+            snap
+        } else {
+            self.intern(snap.state.aged(j))
+        }
+    }
+
+    /// The recorded execution under `key`: (post-state, Δt, Δcounters).
+    pub(crate) fn probe(&self, key: &Key) -> Option<(Arc<Snap>, u64, Counters)> {
+        let mut t = self.table();
+        t.tick += 1;
+        let now = t.tick;
+        let e = t.edges.get_mut(key)?;
+        e.used = now;
+        Some((Arc::clone(&e.post), e.dt, e.dcounters))
+    }
+
+    /// Record that `region`, run from `pre` under `key`, ended in `post`
+    /// after `dt` ticks and `dcounters`; then evict down to the budget.
+    pub(crate) fn record(
+        &self,
+        key: Key,
+        region: &Arc<RegionTrace>,
+        pre: Arc<Snap>,
+        post: Arc<Snap>,
+        dt: u64,
+        dcounters: Counters,
+    ) {
+        let mut t = self.table();
+        t.tick += 1;
+        let used = t.tick;
+        // A concurrent run may have recorded the same execution already.
+        t.edges.entry(key).or_insert(Edge {
+            _region: Arc::clone(region),
+            _pre: pre,
+            post,
+            dt,
+            dcounters,
+            used,
+        });
+        let evicted = t.evict(|t| t.meter.load(Relaxed) > t.budget);
+        if evicted > 0 && paxsim_obs::enabled() {
+            paxsim_obs::counter("machine.memo.evictions").add(evicted);
+        }
+    }
+
+    /// Refresh the scrape-time gauges
+    /// `machine.memo.{bytes,edges,snapshots,chunks}` from this memo
+    /// (chunks: the cache chunks and predictor tables its live snapshots
+    /// share).
+    pub fn publish_gauges(&self) {
+        let t = self.table();
+        let chunks = t.lines.live() + t.phts.live();
+        paxsim_obs::gauge("machine.memo.bytes").set(t.meter.load(Relaxed) as f64);
+        paxsim_obs::gauge("machine.memo.edges").set(t.edges.len() as f64);
+        paxsim_obs::gauge("machine.memo.snapshots").set(t.snaps.live() as f64);
+        paxsim_obs::gauge("machine.memo.chunks").set(chunks as f64);
+    }
 }
 
 /// What the meter holds for `snaps` alone: each one's own bytes, and each
@@ -639,17 +684,11 @@ pub(crate) fn metered(snaps: &[Arc<Snap>]) -> usize {
         }
     };
     for s in snaps {
-        let lines = |k: &mut Arc<Chunk<u64>>| charge(Arc::as_ptr(k).cast(), k.charged);
-        let pht = |k: &mut Arc<Chunk<u8>>| charge(Arc::as_ptr(k).cast(), k.charged);
+        let lines = |k: &mut Arc<Chunk<u64>>| charge(Arc::as_ptr(k).cast(), k.charged());
+        let pht = |k: &mut Arc<Chunk<u8>>| charge(Arc::as_ptr(k).cast(), k.charged());
         s.state.clone().chunks_mut(lines, pht);
     }
     bytes.get()
-}
-
-/// Test hook: replace the byte budget.
-#[doc(hidden)]
-pub fn set_budget_for_tests(bytes: usize) {
-    BUDGET.store(bytes, Relaxed);
 }
 
 #[cfg(test)]
@@ -676,6 +715,7 @@ mod tests {
         let snap = Arc::new(Snap {
             state: MachineSnap::default(),
             bytes: 0,
+            meter: Meter::default(),
         });
         let used = [7u64, 3, 9, 1, 8, 2, 6, 4, 5, 0];
         for (run, &used) in used.iter().enumerate() {
@@ -695,10 +735,10 @@ mod tests {
             };
             t.edges.insert(key, edge);
         }
-        assert_eq!(t.evict(|| false), 0, "within budget nothing goes");
+        assert_eq!(t.evict(|_| false), 0, "within budget nothing goes");
         // Over budget until four edges are gone.
         let mut asked = 0;
-        let evicted = t.evict(|| {
+        let evicted = t.evict(|_| {
             asked += 1;
             asked <= 4
         });
@@ -709,12 +749,12 @@ mod tests {
     }
 
     /// A peer can name any number of machine configs (the wire's `machine`
-    /// override); the table keeps `RUN_CAP` run contexts. One pushed out
+    /// override); a memo keeps `RUN_CAP` run contexts. One pushed out
     /// comes back under a new id — its old edges cannot answer — and from
     /// there replays exactly.
     #[test]
     fn run_contexts_are_capped_and_a_dropped_one_comes_back_exact() {
-        use crate::sim::{simulate, simulate_reference, JobSpec, SimOutcome};
+        use crate::sim::{simulate_in, simulate_reference, JobSpec, SimOutcome};
         let mut b = crate::trace::TraceBuf::new();
         for i in 0..48u64 {
             b.block(1, 3);
@@ -733,17 +773,19 @@ mod tests {
             assert_eq!(fast.wall_cycles, slow.wall_cycles, "l2_lat {}", cfg.l2_lat);
             assert_eq!(fast.total, slow.total, "l2_lat {}", cfg.l2_lat);
         };
-        for l2_lat in 1..=1_000 {
+        let memo = Memo::default();
+        let simulate = |cfg: &MachineConfig| simulate_in(Some(&memo), cfg, job());
+        for l2_lat in 1..=RUN_CAP as u64 + 8 {
             let cfg = machine(l2_lat);
-            same(&simulate(&cfg, job()), &cfg);
-            assert!(table().runs.len() <= RUN_CAP);
+            same(&simulate(&cfg), &cfg);
+            assert!(memo.table().runs.len() <= RUN_CAP);
         }
-        assert_eq!(table().runs.len(), RUN_CAP);
+        assert_eq!(memo.table().runs.len(), RUN_CAP);
         let cfg = machine(1);
-        let back = simulate(&cfg, job());
+        let back = simulate(&cfg);
         assert_eq!(back.memo.hits, 0, "the dropped context's id is not reused");
         same(&back, &cfg);
-        let replay = simulate(&cfg, job());
+        let replay = simulate(&cfg);
         assert_eq!(replay.memo.hits, replay.memo.probes);
         same(&replay, &cfg);
     }
@@ -758,7 +800,8 @@ mod tests {
             mem_off,
             ..MachineSnap::default()
         };
-        let intern = |state| table().intern(BUCKET, 24, state);
+        let memo = Memo::default();
+        let intern = |state| memo.table().intern(BUCKET, 24, state);
         let (a, b) = (intern(snap(1)), intern(snap(2)));
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &intern(snap(1))));
@@ -766,18 +809,23 @@ mod tests {
 
         let region = Arc::new(RegionTrace::labeled(Vec::new(), "collide"));
         let key = |pre: &Arc<Snap>| Key {
-            run: u64::MAX, // no run context's id
+            run: 0,
             region: Arc::as_ptr(&region) as *const () as usize,
             pre: Arc::as_ptr(pre) as usize,
             abs_base: None,
         };
         let none = Counters::default();
-        record(key(&a), &region, a.clone(), b.clone(), 5, none);
-        let (post, dt, _) = probe(&key(&a)).expect("recorded edge answers its own pre-state");
+        memo.record(key(&a), &region, a.clone(), b.clone(), 5, none);
+        let (post, dt, _) = memo
+            .probe(&key(&a))
+            .expect("recorded edge answers its own pre-state");
         assert!(Arc::ptr_eq(&post, &b) && dt == 5);
-        assert!(probe(&key(&b)).is_none(), "a bucket-mate is not a match");
+        assert!(
+            memo.probe(&key(&b)).is_none(),
+            "a bucket-mate is not a match"
+        );
         let mut early = key(&a);
         early.abs_base = Some(12);
-        assert!(probe(&early).is_none(), "base classes do not mix");
+        assert!(memo.probe(&early).is_none(), "base classes do not mix");
     }
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::engine;
+use crate::memo::{self, Memo};
 use crate::to_cycles;
 use crate::topology::Lcpu;
 use crate::trace::ProgramTrace;
@@ -87,7 +88,7 @@ pub struct SimOutcome {
     /// no later run can repeat: a trace moved into this call and held by
     /// no one else, none of whose regions occurs twice or is held
     /// elsewhere).
-    pub memo: crate::memo::MemoStats,
+    pub memo: memo::MemoStats,
     /// Event-scheduler telemetry: dispatches taken and idle ticks skipped
     /// by quiescent-skip (all zeros for the reference engine, which scans
     /// contexts linearly instead of scheduling events).
@@ -95,16 +96,27 @@ pub struct SimOutcome {
 }
 
 /// Run `jobs` concurrently on a machine configured by `cfg` until all
-/// complete. Deterministic: identical inputs give identical outcomes.
+/// complete, with the process-default region memo ([`memo::PROCESS`]).
+/// Deterministic: identical inputs give identical outcomes.
 ///
 /// # Panics
 ///
 /// Panics if a placement's arity mismatches its trace, a placement names a
 /// context outside the configured topology, or two jobs share a context.
 pub fn simulate(cfg: &MachineConfig, jobs: Vec<JobSpec>) -> SimOutcome {
+    simulate_in(Some(&memo::PROCESS), cfg, jobs)
+}
+
+/// [`simulate`] with the region memo `memo` replays from and records into,
+/// or none at all: the outcome is the same either way.
+///
+/// # Panics
+///
+/// As [`simulate`].
+pub fn simulate_in(memo: Option<&Memo>, cfg: &MachineConfig, jobs: Vec<JobSpec>) -> SimOutcome {
     validate(cfg, &jobs);
     let built = engine::machines_built();
-    let out = shape_outcome(engine::run(cfg, &jobs), &jobs);
+    let out = shape_outcome(engine::run(cfg, &jobs, memo), &jobs);
     record_run_metrics(&out, engine::machines_built() - built);
     out
 }

@@ -1,8 +1,8 @@
-//! Region memoization seen from outside: whatever the process-wide table
-//! answers must be what the reference engine computes, at any start
-//! offset, from any number of threads, and — for a one-context job — under
-//! any jitter; and a run builds its machine when a probe first misses, so
-//! one the table answers in full builds none.
+//! Region memoization seen from outside: whatever a memo answers must be
+//! what the reference engine computes, at any start offset, from any number
+//! of threads, and — for a one-context job — under any jitter; and a run
+//! builds its machine when a probe first misses, so one the memo answers in
+//! full builds none.
 
 use std::sync::{Arc, Barrier, LazyLock};
 
@@ -233,6 +233,26 @@ fn two_contexts_under_jitter_are_not_memoized() {
         &simulate_reference(&cfg, spec()),
         "two contexts, jittered",
     );
+}
+
+/// A memo is a value: a run recorded on one is answered nothing on a
+/// fresh one, and dropping both lets go of every region their edges
+/// pinned.
+#[test]
+fn a_memo_answers_only_its_own_runs_and_pins_nothing_once_dropped() {
+    let cfg = MachineConfig::paxville_smp();
+    let p = program(30);
+    let counts = || p.regions.iter().map(Arc::strong_count).collect::<Vec<_>>();
+    let alone = counts();
+    let (one, two) = (Memo::default(), Memo::default());
+    let run = |memo| simulate_in(Some(memo), &cfg, job(&p, 0)).memo;
+    run(&one);
+    let again = run(&one);
+    assert_eq!(again.hits, again.probes, "{again:?}");
+    assert_eq!(run(&two).hits, 0, "a second memo");
+    assert!(counts().iter().zip(&alone).all(|(n, a)| n > a), "edges pin");
+    drop((one, two));
+    assert_eq!(counts(), alone);
 }
 
 /// A fresh one-region, two-thread program.

@@ -11,9 +11,9 @@
 //!   interned traces of `machine::trace`: per interned region, an exact
 //!   LRU stack-distance histogram (Olken's algorithm, power-of-two
 //!   bucketed), the op mix (memory / FP / branch / uops), a stride
-//!   classification and a cross-thread sharing summary. Profiles are
-//!   cached content-addressed by interned-region identity, so repeated
-//!   regions are profiled once.
+//!   classification and a cross-thread sharing summary, each interned
+//!   region profiled once; a [`ProfileCache`] keeps profiles across
+//!   programs.
 //! * [`model`] — the **analytical machine model**: each thread's reuse
 //!   CDF is mapped through the configured hierarchy (L1D/L2, optional
 //!   shared L3; SMT co-residency halves a sibling's effective capacity
@@ -33,6 +33,6 @@ pub mod profile;
 
 pub use model::{predict_program, predict_program_with, ErrorBounds, ModelParams, Predicted};
 pub use profile::{
-    profile_buf, profile_ops, profile_program, profile_region, profile_region_uncached,
-    ProgramProfile, RegionProfile, ThreadProfile, REUSE_BUCKETS,
+    profile_buf, profile_ops, profile_program, profile_region, ProfileCache, ProgramProfile,
+    RegionProfile, ThreadProfile, REUSE_BUCKETS,
 };

@@ -14,14 +14,14 @@
 //! one bin or in the cold-miss count (the proptests in
 //! `tests/extraction.rs` pin this across all Table 1 configurations).
 //!
-//! Extraction is cached content-addressed by *interned region*: the trace
-//! layer interns repeated parallel regions behind one `Arc`
-//! ([`RegionTrace`]), so a program that executes the same region 100 times
-//! is profiled once ([`profile_region`] keys on the `Arc` pointer and pins
-//! the region in the cache entry, so the address stays that region's).
+//! Extraction is a pure function of the trace. The trace layer interns
+//! repeated parallel regions behind one `Arc` ([`RegionTrace`]), so
+//! [`profile_program`] profiles a region executed 100 times once. A
+//! [`ProfileCache`] value, owned by whoever serves many requests, keeps
+//! profiles across programs by region pointer.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use paxsim_machine::op::Op;
 use paxsim_machine::trace::{ProgramTrace, RegionTrace, TraceBuf};
@@ -335,8 +335,8 @@ impl RegionProfile {
     }
 }
 
-/// Profile one region (uncached).
-pub fn profile_region_uncached(region: &RegionTrace, line_bytes: u64) -> RegionProfile {
+/// Profile one region.
+pub fn profile_region(region: &RegionTrace, line_bytes: u64) -> RegionProfile {
     let threads = region
         .threads
         .iter()
@@ -345,41 +345,39 @@ pub fn profile_region_uncached(region: &RegionTrace, line_bytes: u64) -> RegionP
     RegionProfile::new(region.label.clone(), threads)
 }
 
-/// Profile cache key: the interned region's address and the line size.
-type CacheKey = (usize, u64);
+/// Region profiles by (interned region address, line size). Capped at
+/// `PROFILE_CACHE_CAP` entries, cleared whole when full; dropping the
+/// cache lets go of every region it holds.
+#[derive(Default)]
+pub struct ProfileCache(Mutex<HashMap<(usize, u64), Entry>>);
 
-/// A cached profile with the region it was extracted from. Holding the
-/// region pins its allocation, so while the entry lives its address cannot
-/// be recycled for a different region (a dropped `TraceStore` rebuilt in
-/// the same process used to be answered with the dead store's profiles).
-type CacheEntry = (Arc<RegionTrace>, Arc<RegionProfile>);
+/// A profile with the region it was extracted from. Holding the region
+/// pins its allocation, so while the entry lives its address cannot be
+/// recycled for a different region.
+type Entry = (Arc<RegionTrace>, Arc<RegionProfile>);
 
 const PROFILE_CACHE_CAP: usize = 1024;
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, CacheEntry>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, CacheEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+impl ProfileCache {
+    /// The profile of `region`, extracted on the first ask only.
+    pub fn region(&self, region: &Arc<RegionTrace>, line_bytes: u64) -> Arc<RegionProfile> {
+        let key = (Arc::as_ptr(region) as usize, line_bytes);
+        let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, p)) = map.get(&key) {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(profile_region(region, line_bytes));
+        if map.len() >= PROFILE_CACHE_CAP {
+            map.clear();
+        }
+        map.insert(key, (Arc::clone(region), Arc::clone(&p)));
+        p
+    }
 
-/// Profile one interned region through the global content-addressed cache:
-/// the 12× region interning of the trace layer pays off again — a program
-/// that replays one region N times is profiled once.
-pub fn profile_region(region: &Arc<RegionTrace>, line_bytes: u64) -> Arc<RegionProfile> {
-    static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("predict.profile.hits");
-    static MISSES: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("predict.profile.misses");
-    let key: CacheKey = (Arc::as_ptr(region) as usize, line_bytes);
-    let mut map = cache().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, p)) = map.get(&key) {
-        HITS.inc();
-        return Arc::clone(p);
+    /// [`profile_program`], each region's profile taken through the cache.
+    pub fn program(&self, trace: &ProgramTrace, line_bytes: u64) -> ProgramProfile {
+        program_from(trace, |r| self.region(r, line_bytes))
     }
-    MISSES.inc();
-    let p = Arc::new(profile_region_uncached(region, line_bytes));
-    if map.len() >= PROFILE_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, (Arc::clone(region), Arc::clone(&p)));
-    p
 }
 
 /// Whole-program profile: each *unique* region profiled once, with its
@@ -419,8 +417,16 @@ impl ProgramProfile {
     }
 }
 
-/// Profile a whole program through the region cache.
+/// Profile a whole program, each unique region once.
 pub fn profile_program(trace: &ProgramTrace, line_bytes: u64) -> ProgramProfile {
+    program_from(trace, |r| Arc::new(profile_region(r, line_bytes)))
+}
+
+/// The program profile of `trace`, asking `profile` once per unique region.
+fn program_from(
+    trace: &ProgramTrace,
+    mut profile: impl FnMut(&Arc<RegionTrace>) -> Arc<RegionProfile>,
+) -> ProgramProfile {
     let mut order: Vec<(usize, Arc<RegionProfile>, u64)> = Vec::new();
     let mut index: HashMap<usize, usize> = HashMap::new();
     for region in &trace.regions {
@@ -429,7 +435,7 @@ pub fn profile_program(trace: &ProgramTrace, line_bytes: u64) -> ProgramProfile 
             Some(&i) => order[i].2 += 1,
             None => {
                 index.insert(ptr, order.len());
-                order.push((ptr, profile_region(region, line_bytes), 1));
+                order.push((ptr, profile(region), 1));
             }
         }
     }
@@ -533,8 +539,9 @@ mod tests {
             vec![buf(&[Op::Load { addr: 0 }, Op::Flops { n: 4 }])],
             "r",
         ));
-        let a = profile_region(&region, 64);
-        let b = profile_region(&region, 64);
+        let cache = ProfileCache::default();
+        let a = cache.region(&region, 64);
+        let b = cache.region(&region, 64);
         assert!(Arc::ptr_eq(&a, &b), "second extraction must be cached");
         assert_eq!(a.threads[0].flops, 4);
     }
@@ -549,12 +556,10 @@ mod tests {
                 "aba",
             ))
         };
+        let cache = ProfileCache::default();
         for addr in [0u64, 4096, 64, 8192, 128] {
             let region = make(addr);
-            assert_eq!(
-                *profile_region(&region, 64),
-                profile_region_uncached(&region, 64)
-            );
+            assert_eq!(*cache.region(&region, 64), profile_region(&region, 64));
         }
     }
 
@@ -573,6 +578,29 @@ mod tests {
         assert_eq!(p.regions[0].1, 5);
         assert_eq!(p.region_executions(), 5);
         assert_eq!(p.mem_ops(), 5);
+    }
+
+    /// The pure path holds no region; a cache holds each region it
+    /// profiled until it is dropped, and answers as the pure path does.
+    #[test]
+    fn a_dropped_cache_pins_no_region() {
+        let mut t = ProgramTrace::new("p", 1);
+        for addr in [0, 64, 0] {
+            let region = RegionTrace::labeled(vec![buf(&[Op::Load { addr }])], "r");
+            t.push_region_arc(Arc::new(region));
+        }
+        let counts = || t.regions.iter().map(Arc::strong_count).collect::<Vec<_>>();
+        let alone = counts();
+        let pure = profile_program(&t, 64);
+        assert_eq!(counts(), alone);
+        let cache = ProfileCache::default();
+        let cached = cache.program(&t, 64);
+        assert_eq!(counts(), alone.iter().map(|n| n + 1).collect::<Vec<_>>());
+        for ((a, n), (b, m)) in cached.regions.iter().zip(&pure.regions) {
+            assert_eq!((&**a, n), (&**b, m));
+        }
+        drop(cache);
+        assert_eq!(counts(), alone);
     }
 
     #[test]

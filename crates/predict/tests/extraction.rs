@@ -1,7 +1,7 @@
 //! Property tests for reuse-profile extraction (DESIGN.md §15):
 //!
-//! * **Determinism** — profiling the same region twice, bypassing the
-//!   content-addressed cache, yields structurally identical profiles.
+//! * **Determinism** — profiling the same region twice yields
+//!   structurally identical profiles.
 //! * **Mass conservation** — every memory reference lands in exactly one
 //!   reuse-distance bucket or the cold-miss count:
 //!   `cold + Σ hist == mem_ops`, per thread, per region, across all
@@ -17,9 +17,7 @@ use std::sync::OnceLock;
 use paxsim_core::configs::all_configs;
 use paxsim_core::hash::StudySpec;
 use paxsim_core::store::{TraceKey, TraceStore};
-use paxsim_predict::{
-    profile_buf, profile_ops, profile_program, profile_region, profile_region_uncached,
-};
+use paxsim_predict::{profile_buf, profile_ops, profile_program, profile_region, ProfileCache};
 use proptest::prelude::*;
 
 const KERNELS: [&str; 8] = ["ep", "is", "cg", "mg", "ft", "bt", "sp", "lu"];
@@ -48,8 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Determinism + mass conservation over the (kernel × Table 1
-    /// config) grid: two cache-bypassing extractions of every region are
-    /// equal, and each thread's histogram mass equals its memory-op
+    /// config) grid: two extractions of every region are equal, and each thread's histogram mass equals its memory-op
     /// count.
     #[test]
     fn extraction_is_deterministic_and_conserves_mass(k in 0usize..KERNELS.len(), c in 0usize..64) {
@@ -57,8 +54,8 @@ proptest! {
         let config = &configs[c % configs.len()];
         let trace = trace_for(KERNELS[k], &config.name);
         for region in &trace.regions {
-            let a = profile_region_uncached(region, LINE);
-            let b = profile_region_uncached(region, LINE);
+            let a = profile_region(region, LINE);
+            let b = profile_region(region, LINE);
             prop_assert_eq!(&a, &b, "extraction must be deterministic");
             for t in &a.threads {
                 prop_assert_eq!(
@@ -90,7 +87,7 @@ proptest! {
         let mut cold = 0u64;
         let mut hist_mass = 0u64;
         for region in &trace.regions {
-            let p = profile_region_uncached(region, LINE);
+            let p = profile_region(region, LINE);
             for t in &p.threads {
                 mem_ops += t.mem_ops;
                 uops += t.uops;
@@ -123,7 +120,7 @@ proptest! {
     }
 }
 
-/// The profile cache is keyed by region address, so it must keep the
+/// A `ProfileCache` is keyed by region address, so it must keep the
 /// region alive: drop a store whose regions are all cached, rebuild the
 /// same kernels (in another order, so allocations land on recycled
 /// addresses), and every cached answer must still equal a fresh
@@ -145,14 +142,15 @@ fn cached_profiles_survive_a_dropped_and_rebuilt_store() {
             });
         }
     }
+    let cache = ProfileCache::default();
     for round in 0..3 {
         let store = TraceStore::new();
         for key in &keys {
             let trace = store.try_get(*key).expect("trace builds");
             for region in &trace.regions {
                 assert_eq!(
-                    *profile_region(region, LINE),
-                    profile_region_uncached(region, LINE),
+                    *cache.region(region, LINE),
+                    profile_region(region, LINE),
                     "round {round}: stale profile for `{}`",
                     region.label
                 );

@@ -56,7 +56,7 @@ use paxsim_core::store::TraceStore;
 use paxsim_core::tune::{self, TunePlan, TuneRequest, TuneResult};
 use paxsim_machine::sim::simulate;
 use paxsim_perfmon::stats::{RunningSummary, Summary};
-use paxsim_predict::{predict_program, profile_program, Predicted};
+use paxsim_predict::{predict_program, Predicted, ProfileCache};
 use serde::{Serialize, Value};
 
 use crate::batch::{Batcher, Role};
@@ -340,6 +340,8 @@ pub struct Service {
     auditor: PredictAuditor,
     /// Predicted-tier records computed (cold predictions, not hits).
     predicted_served: AtomicU64,
+    /// Reuse profiles of the regions the predicted tier has modelled.
+    profiles: ProfileCache,
     /// Model-evaluation latency in milliseconds (predicted tier only;
     /// excludes the content-addressed profile extraction it amortizes).
     predict_latencies: Mutex<RunningSummary>,
@@ -428,6 +430,7 @@ impl Service {
             latencies: Mutex::new(HashMap::new()),
             auditor,
             predicted_served: AtomicU64::new(0),
+            profiles: ProfileCache::default(),
             predict_latencies: Mutex::default(),
             tune_journal,
             tune_cache: Mutex::new(HashMap::new()),
@@ -759,7 +762,7 @@ impl Service {
     fn predict_cell(&self, resolved: &ResolvedSpec) -> StudyResult<(Vec<SideRecord>, Predicted)> {
         let opts = resolved.options();
         let trace = self.store.try_get(resolved.trace_key())?;
-        let profile = profile_program(&trace, opts.machine.l1d.line as u64);
+        let profile = self.profiles.program(&trace, opts.machine.l1d.line as u64);
         // The latency the <100 µs predicted-tier budget measures: model
         // evaluation alone. Profile extraction is content-addressed per
         // interned region and amortizes to zero across requests.
@@ -788,7 +791,7 @@ impl Service {
             // ratio would make the error bound incoherent.
             let serial = resolved.serial_variant().resolve()?;
             let strace = self.store.try_get(serial.trace_key())?;
-            let sprofile = profile_program(&strace, opts.machine.l1d.line as u64);
+            let sprofile = self.profiles.program(&strace, opts.machine.l1d.line as u64);
             let spred = predict_program(&sprofile, &opts.machine, &serial.config.contexts);
             spred.wall_cycles / predicted.wall_cycles
         };
@@ -1309,31 +1312,23 @@ impl Service {
     /// measured p95 wall-clock error (absent until the first audit).
     fn predict_block(&self) -> Value {
         let mut entries = vec![
-            ("served".to_string(), Value::UInt(self.predicted_served())),
+            ("served", Value::UInt(self.predicted_served())),
+            ("audits", Value::UInt(self.auditor.audits() as u64)),
             (
-                "audits".to_string(),
-                Value::UInt(self.auditor.audits() as u64),
-            ),
-            (
-                "quarantined_pairs".to_string(),
+                "quarantined_pairs",
                 Value::UInt(self.auditor.quarantined_pairs() as u64),
             ),
-            (
-                "fallbacks".to_string(),
-                Value::UInt(self.auditor.fallbacks() as u64),
-            ),
+            ("fallbacks", Value::UInt(self.auditor.fallbacks() as u64)),
         ];
         if let Some(latency) = self.predict_latencies_ms() {
-            entries.push(("latency_ms".to_string(), latency.to_value()));
+            entries.push(("latency_ms", latency.to_value()));
         }
         if let Some(p95) = self.auditor.error_p95() {
-            entries.push(("error_p95".to_string(), Value::Float(p95)));
+            entries.push(("error_p95", Value::Float(p95)));
         }
-        entries.push((
-            "events".to_string(),
-            Value::Array(self.auditor.events().iter().map(|e| e.to_value()).collect()),
-        ));
-        Value::Object(entries)
+        let events = self.auditor.events().iter().map(|e| e.to_value()).collect();
+        entries.push(("events", Value::Array(events)));
+        obj(entries)
     }
 
     /// Render the `health` reply: liveness plus every degradation signal
@@ -1421,7 +1416,7 @@ impl Service {
             if let Some(p95) = self.auditor.error_p95() {
                 paxsim_obs::gauge("serve.predict_error_p95").set(p95);
             }
-            paxsim_machine::memo::publish_gauges();
+            paxsim_machine::memo::PROCESS.publish_gauges();
             let (open, queued) = (&self.open_connections, &self.queued_jobs);
             paxsim_obs::gauge("serve.reactor.open_connections")
                 .set(open.load(Ordering::SeqCst) as f64);
