@@ -45,7 +45,10 @@ echo "== trace identity and build memory: class T goldens, the codec's edges, th
 # Every kernel's class T trace (digest of the decoded ops, regions,
 # interned regions, packed bytes, verdict) as recorded before the build
 # path was optimized, the words shrank to four bytes and threads came to
-# share equal words (packed bytes re-recorded, downward only); the codec round
+# share equal words (packed bytes re-recorded, downward only), and its kept
+# arrays canonical: no two hold equal words, no two regions of one label
+# hold the same arrays at the same bases, as interning by identity
+# requires; the codec round
 # trip where inline and wide forms meet, and where runs stand for strided
 # stretches of words; the streaming run encoder storing the same words
 # however its input is chunked; a CG class S build whose heap never
@@ -439,10 +442,11 @@ echo "== retired harness names stay retired =="
 # paxbench is the only performance harness. The two it replaced, their
 # data files and their environment variable must not come back, and
 # neither may a process-wide fault plan or the lock that serialized it,
-# nor the region memo's process-wide budget hook and off switch (history
+# nor the region memo's process-wide budget hook and off switch, the trace
+# content matcher that kept arrays made redundant, or criterion (history
 # in CHANGES.md / ROADMAP.md, and benchmark/'s own prose, excepted). The
 # one-letter brackets keep this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO' \
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired benchmark name reappeared (see above)"
     exit 1

@@ -7,11 +7,12 @@
 //!             efficiency, phases, fig4, fig5, all }        (default: all)
 //! ```
 //!
-//! One extra section is opt-in only (never part of `all`): `profile`
+//! Two extra sections are opt-in only (never part of `all`): `profile`
 //! turns the observability layer on and prints per-region
 //! cycle/instruction/stall attribution from the engine's profiling
 //! hooks (`report profile --class S`); `--json DIR` also writes
-//! `profile.json`.
+//! `profile.json`. `ablation` prints the model-design ablations of
+//! DESIGN.md §3, each on the workload most sensitive to it.
 
 use std::io::Write;
 
@@ -28,8 +29,8 @@ struct Args {
 }
 
 /// Every section name the command line accepts: the module doc's set
-/// plus the opt-in `profile`.
-const SECTIONS: [&str; 12] = [
+/// plus the opt-in `profile` and `ablation`.
+const SECTIONS: [&str; 13] = [
     "table1",
     "platform",
     "fig2",
@@ -42,6 +43,7 @@ const SECTIONS: [&str; 12] = [
     "fig5",
     "all",
     "profile",
+    "ablation",
 ];
 
 fn usage() -> ! {
@@ -188,6 +190,61 @@ fn profile_json(
     )
 }
 
+/// Cycles with the stock model and with one knob changed: the prefetcher
+/// (MG), the trace cache (LU), SMT issue partitioning (FT) and memory
+/// bandwidth (CG); then the wall cycles of a CG+FT pair under each
+/// placement policy.
+fn ablation_text(opts: &StudyOptions, store: &TraceStore) -> String {
+    use paxsim_machine::config::MachineConfig;
+    use paxsim_machine::sim::{simulate, JobSpec};
+    use paxsim_nas::KernelId::{Cg, Ft, Lu, Mg};
+    use paxsim_omp::os::{split_jobs, PlacementPolicy};
+    use paxsim_omp::schedule::Schedule;
+    let trace = |kernel, nthreads| {
+        store.get(TraceKey {
+            kernel,
+            class: opts.class,
+            nthreads,
+            schedule: Schedule::Static,
+        })
+    };
+    let stock = &opts.machine;
+    // Cycles of `kernel` on `config` with the stock model and with `change`.
+    let pair = |kernel, config, change: fn(&mut MachineConfig)| {
+        let cfg = config_by_name(config).expect("a Table 1 configuration");
+        let mut ablated = stock.clone();
+        change(&mut ablated);
+        let cycles = |machine| {
+            let job = JobSpec::pinned(trace(kernel, cfg.threads), cfg.contexts.clone());
+            simulate(machine, vec![job]).jobs[0].cycles
+        };
+        (cycles(stock), cycles(&ablated))
+    };
+    let (cmp, cmt) = ("CMP-based SMP", "CMT-based SMP");
+    let mut out = format!("Model ablations (class {})\n", opts.class);
+    let (on, off) = pair(Mg, cmp, |m| m.prefetch = false);
+    out += &format!("prefetcher: on {on} cycles, off {off} cycles (MG, {cmp})\n");
+    let (full, half) = pair(Lu, cmt, |m| m.tc_uops /= 2);
+    out += &format!("trace cache: 12K {full} cycles, 6K {half} cycles (LU, {cmt})\n");
+    // Without the tax a context issues as it does alone.
+    let (with, without) = pair(Ft, cmt, |m| m.smt_tpu = 12 / m.issue_width);
+    out += &format!("SMT issue tax: with {with} cycles, without {without} cycles (FT, {cmt})\n");
+    let (narrow, wide) = pair(Cg, cmt, |m| m.mem_read_cpl /= 2);
+    out += &format!("memory bandwidth: stock {narrow} cycles, 2x {wide} cycles (CG, {cmt})\n");
+    let cfg = config_by_name(cmp).expect("a Table 1 configuration");
+    for policy in [PlacementPolicy::Spread, PlacementPolicy::Packed] {
+        let placements = split_jobs(&cfg.contexts, 2, policy);
+        let jobs = [Cg, Ft]
+            .into_iter()
+            .zip(placements)
+            .map(|(kernel, at)| JobSpec::pinned(trace(kernel, cfg.threads / 2), at))
+            .collect();
+        let wall = simulate(stock, jobs).wall_cycles;
+        out += &format!("placement {policy:?}: wall {wall} cycles (CG+FT, {cmp})\n");
+    }
+    out
+}
+
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("report: {e}");
@@ -325,6 +382,10 @@ fn main() {
         write_json(&args.json_dir, "profile", Ok(profile_json(&sections)));
     }
 
+    if args.sections.iter().any(|s| s == "ablation") {
+        println!("{}", ablation_text(&opts, &store));
+    }
+
     if want(&args, "fig4") {
         eprintln!("running multi-program study…");
         let multi = run_multi_program(&opts, &store, &paper_workloads());
@@ -351,7 +412,8 @@ mod tests {
     }
 
     /// The accepted list is the module doc's `SECTION ∈ { … }` set plus
-    /// `profile`; a section added to one and not the other fails here.
+    /// `profile` and `ablation`; a section added to one and not the other
+    /// fails here.
     #[test]
     fn accepted_sections_are_the_documented_ones() {
         let doc: String = include_str!("report.rs")
@@ -360,11 +422,13 @@ mod tests {
             .collect();
         let set = &doc[doc.find('{').unwrap() + 1..doc.find('}').unwrap()];
         let mut documented: Vec<&str> = set.split(',').map(str::trim).collect();
-        assert!(
-            doc.contains("`profile`"),
-            "the doc names the opt-in section"
-        );
-        documented.push("profile");
+        for opt_in in ["profile", "ablation"] {
+            assert!(
+                doc.contains(&format!("`{opt_in}`")),
+                "the doc names the opt-in section"
+            );
+            documented.push(opt_in);
+        }
         assert_eq!(documented, SECTIONS);
         for s in SECTIONS {
             assert_eq!(parse(s).unwrap().sections, [s]);

@@ -20,7 +20,8 @@ pub struct Counters {
     /// L1 data-cache accesses and misses.
     pub l1d_access: u64,
     pub l1d_miss: u64,
-    /// L2 accesses and misses (demand, both loads and write-through stores).
+    /// L2 accesses and misses: L1 misses only, loads and stores alike. A
+    /// store that hits L1 writes L2's copy through uncounted.
     pub l2_access: u64,
     pub l2_miss: u64,
     /// Shared-L3 accesses and misses (zero on topologies without an L3,

@@ -338,7 +338,7 @@ pub(crate) fn expand_run(history: &[u32], out: &mut [u32], p: usize) {
 /// equal words encode equal. It holds the words it may still read — two
 /// periods before the run or op it is at, and the run's words — and
 /// passes every word behind them on to the output.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct RunEncoder {
     /// The input words it may still read. Every index below is into them,
     /// and moves down as they are dropped from the front.
@@ -640,13 +640,6 @@ impl Follow {
     pub(crate) fn done(&self, stored: &[u32]) -> bool {
         self.left == 0 && self.s == stored.len()
     }
-}
-
-/// Does run-encoded `stored`, with its run words at `runs`, decode to
-/// `raw`?
-pub(crate) fn decodes_to(stored: &[u32], runs: &[u32], raw: &[u32]) -> bool {
-    let mut follow = Follow::default();
-    follow.advance(stored, runs, raw, 0) && follow.done(stored)
 }
 
 /// Do `raw[start..end]` follow the run of period `p`? Branch-free over the

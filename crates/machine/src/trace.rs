@@ -26,7 +26,7 @@
 //!   by their stride — a strided loop keeps two iterations and a run word
 //!   per 256 words. Readers see the decoded words through a `Cursor`:
 //!   literal stretches in place, runs expanded into a small buffer of
-//!   the reader's. Equality and hashing are over the decoded words.
+//!   the reader's. A kept array is never written again.
 //!
 //! A build never holds a region's words whole. A buffer it writes
 //! ([`WordTable::open`]) keeps a small window: a word leaves it once
@@ -35,37 +35,28 @@
 //! run-encoded.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::op::{self, Op};
 
 /// A buffer's packed words: its own while it is written, and once a build
-/// keeps it a run-encoded array every kept buffer with equal words holds.
-/// Writing to a kept buffer decodes it first.
-#[derive(Debug, Clone)]
+/// keeps it the run-encoded array every kept buffer with equal words holds.
+#[derive(Debug)]
 enum Words {
     Own(Vec<u32>),
     Kept(Arc<Kept>),
 }
 
-/// A kept buffer's run-encoded words, the index of each run word among
-/// them — so that comparing words against them takes whole literal
-/// stretches at a time — and what hashing reads of the decoded words:
-/// their count, first and last word.
+/// A kept buffer's run-encoded words, and the index of each run word among
+/// them, so that comparing words against them takes whole literal
+/// stretches at a time.
 #[derive(Debug)]
 struct Kept {
     stored: Box<[u32]>,
     runs: Box<[u32]>,
-    ends: (usize, u32, u32),
 }
 
 impl Kept {
-    /// Do these words decode to `raw`?
-    fn holds(&self, raw: &[u32]) -> bool {
-        self.ends.0 == raw.len() && op::decodes_to(&self.stored, &self.runs, raw)
-    }
-
     /// Bytes held: the stored words and the run index.
     fn bytes(&self) -> usize {
         (self.stored.len() + self.runs.len()) * std::mem::size_of::<u32>()
@@ -105,15 +96,12 @@ impl Default for Words {
 }
 
 impl Words {
-    /// The decoded words, to write to.
+    /// The words, to write to.
     #[inline(always)]
     fn vec(&mut self) -> &mut Vec<u32> {
-        if let Words::Kept(kept) = self {
-            *self = Words::Own(decoded(kept));
-        }
         match self {
             Words::Own(words) => words,
-            Words::Kept(_) => unreachable!("decoded above"),
+            Words::Kept(_) => written_after_keep(),
         }
     }
 
@@ -125,44 +113,15 @@ impl Words {
             Words::Kept(kept) => &kept.stored,
         }
     }
-
-    fn ends(&self) -> (usize, u32, u32) {
-        match self {
-            Words::Own(words) => ends_of(words),
-            Words::Kept(kept) => kept.ends,
-        }
-    }
 }
 
-/// Equality of the decoded words. A kept array against words being
-/// written compares without decoding; two kept arrays compare as stored,
-/// since equal words encode equal.
-impl PartialEq for Words {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Words::Own(a), Words::Own(b)) => a == b,
-            (Words::Kept(a), Words::Kept(b)) => {
-                Arc::ptr_eq(a, b) || (a.ends == b.ends && a.stored == b.stored)
-            }
-            (Words::Own(raw), Words::Kept(kept)) | (Words::Kept(kept), Words::Own(raw)) => {
-                kept.holds(raw)
-            }
-        }
-    }
-}
-
-/// The words `kept` decodes to, to write to.
+/// A write to a kept buffer, which no code makes: a build closes a buffer
+/// ([`WordTable::close`]) once written and moves it behind its region's
+/// `Arc`, and `TraceBuf` is not `Clone`, so none is copied out to write to.
 #[cold]
 #[inline(never)]
-fn decoded(kept: &Kept) -> Vec<u32> {
-    let mut words = Vec::with_capacity(kept.ends.0);
-    kept.decode(kept.ends.0, |w| words.extend_from_slice(w));
-    words
-}
-
-fn ends_of(words: &[u32]) -> (usize, u32, u32) {
-    let at = |w: Option<&u32>| w.copied().unwrap_or(0);
-    (words.len(), at(words.first()), at(words.last()))
+fn written_after_keep() -> ! {
+    unreachable!("a kept buffer is never written: its array may be shared")
 }
 
 /// Words a streamed buffer's window may grow by before its final words
@@ -171,7 +130,7 @@ const WINDOW: usize = 4096;
 
 /// A growable buffer of trace operations for one thread in one region,
 /// with convenience emitters used by the runtime and by tests.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceBuf {
     /// Packed op words (see [`crate::op::pack_into`]); while a build
     /// streams them, the window of those not yet passed on.
@@ -270,7 +229,6 @@ impl TraceBuf {
         let gone = end.saturating_sub(HIST);
         window.drain(..gone);
         stream.front = end - gone;
-        stream.gone += gone;
         self.open_block = self.open_block.map(|i| i - gone);
         self.tail_flops = self.tail_flops.map(|i| i - gone);
         self.limit = window.len() + WINDOW;
@@ -398,17 +356,23 @@ impl TraceBuf {
         self.words.stored()
     }
 
-    /// The decoded word count and the first and last decoded word (0 when
-    /// there are none): what hashing reads, stored or not.
-    #[inline]
-    pub fn ends(&self) -> (usize, u32, u32) {
-        self.words.ends()
-    }
-
     /// The address base the memory ops are encoded against.
     #[inline]
     pub fn base(&self) -> u64 {
         self.base
+    }
+
+    /// Do `self` and `other`, both kept by one build, hold the same ops?
+    /// They do when they share a base and either hold one kept array or
+    /// are both empty: a build keeps one array per distinct word sequence
+    /// ([`WordTable`]), so for its buffers the array's identity is its
+    /// content.
+    pub fn same_kept(&self, other: &TraceBuf) -> bool {
+        self.base == other.base
+            && match (&self.words, &other.words) {
+                (Words::Kept(a), Words::Kept(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.stored().is_empty() && b.stored().is_empty(),
+            }
     }
 
     /// Bytes of packed op storage: the words as stored, and a kept
@@ -443,27 +407,6 @@ impl TraceBuf {
     }
 }
 
-/// Content equality over the address base and the decoded words, kept or
-/// not (builder scratch state — open block, coalescing cursor — is
-/// excluded; compare sealed buffers). Equal words against different bases
-/// are different addresses.
-impl PartialEq for TraceBuf {
-    fn eq(&self, other: &Self) -> bool {
-        self.base == other.base && self.words == other.words
-    }
-}
-
-impl Eq for TraceBuf {}
-
-/// Over the base and [`TraceBuf::ends`], which equal buffers share however
-/// they are stored.
-impl Hash for TraceBuf {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.base.hash(state);
-        self.ends().hash(state);
-    }
-}
-
 impl FromIterator<Op> for TraceBuf {
     fn from_iter<T: IntoIterator<Item = Op>>(iter: T) -> Self {
         let mut buf = Self::new();
@@ -476,32 +419,27 @@ impl FromIterator<Op> for TraceBuf {
 
 /// Where a streamed buffer's final words go: compared with the kept arrays
 /// they may repeat, as they come, and run-encoded once none is left.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Stream {
     /// The kept arrays the words have followed so far, each with how far.
     follows: Vec<(Arc<Kept>, op::Follow)>,
     /// Their run encoding, from the first word on, once every array failed.
     encoder: Option<op::RunEncoder>,
-    /// The count, first and last of the words passed on so far.
-    ends: (usize, u32, u32),
+    /// Words passed on so far.
+    n: usize,
     /// Words at the window's front passed on already, which a run reads
-    /// back, and words dropped from before it.
+    /// back.
     front: usize,
-    gone: usize,
 }
 
 impl Stream {
     /// Take `window[front..]`, the next final words.
     fn push(&mut self, window: &[u32]) {
-        let (front, n) = (self.front, self.ends.0);
+        let (front, n) = (self.front, self.n);
         let new = &window[front..];
-        let (Some(&first), Some(&last)) = (new.first(), new.last()) else {
+        if new.is_empty() {
             return;
-        };
-        if n == 0 {
-            self.ends.1 = first;
         }
-        self.ends.2 = last;
         if self.encoder.is_none() {
             let mut lost = None;
             self.follows.retain_mut(|(kept, follow)| {
@@ -518,13 +456,13 @@ impl Stream {
         if let Some(encoder) = &mut self.encoder {
             encoder.push(new);
         }
-        self.ends.0 += new.len();
+        self.n += new.len();
     }
 
     /// The words, all passed on: the kept array they repeat, or their own
     /// run encoding, shared through `table`.
     fn finish(self, table: &mut WordTable) -> Words {
-        let n = self.ends.0;
+        let n = self.n;
         if n == 0 {
             return Words::default();
         }
@@ -545,7 +483,6 @@ impl Stream {
         Words::Kept(table.share(Kept {
             stored: stored.into(),
             runs: runs.into(),
-            ends: self.ends,
         }))
     }
 }
@@ -612,7 +549,6 @@ impl WordTable {
             unreachable!("a streamed buffer writes its own words")
         };
         stream.push(&window);
-        buf.tail_flops = buf.tail_flops.map(|i| i + stream.gone);
         buf.limit = usize::MAX;
         buf.words = stream.finish(self);
         window.clear();
@@ -658,8 +594,7 @@ const HIST: usize = 2 * op::RUN_PERIOD_MAX;
 /// A reader decodes ops from [`Cursor::segment`] with [`op::unpack_at`];
 /// where that finds a run word, or the segment ends, it calls
 /// [`Cursor::refill`] and goes on from index 0 of the new segment. The
-/// engine, [`OpIter`] and the decoding of a kept buffer to write to all
-/// read this way.
+/// engine and [`OpIter`] read this way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Cursor {
     /// Stored index of the literal stretch being read, or the one after the
@@ -818,32 +753,6 @@ impl RegionTrace {
 
     pub fn total_ops(&self) -> usize {
         self.threads.iter().map(|t| t.len()).sum()
-    }
-}
-
-/// Structural equality: same label and bit-identical packed streams. This
-/// is the rule region interning shares by — two equal regions replay
-/// identically from any machine state.
-impl PartialEq for RegionTrace {
-    fn eq(&self, other: &Self) -> bool {
-        self.label == other.label
-            && self.threads.len() == other.threads.len()
-            && self
-                .threads
-                .iter()
-                .zip(&other.threads)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-    }
-}
-
-impl Eq for RegionTrace {}
-
-impl Hash for RegionTrace {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.label.hash(state);
-        for t in &self.threads {
-            t.hash(state);
-        }
     }
 }
 
@@ -1088,29 +997,7 @@ mod tests {
     }
 
     #[test]
-    fn content_equality_and_hash_follow_words() {
-        use std::collections::hash_map::DefaultHasher;
-        let emit = |n: u32| {
-            let mut b = TraceBuf::new();
-            b.block(1, 2);
-            b.flops(n);
-            b.seal();
-            b
-        };
-        let (a, b, c) = (emit(5), emit(5), emit(6));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        let h = |t: &TraceBuf| {
-            let mut s = DefaultHasher::new();
-            t.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&a), h(&b));
-    }
-
-    #[test]
     fn equal_words_at_different_bases_are_different_buffers() {
-        use std::collections::hash_map::DefaultHasher;
         let emit = |base: u64| {
             let mut b = TraceBuf::new();
             b.load(base);
@@ -1121,14 +1008,12 @@ mod tests {
         let (a, b) = (emit(0x1000_0000), emit(0x2000_0000));
         assert_eq!(a.words(), b.words(), "offsets from each base agree");
         assert_ne!(a.base(), b.base());
-        assert_ne!(a, b);
         assert_ne!(a.to_ops(), b.to_ops());
-        let h = |t: &TraceBuf| {
-            let mut s = DefaultHasher::new();
-            t.hash(&mut s);
-            s.finish()
-        };
-        assert_ne!(h(&a), h(&b));
+        // Kept, they hold one array, and are still not the same buffer.
+        let mut table = WordTable::default();
+        let (a, b) = (kept(&mut table, &a), kept(&mut table, &b));
+        assert_eq!(a.words().as_ptr(), b.words().as_ptr());
+        assert!(!a.same_kept(&b));
     }
 
     /// `buf`'s ops written into `table` and kept, as a build keeps a
@@ -1140,32 +1025,33 @@ mod tests {
         kept
     }
 
+    fn load_and_flops() -> TraceBuf {
+        let mut b = TraceBuf::new();
+        b.load(0x1000);
+        b.flops(3);
+        b.seal();
+        b
+    }
+
     #[test]
-    fn kept_buffers_share_equal_words_and_copy_them_to_write() {
-        let emit = || {
-            let mut b = TraceBuf::new();
-            b.load(0x1000);
-            b.flops(3);
-            b.seal();
-            b
-        };
+    fn kept_buffers_share_equal_words() {
         let mut table = WordTable::default();
-        let (a, b) = (kept(&mut table, &emit()), kept(&mut table, &emit()));
+        let a = kept(&mut table, &load_and_flops());
+        let b = kept(&mut table, &load_and_flops());
         assert_eq!(a.words().as_ptr(), b.words().as_ptr());
+        assert!(a.same_kept(&b));
+        assert_eq!(b.to_ops(), load_and_flops().to_ops());
         let empty = kept(&mut table, &TraceBuf::new());
         assert!(empty.words().is_empty(), "no words, no array");
-        // A clone of a kept buffer written to copies the words first.
-        let mut c = b.clone();
-        c.flops(1);
-        c.store(0x1040);
-        assert_eq!((a.clone(), b), (emit(), emit()));
-        assert_ne!(c.words().as_ptr(), a.words().as_ptr());
-        let want = [
-            Op::Load { addr: 0x1000 },
-            Op::Flops { n: 4 },
-            Op::Store { addr: 0x1040 },
-        ];
-        assert_eq!(c.to_ops(), want);
+        assert!(empty.same_kept(&TraceBuf::new()));
+        assert!(!empty.same_kept(&a));
+    }
+
+    #[test]
+    #[should_panic(expected = "a kept buffer is never written")]
+    fn a_kept_buffer_refuses_a_write() {
+        let mut b = kept(&mut WordTable::default(), &load_and_flops());
+        b.store(0x1040);
     }
 
     #[test]
@@ -1206,7 +1092,7 @@ mod tests {
             buf
         };
         let kept = kept(&mut table, &plain(5));
-        let words = kept.ends().0;
+        let words = plain(5).words().len();
         assert!(words > 20 * WINDOW);
         // Encoded afresh, the words are the kept array's.
         let alone = stream(&mut table, &[], 5);
@@ -1226,12 +1112,11 @@ mod tests {
         let apart = stream(&mut table, &[&kept], 6);
         assert_ne!(apart.words().as_ptr(), kept.words().as_ptr());
         assert_eq!(table.encoded_words(), 3 * words);
-        assert_eq!(apart, plain(6));
         assert_eq!(apart.to_ops(), plain(6).to_ops());
         // A strict prefix (no trailing `Flops` op): read back whole.
         let prefix = stream(&mut table, &[&kept], 0);
         assert_eq!(table.encoded_words(), 4 * words - 1);
-        assert_eq!(prefix, plain(0));
+        assert_eq!(prefix.to_ops(), plain(0).to_ops());
         // A stream that stops short of its candidate's words, and differs.
         let short = |buf: &mut TraceBuf| {
             buf.block(1, 2);
@@ -1244,7 +1129,7 @@ mod tests {
         assert_eq!(table.encoded_words(), 4 * words - 1 + 3);
         let mut want = TraceBuf::new();
         short(&mut want);
-        assert_eq!(streamed, want);
+        assert_eq!(streamed.to_ops(), want.to_ops());
     }
 
     #[test]
@@ -1362,12 +1247,12 @@ mod tests {
         let kept = Kept {
             stored: stored.as_slice().into(),
             runs: runs.as_slice().into(),
-            ends: ends_of(raw),
         };
         let mut decoded = Vec::new();
         kept.decode(usize::MAX, |w| decoded.extend_from_slice(w));
         assert_eq!(decoded, raw, "decodes to what was encoded");
-        assert!(op::decodes_to(&stored, &runs, raw));
+        let mut follow = op::Follow::default();
+        assert!(follow.advance(&stored, &runs, raw, 0) && follow.done(&stored));
         let mut bounds = vec![false; raw.len() + 1];
         let mut i = 0;
         while i < raw.len() {
@@ -1538,18 +1423,12 @@ mod tests {
                 })
         }
 
-        fn hash_of(t: &TraceBuf) -> u64 {
-            let mut s = std::collections::hash_map::DefaultHasher::new();
-            t.hash(&mut s);
-            s.finish()
-        }
-
         proptest! {
             /// Run encoding is lossless on arbitrary op streams — wide ops
             /// and blocks inside runs and at their edges — and every run
             /// starts and ends on an op boundary (`encoded` checks both);
-            /// the ops read back through the cursor, and a changed word
-            /// no longer compares equal.
+            /// the ops read back through the cursor, and words with one
+            /// changed no longer follow the encoding to its end.
             #[test]
             fn runs_roundtrip(ops in arb_loop(), flip in 0usize..4000) {
                 let buf: TraceBuf = ops.iter().copied().collect();
@@ -1559,8 +1438,10 @@ mod tests {
                 if !raw.is_empty() {
                     let mut changed = raw.to_vec();
                     changed[flip % raw.len()] ^= 1;
-                    let (again, runs) = encode(&[raw]);
-                    prop_assert!(!op::decodes_to(&again, &runs, &changed));
+                    let (stored, runs) = encode(&[raw]);
+                    let mut follow = op::Follow::default();
+                    let followed = follow.advance(&stored, &runs, &changed, 0);
+                    prop_assert!(!(followed && follow.done(&stored)));
                 }
             }
 
@@ -1591,22 +1472,17 @@ mod tests {
                 prop_assert_eq!(encode(&chunks), encode(&[raw]));
             }
 
-            /// A kept, run-encoded buffer equals the buffer it was kept
-            /// from, both ways round, and hashes the same; one op more is
-            /// a different buffer.
+            /// A kept, run-encoded buffer decodes to the ops of the buffer
+            /// it was kept from, and counts them the same.
             #[test]
             fn a_kept_buffer_equals_its_raw_twin(ops in arb_loop()) {
                 let raw: TraceBuf = ops.iter().copied().collect();
                 let kept = kept(&mut WordTable::default(), &raw);
-                prop_assert_eq!(&kept, &raw);
-                prop_assert_eq!(&raw, &kept);
-                prop_assert_eq!(hash_of(&kept), hash_of(&raw));
-                prop_assert_eq!(kept.ends(), raw.ends());
                 prop_assert_eq!(kept.to_ops(), raw.to_ops());
-                let mut longer = raw.clone();
-                longer.branch(1, true);
-                prop_assert_ne!(&kept, &longer);
-                prop_assert_ne!(&longer, &kept);
+                prop_assert_eq!(
+                    (kept.len(), kept.instructions(), kept.base()),
+                    (raw.len(), raw.instructions(), raw.base())
+                );
             }
         }
 
@@ -1718,7 +1594,7 @@ mod tests {
                 }
                 let decoded: u64 = buf.iter().map(|o| o.uops()).sum();
                 prop_assert_eq!(buf.instructions(), decoded);
-                let region = RegionTrace::new(vec![buf.clone(), buf]);
+                let region = RegionTrace::new(vec![buf.iter().collect(), buf]);
                 prop_assert_eq!(region.instructions(), 2 * decoded);
             }
         }

@@ -21,8 +21,11 @@
 
 mod common;
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use common::eight_byte_words;
-use paxsim_machine::trace::ProgramTrace;
+use paxsim_machine::trace::{ProgramTrace, TraceBuf};
 use paxsim_nas::KernelId::{self, *};
 use paxsim_nas::{all_kernels, Class};
 use paxsim_omp::schedule::Schedule;
@@ -43,6 +46,27 @@ fn digest(trace: &ProgramTrace) -> u64 {
         }
     }
     h
+}
+
+/// Assert that `trace`'s kept arrays are canonical, as interning by
+/// identity requires: no two arrays hold equal words, and no two regions
+/// with one label hold the same array at the same base on every thread.
+fn assert_canonical(trace: &ProgramTrace, point: &str) {
+    let id = |t: &TraceBuf| (!t.words().is_empty()).then(|| t.words().as_ptr());
+    let (mut arrays, mut regions) = (HashMap::new(), HashMap::new());
+    for region in &trace.regions {
+        for t in region.threads.iter().filter(|t| !t.words().is_empty()) {
+            let array = t.words().as_ptr();
+            let first = *arrays.entry(t.words()).or_insert(array);
+            assert_eq!(first, array, "{point}: equal words in two arrays");
+        }
+        let holds: Vec<_> = region.threads.iter().map(|t| (id(t), t.base())).collect();
+        let first = *regions
+            .entry((&region.label, holds))
+            .or_insert(Arc::as_ptr(region));
+        let label = &region.label;
+        assert_eq!(first, Arc::as_ptr(region), "{point}: {label} kept twice");
+    }
 }
 
 /// (kernel, threads, schedule, digest, `regions.len()`, `unique_regions()`,
@@ -138,6 +162,7 @@ fn class_t_traces_did_not_move() {
         assert_eq!(t.unique_regions(), unique, "{point}: interned regions");
         assert_eq!(t.packed_bytes(), packed, "{point}: packed bytes");
         assert_eq!(built.verify.details, details, "{point}: verdict");
+        assert_canonical(t, &point);
     }
     // Every kernel × thread count × schedule, each once.
     let mut seen: Vec<_> = RECORDED.iter().map(|r| (r.0, r.1, r.2)).collect();

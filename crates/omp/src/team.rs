@@ -284,7 +284,7 @@ impl Team {
     /// this label whose every thread holds the same array at the same
     /// base, or `bufs` as a region of its own.
     fn intern(&mut self, label: &str, bufs: Vec<TraceBuf>) {
-        let same = |r: &&Arc<RegionTrace>| r.threads.iter().zip(&bufs).all(|(a, b)| **a == *b);
+        let same = |r: &&Arc<RegionTrace>| r.threads.iter().zip(&bufs).all(|(a, b)| a.same_kept(b));
         let region = match self.kept.get(label).and_then(|kept| kept.iter().find(same)) {
             Some(earlier) => Arc::clone(earlier),
             None => {
@@ -689,16 +689,21 @@ mod tests {
         }
         // The second region's threads followed the first's words: each
         // holds that thread's array, against its own base.
-        let one_thread = team.regions[0].threads[0].ends().0;
+        let one_thread = plain_words(&team.regions[0].threads[0]);
         assert_eq!(team.words.encoded_words(), one_thread);
         let prog = team.finish();
         let (a, b) = (&prog.regions[0], &prog.regions[1]);
         for (x, y) in a.threads.iter().zip(&b.threads) {
             assert_eq!(x.words().as_ptr(), y.words().as_ptr());
             assert_ne!(x.base(), y.base());
+            assert!(!x.iter().eq(y.iter()), "the same words at other addresses");
         }
         assert_eq!(prog.unique_regions(), 2);
-        assert_ne!(**a, **b);
+    }
+
+    /// The words `t`'s ops take in a plain buffer, never kept.
+    fn plain_words(t: &TraceBuf) -> usize {
+        t.iter().collect::<TraceBuf>().words().len()
     }
 
     /// The ops `body` emits as thread `tid` of `nthreads` into a plain
@@ -734,7 +739,7 @@ mod tests {
         let mut team = Team::new("t", 1);
         team.parallel("r", long_sweep(0x4000_0000, 0x4010_0000));
         team.parallel("r", long_sweep(0x4000_0000, 0x4010_0040));
-        let words = team.regions[0].threads[0].ends().0;
+        let words = plain_words(&team.regions[0].threads[0]);
         // The second followed the first to its last word, then was encoded
         // whole: the words before read back from the first's array.
         assert_eq!(team.words.encoded_words(), 2 * words);
@@ -851,7 +856,7 @@ mod tests {
         team.parallel("sweep", sweep);
         // One array, and nothing encoded for the threads sharing it: their
         // words followed thread 0's as they came.
-        let thread_words = team.regions[0].threads[0].ends().0;
+        let thread_words = plain_words(&team.regions[0].threads[0]);
         assert_eq!(team.words.encoded_words(), thread_words);
         // A later region of other words, and then one sharing the words of
         // the first region's threads once more.
