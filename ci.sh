@@ -218,7 +218,7 @@ echo "predict smoke passed: byte-identical predicted hit, exact tier untouched"
 # Autotune smoke: a budgeted op=tune over a tiny grid must return the
 # same winner (with the same score) as an exhaustive sweep of that grid
 # through the exact tier, and an identical repeat must replay
-# byte-identical from the finished-search cache.
+# byte-identical over the result cache.
 TUNE_REPLY=$("$CLI" --unix "$SERVE_SOCK" tune --kernel ep --configs "CMP;CMT" --schedules static --budget 8)
 TUNE_AGAIN=$("$CLI" --unix "$SERVE_SOCK" tune --kernel ep --configs "CMP;CMT" --schedules static --budget 8)
 [ "$TUNE_REPLY" = "$TUNE_AGAIN" ] || {
@@ -227,6 +227,9 @@ TUNE_AGAIN=$("$CLI" --unix "$SERVE_SOCK" tune --kernel ep --configs "CMP;CMT" --
     echo "  second: $TUNE_AGAIN"
     exit 1
 }
+# The result cache is the daemon's only store: its shards are all it writes.
+STRAY=$(ls "$SERVE_TMP/cache" | grep -v '^shard-[0-9]*\.jsonl$' || true)
+[ -z "$STRAY" ] || { echo "cache directory holds more than shards: $STRAY"; exit 1; }
 # The normalized request echoes the grid's canonical config names in
 # request order, so the sweep labels come straight from the reply.
 CANON_CMP=$(printf '%s' "$TUNE_REPLY" | sed -n 's/.*"configs":\["\([^"]*\)","\([^"]*\)"\].*/\1/p')
@@ -357,10 +360,10 @@ echo "$HEALTH" | grep -q '"put_failures":1' || {
     exit 1
 }
 # Tune resume under the same fault plan: the tune-abort kills the search
-# on its second fresh evaluation — after the first cell is journaled —
-# so the first request fails typed, and the retry resumes from the
-# journal and must render byte-for-byte what the clean daemon rendered
-# for the identical request above.
+# on its second evaluation — after the first cell is cached — so the
+# first request fails typed, and the retry resumes from the result cache
+# and must render byte-for-byte what the clean daemon rendered for the
+# identical request above.
 set +e
 TUNE_KILLED=$("$CLI" --unix "$CHAOS_SOCK" tune --kernel ep --configs "CMP;CMT" --schedules static --budget 8)
 TUNE_KILLED_CODE=$?
@@ -385,7 +388,7 @@ echo "$STATS" | grep -q '"resumes":1' || {
     echo "tune resume not counted in stats: $STATS"
     exit 1
 }
-echo "tune resume smoke passed: typed failure, journal replay, byte-identical result"
+echo "tune resume smoke passed: typed failure, cache replay, byte-identical result"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
@@ -443,10 +446,11 @@ echo "== retired harness names stay retired =="
 # data files and their environment variable must not come back, and
 # neither may a process-wide fault plan or the lock that serialized it,
 # nor the region memo's process-wide budget hook and off switch, the trace
-# content matcher that kept arrays made redundant, or criterion (history
+# content matcher that kept arrays made redundant, the daemon's stores
+# beside the result cache, or criterion (history
 # in CHANGES.md / ROADMAP.md, and benchmark/'s own prose, excepted). The
 # one-letter brackets keep this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain' \
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain|tune\.[j]sonl|tune_[c]ache|TuneStat[s]|migrate_[l]egacy' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired benchmark name reappeared (see above)"
     exit 1

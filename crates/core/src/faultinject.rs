@@ -42,7 +42,7 @@
 //!                                exercising the partial-write/slow-reader path (default 64)
 //! predict-bias[:times]           bias the analytical predictor's wall-clock estimate so the
 //!                                prediction auditor must catch it (default unlimited)
-//! tune-abort:<period>[:times]    fail a tune search on fresh evaluation n when n % period == 0
+//! tune-abort:<period>[:times]    fail a tune search on evaluation n when n % period == 0
 //!                                (default 1)
 //! ```
 //!
@@ -358,9 +358,9 @@ impl Faults {
         self.fires(FaultKind::ServeBatchPanic)
     }
 
-    /// A tune search is about to run fresh evaluation number `evals`
-    /// (1-based): true when a `tune-abort:<period>` matches — the caller
-    /// fails the search so the journaled resume runs.
+    /// A tune search is about to run evaluation number `evals` (1-based):
+    /// true when a `tune-abort:<period>` matches — the caller fails the
+    /// search so the resume runs.
     #[inline]
     pub fn tune_abort(&self, evals: u64) -> bool {
         self.take(|k| matches!(k, FaultKind::TuneAbort(p) if evals.is_multiple_of(*p)))

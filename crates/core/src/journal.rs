@@ -338,9 +338,8 @@ impl Journal {
         inner.lines.saturating_sub(inner.cells.len())
     }
 
-    /// Every resumable record, in unspecified order. The serve cache uses
-    /// this to migrate a legacy single-file journal into its per-shard
-    /// files; sweeps never need it (they look cells up by key).
+    /// Every resumable record, in unspecified order; sweeps never need
+    /// it (they look cells up by key).
     pub fn records(&self) -> Vec<Record> {
         lock(&self.inner).cells.values().cloned().collect()
     }

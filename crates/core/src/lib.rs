@@ -70,7 +70,5 @@ pub mod prelude {
     pub use crate::single::{run_single_program, run_single_program_on, SingleStudy};
     pub use crate::store::{TraceKey, TraceStore};
     pub use crate::study::{Cell, StudyOptions};
-    pub use crate::tune::{
-        nan_last_cmp, TuneAlgo, TunePlan, TuneRequest, TuneResult, TuneRound, TuneStats,
-    };
+    pub use crate::tune::{nan_last_cmp, TuneAlgo, TunePlan, TuneRequest, TuneResult, TuneRound};
 }

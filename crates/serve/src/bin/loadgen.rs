@@ -481,7 +481,7 @@ fn main() {
     // Phase 2.7: autotune. One budgeted search over a 2x2 grid — the
     // static cells are warm from phase 1, the dynamic cells compute
     // fresh — then an identical repeat that must replay byte-identical
-    // from the finished-search cache without touching the engine.
+    // from the result cache.
     const TUNE: &str = r#"{"op":"tune","kernel":"ep","configs":["CMP","CMT"],"schedules":["static","dynamic,2"],"budget":16}"#;
     let batches_before_tune = service.batches();
     let t_tune = Instant::now();
@@ -506,7 +506,7 @@ fn main() {
     assert_eq!(
         (service.tunes(), service.tune_hits()),
         (2, 1),
-        "the repeat must be a finished-search cache hit"
+        "the repeat must be a result-cache hit"
     );
     eprintln!(
         "loadgen: tune search in {tune_search_ms:.1} ms, cached replay {tune_replay_ms:.3} ms"

@@ -51,14 +51,11 @@
 //! exactly one shard, so `Σ hits + Σ misses == get calls` across any mix
 //! of shards.
 //!
-//! A legacy single-file `results.jsonl` from a pre-shard daemon is
-//! migrated at open: every valid record is appended into its owning
-//! shard's journal and the legacy file is renamed to
-//! `results.jsonl.migrated`, so an upgrade never recomputes a result it
-//! already paid for.
+//! The shard files are the cache directory's only format: any other file
+//! there is neither read nor deleted.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -66,11 +63,6 @@ use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::faultinject::Faults;
 use paxsim_core::hash::{fnv1a, ConfigHash};
 use paxsim_core::journal::{FsyncPolicy, Journal, Record, SideRecord};
-
-/// Legacy (pre-shard) on-disk journal file name inside the cache
-/// directory; present only in caches written by older daemons, migrated
-/// on open.
-pub const JOURNAL_FILE: &str = "results.jsonl";
 
 /// Default shard count. Eight shards cut lock contention by ~8x while
 /// keeping the cache directory readable; tune with `--shards`.
@@ -112,6 +104,8 @@ impl Ring {
     /// it, wrapping to the first point past the top of the keyspace.
     pub fn select(&self, hash: ConfigHash) -> usize {
         let i = self.points.partition_point(|&(p, _)| p < hash.0);
+        // `points` is never empty (`shards.max(1) × VNODES > 0`), so the
+        // modulus is nonzero and the index in range.
         self.points[i % self.points.len()].1
     }
 }
@@ -171,7 +165,10 @@ impl Lru {
         self.map.insert(key, entry);
         self.touch(key);
         while self.map.len() > self.cap {
-            let coldest = self.order.pop_front().expect("order tracks map");
+            let coldest = self
+                .order
+                .pop_front()
+                .expect("`order` holds every key of `map`, which is over capacity");
             self.map.remove(&coldest);
         }
     }
@@ -252,11 +249,8 @@ impl Shard {
 
     fn put(&self, hash: ConfigHash, sides: Vec<SideRecord>) -> StudyResult<Record> {
         let key = ResultCache::key(hash);
-        let rec = match self.journal.record(&key, sides.clone()) {
-            Ok(()) => self
-                .journal
-                .lookup(&key)
-                .expect("a just-recorded key is present"),
+        match self.journal.record(&key, sides.clone()) {
+            Ok(()) => {}
             // Degraded mode: an append failure (disk full, injected
             // `journal-fail`) must not turn a *computed* result into a
             // client error. The record serves from the memory tier —
@@ -269,10 +263,10 @@ impl Shard {
                 static DEGRADED: paxsim_obs::LazyCounter =
                     paxsim_obs::LazyCounter::new("serve.cache.put_failures");
                 DEGRADED.inc();
-                Record { key, sides }
             }
             Err(e) => return Err(e),
-        };
+        }
+        let rec = Record { key, sides };
         self.puts.fetch_add(1, Ordering::Relaxed);
         static PUTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.puts");
         PUTS.inc();
@@ -314,19 +308,16 @@ pub struct ShardStats {
 pub struct ResultCache {
     ring: Ring,
     shards: Vec<Shard>,
-    /// Legacy records migrated into shards at open.
-    migrated: usize,
 }
 
 impl ResultCache {
     /// Open the cache rooted at `dir` (created if absent) with `shards`
     /// shards, each holding at most `mem_cap / shards` records in memory
-    /// (minimum one). A legacy single-file journal is migrated into the
-    /// shard files before the shards load.
+    /// (minimum one).
     ///
     /// # Errors
     ///
-    /// Journal I/O errors opening, reading, or migrating the disk tier.
+    /// Journal I/O errors opening or reading the disk tier.
     pub fn open(dir: &Path, mem_cap: usize, shards: usize) -> StudyResult<ResultCache> {
         Self::open_with(dir, mem_cap, shards, FsyncPolicy::Flush, Faults::default())
     }
@@ -337,7 +328,7 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Journal I/O errors opening, reading, or migrating the disk tier.
+    /// Journal I/O errors opening or reading the disk tier.
     pub fn open_with(
         dir: &Path,
         mem_cap: usize,
@@ -347,7 +338,6 @@ impl ResultCache {
     ) -> StudyResult<ResultCache> {
         let n = shards.max(1);
         let ring = Ring::new(n);
-        let migrated = migrate_legacy(dir, &ring, n)?;
         let per_shard_cap = if mem_cap == 0 {
             0
         } else {
@@ -373,15 +363,11 @@ impl ResultCache {
                 })
             })
             .collect::<StudyResult<Vec<Shard>>>()?;
-        Ok(ResultCache {
-            ring,
-            shards,
-            migrated,
-        })
+        Ok(ResultCache { ring, shards })
     }
 
     /// The on-disk journal key for a content hash (same spelling in every
-    /// shard and in the legacy file).
+    /// shard).
     pub fn key(hash: ConfigHash) -> String {
         format!("serve|{hash}")
     }
@@ -391,14 +377,15 @@ impl ResultCache {
         self.ring.select(hash)
     }
 
+    /// The shard owning `hash`. The ring was built for `shards.len()`
+    /// shards, so the index is in range.
+    fn shard(&self, hash: ConfigHash) -> &Shard {
+        &self.shards[self.ring.select(hash)]
+    }
+
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Legacy records migrated into shard journals at open.
-    pub fn migrated(&self) -> usize {
-        self.migrated
     }
 
     /// Look `hash` up in its shard: memory first, then disk (promoting a
@@ -410,7 +397,7 @@ impl ResultCache {
     /// across shards. Lookups that must not perturb the stats (a flight's
     /// double-check) use [`ResultCache::peek`].
     pub fn get(&self, hash: ConfigHash) -> Option<Record> {
-        self.shards[self.ring.select(hash)].get(hash)
+        self.shard(hash).get(hash)
     }
 
     /// Hit-or-nothing lookup: behaves exactly like [`ResultCache::get`]
@@ -421,7 +408,7 @@ impl ResultCache {
     /// the worker path, whose `get` books the one miss the conservation
     /// law expects.
     pub fn probe(&self, hash: ConfigHash) -> Option<Record> {
-        self.shards[self.ring.select(hash)].probe(hash, |e| e.rec.clone())
+        self.shard(hash).probe(hash, |e| e.rec.clone())
     }
 
     /// [`ResultCache::probe`] for a caller that wants the reply, not the
@@ -436,7 +423,7 @@ impl ResultCache {
         hash: ConfigHash,
         render: impl FnOnce(&Record) -> String,
     ) -> Option<Arc<str>> {
-        self.shards[self.ring.select(hash)].probe(hash, |e| {
+        self.shard(hash).probe(hash, |e| {
             let rec = &e.rec;
             e.line.get_or_insert_with(|| render(rec).into()).clone()
         })
@@ -446,7 +433,7 @@ impl ResultCache {
     /// slow path will now answer: `probe` + `book_miss` books what `get`
     /// books.
     pub(crate) fn book_miss(&self, hash: ConfigHash) {
-        self.shards[self.ring.select(hash)].book_miss();
+        self.shard(hash).book_miss();
     }
 
     /// Silent lookup: serves from either tier of the owning shard without
@@ -455,7 +442,7 @@ impl ResultCache {
     /// leadership race — the request already charged its one tier counter
     /// in the outer [`ResultCache::get`].
     pub fn peek(&self, hash: ConfigHash) -> Option<Record> {
-        self.shards[self.ring.select(hash)].peek(hash)
+        self.shard(hash).peek(hash)
     }
 
     /// Store a computed result in both tiers of the owning shard; returns
@@ -473,7 +460,7 @@ impl ResultCache {
     ///
     /// Non-I/O failures only (a record that cannot serialize at all).
     pub fn put(&self, hash: ConfigHash, sides: Vec<SideRecord>) -> StudyResult<Record> {
-        self.shards[self.ring.select(hash)].put(hash, sides)
+        self.shard(hash).put(hash, sides)
     }
 
     /// Memory-tier hits served, summed across shards.
@@ -539,7 +526,7 @@ impl ResultCache {
     }
 
     /// On-disk records dropped at open because they failed CRC/parse,
-    /// summed across shards (plus any dropped during legacy migration).
+    /// summed across shards.
     pub fn corrupt_dropped(&self) -> usize {
         self.shards
             .iter()
@@ -580,51 +567,6 @@ impl ResultCache {
         }
         Ok(reclaimed)
     }
-}
-
-/// Migrate a legacy single-file journal into per-shard files. Returns the
-/// number of records moved. Idempotent: the legacy file is renamed to
-/// `<name>.migrated` afterward, so a second open finds nothing to do.
-fn migrate_legacy(dir: &Path, ring: &Ring, n: usize) -> StudyResult<usize> {
-    let legacy_path: PathBuf = dir.join(JOURNAL_FILE);
-    if !legacy_path.exists() {
-        return Ok(0);
-    }
-    let legacy = Journal::open(&legacy_path)?;
-    let records = legacy.records();
-    let mut shard_journals: Vec<Option<Journal>> = (0..n).map(|_| None).collect();
-    let mut moved = 0;
-    for rec in records {
-        // Keys are `serve|<16 hex digits>`; anything else is not ours to
-        // place and is left behind in the renamed file.
-        let Some(hex) = rec.key.strip_prefix("serve|") else {
-            continue;
-        };
-        let Ok(raw) = u64::from_str_radix(hex, 16) else {
-            continue;
-        };
-        let shard = ring.select(ConfigHash(raw));
-        let journal = match &mut shard_journals[shard] {
-            Some(j) => j,
-            none => none.insert(Journal::open(&dir.join(shard_file_name(shard)))?),
-        };
-        // Last-record-wins journals make re-appending over an existing
-        // key harmless, so a migration killed partway through simply
-        // re-migrates on the next open.
-        if journal.lookup(&rec.key).is_none() {
-            journal.record(&rec.key, rec.sides)?;
-            moved += 1;
-        }
-    }
-    let renamed = legacy_path.with_extension("jsonl.migrated");
-    std::fs::rename(&legacy_path, &renamed).map_err(|e| {
-        paxsim_core::error::StudyError::JournalIo {
-            path: legacy_path.display().to_string(),
-            op: "rename-migrated",
-            detail: e.to_string(),
-        }
-    })?;
-    Ok(moved)
 }
 
 #[cfg(test)]
@@ -764,37 +706,6 @@ mod tests {
         // Promoted: the second lookup is a memory hit.
         assert!(c.get(h).is_some());
         assert_eq!(c.mem_hits(), 1);
-    }
-
-    #[test]
-    fn legacy_journal_migrates_into_shards() {
-        let dir = tmp("migrate");
-        // Write a legacy-format single-file cache by hand.
-        let legacy = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
-        let keys: Vec<ConfigHash> = (0..10u64)
-            .map(|i| ConfigHash(fnv1a(&i.to_le_bytes())))
-            .collect();
-        for (i, h) in keys.iter().enumerate() {
-            legacy
-                .record(&ResultCache::key(*h), sides(i as u64))
-                .unwrap();
-        }
-        drop(legacy);
-        let c = open(&dir, 64, 4);
-        assert_eq!(c.migrated(), 10, "every legacy record migrates");
-        assert!(!dir.join(JOURNAL_FILE).exists(), "legacy file renamed");
-        for (i, h) in keys.iter().enumerate() {
-            assert_eq!(
-                c.get(*h).unwrap().sides[0].counters.instructions,
-                i as u64,
-                "migrated record must serve from its shard"
-            );
-        }
-        // Idempotent: a reopen migrates nothing further.
-        drop(c);
-        let c = open(&dir, 64, 4);
-        assert_eq!(c.migrated(), 0);
-        assert_eq!(c.disk_len(), 10);
     }
 
     #[test]

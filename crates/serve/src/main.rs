@@ -156,15 +156,10 @@ fn main() {
         println!("paxsim-serve: listening on unix {}", path.display());
     }
     println!(
-        "paxsim-serve: cache {} ({} on disk, {} shards{}), batch window {} ms, {} workers",
+        "paxsim-serve: cache {} ({} on disk, {} shards), batch window {} ms, {} workers",
         args.cfg.cache_dir.display(),
         service.cache().disk_len(),
         service.cache().shard_count(),
-        if service.cache().migrated() > 0 {
-            format!(", {} migrated", service.cache().migrated())
-        } else {
-            String::new()
-        },
         args.cfg.batch_window_ms,
         args.cfg.effective_workers(),
     );

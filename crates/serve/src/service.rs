@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::hash::{content_hash, fnv1a, ConfigHash, Fidelity, ResolvedSpec, StudySpec};
 use paxsim_core::inflight::{Flight, Inflight};
-use paxsim_core::journal::{FsyncPolicy, Journal, Record, SideRecord};
+use paxsim_core::journal::{FsyncPolicy, Record, SideRecord};
 use paxsim_core::pool::{self, CellPolicy};
 use paxsim_core::sentinel::{MetricError, PredictAuditor};
 use paxsim_core::single::run_trials_with;
@@ -345,30 +345,20 @@ pub struct Service {
     /// Model-evaluation latency in milliseconds (predicted tier only;
     /// excludes the content-addressed profile extraction it amortizes).
     predict_latencies: Mutex<RunningSummary>,
-    /// The tune checkpoint journal (`tune.jsonl` beside the cache
-    /// shards): every scored search cell lands here before the search
-    /// moves on, so a killed tune resumes instead of restarting.
-    tune_journal: Journal,
-    /// Finished tune results, content-addressed by the normalized
-    /// request's `ConfigHash` (its own key space: the hash grafts an
-    /// `"op":"tune"` marker). In-memory only — durability comes from the
-    /// cell journal, which replays a completed search at zero engine
-    /// cost after a restart.
-    tune_cache: Mutex<HashMap<u64, TuneResult>>,
     /// Single-flight table for tune searches. Like the predicted tier:
     /// its own table (a search takes seconds and must not block exact
     /// flights) and never batched — the search decides its own
     /// evaluation order.
     tune_inflight: Inflight<Result<TuneResult, Rejection>>,
-    /// `tune` requests that reached the tune-cache lookup.
+    /// `tune` requests that reached the result-cache replay.
     tunes: AtomicU64,
-    /// Tune requests answered from the finished-result cache.
+    /// Tune requests answered by a replay over the result cache.
     tune_hits: AtomicU64,
     /// Searches that ran to completion this process.
     tune_completed: AtomicU64,
-    /// Searches that replayed at least one journaled cell (resumes).
+    /// Searches that found at least one cell in the result cache.
     tune_resumes: AtomicU64,
-    /// Search cells replayed from the journal / freshly evaluated.
+    /// Search cells found in the result cache / computed by the search.
     tune_replayed: AtomicU64,
     tune_fresh: AtomicU64,
     /// Kept by the socket front end ([`Server`](crate::server::Server)) as
@@ -400,7 +390,6 @@ impl Service {
         };
         let (dir, faults) = (&cfg.cache_dir, &cfg.faults);
         let cache = ResultCache::open_with(dir, cfg.mem_cap, cfg.shards, policy, faults.clone())?;
-        let tune_journal = Journal::open_with(&dir.join("tune.jsonl"), policy, faults.clone())?;
         let gate = Gate::new(cfg.max_running, cfg.max_queue);
         let batcher = Batcher::new(Duration::from_millis(cfg.batch_window_ms));
         let breaker = Breaker::new(
@@ -432,8 +421,6 @@ impl Service {
             predicted_served: AtomicU64::new(0),
             profiles: ProfileCache::default(),
             predict_latencies: Mutex::default(),
-            tune_journal,
-            tune_cache: Mutex::new(HashMap::new()),
             tune_inflight: Inflight::new(),
             tunes: AtomicU64::new(0),
             tune_hits: AtomicU64::new(0),
@@ -869,22 +856,27 @@ impl Service {
     /// Serve one `tune` request: a budgeted configuration search over
     /// the request's grid.
     ///
-    /// Same pipeline as the exact tier — content-addressed cache (own
-    /// key space: the tune hash grafts an `"op":"tune"` marker), own
-    /// single-flight table (a search takes seconds and must not block
-    /// exact flights), the envelope keyed on the tune hash — but **never
-    /// batched** (the search decides its own evaluation order), and with
-    /// *one* admission-gate permit held across the whole search (a
-    /// search is one long computation; re-gating each cell could
-    /// deadlock a loaded daemon, exactly like the serial-baseline
-    /// argument).
+    /// A finished tune is its cells, so the hit is the search replayed
+    /// over [`ResultCache::peek`], stopping at the first cell the cache
+    /// lacks. It runs before the flight and as the flight's re-check, so
+    /// a finished tune serves while draining, overloaded or quarantined.
+    /// A miss takes the exact tier's pipeline — own single-flight table
+    /// (a search takes seconds and must not block exact flights), the
+    /// envelope keyed on the tune hash — but is **never batched** (the
+    /// search decides its own evaluation order) and holds *one*
+    /// admission-gate permit across the whole search (re-gating each
+    /// cell could deadlock a loaded daemon, like the serial baselines).
     fn tune(&self, req: &TuneRequest, deadline_ms: Option<u64>) -> Result<String, Rejection> {
         static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.hits");
         let plan = req.plan().map_err(Rejection::Failed)?;
         let hash = plan.content_hash();
         self.tunes.fetch_add(1, Ordering::Relaxed);
         let cached = || {
-            let result = lock(&self.tune_cache).get(&hash.0).cloned()?;
+            let result = tune::run(&plan, |spec, fidelity| {
+                let rec = self.cache.peek(spec.content_hash_with_fidelity(fidelity));
+                rec.map(|rec| rec.sides).ok_or(())
+            })
+            .ok()?;
             self.tune_hits.fetch_add(1, Ordering::Relaxed);
             HITS.inc();
             Some(result)
@@ -900,9 +892,7 @@ impl Service {
                             Ok(permit) => permit,
                             Err(rej) => return Ok(Err(rej)),
                         };
-                        let result = self.search(&plan, deadline_ms)?;
-                        lock(&self.tune_cache).insert(hash.0, result.clone());
-                        Ok(Ok(result))
+                        Ok(Ok(self.search(&plan, deadline_ms)?))
                     })
                 });
                 settle(landed)?
@@ -913,10 +903,10 @@ impl Service {
 
     /// Run one admitted search to its verdict and book it.
     ///
-    /// Every scored cell journals through `tune.jsonl` before the
-    /// search advances, and the budget is charged per scored cell
-    /// whether fresh or replayed — so a tune killed mid-search resumes
-    /// where it stopped and renders a byte-identical reply.
+    /// Each cell is looked up in the result cache first (found: a
+    /// replayed cell) and computed only when absent (a fresh cell), so a
+    /// tune killed mid-search resumes where it stopped and renders a
+    /// byte-identical reply.
     ///
     /// Cell evaluation is deliberately **counter-neutral** on the
     /// conservation law (`peek`/`put` only, never `get`): tune requests
@@ -938,36 +928,38 @@ impl Service {
         static SEARCHES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.tune.searches");
         SEARCHES.inc();
-        let mut fresh_evals: u64 = 0;
-        let (result, stats) = tune::run(plan, Some(&self.tune_journal), |spec, fidelity| {
+        let (mut evals, mut fresh, mut replayed) = (0u64, 0u64, 0u64);
+        let result = tune::run(plan, |spec, fidelity| {
             // Chaos hook: a `tune-abort` plan fails the search on the
-            // matching fresh evaluation — after its predecessors are
-            // already journaled — so the resume path is exercised
-            // end to end.
-            fresh_evals += 1;
-            if self.cfg.faults.tune_abort(fresh_evals) {
+            // matching evaluation, found or computed — after its
+            // predecessors are already stored — so the resume path is
+            // exercised end to end.
+            evals += 1;
+            if self.cfg.faults.tune_abort(evals) {
                 return Err(StudyError::CellPanicked {
-                    index: fresh_evals as usize,
+                    index: evals as usize,
                     payload: "injected tune-abort fault".to_string(),
                 });
             }
+            let hash = spec.content_hash_with_fidelity(fidelity);
+            if let Some(rec) = self.cache.peek(hash) {
+                replayed += 1;
+                return Ok(rec.sides);
+            }
+            fresh += 1;
             let resolved = spec.resolve()?;
             let rec = if fidelity == Fidelity::Exact {
-                self.sub_request(&resolved, resolved.content_hash(), deadline_ms)
+                self.sub_request(&resolved, hash, deadline_ms)
             } else {
-                let hash = resolved.content_hash_with_fidelity(Fidelity::Predicted);
-                let peek = || self.cache.peek(hash);
                 let model = || self.cache.put(hash, self.predict_cell(&resolved)?.0);
-                flight(&self.sub_inflight, hash.0, peek, model).0
+                flight(&self.sub_inflight, hash.0, || self.cache.peek(hash), model).0
             };
             Ok(rec?.sides)
         })?;
         self.tune_completed.fetch_add(1, Ordering::Relaxed);
-        self.tune_fresh
-            .fetch_add(stats.fresh as u64, Ordering::Relaxed);
-        self.tune_replayed
-            .fetch_add(stats.replayed as u64, Ordering::Relaxed);
-        if stats.replayed > 0 {
+        self.tune_fresh.fetch_add(fresh, Ordering::Relaxed);
+        self.tune_replayed.fetch_add(replayed, Ordering::Relaxed);
+        if replayed > 0 {
             self.tune_resumes.fetch_add(1, Ordering::Relaxed);
             RESUMES.inc();
         }
@@ -1546,7 +1538,7 @@ impl Service {
         self.tunes.load(Ordering::Relaxed)
     }
 
-    /// Tune requests answered from the finished-search cache.
+    /// Tune requests answered by a replay over the result cache.
     pub fn tune_hits(&self) -> u64 {
         self.tune_hits.load(Ordering::Relaxed)
     }
@@ -1556,8 +1548,8 @@ impl Service {
         self.tune_completed.load(Ordering::Relaxed)
     }
 
-    /// Completed searches that replayed at least one journaled cell —
-    /// i.e. resumed the work of an earlier (killed or failed) search.
+    /// Completed searches that found at least one cell in the result
+    /// cache — the work of an earlier search, `simulate` or daemon.
     pub fn tune_resumes(&self) -> u64 {
         self.tune_resumes.load(Ordering::Relaxed)
     }
@@ -2306,7 +2298,7 @@ pub(crate) mod tests {
         assert!(cold.contains("\"ok\":true"), "{cold}");
         let computed = s.computed();
         let hot = s.handle_line(EP_TUNE);
-        assert_eq!(cold, hot, "finished-search cache must be byte-identical");
+        assert_eq!(cold, hot, "a replay over the cache must be byte-identical");
         assert_eq!(s.computed(), computed, "hit recomputed nothing");
         assert_eq!((s.tunes(), s.tune_hits(), s.tune_completed()), (2, 1, 1));
         assert_eq!(s.batches(), 0, "tune must never ride the batcher");
@@ -2319,6 +2311,43 @@ pub(crate) mod tests {
             Some(0),
             "tune books no simulate traffic: {stats}"
         );
+        s.set_draining();
+        assert_eq!(s.handle_line(EP_TUNE), cold, "a hit serves while draining");
+    }
+
+    #[test]
+    fn finished_tune_is_a_hit_after_a_restart() {
+        let dir = tmp("tune_restart");
+        let open = || {
+            Service::open(ServeConfig {
+                cache_dir: dir.clone(),
+                ..ServeConfig::default()
+            })
+            .unwrap()
+        };
+        let cold = open().handle_line(EP_TUNE);
+        assert!(cold.contains("\"ok\":true"), "{cold}");
+        let s = open();
+        assert_eq!(s.handle_line(EP_TUNE), cold, "restart must be invisible");
+        assert_eq!((s.tune_hits(), s.computed()), (1, 0));
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(name.starts_with("shard-"), "{name} is not a cache shard");
+        }
+    }
+
+    #[test]
+    fn tune_degrades_like_a_put_when_appends_fail() {
+        // Regression: every scored tune cell was also appended to a
+        // journal of its own, and a failed append there answered
+        // `"error":"internal"`. A tune's cells are cache puts, and a put
+        // whose append fails degrades to the memory tier.
+        let s = faulted("tune_append_fail", &plan("journal-fail:3"));
+        let reply = s.handle_line(EP_TUNE);
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        let clean = service("tune_append_clean").handle_line(EP_TUNE);
+        assert_eq!(reply, clean, "degraded cells must serve byte-identical");
+        assert_eq!(s.cache().put_failures(), 3, "serial, CMP and CMT puts");
     }
 
     /// A named `op=stats` counter, as the wire reports it.
@@ -2447,10 +2476,10 @@ pub(crate) mod tests {
 
     #[test]
     fn tune_resumes_from_aborted_search_without_reevaluating_cells() {
-        // A `tune-abort` fault kills the search on its second fresh
-        // evaluation — after the first cell is journaled. The retry must
-        // replay that cell from the journal (no second evaluation) and
-        // render byte-for-byte what an uninterrupted service renders.
+        // A `tune-abort` fault kills the search on its second evaluation
+        // — after the first cell is stored. The retry must find that cell
+        // in the cache (no second evaluation) and render byte-for-byte
+        // what an uninterrupted service renders.
         let killed = faulted("tune_abort", &plan("tune-abort:2:1"));
         let r = killed.handle_line(EP_TUNE);
         assert!(r.contains("\"error\":\"panic\""), "{r}");
