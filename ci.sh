@@ -70,7 +70,10 @@ echo "== pooled calibration, what the memo and a trace store once, linear string
 # Every row of the pooled calibrate() bit for bit its probe run alone; a
 # run whose trace nobody else holds leaves nothing pinned in the region
 # memo; snapshots share every cache chunk a region left alone, an aged
-# image all of its source's, and the meter counts a shared chunk once; an
+# image all of its source's, and the meter counts a shared chunk once; a
+# packed cache canon restores to a cache that behaves as the original at
+# any geometry and tag range, the width edge included, and costs at most
+# two bytes a line, a predictor canon a quarter byte a counter; an
 # eviction burst drops exactly the least recently used edges; threads that
 # emit equal words hold one array; a 250 KB string parses in well under a
 # second, and the vendored parser (outside the workspace run) decodes
@@ -80,6 +83,9 @@ by_name a_run_nobody_can_repeat_pins_nothing -p paxsim-machine --test memo
 by_name cache::tests::canons_share_every_chunk_but_the_touched_sets -p paxsim-machine --lib
 by_name cache::tests::an_aged_canon_shares_all_its_source_chunks -p paxsim-machine --lib
 by_name engine::tests::metered_snapshot_bytes_cover_the_bytes_held -p paxsim-machine --lib
+by_name cache::tests::properties::packed_canon_roundtrips -p paxsim-machine --lib
+by_name cache::tests::properties::a_power_of_two_range_roundtrips -p paxsim-machine --lib
+by_name cache::tests::a_warmed_canon_costs_at_most_two_bytes_a_line -p paxsim-machine --lib
 by_name memo::tests::an_eviction_burst_drops_exactly_the_least_recently_used_edges -p paxsim-machine --lib
 by_name team::tests::threads_with_equal_words_at_different_bases_hold_one_array -p paxsim-omp --lib
 by_name protocol::tests::a_long_string_parses_in_linear_time -p paxsim-serve --lib

@@ -60,19 +60,24 @@ impl Gshare {
     }
 
     /// Canonical memoization snapshot (see `crate::memo`). Every field is
-    /// time-free, so it is the state itself: the counters, shared with
-    /// every other snapshot holding the same table once interned, and the
-    /// histories. The masks follow from the configuration.
+    /// time-free, so it is the state itself: the counters, four two-bit
+    /// counters to a byte and shared with every other snapshot holding the
+    /// same table once interned, and the histories. The masks follow from
+    /// the configuration.
     pub(crate) fn canon(&self) -> GshareCanon {
+        let quads = self.pht.chunks_exact(4);
+        let packed = quads.map(|q| q[0] | q[1] << 2 | q[2] << 4 | q[3] << 6);
         GshareCanon {
-            pht: Chunk::new(self.pht.as_slice().into()),
+            pht: Chunk::new(packed.collect()),
             ghr: self.ghr,
         }
     }
 
     /// Install canonical state `c`, taken from a predictor of this size.
     pub(crate) fn restore(&mut self, c: &GshareCanon) {
-        self.pht.copy_from_slice(&c.pht);
+        for (q, &b) in self.pht.chunks_exact_mut(4).zip(c.pht.iter()) {
+            q.copy_from_slice(&[b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6]);
+        }
         self.ghr = c.ghr;
     }
 }
@@ -85,7 +90,7 @@ pub(crate) struct GshareCanon {
 }
 
 impl GshareCanon {
-    /// The counter table, for the interner to swap for its shared copy.
+    /// The packed counter table, for the interner to swap for its shared copy.
     pub(crate) fn pht_mut(&mut self) -> &mut Arc<Chunk<u8>> {
         &mut self.pht
     }
@@ -195,6 +200,22 @@ mod tests {
             alone > shared + 0.02,
             "interference should hurt: alone {alone}, shared {shared}"
         );
+    }
+
+    #[test]
+    fn a_restored_predictor_holds_the_original_counters() {
+        let mut a = Gshare::new(6, 4);
+        let mut x = 0x2545_f491u64;
+        for _ in 0..500 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            a.execute((x >> 7) as usize & 1, x >> 40, (x >> 17) & 3 != 0);
+        }
+        let canon = a.canon();
+        assert_eq!(canon.pht.len(), (1 << 6) / 4);
+        let mut b = Gshare::new(6, 4);
+        b.restore(&canon);
+        assert_eq!((&b.pht, b.ghr), (&a.pht, a.ghr));
+        assert_eq!(b.canon(), canon);
     }
 
     mod properties {

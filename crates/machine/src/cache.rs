@@ -67,6 +67,9 @@ impl SetAssoc {
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
+        // A canon counts a set's lines in a byte, and its sets in 32 bits.
+        assert!(geom.ways <= 255, "more than 255 ways");
+        assert!(sets as u64 <= 1 << 32, "more than 2^32 sets");
         assert!(
             geom.line.is_power_of_two(),
             "line size must be a power of two"
@@ -234,8 +237,9 @@ impl SetAssoc {
     ///   non-observable by `equivalent_to_reference_cache`.
     ///
     /// The lines are cut into chunks of [`CHUNK_SETS`] consecutive sets and
-    /// a chunk with nothing resident is left out, so the chunks are a
-    /// function of the lines alone and canon equality is line equality.
+    /// a chunk with nothing resident is left out; each chunk is packed
+    /// ([`pack`]) as a function of its lines alone, so canon equality is
+    /// line equality.
     pub(crate) fn canon(&self, base: u64) -> SetAssocCanon {
         // Never accessed (the idle cores of a narrow run, every structure
         // of the pristine machine): nothing is resident, so nothing is
@@ -243,30 +247,32 @@ impl SetAssoc {
         if self.clock == 0 {
             return SetAssocCanon::default();
         }
+        let set_bits = self.sets.trailing_zeros();
+        let chunk_sets = CHUNK_SETS.min(self.sets);
         let mut chunks = Vec::new();
         let mut inflight = Vec::new();
-        let mut lines = Vec::new();
+        let mut counts = Vec::with_capacity(chunk_sets);
+        let mut lines = Vec::new(); // (hi, dirty): see `pack`
         let mut before = 0; // lines in the chunks already cut
         let mut order: Vec<usize> = Vec::with_capacity(self.ways);
-        let run = CHUNK_SETS.min(self.sets) * self.ways;
-        for start in (0..self.tags.len()).step_by(run) {
-            for first in (start..start + run).step_by(self.ways) {
+        for first_set in (0..self.sets).step_by(chunk_sets) {
+            counts.clear();
+            for set in first_set..first_set + chunk_sets {
+                let first = set * self.ways;
                 order.clear();
                 order.extend((first..first + self.ways).filter(|&i| self.tags[i] != EMPTY));
                 order.sort_by_key(|&i| self.stamp[i]);
+                counts.push(order.len() as u8);
                 for &i in &order {
-                    // Line and page addresses are byte addresses shifted
-                    // right by at least six bits, so the top bit is free.
-                    assert!(self.tags[i] & DIRTY == 0, "tag collides with the dirty bit");
                     if self.ready[i] > base {
                         inflight.push(((before + lines.len()) as u32, self.ready[i] - base));
                     }
-                    lines.push(self.tags[i] | if self.dirty[i] { DIRTY } else { 0 });
+                    lines.push(((self.tags[i] - 1) >> set_bits, self.dirty[i]));
                 }
             }
             if !lines.is_empty() {
                 before += lines.len();
-                chunks.push(Chunk::new(lines.as_slice().into()));
+                chunks.push(Chunk::new(pack(first_set, &counts, &lines)));
                 lines.clear();
             }
         }
@@ -288,23 +294,21 @@ impl SetAssoc {
             self.ready.fill(0);
             self.mru_way.fill(0); // prediction state is free
         }
+        let set_bits = self.sets.trailing_zeros();
         let mut inflight = c.inflight.iter().peekable();
-        let (mut prev_set, mut way) = (usize::MAX, 0);
-        let lines = c.chunks.iter().flat_map(|k| k.iter());
-        for (n, &word) in lines.enumerate() {
-            let tag = word & !DIRTY;
-            // `tag` is `enc(line)`; a set's lines are adjacent in `lines`.
-            let set = self.set_of(tag - 1);
-            way = if set == prev_set { way + 1 } else { 0 };
-            prev_set = set;
-            let i = set * self.ways + way;
-            self.tags[i] = tag;
-            // Recency rank as the stamp: 1..=k oldest → newest.
-            self.stamp[i] = (way + 1) as u64;
-            self.dirty[i] = word & DIRTY != 0;
-            self.ready[i] = inflight
-                .next_if(|&&(at, _)| at as usize == n)
-                .map_or(0, |&(_, off)| base + off);
+        let mut n = 0;
+        for k in &c.chunks {
+            unpack(k, CHUNK_SETS.min(self.sets), |set, way, hi, dirty| {
+                let i = set * self.ways + way;
+                self.tags[i] = enc(hi << set_bits | set as u64);
+                // Recency rank as the stamp: 1..=k oldest → newest.
+                self.stamp[i] = (way + 1) as u64;
+                self.dirty[i] = dirty;
+                self.ready[i] = inflight
+                    .next_if(|&&(at, _)| at == n)
+                    .map_or(0, |&(_, off)| base + off);
+                n += 1;
+            });
         }
         // Fresh stamps must exceed every rank; with nothing resident the
         // structure is again as good as never accessed.
@@ -316,13 +320,76 @@ impl SetAssoc {
     }
 }
 
-/// Dirty flag of a [`SetAssocCanon`] line word.
-const DIRTY: u64 = 1 << 63;
-
 /// Consecutive sets per [`SetAssocCanon`] chunk: a region that touched a
 /// few sets leaves the other chunks of a 4 096-set L2 equal to, and once
 /// interned shared with, the previous snapshot's.
 const CHUNK_SETS: usize = 64;
+
+/// Header words of a packed chunk: its least `hi`, then its first set,
+/// line count and field width.
+const HEAD: usize = 2;
+
+/// Pack one chunk's lines, given as (`hi`, dirty) in (set, recency) order
+/// with `counts` lines per set from `first_set` on, `hi` being the tag
+/// bits above the set index: the [`HEAD`] words, one count byte per set
+/// (eight to a word), then one `(hi − lo) << 1 | dirty` field per line,
+/// least significant bit first, `lo` being the least `hi` and the field
+/// as narrow as the chunk's range of `hi` allows. Trailing bits are zero.
+fn pack(first_set: usize, counts: &[u8], lines: &[(u64, bool)]) -> Box<[u64]> {
+    let (lo, hi) = lines
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &(h, _)| (lo.min(h), hi.max(h)));
+    let bits = 65 - (hi - lo).leading_zeros();
+    let stream = (lines.len() * bits as usize).div_ceil(64);
+    let mut words = Vec::with_capacity(HEAD + counts.len().div_ceil(8) + stream);
+    words.push(lo);
+    words.push((first_set as u64) << 32 | (lines.len() as u64) << 8 | bits as u64);
+    words.extend(counts.chunks(8).map(|q| {
+        let mut b = [0; 8];
+        b[..q.len()].copy_from_slice(q);
+        u64::from_le_bytes(b)
+    }));
+    let (mut acc, mut have) = (0u128, 0);
+    for &(h, dirty) in lines {
+        acc |= (((h - lo) as u128) << 1 | dirty as u128) << have;
+        have += bits;
+        while have >= 64 {
+            words.push(acc as u64);
+            (acc, have) = (acc >> 64, have - 64);
+        }
+    }
+    if have > 0 {
+        words.push(acc as u64);
+    }
+    words.into_boxed_slice()
+}
+
+/// A [`pack`]ed chunk's first set, line count and field width.
+fn head(words: &[u64]) -> (usize, usize, u32) {
+    let w = words[1];
+    (
+        (w >> 32) as usize,
+        (w >> 8 & 0xff_ffff) as usize,
+        w as u32 & 0xff,
+    )
+}
+
+/// Call `line(set, way, hi, dirty)` for each line of a chunk [`pack`]ed
+/// from `sets` sets, in the order packed.
+fn unpack(words: &[u64], sets: usize, mut line: impl FnMut(usize, usize, u64, bool)) {
+    let (lo, (first_set, _, bits)) = (words[0], head(words));
+    let (counts, stream) = words[HEAD..].split_at(sets.div_ceil(8));
+    let mask = (1u128 << bits) - 1;
+    let mut at = 0; // bit offset of the next field
+    for s in 0..sets {
+        for way in 0..(counts[s / 8] >> (s % 8 * 8)) as u8 as usize {
+            let next = stream.get(at / 64 + 1).map_or(0, |&w| w as u128);
+            let field = (stream[at / 64] as u128 | next << 64) >> (at % 64) & mask;
+            at += bits as usize;
+            line(first_set + s, way, lo + (field >> 1) as u64, field & 1 != 0);
+        }
+    }
+}
 
 /// See [`SetAssoc::canon`]. What is resident is kept apart from what is
 /// still in flight, so the same state seen later ([`SetAssocCanon::aged`])
@@ -331,9 +398,8 @@ const CHUNK_SETS: usize = 64;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct SetAssocCanon {
     /// Occupied lines in (set, recency) order, [`CHUNK_SETS`] sets to a
-    /// chunk, chunks with no line left out: the encoded tag, with [`DIRTY`]
-    /// set on a dirty line. The set index is a function of the tag and is
-    /// not stored.
+    /// chunk, chunks with no line left out, each [`pack`]ed: per line, its
+    /// tag above the set index (less the chunk's least) and dirty flag.
     chunks: Vec<Arc<Chunk<u64>>>,
     /// `(index into the lines, ready − base)` of every fill with
     /// `ready > base`, in line order; the index runs across the chunks.
@@ -361,6 +427,12 @@ impl SetAssocCanon {
         self.chunks.iter_mut()
     }
 
+    /// Resident lines, read from the chunks' headers.
+    #[cfg(test)]
+    pub(crate) fn lines(&self) -> usize {
+        self.chunks.iter().map(|k| head(k).1).sum()
+    }
+
     /// Heap bytes held: the chunk pointers and the pairs, and each chunk
     /// not yet in `seen`.
     #[cfg(test)]
@@ -378,8 +450,11 @@ impl SetAssocCanon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheGeometry;
+    use crate::branch::Gshare;
+    use crate::config::{CacheGeometry, MachineConfig};
     use crate::memo::{Meter, Pool};
+    use crate::op::{tag_address, ADDR_LIMIT};
+    use std::collections::HashSet;
 
     fn tiny() -> SetAssoc {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -564,6 +639,44 @@ mod tests {
         }
     }
 
+    /// A warmed L2's lines cost at most two bytes each in its canon, over
+    /// a fixed header per chunk, and a predictor's counters a quarter of a
+    /// byte each. The streams are CG-shaped (matrix rows, a gathered
+    /// vector, a result array) in one address space.
+    #[test]
+    fn a_warmed_canon_costs_at_most_two_bytes_a_line() {
+        let mut l2 = SetAssoc::new(MachineConfig::paxville_smp().l2);
+        let mut touch = |addr: u64, write: bool| {
+            let line = l2.line_of(tag_address(1, addr));
+            if l2.access(line, write) == Lookup::Miss {
+                l2.install(line, write, 0);
+            }
+        };
+        for row in 0..1_400u64 {
+            for nz in 0..8 {
+                touch(0x10_0000 + (row * 8 + nz) * 8, false);
+                touch(0x80_0000 + (row * 37 + nz * 211) % 1_400 * 8, false);
+            }
+            touch(0xc0_0000 + row * 8, true);
+        }
+        let c = l2.canon(0);
+        assert_eq!(c.lines(), l2.occupancy());
+        assert!(c.lines() > 1_024, "warmed: {} lines", c.lines());
+        let overhead = Chunk::<u64>::new(Box::new([])).footprint();
+        let header = overhead + 8 * (HEAD + CHUNK_SETS / 8);
+        let bytes: usize = c.chunks.iter().map(|k| k.footprint()).sum();
+        let bound = 2 * c.lines() + header * c.chunks.len();
+        assert!(bytes <= bound, "{bytes} B for {} lines", c.lines());
+
+        let mut bp = Gshare::new(14, 12);
+        for i in 0..10_000u64 {
+            bp.execute(0, i % 97, i % 3 != 0);
+        }
+        let counters = bp.canon().heap_bytes(&mut HashSet::new());
+        let overhead = Chunk::<u8>::new(Box::new([])).footprint();
+        assert!(counters <= 4 * 1_024 + overhead, "{counters} B");
+    }
+
     #[test]
     fn untouched_cache_canonicalizes_like_an_emptied_one() {
         let mut emptied = tiny();
@@ -732,6 +845,131 @@ mod tests {
                     prop_assert_eq!(fast.contains(line), re.contains(line));
                 }
             }
+        }
+
+        /// A cache of `sets` × `ways` 64-byte lines.
+        fn geometry(sets: usize, ways: usize) -> CacheGeometry {
+            CacheGeometry::new(sets * ways * 64, ways, 64)
+        }
+
+        /// Apply `op` to lines `pool[op's index]`, returning what a consumer
+        /// at a clock ≥ `base` observes: a hit's fill offset past `base`.
+        fn apply(c: &mut SetAssoc, pool: &[u64], op: CacheOp, base: u64) -> String {
+            match op {
+                CacheOp::Access { line, write } => match c.access(pool[line as usize], write) {
+                    Lookup::Hit { ready_at } => format!("hit +{}", ready_at.saturating_sub(base)),
+                    Lookup::Miss => "miss".into(),
+                },
+                CacheOp::Install { line, dirty, ready } => {
+                    format!("{:?}", c.install(pool[line as usize], dirty, base + ready))
+                }
+                CacheOp::Invalidate { line } => format!("{:?}", c.invalidate(pool[line as usize])),
+            }
+        }
+
+        /// `canon(restore(canon(a)))` is `canon(a)`, onto a fresh and onto
+        /// a used structure, and `after` plays out on the restored copies
+        /// as on `a`.
+        fn roundtrip(
+            a: &mut SetAssoc,
+            geom: CacheGeometry,
+            pool: &[u64],
+            base: u64,
+            after: &[CacheOp],
+        ) {
+            let canon = a.canon(base);
+            prop_assert_eq!(canon.lines(), a.occupancy());
+            let mut fresh = SetAssoc::new(geom);
+            fresh.restore(&canon, base);
+            prop_assert_eq!(&fresh.canon(base), &canon);
+            let mut used = SetAssoc::new(geom);
+            used.install(pool[0] + 1, true, base + 7);
+            used.restore(&canon, base);
+            prop_assert_eq!(&used.canon(base), &canon);
+            for (step, &op) in after.iter().enumerate() {
+                let want = apply(a, pool, op, base);
+                prop_assert_eq!(&apply(&mut fresh, pool, op, base), &want, "step {}", step);
+                prop_assert_eq!(&apply(&mut used, pool, op, base), &want, "step {}", step);
+            }
+            prop_assert_eq!(fresh.canon(base), a.canon(base));
+        }
+
+        proptest! {
+            /// A packed canon restores to a cache that canonicalizes to it
+            /// again and behaves as the original under any later access
+            /// sequence: dirty lines, in-flight fills and empty sets between
+            /// full ones, in 1 to 4 096 sets of 1 to 16 ways, with tag bits
+            /// above the set index spanning anything from one value
+            /// (`span` 0) to the whole ASID-tagged address space.
+            #[test]
+            fn packed_canon_roundtrips(
+                shape in (0u32..=12, 1usize..=16, 0u32..=58, 0u64..=u64::MAX),
+                draws in proptest::collection::vec((0u64..4, 0u64..=u64::MAX), 47),
+                before in proptest::collection::vec(cache_op(), 1..300),
+                after in proptest::collection::vec(cache_op(), 0..100),
+                base in 0u64..1_000,
+            ) {
+                let (set_bits, ways, span, seed) = shape;
+                let top = tag_address(255, ADDR_LIMIT - 1) >> 6 >> set_bits;
+                let range = if span >= 64 - top.leading_zeros() { top } else { (1 << span) - 1 };
+                let lo = seed % (top - range + 1);
+                // Four sets with empty ones between them, when there are more.
+                let line = |(set, off): (u64, u64)| {
+                    (lo + off % (range + 1)) << set_bits | (set * 37) & ((1 << set_bits) - 1)
+                };
+                let mut pool: Vec<u64> = draws.into_iter().map(line).collect();
+                pool.push(lo << set_bits); // the range's least, in set 0
+                let geom = geometry(1 << set_bits, ways);
+                let mut a = SetAssoc::new(geom);
+                for &op in &before {
+                    apply(&mut a, &pool, op, 0);
+                }
+                roundtrip(&mut a, geom, &pool, base, &after);
+            }
+        }
+
+        /// The width edge: a chunk whose `hi` range is exactly a power of
+        /// two needs one more bit than the range less one — at 2^63, a
+        /// field of 65 bits, more than a word.
+        #[test]
+        fn a_power_of_two_range_roundtrips() {
+            let after = [
+                CacheOp::Access {
+                    line: 1,
+                    write: true,
+                },
+                CacheOp::Install {
+                    line: 2,
+                    dirty: true,
+                    ready: 5,
+                },
+                CacheOp::Invalidate { line: 0 },
+                CacheOp::Access {
+                    line: 0,
+                    write: false,
+                },
+            ];
+            let lo = 0x3_0000u64;
+            for k in [0, 1, 6, 31, 32, 56] {
+                let geom = geometry(64, 4);
+                let pool = [lo << 6 | 5, (lo + (1 << k)) << 6 | 5, (lo + 1) << 6 | 9];
+                let mut a = SetAssoc::new(geom);
+                a.install(pool[0], true, 0);
+                a.install(pool[1], false, 800);
+                a.install(pool[2], false, 0);
+                assert_eq!(head(&a.canon(300).chunks[0]).2, k + 2, "2^{k}");
+                roundtrip(&mut a, geom, &pool, 300, &after);
+            }
+            // One set: `hi` is the line, and a range of 2^63 needs fields of
+            // 65 bits — more than one word's worth, over 64 lines.
+            let geom = geometry(1, 200);
+            let pool: Vec<u64> = (0..150).map(|i| lo + i + ((i % 2) << 63)).collect();
+            let mut a = SetAssoc::new(geom);
+            for (i, &line) in pool.iter().enumerate() {
+                a.install(line, i % 3 == 0, 0);
+            }
+            assert_eq!(head(&a.canon(300).chunks[0]).2, 65);
+            roundtrip(&mut a, geom, &pool, 300, &after);
         }
 
         proptest! {

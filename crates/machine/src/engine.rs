@@ -1612,7 +1612,7 @@ mod tests {
             memo.intern(snapshot(&m, now))
         });
         let l2 = |i: usize| &snaps[i].state.cores[0].l2;
-        assert!(l2(0).heap_bytes(&mut HashSet::new()) > 8 * 1_024, "warmed");
+        assert!(l2(0).lines() > 1_024, "warmed: {} lines", l2(0).lines());
         let held = |snaps: &[Arc<memo::Snap>]| {
             let mut seen = HashSet::new();
             let bytes = snaps.iter().map(|s| s.state.heap_bytes(&mut seen));
@@ -1625,10 +1625,15 @@ mod tests {
                 "metered {metered} B, held {held} B"
             );
         }
-        // Each shared chunk once: the second snapshot adds its own few
-        // changed chunks, not another copy of all of them.
+        // Each shared chunk once: the second snapshot adds its own bytes
+        // and its few changed chunks, not another copy of all of them.
         let (one, both) = (memo::metered(&snaps[..1]), memo::metered(&snaps));
-        assert!(both < one + one / 5, "{one} B alone, {both} B together");
+        let own = memo::measure(&snaps[1].state).1;
+        let chunks = one - own;
+        assert!(
+            both - one - own < chunks / 5,
+            "{one} B alone ({chunks} B in chunks), {both} B together"
+        );
         assert_ne!(l2(0), l2(1));
     }
 

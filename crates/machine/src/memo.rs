@@ -57,15 +57,15 @@
 //!   `Some(base)` and replays only there, untranslated — exact by
 //!   determinism alone. All later boundaries share the key `None`.
 //! * **Byte budget.** [`Memo::bytes`] is what the memo holds, each shared
-//!   chunk and predictor table counted once: a chunk is charged when the
-//!   interner first keeps it, a snapshot the rest of what it holds — eight
-//!   bytes for every word the hasher mixes (a vector's elements, each
-//!   padded to the word it is stored in; a chunk, one pointer) plus the
-//!   inline structs. Each holds its memo's meter and gives the bytes back
-//!   when its last holder drops it, inside the memo or not. Above the
-//!   budget the least recently hit edges go, the candidates ordered once
-//!   per burst. What remains is still exact, so eviction can cost future
-//!   hits but never change a result.
+//!   chunk counted once: a chunk (bit-packed: a line in a few bits, a
+//!   counter in two) is charged when first interned, a snapshot
+//!   the rest — eight bytes per word the hasher mixes (a vector's
+//!   elements, each padded to its stored word; a chunk, one pointer) plus
+//!   the inline structs. Each holds its memo's meter and gives the bytes
+//!   back when its last holder drops it, inside the memo or not. Above
+//!   the budget the least recently hit edges go, the candidates ordered
+//!   once per burst. What remains is still exact, so eviction can cost
+//!   future hits but never change a result.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
