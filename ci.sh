@@ -91,6 +91,27 @@ by_name team::tests::threads_with_equal_words_at_different_bases_hold_one_array 
 by_name protocol::tests::a_long_string_parses_in_linear_time -p paxsim-serve --lib
 by_name tests::strings_decode_across_run_edges -p serde_json --lib
 
+echo "== one driver per study (run by name) =="
+# Each study has one sweep; the plain entry points run it under the empty
+# policy. A failed cell panics the plain study with the build failure;
+# the default policy (sentinel on) and the empty one agree bit for bit on
+# every study; both pair studies resume from a torn journal and repair
+# drift to the clean numbers; a peer's machine override with a geometry
+# the cache or TLB constructors would panic on is refused at parse time.
+by_name single::tests::a_failed_build_panics_the_plain_study -p paxsim-core --lib
+by_name single::tests::the_default_policy_agrees_with_none_bit_for_bit -p paxsim-core --lib
+by_name multi::tests::the_default_policy_agrees_with_none_bit_for_bit -p paxsim-core --lib
+by_name cross::tests::the_default_policy_agrees_with_none_bit_for_bit -p paxsim-core --lib
+by_name a_pair_study_resumes_from_a_truncated_journal_byte_identically -p paxsim-core --test resilience
+by_name pair_study_drift_is_repaired_bit_identically -p paxsim-core --test resilience
+by_name protocol::tests::a_machine_override_refuses_a_geometry_the_caches_would_panic_on -p paxsim-serve --lib
+
+echo "== the caches against a textbook model (all eight kernels) =="
+# l1d_miss, l2_miss and DTLB misses of every kernel at classes T and S,
+# three L1 geometries, on Serial without the prefetcher, equal a model
+# that shares no code with cache.rs or tlb.rs; one test per kernel.
+must_run 8 -p paxsim-core --release --test cache_oracle
+
 echo "== engine identity vs the reference (run by name) =="
 # The four tests of `differential` that pin the fast engine to the
 # reference — all Table 1 configs jittered and quiet, every kernel on one
@@ -453,10 +474,11 @@ echo "== retired harness names stay retired =="
 # neither may a process-wide fault plan or the lock that serialized it,
 # nor the region memo's process-wide budget hook and off switch, the trace
 # content matcher that kept arrays made redundant, the daemon's stores
-# beside the result cache, or criterion (history
+# beside the result cache, criterion, the second copy of each study
+# driver, or the crate that held two binaries (history
 # in CHANGES.md / ROADMAP.md, and benchmark/'s own prose, excepted). The
 # one-letter brackets keep this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain|tune\.[j]sonl|tune_[c]ache|TuneStat[s]|migrate_[l]egacy' \
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain|tune\.[j]sonl|tune_[c]ache|TuneStat[s]|migrate_[l]egacy|run_[s]ingle_program_resilient|run_[m]ulti_program_resilient|run_[c]ross_product_resilient|paxsim-[b]ench' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired benchmark name reappeared (see above)"
     exit 1

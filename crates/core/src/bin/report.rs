@@ -13,6 +13,9 @@
 //! hooks (`report profile --class S`); `--json DIR` also writes
 //! `profile.json`. `ablation` prints the model-design ablations of
 //! DESIGN.md §3, each on the workload most sensitive to it.
+//!
+//! Nothing here is a performance gate: a performance claim is a paired
+//! parent-vs-change run of paxbench (`benchmark/`, `BENCHMARK.json`).
 
 use std::io::Write;
 

@@ -5,13 +5,17 @@
 //! multiprogrammed speedups over all pairs is summarized as a
 //! box-and-whisker (Figure 5).
 
+use std::collections::HashSet;
+
 use paxsim_nas::KernelId;
 use paxsim_perfmon::stats::BoxWhisker;
 
-use crate::configs::{parallel_configs, HwConfig};
-use crate::multi::run_workload;
+use crate::configs::HwConfig;
+use crate::error::StudyResult;
+use crate::multi::{pair_configs, pair_sweep};
 use crate::pool;
-use crate::store::{TraceKey, TraceStore};
+use crate::resilient::{plain, Ctx, ResilienceOptions, Resilient};
+use crate::store::TraceStore;
 use crate::study::StudyOptions;
 
 /// One pair observation: both sides' speedups over their serial runs.
@@ -40,7 +44,7 @@ impl CrossStudy {
     }
 
     /// Figure 5: one box-and-whisker per configuration. A configuration
-    /// with no samples (every pair cell of a resilient sweep failed) is
+    /// with no samples (every pair cell of the sweep failed) is
     /// omitted rather than summarized from nothing.
     pub fn boxes(&self) -> Vec<(String, BoxWhisker)> {
         self.configs
@@ -72,70 +76,69 @@ pub fn all_pairs(benches: &[KernelId]) -> Vec<(KernelId, KernelId)> {
     out
 }
 
-/// Run the full Section 4.3 study over `benches` on every fully loaded
-/// (≥ 2 threads) configuration.
+/// Run the full Section 4.3 study over `opts.benchmarks` on every fully
+/// loaded (≥ 2 threads) configuration.
+///
+/// # Panics
+///
+/// On a failed cell, naming its journal key and error.
 pub fn run_cross_product(opts: &StudyOptions, store: &TraceStore) -> CrossStudy {
-    let configs: Vec<HwConfig> = parallel_configs()
-        .into_iter()
-        .filter(|c| c.threads >= 2)
-        .collect();
+    plain(sweep_cross_product(opts, store, &ResilienceOptions::none()))
+}
+
+/// The Section 4.3 sweep. Failed pair cells are dropped from the point
+/// cloud (and reported); a configuration losing every point is omitted
+/// from the Figure 5 boxes.
+///
+/// # Errors
+///
+/// Only an unusable journal path fails the call.
+pub fn sweep_cross_product(
+    opts: &StudyOptions,
+    store: &TraceStore,
+    ropts: &ResilienceOptions,
+) -> StudyResult<Resilient<CrossStudy>> {
+    let ctx = Ctx::new(opts, store, ropts)?;
+    let configs = pair_configs();
     let pairs = all_pairs(&opts.benchmarks);
 
-    // Serial baselines, in parallel on the pool.
-    let bases: std::collections::HashMap<KernelId, f64> = opts
-        .benchmarks
-        .iter()
-        .copied()
-        .zip(pool::map(&opts.benchmarks, |&b| {
-            let trace = store.get(TraceKey {
-                kernel: b,
-                class: opts.class,
-                nthreads: 1,
-                schedule: opts.schedule,
-            });
-            let spec =
-                paxsim_machine::sim::JobSpec::pinned(trace, crate::configs::serial().contexts);
-            paxsim_machine::sim::simulate(&opts.machine, vec![spec]).jobs[0].cycles as f64
-        }))
-        .collect();
-
     // Pre-warm every needed trace in parallel; the single-flight store
-    // makes racing builds of the same key collapse into one.
-    let warm_keys: Vec<TraceKey> = configs
+    // makes racing builds of the same key collapse into one, and keeps a
+    // failed build for the cells that need it to report.
+    let warm: HashSet<(KernelId, usize)> = configs
         .iter()
-        .flat_map(|c| {
-            opts.benchmarks.iter().map(|&b| TraceKey {
-                kernel: b,
-                class: opts.class,
-                nthreads: c.threads / 2,
-                schedule: opts.schedule,
+        .flat_map(|c| opts.benchmarks.iter().map(|&b| (b, c.threads / 2)))
+        .collect();
+    pool::map(
+        &warm.into_iter().collect::<Vec<_>>(),
+        |&(kernel, nthreads)| {
+            let _ = ctx.trace(kernel, nthreads);
+        },
+    );
+
+    // Every (config, pair) point is one pool item, config-major, so the
+    // first configuration's whole row is sentinel-eligible: every pair,
+    // hence every kernel, gets first-cell coverage.
+    let np = pairs.len();
+    let cells = pair_sweep(&ctx, "cross", &opts.benchmarks, &pairs, &configs, &|i| {
+        (i % np, i / np)
+    });
+    let points = cells
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            let cell = r.ok()?;
+            Some(PairPoint {
+                pair: pairs[i % np],
+                config: configs[i / np].name.clone(),
+                speedups: [
+                    cell.sides[0].cell.speedup.mean,
+                    cell.sides[1].cell.speedup.mean,
+                ],
             })
         })
-        .collect::<std::collections::HashSet<_>>()
-        .into_iter()
         .collect();
-    pool::map(&warm_keys, |&key| {
-        store.get(key);
-    });
-
-    // Every (config, pair) point is one pool item, so a fig5-shaped sweep
-    // (dozens of pairs × 7 configs) saturates the host at bounded width.
-    let points = pool::map_indexed(configs.len() * pairs.len(), |i| {
-        let (ci, pi) = (i / pairs.len(), i % pairs.len());
-        let config = &configs[ci];
-        let pair = pairs[pi];
-        let cell = run_workload(opts, store, pair, config, (bases[&pair.0], bases[&pair.1]));
-        PairPoint {
-            pair,
-            config: config.name.clone(),
-            speedups: [
-                cell.sides[0].cell.speedup.mean,
-                cell.sides[1].cell.speedup.mean,
-            ],
-        }
-    });
-
-    CrossStudy { configs, points }
+    Ok(ctx.finish(CrossStudy { configs, points }))
 }
 
 #[cfg(test)]
@@ -149,6 +152,26 @@ mod tests {
         assert!(p.contains(&(KernelId::Cg, KernelId::Cg)));
         assert!(p.contains(&(KernelId::Cg, KernelId::Ep)));
         assert!(!p.contains(&(KernelId::Ep, KernelId::Cg)), "unordered");
+    }
+
+    #[test]
+    fn the_default_policy_agrees_with_none_bit_for_bit() {
+        let opts = StudyOptions::quick().with_benchmarks(vec![KernelId::Ep, KernelId::Is]);
+        let run = |ropts: &ResilienceOptions| {
+            sweep_cross_product(&opts, &TraceStore::new(), ropts).unwrap()
+        };
+        let (checked, none) = (
+            run(&ResilienceOptions::default()),
+            run(&ResilienceOptions::none()),
+        );
+        assert!(checked.resilience.is_clean(), "{:?}", checked.resilience);
+        assert!(checked.resilience.sentinel_checks > 0);
+        assert_eq!(checked.study.points.len(), none.study.points.len());
+        for (c, n) in checked.study.points.iter().zip(&none.study.points) {
+            assert_eq!(c.pair, n.pair);
+            assert_eq!(c.config, n.config);
+            assert_eq!(c.speedups, n.speedups);
+        }
     }
 
     #[test]

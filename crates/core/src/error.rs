@@ -3,7 +3,7 @@
 //! A long multi-trial study (the paper's 8 configs × 6 apps × 10 trials,
 //! plus the §4.3 cross-product) must survive a single bad cell: a trace
 //! build that fails verification, a cell that panics, a journal record
-//! that was truncated mid-write. Every failure mode the resilient sweep
+//! that was truncated mid-write. Every failure mode the sweep
 //! machinery can isolate is a [`StudyError`] variant, so drivers report
 //! *which* cell failed and *why* instead of abandoning the whole study
 //! with an opaque panic.

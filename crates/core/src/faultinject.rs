@@ -17,7 +17,7 @@
 //! | the serve result cache | `serve-shard-slow` |
 //! | the serve `ServeConfig::faults` | the rest; the daemon hands its clones to all of the above |
 //!
-//! A resilient sweep takes its plan from its `ResilienceOptions`' policy.
+//! A study sweep takes its plan from its `ResilienceOptions`' policy.
 //! `PAXSIM_FAULTS` is read in one place, [`Faults::from_env`], by the
 //! binaries that accept it, and a malformed spec is refused there.
 //!

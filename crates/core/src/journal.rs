@@ -139,7 +139,7 @@ struct Inner {
 }
 
 /// A thread-safe checkpoint journal. Shared by the pool workers of a
-/// resilient sweep: lookups serve resumed cells, appends land as cells
+/// study sweep: lookups serve resumed cells, appends land as cells
 /// complete.
 pub struct Journal {
     path: PathBuf,

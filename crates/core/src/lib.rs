@@ -49,25 +49,25 @@ pub mod prelude {
     pub use crate::configs::{
         all_configs, config_by_name, parallel_configs, quad_core_configs, serial, HwConfig,
     };
-    pub use crate::cross::{all_pairs, run_cross_product, CrossStudy};
+    pub use crate::cross::{all_pairs, run_cross_product, sweep_cross_product, CrossStudy};
     pub use crate::efficiency::{efficiency, efficiency_text, most_efficient_per_chip};
     pub use crate::error::{StudyError, StudyResult};
     pub use crate::hash::{content_hash, ConfigHash, ResolvedSpec, StudySpec};
     pub use crate::inflight::{Flight, Inflight};
     pub use crate::journal::Journal;
-    pub use crate::multi::{paper_workloads, run_multi_program, MultiStudy};
+    pub use crate::multi::{paper_workloads, run_multi_program, sweep_multi_program, MultiStudy};
     pub use crate::phases::{phase_profile, phases_text, PhaseProfile};
     pub use crate::pool::CellPolicy;
     pub use crate::report::{
         fig2_text, fig3_text, fig4_text, fig5_text, headlines, headlines_text, platform_text,
         resilience_text, table1_text, table2_text,
     };
-    pub use crate::resilient::{
-        run_cross_product_resilient, run_multi_program_resilient, run_single_program_resilient,
-        Resilience, ResilienceOptions, Resilient,
-    };
+    pub use crate::resilient::{Resilience, ResilienceOptions, Resilient};
     pub use crate::sentinel::DriftSentinel;
-    pub use crate::single::{run_single_program, run_single_program_on, SingleStudy};
+    pub use crate::single::{
+        run_single_program, run_single_program_on, sweep_single_program, sweep_single_program_on,
+        SingleStudy,
+    };
     pub use crate::store::{TraceKey, TraceStore};
     pub use crate::study::{Cell, StudyOptions};
     pub use crate::tune::{nan_last_cmp, TuneAlgo, TunePlan, TuneRequest, TuneResult, TuneRound};

@@ -6,15 +6,19 @@
 //! memory-bound one (CG — see DESIGN.md §5 on reconstructing the garbled
 //! benchmark name) in three workloads: CG/FT, FT/FT and CG/CG.
 
-use paxsim_machine::sim::{simulate, JobSpec};
+use std::sync::Arc;
+
+use paxsim_machine::sim::JobSpec;
+use paxsim_machine::trace::ProgramTrace;
 use paxsim_nas::KernelId;
+use paxsim_omp::os::{split_jobs, PlacementPolicy};
 use paxsim_perfmon::stats::Summary;
 
 use crate::configs::{parallel_configs, serial, HwConfig};
-use crate::pool;
-use crate::store::{TraceKey, TraceStore};
+use crate::error::StudyResult;
+use crate::resilient::{base, plain, Ctx, Engine, ResilienceOptions, Resilient, Sim};
+use crate::store::TraceStore;
 use crate::study::{Cell, StudyOptions};
-use paxsim_omp::os::{split_jobs, PlacementPolicy};
 
 /// One side of a multi-program run.
 #[derive(Debug, Clone)]
@@ -59,29 +63,25 @@ pub fn paper_workloads() -> Vec<(KernelId, KernelId)> {
     ]
 }
 
-/// Serial baseline cycles for each benchmark (for "speedup over serial").
-fn serial_cycles(opts: &StudyOptions, store: &TraceStore, bench: KernelId) -> f64 {
-    let trace = store.get(TraceKey {
-        kernel: bench,
-        class: opts.class,
-        nthreads: 1,
-        schedule: opts.schedule,
-    });
-    let spec = JobSpec::pinned(trace, serial().contexts);
-    simulate(&opts.machine, vec![spec]).jobs[0].cycles as f64
+/// The configurations a pair study runs on: every one with two or more
+/// contexts, so each program gets half.
+pub(crate) fn pair_configs() -> Vec<HwConfig> {
+    parallel_configs()
+        .into_iter()
+        .filter(|c| c.threads >= 2)
+        .collect()
 }
 
-/// Run one multi-program workload on one configuration over trials,
-/// with the traces already built and through an arbitrary simulation
-/// function (the resilient driver passes a drift-checking wrapper).
-pub(crate) fn run_workload_with(
+/// Run two programs together on `config` over trials, each on half its
+/// contexts, through `sim`; returns each side's cell, with speedups over
+/// its serial mean in `bases`.
+fn run_pair(
     opts: &StudyOptions,
-    traces: [std::sync::Arc<paxsim_machine::trace::ProgramTrace>; 2],
-    workload: (KernelId, KernelId),
+    traces: [Arc<ProgramTrace>; 2],
     config: &HwConfig,
-    serial_base: (f64, f64),
-    sim: &dyn Fn(Vec<JobSpec>) -> paxsim_machine::sim::SimOutcome,
-) -> MultiCell {
+    bases: [f64; 2],
+    sim: Sim,
+) -> [Cell; 2] {
     assert!(
         config.threads >= 2 && config.threads.is_multiple_of(2),
         "{} cannot host two programs",
@@ -107,92 +107,145 @@ pub(crate) fn run_workload_with(
             }
         }
     }
-
-    let bases = [serial_base.0, serial_base.1];
-    let benches = [workload.0, workload.1];
-    let sides = (0..2)
-        .map(|j| JobSide {
-            bench: benches[j],
-            cell: Cell {
-                cycles: Summary::of(&cycles[j]),
-                speedup: Summary::of(&cycles[j].iter().map(|&c| bases[j] / c).collect::<Vec<_>>()),
-                counters: counters0[j].unwrap(),
-            },
-        })
-        .collect();
-    MultiCell {
-        config: config.clone(),
-        sides,
-    }
-}
-
-/// Run one multi-program workload on one configuration over trials.
-pub fn run_workload(
-    opts: &StudyOptions,
-    store: &TraceStore,
-    workload: (KernelId, KernelId),
-    config: &HwConfig,
-    serial_base: (f64, f64),
-) -> MultiCell {
-    let per = config.threads / 2;
-    let traces = [
-        store.get(TraceKey {
-            kernel: workload.0,
-            class: opts.class,
-            nthreads: per,
-            schedule: opts.schedule,
-        }),
-        store.get(TraceKey {
-            kernel: workload.1,
-            class: opts.class,
-            nthreads: per,
-            schedule: opts.schedule,
-        }),
-    ];
-    run_workload_with(opts, traces, workload, config, serial_base, &|jobs| {
-        simulate(&opts.machine, jobs)
+    std::array::from_fn(|j| Cell {
+        cycles: Summary::of(&cycles[j]),
+        speedup: Summary::of(&cycles[j].iter().map(|&c| bases[j] / c).collect::<Vec<_>>()),
+        counters: counters0[j].unwrap(),
     })
 }
 
+/// The sweep both pair studies run. First the serial bases of `benches`,
+/// one quiet run each, under the journal tag `serial`, so either study
+/// resumes the other's. Then pair item `i`, `pairs[at(i).0]` on
+/// `configs[at(i).1]`, under the journal tag `driver`. Then the repair
+/// pass. Returns the pair cells in item order.
+pub(crate) fn pair_sweep(
+    ctx: &Ctx,
+    driver: &str,
+    benches: &[KernelId],
+    pairs: &[(KernelId, KernelId)],
+    configs: &[HwConfig],
+    at: &(dyn Fn(usize) -> (usize, usize) + Sync),
+) -> Vec<StudyResult<MultiCell>> {
+    let serial = serial();
+    let base_cell = |bi: usize, engine: Engine| -> StudyResult<Cell> {
+        let bench = benches[bi];
+        let [cell] = ctx.cell("serial", [bench], &serial.name, engine, |sim| {
+            let trace = ctx.trace(bench, 1)?;
+            let out = sim(vec![JobSpec::pinned(trace, serial.contexts.clone())]);
+            Ok([Cell {
+                cycles: Summary::of(&[out.jobs[0].cycles as f64]),
+                speedup: Summary::of(&[1.0]),
+                counters: out.jobs[0].counters,
+            }])
+        })?;
+        Ok(cell)
+    };
+    let bi = |k: KernelId| {
+        benches
+            .iter()
+            .position(|&b| b == k)
+            .expect("a studied kernel")
+    };
+    let pair_cell = |bases: &[StudyResult<Cell>], i: usize, engine: Engine| {
+        let (pi, ci) = at(i);
+        let ((a, b), config) = (pairs[pi], &configs[ci]);
+        let means = [base(&bases[bi(a)])?, base(&bases[bi(b)])?];
+        let cells = ctx.cell(driver, [a, b], &config.name, engine, |sim| {
+            let per = config.threads / 2;
+            let traces = [ctx.trace(a, per)?, ctx.trace(b, per)?];
+            Ok(run_pair(ctx.opts, traces, config, means, sim))
+        })?;
+        Ok(MultiCell {
+            config: config.clone(),
+            sides: sides((a, b), cells),
+        })
+    };
+
+    let n = pairs.len() * configs.len();
+    let mut bases = ctx.sweep(benches.len(), &|bi| base_cell(bi, ctx.sample(0, bi)));
+    let mut cells = ctx.sweep(n, &|i| pair_cell(&bases, i, ctx.sample(at(i).1, i)));
+    let stale = |(a, b): (KernelId, KernelId)| ctx.quarantined(a) || ctx.quarantined(b);
+    ctx.repair(&mut bases, |i| ctx.quarantined(benches[i]), &|i| {
+        base_cell(i, Engine::Repair)
+    });
+    ctx.repair(&mut cells, |i| stale(pairs[at(i).0]), &|i| {
+        pair_cell(&bases, i, Engine::Repair)
+    });
+    for (r, &bench) in bases.iter().zip(benches) {
+        ctx.note(r, "serial", &[bench], &serial.name);
+    }
+    for (i, r) in cells.iter().enumerate() {
+        let (pi, ci) = at(i);
+        ctx.note(r, driver, &[pairs[pi].0, pairs[pi].1], &configs[ci].name);
+    }
+    cells
+}
+
+fn sides(w: (KernelId, KernelId), cells: [Cell; 2]) -> Vec<JobSide> {
+    let sides = [w.0, w.1].into_iter().zip(cells);
+    sides.map(|(bench, cell)| JobSide { bench, cell }).collect()
+}
+
 /// Run the full Section 4.2 study.
+///
+/// # Panics
+///
+/// On a failed cell, naming its journal key and error.
 pub fn run_multi_program(
     opts: &StudyOptions,
     store: &TraceStore,
     workloads: &[(KernelId, KernelId)],
 ) -> MultiStudy {
-    let configs: Vec<HwConfig> = parallel_configs()
-        .into_iter()
-        .filter(|c| c.threads >= 2)
-        .collect();
+    plain(sweep_multi_program(
+        opts,
+        store,
+        workloads,
+        &ResilienceOptions::none(),
+    ))
+}
 
-    // Serial baselines for every benchmark that appears, in parallel.
+/// The Section 4.2 sweep: every workload on every configuration with two
+/// or more contexts. A failed cell keeps its configuration's shape with
+/// poisoned sides.
+///
+/// # Errors
+///
+/// Only an unusable journal path fails the call.
+pub fn sweep_multi_program(
+    opts: &StudyOptions,
+    store: &TraceStore,
+    workloads: &[(KernelId, KernelId)],
+    ropts: &ResilienceOptions,
+) -> StudyResult<Resilient<MultiStudy>> {
+    let ctx = Ctx::new(opts, store, ropts)?;
+    let configs = pair_configs();
     let mut benches: Vec<KernelId> = workloads.iter().flat_map(|&(a, b)| [a, b]).collect();
     benches.sort();
     benches.dedup();
-    let bases: std::collections::HashMap<KernelId, f64> = benches
-        .iter()
-        .copied()
-        .zip(pool::map(&benches, |&b| serial_cycles(opts, store, b)))
-        .collect();
-
-    // Every (workload, config) point is one pool item; the single-flight
-    // store deduplicates the trace builds the items race on.
-    let flat = pool::map_indexed(workloads.len() * configs.len(), |i| {
-        let (wi, ci) = (i / configs.len(), i % configs.len());
-        let w = workloads[wi];
-        run_workload(opts, store, w, &configs[ci], (bases[&w.0], bases[&w.1]))
+    let nc = configs.len();
+    let cells = pair_sweep(&ctx, "multi", &benches, workloads, &configs, &|i| {
+        (i / nc, i % nc)
     });
-    let mut flat = flat.into_iter();
-    let cells: Vec<Vec<MultiCell>> = workloads
+    let mut cells = cells.into_iter();
+    let cells = workloads
         .iter()
-        .map(|_| flat.by_ref().take(configs.len()).collect())
+        .map(|&w| {
+            let row = cells.by_ref().take(nc).zip(&configs);
+            row.map(|(r, config)| {
+                r.unwrap_or_else(|_| MultiCell {
+                    config: config.clone(),
+                    sides: sides(w, [Cell::poisoned(), Cell::poisoned()]),
+                })
+            })
+            .collect()
+        })
         .collect();
-
-    MultiStudy {
+    Ok(ctx.finish(MultiStudy {
         workloads: workloads.to_vec(),
         configs,
         cells,
-    }
+    }))
 }
 
 #[cfg(test)]
@@ -206,6 +259,30 @@ mod tests {
         assert!(w.contains(&(KernelId::Cg, KernelId::Ft)));
         assert!(w.contains(&(KernelId::Ft, KernelId::Ft)));
         assert!(w.contains(&(KernelId::Cg, KernelId::Cg)));
+    }
+
+    #[test]
+    fn the_default_policy_agrees_with_none_bit_for_bit() {
+        let (opts, w) = (StudyOptions::quick(), paper_workloads());
+        let run = |ropts: &ResilienceOptions| {
+            sweep_multi_program(&opts, &TraceStore::new(), &w, ropts).unwrap()
+        };
+        let (checked, none) = (
+            run(&ResilienceOptions::default()),
+            run(&ResilienceOptions::none()),
+        );
+        assert!(checked.resilience.is_clean(), "{:?}", checked.resilience);
+        assert!(checked.resilience.sentinel_checks > 0);
+        for (rc, rn) in checked.study.cells.iter().zip(&none.study.cells) {
+            for (c, n) in rc.iter().zip(rn) {
+                for (cs, ns) in c.sides.iter().zip(&n.sides) {
+                    assert_eq!(cs.bench, ns.bench);
+                    assert_eq!(cs.cell.cycles, ns.cell.cycles);
+                    assert_eq!(cs.cell.speedup, ns.cell.speedup);
+                    assert_eq!(cs.cell.counters, ns.cell.counters);
+                }
+            }
+        }
     }
 
     #[test]

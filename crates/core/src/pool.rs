@@ -17,8 +17,7 @@
 //! * [`map_indexed_isolated`] — fault-isolating: every item gets its own
 //!   `Result`, panics are caught and retried with bounded exponential
 //!   backoff, a soft watchdog deadline flags runaway cells, and the sweep
-//!   always completes around poisoned items. The resilient study drivers
-//!   run on this.
+//!   always completes around poisoned items. Every study cell runs on it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -51,8 +50,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// If an item panics, the sweep stops taking new items, in-flight workers
 /// drain, and this function re-panics with a message naming the first
-/// failing item index and its payload — a failed cell invalidates a
-/// non-resilient study, but the caller learns exactly *which* cell died.
+/// failing item index and its payload — a failed item invalidates a
+/// fail-fast sweep, but the caller learns exactly *which* cell died.
 /// (Use [`map_indexed_isolated`] to complete a sweep around failures.)
 pub fn map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where

@@ -1,52 +1,43 @@
-//! Resilient sweep execution: the §4.1–4.3 study drivers wrapped in
-//! checkpoint/resume, per-cell fault isolation and the runtime drift
-//! sentinel.
+//! The machinery every study sweep runs on: per-cell fault isolation,
+//! checkpoint/resume and the runtime drift sentinel.
 //!
-//! Three layers compose around the plain drivers' cell functions:
+//! Each study (`single`, `multi`, `cross`) has one sweep, and each of its
+//! cells runs through `Ctx::cell` on [`pool::map_indexed_isolated`]:
 //!
-//! 1. **Fault isolation** — every cell runs on
-//!    [`pool::map_indexed_isolated`]: panics become typed
-//!    [`StudyError`]s, transient failures retry with bounded backoff, a
-//!    watchdog deadline flags runaway cells, and the sweep always
-//!    completes around poisoned cells (rendered via [`Cell::poisoned`]).
+//! 1. **Fault isolation** — panics become typed
+//!    [`StudyError`](crate::error::StudyError)s,
+//!    transient failures retry with bounded backoff, a watchdog deadline
+//!    flags runaway cells, and the sweep always completes around poisoned
+//!    cells (rendered via [`Cell::poisoned`]).
 //! 2. **Checkpoint/resume** — with a journal configured, each completed
 //!    cell is appended (checksummed) to the [`Journal`]; a re-run with
-//!    the same options serves journaled cells without recomputation, so
-//!    an interrupted or partially-failed study resumes where it stopped.
+//!    the same options serves journaled cells without recomputation.
 //!    Corrupt records are detected on load and their cells re-run.
 //! 3. **Drift sentinel** — a deterministic sample of computed cells is
 //!    re-run on the reference engine; a mismatch quarantines the
-//!    kernel's fast path, and a repair pass then re-runs *every* cell of
-//!    quarantined kernels (journaled ones included) on the reference
-//!    engine, making the final study bit-identical to an all-reference
-//!    run (see `sentinel` module docs for the exactness argument).
+//!    kernel's fast path, and a repair pass re-runs *every* cell of
+//!    quarantined kernels (journaled ones included) through the same
+//!    cell function on [`simulate_reference`], making the final study
+//!    bit-identical to an all-reference run (see `sentinel`).
 //!
 //! Resumed cells skip the sentinel: they were subject to it in the run
-//! that computed and journaled them.
-//!
-//! Faults: the cell policy's [`Faults`](crate::faultinject::Faults) handle
-//! reaches the cells, the sentinel and the journal; trace builds take the
-//! plan of the [`TraceStore`] the caller passes.
+//! that journaled them. [`ResilienceOptions::none`] turns all three off;
+//! the plain entry points (`run_single_program` …) run under it and
+//! panic on a failed cell, naming its journal key.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use paxsim_machine::sim::{simulate_reference, JobSpec, SimOutcome};
 use paxsim_machine::trace::ProgramTrace;
 use paxsim_nas::KernelId;
-use paxsim_perfmon::stats::Summary;
 use serde::Serialize;
 
-use crate::configs::{parallel_configs, serial, HwConfig};
-use crate::cross::{all_pairs, CrossStudy, PairPoint};
 use crate::error::StudyResult;
 use crate::journal::{cell_key, FsyncPolicy, Journal, SideRecord};
-use crate::multi::{run_workload_with, JobSide, MultiCell, MultiStudy};
 use crate::pool::{self, CellPolicy};
 use crate::sentinel::{sampled, DriftEvent, DriftSentinel};
-use crate::single::{run_trials_with, SingleStudy};
 use crate::store::{TraceKey, TraceStore};
 use crate::study::{Cell, StudyOptions};
 
@@ -76,6 +67,19 @@ impl Default for ResilienceOptions {
 }
 
 impl ResilienceOptions {
+    /// The empty policy: no journal, no sentinel, no retry, no deadline,
+    /// no faults. The plain entry points run under it.
+    pub fn none() -> Self {
+        Self {
+            journal_path: None,
+            sample_every: 0,
+            policy: CellPolicy {
+                max_retries: 0,
+                ..CellPolicy::default()
+            },
+        }
+    }
+
     /// Builder: checkpoint to (and resume from) `path`.
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal_path = Some(path.into());
@@ -106,7 +110,7 @@ pub struct FailedCell {
 #[derive(Debug, Clone, Serialize)]
 pub struct Resilience {
     /// Cells whose every attempt failed (rendered as poisoned cells, or
-    /// dropped points in the cross-product study).
+    /// dropped points in the cross-product study), sorted by key.
     pub failed_cells: Vec<FailedCell>,
     /// Retry attempts spent on transiently failing cells.
     pub retries: u32,
@@ -150,18 +154,54 @@ pub struct Resilient<S> {
     pub resilience: Resilience,
 }
 
-// ---------------------------------------------------------------------------
-// Shared driver context.
-// ---------------------------------------------------------------------------
+/// The study of a run under [`ResilienceOptions::none`].
+///
+/// # Panics
+///
+/// On a failed cell, with its journal key and error: the panic payload,
+/// or the trace build failure.
+pub(crate) fn plain<S>(run: StudyResult<Resilient<S>>) -> S {
+    let run = run.expect("the empty policy opens no journal, so the run cannot fail");
+    if let Some(f) = run.resilience.failed_cells.first() {
+        panic!("study cell {} failed: {}", f.key, f.error);
+    }
+    run.study
+}
 
-struct Ctx<'a> {
-    opts: &'a StudyOptions,
+/// The serial-baseline mean a parallel cell's speedups divide by.
+pub(crate) fn base(serial: &StudyResult<Cell>) -> StudyResult<f64> {
+    serial.as_ref().map(|c| c.cycles.mean).map_err(Clone::clone)
+}
+
+/// How a cell is simulated.
+#[derive(Clone, Copy)]
+pub(crate) enum Engine {
+    /// The sweep: served from the journal if it is there, else the fast
+    /// engine through the sentinel, cross-checked when `check`.
+    Sweep { check: bool },
+    /// The repair pass: the reference engine, journal or not.
+    Repair,
+}
+
+/// The simulation function a cell's trials run through.
+pub(crate) type Sim<'s> = &'s dyn Fn(Vec<JobSpec>) -> SimOutcome;
+
+/// Sweep item `i`'s cell. A trait object, so the pool's sweep is built
+/// once per cell type rather than once per call site.
+pub(crate) type CellFn<'f, T> = dyn Fn(usize) -> StudyResult<T> + Sync + 'f;
+
+/// One study run's shared cell context.
+pub(crate) struct Ctx<'a> {
+    pub(crate) opts: &'a StudyOptions,
     store: &'a TraceStore,
     ropts: &'a ResilienceOptions,
     journal: Option<Journal>,
     sentinel: DriftSentinel,
     resumed: AtomicUsize,
     repaired: AtomicUsize,
+    retries: AtomicU32,
+    timeouts: AtomicU32,
+    failed: Mutex<Vec<FailedCell>>,
     /// Content digest of `opts.machine`, folded into every journal key so
     /// a journal written under different hardware parameters cannot
     /// serve this study's cells.
@@ -169,7 +209,11 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(
+    /// # Errors
+    ///
+    /// Only an unusable journal path; every per-cell failure is isolated
+    /// and reported in the run's [`Resilience`].
+    pub(crate) fn new(
         opts: &'a StudyOptions,
         store: &'a TraceStore,
         ropts: &'a ResilienceOptions,
@@ -187,15 +231,19 @@ impl<'a> Ctx<'a> {
             sentinel: DriftSentinel::with_faults(faults.clone()),
             resumed: AtomicUsize::new(0),
             repaired: AtomicUsize::new(0),
+            retries: AtomicU32::new(0),
+            timeouts: AtomicU32::new(0),
+            failed: Mutex::new(Vec::new()),
             machine_hash: crate::hash::content_hash(&opts.machine).to_string(),
         })
     }
 
     /// Canonical journal key for one cell of this study.
-    fn key(&self, driver: &str, benches: &[&str], config: &str) -> String {
+    fn key(&self, driver: &str, kernels: &[KernelId], config: &str) -> String {
+        let names: Vec<&str> = kernels.iter().map(|k| k.name()).collect();
         cell_key(
             driver,
-            benches,
+            &names,
             &self.opts.class.to_string(),
             config,
             self.opts.trials,
@@ -205,25 +253,11 @@ impl<'a> Ctx<'a> {
         )
     }
 
-    /// A journaled cell with the expected number of sides, if any.
-    fn lookup(&self, key: &str, sides: usize) -> Option<Vec<SideRecord>> {
-        let rec = self.journal.as_ref()?.lookup(key)?;
-        if rec.sides.len() != sides {
-            return None;
-        }
-        self.resumed.fetch_add(1, Ordering::Relaxed);
-        Some(rec.sides)
-    }
-
-    /// Checkpoint a completed cell. Append failures are counted by the
-    /// journal (the study keeps running; the cell just won't resume).
-    fn save(&self, key: &str, sides: Vec<SideRecord>) {
-        if let Some(j) = &self.journal {
-            let _ = j.record(key, sides);
-        }
-    }
-
-    fn trace(&self, kernel: KernelId, nthreads: usize) -> StudyResult<Arc<ProgramTrace>> {
+    pub(crate) fn trace(
+        &self,
+        kernel: KernelId,
+        nthreads: usize,
+    ) -> StudyResult<Arc<ProgramTrace>> {
         self.store.try_get(TraceKey {
             kernel,
             class: self.opts.class,
@@ -232,624 +266,147 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Simulation function routed through the drift sentinel.
-    fn checked_sim<'s>(
-        &'s self,
-        kernels: &'s [KernelId],
-        config: &'s str,
-        check: bool,
-    ) -> impl Fn(Vec<JobSpec>) -> SimOutcome + 's {
-        move |jobs| {
-            self.sentinel
-                .simulate_checked(kernels, config, check, &self.opts.machine, jobs)
+    /// The sweep engine for cell `linear`, `cfg_i` within its kernel's
+    /// row, under the sentinel's sampling policy.
+    pub(crate) fn sample(&self, cfg_i: usize, linear: usize) -> Engine {
+        Engine::Sweep {
+            check: sampled(self.ropts.sample_every, cfg_i, linear),
         }
     }
 
-    /// The reference engine, unconditionally (repair pass).
-    fn reference_sim(&self) -> impl Fn(Vec<JobSpec>) -> SimOutcome + '_ {
-        move |jobs| simulate_reference(&self.opts.machine, jobs)
+    pub(crate) fn quarantined(&self, kernel: KernelId) -> bool {
+        self.sentinel.is_quarantined(kernel)
     }
 
-    fn mark_repaired(&self) {
-        self.repaired.fetch_add(1, Ordering::Relaxed);
+    /// Run `f(0) … f(n-1)` on the pool under the run's cell policy.
+    pub(crate) fn sweep<T: Send>(&self, n: usize, f: &CellFn<'_, T>) -> Vec<StudyResult<T>> {
+        let sweep = pool::map_indexed_isolated(n, &self.ropts.policy, f);
+        self.retries.fetch_add(sweep.retries, Ordering::Relaxed);
+        self.timeouts.fetch_add(sweep.timeouts, Ordering::Relaxed);
+        sweep.results
     }
 
-    fn into_resilience(
-        self,
-        failed_cells: Vec<FailedCell>,
-        retries: u32,
-        timeouts: u32,
-    ) -> Resilience {
-        Resilience {
-            failed_cells,
-            retries,
-            timeouts,
-            resumed_cells: self.resumed.load(Ordering::Relaxed),
-            corrupt_records: self.journal.as_ref().map_or(0, |j| j.corrupt_records()),
-            journal_write_errors: self.journal.as_ref().map_or(0, |j| j.write_errors()),
-            sentinel_checks: self.sentinel.checks(),
-            sentinel_fallbacks: self.sentinel.fallbacks(),
-            quarantined: self.sentinel.quarantined(),
-            drift_events: self.sentinel.events(),
-            repaired_cells: self.repaired.load(Ordering::Relaxed),
-        }
-    }
-
-    // --- single-program cells ---
-
-    /// Serial baseline cell of `benchmarks[bi]` (speedup ≡ 1).
-    fn single_serial(&self, bi: usize, config: &HwConfig) -> StudyResult<Cell> {
-        let bench = self.opts.benchmarks[bi];
-        let key = self.key("single", &[bench.name()], &config.name);
-        if let Some(sides) = self.lookup(&key, 1) {
-            return Ok(sides[0].to_cell());
-        }
-        let trace = self.trace(bench, 1)?;
-        let kernels = [bench];
-        let check = sampled(self.ropts.sample_every, 0, bi);
-        let sim = self.checked_sim(&kernels, &config.name, check);
-        let (cycles, counters) = run_trials_with(self.opts, &trace, config, &sim);
-        let cell = Cell {
-            speedup: Summary::of(&vec![1.0; self.opts.trials]),
-            cycles: Summary::of(&cycles),
-            counters,
-        };
-        self.save(&key, vec![SideRecord::of(bench.name(), &cell)]);
-        Ok(cell)
-    }
-
-    /// Parallel cell of `benchmarks[bi]` on `config`, with speedups
-    /// against the serial baseline mean `base`.
-    fn single_parallel(
+    /// The repair pass over `slots`: re-run `f(i)` for every `i` that
+    /// `stale` names, keeping each success.
+    pub(crate) fn repair<T: Send>(
         &self,
-        bi: usize,
-        cfg_i: usize,
-        linear: usize,
-        config: &HwConfig,
-        base: f64,
-    ) -> StudyResult<Cell> {
-        let bench = self.opts.benchmarks[bi];
-        let key = self.key("single", &[bench.name()], &config.name);
-        if let Some(sides) = self.lookup(&key, 1) {
-            return Ok(sides[0].to_cell());
+        slots: &mut [StudyResult<T>],
+        stale: impl Fn(usize) -> bool,
+        f: &CellFn<'_, T>,
+    ) {
+        let items: Vec<usize> = (0..slots.len()).filter(|&i| stale(i)).collect();
+        for (r, &i) in self
+            .sweep(items.len(), &|k| f(items[k]))
+            .into_iter()
+            .zip(&items)
+        {
+            if r.is_ok() {
+                slots[i] = r;
+            }
         }
-        let trace = self.trace(bench, config.threads)?;
-        let kernels = [bench];
-        let check = sampled(self.ropts.sample_every, cfg_i, linear);
-        let sim = self.checked_sim(&kernels, &config.name, check);
-        let (cycles, counters) = run_trials_with(self.opts, &trace, config, &sim);
-        let speedups: Vec<f64> = cycles.iter().map(|&c| base / c).collect();
-        let cell = Cell {
-            cycles: Summary::of(&cycles),
-            speedup: Summary::of(&speedups),
-            counters,
-        };
-        self.save(&key, vec![SideRecord::of(bench.name(), &cell)]);
-        Ok(cell)
     }
 
-    // --- pair cells (multi-program and cross-product) ---
-
-    /// Serial baseline cell for a pair study (single quiet run, as in
-    /// the plain drivers). Shared between `multi` and `cross` under the
-    /// `serial` driver tag, so either study resumes the other's bases.
-    fn serial_base(&self, bench: KernelId, bi: usize) -> StudyResult<Cell> {
-        let cfg = serial();
-        let key = self.key("serial", &[bench.name()], &cfg.name);
-        if let Some(sides) = self.lookup(&key, 1) {
-            return Ok(sides[0].to_cell());
-        }
-        let trace = self.trace(bench, 1)?;
-        let kernels = [bench];
-        let check = sampled(self.ropts.sample_every, 0, bi);
-        let sim = self.checked_sim(&kernels, &cfg.name, check);
-        let out = sim(vec![JobSpec::pinned(trace, cfg.contexts)]);
-        let cell = Cell {
-            cycles: Summary::of(&[out.jobs[0].cycles as f64]),
-            speedup: Summary::of(&[1.0]),
-            counters: out.jobs[0].counters,
-        };
-        self.save(&key, vec![SideRecord::of(bench.name(), &cell)]);
-        Ok(cell)
-    }
-
-    /// One two-program cell (a §4.2 workload or a §4.3 pair).
-    fn pair_cell(
+    /// One cell, a side per kernel, of study `driver` on `config`: served
+    /// from the journal, or `compute`d through `engine`'s simulation
+    /// function and journaled.
+    pub(crate) fn cell<const N: usize>(
         &self,
         driver: &str,
-        w: (KernelId, KernelId),
-        cfg_i: usize,
-        linear: usize,
-        config: &HwConfig,
-        bases: (f64, f64),
-    ) -> StudyResult<MultiCell> {
-        let names = [w.0.name(), w.1.name()];
-        let key = self.key(driver, &names, &config.name);
-        if let Some(sides) = self.lookup(&key, 2) {
-            return Ok(MultiCell {
-                config: config.clone(),
-                sides: vec![
-                    JobSide {
-                        bench: w.0,
-                        cell: sides[0].to_cell(),
-                    },
-                    JobSide {
-                        bench: w.1,
-                        cell: sides[1].to_cell(),
-                    },
-                ],
-            });
+        kernels: [KernelId; N],
+        config: &str,
+        engine: Engine,
+        compute: impl FnOnce(Sim) -> StudyResult<[Cell; N]>,
+    ) -> StudyResult<[Cell; N]> {
+        let cells = match engine {
+            Engine::Sweep { check } => {
+                if let Some(cells) = self.lookup(driver, &kernels, config) {
+                    return Ok(cells);
+                }
+                let m = &self.opts.machine;
+                compute(&|jobs| {
+                    self.sentinel
+                        .simulate_checked(&kernels, config, check, m, jobs)
+                })?
+            }
+            Engine::Repair => {
+                let cells = compute(&|jobs| simulate_reference(&self.opts.machine, jobs))?;
+                self.repaired.fetch_add(1, Ordering::Relaxed);
+                cells
+            }
+        };
+        if let Some(j) = &self.journal {
+            let sides = kernels.iter().zip(&cells);
+            let sides = sides.map(|(k, c)| SideRecord::of(k.name(), c)).collect();
+            // Append failures are counted by the journal: the study keeps
+            // running, the cell just won't resume.
+            let _ = j.record(&self.key(driver, &kernels, config), sides);
         }
-        let per = config.threads / 2;
-        let traces = [self.trace(w.0, per)?, self.trace(w.1, per)?];
-        let kernels = [w.0, w.1];
-        let check = sampled(self.ropts.sample_every, cfg_i, linear);
-        let sim = self.checked_sim(&kernels, &config.name, check);
-        let cell = run_workload_with(self.opts, traces, w, config, bases, &sim);
-        self.save(
-            &key,
-            vec![
-                SideRecord::of(names[0], &cell.sides[0].cell),
-                SideRecord::of(names[1], &cell.sides[1].cell),
-            ],
-        );
-        Ok(cell)
+        Ok(cells)
     }
 
-    // --- quarantine repair ---
-
-    /// Recompute the serial bases of quarantined kernels on the
-    /// reference engine; returns the quarantined kernel-name set.
-    fn repair_bases(&self, bases: &mut HashMap<KernelId, StudyResult<Cell>>) -> Vec<String> {
-        let q = self.sentinel.quarantined();
-        if q.is_empty() {
-            return q;
-        }
-        let cfg = serial();
-        for (&bench, slot) in bases.iter_mut() {
-            if !q.contains(&bench.name().to_string()) {
-                continue;
-            }
-            if let Ok(trace) = self.trace(bench, 1) {
-                let out = simulate_reference(
-                    &self.opts.machine,
-                    vec![JobSpec::pinned(trace, cfg.contexts.clone())],
-                );
-                let cell = Cell {
-                    cycles: Summary::of(&[out.jobs[0].cycles as f64]),
-                    speedup: Summary::of(&[1.0]),
-                    counters: out.jobs[0].counters,
-                };
-                self.save(
-                    &self.key("serial", &[bench.name()], &cfg.name),
-                    vec![SideRecord::of(bench.name(), &cell)],
-                );
-                *slot = Ok(cell);
-                self.mark_repaired();
-            }
-        }
-        q
-    }
-
-    /// Recompute one two-program cell on the reference engine.
-    fn repair_pair_cell(
+    /// A journaled cell with one side per kernel, if any.
+    fn lookup<const N: usize>(
         &self,
         driver: &str,
-        w: (KernelId, KernelId),
-        config: &HwConfig,
-        bases: (f64, f64),
-    ) -> StudyResult<MultiCell> {
-        let per = config.threads / 2;
-        let traces = [self.trace(w.0, per)?, self.trace(w.1, per)?];
-        let sim = self.reference_sim();
-        let cell = run_workload_with(self.opts, traces, w, config, bases, &sim);
-        let names = [w.0.name(), w.1.name()];
-        self.save(
-            &self.key(driver, &names, &config.name),
-            vec![
-                SideRecord::of(names[0], &cell.sides[0].cell),
-                SideRecord::of(names[1], &cell.sides[1].cell),
-            ],
-        );
-        self.mark_repaired();
-        Ok(cell)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §4.1 single-program.
-// ---------------------------------------------------------------------------
-
-/// Resilient variant of [`crate::single::run_single_program`].
-///
-/// # Errors
-///
-/// Only an unusable journal path fails the call; every per-cell failure
-/// is isolated and reported in the returned [`Resilience`].
-pub fn run_single_program_resilient(
-    opts: &StudyOptions,
-    store: &TraceStore,
-    ropts: &ResilienceOptions,
-) -> StudyResult<Resilient<SingleStudy>> {
-    let ctx = Ctx::new(opts, store, ropts)?;
-    let configs: Vec<HwConfig> = {
-        let mut v = vec![serial()];
-        v.extend(parallel_configs());
-        v
-    };
-    let nb = opts.benchmarks.len();
-    let npar = configs.len() - 1;
-
-    // Phase 1: serial baselines (fault-isolated).
-    let serial_sweep =
-        pool::map_indexed_isolated(nb, &ropts.policy, |bi| ctx.single_serial(bi, &configs[0]));
-    let mut serial_cells = serial_sweep.results;
-
-    // Phase 2: parallel cells. A failed serial baseline poisons its row
-    // (no baseline, no speedup).
-    let par_sweep = pool::map_indexed_isolated(nb * npar, &ropts.policy, |i| {
-        let (bi, ci) = (i / npar, i % npar);
-        let base = match &serial_cells[bi] {
-            Ok(c) => c.cycles.mean,
-            Err(e) => return Err(e.clone()),
-        };
-        ctx.single_parallel(bi, ci, i, &configs[1 + ci], base)
-    });
-    let mut par_cells = par_sweep.results;
-
-    // Phase 3: quarantine repair — re-run every cell of quarantined
-    // kernels (journaled ones included) on the reference engine, serial
-    // bases first so the row's speedups are recomputed consistently.
-    let q = ctx.sentinel.quarantined();
-    if !q.is_empty() {
-        let reference = ctx.reference_sim();
-        for (bi, &bench) in opts.benchmarks.iter().enumerate() {
-            if !q.contains(&bench.name().to_string()) {
-                continue;
-            }
-            let Ok(trace) = ctx.trace(bench, 1) else {
-                continue;
-            };
-            let (cycles, counters) = run_trials_with(opts, &trace, &configs[0], &reference);
-            let cell = Cell {
-                speedup: Summary::of(&vec![1.0; opts.trials]),
-                cycles: Summary::of(&cycles),
-                counters,
-            };
-            ctx.save(
-                &ctx.key("single", &[bench.name()], &configs[0].name),
-                vec![SideRecord::of(bench.name(), &cell)],
-            );
-            let base = cell.cycles.mean;
-            serial_cells[bi] = Ok(cell);
-            ctx.mark_repaired();
-            for ci in 0..npar {
-                let config = &configs[1 + ci];
-                let Ok(trace) = ctx.trace(bench, config.threads) else {
-                    continue;
-                };
-                let (cycles, counters) = run_trials_with(opts, &trace, config, &reference);
-                let speedups: Vec<f64> = cycles.iter().map(|&c| base / c).collect();
-                let cell = Cell {
-                    cycles: Summary::of(&cycles),
-                    speedup: Summary::of(&speedups),
-                    counters,
-                };
-                ctx.save(
-                    &ctx.key("single", &[bench.name()], &config.name),
-                    vec![SideRecord::of(bench.name(), &cell)],
-                );
-                par_cells[bi * npar + ci] = Ok(cell);
-                ctx.mark_repaired();
-            }
+        kernels: &[KernelId; N],
+        config: &str,
+    ) -> Option<[Cell; N]> {
+        let rec = self
+            .journal
+            .as_ref()?
+            .lookup(&self.key(driver, kernels, config))?;
+        if rec.sides.len() != N {
+            return None;
         }
+        self.resumed.fetch_add(1, Ordering::Relaxed);
+        Some(std::array::from_fn(|i| rec.sides[i].to_cell()))
     }
 
-    // Assemble, poisoning failed cells, and collect failures with keys.
-    let mut failed = Vec::new();
-    for (bi, r) in serial_cells.iter().enumerate() {
+    /// Report `r`'s failure, if it failed, under the cell's journal key.
+    pub(crate) fn note<T>(
+        &self,
+        r: &StudyResult<T>,
+        driver: &str,
+        kernels: &[KernelId],
+        config: &str,
+    ) {
         if let Err(e) = r {
+            let key = self.key(driver, kernels, config);
+            let mut failed = self.failed.lock().unwrap_or_else(|e| e.into_inner());
             failed.push(FailedCell {
-                key: ctx.key("single", &[opts.benchmarks[bi].name()], &configs[0].name),
+                key,
                 error: e.to_string(),
             });
         }
     }
-    for (i, r) in par_cells.iter().enumerate() {
-        if let Err(e) = r {
-            let (bi, ci) = (i / npar, i % npar);
-            failed.push(FailedCell {
-                key: ctx.key(
-                    "single",
-                    &[opts.benchmarks[bi].name()],
-                    &configs[1 + ci].name,
-                ),
-                error: e.to_string(),
-            });
+
+    pub(crate) fn finish<S>(self, study: S) -> Resilient<S> {
+        let mut failed_cells = self.failed.into_inner().unwrap_or_else(|e| e.into_inner());
+        failed_cells.sort_by(|a, b| a.key.cmp(&b.key));
+        let journal = self.journal.as_ref();
+        Resilient {
+            study,
+            resilience: Resilience {
+                failed_cells,
+                retries: self.retries.into_inner(),
+                timeouts: self.timeouts.into_inner(),
+                resumed_cells: self.resumed.into_inner(),
+                corrupt_records: journal.map_or(0, |j| j.corrupt_records()),
+                journal_write_errors: journal.map_or(0, |j| j.write_errors()),
+                sentinel_checks: self.sentinel.checks(),
+                sentinel_fallbacks: self.sentinel.fallbacks(),
+                quarantined: self.sentinel.quarantined(),
+                drift_events: self.sentinel.events(),
+                repaired_cells: self.repaired.into_inner(),
+            },
         }
     }
-    let cells: Vec<Vec<Cell>> = (0..nb)
-        .map(|bi| {
-            let mut row = Vec::with_capacity(configs.len());
-            row.push(take_or_poison(&serial_cells[bi]));
-            for ci in 0..npar {
-                row.push(take_or_poison(&par_cells[bi * npar + ci]));
-            }
-            row
-        })
-        .collect();
-
-    let resilience = ctx.into_resilience(
-        failed,
-        serial_sweep.retries + par_sweep.retries,
-        serial_sweep.timeouts + par_sweep.timeouts,
-    );
-    Ok(Resilient {
-        study: SingleStudy {
-            options_class: opts.class.to_string(),
-            benchmarks: opts.benchmarks.clone(),
-            configs,
-            cells,
-        },
-        resilience,
-    })
-}
-
-fn take_or_poison(r: &StudyResult<Cell>) -> Cell {
-    r.as_ref().cloned().unwrap_or_else(|_| Cell::poisoned())
-}
-
-fn base_of(bases: &HashMap<KernelId, StudyResult<Cell>>, k: KernelId) -> StudyResult<f64> {
-    match &bases[&k] {
-        Ok(c) => Ok(c.cycles.mean),
-        Err(e) => Err(e.clone()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §4.2 multi-program.
-// ---------------------------------------------------------------------------
-
-/// Resilient variant of [`crate::multi::run_multi_program`].
-///
-/// # Errors
-///
-/// Only an unusable journal path fails the call.
-pub fn run_multi_program_resilient(
-    opts: &StudyOptions,
-    store: &TraceStore,
-    workloads: &[(KernelId, KernelId)],
-    ropts: &ResilienceOptions,
-) -> StudyResult<Resilient<MultiStudy>> {
-    let ctx = Ctx::new(opts, store, ropts)?;
-    let configs: Vec<HwConfig> = parallel_configs()
-        .into_iter()
-        .filter(|c| c.threads >= 2)
-        .collect();
-    let mut benches: Vec<KernelId> = workloads.iter().flat_map(|&(a, b)| [a, b]).collect();
-    benches.sort();
-    benches.dedup();
-
-    // Phase 1: serial baselines.
-    let base_sweep = pool::map_indexed_isolated(benches.len(), &ropts.policy, |bi| {
-        ctx.serial_base(benches[bi], bi)
-    });
-    let mut bases: HashMap<KernelId, StudyResult<Cell>> =
-        benches.iter().copied().zip(base_sweep.results).collect();
-
-    // Phase 2: workload cells.
-    let nc = configs.len();
-    let cell_sweep = pool::map_indexed_isolated(workloads.len() * nc, &ropts.policy, |i| {
-        let (wi, ci) = (i / nc, i % nc);
-        let w = workloads[wi];
-        let b = (base_of(&bases, w.0)?, base_of(&bases, w.1)?);
-        ctx.pair_cell("multi", w, ci, i, &configs[ci], b)
-    });
-    let mut cell_results = cell_sweep.results;
-
-    // Phase 3: quarantine repair.
-    let q = ctx.repair_bases(&mut bases);
-    if !q.is_empty() {
-        for (i, slot) in cell_results.iter_mut().enumerate() {
-            let (wi, ci) = (i / nc, i % nc);
-            let w = workloads[wi];
-            if !q.contains(&w.0.name().to_string()) && !q.contains(&w.1.name().to_string()) {
-                continue;
-            }
-            let Ok(b0) = base_of(&bases, w.0) else {
-                continue;
-            };
-            let Ok(b1) = base_of(&bases, w.1) else {
-                continue;
-            };
-            if let Ok(cell) = ctx.repair_pair_cell("multi", w, &configs[ci], (b0, b1)) {
-                *slot = Ok(cell);
-            }
-        }
-    }
-
-    // Assemble; a failed cell keeps its config shape with poisoned sides.
-    let mut failed = Vec::new();
-    for (bench, r) in &bases {
-        if let Err(e) = r {
-            failed.push(FailedCell {
-                key: ctx.key("serial", &[bench.name()], &serial().name),
-                error: e.to_string(),
-            });
-        }
-    }
-    for (i, r) in cell_results.iter().enumerate() {
-        if let Err(e) = r {
-            let (wi, ci) = (i / nc, i % nc);
-            let w = workloads[wi];
-            failed.push(FailedCell {
-                key: ctx.key("multi", &[w.0.name(), w.1.name()], &configs[ci].name),
-                error: e.to_string(),
-            });
-        }
-    }
-    failed.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut it = cell_results.into_iter();
-    let cells: Vec<Vec<MultiCell>> = workloads
-        .iter()
-        .map(|&w| {
-            configs
-                .iter()
-                .map(|config| {
-                    it.next()
-                        .expect("sweep covered every (workload, config)")
-                        .unwrap_or_else(|_| MultiCell {
-                            config: config.clone(),
-                            sides: vec![
-                                JobSide {
-                                    bench: w.0,
-                                    cell: Cell::poisoned(),
-                                },
-                                JobSide {
-                                    bench: w.1,
-                                    cell: Cell::poisoned(),
-                                },
-                            ],
-                        })
-                })
-                .collect()
-        })
-        .collect();
-
-    let resilience = ctx.into_resilience(
-        failed,
-        base_sweep.retries + cell_sweep.retries,
-        base_sweep.timeouts + cell_sweep.timeouts,
-    );
-    Ok(Resilient {
-        study: MultiStudy {
-            workloads: workloads.to_vec(),
-            configs,
-            cells,
-        },
-        resilience,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// §4.3 cross-product.
-// ---------------------------------------------------------------------------
-
-/// Resilient variant of [`crate::cross::run_cross_product`]. Failed pair
-/// cells are dropped from the point cloud (and reported); a
-/// configuration losing every point is omitted from the Figure 5 boxes.
-///
-/// # Errors
-///
-/// Only an unusable journal path fails the call.
-pub fn run_cross_product_resilient(
-    opts: &StudyOptions,
-    store: &TraceStore,
-    ropts: &ResilienceOptions,
-) -> StudyResult<Resilient<CrossStudy>> {
-    let ctx = Ctx::new(opts, store, ropts)?;
-    let configs: Vec<HwConfig> = parallel_configs()
-        .into_iter()
-        .filter(|c| c.threads >= 2)
-        .collect();
-    let pairs = all_pairs(&opts.benchmarks);
-    let np = pairs.len();
-
-    // Phase 1: serial baselines (shared `serial` journal tag with §4.2).
-    let base_sweep = pool::map_indexed_isolated(opts.benchmarks.len(), &ropts.policy, |bi| {
-        ctx.serial_base(opts.benchmarks[bi], bi)
-    });
-    let mut bases: HashMap<KernelId, StudyResult<Cell>> = opts
-        .benchmarks
-        .iter()
-        .copied()
-        .zip(base_sweep.results)
-        .collect();
-
-    // Phase 2: pair cells. The first configuration's whole row is
-    // sentinel-eligible (cfg_i = ci), giving every pair — hence every
-    // kernel — first-cell coverage.
-    let point_sweep = pool::map_indexed_isolated(configs.len() * np, &ropts.policy, |i| {
-        let (ci, pi) = (i / np, i % np);
-        let pair = pairs[pi];
-        let b = (base_of(&bases, pair.0)?, base_of(&bases, pair.1)?);
-        let cell = ctx.pair_cell("cross", pair, ci, i, &configs[ci], b)?;
-        Ok((pair, ci, cell))
-    });
-    let mut point_results = point_sweep.results;
-
-    // Phase 3: quarantine repair.
-    let q = ctx.repair_bases(&mut bases);
-    if !q.is_empty() {
-        for (i, slot) in point_results.iter_mut().enumerate() {
-            let (ci, pi) = (i / np, i % np);
-            let pair = pairs[pi];
-            if !q.contains(&pair.0.name().to_string()) && !q.contains(&pair.1.name().to_string()) {
-                continue;
-            }
-            let Ok(b0) = base_of(&bases, pair.0) else {
-                continue;
-            };
-            let Ok(b1) = base_of(&bases, pair.1) else {
-                continue;
-            };
-            if let Ok(cell) = ctx.repair_pair_cell("cross", pair, &configs[ci], (b0, b1)) {
-                *slot = Ok((pair, ci, cell));
-            }
-        }
-    }
-
-    let mut failed = Vec::new();
-    for (bench, r) in &bases {
-        if let Err(e) = r {
-            failed.push(FailedCell {
-                key: ctx.key("serial", &[bench.name()], &serial().name),
-                error: e.to_string(),
-            });
-        }
-    }
-    let mut points = Vec::new();
-    for (i, r) in point_results.into_iter().enumerate() {
-        match r {
-            Ok((pair, ci, cell)) => points.push(PairPoint {
-                pair,
-                config: configs[ci].name.clone(),
-                speedups: [
-                    cell.sides[0].cell.speedup.mean,
-                    cell.sides[1].cell.speedup.mean,
-                ],
-            }),
-            Err(e) => {
-                let (ci, pi) = (i / np, i % np);
-                let pair = pairs[pi];
-                failed.push(FailedCell {
-                    key: ctx.key("cross", &[pair.0.name(), pair.1.name()], &configs[ci].name),
-                    error: e.to_string(),
-                });
-            }
-        }
-    }
-    failed.sort_by(|a, b| a.key.cmp(&b.key));
-
-    let resilience = ctx.into_resilience(
-        failed,
-        base_sweep.retries + point_sweep.retries,
-        base_sweep.timeouts + point_sweep.timeouts,
-    );
-    Ok(Resilient {
-        study: CrossStudy { configs, points },
-        resilience,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::paper_workloads;
-
-    fn quick() -> StudyOptions {
-        StudyOptions::quick().with_benchmarks(vec![KernelId::Ep, KernelId::Is])
-    }
+    use crate::single::sweep_single_program;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("paxsim_resilient_tests");
@@ -860,66 +417,26 @@ mod tests {
     }
 
     #[test]
-    fn single_matches_plain_driver_bitwise() {
-        let opts = quick();
-        let plain = crate::single::run_single_program(&opts, &TraceStore::new());
-        let res =
-            run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
-        assert!(res.resilience.is_clean());
-        assert!(res.resilience.sentinel_checks > 0);
-        for (pr, rr) in plain.cells.iter().zip(&res.study.cells) {
-            for (pc, rc) in pr.iter().zip(rr) {
-                assert_eq!(pc.cycles, rc.cycles);
-                assert_eq!(pc.speedup, rc.speedup);
-                assert_eq!(pc.counters, rc.counters);
-            }
-        }
-    }
-
-    #[test]
-    fn multi_matches_plain_driver_bitwise() {
-        let opts = StudyOptions::quick();
-        let w = paper_workloads();
-        let plain = crate::multi::run_multi_program(&opts, &TraceStore::new(), &w);
-        let res = run_multi_program_resilient(&opts, &TraceStore::new(), &w, &Default::default())
-            .unwrap();
-        assert!(res.resilience.is_clean());
-        for (pr, rr) in plain.cells.iter().zip(&res.study.cells) {
-            for (pc, rc) in pr.iter().zip(rr) {
-                for (ps, rs) in pc.sides.iter().zip(&rc.sides) {
-                    assert_eq!(ps.bench, rs.bench);
-                    assert_eq!(ps.cell.cycles, rs.cell.cycles);
-                    assert_eq!(ps.cell.speedup, rs.cell.speedup);
-                    assert_eq!(ps.cell.counters, rs.cell.counters);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cross_matches_plain_driver_bitwise() {
-        let opts = quick();
-        let plain = crate::cross::run_cross_product(&opts, &TraceStore::new());
-        let res =
-            run_cross_product_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
-        assert!(res.resilience.is_clean());
-        assert_eq!(plain.points.len(), res.study.points.len());
-        for (pp, rp) in plain.points.iter().zip(&res.study.points) {
-            assert_eq!(pp.pair, rp.pair);
-            assert_eq!(pp.config, rp.config);
-            assert_eq!(pp.speedups, rp.speedups);
-        }
+    fn none_is_the_empty_policy() {
+        let none = ResilienceOptions::none();
+        assert!(none.journal_path.is_none());
+        assert_eq!(none.sample_every, 0);
+        assert_eq!(none.policy.max_retries, 0);
+        assert!(none.policy.deadline.is_none());
+        let default = ResilienceOptions::default();
+        assert_eq!(default.sample_every, 16);
+        assert_eq!(default.policy.max_retries, 2);
     }
 
     #[test]
     fn journal_resume_skips_recompute() {
-        let opts = quick();
+        let opts = StudyOptions::quick().with_benchmarks(vec![KernelId::Ep, KernelId::Is]);
         let path = tmp("resume_unit.jsonl");
         let ropts = ResilienceOptions::default().with_journal(&path);
-        let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
+        let first = sweep_single_program(&opts, &TraceStore::new(), &ropts).unwrap();
         assert_eq!(first.resilience.resumed_cells, 0);
         let store = TraceStore::new();
-        let second = run_single_program_resilient(&opts, &store, &ropts).unwrap();
+        let second = sweep_single_program(&opts, &store, &ropts).unwrap();
         let total = opts.benchmarks.len() * second.study.configs.len();
         assert_eq!(second.resilience.resumed_cells, total);
         assert_eq!(store.builds(), 0, "a full resume builds no traces");

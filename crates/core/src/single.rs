@@ -8,14 +8,15 @@
 
 use std::sync::Arc;
 
-use paxsim_machine::sim::{simulate, JobSpec};
+use paxsim_machine::sim::JobSpec;
 use paxsim_machine::trace::ProgramTrace;
 use paxsim_nas::KernelId;
 use paxsim_perfmon::stats::Summary;
 
 use crate::configs::{parallel_configs, serial, HwConfig};
-use crate::pool;
-use crate::store::{TraceKey, TraceStore};
+use crate::error::StudyResult;
+use crate::resilient::{base, plain, Ctx, Engine, ResilienceOptions, Resilient};
+use crate::store::TraceStore;
 use crate::study::{Cell, StudyOptions};
 
 /// Results of the single-program study.
@@ -68,11 +69,10 @@ impl SingleStudy {
     }
 }
 
-/// Simulate `trace` on `config` for `trials` trials through an arbitrary
-/// simulation function (the resilient driver passes a drift-checking
-/// wrapper; the plain driver passes [`simulate`]; the serve daemon passes
-/// the plain engine on its own machine model); returns (per-trial
-/// cycles, counters of trial 0 — the quiet reference trial).
+/// Simulate `trace` on `config` for `trials` trials through `sim` (a
+/// sweep's sentinel-checked or reference engine, or the serve daemon's
+/// plain engine on its own machine model); returns (per-trial cycles,
+/// counters of trial 0 — the quiet reference trial).
 pub fn run_trials_with(
     opts: &StudyOptions,
     trace: &Arc<ProgramTrace>,
@@ -94,99 +94,128 @@ pub fn run_trials_with(
     (cycles, counters0.unwrap())
 }
 
-/// Simulate `trace` on `config` for `trials` trials; returns (per-trial
-/// cycles, counters of trial 0 — the quiet reference trial).
-fn run_trials(
-    opts: &StudyOptions,
-    trace: &Arc<ProgramTrace>,
-    config: &HwConfig,
-) -> (Vec<f64>, paxsim_machine::counters::Counters) {
-    run_trials_with(opts, trace, config, &|jobs| simulate(&opts.machine, jobs))
+/// Table 1's configurations, serial first.
+fn table1() -> Vec<HwConfig> {
+    let mut v = vec![serial()];
+    v.extend(parallel_configs());
+    v
 }
 
 /// Run the full Section 4.1 study.
 pub fn run_single_program(opts: &StudyOptions, store: &TraceStore) -> SingleStudy {
-    let configs: Vec<HwConfig> = {
-        let mut v = vec![serial()];
-        v.extend(parallel_configs());
-        v
-    };
-    run_single_program_on(opts, store, configs)
+    run_single_program_on(opts, store, table1())
 }
 
-/// Run the single-program study over an arbitrary configuration list —
-/// `configs[0]` is the serial baseline the speedups divide by, and every
-/// context named must exist on `opts.machine`'s topology. This is how the
-/// same sweep machinery drives non-Table-1 machines (the quad-core and
-/// L3-backed topologies).
+/// [`sweep_single_program_on`] under [`ResilienceOptions::none`].
+///
+/// # Panics
+///
+/// On a failed cell, naming its journal key and error.
 pub fn run_single_program_on(
     opts: &StudyOptions,
     store: &TraceStore,
     configs: Vec<HwConfig>,
 ) -> SingleStudy {
+    plain(sweep_single_program_on(
+        opts,
+        store,
+        configs,
+        &ResilienceOptions::none(),
+    ))
+}
+
+/// [`sweep_single_program_on`] over Table 1.
+///
+/// # Errors
+///
+/// Only an unusable journal path fails the call.
+pub fn sweep_single_program(
+    opts: &StudyOptions,
+    store: &TraceStore,
+    ropts: &ResilienceOptions,
+) -> StudyResult<Resilient<SingleStudy>> {
+    sweep_single_program_on(opts, store, table1(), ropts)
+}
+
+/// The single-program sweep over an arbitrary configuration list —
+/// `configs[0]` is the serial baseline the speedups divide by, and every
+/// context named must exist on `opts.machine`'s topology (the quad-core
+/// and L3-backed topologies run this way). A failed serial baseline
+/// poisons its row: no baseline, no speedup.
+///
+/// # Errors
+///
+/// Only an unusable journal path fails the call; every per-cell failure
+/// is isolated and reported in the returned [`Resilience`](crate::resilient::Resilience).
+pub fn sweep_single_program_on(
+    opts: &StudyOptions,
+    store: &TraceStore,
+    configs: Vec<HwConfig>,
+    ropts: &ResilienceOptions,
+) -> StudyResult<Resilient<SingleStudy>> {
     assert!(!configs.is_empty(), "need at least a serial baseline");
     assert_eq!(
         configs[0].threads, 1,
         "configs[0] is the serial baseline the speedups divide by"
     );
+    let ctx = Ctx::new(opts, store, ropts)?;
+    let (nb, npar) = (opts.benchmarks.len(), configs.len() - 1);
 
-    // Phase 1: serial baselines, one pool item per benchmark (the parallel
-    // cells' speedups divide by these).
-    let serial_cells: Vec<Cell> = pool::map(&opts.benchmarks, |&bench| {
-        let trace = store.get(TraceKey {
-            kernel: bench,
-            class: opts.class,
-            nthreads: 1,
-            schedule: opts.schedule,
-        });
-        let (cycles, counters) = run_trials(opts, &trace, &configs[0]);
-        Cell {
-            speedup: Summary::of(&vec![1.0; opts.trials]),
-            cycles: Summary::of(&cycles),
-            counters,
-        }
+    // The cell of `benchmarks[bi]` on `configs[ci]`; a parallel cell's
+    // per-trial speedups divide by its row's serial mean `base`.
+    let cell = |bi: usize, ci: usize, base: Option<f64>, engine: Engine| -> StudyResult<Cell> {
+        let (bench, config) = (opts.benchmarks[bi], &configs[ci]);
+        let [cell] = ctx.cell("single", [bench], &config.name, engine, |sim| {
+            let trace = ctx.trace(bench, config.threads)?;
+            let (cycles, counters) = run_trials_with(opts, &trace, config, sim);
+            let speedups: Vec<f64> = match base {
+                None => vec![1.0; opts.trials],
+                Some(base) => cycles.iter().map(|&c| base / c).collect(),
+            };
+            Ok([Cell {
+                cycles: Summary::of(&cycles),
+                speedup: Summary::of(&speedups),
+                counters,
+            }])
+        })?;
+        Ok(cell)
+    };
+    let par_cell = |bases: &[StudyResult<Cell>], i: usize, engine: Engine| -> StudyResult<Cell> {
+        let (bi, ci) = (i / npar, i % npar);
+        cell(bi, 1 + ci, Some(base(&bases[bi])?), engine)
+    };
+
+    // Serial baselines, then every (benchmark, parallel config) cell as
+    // one pool item; then the repair pass re-runs quarantined rows,
+    // serial bases first so the row's speedups are recomputed from them.
+    let mut bases = ctx.sweep(nb, &|bi| cell(bi, 0, None, ctx.sample(0, bi)));
+    let mut par = ctx.sweep(nb * npar, &|i| par_cell(&bases, i, ctx.sample(i % npar, i)));
+    let stale = |bi: usize| ctx.quarantined(opts.benchmarks[bi]);
+    ctx.repair(&mut bases, stale, &|bi| cell(bi, 0, None, Engine::Repair));
+    ctx.repair(&mut par, |i| stale(i / npar), &|i| {
+        par_cell(&bases, i, Engine::Repair)
     });
 
-    // Phase 2: every (benchmark, parallel config) cell is one pool item —
-    // the sweep saturates the host without spawning a thread per cell.
-    let par = &configs[1..];
-    let flat: Vec<Cell> = pool::map_indexed(opts.benchmarks.len() * par.len(), |i| {
-        let (bi, ci) = (i / par.len(), i % par.len());
-        let bench = opts.benchmarks[bi];
-        let config = &par[ci];
-        let trace = store.get(TraceKey {
-            kernel: bench,
-            class: opts.class,
-            nthreads: config.threads,
-            schedule: opts.schedule,
-        });
-        let (cycles, counters) = run_trials(opts, &trace, config);
-        // Per-trial speedups against the mean baseline.
-        let base = serial_cells[bi].cycles.mean;
-        let speedups: Vec<f64> = cycles.iter().map(|&c| base / c).collect();
-        Cell {
-            cycles: Summary::of(&cycles),
-            speedup: Summary::of(&speedups),
-            counters,
-        }
-    });
-    let mut flat = flat.into_iter();
-    let cells: Vec<Vec<Cell>> = serial_cells
+    let mut par = par.into_iter();
+    let cells = bases
         .into_iter()
-        .map(|serial_cell| {
-            let mut row = Vec::with_capacity(configs.len());
-            row.push(serial_cell);
-            row.extend(flat.by_ref().take(par.len()));
-            row
+        .enumerate()
+        .map(|(bi, s)| {
+            let row = std::iter::once(s).chain(par.by_ref().take(npar));
+            row.zip(&configs)
+                .map(|(r, config)| {
+                    ctx.note(&r, "single", &[opts.benchmarks[bi]], &config.name);
+                    r.unwrap_or_else(|_| Cell::poisoned())
+                })
+                .collect()
         })
         .collect();
-
-    SingleStudy {
+    Ok(ctx.finish(SingleStudy {
         options_class: opts.class.to_string(),
         benchmarks: opts.benchmarks.clone(),
         configs,
         cells,
-    }
+    }))
 }
 
 #[cfg(test)]
@@ -258,6 +287,36 @@ mod tests {
             s.cell(KernelId::Mg, "CMT").is_none(),
             "mg not in this study"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace build failed")]
+    fn a_failed_build_panics_the_plain_study() {
+        let faults = crate::faultinject::Faults::parse("build-panic:ep:3").unwrap();
+        let opts = StudyOptions::quick().with_benchmarks(vec![KernelId::Ep]);
+        run_single_program(&opts, &TraceStore::with_faults(faults));
+    }
+
+    #[test]
+    fn the_default_policy_agrees_with_none_bit_for_bit() {
+        let opts = StudyOptions::quick().with_benchmarks(vec![KernelId::Ep, KernelId::Is]);
+        let run = |ropts: &ResilienceOptions| {
+            sweep_single_program(&opts, &TraceStore::new(), ropts).unwrap()
+        };
+        let (checked, none) = (
+            run(&ResilienceOptions::default()),
+            run(&ResilienceOptions::none()),
+        );
+        assert!(checked.resilience.is_clean(), "{:?}", checked.resilience);
+        assert!(checked.resilience.sentinel_checks > 0);
+        assert_eq!(none.resilience.sentinel_checks, 0);
+        for (rc, rn) in checked.study.cells.iter().zip(&none.study.cells) {
+            for (c, n) in rc.iter().zip(rn) {
+                assert_eq!(c.cycles, n.cycles);
+                assert_eq!(c.speedup, n.speedup);
+                assert_eq!(c.counters, n.counters);
+            }
+        }
     }
 
     #[test]

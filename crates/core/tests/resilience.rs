@@ -1,10 +1,10 @@
-//! End-to-end resilience suite: every recovery path the resilient sweep
+//! End-to-end resilience suite: every recovery path the study sweep
 //! machinery promises, proven against injected faults.
 //!
 //! Each scenario follows the same shape — compute a clean study, break
 //! something (a panicking cell, an exhausted build budget, a truncated or
 //! bit-flipped journal, a drifting fast engine, a runaway cell), run the
-//! resilient driver, and assert both the recovery bookkeeping *and* that
+//! study's sweep, and assert both the recovery bookkeeping *and* that
 //! every unaffected cell is bit-identical to the clean run. A faulted run
 //! hands one [`Faults`] handle to its trace store and its cell policy;
 //! nothing else in the process sees it.
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use paxsim_core::faultinject::{self, Faults};
 use paxsim_core::prelude::*;
-use paxsim_core::report::single_to_json;
+use paxsim_core::report::{cross_to_json, multi_to_json, single_to_json};
 use paxsim_core::single::SingleStudy;
 use paxsim_nas::KernelId;
 
@@ -31,7 +31,7 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// The plain (non-resilient) driver's study.
+/// The plain entry point's study: the sweep under `ResilienceOptions::none()`.
 fn clean_single(opts: &StudyOptions) -> SingleStudy {
     paxsim_core::single::run_single_program(opts, &TraceStore::new())
 }
@@ -48,7 +48,7 @@ fn resilient(
 ) -> Resilient<SingleStudy> {
     ropts.policy.faults = faults.clone();
     let store = TraceStore::with_faults(faults.clone());
-    run_single_program_resilient(opts, &store, &ropts).unwrap()
+    sweep_single_program(opts, &store, &ropts).unwrap()
 }
 
 /// The final report artifact, as bytes — what "byte-identical" means.
@@ -182,12 +182,12 @@ fn truncated_journal_tail_is_detected_and_recomputed() {
     let opts = quick2();
     let path = tmp("truncated.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
+    let first = sweep_single_program(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
     // Chop into the last record, as a kill mid-append would.
     faultinject::truncate_tail(&path, 17).unwrap();
-    let second = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
+    let second = sweep_single_program(&opts, &TraceStore::new(), &ropts).unwrap();
     let total = opts.benchmarks.len() * second.study.configs.len();
     assert_eq!(second.resilience.corrupt_records, 1);
     assert_eq!(second.resilience.resumed_cells, total - 1);
@@ -203,12 +203,12 @@ fn bit_flipped_journal_record_fails_crc_and_is_recomputed() {
     let opts = quick2();
     let path = tmp("bitflip.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
+    let first = sweep_single_program(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
     let len = std::fs::metadata(&path).unwrap().len();
     faultinject::flip_bit(&path, len / 2).unwrap();
-    let second = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
+    let second = sweep_single_program(&opts, &TraceStore::new(), &ropts).unwrap();
     let total = opts.benchmarks.len() * second.study.configs.len();
     assert!(second.resilience.corrupt_records >= 1);
     assert!(second.resilience.resumed_cells < total);
@@ -244,6 +244,102 @@ fn injected_engine_drift_is_quarantined_and_repaired_bit_identically() {
     let txt = resilience_text(r);
     assert!(txt.contains("drift"), "{txt}");
     assert!(txt.contains("ep"), "{txt}");
+}
+
+// ---------------------------------------------------------------------------
+// The pair studies: resume and repair.
+// ---------------------------------------------------------------------------
+
+/// One pair-study run: its Figure 4 or 5 text and JSON, what the
+/// resilience layer did, and how many cells it journals when all succeed.
+struct PairRun {
+    report: String,
+    resilience: Resilience,
+    records: usize,
+}
+
+type PairStudy = fn(&StudyOptions, &TraceStore, &ResilienceOptions) -> PairRun;
+
+fn multi_run(opts: &StudyOptions, store: &TraceStore, ropts: &ResilienceOptions) -> PairRun {
+    let w = paper_workloads();
+    let r = sweep_multi_program(opts, store, &w, ropts).unwrap();
+    let json = multi_to_json(&r.study).unwrap();
+    PairRun {
+        report: format!(
+            "{}{}",
+            fig4_text(&r.study),
+            serde_json::to_string(&json).unwrap()
+        ),
+        resilience: r.resilience,
+        // The cg and ft serial bases, then every workload on every config.
+        records: 2 + w.len() * r.study.configs.len(),
+    }
+}
+
+fn cross_run(opts: &StudyOptions, store: &TraceStore, ropts: &ResilienceOptions) -> PairRun {
+    let r = sweep_cross_product(opts, store, ropts).unwrap();
+    let json = cross_to_json(&r.study).unwrap();
+    let pairs = all_pairs(&opts.benchmarks).len();
+    PairRun {
+        report: format!(
+            "{}{}",
+            fig5_text(&r.study),
+            serde_json::to_string(&json).unwrap()
+        ),
+        resilience: r.resilience,
+        records: opts.benchmarks.len() + pairs * r.study.configs.len(),
+    }
+}
+
+const PAIR_STUDIES: [(&str, PairStudy); 2] = [("multi", multi_run), ("cross", cross_run)];
+
+/// Both pair studies' kernels: the paper's CG and FT.
+fn pair_opts() -> StudyOptions {
+    StudyOptions::quick().with_benchmarks(vec![KernelId::Cg, KernelId::Ft])
+}
+
+#[test]
+fn a_pair_study_resumes_from_a_truncated_journal_byte_identically() {
+    let opts = pair_opts();
+    for (name, run) in PAIR_STUDIES {
+        let path = tmp(&format!("pair_truncated_{name}.jsonl"));
+        let ropts = ResilienceOptions::default().with_journal(&path);
+        let first = run(&opts, &TraceStore::new(), &ropts);
+        assert!(
+            first.resilience.is_clean(),
+            "{name}: {:?}",
+            first.resilience
+        );
+
+        faultinject::truncate_tail(&path, 17).unwrap();
+        let second = run(&opts, &TraceStore::new(), &ropts);
+        assert_eq!(second.resilience.corrupt_records, 1, "{name}");
+        assert_eq!(second.resilience.resumed_cells, first.records - 1, "{name}");
+        assert_eq!(
+            first.report, second.report,
+            "{name}: resumed report differs"
+        );
+    }
+}
+
+#[test]
+fn pair_study_drift_is_repaired_bit_identically() {
+    let opts = pair_opts();
+    for (name, run) in PAIR_STUDIES {
+        let clean = run(&opts, &TraceStore::new(), &ResilienceOptions::none());
+        let mut ropts = ResilienceOptions::default().with_sampling(1);
+        ropts.policy.faults = plan("drift:cg");
+        let res = run(&opts, &TraceStore::new(), &ropts);
+        let r = &res.resilience;
+        assert_eq!(r.quarantined, vec!["cg".to_string()], "{name}");
+        assert!(!r.drift_events.is_empty(), "{name}");
+        assert!(
+            r.failed_cells.is_empty(),
+            "{name}: drift is repaired, not failed"
+        );
+        assert!(r.repaired_cells > 1, "{name}: the cg base and its pairs");
+        assert_eq!(clean.report, res.report, "{name}: a drifted number leaked");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,28 @@ impl CacheGeometry {
     pub fn sets(&self) -> usize {
         self.bytes / (self.ways * self.line)
     }
+
+    /// What `SetAssoc::new` would panic on, if anything: the field at
+    /// fault and why. Mirrors its asserts.
+    pub fn check(&self) -> Result<(), (&'static str, String)> {
+        if !(1..=255).contains(&self.ways) {
+            return Err(("ways", format!("{} ways, not 1 to 255", self.ways)));
+        }
+        if !self.line.is_power_of_two() {
+            return Err(("line", format!("{}, not a power of two", self.line)));
+        }
+        let sets = self
+            .ways
+            .checked_mul(self.line)
+            .map_or(0, |way| self.bytes / way);
+        if !sets.is_power_of_two() || sets as u64 > 1 << 32 {
+            return Err((
+                "bytes",
+                format!("{sets} sets, not a power of two up to 2^32"),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// An optional chip-level shared L3 between the private L2s and the bus
@@ -162,6 +184,38 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// What the engine's cache and TLB constructors would panic on, if
+    /// anything: the field at fault (`l1d.ways`, `page`, …) and why.
+    /// Mirrors the asserts of `SetAssoc::new` and `Tlb::new`.
+    pub fn check_geometry(&self) -> Result<(), (String, String)> {
+        let l3 = self.l3.map(|l3| ("l3.geom", l3.geom));
+        for (name, geom) in [("l1d", self.l1d), ("l2", self.l2)].into_iter().chain(l3) {
+            geom.check()
+                .map_err(|(f, why)| (format!("{name}.{f}"), why))?;
+        }
+        for (name, entries) in [
+            ("itlb_entries", self.itlb_entries),
+            ("dtlb_entries", self.dtlb_entries),
+        ] {
+            // A TLB is a cache of one-byte lines, one per entry.
+            let field = |f| if f == "ways" { "tlb_ways" } else { name };
+            let geom = CacheGeometry::new(entries, self.tlb_ways, 1);
+            geom.check()
+                .map_err(|(f, why)| (field(f).to_string(), why))?;
+            if !entries.is_multiple_of(self.tlb_ways) {
+                let why = format!(
+                    "{entries} entries do not divide into {} ways",
+                    self.tlb_ways
+                );
+                return Err((name.to_string(), why));
+            }
+        }
+        if !self.page.is_power_of_two() {
+            return Err(("page".into(), format!("{}, not a power of two", self.page)));
+        }
+        Ok(())
+    }
+
     /// The paper's platform: two dual-core Hyper-Threaded Paxville Xeons.
     pub fn paxville_smp() -> Self {
         Self {
@@ -275,6 +329,43 @@ impl Default for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_checked_geometry_is_exactly_one_the_constructors_accept() {
+        use crate::cache::SetAssoc;
+        use crate::tlb::Tlb;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let builds = |f: &dyn Fn()| catch_unwind(AssertUnwindSafe(f)).is_ok();
+        for bytes in [0, 32, 1000, 4096, 16 * 1024, 24 * 1024] {
+            for ways in [0, 1, 2, 3, 8, 128, 255, 256] {
+                for line in [0, 1, 48, 64] {
+                    let geom = CacheGeometry::new(bytes, ways, line);
+                    let ok = builds(&|| drop(SetAssoc::new(geom)));
+                    assert_eq!(geom.check().is_ok(), ok, "{geom:?}");
+                }
+            }
+        }
+        for (entries, ways, page) in [
+            (64, 4, 4096),
+            (64, 0, 4096),
+            (60, 4, 4096),
+            (0, 4, 4096),
+            (64, 4, 4097),
+        ] {
+            let cfg = MachineConfig {
+                dtlb_entries: entries,
+                tlb_ways: ways,
+                page,
+                ..MachineConfig::paxville_smp()
+            };
+            let ok = builds(&|| drop(Tlb::new(entries, ways, page)));
+            assert_eq!(
+                cfg.check_geometry().is_ok(),
+                ok,
+                "{entries} entries, {ways} ways, page {page}"
+            );
+        }
+    }
 
     #[test]
     fn paxville_topology() {

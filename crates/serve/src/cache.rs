@@ -9,7 +9,7 @@
 //! an unrelated get. Within a shard the PR-4 semantics are unchanged:
 //! tier 1 is an LRU keyed by the request's
 //! [`ConfigHash`](paxsim_core::hash::ConfigHash); tier 2 is the same
-//! CRC-per-record JSONL format the resilient sweep drivers checkpoint
+//! CRC-per-record JSONL format the study sweeps checkpoint
 //! into, so results survive daemon restarts and every corruption mode the
 //! journal detects (bit rot, truncated tails) causes a recompute, never a
 //! wrong answer. Disk hits are promoted into the shard's LRU; every put

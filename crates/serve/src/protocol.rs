@@ -243,9 +243,13 @@ fn machine_field(v: &Value) -> StudyResult<Option<MachineConfig>> {
         return Ok(None);
     };
     check_machine_fields(m, machine_keys(), "machine")?;
-    serde_json::from_value::<MachineConfig>(m)
-        .map(Some)
-        .map_err(|e| bad("machine", format!("not a full machine config: {e}")))
+    let m = serde_json::from_value::<MachineConfig>(m)
+        .map_err(|e| bad("machine", format!("not a full machine config: {e}")))?;
+    // A geometry the cache and TLB constructors would panic on, refused
+    // here rather than in a worker.
+    m.check_geometry()
+        .map_err(|(field, why)| bad(&format!("machine.{field}"), why))?;
+    Ok(Some(m))
 }
 
 /// Parse one request line.
@@ -932,6 +936,73 @@ mod tests {
         let strangers: String = (0..2_000).map(|i| format!(r#""x{i}":0,"#)).collect();
         let strangers = edit(r#""l2_lat":28"#, &format!(r#"{strangers}"l2_lat":28"#));
         assert_eq!(refused(&strangers), "machine.x0: unknown field");
+    }
+
+    #[test]
+    fn a_machine_override_refuses_a_geometry_the_caches_would_panic_on() {
+        // Regression: each of these parsed, and then panicked the cache or
+        // TLB constructor inside a worker.
+        let full = serde_json::to_string(&MachineConfig::paxville_smp()).unwrap();
+        let edit = |from: &str, to: &str| {
+            assert!(full.contains(from), "{from}");
+            full.replacen(from, to, 1)
+        };
+        let l1d = r#""l1d":{"bytes":16384,"ways":8,"line":64}"#;
+        let l2 = r#""l2":{"bytes":2097152,"ways":8,"line":64}"#;
+        let l3 = |geom: &str| format!(r#""l3":{{"geom":{geom},"lat":50}}"#);
+        for (machine, want) in [
+            (
+                edit(l1d, &l1d.replace(r#""ways":8"#, r#""ways":0"#)),
+                "machine.l1d.ways",
+            ),
+            (
+                edit(l2, &l2.replace(r#""ways":8"#, r#""ways":256"#)),
+                "machine.l2.ways",
+            ),
+            (
+                edit(l1d, &l1d.replace(r#""line":64"#, r#""line":48"#)),
+                "machine.l1d.line",
+            ),
+            (
+                edit(l1d, &l1d.replace("16384", "24576")),
+                "machine.l1d.bytes",
+            ),
+            (
+                edit(
+                    l1d,
+                    &l1d.replace(r#""line":64"#, r#""line":4611686018427387904"#),
+                ),
+                "machine.l1d.bytes",
+            ),
+            (edit(l2, &l2.replace("2097152", "32")), "machine.l2.bytes"),
+            (
+                edit(
+                    r#""l3":null"#,
+                    &l3(r#"{"bytes":8388608,"ways":0,"line":64}"#),
+                ),
+                "machine.l3.geom.ways",
+            ),
+            (
+                edit(r#""tlb_ways":4"#, r#""tlb_ways":0"#),
+                "machine.tlb_ways",
+            ),
+            (
+                edit(r#""dtlb_entries":64"#, r#""dtlb_entries":60"#),
+                "machine.dtlb_entries",
+            ),
+            (
+                edit(r#""itlb_entries":64"#, r#""itlb_entries":0"#),
+                "machine.itlb_entries",
+            ),
+            (edit(r#""page":4096"#, r#""page":4097"#), "machine.page"),
+        ] {
+            let line =
+                format!(r#"{{"op":"simulate","kernel":"ep","config":"CMP","machine":{machine}}}"#);
+            match parse_request(&line) {
+                Err(StudyError::BadSpec { field, .. }) => assert_eq!(field, want, "{machine}"),
+                r => panic!("{want}: expected a bad request, got {r:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,34 +9,17 @@
 //! cargo run --release --example multiprogram_pairing
 //! ```
 
-use paxsim_core::multi::run_workload;
 use paxsim_core::prelude::*;
-use paxsim_machine::sim::{simulate, JobSpec};
-use paxsim_nas::{all_kernels, Class, KernelId};
-use paxsim_omp::schedule::Schedule;
+use paxsim_nas::{all_kernels, KernelId};
 use paxsim_perfmon::table::Table;
 
 fn main() {
     let opts = StudyOptions::quick(); // class T, quiet, single trial
-    let store = TraceStore::new();
-    let cfg = config_by_name("CMT-based SMP").unwrap();
-
-    // Serial baselines for speedups.
-    let serial_cycles = |k: KernelId| -> f64 {
-        let trace = store.get(TraceKey {
-            kernel: k,
-            class: Class::T,
-            nthreads: 1,
-            schedule: Schedule::Static,
-        });
-        simulate(
-            &opts.machine,
-            vec![JobSpec::pinned(trace, serial().contexts)],
-        )
-        .jobs[0]
-            .cycles as f64
-    };
-    let cg_base = serial_cycles(KernelId::Cg);
+    let workloads: Vec<(KernelId, KernelId)> = all_kernels()
+        .into_iter()
+        .map(|co| (KernelId::Cg, co))
+        .collect();
+    let study = run_multi_program(&opts, &TraceStore::new(), &workloads);
 
     let mut t = Table::new("CG paired with each co-runner on HT on -8-2").header([
         "Co-runner",
@@ -45,9 +28,8 @@ fn main() {
         "pair harmonic mean",
     ]);
     let mut best: Option<(KernelId, f64)> = None;
-    for co in all_kernels() {
-        let co_base = serial_cycles(co);
-        let cell = run_workload(&opts, &store, (KernelId::Cg, co), &cfg, (cg_base, co_base));
+    for &(cg, co) in &workloads {
+        let cell = study.cell((cg, co), "CMT-based SMP").unwrap();
         let s_cg = cell.sides[0].cell.speedup.mean;
         let s_co = cell.sides[1].cell.speedup.mean;
         let hmean = 2.0 / (1.0 / s_cg + 1.0 / s_co);

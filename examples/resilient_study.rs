@@ -1,17 +1,14 @@
-//! Resilient paper regeneration with checkpoint/resume.
+//! Paper regeneration with checkpoint/resume.
 //!
 //! ```sh
 //! cargo run --release --example resilient_study -- /tmp/study.jsonl /tmp/study.report
 //! ```
 //!
-//! Runs the §4.1 single-program and §4.2 multi-program studies through
-//! the resilient drivers, journaling every completed cell to the given
-//! path and writing the paper-style report to the given file. Kill the
-//! process mid-sweep and run it again with the same journal: completed
-//! cells are served from the journal (the partial record a kill leaves
-//! behind is rejected by its CRC and recomputed) and the final report is
-//! byte-identical to an uninterrupted run — `ci.sh` proves exactly that
-//! with a SIGKILL smoke test.
+//! Runs the §4.1 and §4.2 sweeps with a journal at the given path and
+//! writes the report to the given file. Kill it mid-sweep and run it
+//! again: journaled cells resume (a torn last record fails its CRC and
+//! is recomputed) and the report is byte-identical to an uninterrupted
+//! run's, as `ci.sh`'s SIGKILL smoke checks.
 //!
 //! The resilience summary (resumed cells, corrupt records, retries,
 //! drift events) goes to stdout only; the report file holds nothing but
@@ -41,9 +38,9 @@ fn main() {
     let mut ropts = ResilienceOptions::default().with_journal(&journal);
     ropts.policy.faults = faults;
 
-    let single = run_single_program_resilient(&opts, &store, &ropts)
+    let single = sweep_single_program(&opts, &store, &ropts)
         .unwrap_or_else(|e| panic!("single-program study: {e}"));
-    let multi = run_multi_program_resilient(&opts, &store, &paper_workloads(), &ropts)
+    let multi = sweep_multi_program(&opts, &store, &paper_workloads(), &ropts)
         .unwrap_or_else(|e| panic!("multi-program study: {e}"));
 
     let mut out = String::new();
