@@ -5,15 +5,12 @@
 //! multiprogrammed speedups over all pairs is summarized as a
 //! box-and-whisker (Figure 5).
 
-use std::collections::HashSet;
-
 use paxsim_nas::KernelId;
 use paxsim_perfmon::stats::BoxWhisker;
 
 use crate::configs::HwConfig;
 use crate::error::StudyResult;
 use crate::multi::{pair_configs, pair_sweep};
-use crate::pool;
 use crate::resilient::{plain, Ctx, ResilienceOptions, Resilient};
 use crate::store::TraceStore;
 use crate::study::StudyOptions;
@@ -102,23 +99,11 @@ pub fn sweep_cross_product(
     let configs = pair_configs();
     let pairs = all_pairs(&opts.benchmarks);
 
-    // Pre-warm every needed trace in parallel; the single-flight store
-    // makes racing builds of the same key collapse into one, and keeps a
-    // failed build for the cells that need it to report.
-    let warm: HashSet<(KernelId, usize)> = configs
-        .iter()
-        .flat_map(|c| opts.benchmarks.iter().map(|&b| (b, c.threads / 2)))
-        .collect();
-    pool::map(
-        &warm.into_iter().collect::<Vec<_>>(),
-        |&(kernel, nthreads)| {
-            let _ = ctx.trace(kernel, nthreads);
-        },
-    );
-
     // Every (config, pair) point is one pool item, config-major, so the
     // first configuration's whole row is sentinel-eligible: every pair,
-    // hence every kernel, gets first-cell coverage.
+    // hence every kernel, gets first-cell coverage. A cell fetches its
+    // traces through the single-flight store only when it computes, so a
+    // journaled cell builds none.
     let np = pairs.len();
     let cells = pair_sweep(&ctx, "cross", &opts.benchmarks, &pairs, &configs, &|i| {
         (i % np, i / np)
@@ -171,6 +156,27 @@ mod tests {
             assert_eq!(c.pair, n.pair);
             assert_eq!(c.config, n.config);
             assert_eq!(c.speedups, n.speedups);
+        }
+    }
+
+    #[test]
+    fn a_fully_journaled_resume_builds_no_trace() {
+        let opts = StudyOptions::quick().with_benchmarks(vec![KernelId::Ep, KernelId::Is]);
+        let path = std::env::temp_dir().join("paxsim_cross_resume_unit.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let ropts = ResilienceOptions::default().with_journal(&path);
+        let first = sweep_cross_product(&opts, &TraceStore::new(), &ropts).unwrap();
+        let store = TraceStore::new();
+        let second = sweep_cross_product(&opts, &store, &ropts).unwrap();
+        let cells = opts.benchmarks.len() + first.study.points.len();
+        assert_eq!(second.resilience.resumed_cells, cells);
+        assert_eq!(store.builds(), 0, "a full resume builds no traces");
+        assert_eq!(first.study.points.len(), second.study.points.len());
+        for (a, b) in first.study.points.iter().zip(&second.study.points) {
+            assert_eq!(
+                (a.pair, &a.config, a.speedups),
+                (b.pair, &b.config, b.speedups)
+            );
         }
     }
 

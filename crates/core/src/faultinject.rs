@@ -18,8 +18,9 @@
 //! | the serve `ServeConfig::faults` | the rest; the daemon hands its clones to all of the above |
 //!
 //! A study sweep takes its plan from its `ResilienceOptions`' policy.
-//! `PAXSIM_FAULTS` is read in one place, [`Faults::from_env`], by the
-//! binaries that accept it, and a malformed spec is refused there.
+//! `PAXSIM_FAULTS` is read in one place, [`Faults::from_env`]; the
+//! binaries that accept it call [`Faults::from_env_or_exit`], which
+//! refuses a malformed spec with exit 2.
 //!
 //! Spec syntax — comma-separated faults, colon-separated fields. A kernel
 //! is named as in a wire request; an unknown kernel, a field the kind does
@@ -49,7 +50,7 @@
 //! Jobs and frames are counted per plan, and so are the fired worker
 //! panics, connection kills and partial writes a soak asserts on. The
 //! module also ships journal corruption helpers ([`truncate_tail`],
-//! [`flip_bit`]) used by the resume/corruption tests and the CI smoke.
+//! [`flip_bit`]) used by the resume/corruption tests.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -237,6 +238,16 @@ impl Faults {
         }
     }
 
+    /// [`Faults::from_env`] for a binary's `main`: a malformed plan is
+    /// printed as `<bin>: <error>` and the process exits 2, so a typo in a
+    /// plan stops the run instead of letting it run clean.
+    pub fn from_env_or_exit(bin: &str) -> Faults {
+        Faults::from_env().unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        })
+    }
+
     /// True for the handle that never fires.
     pub fn is_empty(&self) -> bool {
         self.0.is_none()
@@ -420,7 +431,7 @@ pub fn hide_injected_panics() {
 pub fn quiesced() {}
 
 // ---------------------------------------------------------------------------
-// Journal corruption helpers (used by resume/corruption tests and CI).
+// Journal corruption helpers (used by the resume/corruption tests).
 // ---------------------------------------------------------------------------
 
 /// Truncate the last `bytes` bytes of `path` — models a process killed

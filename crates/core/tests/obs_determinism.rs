@@ -15,6 +15,9 @@ use paxsim_nas::KernelId;
 
 #[allow(dead_code)] // the identity tests' `fast_matches_reference` is not used here
 mod common;
+#[allow(dead_code)] // one of the checks runs here
+#[macro_use]
+mod checks;
 use common::{assert_outcomes_identical, class_t};
 
 /// `paxsim_obs::set_enabled` is process-global; serialize the tests that
@@ -65,36 +68,5 @@ fn sim_outcome_is_bit_identical_with_obs_enabled() {
     }
 }
 
-/// The enabled side of the differential must actually observe: profile
-/// rows cover every region, and the metrics registry moves.
-#[test]
-fn enabled_runs_record_profile_rows_and_metrics() {
-    let _lock = obs_lock();
-    let machine = MachineConfig::paxville_smp();
-    let store = TraceStore::new();
-    let config = all_configs()
-        .into_iter()
-        .find(|c| c.threads == 2)
-        .expect("Table 1 has a 2-thread configuration");
-    let trace = class_t(&store, KernelId::Cg, config.threads);
-    paxsim_obs::set_enabled(true);
-    let runs_before = paxsim_machine::profile::take_last_run(); // drain
-    drop(runs_before);
-    let outcome = simulate(
-        &machine,
-        vec![JobSpec::pinned(trace.clone(), config.contexts.clone())],
-    );
-    let rows = paxsim_machine::profile::take_last_run().expect("profiled run publishes rows");
-    paxsim_obs::set_enabled(false);
-    assert!(!rows.is_empty(), "at least one region row");
-    // Attribution is conservative: summed region ticks equal the job's
-    // region spans, and executions + replays cover every region boundary.
-    let total_regions: u64 = rows.iter().map(|r| r.executions + r.memo_replays).sum();
-    assert_eq!(total_regions as usize, outcome.jobs[0].regions.len());
-    let attributed: u64 = rows.iter().map(|r| r.counters.instructions).sum();
-    assert_eq!(attributed, outcome.jobs[0].counters.instructions);
-    // The registry moved: the sim-run counter renders in the snapshot.
-    let json = paxsim_obs::snapshot().to_json();
-    let runs = json["counters"]["machine.sim.runs"].as_u64().unwrap_or(0);
-    assert!(runs >= 1, "machine.sim.runs must have counted: {json:?}");
-}
+// The enabled side of the differential must actually observe.
+check_tests!((obs_lock(), paxsim_obs::set_enabled(true)); enabled_runs_record_profile_rows_and_metrics);

@@ -9,14 +9,19 @@
 //! hands one [`Faults`] handle to its trace store and its cell policy;
 //! nothing else in the process sees it.
 
-use std::path::PathBuf;
+use std::io::Read;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use paxsim_core::faultinject::{self, Faults};
+use paxsim_core::journal::{Journal, SideRecord};
 use paxsim_core::prelude::*;
 use paxsim_core::report::{cross_to_json, multi_to_json, single_to_json};
 use paxsim_core::single::SingleStudy;
-use paxsim_nas::KernelId;
+use paxsim_machine::counters::Counters;
+use paxsim_nas::{Class, KernelId};
+use paxsim_perfmon::stats::Summary;
 
 /// Two-benchmark quick study: 2 benches × (1 serial + 7 parallel) cells.
 fn quick2() -> StudyOptions {
@@ -402,4 +407,171 @@ fn env_fault_plan_is_absorbed_cleanly() {
     assert_eq!(second.resilience.retries, 0, "budgets spent");
     assert_study_eq(&first.study, &second.study);
     assert_eq!(report_bytes(&first.study), report_bytes(&second.study));
+}
+
+// ---------------------------------------------------------------------------
+// Crashes: this test binary re-executed as a child, SIGKILLed by its parent.
+// ---------------------------------------------------------------------------
+
+/// Names a re-executed child's job; read by this file alone.
+const CHILD_JOB: &str = "PAXSIM_TEST_CHILD_JOB";
+
+/// Runs the job `CHILD_JOB` names; returns at once in a normal test run.
+#[test]
+fn crash_child() {
+    let Ok(job) = std::env::var(CHILD_JOB) else {
+        return;
+    };
+    match job.split_once(':') {
+        // A cell past the kill point sleeps for ten minutes, so the study
+        // cannot finish before its parent kills it.
+        Some(("study", path)) => drop(paper_study(Path::new(path), &plan("cell-slow:40:600000:1"))),
+        Some(("journal", path)) => {
+            let journal = Journal::open(Path::new(path)).expect("open journal for writing");
+            for i in 0.. {
+                journal
+                    .record(&format!("k{i}"), torture_sides(i))
+                    .expect("append");
+            }
+        }
+        None if job == "faults" => drop(Faults::from_env_or_exit("crash_child")),
+        _ => panic!("unknown child job {job}"),
+    }
+}
+
+/// This binary running `crash_child` alone on `job` under the fault plan
+/// `faults`, killed and reaped on drop.
+struct Child(std::process::Child);
+
+impl Child {
+    fn spawn(job: String, faults: &str) -> Child {
+        let child = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "crash_child", "--nocapture"])
+            .env(CHILD_JOB, job)
+            .env("PAXSIM_FAULTS", faults)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("re-execute the test binary");
+        Child(child)
+    }
+
+    /// SIGKILL once `path` holds `lines` complete lines.
+    fn kill_at(mut self, path: &Path, lines: usize) {
+        let complete =
+            || std::fs::read(path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count());
+        while complete() < lines {
+            assert!(
+                self.0.try_wait().unwrap().is_none(),
+                "the child exited before the kill"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.0.kill().unwrap();
+    }
+
+    /// The exit code and stderr of a child that exits by itself.
+    fn exit(mut self) -> (Option<i32>, String) {
+        let mut err = String::new();
+        self.0
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut err)
+            .unwrap();
+        (self.0.wait().unwrap().code(), err)
+    }
+}
+
+impl Drop for Child {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `resilient_study` example's study: §4.1 and §4.2 at class T, with
+/// a journal at `path` and `faults` in the store and the policy. Returns
+/// the report (text, then JSON), the resumed cells and the cells in all.
+fn paper_study(path: &Path, faults: &Faults) -> (String, usize, usize) {
+    let opts = StudyOptions::paper(Class::T);
+    let mut ropts = ResilienceOptions::default().with_journal(path);
+    ropts.policy.faults = faults.clone();
+    let store = TraceStore::with_faults(faults.clone());
+    let w = paper_workloads();
+    let single = sweep_single_program(&opts, &store, &ropts).unwrap();
+    let multi = sweep_multi_program(&opts, &store, &w, &ropts).unwrap();
+    let (s, m) = (&single.study, &multi.study);
+    let report = format!(
+        "{}{}{}{}{}{}\n{}\n",
+        fig2_text(s),
+        fig3_text(s),
+        table2_text(s),
+        headlines_text(&headlines(s)),
+        fig4_text(m),
+        serde_json::to_string(&single_to_json(s).unwrap()).unwrap(),
+        serde_json::to_string(&multi_to_json(m).unwrap()).unwrap(),
+    );
+    let resumed = single.resilience.resumed_cells + multi.resilience.resumed_cells;
+    let cells = opts.benchmarks.len() * s.configs.len() + 2 + w.len() * m.configs.len();
+    (report, resumed, cells)
+}
+
+/// A study SIGKILLed with 40 of its 71 cells journaled resumes, fault
+/// free, to the uninterrupted run's report byte for byte, serving what
+/// the journal holds and computing the rest.
+#[test]
+fn a_sigkilled_study_resumes_byte_identically() {
+    const KILLED_AT: usize = 40;
+    let path = tmp("sigkilled.jsonl");
+    let child = Child::spawn(format!("study:{}", path.display()), "");
+    let (clean, _, cells) = paper_study(&tmp("uninterrupted.jsonl"), &Faults::default());
+    child.kill_at(&path, KILLED_AT);
+    let (resumed, served, _) = paper_study(&path, &Faults::default());
+    assert!(served >= KILLED_AT - 1, "resumed only {served} cells");
+    assert!(served < cells, "the kill came after the study finished");
+    assert_eq!(resumed, clean, "the resumed report differs");
+}
+
+fn torture_sides(i: u64) -> Vec<SideRecord> {
+    let cell = Cell {
+        cycles: Summary::of(&[100.0 + i as f64]),
+        speedup: Summary::of(&[1.5]),
+        counters: Counters {
+            instructions: 1_000 + i,
+            ..Counters::default()
+        },
+    };
+    vec![SideRecord::of("ep", &cell)]
+}
+
+/// A writer appending as fast as it can, SIGKILLed mid-append: at most the
+/// in-flight record is torn, and the survivors are the contiguous prefix
+/// k0..k(n-1), bit-exact.
+#[test]
+fn a_journal_sigkilled_mid_append_keeps_a_lossless_prefix() {
+    let path = tmp("torture.jsonl");
+    Child::spawn(format!("journal:{}", path.display()), "").kill_at(&path, 1);
+    let journal = Journal::open(&path).expect("reopen after the kill");
+    let n = journal.len() as u64;
+    assert!(n > 0, "the writer must have landed a record");
+    assert!(
+        journal.corrupt_records() <= 1,
+        "{} torn",
+        journal.corrupt_records()
+    );
+    for i in 0..n {
+        let rec = journal
+            .lookup(&format!("k{i}"))
+            .unwrap_or_else(|| panic!("hole in the prefix: k{i} missing of {n}"));
+        assert_eq!(rec.sides[0].counters.instructions, 1_000 + i, "k{i}");
+    }
+}
+
+/// `Faults::from_env_or_exit` refuses a malformed plan: exit 2, naming it.
+#[test]
+fn a_malformed_fault_plan_exits_2_naming_the_fault() {
+    let (code, err) = Child::spawn("faults".into(), "explode:now").exit();
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("explode:now"), "{err}");
 }

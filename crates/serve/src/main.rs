@@ -126,10 +126,7 @@ fn parse_args() -> Args {
 
 fn main() {
     let mut args = parse_args();
-    args.cfg.faults = Faults::from_env().unwrap_or_else(|e| {
-        eprintln!("paxsim-serve: {e}");
-        std::process::exit(2);
-    });
+    args.cfg.faults = Faults::from_env_or_exit("paxsim-serve");
     if !args.cfg.faults.is_empty() {
         eprintln!("paxsim-serve: PAXSIM_FAULTS plan active");
         faultinject::hide_injected_panics();

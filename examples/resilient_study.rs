@@ -8,7 +8,7 @@
 //! writes the report to the given file. Kill it mid-sweep and run it
 //! again: journaled cells resume (a torn last record fails its CRC and
 //! is recomputed) and the report is byte-identical to an uninterrupted
-//! run's, as `ci.sh`'s SIGKILL smoke checks.
+//! run's, as `resilience.rs` checks.
 //!
 //! The resilience summary (resumed cells, corrupt records, retries,
 //! drift events) goes to stdout only; the report file holds nothing but
@@ -23,10 +23,7 @@ use paxsim_core::report::{multi_to_json, single_to_json};
 use paxsim_nas::Class;
 
 fn main() {
-    let faults = Faults::from_env().unwrap_or_else(|e| {
-        eprintln!("resilient_study: {e}");
-        std::process::exit(2);
-    });
+    let faults = Faults::from_env_or_exit("resilient_study");
     let mut args = std::env::args().skip(1);
     let (Some(journal), Some(report)) = (args.next(), args.next()) else {
         eprintln!("usage: resilient_study <journal-path> <report-path>");
