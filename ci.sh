@@ -133,13 +133,14 @@ echo "== paxbench golden fingerprints (all five workloads, quick) =="
 
 echo "== retired names stay retired =="
 # The two performance harnesses paxbench replaced, their data files and
-# environment variable, the process-wide fault plan and its lock, the memo's budget hook and off switch, the trace
-# content matcher, the stores beside the result cache, criterion, the
-# second copy of each study driver, the two-binary crate, the load
-# generator and the torture example (history in CHANGES.md / ROADMAP.md,
-# and benchmark/'s own prose, excepted). The one-letter brackets keep
-# this line from matching itself.
-if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain|tune\.[j]sonl|tune_[c]ache|TuneStat[s]|migrate_[l]egacy|run_[s]ingle_program_resilient|run_[m]ulti_program_resilient|run_[c]ross_product_resilient|paxsim-[b]ench|paxsim-[l]oadgen|journal_[t]orture' \
+# environment variable, the process-wide fault plan and its lock, the
+# memo's budget hook and off switch, the trace content matcher, the
+# stores beside the result cache, criterion, the second copy of each
+# study driver, the two-binary crate, the load generator, the torture
+# example and the span ring's size variable (history in CHANGES.md /
+# ROADMAP.md, and benchmark/'s own prose, excepted). The one-letter
+# brackets keep this line from matching itself.
+if git grep -nE 'BENCH_[e]ngine|BENCH_[s]erve|engine_[t]hroughput|PAXSIM_BENCH_[Q]UICK|with_[p]lan|TEST_[L]OCK|init_from_[e]nv|set_budget_for_[t]ests|PAXSIM_DISABLE_[M]EMO|decodes_[t]o|criterion_[m]ain|tune\.[j]sonl|tune_[c]ache|TuneStat[s]|migrate_[l]egacy|run_[s]ingle_program_resilient|run_[m]ulti_program_resilient|run_[c]ross_product_resilient|paxsim-[b]ench|paxsim-[l]oadgen|journal_[t]orture|PAXSIM_OBS_SPAN_[C]AP' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo "a retired name reappeared (see above)"
     exit 1

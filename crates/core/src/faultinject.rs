@@ -58,6 +58,7 @@ use std::sync::Arc;
 use paxsim_machine::op::ADDR_LIMIT;
 use paxsim_machine::trace::TraceBuf;
 use paxsim_nas::{kernel_by_name, KernelId};
+use paxsim_obs::Tally;
 
 /// One injected fault with its remaining-use budget.
 #[derive(Debug)]
@@ -86,14 +87,14 @@ enum FaultKind {
 }
 
 /// A parsed fault plan, with the counters its serve hooks keep.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FaultPlan {
     faults: Vec<Fault>,
     /// Worker jobs and dispatched frames seen, for the `<period>` matchers.
     jobs: AtomicU64,
     frames: AtomicU64,
     /// Worker panics, connection kills and partial writes fired.
-    fired: [AtomicU64; 3],
+    fired: [Tally; 3],
 }
 
 impl FaultPlan {
@@ -219,7 +220,13 @@ impl Faults {
         }
         Ok(Faults(Some(Arc::new(FaultPlan {
             faults,
-            ..FaultPlan::default()
+            jobs: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            fired: [
+                Tally::new("serve.chaos.worker_panics"),
+                Tally::new("serve.chaos.conn_kills"),
+                Tally::new("serve.chaos.partial_writes"),
+            ],
         }))))
     }
 
@@ -312,16 +319,13 @@ impl Faults {
     /// job's number.
     #[inline]
     pub fn worker_job(&self) {
-        static OBS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.chaos.worker_panics");
         let Some(plan) = &self.0 else { return };
         let n = plan.jobs.fetch_add(1, Ordering::Relaxed) + 1;
         let hit = plan
             .consume(|k| matches!(k, FaultKind::ServeWorkerPanic(p) if n.is_multiple_of(*p)))
             .is_some();
         if hit {
-            plan.fired[0].fetch_add(1, Ordering::Relaxed);
-            OBS.inc();
+            plan.fired[0].inc();
             panic!("injected serve worker fault (job {n})");
         }
     }
@@ -331,16 +335,13 @@ impl Faults {
     /// connection that carried the frame.
     #[inline]
     pub fn conn_kill(&self) -> bool {
-        static OBS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.chaos.conn_kills");
         let Some(plan) = &self.0 else { return false };
         let n = plan.frames.fetch_add(1, Ordering::Relaxed) + 1;
         let kill = plan
             .consume(|k| matches!(k, FaultKind::ServeConnKill(p) if n.is_multiple_of(*p)))
             .is_some();
         if kill {
-            plan.fired[1].fetch_add(1, Ordering::Relaxed);
-            OBS.inc();
+            plan.fired[1].inc();
         }
         kill
     }
@@ -350,14 +351,11 @@ impl Faults {
     /// queued as a saturated socket would.
     #[inline]
     pub fn write_cap(&self) -> Option<usize> {
-        static OBS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.chaos.partial_writes");
         let plan = self
             .0
             .as_ref()
             .filter(|p| p.fires(FaultKind::ServePartialWrite))?;
-        plan.fired[2].fetch_add(1, Ordering::Relaxed);
-        OBS.inc();
+        plan.fired[2].inc();
         Some(1)
     }
 
@@ -400,11 +398,7 @@ impl Faults {
     /// Serve faults this plan fired: `(worker_panics, conn_kills,
     /// partial_writes)`.
     pub fn fired(&self) -> (u64, u64, u64) {
-        let n = |i: usize| {
-            self.0
-                .as_ref()
-                .map_or(0, |p| p.fired[i].load(Ordering::Relaxed))
-        };
+        let n = |i: usize| self.0.as_ref().map_or(0, |p| p.fired[i].get());
         (n(0), n(1), n(2))
     }
 }

@@ -16,8 +16,9 @@
 //! first (outside this module) and only reach the table on a miss.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+use paxsim_obs::Tally;
 
 use crate::error::{StudyError, StudyResult};
 
@@ -51,23 +52,19 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// the computation produces (the serve daemon stores journal records).
 pub struct Inflight<V> {
     map: Mutex<HashMap<u64, Arc<Slot<V>>>>,
-    led: AtomicU64,
-    joined: AtomicU64,
-}
-
-impl<V> Default for Inflight<V> {
-    fn default() -> Self {
-        Self {
-            map: Mutex::new(HashMap::new()),
-            led: AtomicU64::new(0),
-            joined: AtomicU64::new(0),
-        }
-    }
+    led: Tally,
+    joined: Tally,
 }
 
 impl<V: Clone> Inflight<V> {
-    pub fn new() -> Self {
-        Self::default()
+    /// A table whose flights led and joined are booked under the series
+    /// `led` and `joined`.
+    pub fn new(led: &'static str, joined: &'static str) -> Self {
+        Self {
+            map: Mutex::new(HashMap::new()),
+            led: Tally::new(led),
+            joined: Tally::new(joined),
+        }
     }
 
     /// Run `compute` for `key`, unless an identical computation is
@@ -94,7 +91,7 @@ impl<V: Clone> Inflight<V> {
             let mut map = lock(&self.map);
             match map.get(&key) {
                 Some(slot) => {
-                    self.joined.fetch_add(1, Ordering::Relaxed);
+                    self.joined.inc();
                     slot.clone()
                 }
                 None => {
@@ -107,7 +104,7 @@ impl<V: Clone> Inflight<V> {
                     // lock: joiners bump `joined` under this same lock, so
                     // a concurrent stats scrape can never observe a flight
                     // that has joiners but no leader.
-                    self.led.fetch_add(1, Ordering::Relaxed);
+                    self.led.inc();
                     drop(map);
                     // Leader path: compute outside every lock; the guard
                     // publishes, clears the key and wakes the waiters.
@@ -137,12 +134,12 @@ impl<V: Clone> Inflight<V> {
 
     /// Computations actually run (flights led).
     pub fn led(&self) -> u64 {
-        self.led.load(Ordering::Relaxed)
+        self.led.get()
     }
 
     /// Calls that shared another caller's in-flight computation.
     pub fn joined(&self) -> u64 {
-        self.joined.load(Ordering::Relaxed)
+        self.joined.get()
     }
 
     /// Keys currently in flight.
@@ -190,15 +187,19 @@ fn clone_result<V: Clone>(r: &StudyResult<V>) -> StudyResult<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
+
+    fn table() -> Inflight<u32> {
+        Inflight::new("test.flight.led", "test.flight.joined")
+    }
 
     #[test]
     fn sequential_calls_each_compute() {
         // No overlap, no coalescing: the durable cache above this table
         // is what deduplicates landed results.
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         let (a, fa) = table.run(1, || Ok(10));
         let (b, fb) = table.run(1, || Ok(20));
         assert_eq!((a.unwrap(), fa), (10, Flight::Led));
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_compute_once() {
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         let computed = AtomicUsize::new(0);
         let gate = Barrier::new(8);
         let results: Vec<(StudyResult<u32>, Flight)> = std::thread::scope(|scope| {
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         std::thread::scope(|scope| {
             for k in 0..4u64 {
                 let table = &table;
@@ -260,7 +261,7 @@ mod tests {
 
     #[test]
     fn failure_reaches_every_waiter_without_poisoning() {
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         let gate = Barrier::new(4);
         let results: Vec<(StudyResult<u32>, Flight)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
@@ -297,7 +298,7 @@ mod tests {
         // The serve workers run every leader under `catch_unwind`; a
         // leader that unwinds must not leave its joiners (or any later
         // request for the key) blocked on a slot nobody will publish.
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         let joined = std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -333,7 +334,7 @@ mod tests {
     fn leader_may_recurse_under_a_different_key() {
         // A parallel cell's computation pulls its serial baseline through
         // the same table; that must not deadlock.
-        let table: Inflight<u32> = Inflight::new();
+        let table = table();
         let (r, _) = table.run(1, || {
             let (base, _) = table.run(2, || Ok(5));
             Ok(base? * 2)

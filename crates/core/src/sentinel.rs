@@ -30,6 +30,7 @@ use std::sync::{Mutex, MutexGuard};
 use paxsim_machine::config::MachineConfig;
 use paxsim_machine::sim::{simulate, simulate_reference, JobSpec, SimOutcome};
 use paxsim_nas::KernelId;
+use paxsim_obs::Tally;
 use serde::Serialize;
 
 use crate::faultinject::Faults;
@@ -231,7 +232,6 @@ pub struct AuditEvent {
 /// audited (a systematically miscalibrated pair is caught before a
 /// second predicted answer ships), then every `sample_every`-th after
 /// that (`0` audits only the first).
-#[derive(Default)]
 pub struct PredictAuditor {
     sample_every: usize,
     /// Cold predicted computations seen, per pair key.
@@ -241,15 +241,20 @@ pub struct PredictAuditor {
     /// Measured relative wall-clock errors, for the `predict_error_p95`
     /// gauge.
     wall_errors: Mutex<Vec<f64>>,
-    audits: AtomicUsize,
-    fallbacks: AtomicUsize,
+    audits: Tally,
+    fallbacks: Tally,
 }
 
 impl PredictAuditor {
     pub fn new(sample_every: usize) -> Self {
         Self {
             sample_every,
-            ..Self::default()
+            served: Mutex::default(),
+            quarantined: Mutex::default(),
+            events: Mutex::default(),
+            wall_errors: Mutex::default(),
+            audits: Tally::new("serve.predict.audits"),
+            fallbacks: Tally::new("serve.predict.fallbacks"),
         }
     }
 
@@ -280,7 +285,7 @@ impl PredictAuditor {
     /// quarantines the pair and logs an [`AuditEvent`] per exceeded
     /// metric; returns whether the prediction held its bounds.
     pub fn record(&self, pair: u64, kernel: &str, config: &str, errors: &[MetricError]) -> bool {
-        self.audits.fetch_add(1, Ordering::Relaxed);
+        self.audits.inc();
         if let Some(wall) = errors.iter().find(|e| e.metric == "wall") {
             lock(&self.wall_errors).push(wall.relative);
         }
@@ -305,17 +310,17 @@ impl PredictAuditor {
     /// Count one predicted-fidelity request served by the exact engine
     /// because its pair is quarantined.
     pub fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.fallbacks.inc();
     }
 
     /// Audits performed.
     pub fn audits(&self) -> usize {
-        self.audits.load(Ordering::Relaxed)
+        self.audits.get() as usize
     }
 
     /// Predicted requests served exact because of a quarantine.
     pub fn fallbacks(&self) -> usize {
-        self.fallbacks.load(Ordering::Relaxed)
+        self.fallbacks.get() as usize
     }
 
     /// Quarantined pairs right now.

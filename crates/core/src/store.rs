@@ -15,11 +15,11 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use paxsim_machine::trace::ProgramTrace;
 use paxsim_nas::{Class, KernelId};
+use paxsim_obs::Tally;
 use paxsim_omp::schedule::Schedule;
 
 use crate::error::{panic_payload, StudyError, StudyResult};
@@ -77,11 +77,16 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// routinely), exactly one performs the expensive build while the rest
 /// block on it — the duplicate-work race of checking the map and then
 /// building outside the lock is gone.
-#[derive(Default)]
 pub struct TraceStore {
     map: Mutex<HashMap<TraceKey, Entry>>,
-    builds: AtomicU64,
+    builds: Tally,
     faults: Faults,
+}
+
+impl Default for TraceStore {
+    fn default() -> Self {
+        Self::with_faults(Faults::default())
+    }
 }
 
 impl TraceStore {
@@ -92,8 +97,9 @@ impl TraceStore {
     /// A store whose builds run `faults`' `build-panic` / `build-asid`.
     pub fn with_faults(faults: Faults) -> Self {
         Self {
+            map: Mutex::default(),
+            builds: Tally::new("core.store.builds"),
             faults,
-            ..Self::default()
         }
     }
 
@@ -187,9 +193,7 @@ impl TraceStore {
         pending: &Arc<Pending>,
         prior_attempts: u32,
     ) -> StudyResult<Arc<ProgramTrace>> {
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        static BUILDS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("core.store.builds");
-        BUILDS.inc();
+        self.builds.inc();
         let _span = paxsim_obs::span!(
             "store.build",
             kernel = key.kernel.name(),
@@ -235,7 +239,7 @@ impl TraceStore {
     /// success path no matter how many threads raced, plus one per
     /// claimed retry after a failure.
     pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
+        self.builds.get()
     }
 
     /// Number of distinct traces available (completed builds).

@@ -38,7 +38,7 @@ pub mod span;
 
 pub use metrics::{
     counter, counter_with, gauge, gauge_with, histogram, histogram_with, snapshot, Counter, Gauge,
-    Histogram, LazyCounter, LazyHistogram, Snapshot,
+    Histogram, LazyCounter, LazyHistogram, Snapshot, Tally,
 };
 pub use span::{recent_spans, spans_ndjson, SpanGuard, SpanRecord};
 

@@ -6,7 +6,8 @@
 //! [`counter`] / [`gauge`] / [`histogram`] is `&'static`, so hot paths
 //! pay the registry mutex once at first use and plain relaxed atomics
 //! after that. [`LazyCounter`] / [`LazyHistogram`] wrap that pattern in a
-//! `static`-friendly cell for call sites that fire often.
+//! `static`-friendly cell for call sites that fire often; a [`Tally`] is a
+//! count its owner reads back, with its series beside it.
 //!
 //! [`snapshot`] captures every registered instrument into a [`Snapshot`]
 //! that renders to a JSON value tree or Prometheus text exposition.
@@ -19,7 +20,7 @@ use serde::Value;
 
 /// A monotonic counter. Increments are relaxed atomic adds, dropped
 /// entirely while the layer is disabled.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -221,6 +222,7 @@ pub fn histogram_with(name: &str, labels: &[(&str, &str)]) -> &'static Histogram
 /// then increments through one atomic load (the enabled check) plus one
 /// atomic add. Registration is deferred to the first *enabled* hit, so a
 /// disabled process registers nothing.
+#[derive(Debug)]
 pub struct LazyCounter {
     name: &'static str,
     slot: OnceLock<&'static Counter>,
@@ -242,6 +244,38 @@ impl LazyCounter {
         if crate::enabled() {
             self.slot.get_or_init(|| counter(self.name)).add(n);
         }
+    }
+}
+
+/// A count its owner reads back (`op=stats`, `op=health`, an accessor)
+/// and the registry series that mirrors it, booked by one call: the count
+/// always moves, the series while the layer is on. A series nothing
+/// reads back is a [`LazyCounter`].
+#[derive(Debug)]
+pub struct Tally {
+    count: AtomicU64,
+    series: LazyCounter,
+}
+
+impl Tally {
+    pub const fn new(name: &'static str) -> Tally {
+        Tally {
+            count: AtomicU64::new(0),
+            series: LazyCounter::new(name),
+        }
+    }
+
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    pub fn add(&self, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.series.add(n);
+    }
+
+    pub fn get(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
     }
 }
 
@@ -546,6 +580,25 @@ mod tests {
         let text = serde_json::to_string(&v).unwrap();
         let back = serde_json::parse(&text).unwrap();
         assert_eq!(back["counters"]["test.json.hits"].as_u64(), Some(7));
+        crate::set_enabled(false);
+    }
+
+    #[test]
+    fn a_tally_counts_always_and_mirrors_only_while_enabled() {
+        let _lock = crate::test_lock();
+        let tally = Tally::new("test.tally");
+        crate::set_enabled(false);
+        tally.add(3);
+        assert_eq!(tally.get(), 3, "the count moves with the layer off");
+        assert!(
+            !registry().contains_key("test.tally"),
+            "the series does not"
+        );
+        crate::set_enabled(true);
+        tally.add(4);
+        tally.inc();
+        let moved = (tally.get() - 3, counter("test.tally").get());
+        assert_eq!(moved, (5, 5), "with the layer on both move by the same n");
         crate::set_enabled(false);
     }
 

@@ -3,11 +3,10 @@
 //! A span is opened with the [`span!`](crate::span!) macro and recorded
 //! when its guard drops: name, attributes, start offset from process
 //! start, and duration. Records land in a process-global ring buffer
-//! bounded at [`ring_capacity`] entries (default 4096, override with
-//! `PAXSIM_OBS_SPAN_CAP`); the oldest record is evicted when full, so
-//! the recorder's memory is constant no matter how long the process
-//! runs. Export is NDJSON — one JSON object per line — the same framing
-//! as the serve wire protocol and the journal.
+//! bounded at [`RING_CAPACITY`] entries; the oldest record is evicted
+//! when full, so the recorder's memory is constant no matter how long the
+//! process runs. Export is NDJSON — one JSON object per line — the same
+//! framing as the serve wire protocol and the journal.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,17 +49,8 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Ring capacity: `PAXSIM_OBS_SPAN_CAP` or 4096.
-pub fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("PAXSIM_OBS_SPAN_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4096)
-    })
-}
+/// Spans the ring holds.
+pub const RING_CAPACITY: usize = 4096;
 
 fn ring() -> MutexGuard<'static, VecDeque<SpanRecord>> {
     static RING: OnceLock<Mutex<VecDeque<SpanRecord>>> = OnceLock::new();
@@ -104,7 +94,7 @@ impl Drop for SpanGuard {
             seq: SEQ.fetch_add(1, Ordering::Relaxed),
         };
         let mut ring = ring();
-        if ring.len() >= ring_capacity() {
+        if ring.len() >= RING_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(rec);
@@ -182,7 +172,7 @@ mod tests {
         let _lock = crate::test_lock();
         crate::set_enabled(true);
         clear_spans();
-        let cap = ring_capacity();
+        let cap = RING_CAPACITY;
         for _ in 0..cap + 10 {
             let _s = crate::span!("test.flood");
         }

@@ -42,9 +42,10 @@
 //! *when* a computation runs, never *what* it computes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+use paxsim_obs::Tally;
 
 /// How a submission travelled through the batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,9 +98,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub struct Batcher<I, R> {
     window: Duration,
     groups: Mutex<HashMap<u64, Arc<Group<I, R>>>>,
-    batches: AtomicU64,
-    merged: AtomicU64,
-    poisoned: AtomicU64,
+    batches: Tally,
+    merged: Tally,
+    poisoned: Tally,
 }
 
 impl<I, R> Batcher<I, R> {
@@ -110,9 +111,9 @@ impl<I, R> Batcher<I, R> {
         Batcher {
             window,
             groups: Mutex::new(HashMap::new()),
-            batches: AtomicU64::new(0),
-            merged: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
+            batches: Tally::new("serve.batch.batches"),
+            merged: Tally::new("serve.batch.merged"),
+            poisoned: Tally::new("serve.batch.poisoned"),
         }
     }
 
@@ -123,14 +124,14 @@ impl<I, R> Batcher<I, R> {
 
     /// Batches executed (each one executor call).
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.batches.get()
     }
 
     /// Requests that rode another request's batch (Σ over batches of
     /// `size - 1`) — the "work saved" number the load generator reports
     /// as the merge rate.
     pub fn merged(&self) -> u64 {
-        self.merged.load(Ordering::Relaxed)
+        self.merged.get()
     }
 
     /// Groups currently gathering (a point-in-time gauge).
@@ -141,7 +142,7 @@ impl<I, R> Batcher<I, R> {
     /// Batches whose leader executor panicked; every rider (leader
     /// included) re-ran its item individually.
     pub fn poisoned(&self) -> u64 {
-        self.poisoned.load(Ordering::Relaxed)
+        self.poisoned.get()
     }
 
     /// Submit one item under `key`; compatible items share a key.
@@ -161,7 +162,7 @@ impl<I, R> Batcher<I, R> {
         F: FnMut(Vec<I>) -> Vec<R>,
     {
         if self.window.is_zero() {
-            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.book(1);
             let mut results = exec(vec![item]);
             debug_assert_eq!(results.len(), 1, "executor must map items 1:1");
             return (
@@ -226,14 +227,13 @@ impl<I, R> Batcher<I, R> {
             Err(_) => {
                 // Poison the group *before* doing anything else so every
                 // member wakes and recovers even if our own retry panics.
-                self.poisoned.fetch_add(1, Ordering::Relaxed);
+                self.poisoned.inc();
                 *lock(&group.state) = GroupState::Poisoned;
                 group.cv.notify_all();
                 return (self.solo(item, &mut exec), Role::Retried);
             }
         };
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.merged.fetch_add(size as u64 - 1, Ordering::Relaxed);
+        self.book(size);
         let mut results: Vec<Option<R>> = batch.into_iter().map(Some).collect();
         assert_eq!(results.len(), size, "executor must map items 1:1");
         let mine = results[0].take().expect("leader owns slot 0");
@@ -247,10 +247,22 @@ impl<I, R> Batcher<I, R> {
     where
         F: FnMut(Vec<I>) -> Vec<R>,
     {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.book(1);
         let mut results = exec(vec![item]);
         debug_assert_eq!(results.len(), 1, "executor must map items 1:1");
         results.pop().expect("one item in, one result out")
+    }
+
+    /// Book one executor call over `size` items: the batch, the riders it
+    /// merged, and its size.
+    fn book(&self, size: usize) {
+        static SIZE: paxsim_obs::LazyHistogram = paxsim_obs::LazyHistogram::new("serve.batch.size");
+        self.batches.inc();
+        self.merged.add(size as u64 - 1);
+        // The exponential seconds buckets (1e-6·4^i) double as base-4
+        // *size* buckets under this scaling: bucket i covers batch sizes
+        // up to 4^i.
+        SIZE.observe(size as f64 * 1e-6);
     }
 
     fn wait(&self, group: &Group<I, R>, slot: usize) -> Result<(R, Role), Poisoned> {
@@ -277,7 +289,7 @@ struct Poisoned;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]

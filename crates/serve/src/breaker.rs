@@ -39,9 +39,10 @@
 //! no-op), which is also the reference behavior for differential tests.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use paxsim_obs::Tally;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -73,8 +74,8 @@ pub struct Breaker {
     threshold: u32,
     cooldown: Duration,
     entries: Mutex<HashMap<u64, Entry>>,
-    trips: AtomicU64,
-    rejected: AtomicU64,
+    trips: Tally,
+    rejected: Tally,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -89,8 +90,8 @@ impl Breaker {
             threshold,
             cooldown,
             entries: Mutex::new(HashMap::new()),
-            trips: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            trips: Tally::new("serve.breaker.trips"),
+            rejected: Tally::new("serve.breaker.rejected"),
         }
     }
 
@@ -113,10 +114,7 @@ impl Breaker {
                     e.state = State::HalfOpen;
                     Ok(())
                 } else {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    static REJECTED: paxsim_obs::LazyCounter =
-                        paxsim_obs::LazyCounter::new("serve.breaker.rejected");
-                    REJECTED.inc();
+                    self.rejected.inc();
                     Err(((until - now).as_millis() as u64).max(1))
                 }
             }
@@ -149,21 +147,18 @@ impl Breaker {
             e.state = State::Open {
                 until: Instant::now() + self.cooldown,
             };
-            self.trips.fetch_add(1, Ordering::Relaxed);
-            static TRIPS: paxsim_obs::LazyCounter =
-                paxsim_obs::LazyCounter::new("serve.breaker.trips");
-            TRIPS.inc();
+            self.trips.inc();
         }
     }
 
     /// Times any key transitioned into `Open`.
     pub fn trips(&self) -> u64 {
-        self.trips.load(Ordering::Relaxed)
+        self.trips.get()
     }
 
     /// Requests rejected with `quarantined`.
     pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
+        self.rejected.get()
     }
 
     pub fn threshold(&self) -> u32 {

@@ -56,13 +56,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::faultinject::Faults;
 use paxsim_core::hash::{fnv1a, ConfigHash};
 use paxsim_core::journal::{FsyncPolicy, Journal, Record, SideRecord};
+use paxsim_obs::Tally;
 
 /// Default shard count. Eight shards cut lock contention by ~8x while
 /// keeping the cache directory readable; tune with `--shards`.
@@ -179,13 +179,13 @@ impl Lru {
 struct Shard {
     journal: Journal,
     mem: Mutex<Lru>,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
+    mem_hits: Tally,
+    disk_hits: Tally,
+    misses: Tally,
+    puts: Tally,
     /// Puts whose journal append failed and that degraded to the memory
     /// tier only (served correct but not durable; a restart recomputes).
-    put_failures: AtomicU64,
+    put_failures: Tally,
     /// `serve-shard-slow` stalls lookups; the journal holds its own clone
     /// for `journal-fail`.
     faults: Faults,
@@ -205,9 +205,7 @@ impl Shard {
     }
 
     fn book_miss(&self) {
-        static MISS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.misses");
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        MISS.inc();
+        self.misses.inc();
     }
 
     /// `get` minus the miss booking: a hit books its tier counter (and
@@ -218,22 +216,17 @@ impl Shard {
     /// path attempt a lookup without double-counting the misses it
     /// passes on.
     fn probe<T>(&self, hash: ConfigHash, read: impl FnOnce(&mut Entry) -> T) -> Option<T> {
-        static MEM: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.mem_hits");
-        static DISK: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.cache.disk_hits");
         // Chaos hook: a `serve-shard-slow:<ms>` plan stalls the lookup
         // here — after shard selection, before either tier — modelling a
         // shard pinned on slow storage. Latency only; the reply that
         // eventually flows is byte-identical.
         self.faults.shard_slow();
         if let Some(entry) = lock(&self.mem).get(hash.0) {
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            MEM.inc();
+            self.mem_hits.inc();
             return Some(read(entry));
         }
         let rec = self.journal.lookup(&ResultCache::key(hash))?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        DISK.inc();
+        self.disk_hits.inc();
         let mut entry = Entry { rec, line: None };
         let out = read(&mut entry);
         lock(&self.mem).put(hash.0, entry);
@@ -259,17 +252,12 @@ impl Shard {
             // `put_failures` (and the journal's own `write_errors`)
             // surface the degradation in `op=health`.
             Err(StudyError::JournalIo { .. }) => {
-                self.put_failures.fetch_add(1, Ordering::Relaxed);
-                static DEGRADED: paxsim_obs::LazyCounter =
-                    paxsim_obs::LazyCounter::new("serve.cache.put_failures");
-                DEGRADED.inc();
+                self.put_failures.inc();
             }
             Err(e) => return Err(e),
         }
         let rec = Record { key, sides };
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        static PUTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.cache.puts");
-        PUTS.inc();
+        self.puts.inc();
         let entry = Entry {
             rec: rec.clone(),
             line: None,
@@ -354,11 +342,11 @@ impl ResultCache {
                         map: HashMap::new(),
                         order: VecDeque::new(),
                     }),
-                    mem_hits: AtomicU64::new(0),
-                    disk_hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    puts: AtomicU64::new(0),
-                    put_failures: AtomicU64::new(0),
+                    mem_hits: Tally::new("serve.cache.mem_hits"),
+                    disk_hits: Tally::new("serve.cache.disk_hits"),
+                    misses: Tally::new("serve.cache.misses"),
+                    puts: Tally::new("serve.cache.puts"),
+                    put_failures: Tally::new("serve.cache.put_failures"),
                     faults: faults.clone(),
                 })
             })
@@ -465,18 +453,12 @@ impl ResultCache {
 
     /// Memory-tier hits served, summed across shards.
     pub fn mem_hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.mem_hits.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.mem_hits.get()).sum()
     }
 
     /// Disk-tier hits served (each also promoted), summed across shards.
     pub fn disk_hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.disk_hits.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.disk_hits.get()).sum()
     }
 
     /// Total hits across both tiers and all shards.
@@ -486,27 +468,18 @@ impl ResultCache {
 
     /// Lookups that found nothing, summed across shards.
     pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.misses.get()).sum()
     }
 
     /// Results stored, summed across shards.
     pub fn puts(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.puts.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.puts.get()).sum()
     }
 
     /// Puts that degraded to memory-only after a failed journal append,
     /// summed across shards.
     pub fn put_failures(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.put_failures.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.put_failures.get()).sum()
     }
 
     /// Journal appends that failed at the I/O layer, summed across
@@ -539,15 +512,15 @@ impl ResultCache {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                mem_hits: s.mem_hits.load(Ordering::Relaxed),
-                disk_hits: s.disk_hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                puts: s.puts.load(Ordering::Relaxed),
+                mem_hits: s.mem_hits.get(),
+                disk_hits: s.disk_hits.get(),
+                misses: s.misses.get(),
+                puts: s.puts.get(),
                 entries_mem: lock(&s.mem).map.len(),
                 entries_disk: s.journal.len(),
                 corrupt_dropped: s.journal.corrupt_records(),
                 write_errors: s.journal.write_errors(),
-                put_failures: s.put_failures.load(Ordering::Relaxed),
+                put_failures: s.put_failures.get(),
                 stale_lines: s.journal.stale_lines(),
             })
             .collect()

@@ -41,13 +41,13 @@
 //! again could deadlock a fully-loaded daemon.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use paxsim_core::error::{StudyError, StudyResult};
 use paxsim_core::hash::{content_hash, fnv1a, ConfigHash, Fidelity, ResolvedSpec, StudySpec};
-use paxsim_core::inflight::{Flight, Inflight};
+use paxsim_core::inflight::Inflight;
 use paxsim_core::journal::{FsyncPolicy, Record, SideRecord};
 use paxsim_core::pool::{self, CellPolicy};
 use paxsim_core::sentinel::{MetricError, PredictAuditor};
@@ -55,11 +55,12 @@ use paxsim_core::single::run_trials_with;
 use paxsim_core::store::TraceStore;
 use paxsim_core::tune::{self, TunePlan, TuneRequest, TuneResult};
 use paxsim_machine::sim::simulate;
+use paxsim_obs::Tally;
 use paxsim_perfmon::stats::{RunningSummary, Summary};
 use paxsim_predict::{predict_program, Predicted, ProfileCache};
 use serde::{Serialize, Value};
 
-use crate::batch::{Batcher, Role};
+use crate::batch::Batcher;
 use crate::breaker::Breaker;
 use crate::cache::ResultCache;
 use crate::protocol::{self, Line, ResolveMemo, Simulate};
@@ -316,22 +317,22 @@ pub struct Service {
     breaker: Breaker,
     draining: AtomicBool,
     started: Instant,
-    requests: AtomicU64,
+    requests: Tally,
     /// `simulate` requests that reached a cache lookup (hits, misses,
     /// and gated rejections alike — each books exactly one cache-tier
     /// counter). This is the server-side left arm of the conservation
     /// law `hits + misses == simulate_requests + baseline_fetches`,
     /// robust to client-side retries the client never reports.
-    simulates: AtomicU64,
-    computed: AtomicU64,
-    rejected_overload: AtomicU64,
-    rejected_draining: AtomicU64,
+    simulates: Tally,
+    computed: Tally,
+    rejected_overload: Tally,
+    rejected_draining: Tally,
     /// Queued computations shed because their deadline expired before a
     /// running slot freed.
-    shed: AtomicU64,
+    shed: Tally,
     /// Serial-baseline sub-requests performed (each books exactly one
     /// cache-tier counter, like every client request — conservation).
-    baseline_fetches: AtomicU64,
+    baseline_fetches: Tally,
     /// Cold-miss compute latency in milliseconds, per kernel.
     latencies: Mutex<HashMap<String, RunningSummary>>,
     /// The sentinel prediction auditor: samples fresh predictions,
@@ -339,7 +340,7 @@ pub struct Service {
     /// (kernel, config, class) pairs.
     auditor: PredictAuditor,
     /// Predicted-tier records computed (cold predictions, not hits).
-    predicted_served: AtomicU64,
+    predicted_served: Tally,
     /// Reuse profiles of the regions the predicted tier has modelled.
     profiles: ProfileCache,
     /// Model-evaluation latency in milliseconds (predicted tier only;
@@ -351,16 +352,16 @@ pub struct Service {
     /// evaluation order.
     tune_inflight: Inflight<Result<TuneResult, Rejection>>,
     /// `tune` requests that reached the result-cache replay.
-    tunes: AtomicU64,
+    tunes: Tally,
     /// Tune requests answered by a replay over the result cache.
-    tune_hits: AtomicU64,
+    tune_hits: Tally,
     /// Searches that ran to completion this process.
-    tune_completed: AtomicU64,
+    tune_completed: Tally,
     /// Searches that found at least one cell in the result cache.
-    tune_resumes: AtomicU64,
+    tune_resumes: Tally,
     /// Search cells found in the result cache / computed by the search.
-    tune_replayed: AtomicU64,
-    tune_fresh: AtomicU64,
+    tune_replayed: Tally,
+    tune_fresh: Tally,
     /// Kept by the socket front end ([`Server`](crate::server::Server)) as
     /// connections open and close and jobs enter and leave the worker
     /// pool's queue; `op=metrics` publishes them (a blocked reactor has no
@@ -402,32 +403,32 @@ impl Service {
             cfg,
             cache,
             memo: ResolveMemo::new(),
-            inflight: Inflight::new(),
-            sub_inflight: Inflight::new(),
+            inflight: Inflight::new("serve.flight.led", "serve.flight.joined"),
+            sub_inflight: Inflight::new("serve.sub_flight.led", "serve.sub_flight.joined"),
             batcher,
             gate,
             breaker,
             draining: AtomicBool::new(false),
             started: Instant::now(),
-            requests: AtomicU64::new(0),
-            simulates: AtomicU64::new(0),
-            computed: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            baseline_fetches: AtomicU64::new(0),
+            requests: Tally::new("serve.requests"),
+            simulates: Tally::new("serve.simulate_requests"),
+            computed: Tally::new("serve.computed"),
+            rejected_overload: Tally::new("serve.admission.rejected_overload"),
+            rejected_draining: Tally::new("serve.admission.rejected_draining"),
+            shed: Tally::new("serve.admission.shed"),
+            baseline_fetches: Tally::new("serve.baseline_fetches"),
             latencies: Mutex::new(HashMap::new()),
             auditor,
-            predicted_served: AtomicU64::new(0),
+            predicted_served: Tally::new("serve.predict.served"),
             profiles: ProfileCache::default(),
             predict_latencies: Mutex::default(),
-            tune_inflight: Inflight::new(),
-            tunes: AtomicU64::new(0),
-            tune_hits: AtomicU64::new(0),
-            tune_completed: AtomicU64::new(0),
-            tune_resumes: AtomicU64::new(0),
-            tune_replayed: AtomicU64::new(0),
-            tune_fresh: AtomicU64::new(0),
+            tune_inflight: Inflight::new("serve.tune_flight.led", "serve.tune_flight.joined"),
+            tunes: Tally::new("serve.tune.requests"),
+            tune_hits: Tally::new("serve.tune.hits"),
+            tune_completed: Tally::new("serve.tune.completed"),
+            tune_resumes: Tally::new("serve.tune.resumes"),
+            tune_replayed: Tally::new("serve.tune.replayed_cells"),
+            tune_fresh: Tally::new("serve.tune.fresh_cells"),
             open_connections: AtomicUsize::new(0),
             queued_jobs: AtomicUsize::new(0),
         })
@@ -436,9 +437,7 @@ impl Service {
     /// Handle one request line, returning one reply line (no trailing
     /// newline). Never panics on client input.
     pub fn handle_line(&self, line: &str) -> String {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        static REQUESTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.requests");
-        REQUESTS.inc();
+        self.requests.inc();
         let _span = paxsim_obs::span!("serve.request");
         let (request, memoized) = self.memo.resolve(line);
         ResolveMemo::book(memoized);
@@ -506,10 +505,8 @@ impl Service {
         };
         let reply = self.ladder(line, &request, memoized).ok()?;
         ResolveMemo::book(memoized);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        static REQUESTS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.requests");
         static INLINE: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.inline_hits");
-        REQUESTS.inc();
+        self.requests.inc();
         INLINE.inc();
         let _span = paxsim_obs::span!("serve.request");
         Some(reply)
@@ -581,12 +578,9 @@ impl Service {
     /// server-side arm of the conservation law, and the fallback count
     /// when a quarantined pair sent it to the exact tier.
     fn book_simulate(&self, quarantined: bool) {
-        static FALLBACKS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.predict.fallbacks");
-        self.simulates.fetch_add(1, Ordering::Relaxed);
+        self.simulates.inc();
         if quarantined {
             self.auditor.record_fallback();
-            FALLBACKS.inc();
         }
     }
 
@@ -630,18 +624,11 @@ impl Service {
         hash: ConfigHash,
         deadline_ms: Option<u64>,
     ) -> Result<Record, Rejection> {
-        static LED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.flight.led");
-        static JOINED: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.flight.joined");
         let peek = || self.cache.peek(hash).map(Ok);
-        let (result, role) = flight(&self.inflight, hash.0, peek, || {
+        let result = flight(&self.inflight, hash.0, peek, || {
             let _span = paxsim_obs::span!("serve.flight", kernel = resolved.spec.kernel);
             self.guarded(hash.0, || self.batched_compute(resolved, deadline_ms))
         });
-        match role {
-            Flight::Led => LED.inc(),
-            Flight::Joined => JOINED.inc(),
-        }
         settle(result)
     }
 
@@ -655,7 +642,7 @@ impl Service {
     /// fresh compute is refused.
     fn guarded<T>(&self, key: u64, compute: impl FnOnce() -> Gated<T>) -> Gated<T> {
         if self.draining() {
-            self.rejected_draining.fetch_add(1, Ordering::Relaxed);
+            self.rejected_draining.inc();
             return Ok(Err(Rejection::Draining));
         }
         if let Err(retry_ms) = self.breaker.check(key) {
@@ -687,22 +674,18 @@ impl Service {
 
     /// Claim one gate permit for `n` requests' worth of computation (a
     /// batch of `n`, or one search). The only caller of [`Gate::admit`],
-    /// and the only place an overload or a shed is booked: the always-on
-    /// atomics and the obs counter move together, by `n` — both count
-    /// *requests*, not batches.
+    /// and the only place an overload or a shed is booked, by `n`: both
+    /// count *requests*, not batches.
     fn admit(&self, deadline_ms: Option<u64>, n: usize) -> Result<Permit<'_>, Rejection> {
-        static SHED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.admission.shed");
         let _span = paxsim_obs::span!("serve.admission");
         let admit_by = self.deadline(deadline_ms).map(|d| Instant::now() + d);
         self.gate.admit(admit_by).map_err(|refused| match refused {
             AdmitError::Full { running, queued } => {
-                self.rejected_overload
-                    .fetch_add(n as u64, Ordering::Relaxed);
+                self.rejected_overload.add(n as u64);
                 Rejection::Overloaded { running, queued }
             }
             AdmitError::Shed => {
-                self.shed.fetch_add(n as u64, Ordering::Relaxed);
-                SHED.add(n as u64);
+                self.shed.add(n as u64);
                 Rejection::Shed
             }
         })
@@ -721,13 +704,10 @@ impl Service {
         hash: ConfigHash,
     ) -> Result<Record, Rejection> {
         let peek = || self.cache.peek(hash);
-        let (result, _) = flight(&self.sub_inflight, hash.0, peek, || {
+        let result = flight(&self.sub_inflight, hash.0, peek, || {
             let (sides, predicted) = self.predict_cell(resolved)?;
             let rec = self.cache.put(hash, sides)?;
-            self.predicted_served.fetch_add(1, Ordering::Relaxed);
-            static PREDICTED: paxsim_obs::LazyCounter =
-                paxsim_obs::LazyCounter::new("serve.predict.served");
-            PREDICTED.inc();
+            self.predicted_served.inc();
             // Leader-only sentinel audit: deterministically sampled,
             // synchronous (the client already paid a cold miss), and
             // accounted exactly like a serial-baseline sub-request so
@@ -800,8 +780,6 @@ impl Service {
     /// publish it, and let the auditor quarantine the pair if any
     /// declared bound is exceeded.
     fn audit_prediction(&self, resolved: &ResolvedSpec, pair: u64, predicted: &Predicted) {
-        static AUDITS: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.predict.audits");
         static QUARANTINES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.predict.quarantines");
         let _span = paxsim_obs::span!(
@@ -809,7 +787,6 @@ impl Service {
             kernel = resolved.spec.kernel,
             config = resolved.spec.config
         );
-        AUDITS.inc();
         let Ok(exact) = self.fetch_baseline(resolved) else {
             // The engine refusing to produce a reference is its own
             // failure with its own path; the audit just stands down.
@@ -867,25 +844,23 @@ impl Service {
     /// admission-gate permit across the whole search (re-gating each
     /// cell could deadlock a loaded daemon, like the serial baselines).
     fn tune(&self, req: &TuneRequest, deadline_ms: Option<u64>) -> Result<String, Rejection> {
-        static HITS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.hits");
         let plan = req.plan().map_err(Rejection::Failed)?;
         let hash = plan.content_hash();
-        self.tunes.fetch_add(1, Ordering::Relaxed);
+        self.tunes.inc();
         let cached = || {
             let result = tune::run(&plan, |spec, fidelity| {
                 let rec = self.cache.peek(spec.content_hash_with_fidelity(fidelity));
                 rec.map(|rec| rec.sides).ok_or(())
             })
             .ok()?;
-            self.tune_hits.fetch_add(1, Ordering::Relaxed);
-            HITS.inc();
+            self.tune_hits.inc();
             Some(result)
         };
         let result = match cached() {
             Some(result) => result,
             None => {
                 let peek = || cached().map(Ok);
-                let (landed, _) = flight(&self.tune_inflight, hash.0, peek, || {
+                let landed = flight(&self.tune_inflight, hash.0, peek, || {
                     let _span = paxsim_obs::span!("serve.tune", kernel = plan.request.kernel);
                     self.guarded(hash.0, || {
                         let _permit = match self.admit(deadline_ms, 1) {
@@ -923,8 +898,6 @@ impl Service {
     fn search(&self, plan: &TunePlan, deadline_ms: Option<u64>) -> StudyResult<TuneResult> {
         static ROUNDS: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.rounds");
         static PRUNED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.tune.pruned");
-        static RESUMES: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.tune.resumes");
         static SEARCHES: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.tune.searches");
         SEARCHES.inc();
@@ -952,16 +925,15 @@ impl Service {
                 self.sub_request(&resolved, hash, deadline_ms)
             } else {
                 let model = || self.cache.put(hash, self.predict_cell(&resolved)?.0);
-                flight(&self.sub_inflight, hash.0, || self.cache.peek(hash), model).0
+                flight(&self.sub_inflight, hash.0, || self.cache.peek(hash), model)
             };
             Ok(rec?.sides)
         })?;
-        self.tune_completed.fetch_add(1, Ordering::Relaxed);
-        self.tune_fresh.fetch_add(fresh, Ordering::Relaxed);
-        self.tune_replayed.fetch_add(replayed, Ordering::Relaxed);
+        self.tune_completed.inc();
+        self.tune_fresh.add(fresh);
+        self.tune_replayed.add(replayed);
         if replayed > 0 {
-            self.tune_resumes.fetch_add(1, Ordering::Relaxed);
-            RESUMES.inc();
+            self.tune_resumes.inc();
         }
         ROUNDS.add(result.rounds.len() as u64);
         PRUNED.add(result.rounds.iter().map(|r| r.pruned as u64).sum());
@@ -990,23 +962,9 @@ impl Service {
     /// is a pass-through (immediate batch of one — byte-identical to the
     /// pre-batching path, which the differential test asserts).
     fn batched_compute(&self, resolved: &ResolvedSpec, deadline_ms: Option<u64>) -> Gated<Record> {
-        static BATCHES: paxsim_obs::LazyCounter =
-            paxsim_obs::LazyCounter::new("serve.batch.batches");
-        static MERGED: paxsim_obs::LazyCounter = paxsim_obs::LazyCounter::new("serve.batch.merged");
-        static SIZE: paxsim_obs::LazyHistogram = paxsim_obs::LazyHistogram::new("serve.batch.size");
         let key = Self::batch_key(resolved, deadline_ms);
-        let (result, role) = self.batcher.submit(key, resolved.clone(), |items| {
-            self.execute_batch(items, deadline_ms)
-        });
-        if let Role::Led { size } = role {
-            BATCHES.inc();
-            MERGED.add(size as u64 - 1);
-            // The exponential seconds buckets (1e-6·4^i) double as base-4
-            // *size* buckets under this scaling: bucket i covers batch
-            // sizes up to 4^i.
-            SIZE.observe(size as f64 * 1e-6);
-        }
-        result
+        let exec = |items| self.execute_batch(items, deadline_ms);
+        self.batcher.submit(key, resolved.clone(), exec).0
     }
 
     /// Execute one gathered batch: one admission-gate pass, one shared
@@ -1048,7 +1006,7 @@ impl Service {
     /// denominator. Books `baseline_fetches` and, in the `get`, exactly
     /// one cache-tier counter (conservation).
     fn fetch_baseline(&self, resolved: &ResolvedSpec) -> StudyResult<Record> {
-        self.baseline_fetches.fetch_add(1, Ordering::Relaxed);
+        self.baseline_fetches.inc();
         let hash = resolved.content_hash();
         match self.cache.get(hash) {
             Some(rec) => Ok(rec),
@@ -1070,7 +1028,7 @@ impl Service {
             let mut cells = self.run_cells(std::slice::from_ref(resolved), deadline_ms);
             cells.pop().expect("one-cell sweep has one result")
         };
-        flight(&self.sub_inflight, hash.0, peek, cell).0
+        flight(&self.sub_inflight, hash.0, peek, cell)
     }
 
     /// Compute, store and account `items` — a gathered batch or a single
@@ -1107,7 +1065,7 @@ impl Service {
             .map(|(res, item)| {
                 let (sides, elapsed) = res?;
                 let rec = self.cache.put(item.content_hash(), sides)?;
-                self.computed.fetch_add(1, Ordering::Relaxed);
+                self.computed.inc();
                 if paxsim_obs::enabled() {
                     paxsim_obs::histogram_with(
                         "serve.compute_seconds",
@@ -1162,10 +1120,7 @@ impl Service {
                 "uptime_ms",
                 Value::UInt(self.started.elapsed().as_millis() as u64),
             ),
-            (
-                "requests",
-                Value::UInt(self.requests.load(Ordering::Relaxed)),
-            ),
+            ("requests", Value::UInt(self.requests.get())),
             ("simulate_requests", Value::UInt(self.simulate_requests())),
             ("draining", Value::Bool(self.draining())),
             (
@@ -1237,14 +1192,8 @@ impl Service {
                     ("hits", Value::UInt(self.tune_hits())),
                     ("completed", Value::UInt(self.tune_completed())),
                     ("resumes", Value::UInt(self.tune_resumes())),
-                    (
-                        "fresh_cells",
-                        Value::UInt(self.tune_fresh.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "replayed_cells",
-                        Value::UInt(self.tune_replayed.load(Ordering::Relaxed)),
-                    ),
+                    ("fresh_cells", Value::UInt(self.tune_fresh.get())),
+                    ("replayed_cells", Value::UInt(self.tune_replayed.get())),
                 ]),
             ),
             ("traces_built", Value::UInt(self.store.builds())),
@@ -1255,7 +1204,7 @@ impl Service {
 
     /// The admission object shared by `stats` and `health`: gate depth and
     /// limits, then the two refusal counts that reply carries.
-    fn admission_block(&self, refusals: [(&str, &AtomicU64); 2]) -> Value {
+    fn admission_block(&self, refusals: [(&str, &Tally); 2]) -> Value {
         let (running, queued) = self.gate.depth();
         let mut entries = vec![
             ("running", Value::UInt(running as u64)),
@@ -1263,7 +1212,7 @@ impl Service {
             ("max_running", Value::UInt(self.cfg.max_running as u64)),
             ("max_queue", Value::UInt(self.cfg.max_queue as u64)),
         ];
-        entries.extend(refusals.map(|(k, n)| (k, Value::UInt(n.load(Ordering::Relaxed)))));
+        entries.extend(refusals.map(|(k, n)| (k, Value::UInt(n.get()))));
         obj(entries)
     }
 
@@ -1443,18 +1392,18 @@ impl Service {
 
     /// Serial-baseline sub-requests performed.
     pub fn baseline_fetches(&self) -> u64 {
-        self.baseline_fetches.load(Ordering::Relaxed)
+        self.baseline_fetches.get()
     }
 
     /// `simulate` requests that reached a cache lookup (the server-side
     /// arm of the conservation law).
     pub fn simulate_requests(&self) -> u64 {
-        self.simulates.load(Ordering::Relaxed)
+        self.simulates.get()
     }
 
     /// Queued computations shed at deadline expiry.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.get()
     }
 
     /// The per-config circuit breaker (trip/reject counters, snapshot).
@@ -1487,7 +1436,7 @@ impl Service {
 
     /// Cold-miss computations performed.
     pub fn computed(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
+        self.computed.get()
     }
 
     /// The shared trace store (its `builds()` counter lets tests prove a
@@ -1519,7 +1468,7 @@ impl Service {
 
     /// Predicted-tier records computed (cold predictions, not hits).
     pub fn predicted_served(&self) -> u64 {
-        self.predicted_served.load(Ordering::Relaxed)
+        self.predicted_served.get()
     }
 
     /// Model-evaluation latency so far, in milliseconds (`None` before
@@ -1535,23 +1484,23 @@ impl Service {
 
     /// Tune requests received (including cache hits and rejections).
     pub fn tunes(&self) -> u64 {
-        self.tunes.load(Ordering::Relaxed)
+        self.tunes.get()
     }
 
     /// Tune requests answered by a replay over the result cache.
     pub fn tune_hits(&self) -> u64 {
-        self.tune_hits.load(Ordering::Relaxed)
+        self.tune_hits.get()
     }
 
     /// Tune searches run to completion.
     pub fn tune_completed(&self) -> u64 {
-        self.tune_completed.load(Ordering::Relaxed)
+        self.tune_completed.get()
     }
 
     /// Completed searches that found at least one cell in the result
     /// cache — the work of an earlier search, `simulate` or daemon.
     pub fn tune_resumes(&self) -> u64 {
-        self.tune_resumes.load(Ordering::Relaxed)
+        self.tune_resumes.get()
     }
 }
 
@@ -1575,8 +1524,8 @@ fn flight<V: Clone>(
     key: u64,
     peek: impl FnOnce() -> Option<V>,
     compute: impl FnOnce() -> StudyResult<V>,
-) -> (StudyResult<V>, Flight) {
-    table.run(key, || peek().map_or_else(compute, Ok))
+) -> StudyResult<V> {
+    table.run(key, || peek().map_or_else(compute, Ok)).0
 }
 
 /// Fold what a gated flight landed with into the one rejection type.
@@ -1613,7 +1562,7 @@ pub(crate) mod tests {
     /// ceiling in the same diff and says why.
     #[test]
     fn service_rs_stays_under_its_ceiling() {
-        const SERVICE_CEILING: usize = 1110;
+        const SERVICE_CEILING: usize = 1056;
         let code = include_str!("service.rs")
             .lines()
             .take_while(|l| !l.starts_with("#[cfg(test)]"))
@@ -1628,9 +1577,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// Held by every test in this crate that books `serve.predict.fallbacks`,
-    /// `serve.admission.shed` or `serve.breaker.rejected`. Obs series are
-    /// process-wide, and three tests here pin their exact deltas.
+    /// Held by every test in this crate that books `serve.predict.fallbacks`
+    /// or a refusal (`serve.admission.*`, `serve.breaker.rejected`). Obs
+    /// series are process-wide, and four tests here pin their exact deltas.
     pub(crate) fn obs_series() -> MutexGuard<'static, ()> {
         static SERIES: Mutex<()> = Mutex::new(());
         lock(&SERIES)
@@ -1784,6 +1733,7 @@ pub(crate) mod tests {
 
     #[test]
     fn draining_refuses_misses_but_serves_hits_and_stats() {
+        let _series = obs_series();
         let s = service("drain");
         let cold = s.handle_line(EP_CMP);
         s.set_draining();
@@ -2385,10 +2335,11 @@ pub(crate) mod tests {
     fn every_refusal_reads_the_same_from_both_gated_tiers() {
         // The envelope is one thing: an exact miss and a tune search
         // refused for the same cause get the same typed line, and the
-        // always-on counter behind `op=stats` moves once per refused
-        // request. `cell-panic` only matters to the quarantined row, which
-        // needs one failed computation per key to trip a threshold-1
-        // breaker; the other rows never reach a computation.
+        // count behind `op=stats` and its `op=metrics` series each move
+        // once per refused request. `cell-panic` only matters to the
+        // quarantined row, which needs one failed computation per key to
+        // trip a threshold-1 breaker; the other rows never reach a
+        // computation.
         let _series = obs_series();
         let faults = plan("cell-panic:0:50");
         for (cause, max_queue, deadline, block, key) in [
@@ -2425,7 +2376,14 @@ pub(crate) mod tests {
                     None
                 }
             };
-            let before = stat(&s, block, key);
+            let series = match cause {
+                "draining" => "serve.admission.rejected_draining",
+                "overloaded" => "serve.admission.rejected_overload",
+                "shed" => "serve.admission.shed",
+                _ => "serve.breaker.rejected",
+            };
+            let obs = || paxsim_obs::counter(series).get();
+            let before = (stat(&s, block, key), obs());
             let [exact, tune] = lines.each_ref().map(|line| s.handle_line(line));
             assert!(exact.contains(&format!("\"error\":\"{cause}\"")), "{exact}");
             // The remaining cooldown is the one thing that differs
@@ -2440,7 +2398,8 @@ pub(crate) mod tests {
                 None => r.to_string(),
             };
             assert_eq!(shape(&exact), shape(&tune), "{cause}");
-            assert_eq!(stat(&s, block, key) - before, 2, "{cause}");
+            let moved = (stat(&s, block, key) - before.0, obs() - before.1);
+            assert_eq!(moved, (2, 2), "{cause}: op=stats and op=metrics alike");
         }
     }
 
@@ -2474,8 +2433,8 @@ pub(crate) mod tests {
     #[test]
     fn quarantined_tunes_are_booked_in_obs_and_breaker_alike() {
         // Regression: only the exact tier told the obs counter about a
-        // quarantine rejection. The counter now moves inside
-        // `Breaker::check`, beside the atomic `op=health` reports.
+        // quarantine rejection. `Breaker::check` now books the one
+        // `Tally` that `op=health` and `op=metrics` both read.
         let _series = obs_series();
         let faults = plan("tune-abort:1:1");
         let s = Service::open(ServeConfig {

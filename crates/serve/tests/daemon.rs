@@ -197,10 +197,21 @@ fn the_clean_daemon_keeps_its_contracts() {
     assert_eq!(v["tune"]["best_config"].as_str(), canon.as_str(), "{tune}");
     assert_eq!(v["tune"]["speedup"].as_f64(), Some(score), "{tune}");
 
-    // Metrics: a full scrape, a monotonic request counter, the resolve
-    // memo answering the third of three identical lines, the engine memo
-    // gauges, the reactor's wakeups, and replays that build no machine.
+    // Metrics: a full scrape, the cache's conservation law, a monotonic
+    // request counter, the resolve memo answering the third of three
+    // identical lines, the engine memo gauges, the reactor's wakeups, and
+    // replays that build no machine.
     let scrape1 = d.ask(&["metrics"]);
+    let total = |names: &[&str]| -> f64 {
+        let series = |n| metric(&scrape1, &format!("paxsim_serve_{n}_total")).unwrap_or(0.0);
+        names.iter().map(series).sum()
+    };
+    let booked = total(&["cache_mem_hits", "cache_disk_hits", "cache_misses"]);
+    let asked = total(&["simulate_requests", "baseline_fetches"]);
+    assert!(
+        booked > 0.0 && booked == asked,
+        "{booked} != {asked}: {scrape1}"
+    );
     let cg_cmp = ["simulate", "--kernel", "cg", "--config", "CMP"];
     for _ in 0..3 {
         d.ask(&cg_cmp);
