@@ -58,6 +58,16 @@ by_name op::tests::an_address_at_the_asid_byte_is_refused_in_every_build -p paxs
 by_name store::tests::an_address_at_the_asid_byte_fails_the_build_typed -p paxsim-core --lib
 by_name cfd::tests::properties::lu5_solve_is_the_one_shot_elimination_bit_for_bit -p paxsim-nas --lib
 
+echo "== recycled cache arrays, a machine bounded in bytes (run by name) =="
+# A simulate after the first allocates no cache arrays; machines of two
+# geometries on two threads match the reference and keep the spare list
+# under its cap; a dropped cache leaves its arrays zero; a machine over
+# the byte bound is refused typed before a worker allocates it.
+by_name a_simulate_after_the_first_allocates_no_cache_arrays -p paxsim-machine --test machine_reuse
+by_name two_threads_alternating_geometries_match_the_reference -p paxsim-machine --test machine_reuse
+by_name cache::tests::properties::a_recycled_cache_is_a_new_one -p paxsim-machine --lib
+by_name service::tests::a_machine_over_the_byte_bound_is_refused_before_any_worker_allocates_it -p paxsim-serve --lib
+
 echo "== pooled calibration, the memo's snapshots, linear string parse (run by name) =="
 # Pooled calibrate() rows bit for bit their probe runs alone; an
 # unrepeatable run pins nothing in the memo; snapshots and aged images

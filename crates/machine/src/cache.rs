@@ -6,16 +6,17 @@
 //! them still observe the remaining fill latency — this is how partial
 //! prefetch coverage shows up in the model.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::config::CacheGeometry;
+use crate::config::{CacheGeometry, MachineConfig};
 use crate::memo::Chunk;
 
-/// Internal tag encoding: a stored tag is `line + 1`, so the all-zeros
-/// allocation `vec![0; n]` (serviced by calloc as untouched, lazily-zeroed
-/// pages) already means "every way empty". Machines are built per
-/// `simulate()` call, and eagerly memsetting a sentinel over the L2 tag
-/// arrays of every core used to dominate short runs' wall time.
+/// Internal tag encoding: a stored tag is `line + 1`, so an all-zero array
+/// already means "every way empty". A machine is built per simulated run;
+/// its caches take their big arrays zeroed from [`Spares`], and a fresh
+/// `vec![0; n]` is calloc's memset and a fault on every page once the heap
+/// has been trimmed, which is every machine after a process's first.
 const EMPTY: u64 = 0;
 
 /// Encode a line address for tag storage (`EMPTY` is unreachable: line
@@ -61,6 +62,12 @@ pub struct SetAssoc {
     /// lookup accelerator — a wrong prediction fails the tag compare and
     /// falls back to the full scan, so observable state never depends on it.
     mru_way: Vec<u32>,
+    /// One bit for each of up to 64 equal runs of sets (`1 << region_shift`
+    /// sets each): set when an install or restore writes a set of the run.
+    /// Every non-zero word of the arrays lies in a marked run, so
+    /// [`Self::clear`] zeroes those alone.
+    touched: u64,
+    region_shift: u32,
 }
 
 impl SetAssoc {
@@ -75,17 +82,44 @@ impl SetAssoc {
             "line size must be a power of two"
         );
         let n = sets * geom.ways;
+        let [tags, stamp, ready] = Spares::take(n);
         Self {
             sets,
             ways: geom.ways,
             line_shift: geom.line.trailing_zeros(),
-            tags: vec![EMPTY; n],
-            stamp: vec![0; n],
+            tags,
+            stamp,
             dirty: vec![false; n],
-            ready: vec![0; n],
+            ready,
             clock: 0,
             mru_way: vec![0; sets],
+            touched: 0,
+            region_shift: sets.trailing_zeros().saturating_sub(6),
         }
+    }
+
+    /// Mark the run of sets holding `set` as written.
+    #[inline(always)]
+    fn touch(&mut self, set: usize) {
+        self.touched |= 1 << (set >> self.region_shift);
+    }
+
+    /// Zero the runs of sets written since the last clear: the structure is
+    /// again as [`Self::new`] built it.
+    fn clear(&mut self) {
+        let sets = 1 << self.region_shift;
+        let mut runs = std::mem::take(&mut self.touched);
+        while runs != 0 {
+            let first = runs.trailing_zeros() as usize * sets;
+            runs &= runs - 1;
+            let ways = first * self.ways..(first + sets) * self.ways;
+            self.tags[ways.clone()].fill(EMPTY);
+            self.stamp[ways.clone()].fill(0);
+            self.dirty[ways.clone()].fill(false);
+            self.ready[ways].fill(0);
+            self.mru_way[first..first + sets].fill(0); // prediction state is free
+        }
+        self.clock = 0;
     }
 
     /// Convert a byte address to a line address.
@@ -142,6 +176,7 @@ impl SetAssoc {
         let base = set * self.ways;
         let t = enc(line);
         self.clock += 1;
+        self.touch(set);
         // Prefer an empty way; otherwise evict the LRU way.
         let mut victim = base;
         let mut oldest = u64::MAX;
@@ -283,22 +318,16 @@ impl SetAssoc {
     /// Lines land in each set's first ways, oldest first — one definite
     /// representative of the way-permutation equivalence class.
     pub(crate) fn restore(&mut self, c: &SetAssocCanon, base: u64) {
-        // A structure never accessed is still its all-zeros allocation (a
-        // machine built at a memo miss is restored into at once): there is
-        // nothing to clear, and no page of it is touched beyond the lines
-        // installed below.
-        if self.clock != 0 {
-            self.tags.fill(EMPTY);
-            self.stamp.fill(0);
-            self.dirty.fill(false);
-            self.ready.fill(0);
-            self.mru_way.fill(0); // prediction state is free
-        }
+        // Only runs of sets written since the arrays were last zero are
+        // cleared: none in a machine built at a memo miss and restored into
+        // at once, so no page of it is touched beyond the lines below.
+        self.clear();
         let set_bits = self.sets.trailing_zeros();
         let mut inflight = c.inflight.iter().peekable();
         let mut n = 0;
         for k in &c.chunks {
             unpack(k, CHUNK_SETS.min(self.sets), |set, way, hi, dirty| {
+                self.touch(set);
                 let i = set * self.ways + way;
                 self.tags[i] = enc(hi << set_bits | set as u64);
                 // Recency rank as the stamp: 1..=k oldest → newest.
@@ -318,6 +347,94 @@ impl SetAssoc {
             self.ways as u64
         };
     }
+}
+
+impl Drop for SetAssoc {
+    /// Hand the `u64` arrays, zeroed again, to the next cache.
+    fn drop(&mut self) {
+        self.clear();
+        let take = std::mem::take;
+        Spares::give([
+            take(&mut self.tags),
+            take(&mut self.stamp),
+            take(&mut self.ready),
+        ]);
+    }
+}
+
+/// The zeroed `u64` arrays of dropped caches, oldest first, shared by every
+/// thread: a new cache takes three of its length, and allocates only what
+/// is not there. Held to [`spare_cap`] bytes by letting the oldest go.
+struct Spares {
+    arrays: VecDeque<Vec<u64>>,
+    bytes: usize,
+    /// The most `bytes` ever held, for the tests.
+    peak: usize,
+}
+
+static SPARES: Mutex<Spares> = Mutex::new(Spares {
+    arrays: VecDeque::new(),
+    bytes: 0,
+    peak: 0,
+});
+
+impl Spares {
+    /// The list, even after a panic elsewhere: `Drop` must not panic, and
+    /// no update can leave it half done (nothing between a byte count and
+    /// its push or remove can panic).
+    fn lock() -> std::sync::MutexGuard<'static, Spares> {
+        SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Three all-zero arrays of `n` words, the latest spares of that length
+    /// first (`machine.sim.arrays_recycled` counts those).
+    fn take(n: usize) -> [Vec<u64>; 3] {
+        static RECYCLED: paxsim_obs::LazyCounter =
+            paxsim_obs::LazyCounter::new("machine.sim.arrays_recycled");
+        let spare: [Option<Vec<u64>>; 3] = {
+            let mut s = Self::lock();
+            std::array::from_fn(|_| {
+                let i = s.arrays.iter().rposition(|a| a.len() == n)?;
+                s.bytes -= n * 8;
+                s.arrays.remove(i)
+            })
+        };
+        RECYCLED.add(spare.iter().flatten().count() as u64);
+        spare.map(|a| a.unwrap_or_else(|| vec![0; n]))
+    }
+
+    /// Keep `arrays`, each all zero, letting the oldest go past the cap.
+    fn give(arrays: [Vec<u64>; 3]) {
+        let cap = spare_cap();
+        let mut s = Self::lock();
+        for a in arrays {
+            s.bytes += a.len() * 8;
+            s.arrays.push_back(a);
+        }
+        while s.bytes > cap {
+            let old = s.arrays.pop_front().expect("bytes are held in arrays");
+            s.bytes -= old.len() * 8;
+        }
+        s.peak = s.peak.max(s.bytes);
+    }
+}
+
+/// The bytes of spare arrays kept: the structures of as many machines of
+/// the largest size [`MachineConfig::check_geometry`] admits as the host
+/// runs threads at once.
+#[doc(hidden)]
+pub fn spare_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        threads.saturating_mul(MachineConfig::MAX_STRUCTURE_BYTES as usize)
+    })
+}
+
+/// The most bytes of spare arrays held at once so far.
+#[doc(hidden)]
+pub fn spare_peak() -> usize {
+    Spares::lock().peak
 }
 
 /// Consecutive sets per [`SetAssocCanon`] chunk: a region that touched a
@@ -694,6 +811,23 @@ mod tests {
     }
 
     #[test]
+    fn a_geometry_counts_the_bytes_its_cache_holds() {
+        for geom in [
+            CacheGeometry::new(512, 2, 64),
+            CacheGeometry::new(64, 4, 1),
+            MachineConfig::paxville_smp().l2,
+        ] {
+            let c = SetAssoc::new(geom);
+            let held = size_of_val(&*c.tags)
+                + size_of_val(&*c.stamp)
+                + size_of_val(&*c.dirty)
+                + size_of_val(&*c.ready)
+                + size_of_val(&*c.mru_way);
+            assert_eq!(held as u64, geom.structure_bytes(), "{geom:?}");
+        }
+    }
+
+    #[test]
     fn occupancy_counts() {
         let mut c = tiny();
         assert_eq!(c.occupancy(), 0);
@@ -973,6 +1107,45 @@ mod tests {
         }
 
         proptest! {
+            /// A dropped cache leaves its arrays zero: after any sequence of
+            /// accesses, installs, invalidations and restores (`None`: of
+            /// the state at the previous `None`), the next cache of
+            /// its geometry is the one `new` would allocate, field for
+            /// field, and canonicalizes as never accessed.
+            #[test]
+            fn a_recycled_cache_is_a_new_one(
+                shape in (0u32..=12, 1usize..=16),
+                ops in proptest::collection::vec(prop_oneof![cache_op().prop_map(Some), Just(None)], 1..300),
+            ) {
+                let geom = geometry(1 << shape.0, shape.1);
+                let mut c = SetAssoc::new(geom);
+                let mut canon = SetAssocCanon::default();
+                // Lines 131 apart, so the workload spans many sets.
+                let pool: Vec<u64> = (0..48).map(|l| l * 131 + 5).collect();
+                for (step, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Some(op) => drop(apply(&mut c, &pool, op, 0)),
+                        None => {
+                            let now = c.canon(step as u64);
+                            c.restore(&canon, step as u64);
+                            canon = now;
+                        }
+                    }
+                }
+                drop(c);
+                let (n, sets) = (geom.sets() * geom.ways, geom.sets());
+                let c = SetAssoc::new(geom);
+                prop_assert_eq!((c.sets, c.ways, c.line_shift), (sets, geom.ways, 6));
+                prop_assert_eq!(&c.tags, &vec![EMPTY; n]);
+                prop_assert_eq!(&c.stamp, &vec![0; n]);
+                prop_assert_eq!(&c.dirty, &vec![false; n]);
+                prop_assert_eq!(&c.ready, &vec![0; n]);
+                prop_assert_eq!(&c.mru_way, &vec![0; sets]);
+                prop_assert_eq!((c.clock, c.touched), (0, 0));
+                prop_assert_eq!(c.region_shift, (shape.0).saturating_sub(6));
+                prop_assert_eq!(c.canon(0), SetAssocCanon::default());
+            }
+
             /// The most recently installed/accessed line in a set is never
             /// the next victim when the set is full (LRU property).
             #[test]

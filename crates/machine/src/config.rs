@@ -54,7 +54,21 @@ impl CacheGeometry {
         }
         Ok(())
     }
+
+    /// Heap bytes of a `SetAssoc` of a geometry [`check`](Self::check)
+    /// accepts: three `u64` words and a dirty flag a way, and a `u32` way
+    /// prediction a set. Saturates.
+    pub(crate) fn structure_bytes(&self) -> u64 {
+        let sets = self.sets() as u64;
+        let ways = sets.saturating_mul(self.ways as u64);
+        ways.saturating_mul(3 * 8 + 1)
+            .saturating_add(sets.saturating_mul(4))
+    }
 }
+
+/// A trace cache holds at most one block a uop, each an entry and a map
+/// slot: this many heap bytes a uop of capacity, at most.
+const TC_BYTES_PER_UOP: u64 = 32;
 
 /// An optional chip-level shared L3 between the private L2s and the bus
 /// (absent on the paper's Paxville Xeons; present on the Broadwell-style
@@ -184,9 +198,48 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// The most [`structure_bytes`](Self::structure_bytes) a machine may
+    /// hold: about three of the paper's platform (4.95 MB) or of
+    /// `broadwell_l3` (5.34 MB). It also bounds what dropped caches leave
+    /// for the next machine (`cache::spare_cap`).
+    pub const MAX_STRUCTURE_BYTES: u64 = 16 << 20;
+
+    /// Each structure a machine of this config builds: the field that
+    /// sizes it, how many the topology builds, and one's heap bytes.
+    fn structures(&self) -> [(&'static str, u64, u64); 6] {
+        let cores = (self.chips as u64).saturating_mul(self.cores_per_chip as u64);
+        let tlb = |entries| CacheGeometry::new(entries, self.tlb_ways, 1).structure_bytes();
+        let (l3s, l3) = self
+            .l3
+            .map_or((0, 0), |l3| (self.chips as u64, l3.geom.structure_bytes()));
+        [
+            ("l1d.bytes", cores, self.l1d.structure_bytes()),
+            ("l2.bytes", cores, self.l2.structure_bytes()),
+            ("l3.geom.bytes", l3s, l3),
+            ("itlb_entries", cores, tlb(self.itlb_entries)),
+            ("dtlb_entries", cores, tlb(self.dtlb_entries)),
+            (
+                "tc_uops",
+                cores,
+                self.tc_uops.saturating_mul(TC_BYTES_PER_UOP),
+            ),
+        ]
+    }
+
+    /// Heap bytes of every cache, TLB and trace-cache instance a machine
+    /// of this config builds (a trace cache's at full capacity), once its
+    /// geometries pass [`CacheGeometry::check`]. Saturates.
+    pub(crate) fn structure_bytes(&self) -> u64 {
+        self.structures().iter().fold(0, |sum, &(_, n, one)| {
+            sum.saturating_add(n.saturating_mul(one))
+        })
+    }
+
     /// What the engine's cache and TLB constructors would panic on, if
     /// anything: the field at fault (`l1d.ways`, `page`, …) and why.
-    /// Mirrors the asserts of `SetAssoc::new` and `Tlb::new`.
+    /// Mirrors the asserts of `SetAssoc::new` and `Tlb::new`, and refuses
+    /// a machine over [`MAX_STRUCTURE_BYTES`](Self::MAX_STRUCTURE_BYTES),
+    /// naming the field of the structures that take the most.
     pub fn check_geometry(&self) -> Result<(), (String, String)> {
         let l3 = self.l3.map(|l3| ("l3.geom", l3.geom));
         for (name, geom) in [("l1d", self.l1d), ("l2", self.l2)].into_iter().chain(l3) {
@@ -212,6 +265,19 @@ impl MachineConfig {
         }
         if !self.page.is_power_of_two() {
             return Err(("page".into(), format!("{}, not a power of two", self.page)));
+        }
+        let total = self.structure_bytes();
+        if total > Self::MAX_STRUCTURE_BYTES {
+            let (field, ..) = self
+                .structures()
+                .into_iter()
+                .max_by_key(|&(_, n, one)| n.saturating_mul(one))
+                .expect("a machine has structures");
+            let why = format!(
+                "the machine's caches, TLBs and trace caches take {total} bytes, over {}",
+                Self::MAX_STRUCTURE_BYTES
+            );
+            return Err((field.into(), why));
         }
         Ok(())
     }
@@ -365,6 +431,40 @@ mod tests {
                 "{entries} entries, {ways} ways, page {page}"
             );
         }
+    }
+
+    #[test]
+    fn a_machine_is_bounded_in_bytes() {
+        let presets = [
+            MachineConfig::paxville_smp(),
+            MachineConfig::quad_core_smp(),
+            MachineConfig::broadwell_l3(),
+        ];
+        for cfg in &presets {
+            assert!(cfg.structure_bytes() < MachineConfig::MAX_STRUCTURE_BYTES / 2);
+            assert_eq!(cfg.check_geometry(), Ok(()));
+        }
+        assert_eq!(presets[0].structure_bytes(), 4_954_624);
+        assert_eq!(presets[2].structure_bytes(), 5_339_648);
+        // 2^32 sets of 255 ways: 63 TB of lines, each L2 a legal shape.
+        let huge = MachineConfig {
+            l2: CacheGeometry::new((1 << 32) * 255 * 64, 255, 64),
+            ..MachineConfig::paxville_smp()
+        };
+        assert_eq!(huge.l2.check(), Ok(()));
+        let (field, why) = huge.check_geometry().unwrap_err();
+        assert_eq!(field, "l2.bytes", "{why}");
+        // Many cores of small structures: the bound is on the sum.
+        let wide = MachineConfig {
+            cores_per_chip: 1 << 40,
+            ..MachineConfig::paxville_smp()
+        };
+        assert_eq!(wide.check_geometry().unwrap_err().0, "l2.bytes");
+        let tc = MachineConfig {
+            tc_uops: u64::MAX,
+            ..MachineConfig::paxville_smp()
+        };
+        assert_eq!(tc.check_geometry().unwrap_err().0, "tc_uops");
     }
 
     #[test]

@@ -995,6 +995,11 @@ mod tests {
                 "machine.itlb_entries",
             ),
             (edit(r#""page":4096"#, r#""page":4097"#), "machine.page"),
+            // 2^32 sets of 255 ways: a legal shape, and 63 TB of lines.
+            (
+                edit(l2, r#""l2":{"bytes":70093866270720,"ways":255,"line":64}"#),
+                "machine.l2.bytes",
+            ),
         ] {
             let line =
                 format!(r#"{{"op":"simulate","kernel":"ep","config":"CMP","machine":{machine}}}"#);

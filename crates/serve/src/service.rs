@@ -1756,6 +1756,24 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_machine_over_the_byte_bound_is_refused_before_any_worker_allocates_it() {
+        let s = service("huge_l2");
+        let machine = serde_json::to_string(&paxsim_machine::config::MachineConfig::paxville_smp())
+            .unwrap()
+            .replacen(
+                r#""l2":{"bytes":2097152,"ways":8,"line":64}"#,
+                r#""l2":{"bytes":70093866270720,"ways":255,"line":64}"#,
+                1,
+            );
+        let r = s.handle_line(&format!(
+            r#"{{"op":"simulate","kernel":"ep","config":"CMP","machine":{machine}}}"#
+        ));
+        assert!(r.contains("\"error\":\"bad-request\""), "{r}");
+        assert!(r.contains("machine.l2.bytes"), "{r}");
+        assert_eq!(s.computed(), 0, "{r}");
+    }
+
+    #[test]
     fn gate_admits_bounded_and_rejects_typed() {
         let g = Gate::new(1, 1);
         let p0 = g.admit(None).unwrap();

@@ -199,8 +199,8 @@ fn the_clean_daemon_keeps_its_contracts() {
 
     // Metrics: a full scrape, the cache's conservation law, a monotonic
     // request counter, the resolve memo answering the third of three
-    // identical lines, the engine memo gauges, the reactor's wakeups, and
-    // replays that build no machine.
+    // identical lines, the engine memo gauges, the reactor's wakeups,
+    // replays that build no machine, and machines that recycle arrays.
     let scrape1 = d.ask(&["metrics"]);
     let total = |names: &[&str]| -> f64 {
         let series = |n| metric(&scrape1, &format!("paxsim_serve_{n}_total")).unwrap_or(0.0);
@@ -235,8 +235,14 @@ fn the_clean_daemon_keeps_its_contracts() {
     let runs = metric(&scrape3, "paxsim_machine_sim_runs_total").unwrap();
     let built = metric(&scrape3, "paxsim_machine_sim_machines_built_total").unwrap();
     assert!(
-        0.0 < built && built < runs,
+        2.0 <= built && built < runs,
         "{built} machines over {runs} runs"
+    );
+    // A machine after the first takes its cache arrays from the last one.
+    let recycled = metric(&scrape3, "paxsim_machine_sim_arrays_recycled_total").unwrap_or(0.0);
+    assert!(
+        recycled > 0.0,
+        "{recycled} arrays recycled by {built} machines"
     );
 
     d.drain();
